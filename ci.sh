@@ -28,6 +28,10 @@ cargo run --release -q -p compass-fleet -- --smoke --out target/BENCH_fleet_smok
 # kernel-path speedup artifact.
 cargo run --release -q -p compass-bench --bin report_http -- --smoke
 cargo run --release -q -p compass-bench --bin report_http -- --short >target/BENCH_http_short.json
+# The benchmark (read-only here): BENCHMARK.json must match the
+# benchmark's own catalogue field by field, and its unit tests must pass.
+bash benchmark/run.sh --check-manifest BENCHMARK.json
+cargo test --offline --manifest-path benchmark/Cargo.toml
 # Clippy over both feature combinations: default and with the per-step
 # invariant layer (which adds the mirror/epoch and shard assertions).
 cargo clippy --all-targets --workspace -- -D warnings

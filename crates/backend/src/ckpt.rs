@@ -1,6 +1,6 @@
 //! Deterministic checkpoint/restore (ISSUE 8).
 //!
-//! COMPASS frontends are host threads running real closures, so their
+//! COMPASS frontends are coroutines running real closures, so their
 //! "state" lives on host stacks and cannot be serialized. A checkpoint
 //! therefore records the *architecture-model outcomes* instead: every
 //! [`crate::Backend::mem_access`] and DSM page-transfer result, in engine

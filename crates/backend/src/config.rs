@@ -6,7 +6,12 @@ use compass_isa::Cycles;
 use compass_mem::PlacementPolicy;
 use serde::{Deserialize, Serialize};
 
-/// How the backend overlaps with frontends on the host (§5, Tables 2–3).
+/// The engine's pickup discipline between rendezvous (§5, Tables 2–3).
+///
+/// Frontends run as tasks on the engine's own host thread (see the engine
+/// module docs), so neither mode overlaps frontends with the backend on
+/// the host any more; the modes differ only in how much the engine does
+/// before resuming the frontends it released. Results are identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineMode {
     /// "Uniprocessor host": after replying to a process the backend waits
@@ -14,8 +19,9 @@ pub enum EngineMode {
     /// exactly one entity runs at a time — the rendezvous per event models
     /// the context switch the paper's uniprocessor deployment pays.
     Serialized,
-    /// "SMP host": the backend processes any *safe* pending event while
-    /// released frontends compute concurrently.
+    /// "SMP host": the backend processes every *safe* pending event before
+    /// resuming the frontends it released. (With frontends on host threads
+    /// they computed concurrently meanwhile; as tasks they run after.)
     Pipelined,
 }
 
@@ -62,9 +68,11 @@ pub struct BackendConfig {
     pub tlb_assoc: usize,
     /// Interval-timer period per CPU; `None` disables timer interrupts.
     pub timer_interval: Option<Cycles>,
-    /// Host-time deadlock detector: if no event can be processed and
-    /// nothing is posted for this many milliseconds, the engine returns a
-    /// structured deadlock report ([`crate::error::RunError::Deadlock`]).
+    /// Host-time deadlock detector for posters on ordinary threads and
+    /// shard jobs: if no event can be processed and nothing is posted for
+    /// this many milliseconds, the engine returns a structured deadlock
+    /// report ([`crate::error::RunError::Deadlock`]). When every poster is
+    /// a task suspended on the engine, the deadlock is reported at once.
     pub deadlock_ms: u64,
     /// Which simulated CPU device interrupts are routed to.
     pub irq_cpu: usize,

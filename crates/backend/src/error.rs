@@ -1,13 +1,13 @@
 //! Structured run failures.
 //!
 //! A deadlock used to be a `panic!` deep in the engine, which tore the
-//! whole process down (the runner upgrades backend panics to aborts) and
-//! left soak harnesses nothing to record. It is now data: the engine
-//! returns [`RunError::Deadlock`] carrying a [`DeadlockReport`] with the
-//! same per-process dump the panic message used to print, so callers can
-//! log the seed, shrink the scenario, or retry — and the frontends are
-//! unwound in an orderly way through port poisoning instead of being left
-//! parked forever.
+//! whole process down and left soak harnesses nothing to record. It is
+//! now data: the engine returns [`RunError::Deadlock`] carrying a
+//! [`DeadlockReport`] with the same per-process dump the panic message
+//! used to print, so callers can log the seed, shrink the scenario, or
+//! retry — and the frontends are unwound in an orderly way through port
+//! poisoning instead of being left waiting forever. A backend panic is
+//! data too ([`RunError::BackendPanic`]).
 
 use crate::vm::VmFault;
 use compass_isa::Cycles;
@@ -43,6 +43,20 @@ pub enum RunError {
         /// Human-readable expected-vs-got description.
         detail: String,
     },
+    /// The backend (or a simulated thread it resumed) panicked. Every
+    /// port was poisoned and every simulated thread unwound before this
+    /// was returned.
+    BackendPanic {
+        /// The panic message.
+        msg: String,
+    },
+    /// Interrupt code drained the device queues (or the daemon blocked)
+    /// with batched kernel events still unsettled, so its clock lagged
+    /// simulated time and the drained set would depend on batching.
+    UnsettledDrain {
+        /// Where, by whom and at which clock.
+        detail: String,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -53,6 +67,10 @@ impl fmt::Display for RunError {
             RunError::Checkpoint { msg } => write!(f, "checkpoint error: {msg}"),
             RunError::ResumeDiverged { at_event, detail } => {
                 write!(f, "resume diverged at event {at_event}: {detail}")
+            }
+            RunError::BackendPanic { msg } => write!(f, "backend panicked: {msg}"),
+            RunError::UnsettledDrain { detail } => {
+                write!(f, "settled-at-drain invariant violated: {detail}")
             }
         }
     }

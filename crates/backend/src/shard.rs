@@ -19,8 +19,8 @@
 //! SPSC ring of [`Done`]s (worker → engine), and a private
 //! [`Notifier`] the engine bumps after posting jobs. Workers bump the
 //! *engine's* notifier after posting results so a stalled engine wakes.
-//! A worker panic aborts the process, mirroring how the runner treats a
-//! backend panic: a half-updated slice is unrecoverable.
+//! A worker panic aborts the process: a half-updated slice is
+//! unrecoverable, and the engine would wait for its result forever.
 
 use compass_arch::{EvictHint, PrivateAccess, SliceArena};
 use compass_comm::{shard_ring, Notifier, ShardReceiver, ShardSender};

@@ -19,8 +19,10 @@ use serde::{Deserialize, Serialize};
 /// OS-thread kernel code) after its event port was poisoned: the backend
 /// is gone — typically because it returned a deadlock report — and the
 /// event can never be simulated, so the thread must tear down, not retry.
-/// Thread-boundary code (`catch_unwind` in the runner and the OS server)
-/// downcasts to this type to tell an orderly abort from a real bug.
+/// The executor also raises it from a blocking call of a cancelled task.
+/// Task-boundary code (the executor's `catch_unwind` at the bottom of
+/// every task stack, and the OS server) downcasts to this type to tell an
+/// orderly abort from a real bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimAbort;
 

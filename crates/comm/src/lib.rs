@@ -6,16 +6,22 @@
 //! Shared Memory Message Passing incorporating a shared memory segment and
 //! a set of blocking and non-blocking message passing primitives." (§2)
 //!
-//! In this reproduction the "shared memory segment" is process memory
-//! shared between host threads; the blocking primitives are built from
-//! atomics plus `thread::park`/`unpark` (see *Rust Atomics and Locks*,
-//! ch. 4–5, whose one-shot channel design the [`rendezvous`] module's
-//! reply slot follows). The non-blocking primitive is a bounded SPSC event
+//! In this reproduction the "shared memory segment" is process memory, and
+//! the frontends, OS-server threads and bottom-half daemon are stackful
+//! coroutines ([`coro`]) that the backend's host thread resumes: a blocking
+//! primitive suspends its caller back to the engine instead of parking a
+//! host thread, so a rendezvous is a user-space stack switch. The
+//! primitives are built from atomics (see *Rust Atomics and Locks*, ch.
+//! 4–5, whose one-shot channel design the [`rendezvous`] module's reply
+//! slot follows) and keep a `thread::park` fallback for callers on
+//! ordinary threads. The non-blocking primitive is a bounded SPSC event
 //! ring per port: the frontend batches a basic block's worth of timed
 //! events and rendezvouses only on the batch's final (blocking) event.
 //!
 //! Contents:
 //!
+//! * [`coro`] — the coroutines, their executor, and the wait/wake
+//!   protocol every blocking primitive uses;
 //! * [`event`] — the event/reply ABI between frontends and the backend;
 //! * [`rendezvous`] — the bounded event ring with its blocking-reply slot;
 //! * [`port`] — event ports (hot, atomics-based) and generic request ports
@@ -27,6 +33,7 @@
 //!   interrupt handlers;
 //! * [`notifier`] — the backend wake-up channel.
 
+pub mod coro;
 pub mod cpu_states;
 pub mod devshared;
 pub mod event;
@@ -35,6 +42,7 @@ pub mod port;
 pub mod rendezvous;
 pub mod shard_ring;
 
+pub use coro::{Class, Executor};
 pub use cpu_states::{CpuStates, IrqSource};
 pub use devshared::{DevShared, DiskCompletion, Frame, FrameKind, TimerTick};
 pub use event::{

@@ -12,15 +12,16 @@
 //! final event, whose reply aggregates the batched latencies. The
 //! [`ReqPort`] is the generic blocking request/response rendezvous used for
 //! OS ports ("The OS port is used to accept OS calls from an application
-//! process", §3.1); OS calls are orders of magnitude rarer than memory
-//! events, so a mutex/condvar implementation is appropriate there.
+//! process", §3.1): a mutex-guarded request/response pair whose blocked
+//! side waits through [`crate::coro`] (a task suspends, a thread parks).
 
+use crate::coro::{self, Waiter};
 use crate::event::{Event, Reply};
 use crate::notifier::Notifier;
 use crate::rendezvous::EventRing;
 use compass_isa::{Cycles, ProcessId};
 use compass_obs::{CounterBlock, Ctr};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -80,14 +81,14 @@ impl EventPort {
         self.ring.capacity()
     }
 
-    /// Posts a blocking event: publishes it, wakes the backend, and parks
-    /// until the reply. Any events batched before it are consumed first;
+    /// Posts a blocking event: publishes it, wakes the backend, and waits
+    /// for the reply. Any events batched before it are consumed first;
     /// the reply's latency aggregates theirs (credit accounting lives in
     /// the backend).
     pub fn post(&self, ev: Event) -> Reply {
         debug_assert_eq!(ev.pid, self.pid, "event posted on foreign port");
         // The notification must reach the backend *after* the ring publish;
-        // post_with runs the hook between the Release publish and parking.
+        // post_with runs the hook between the Release publish and waiting.
         self.ring.post_with(ev, || {
             if let Some(c) = &self.counters {
                 c.inc(Ctr::RingNotifies);
@@ -148,7 +149,7 @@ impl EventPort {
     }
 
     /// Backend: pops the head event. The `bool` is `wants_reply`: `true`
-    /// means a producer is parked until [`EventPort::reply`] (possibly much
+    /// means a producer waits until [`EventPort::reply`] (possibly much
     /// later — deferred replies implement blocking calls and descheduling).
     pub fn pop(&self) -> Option<(Event, bool)> {
         if let Some(c) = &self.counters {
@@ -170,12 +171,12 @@ impl EventPort {
         self.ring.len()
     }
 
-    /// True while a poster is parked on this port awaiting a reply.
+    /// True while a poster on this port waits for a reply.
     pub fn has_blocked_poster(&self) -> bool {
         self.ring.has_blocked_poster()
     }
 
-    /// Backend teardown: poisons the ring — wakes a parked poster with an
+    /// Backend teardown: poisons the ring — wakes a waiting poster with an
     /// `Aborted` reply and makes every later post return `Aborted`.
     pub fn poison(&self) {
         self.ring.poison();
@@ -191,16 +192,18 @@ impl EventPort {
 ///
 /// One client (the application process) and one server (its paired OS
 /// thread). `call` blocks until the server `respond`s; `recv` blocks until
-/// a request arrives.
+/// a request arrives. Neither holds the mutex while it waits.
 pub struct ReqPort<Q, S> {
     inner: Mutex<ReqInner<Q, S>>,
-    to_server: Condvar,
-    to_client: Condvar,
 }
 
 struct ReqInner<Q, S> {
     req: Option<Q>,
     resp: Option<S>,
+    /// The server blocked in `recv`.
+    server: Option<Waiter>,
+    /// The client blocked in `call`.
+    client: Option<Waiter>,
 }
 
 impl<Q, S> Default for ReqPort<Q, S> {
@@ -216,34 +219,49 @@ impl<Q, S> ReqPort<Q, S> {
             inner: Mutex::new(ReqInner {
                 req: None,
                 resp: None,
+                server: None,
+                client: None,
             }),
-            to_server: Condvar::new(),
-            to_client: Condvar::new(),
         }
     }
 
     /// Client: sends a request and blocks for the response.
     pub fn call(&self, q: Q) -> S {
-        let mut g = self.inner.lock();
-        assert!(
-            g.req.is_none() && g.resp.is_none(),
-            "ReqPort::call while a call is outstanding"
-        );
-        g.req = Some(q);
-        self.to_server.notify_one();
-        while g.resp.is_none() {
-            self.to_client.wait(&mut g);
+        {
+            let mut g = self.inner.lock();
+            assert!(
+                g.req.is_none() && g.resp.is_none(),
+                "ReqPort::call while a call is outstanding"
+            );
+            g.req = Some(q);
+            if let Some(w) = g.server.take() {
+                w.wake();
+            }
         }
-        g.resp.take().expect("response present")
+        loop {
+            {
+                let mut g = self.inner.lock();
+                if let Some(s) = g.resp.take() {
+                    return s;
+                }
+                g.client = Some(Waiter::current());
+            }
+            coro::wait();
+        }
     }
 
     /// Server: blocks until a request arrives and takes it.
     pub fn recv(&self) -> Q {
-        let mut g = self.inner.lock();
-        while g.req.is_none() {
-            self.to_server.wait(&mut g);
+        loop {
+            {
+                let mut g = self.inner.lock();
+                if let Some(q) = g.req.take() {
+                    return q;
+                }
+                g.server = Some(Waiter::current());
+            }
+            coro::wait();
         }
-        g.req.take().expect("request present")
     }
 
     /// Server: responds to the request taken by the last [`ReqPort::recv`].
@@ -251,7 +269,9 @@ impl<Q, S> ReqPort<Q, S> {
         let mut g = self.inner.lock();
         debug_assert!(g.resp.is_none(), "double respond");
         g.resp = Some(s);
-        self.to_client.notify_one();
+        if let Some(w) = g.client.take() {
+            w.wake();
+        }
     }
 
     /// Server: non-blocking receive.

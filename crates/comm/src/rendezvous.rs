@@ -14,16 +14,19 @@
 //! entry:
 //!
 //! ```text
-//!   producer:  publish(ev, false)*  → publish(ev, true) + park
-//!   consumer:  pop … pop            → reply(r) + unpark
+//!   producer:  publish(ev, false)*  → publish(ev, true) + wait
+//!   consumer:  pop … pop            → reply(r) + wake
 //! ```
 //!
-//! At most one blocking entry is ever outstanding: the producer parks on it,
+//! At most one blocking entry is ever outstanding: the producer waits on it,
 //! and cross-producer handoff (frontend → OS thread) only happens while the
 //! frontend is blocked *outside* the ring, in the OS request port. The
 //! reply slot is the one-shot channel of *Rust Atomics and Locks* ch. 5;
-//! the ring adds the batching described in ISSUE 1.
+//! the ring adds the frontend's batching. Waiting and waking go
+//! through [`crate::coro`]: a producer task suspends to the engine that
+//! will reply, a producer thread parks.
 
+use crate::coro::{self, Waiter};
 use crate::event::{Event, Reply, ReplyData};
 use compass_isa::Cycles;
 use compass_obs::{CounterBlock, Ctr};
@@ -32,7 +35,6 @@ use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, Thread};
 
 /// The reply a poisoned ring hands to every poster.
 const ABORTED: Reply = Reply {
@@ -41,16 +43,9 @@ const ABORTED: Reply = Reply {
     data: ReplyData::Aborted,
 };
 
-/// Bounds for the adaptive reply spin (see [`EventRing::post_with`]): the
-/// producer spins at least `SPIN_MIN` and at most `SPIN_MAX` iterations on
-/// the reply slot before parking, doubling the budget each time the spin
-/// catches the reply and halving it each time it has to park anyway.
-const SPIN_MIN: u32 = 64;
-const SPIN_MAX: u32 = 4096;
-
 /// Reply slot: no blocking entry outstanding.
 const IDLE: u32 = 0;
-/// Producer has published a blocking entry and parks until REPLIED.
+/// Producer has published a blocking entry and waits until REPLIED.
 const WAITING: u32 = 1;
 /// Consumer has written the reply; producer consumes it and returns to IDLE.
 const REPLIED: u32 = 2;
@@ -77,14 +72,11 @@ pub struct EventRing {
     slots: Box<[Slot]>,
     reply_state: CachePadded<AtomicU32>,
     reply: UnsafeCell<Reply>,
-    /// The thread parked in `post`, to be unparked on reply.
-    poster: Mutex<Option<Thread>>,
+    /// Whoever waits in `post`, to be woken on reply.
+    poster: Mutex<Option<Waiter>>,
     /// Set by [`EventRing::poison`]: the consumer is gone; posts return
     /// [`ReplyData::Aborted`] instantly and publishes are dropped.
     poisoned: AtomicBool,
-    /// Producer-owned adaptive spin budget (atomic only because the ring
-    /// is `Sync`; always accessed Relaxed by the single producer).
-    spin_budget: AtomicU32,
     /// Observability counters (`None` = disabled; one branch per hook).
     counters: Option<Arc<CounterBlock>>,
 }
@@ -92,7 +84,7 @@ pub struct EventRing {
 // SAFETY: slot cells are gated by the head/tail cursors (see struct docs);
 // the reply cell is gated by the reply_state machine exactly as in the old
 // single-slot design: written by the consumer while WAITING (producer is
-// parked), read by the producer after observing REPLIED with Acquire.
+// waiting), read by the producer after observing REPLIED with Acquire.
 unsafe impl Sync for EventRing {}
 unsafe impl Send for EventRing {}
 
@@ -126,7 +118,6 @@ impl EventRing {
             reply: UnsafeCell::new(Reply::latency(0)),
             poster: Mutex::new(None),
             poisoned: AtomicBool::new(false),
-            spin_budget: AtomicU32::new(SPIN_MIN),
             counters: None,
         }
     }
@@ -188,7 +179,7 @@ impl EventRing {
         self.head.load(Ordering::Relaxed) == tail
     }
 
-    /// Producer: publishes a blocking entry and parks until the consumer
+    /// Producer: publishes a blocking entry and waits until the consumer
     /// replies. Any entries batched before it are consumed first (FIFO),
     /// and the reply conventionally aggregates their latencies.
     pub fn post(&self, ev: Event) -> Reply {
@@ -196,7 +187,7 @@ impl EventRing {
     }
 
     /// Like [`EventRing::post`], but runs `after_publish` once the entry is
-    /// visible to the consumer and before parking — the hook ports use to
+    /// visible to the consumer and before waiting — the hook ports use to
     /// notify the backend without racing the publish.
     pub fn post_with(&self, ev: Event, after_publish: impl FnOnce()) -> Reply {
         if self.poisoned.load(Ordering::SeqCst) {
@@ -208,7 +199,7 @@ impl EventRing {
         if let Some(c) = &self.counters {
             c.inc(Ctr::RingPosts);
         }
-        *self.poster.lock() = Some(thread::current());
+        *self.poster.lock() = Some(Waiter::current());
         let prev =
             self.reply_state
                 .compare_exchange(IDLE, WAITING, Ordering::Relaxed, Ordering::Relaxed);
@@ -221,7 +212,7 @@ impl EventRing {
         // Store-buffer pairing with `poison`: our WAITING transition is
         // separated from this load by the SeqCst fence in `publish`;
         // poison stores the flag, fences, then reads the state. At least
-        // one side sees the other, so a poster can neither park forever
+        // one side sees the other, so a poster can neither wait forever
         // on a poisoned ring nor miss a concurrent abort reply.
         if self.poisoned.load(Ordering::SeqCst)
             && self
@@ -236,45 +227,11 @@ impl EventRing {
             }
             return ABORTED;
         }
-        // Adaptive spin before parking: at batch depth 1 the backend's
-        // reply typically lands within a few hundred nanoseconds of the
-        // notify, while a park/unpark round trip costs microseconds — the
-        // old unconditional park made ring_stalls ≈ ring_posts. Spin a
-        // bounded budget first; a reply caught spinning avoids the park.
-        // The budget doubles on success and halves on a park, so posters
-        // whose replies genuinely take long (blocking OS calls, lock
-        // waits) fall back to parking almost immediately.
-        let budget = self.spin_budget.load(Ordering::Relaxed);
-        let mut spun = 0u32;
-        let mut replied_in_spin = false;
-        while spun < budget {
-            if self.reply_state.load(Ordering::Acquire) == REPLIED {
-                replied_in_spin = true;
-                break;
-            }
-            std::hint::spin_loop();
-            spun += 1;
-        }
-        if replied_in_spin {
-            if spun > 0 {
-                if let Some(c) = &self.counters {
-                    c.inc(Ctr::RingSpinsAvoidedPark);
-                }
-            }
-            self.spin_budget
-                .store((budget * 2).min(SPIN_MAX), Ordering::Relaxed);
-        } else {
-            self.spin_budget
-                .store((budget / 2).max(SPIN_MIN), Ordering::Relaxed);
-        }
-        loop {
-            if self.reply_state.load(Ordering::Acquire) == REPLIED {
-                break;
-            }
+        while self.reply_state.load(Ordering::Acquire) != REPLIED {
             if let Some(c) = &self.counters {
                 c.inc(Ctr::RingStalls);
             }
-            thread::park();
+            coro::wait();
         }
         // SAFETY: REPLIED observed with Acquire; consumer wrote the reply
         // before its Release transition and will not touch it again.
@@ -298,7 +255,7 @@ impl EventRing {
     }
 
     /// Consumer: pops the head entry. The `bool` is its `wants_reply` flag;
-    /// a `true` entry's producer is parked in [`EventRing::post`] until
+    /// a `true` entry's producer waits in [`EventRing::post`] until
     /// [`EventRing::reply`] — possibly much later (deferred replies
     /// implement blocking OS calls, lock waits and descheduling).
     pub fn pop(&self) -> Option<(Event, bool)> {
@@ -331,21 +288,21 @@ impl EventRing {
         self.len() == 0
     }
 
-    /// True while a producer is parked awaiting a reply — whether its
+    /// True while a producer waits for a reply — whether its
     /// blocking entry is still in the ring or already popped and held.
     #[inline]
     pub fn has_blocked_poster(&self) -> bool {
         self.reply_state.load(Ordering::Acquire) == WAITING
     }
 
-    /// Consumer: replies to the outstanding blocking entry and unparks its
+    /// Consumer: replies to the outstanding blocking entry and wakes its
     /// producer.
     ///
     /// # Panics
     /// Panics if no blocking entry is outstanding.
     pub fn reply(&self, r: Reply) {
         // SAFETY: state is WAITING (asserted by the CAS below): the
-        // producer is parked and not accessing `reply`; we are the only
+        // producer is waiting and not accessing `reply`; we are the only
         // consumer.
         unsafe { *self.reply.get() = r };
         let prev = self.reply_state.compare_exchange(
@@ -355,8 +312,8 @@ impl EventRing {
             Ordering::Relaxed,
         );
         assert!(prev.is_ok(), "EventRing::reply without a blocked poster");
-        if let Some(t) = self.poster.lock().as_ref() {
-            t.unpark();
+        if let Some(w) = self.poster.lock().as_ref() {
+            w.wake();
         }
     }
 
@@ -368,7 +325,7 @@ impl EventRing {
 
     /// Consumer: poisons the ring during teardown (e.g. after the backend
     /// built a deadlock report and will never pop again). A currently
-    /// parked poster is woken with an [`ReplyData::Aborted`] reply; every
+    /// waiting poster is woken with an [`ReplyData::Aborted`] reply; every
     /// later `post` returns `Aborted` instantly and `publish` drops.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
@@ -383,8 +340,8 @@ impl EventRing {
                 .compare_exchange(WAITING, REPLIED, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
             {
-                if let Some(t) = self.poster.lock().as_ref() {
-                    t.unpark();
+                if let Some(w) = self.poster.lock().as_ref() {
+                    w.wake();
                 }
             }
             // A failed CAS means the poster cancelled itself after seeing
@@ -399,6 +356,7 @@ mod tests {
     use crate::event::{CtlOp, EventBody};
     use compass_isa::ProcessId;
     use std::sync::Arc;
+    use std::thread;
 
     fn ev(time: Cycles) -> Event {
         Event {

@@ -1,18 +1,26 @@
-//! The simulation runner: builds the communicator, spawns the frontend
-//! processes, the OS server (threads + bottom-half daemon) and the
-//! backend, runs to completion, and collects every statistic.
+//! The simulation runner: builds the communicator, the backend, the OS
+//! server (threads + bottom-half daemon) and the frontend processes, runs
+//! to completion, and collects every statistic.
+//!
+//! One host thread, `compass-backend`, runs the whole simulation: the
+//! frontends, OS threads and daemon are tasks on its executor (see
+//! [`compass_comm::coro`]), resumed by the engine whenever it needs their
+//! next event. Shard workers (`backend_workers > 1`) are the only other
+//! simulator threads.
 
 use crate::config::SimConfig;
 use compass_arch::ArchConfig;
 use compass_backend::devices::NullTraffic;
 use compass_backend::{Backend, BackendStats, RunError, TrafficSource};
-use compass_comm::{CpuStates, DevShared, EventPort, Notifier, SimAbort};
+use compass_comm::coro::payload_message;
+use compass_comm::{Class, CpuStates, DevShared, EventPort, Executor, Notifier};
 use compass_frontend::{CpuCtx, FrontendStats, Process};
 use compass_isa::{Cycles, ProcessId};
 use compass_obs::{Ctr, ObsHub, ObsReport, ProgressFn, TraceBuffer, TraceHandle};
 use compass_os::bufcache::BufStats;
 use compass_os::net::NetStats;
 use compass_os::{KernelShared, OsObs, OsServer};
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -35,7 +43,9 @@ pub struct RunReport {
     pub intr_cycles: [Cycles; 3],
     /// Per-process frontend counters.
     pub frontends: Vec<FrontendStats>,
-    /// Host wall-clock time of the simulation.
+    /// Host wall-clock time of the simulation: from starting the
+    /// `compass-backend` thread to joining it (setup of the simulated
+    /// threads, the run, and their teardown).
     pub wall: Duration,
     /// Number of application processes (the kernel daemon is `pid
     /// app_processes`).
@@ -78,6 +88,8 @@ pub struct SimBuilder {
     ckpt_every: Option<(u64, PathBuf)>,
     resume_from: Option<PathBuf>,
     ff_events: u64,
+    #[cfg(feature = "check-invariants")]
+    schedule_seed: Option<u64>,
 }
 
 impl SimBuilder {
@@ -98,6 +110,8 @@ impl SimBuilder {
             ckpt_every: None,
             resume_from: None,
             ff_events: 0,
+            #[cfg(feature = "check-invariants")]
+            schedule_seed: None,
         }
     }
 
@@ -184,6 +198,16 @@ impl SimBuilder {
         self
     }
 
+    /// Runs the simulated threads on a seeded random schedule instead of
+    /// first-ready-first-run (see `Executor::set_schedule_seed`) — the
+    /// schedule-independence oracle: results must be bit-identical for
+    /// every seed. Only in `check-invariants` builds.
+    #[cfg(feature = "check-invariants")]
+    pub fn schedule_seed(mut self, seed: u64) -> Self {
+        self.schedule_seed = Some(seed);
+        self
+    }
+
     /// Runs the simulation to completion; panics (with the deadlock
     /// report) if the run ends in an error. Use [`SimBuilder::try_run`]
     /// to handle errors structurally.
@@ -193,8 +217,10 @@ impl SimBuilder {
 
     /// Runs the simulation to completion, returning a structured error
     /// instead of panicking when the backend detects a deadlock (sync
-    /// cycle or host-timeout). On error every event port is poisoned, so
-    /// all simulated threads unwind cleanly before this returns.
+    /// cycle or host-timeout) or itself panics. On error every event port
+    /// is poisoned, so all simulated threads unwind cleanly before this
+    /// returns. A panic inside a simulated thread (a workload bug) is
+    /// re-raised here.
     pub fn try_run(self) -> Result<RunReport, RunError> {
         let SimBuilder {
             mut config,
@@ -206,6 +232,8 @@ impl SimBuilder {
             ckpt_every,
             resume_from,
             ff_events,
+            #[cfg(feature = "check-invariants")]
+            schedule_seed,
         } = self;
         assert!(
             ckpt_every.is_none() || resume_from.is_none(),
@@ -245,7 +273,7 @@ impl SimBuilder {
         let devshared = Arc::new(DevShared::new());
         // Rings must hold a full frontend batch, the OS thread's batched
         // kernel events (its pending count persists across syscalls), and
-        // the blocking event that cuts the batch. The frontend parks
+        // the blocking event that cuts the batch. The frontend waits
         // while its OS thread runs, so the two never publish into one
         // ring concurrently — capacity is the only constraint.
         let ring_cap = compass_comm::DEFAULT_RING_CAPACITY
@@ -297,8 +325,6 @@ impl SimBuilder {
                 cpu_states: Arc::clone(&cpu_states),
                 counters: os_block.clone(),
             });
-        let os_server =
-            OsServer::start_with_perf(Arc::clone(&kernel), os_threads, os_obs, kernel_perf);
         // Event-driven disk path (ISSUE 9): the bottom-half daemon gets a
         // batching-only sink so interrupt handlers settle their kernel
         // references through the port credit. Off under pseudo-IRQ for
@@ -311,11 +337,6 @@ impl SimBuilder {
                 cpu_states: Arc::clone(&cpu_states),
                 counters: os_block.clone(),
             });
-        let daemon_handle = os_server.start_daemon_with_perf(
-            daemon_pid,
-            Arc::clone(&ports[daemon_pid.index()]),
-            daemon_perf,
-        );
 
         // --- Backend ---
         let mut backend = Backend::new(
@@ -367,100 +388,126 @@ impl SimBuilder {
             // Snapshots still count (and trace) with no user callback.
             backend.set_progress(every, progress.unwrap_or_else(|| Arc::new(|_| {})));
         }
-        let started = Instant::now();
-        let backend_handle = std::thread::Builder::new()
-            .name("compass-backend".into())
-            .spawn(move || {
-                // Deadlocks come back as Err; a genuine panic would leave
-                // every frontend parked forever, so abort loudly instead
-                // of hanging the harness.
-                match catch_unwind(AssertUnwindSafe(|| backend.run())) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("backend panicked");
-                        eprintln!("fatal: {msg}");
-                        std::process::abort();
-                    }
-                }
-            })
-            .expect("spawn backend");
-
         // --- Frontend processes ---
-        let mut proc_handles = Vec::with_capacity(nprocs);
-        for (pid, mut body) in processes.into_iter().enumerate() {
-            let port = Arc::clone(&ports[pid]);
-            let os_server = Arc::clone(&os_server);
-            let cpu_states = Arc::clone(&cpu_states);
-            let timing = config.timing.clone();
-            let pseudo = config.pseudo_irq;
-            let sample_period = config.sample_period;
-            let batch_depth = config.backend.batch_depth;
-            let filter = config.filter.then_some((
-                config.backend.arch.l1,
-                config.backend.arch.lat.l1_hit,
-                config.backend.tlb_entries,
-                config.backend.tlb_assoc,
-            ));
-            let fe_block = counters.map(|hub| hub.register(&format!("frontend-{pid}")));
-            proc_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("app-process-{pid}"))
-                    .spawn(move || {
-                        let pid = ProcessId(pid as u32);
-                        let os = os_server.connect(pid, Arc::clone(&port));
-                        let mut cpu = CpuCtx::simulated(pid, port, os, cpu_states, timing);
-                        if pseudo {
-                            cpu.enable_pseudo_irq();
-                        }
-                        if let Some((l1, hit_lat, tlb_entries, tlb_assoc)) = filter {
-                            // Mirrors match the real L1 geometry and TLB;
-                            // a no-op under pseudo-IRQ (see enable_filter).
-                            cpu.enable_filter(l1, hit_lat, tlb_entries, tlb_assoc);
-                        }
-                        cpu.set_batch_depth(batch_depth);
-                        cpu.set_sample_period(sample_period);
-                        if let Some(block) = &fe_block {
-                            cpu.set_obs_counters(Arc::clone(block));
-                        }
-                        let born = Instant::now();
-                        // [`SimAbort`] means the backend poisoned the
-                        // ports (deadlock teardown): unwind quietly; the
-                        // backend join reports the structured error.
-                        let res = catch_unwind(AssertUnwindSafe(|| {
+        let frontend_setup: Vec<_> = processes
+            .into_iter()
+            .enumerate()
+            .map(|(pid, body)| {
+                let fe_block = counters.map(|hub| hub.register(&format!("frontend-{pid}")));
+                (pid, body, fe_block)
+            })
+            .collect();
+        let timing = config.timing.clone();
+        let pseudo = config.pseudo_irq;
+        let sample_period = config.sample_period;
+        let batch_depth = config.backend.batch_depth;
+        let filter = config.filter.then_some((
+            config.backend.arch.l1,
+            config.backend.arch.lat.l1_hit,
+            config.backend.tlb_entries,
+            config.backend.tlb_assoc,
+        ));
+        let results: Arc<Mutex<Vec<Option<FrontendStats>>>> =
+            Arc::new(Mutex::new(vec![None; nprocs]));
+
+        // --- Run: every simulated thread is a task on the backend thread ---
+        let started = Instant::now();
+        let run = {
+            let kernel = Arc::clone(&kernel);
+            let ports = ports.clone();
+            let results = Arc::clone(&results);
+            let backend_block = backend_block.clone();
+            std::thread::Builder::new()
+                .name("compass-backend".into())
+                .spawn(move || {
+                    let thread_start = Instant::now();
+                    let mut exec = Executor::new(notifier);
+                    #[cfg(feature = "check-invariants")]
+                    if let Some(seed) = schedule_seed {
+                        exec.set_schedule_seed(seed);
+                    }
+                    let os_server = OsServer::start(
+                        Arc::clone(&kernel),
+                        os_threads,
+                        os_obs,
+                        kernel_perf,
+                        &mut exec,
+                    );
+                    os_server.start_daemon(
+                        daemon_pid,
+                        Arc::clone(&ports[daemon_pid.index()]),
+                        daemon_perf,
+                        &mut exec,
+                    );
+                    for (pid, mut body, fe_block) in frontend_setup {
+                        let port = Arc::clone(&ports[pid]);
+                        let os_server = Arc::clone(&os_server);
+                        let cpu_states = Arc::clone(&cpu_states);
+                        let timing = timing.clone();
+                        let results = Arc::clone(&results);
+                        exec.spawn(Class::Frontend, fe_block.clone(), move || {
+                            let pid_id = ProcessId(pid as u32);
+                            let os = os_server.connect(pid_id, Arc::clone(&port));
+                            let mut cpu = CpuCtx::simulated(pid_id, port, os, cpu_states, timing);
+                            if pseudo {
+                                cpu.enable_pseudo_irq();
+                            }
+                            if let Some((l1, hit_lat, tlb_entries, tlb_assoc)) = filter {
+                                // Mirrors match the real L1 geometry and
+                                // TLB; a no-op under pseudo-IRQ (see
+                                // enable_filter).
+                                cpu.enable_filter(l1, hit_lat, tlb_entries, tlb_assoc);
+                            }
+                            cpu.set_batch_depth(batch_depth);
+                            cpu.set_sample_period(sample_period);
+                            if let Some(block) = fe_block {
+                                cpu.set_obs_counters(block);
+                            }
+                            // A poisoned port unwinds this task with
+                            // SimAbort; the backend reports the error.
                             cpu.start();
                             body.run(&mut cpu);
                             cpu.exit();
-                        }));
-                        if let Some(block) = &fe_block {
-                            let lifetime = born.elapsed().as_nanos() as u64;
-                            let waited = block.get(Ctr::CommWaitNs);
-                            block.add(Ctr::FrontendGenNs, lifetime.saturating_sub(waited));
-                        }
-                        match res {
-                            Ok(()) => Some(cpu.stats()),
-                            Err(e) if e.downcast_ref::<SimAbort>().is_some() => None,
-                            Err(e) => resume_unwind(e),
-                        }
-                    })
-                    .expect("spawn application process"),
-            );
-        }
-
-        // --- Join ---
-        let frontends: Vec<Option<FrontendStats>> = proc_handles
-            .into_iter()
-            .map(|h| h.join().expect("application process panicked"))
-            .collect();
-        let outcome = backend_handle.join().expect("backend thread panicked");
-        daemon_handle.join().expect("kernel daemon panicked");
-        os_server.shutdown();
+                            results.lock()[pid] = Some(cpu.stats());
+                        });
+                    }
+                    // A backend panic becomes an error like any other:
+                    // poison the ports so every task unwinds below.
+                    let outcome =
+                        match catch_unwind(AssertUnwindSafe(|| backend.run_with(&mut exec))) {
+                            Ok(outcome) => outcome,
+                            Err(payload) => {
+                                for port in &ports {
+                                    port.poison();
+                                }
+                                Err(RunError::BackendPanic {
+                                    msg: payload_message(&payload),
+                                })
+                            }
+                        };
+                    // Let exited frontends unpair, then unwind every task
+                    // still suspended (idle OS threads; on error, all).
+                    exec.cancel_all();
+                    // The host ledger's backend class: everything this
+                    // thread did outside the tasks' own running time.
+                    if let Some(block) = &backend_block {
+                        let ns = thread_start.elapsed().as_nanos() as u64;
+                        block.add(Ctr::HostBackendNs, ns.saturating_sub(exec.busy_ns()));
+                    }
+                    (outcome, exec.take_panic())
+                })
+                .expect("spawn backend")
+        };
+        let (outcome, task_panic) = run.join().expect("backend thread panicked");
         let wall = started.elapsed();
+        if let Some(payload) = task_panic {
+            resume_unwind(payload);
+        }
         let outcome = outcome?;
-        let frontends = frontends
+        if let Some(detail) = kernel.unsettled() {
+            return Err(RunError::UnsettledDrain { detail });
+        }
+        let frontends = std::mem::take(&mut *results.lock())
             .into_iter()
             .map(|s| s.expect("frontend aborted but the backend reported no error"))
             .collect();

@@ -13,7 +13,6 @@ use compass_os::kctx::{KernelCtx, RawSink};
 use compass_os::{KernelShared, OsCall, OsConn, SysResult};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-process frontend counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,8 +116,9 @@ pub struct CpuCtx {
     filter: Option<Filter>,
     last_event_clock: Cycles,
     stats: FrontendStats,
-    /// Observability counters (`None` = disabled): posts issued and host
-    /// nanoseconds spent blocked in the communicator rendezvous.
+    /// Observability counters (`None` = disabled): posts issued, filter
+    /// activity. (Host time is ledgered by the executor that runs the
+    /// process.)
     obs: Option<Arc<CounterBlock>>,
     started: bool,
     exited: bool,
@@ -311,18 +311,14 @@ impl CpuCtx {
             } => {
                 self.stats.events += 1;
                 self.batch_pending = 0;
-                let wait_from = self.obs.as_ref().map(|c| {
+                if let Some(c) = &self.obs {
                     c.inc(Ctr::FrontendPosts);
-                    Instant::now()
-                });
+                }
                 let reply = port.post(Event {
                     pid: self.pid,
                     time: self.clock,
                     body,
                 });
-                if let (Some(t0), Some(c)) = (wait_from, &self.obs) {
-                    c.add(Ctr::CommWaitNs, t0.elapsed().as_nanos() as u64);
-                }
                 if matches!(reply.data, ReplyData::Aborted) {
                     // Port poisoned: the backend is gone (deadlock report
                     // or teardown) and this event was never simulated.

@@ -51,8 +51,8 @@ pub enum Ctr {
     RingBatched,
     /// Doorbell notifications raised on empty→non-empty transitions.
     RingNotifies,
-    /// Posts that found the consumer idle and had to park the poster
-    /// past the fast spin (a full thread park = one stall).
+    /// Blocking posts whose poster had to suspend (or park) for the
+    /// reply.
     RingStalls,
     /// Posts answered with `Aborted` because the ring was poisoned.
     RingAborts,
@@ -67,14 +67,18 @@ pub enum Ctr {
     OsPseudoIrqs,
     /// Events posted by frontends (app processes).
     FrontendPosts,
-    /// Wall-clock ns frontends spent generating events (thread lifetime
-    /// minus communication wait).
+    /// Wall-clock ns frontends spent generating events (their tasks'
+    /// running time): the frontend class of the host ledger, beside
+    /// [`Ctr::HostOsNs`], [`Ctr::HostBottomHalfNs`] and
+    /// [`Ctr::HostBackendNs`].
     FrontendGenNs,
-    /// Wall-clock ns frontends spent blocked in the communicator.
+    /// Wall-clock ns frontends spent suspended in the communicator
+    /// (between a blocking post and the resume that follows it).
     CommWaitNs,
     /// Wall-clock ns the backend spent servicing events.
     BackendActiveNs,
-    /// Wall-clock ns the backend spent waiting for posts.
+    /// Wall-clock ns the backend thread spent blocked with no task ready
+    /// (shard jobs in flight, or posters on ordinary threads).
     BackendWaitNs,
     /// Trace records dropped because the ring was full.
     TraceDropped,
@@ -88,8 +92,9 @@ pub enum Ctr {
     /// Replayed filtered references whose true latency differed from the
     /// frontend's pre-charged L1-hit latency (mirror mispredictions).
     FilterMispredicts,
-    /// Blocking posts answered during the bounded reply spin, avoiding a
-    /// full thread park.
+    /// Retired: blocking posts once answered during a reply spin. The
+    /// spin is gone (posters suspend to the engine); the slot stays so
+    /// the catalogue remains append-only.
     RingSpinsAvoidedPark,
     /// Memory references classified node-private and run on a shard
     /// worker (`BackendConfig::workers > 1`).
@@ -125,10 +130,18 @@ pub enum Ctr {
     /// when stale contents would otherwise predict a hit, so consecutive
     /// bumps between kernel references coalesce into at most one clear.
     KernelMirrorRefreshes,
+    /// Host ns spent running OS-server-thread tasks (the in-program host
+    /// ledger: with [`Ctr::FrontendGenNs`], the bottom-half and backend
+    /// classes, it sums to the run's wall).
+    HostOsNs,
+    /// Host ns spent running the bottom-half daemon task.
+    HostBottomHalfNs,
+    /// Host ns the backend engine spent outside every task.
+    HostBackendNs,
 }
 
 /// Number of counters in the catalogue.
-pub const CTR_COUNT: usize = Ctr::KernelMirrorRefreshes as usize + 1;
+pub const CTR_COUNT: usize = Ctr::HostBackendNs as usize + 1;
 
 impl Ctr {
     /// Every counter, in slot order.
@@ -176,6 +189,9 @@ impl Ctr {
         Ctr::DiskWakeEvents,
         Ctr::DiskPollsEliminated,
         Ctr::KernelMirrorRefreshes,
+        Ctr::HostOsNs,
+        Ctr::HostBottomHalfNs,
+        Ctr::HostBackendNs,
     ];
 
     /// True for counters that measure the *host* transport mechanics
@@ -266,6 +282,9 @@ impl Ctr {
             Ctr::DiskWakeEvents => "disk_wake_events",
             Ctr::DiskPollsEliminated => "disk_polls_eliminated",
             Ctr::KernelMirrorRefreshes => "kernel_mirror_refreshes",
+            Ctr::HostOsNs => "host_os_ns",
+            Ctr::HostBottomHalfNs => "host_bottom_half_ns",
+            Ctr::HostBackendNs => "host_backend_ns",
         }
     }
 }
@@ -386,6 +405,8 @@ mod tests {
         // are host timing; simulated event/syscall/device counts are
         // reproducible.
         assert!(Ctr::FrontendGenNs.host_timing());
+        assert!(Ctr::HostBottomHalfNs.host_timing());
+        assert!(Ctr::HostBackendNs.host_timing());
         assert!(Ctr::RingNotifies.host_timing());
         assert!(Ctr::RefsFiltered.host_timing());
         assert!(Ctr::Replies.host_timing());

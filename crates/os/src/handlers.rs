@@ -16,6 +16,7 @@ use crate::server::{locks, KernelShared};
 use crate::waitq::Chan;
 use compass_comm::{DiskCompletion, Frame, FrameKind, TimerTick};
 use compass_isa::ProcessId;
+use compass_mem::VAddr;
 
 /// Drains and services all device work due at the handler's clock.
 ///
@@ -23,11 +24,13 @@ use compass_isa::ProcessId;
 /// `disk_wake` sink): drains then rely on the clock being *exact*, which
 /// holds because each drain pass starts right after a blocking post (the
 /// `INTR` lock, or the previous handler's trailing unlock/unblock) — the
-/// settled-at-drain invariant asserted below.
+/// settled-at-drain invariant checked below. The backend releases that
+/// post only once every device task due by its reply time has run, so
+/// each drain sees exactly the records due by the clock.
 pub fn run_pending(kc: &mut KernelCtx<'_>, k: &KernelShared) {
     kc.lock(locks::INTR);
     loop {
-        debug_assert_eq!(kc.batch_pending(), 0, "drain with a credit-lagged clock");
+        k.check_settled(kc, "device drain");
         let disks = k.devshared.drain_disk_until(kc.clock);
         let frames = k.devshared.drain_frames_until(kc.clock);
         let ticks = k.devshared.drain_ticks_until(kc.clock);
@@ -57,9 +60,11 @@ pub fn disk_intr(kc: &mut KernelCtx<'_>, k: &KernelShared, c: DiskCompletion) {
         return;
     };
     kc.lock(locks::BUF);
-    let waiters: Vec<ProcessId> = {
+    // The simulated BUF lock covers the buffer and its wait channel; the
+    // host guard is dropped before the header touch posts an event.
+    let (hdr, waiters) = {
         let mut bufs = k.bufs.lock();
-        if let Some(id) = bufs.peek(info.tag.0, info.tag.1) {
+        let hdr = bufs.peek(info.tag.0, info.tag.1).map(|id| {
             let b = bufs.buf_mut(id);
             // Only finish the transfer if this buffer still caches the
             // tag the token was issued for (eviction writebacks race
@@ -70,11 +75,13 @@ pub fn disk_intr(kc: &mut KernelCtx<'_>, k: &KernelShared, c: DiskCompletion) {
                     b.valid = true;
                 }
             }
-            let hdr = b.hdr_addr;
-            kc.store(hdr, 32);
-        }
-        k.waitq.wake_all(info.chan)
+            b.hdr_addr
+        });
+        (hdr, k.waitq.wake_all(info.chan))
     };
+    if let Some(hdr) = hdr {
+        kc.store(hdr, 32);
+    }
     kc.unlock(locks::BUF);
     for w in waiters {
         kc.unblock(w);
@@ -100,7 +107,13 @@ pub fn ether_intr(kc: &mut KernelCtx<'_>, k: &KernelShared, f: Frame) {
     kc.compute(k.cfg.ip_per_packet + k.cfg.tcp_per_packet);
 
     kc.lock(locks::NET);
-    let waiters: Vec<ProcessId> = {
+    // The simulated NET lock covers the stack and its wait channels; the
+    // host guard is dropped before the protocol touches post events.
+    enum Touch {
+        Store(VAddr, u16),
+        Copy(VAddr, VAddr, u32),
+    }
+    let (touch, waiters): (Option<Touch>, Vec<ProcessId>) = {
         let mut net = k.net.lock();
         match f.kind {
             FrameKind::Syn => {
@@ -109,45 +122,51 @@ pub fn ether_intr(kc: &mut KernelCtx<'_>, k: &KernelShared, f: Frame) {
                     f.payload.get(1).copied().unwrap_or(80),
                 ]);
                 let pcb = k.heap.alloc(192);
-                kc.store(pcb, 64);
-                if net.syn(f.conn, port, pcb) {
+                let waiters = if net.syn(f.conn, port, pcb) {
                     net.stats.rx_frames += 1;
                     let lk = net.listener(port).expect("listener exists").kaddr;
                     k.waitq.wake_all(Chan(lk.0))
                 } else {
                     Vec::new() // no listener: dropped (RST)
-                }
+                };
+                (Some(Touch::Store(pcb, 64)), waiters)
             }
             FrameKind::Data => {
                 net.stats.rx_frames += 1;
                 if net.deliver(f.conn, &f.payload) {
                     let pcb = net.conn(f.conn).expect("delivered").pcb_addr;
                     // Append into the socket buffer.
-                    kc.copy(mbuf + 64, pcb + 128, plen.max(1));
-                    k.waitq.wake_all(Chan(pcb.0))
+                    (
+                        Some(Touch::Copy(mbuf + 64, pcb + 128, plen.max(1))),
+                        k.waitq.wake_all(Chan(pcb.0)),
+                    )
                 } else {
-                    Vec::new()
+                    (None, Vec::new())
                 }
             }
             FrameKind::Ack => {
                 // Pure ACK: TCP input processing against the PCB, nothing
                 // delivered, nobody woken.
                 net.stats.rx_frames += 1;
-                if let Some(c) = net.conn(f.conn) {
-                    kc.store(c.pcb_addr, 32);
-                }
-                Vec::new()
+                let touch = net.conn(f.conn).map(|c| Touch::Store(c.pcb_addr, 32));
+                (touch, Vec::new())
             }
             FrameKind::Fin => {
                 net.stats.rx_frames += 1;
                 net.peer_close(f.conn);
-                match net.conn(f.conn) {
+                let waiters = match net.conn(f.conn) {
                     Some(c) => k.waitq.wake_all(Chan(c.pcb_addr.0)),
                     None => Vec::new(),
-                }
+                };
+                (None, waiters)
             }
         }
     };
+    match touch {
+        Some(Touch::Store(a, size)) => kc.store(a, size),
+        Some(Touch::Copy(src, dst, len)) => kc.copy(src, dst, len),
+        None => {}
+    }
     kc.unlock(locks::NET);
     kc.lock(locks::KMEM);
     k.heap.free(mbuf, 2048);

@@ -306,8 +306,6 @@ pub enum OsMsg {
     /// "When the frontend process exits, it sends an EXIT message to its
     /// OS thread counterpart. The OS thread becomes 'single' again."
     Exit,
-    /// Server shutdown (simulation over).
-    Shutdown,
 }
 
 /// OS-thread responses.
@@ -330,7 +328,7 @@ pub enum OsRet {
         /// Per-call results.
         results: Vec<SysResult>,
     },
-    /// Acknowledges Exit/Shutdown.
+    /// Acknowledges Exit.
     Bye,
 }
 

@@ -5,6 +5,10 @@
 //! all OS threads are said to be in the 'single' state because they are
 //! not bound to any user process. Each thread monitors its own OS port,
 //! waiting for a *connection request* from a frontend process." (§3.1)
+//!
+//! OS threads and the daemon are tasks on the backend's executor
+//! ([`compass_comm::coro`]); they block only in their OS port and event
+//! port, and never while holding a host lock on kernel state.
 
 use crate::bufcache::BufCache;
 use crate::fs::{FdTables, FileData, FileSystem};
@@ -16,8 +20,8 @@ use crate::proto::{Errno, OsCall, OsMsg, OsRet, SysResult, SysVal};
 use crate::syscalls;
 use crate::waitq::{Chan, WaitQueues};
 use compass_comm::{
-    BlockReason, CtlOp, DevShared, Event, EventBody, EventPort, ExecMode, ReplyData, ReqPort,
-    SimAbort,
+    BlockReason, Class, CtlOp, DevShared, Event, EventBody, EventPort, ExecMode, Executor,
+    ReplyData, ReqPort, SimAbort,
 };
 use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::{VAddr, KERNEL_BASE};
@@ -28,7 +32,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Observability hooks shared by every OS thread and the daemon. All
 /// fields optional: the default is fully disabled, costing one branch per
@@ -177,6 +180,10 @@ pub struct KernelShared {
     /// architecture-independent quantity: simcheck's metamorphic checks
     /// assert it is invariant across scheduler/placement/cache knobs.
     pub fs_write_bytes: std::sync::atomic::AtomicU64,
+    /// The first device-queue drain (or raw daemon `Block`) that ran with
+    /// batched kernel events still unsettled — see
+    /// [`KernelShared::check_settled`].
+    unsettled: Mutex<Option<String>>,
 }
 
 /// What a disk-completion token refers to.
@@ -208,6 +215,7 @@ impl KernelShared {
             tokens: Mutex::new(HashMap::new()),
             intr_cycles: Default::default(),
             fs_write_bytes: std::sync::atomic::AtomicU64::new(0),
+            unsettled: Mutex::new(None),
         })
     }
 
@@ -238,6 +246,29 @@ impl KernelShared {
     /// Adds interrupt-handler cycles for reporting.
     pub fn add_intr_cycles(&self, source: usize, cycles: Cycles) {
         self.intr_cycles[source].fetch_add(cycles, Ordering::Relaxed);
+    }
+
+    /// The settled-at-drain invariant: interrupt code may only drain the
+    /// device queues `until(clock)` (or post a raw `Block`) while no
+    /// batched kernel event is outstanding, i.e. while its clock equals
+    /// effective simulated time. A violation would make the drained set
+    /// depend on batching; the first one is recorded here and the runner
+    /// reports it as an error.
+    pub fn check_settled(&self, kc: &KernelCtx<'_>, site: &str) {
+        let pending = kc.batch_pending();
+        if pending != 0 {
+            self.unsettled.lock().get_or_insert_with(|| {
+                format!(
+                    "{site} by {} at clock {} with {pending} batched kernel events unsettled",
+                    kc.pid, kc.clock
+                )
+            });
+        }
+    }
+
+    /// The first settled-at-drain violation, if any.
+    pub fn unsettled(&self) -> Option<String> {
+        self.unsettled.lock().clone()
     }
 }
 
@@ -288,36 +319,27 @@ struct ThreadSlot {
     busy: AtomicBool,
 }
 
-/// The OS server: thread pool plus (optionally) the bottom-half daemon.
+/// The OS server: the OS-thread pool's ports plus the shared kernel.
 pub struct OsServer {
     kernel: Arc<KernelShared>,
     slots: Vec<ThreadSlot>,
     obs: OsObs,
-    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl OsServer {
-    /// Starts `nthreads` OS threads around `kernel`.
-    pub fn start(kernel: Arc<KernelShared>, nthreads: usize) -> Arc<Self> {
-        Self::start_with(kernel, nthreads, OsObs::default())
-    }
-
-    /// Starts `nthreads` OS threads with observability hooks attached.
-    pub fn start_with(kernel: Arc<KernelShared>, nthreads: usize, obs: OsObs) -> Arc<Self> {
-        Self::start_with_perf(kernel, nthreads, obs, None)
-    }
-
-    /// Starts `nthreads` OS threads with observability hooks and an
-    /// optional kernel-side performance setup (event batching and
-    /// reference filtering for syscall-path kernel code — ISSUE 6). The
-    /// setup is rebuilt into fresh per-pairing state on every Connect;
-    /// pseudo-IRQ delivery never uses it, and the bottom-half daemon has
-    /// its own batching-only setup (see [`OsServer::start_daemon_with_perf`]).
-    pub fn start_with_perf(
+    /// Starts `nthreads` OS threads around `kernel` as tasks on `exec`,
+    /// with observability hooks and an optional kernel-side performance
+    /// setup (event batching and reference filtering for syscall-path
+    /// kernel code). The setup is rebuilt into fresh
+    /// per-pairing state on every Connect; pseudo-IRQ delivery never uses
+    /// it, and the bottom-half daemon has its own batching-only setup (see
+    /// [`OsServer::start_daemon`]).
+    pub fn start(
         kernel: Arc<KernelShared>,
         nthreads: usize,
         obs: OsObs,
         perf: Option<KernelPerfSetup>,
+        exec: &mut Executor,
     ) -> Arc<Self> {
         assert!(nthreads > 0);
         let slots: Vec<ThreadSlot> = (0..nthreads)
@@ -326,25 +348,16 @@ impl OsServer {
                 busy: AtomicBool::new(false),
             })
             .collect();
-        let mut handles = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
+        for slot in &slots {
             let port = Arc::clone(&slot.port);
             let k = Arc::clone(&kernel);
             let o = obs.clone();
             let p = perf.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("os-thread-{i}"))
-                    .spawn(move || os_thread_main(port, k, o, p))
-                    .expect("spawn OS thread"),
-            );
+            exec.spawn(Class::Os, obs.counters.clone(), move || {
+                os_thread_main(port, k, o, p)
+            });
         }
-        Arc::new(Self {
-            kernel,
-            slots,
-            obs,
-            handles: Mutex::new(handles),
-        })
+        Arc::new(Self { kernel, slots, obs })
     }
 
     /// The shared kernel.
@@ -381,52 +394,36 @@ impl OsServer {
         panic!("no single OS thread available: pool too small");
     }
 
-    /// Spawns the bottom-half kernel daemon on its own event port.
-    /// "Dedicated threads can be scheduled to simulate bottom half kernel
-    /// activities." (§3.1)
-    pub fn start_daemon(&self, daemon_pid: ProcessId, port: Arc<EventPort>) -> JoinHandle<()> {
-        self.start_daemon_with_perf(daemon_pid, port, None)
-    }
-
-    /// Like [`OsServer::start_daemon`], with an optional *batching-only*
-    /// perf setup for the daemon's interrupt context (the `disk_wake`
-    /// knob). The setup must not carry a filter config: handler drains
-    /// run `until(kc.clock)` and only the batching protocol's
-    /// settled-at-drain invariant is established for interrupt mode.
-    pub fn start_daemon_with_perf(
+    /// Starts the bottom-half kernel daemon on its own event port, as a
+    /// task on `exec`. "Dedicated threads can be scheduled to simulate
+    /// bottom half kernel activities." (§3.1)
+    ///
+    /// `perf` is an optional *batching-only* setup for the daemon's
+    /// interrupt context (the `disk_wake` knob). It must not carry a
+    /// filter config: handler drains run `until(kc.clock)` and only the
+    /// batching protocol's settled-at-drain invariant is established for
+    /// interrupt mode.
+    pub fn start_daemon(
         &self,
         daemon_pid: ProcessId,
         port: Arc<EventPort>,
         perf: Option<KernelPerfSetup>,
-    ) -> JoinHandle<()> {
+        exec: &mut Executor,
+    ) {
         assert!(
             perf.as_ref().is_none_or(|p| p.filter.is_none()),
             "daemon perf must be batching-only (no kernel filter)"
         );
         let k = Arc::clone(&self.kernel);
-        std::thread::Builder::new()
-            .name("kernel-bottom-half".into())
-            .spawn(move || daemon_main(daemon_pid, port, k, perf))
-            .expect("spawn kernel daemon")
-    }
-
-    /// Shuts the pool down (all paired processes must have sent Exit).
-    pub fn shutdown(&self) {
-        for slot in &self.slots {
-            match slot.port.call(OsMsg::Shutdown) {
-                OsRet::Bye => {}
-                other => panic!("unexpected shutdown reply {other:?}"),
-            }
-        }
-        for h in self.handles.lock().drain(..) {
-            h.join().expect("OS thread panicked");
-        }
+        exec.spawn(Class::BottomHalf, self.obs.counters.clone(), move || {
+            daemon_main(daemon_pid, port, k, perf)
+        });
     }
 }
 
 /// Runs simulated kernel code, turning a [`SimAbort`] unwind (poisoned
 /// event port — the backend is gone) into `Err(Errno::Aborted)` so the OS
-/// thread survives to answer its Shutdown message. Real panics propagate.
+/// thread survives to answer its caller. Real panics propagate.
 fn absorb_abort<R>(f: impl FnOnce() -> R) -> Result<R, Errno> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(r) => Ok(r),
@@ -441,7 +438,7 @@ fn absorb_abort<R>(f: impl FnOnce() -> R) -> Result<R, Errno> {
 }
 
 /// One OS thread: waits for pairing, then serves calls until Exit, then
-/// returns to "single".
+/// returns to "single". It runs until its task is cancelled at teardown.
 ///
 /// `perf` (when configured) batches and filters kernel-mode events for
 /// the **syscall path only**: pseudo IRQs and the daemon run interrupt
@@ -580,10 +577,6 @@ fn os_thread_main(
                 perf_state = None;
                 port.respond(OsRet::Bye);
             }
-            OsMsg::Shutdown => {
-                port.respond(OsRet::Bye);
-                return;
-            }
         }
     }
 }
@@ -623,7 +616,7 @@ fn daemon_main(
         loop {
             // The raw post below bypasses the kernel context's perf
             // bookkeeping, which is only sound while nothing is pending.
-            debug_assert_eq!(kc.batch_pending(), 0, "daemon blocking with credit");
+            kernel.check_settled(&kc, "daemon Block");
             let r = sink.0.post(Event {
                 pid,
                 time: kc.clock,

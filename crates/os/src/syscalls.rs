@@ -237,25 +237,32 @@ fn ensure_cached(
                 token: u32,
                 writeback: Option<(u64, u64, u32)>,
             },
+            Overwrite {
+                id: BufId,
+                daddr: VAddr,
+                writeback: Option<(u64, u64, u32)>,
+            },
         }
-        let action = {
+        // The simulated BUF lock serialises every user of the buffer
+        // cache; the host guard only lives for the functional update and
+        // is dropped before the header touch posts an event.
+        let (hdr, action) = {
             let mut bufs = k.bufs.lock();
             match bufs.lookup(inode, blk) {
                 Some(id) => {
                     let b = bufs.buf(id);
-                    kc.load(b.hdr_addr, 32);
+                    let hdr = b.hdr_addr;
                     if b.valid {
-                        Action::Done(id, b.data_addr)
+                        (hdr, Action::Done(id, b.data_addr))
                     } else {
                         // Someone else's I/O is in flight: sleep on it.
-                        k.waitq.sleep_on(Chan(b.hdr_addr.0), kc.pid);
-                        Action::SleepInFlight
+                        k.waitq.sleep_on(Chan(hdr.0), kc.pid);
+                        (hdr, Action::SleepInFlight)
                     }
                 }
                 None => {
                     let (id, wb) = bufs.claim(inode, blk);
                     let hdr = bufs.buf(id).hdr_addr;
-                    kc.store(hdr, 32);
                     let writeback = wb.map(|w| {
                         let token = k.new_token(TokenInfo {
                             chan: Chan(0),
@@ -270,29 +277,51 @@ fn ensure_cached(
                             tag: (inode, blk),
                         });
                         k.waitq.sleep_on(Chan(hdr.0), kc.pid);
-                        Action::IssueRead {
-                            id,
-                            token,
-                            writeback,
-                        }
+                        (
+                            hdr,
+                            Action::IssueRead {
+                                id,
+                                token,
+                                writeback,
+                            },
+                        )
                     } else {
                         // Full-block overwrite: no read needed.
                         bufs.buf_mut(id).valid = true;
                         let daddr = bufs.buf(id).data_addr;
-                        if let Some((wino, wblk, wtoken)) = writeback {
-                            drop(bufs);
-                            kc.unlock(locks::BUF);
-                            issue_disk_write(kc, k, wino, wblk, wtoken);
-                            kc.lock(locks::BUF);
-                        }
-                        kc.unlock(locks::BUF);
-                        return (id, daddr);
+                        (
+                            hdr,
+                            Action::Overwrite {
+                                id,
+                                daddr,
+                                writeback,
+                            },
+                        )
                     }
                 }
             }
         };
+        // A cached buffer's header is read, a claimed one's written.
+        if matches!(action, Action::Done(..) | Action::SleepInFlight) {
+            kc.load(hdr, 32);
+        } else {
+            kc.store(hdr, 32);
+        }
         match action {
             Action::Done(id, daddr) => {
+                kc.unlock(locks::BUF);
+                return (id, daddr);
+            }
+            Action::Overwrite {
+                id,
+                daddr,
+                writeback,
+            } => {
+                if let Some((wino, wblk, wtoken)) = writeback {
+                    kc.unlock(locks::BUF);
+                    issue_disk_write(kc, k, wino, wblk, wtoken);
+                    kc.lock(locks::BUF);
+                }
                 kc.unlock(locks::BUF);
                 return (id, daddr);
             }
@@ -431,13 +460,14 @@ fn sys_write(
         let needs_read = partial && blk * (BUF_SIZE as u64) < file_len;
         let (id, daddr) = ensure_cached(kc, k, inode, blk, needs_read);
         kc.lock(locks::BUF);
-        {
+        let hdr = {
             let mut bufs = k.bufs.lock();
             let b = bufs.buf_mut(id);
             b.dirty = true;
             b.valid = true;
-            kc.store(b.hdr_addr, 32);
-        }
+            b.hdr_addr
+        };
+        kc.store(hdr, 32);
         kc.copy(ubuf + pos as u32, daddr + inoff, n as u32);
         k.fs.lock()
             .inode_mut(inode)
@@ -814,15 +844,16 @@ fn send_on_conn(
     ubuf: VAddr,
 ) -> SysResult {
     kc.lock(locks::NET);
-    let pcb = {
+    let sent = {
         let mut net = k.net.lock();
-        let r = net.sent(conn, len);
-        match r {
-            Ok(()) => net.conn(conn).map(|c| c.pcb_addr),
-            Err(e) => {
-                kc.unlock(locks::NET);
-                return Err(e);
-            }
+        net.sent(conn, len)
+            .map(|()| net.conn(conn).map(|c| c.pcb_addr))
+    };
+    let pcb = match sent {
+        Ok(pcb) => pcb,
+        Err(e) => {
+            kc.unlock(locks::NET);
+            return Err(e);
         }
     };
     let pcb = pcb.ok_or(Errno::BadF)?;

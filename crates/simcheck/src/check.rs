@@ -4,6 +4,8 @@ use crate::scenario::{ArchPreset, Geometry, Scenario};
 use crate::{diff, oracle};
 use compass::runner::RunReport;
 use compass::{ObsConfig, PlacementPolicy, RunError, SchedPolicy, TraceLevel};
+#[cfg(feature = "check-invariants")]
+use compass_backend::BackendStats;
 use compass_backend::{trace, TraceRecord};
 use std::path::Path;
 use std::sync::Arc;
@@ -151,6 +153,20 @@ pub fn run_scenario_ckpt(
     Ok(RunOutput { report, trace })
 }
 
+/// Appends a failure per differing statistic when `got` is not
+/// byte-identical to `want`.
+#[cfg(feature = "check-invariants")]
+fn require_identical(want: &BackendStats, got: &BackendStats, what: &str, out: &mut Vec<String>) {
+    if format!("{want:?}") == format!("{got:?}") {
+        return;
+    }
+    let diffs = diff::diff_backend_stats(want, got);
+    if diffs.is_empty() {
+        out.push(format!("{what}: BackendStats not byte-identical"));
+    }
+    out.extend(diffs.into_iter().map(|d| format!("{what}: {d}")));
+}
+
 /// Architecture-independent quantities: equal across every backend knob
 /// for timing-independent workloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,6 +247,7 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
 /// failed check (empty = clean).
 ///
 /// Layers: depth-1 baseline with trace recording → oracle replay →
+/// schedule-permuted twins (`check-invariants` builds) →
 /// filter-toggled differential → shard-workers-twin differential →
 /// OS-batch-twin, kernel-filter-twin and disk-wake-twin differentials →
 /// depth {4,16,64}
@@ -282,6 +299,27 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     }
     if let Err(e) = oracle::verify_trace(&sc.arch_config(), &base.trace, &base.report.backend.mem) {
         failures.push(format!("oracle(depth 1): {e}"));
+    }
+    // Schedule-independence differential: the simulated threads resumed
+    // under two seeded random schedules must reproduce the
+    // baseline byte for byte — the simulation may depend on simulated
+    // state only, never on which ready thread the host runs first.
+    #[cfg(feature = "check-invariants")]
+    for seed in [
+        sc.schedule,
+        sc.schedule.rotate_left(29) ^ 0x9E37_79B9_7F4A_7C15,
+    ] {
+        let mut b = sc.builder().schedule_seed(seed);
+        apply_scenario_knobs(b.config_mut(), sc, 1);
+        match b.try_run() {
+            Ok(r) => require_identical(
+                &base.report.backend,
+                &r.backend,
+                &format!("schedule {seed:#x} vs first-ready order"),
+                &mut failures,
+            ),
+            Err(e) => failures.push(format!("schedule {seed:#x} run failed: {e}")),
+        }
     }
     // Filter differential: a dark depth-1 run with reference filtering
     // toggled the other way must match the instrumented baseline

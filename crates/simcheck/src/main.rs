@@ -18,8 +18,10 @@
 //! Any failure prints the scenario, the failed checks, a greedily shrunk
 //! minimal scenario, and the `--seed N` repro line, then exits nonzero.
 //! Build with `--features check-invariants` to also run the per-step
-//! invariant layer; an invariant violation aborts the process with the
-//! offending step printed (the runner treats a dead backend as fatal).
+//! invariant layer (a violation fails the run with the offending step)
+//! and the schedule-independence twins: every scenario re-runs under two
+//! seeded random schedules of the simulated threads and must match byte
+//! for byte.
 
 use compass_simcheck::{check_scenario, shrink_failure, soak, Scenario};
 use std::path::PathBuf;

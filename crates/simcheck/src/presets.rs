@@ -31,6 +31,7 @@ fn base(workload: Workload, nprocs: u16) -> Scenario {
         kernel_filter: false,
         ckpt: false,
         disk_wake: true,
+        schedule: 0,
     }
 }
 

@@ -18,7 +18,7 @@ use compass_workloads::httplite::{
 };
 use compass_workloads::sci::{self, SciConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// Which application the scenario runs.
@@ -140,6 +140,11 @@ pub struct Scenario {
     /// protocol (settled-at-drain device queues) bit-exact across the
     /// whole scenario space.
     pub disk_wake: bool,
+    /// Schedule-independence axis: seeds the two random schedules of the
+    /// simulated threads the check stack re-runs the scenario under
+    /// (`check-invariants` builds only — release builds have no way to
+    /// permute the order, so the twins are skipped there).
+    pub schedule: u64,
 }
 
 impl Scenario {
@@ -206,6 +211,8 @@ impl Scenario {
         // Disk-wake axis (ISSUE 9), drawn last — house rule: new axes
         // append to the draw order so historical seeds keep their shape.
         let disk_wake = rng.gen_bool(0.5);
+        // Schedule axis, drawn last for the same reason.
+        let schedule = rng.next_u64();
         Scenario {
             seed,
             workload,
@@ -221,6 +228,7 @@ impl Scenario {
             kernel_filter,
             ckpt,
             disk_wake,
+            schedule,
         }
     }
 

@@ -7,8 +7,13 @@ use compass::{ArchConfig, CpuCtx, EngineMode, SimBuilder};
 use compass_backend::BackendStats;
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
+use compass_workloads::httplite::{
+    self, generate_fileset, generate_trace, FileSetConfig, PlayerConfig, ServerConfig,
+    SharedTickets, TracePlayer,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A process body generated from a seed: a random mix of the primitives.
 fn chaos_process(seed: u64, nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
@@ -158,4 +163,86 @@ fn oversubscription_is_deterministic() {
         a.procs.iter().any(|p| p.ready_wait > 0),
         "5 processes on 4 CPUs should queue"
     );
+}
+
+/// The benchmark's `httplite` input on the shipped defaults: 4 keep-alive
+/// servers on the 2x2 cc-NUMA machine, 400 requests from 48 clients with
+/// slow clients and connection churn, trace seed `seed`.
+fn httplite_benchmark_scale(seed: u64) -> SimBuilder {
+    let fileset = FileSetConfig { dirs: 2 };
+    let server = ServerConfig {
+        keep_alive: true,
+        ..ServerConfig::default()
+    };
+    let player = TracePlayer::with_config(
+        generate_trace(fileset, 400, seed),
+        PlayerConfig {
+            keep_alive: 4,
+            slow_every: 5,
+            slow_factor: 4,
+            churn_every: 8,
+            ..PlayerConfig::http10(48, server.port)
+        },
+    );
+    let tickets = SharedTickets::new(player.expected_connections());
+    let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2))
+        .prepare_kernel(move |k| {
+            generate_fileset(k, fileset);
+        })
+        .traffic(player);
+    for _ in 0..4 {
+        b = b.add_process(httplite::worker(server, Arc::clone(&tickets)));
+    }
+    b
+}
+
+/// Random schedules under which trace seeds 8 and 109 diverged from the
+/// first-ready order before replies waited for due device tasks.
+#[cfg(feature = "check-invariants")]
+const SCHEDULES: [u64; 2] = [0x6_CC62_3AF4, 0x7_6A99_B4AD];
+
+/// Requires byte-identical `BackendStats` across runs of the input at
+/// trace seed `seed`: five plain repetitions, or, in `check-invariants`
+/// builds, the first-ready order against [`SCHEDULES`].
+fn assert_repeatable_httplite(seed: u64) {
+    let stats = |b: SimBuilder| format!("{:?}", b.run().backend);
+    let first = stats(httplite_benchmark_scale(seed));
+    #[cfg(not(feature = "check-invariants"))]
+    let others = (1..5).map(|_| httplite_benchmark_scale(seed));
+    #[cfg(feature = "check-invariants")]
+    let others = SCHEDULES.map(|s| httplite_benchmark_scale(seed).schedule_seed(s));
+    for (rep, b) in others.into_iter().enumerate() {
+        assert!(
+            stats(b) == first,
+            "httplite seed {seed}: run {} differs from the first",
+            rep + 2
+        );
+    }
+}
+
+// Trace seeds 8 and 109 once ended repetitions ~2.6k cycles apart: the
+// bottom-half daemon drained the device postbox before or after a
+// completion due by its clock had been deposited, depending on host
+// scheduling. Replies are now released only once every device task due
+// by the poster's clock has run (the engine's unit test
+// `a_wire_reply_waits_for_device_tasks_due_by_the_posters_clock` pins
+// that rule). The audited variant takes ~25 min per seed in a release
+// build, far longer in a debug one: run it with
+// `cargo test --release --features check-invariants --test determinism -- --ignored`.
+#[cfg_attr(
+    feature = "check-invariants",
+    ignore = "slow under per-step audits; run in a release build"
+)]
+#[test]
+fn httplite_seed_8_is_repeatable() {
+    assert_repeatable_httplite(8);
+}
+
+#[cfg_attr(
+    feature = "check-invariants",
+    ignore = "slow under per-step audits; run in a release build"
+)]
+#[test]
+fn httplite_seed_109_is_repeatable() {
+    assert_repeatable_httplite(109);
 }
