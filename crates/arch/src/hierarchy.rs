@@ -18,34 +18,16 @@
 //!   COMA effect); write invalidations purge AM copies on other nodes.
 //!   Master-copy relocation is simplified to writeback-to-home (see
 //!   DESIGN.md).
-//!
-//! Storage layout (since the sharded backend): the per-CPU caches,
-//! node buses, memory controllers and attraction memories live in
-//! per-node [`NodeSlice`]s inside a shared [`SliceArena`]
-//! (see [`crate::shard`]), so shard workers can run node-private
-//! accesses without touching the `Hierarchy` itself. The directory is
-//! split two ways: each slice holds entries for lines only its node has
-//! ever referenced, and the `Hierarchy` holds the *global* directory for
-//! every line referenced through [`Hierarchy::access`]. The first global
-//! reference to a formerly node-private line *promotes* its entry from
-//! the home slice into the global directory (a stat-free move), and
-//! global-directory keys are sticky — eviction parks them at
-//! [`DirEntry::Uncached`](crate::directory::DirEntry::Uncached) instead
-//! of removing them — so `line_is_global` is a monotone predicate the
-//! backend's private/global classifier can rely on. With a single
-//! worker nothing ever runs through the slice path, the slice
-//! directories stay empty, and every routine below behaves exactly like
-//! the historical monolithic implementation.
 
+use crate::bus::BusyResource;
 use crate::cache::{Cache, LineState};
 use crate::config::{ArchConfig, MemSysKind};
-use crate::directory::{DirEntry, Directory, ReadOutcome, Source, WriteOutcome};
+use crate::directory::{DirEntry, Directory, Source};
 use crate::interconnect::Interconnect;
-use crate::shard::{EvictHint, NodeSlice, SliceArena};
 use crate::stats::{AccessClass, MemStats};
 use compass_isa::Cycles;
 use compass_mem::PAddr;
-use std::sync::Arc;
+use compass_snap::{Reader, SnapError, Writer};
 
 /// One memory access as the backend presents it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,16 +52,18 @@ pub struct AccessResult {
 /// The composed memory system.
 pub struct Hierarchy {
     cfg: ArchConfig,
-    /// Per-node slices (caches, bus, memory controller, AM, slice
-    /// directory, private-path stats). Shared with shard workers; on the
-    /// engine thread the hierarchy touches a slice only while no worker
-    /// job for that node is in flight.
-    slices: Arc<SliceArena>,
-    /// Global directory: lines referenced through [`Hierarchy::access`].
+    /// Per-CPU L1s.
+    l1: Vec<Cache>,
+    /// Per-CPU L2s (empty when the architecture has no L2).
+    l2: Vec<Cache>,
+    /// Per-node COMA attraction memories (empty unless COMA).
+    am: Vec<Cache>,
+    /// Per-node buses.
+    bus: Vec<BusyResource>,
+    /// Per-node memory controllers.
+    mem: Vec<BusyResource>,
     dir: Directory,
     net: Interconnect,
-    /// Stats accumulated by the global path (slice stats are separate;
-    /// [`Hierarchy::stats_merged`] folds them together).
     stats: MemStats,
     coh_shift: u32,
     /// CPUs whose private L1 state was changed *externally* by the most
@@ -95,13 +79,21 @@ impl Hierarchy {
     /// Builds the memory system from a validated configuration.
     pub fn new(cfg: ArchConfig) -> Self {
         cfg.validate().expect("invalid architecture configuration");
-        let coh_shift = cfg.coherence_line().trailing_zeros();
+        let (ncpus, nodes) = (cfg.ncpus(), cfg.nodes);
+        let caches = |n: usize, g| (0..n).map(|_| Cache::new(g)).collect();
         Self {
-            net: Interconnect::new(cfg.topology, cfg.nodes),
-            slices: SliceArena::new(&cfg),
+            l1: caches(ncpus, cfg.l1),
+            l2: cfg.l2.map_or_else(Vec::new, |g| caches(ncpus, g)),
+            am: match (cfg.kind, cfg.attraction) {
+                (MemSysKind::Coma, Some(g)) => caches(nodes, g),
+                _ => Vec::new(),
+            },
+            bus: vec![BusyResource::new(); nodes],
+            mem: vec![BusyResource::new(); nodes],
             dir: Directory::new(),
+            net: Interconnect::new(cfg.topology, nodes),
             stats: MemStats::default(),
-            coh_shift,
+            coh_shift: cfg.coherence_line().trailing_zeros(),
             epoch_victims: Vec::new(),
             cfg,
         }
@@ -122,15 +114,21 @@ impl Hierarchy {
         compass_snap::fnv1a64(format!("{cfg:?}").as_bytes())
     }
 
-    /// Serializes the complete memory-system state — every node slice
-    /// (caches with exact LRU layout, bus/controller occupancy, slice
-    /// directory, private stats), the global directory, the network and
-    /// the global-path counters. Taken at a quiesced cut, this is the
-    /// whole timing-relevant state of the architecture model.
-    pub fn encode_snapshot(&self, w: &mut compass_snap::Writer) {
+    /// Serializes the complete memory-system state — every cache (exact
+    /// LRU layout included), bus and memory-controller occupancy, the
+    /// directory, the network and the counters. Taken at a quiesced cut,
+    /// this is the whole timing-relevant state of the architecture model.
+    pub fn encode_snapshot(&self, w: &mut Writer) {
+        for caches in [&self.l1, &self.l2, &self.am] {
+            w.u64(caches.len() as u64);
+            for c in caches {
+                c.encode_snapshot(w);
+            }
+        }
         w.u64(self.cfg.nodes as u64);
-        for n in 0..self.cfg.nodes {
-            self.sl_ref(n).encode_snapshot(w);
+        for (bus, mem) in self.bus.iter().zip(&self.mem) {
+            bus.encode_snapshot(w);
+            mem.encode_snapshot(w);
         }
         self.dir.encode_snapshot(w);
         self.net.encode_snapshot(w);
@@ -141,23 +139,31 @@ impl Hierarchy {
     /// a hierarchy built from the same configuration. Errors (never
     /// panics) on shape mismatches or malformed bytes; `epoch_victims`
     /// is cleared — a restore is not an access.
-    pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
-        if r.u64()? != self.cfg.nodes as u64 {
-            return Err(compass_snap::SnapError::Corrupt("node count"));
+    pub fn decode_snapshot(&mut self, r: &mut Reader) -> compass_snap::Result<()> {
+        for (caches, what) in [
+            (&mut self.l1, "L1 count"),
+            (&mut self.l2, "L2 count"),
+            (&mut self.am, "attraction-memory count"),
+        ] {
+            if r.u64()? != caches.len() as u64 {
+                return Err(SnapError::Corrupt(what));
+            }
+            for c in caches.iter_mut() {
+                c.decode_snapshot(r)?;
+            }
         }
-        for n in 0..self.cfg.nodes {
-            self.sl(n).decode_snapshot(r)?;
+        if r.u64()? != self.cfg.nodes as u64 {
+            return Err(SnapError::Corrupt("node count"));
+        }
+        for (bus, mem) in self.bus.iter_mut().zip(&mut self.mem) {
+            bus.decode_snapshot(r)?;
+            mem.decode_snapshot(r)?;
         }
         self.dir.decode_snapshot(r)?;
         self.net.decode_snapshot(r)?;
         self.stats = MemStats::decode_snapshot(r)?;
         self.epoch_victims.clear();
         Ok(())
-    }
-
-    /// A shared handle to the per-node slices, for shard workers.
-    pub fn share_slices(&self) -> Arc<SliceArena> {
-        Arc::clone(&self.slices)
     }
 
     /// Coherence line index of an address.
@@ -181,123 +187,13 @@ impl Hierarchy {
         self.cfg.l2.is_some()
     }
 
-    /// Mutable access to one node's slice. Sound because the engine
-    /// thread only calls in here while no shard-worker job for the node
-    /// is in flight (trivially true with a single worker).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    fn sl(&mut self, node: usize) -> &mut NodeSlice {
-        unsafe { self.slices.slice_mut(node) }
-    }
-
-    #[inline]
-    fn sl_ref(&self, node: usize) -> &NodeSlice {
-        unsafe { self.slices.slice_ref(node) }
-    }
-
-    /// A CPU's L1, through its node slice.
-    #[inline]
-    fn l1c(&mut self, cpu: usize) -> &mut Cache {
-        let n = self.cfg.node_of_cpu(cpu);
-        let l = cpu - n * self.cfg.cpus_per_node;
-        &mut self.sl(n).l1[l]
-    }
-
-    /// A CPU's L2, through its node slice (must exist).
-    #[inline]
-    fn l2c(&mut self, cpu: usize) -> &mut Cache {
-        let n = self.cfg.node_of_cpu(cpu);
-        let l = cpu - n * self.cfg.cpus_per_node;
-        &mut self.sl(n).l2[l]
-    }
-
-    // ---- Directory routing -------------------------------------------
-    //
-    // A line's entry lives either in the global directory or in the slice
-    // directory of its home node (never both). Global accesses promote
-    // the entry to the global directory first, so everything below the
-    // promotion behaves exactly like the historical single directory.
-
-    /// True once a line has been referenced through the global path.
-    /// Sticky: global-directory keys persist across evictions.
-    #[inline]
-    pub fn line_is_global(&self, line: u64) -> bool {
-        self.dir.contains(line)
-    }
-
-    /// Move a line's entry from its home slice to the global directory
-    /// (stat-free) if it is not already global.
-    fn promote_line(&mut self, line: u64, home: usize) {
-        if !self.dir.contains(line) {
-            if let Some(e) = self.sl(home).dir.take_entry(line) {
-                self.dir.put_entry(line, e);
-            }
-        }
-    }
-
-    fn dir_read(&mut self, line: u64, home: usize, cpu: u16) -> ReadOutcome {
-        self.promote_line(line, home);
-        self.dir.read(line, cpu)
-    }
-
-    fn dir_write(&mut self, line: u64, home: usize, cpu: u16) -> WriteOutcome {
-        self.promote_line(line, home);
-        self.dir.write(line, cpu)
-    }
-
-    /// Routes an eviction replacement hint to whichever directory holds
-    /// the line. Eviction hints don't know the victim line's home, but a
-    /// line absent from the global directory can only be slice-resident —
-    /// and only a node that holds the line in a cache can evict it, so
-    /// the evictor's own slice is checked first.
-    fn dir_evict(&mut self, line: u64, cpu: u16, dirty: bool) {
-        if self.dir.contains(line) {
-            self.dir.evict(line, cpu, dirty);
-            return;
-        }
-        let own = self.node_of(cpu as usize);
-        if self.sl_ref(own).dir.contains(line) {
-            self.sl(own).dir.evict(line, cpu, dirty);
-            return;
-        }
-        let nodes = self.cfg.nodes;
-        for n in 0..nodes {
-            if n != own && self.sl_ref(n).dir.contains(line) {
-                self.sl(n).dir.evict(line, cpu, dirty);
-                return;
-            }
-        }
-        // Absent everywhere: keep the historical debug_assert behaviour.
-        self.dir.evict(line, cpu, dirty);
-    }
-
-    /// Applies a retire-time eviction hint produced by
-    /// [`NodeSlice::access_private`] (the victim line was globally known,
-    /// so the slice could not resolve it).
-    pub fn apply_evict_hint(&mut self, h: EvictHint) {
-        self.dir_evict(h.line, h.cpu, h.dirty);
-    }
-
-    /// Merged view of a line's entry for invariant checks.
-    fn merged_entry(&self, line: u64) -> DirEntry {
-        if self.dir.contains(line) {
-            return self.dir.entry(line);
-        }
-        for n in 0..self.cfg.nodes {
-            if self.sl_ref(n).dir.contains(line) {
-                return self.sl_ref(n).dir.entry(line);
-            }
-        }
-        DirEntry::Uncached
-    }
-
     // ---- Protocol helpers --------------------------------------------
 
     /// Invalidate every L1 subline of a coherence line at `cpu`.
     fn l1_back_invalidate(&mut self, cpu: usize, coh: u64) {
         let sublines = (self.coh_line_size() / self.cfg.l1.line) as u64;
         let base = coh * sublines;
-        let l1 = self.l1c(cpu);
+        let l1 = &mut self.l1[cpu];
         for s in 0..sublines {
             l1.invalidate(base + s);
         }
@@ -307,7 +203,7 @@ impl Hierarchy {
     fn invalidate_at_cpu(&mut self, cpu: usize, coh: u64) {
         self.l1_back_invalidate(cpu, coh);
         if self.has_l2() {
-            self.l2c(cpu).invalidate(coh);
+            self.l2[cpu].invalidate(coh);
         }
         self.stats.invalidations_delivered += 1;
         self.epoch_victims.push(cpu);
@@ -319,24 +215,24 @@ impl Hierarchy {
         if !self.has_l2() {
             return;
         }
-        if let Some((victim, vstate)) = self.l2c(cpu).insert(coh, state) {
+        if let Some((victim, vstate)) = self.l2[cpu].insert(coh, state) {
             // Inclusion: purge the victim's L1 sublines. The frontend
             // mirror cannot model L2 evictions, so this is an epoch event.
             self.l1_back_invalidate(cpu, victim);
             self.epoch_victims.push(cpu);
-            self.dir_evict(victim, cpu as u16, vstate.dirty());
+            self.dir.evict(victim, cpu as u16, vstate.dirty());
             if vstate.dirty() {
                 // Posted writeback: occupancy only, off the critical path.
                 let home = self.node_of(cpu); // victim data drains via local ctrl
                 let occ = self.cfg.lat.mem_access / 2;
-                self.sl(home).mem.acquire(now, occ);
+                self.mem[home].acquire(now, occ);
             }
         }
     }
 
     /// Fill the touched L1 subline.
     fn fill_l1(&mut self, cpu: usize, paddr: PAddr, state: LineState) {
-        let l1 = self.l1c(cpu);
+        let l1 = &mut self.l1[cpu];
         let idx = l1.line_of(paddr.0);
         if l1.peek(idx).is_none() {
             // L1 evictions are silent: L2 keeps the authoritative state.
@@ -344,11 +240,6 @@ impl Hierarchy {
         } else {
             l1.set_state(idx, state);
         }
-    }
-
-    /// In Simple mode the L1 *is* the coherence cache; elsewhere L2 is.
-    fn coherence_cache_evict_hint(&mut self, cpu: usize, victim: u64, vstate: LineState) {
-        self.dir_evict(victim, cpu as u16, vstate.dirty());
     }
 
     /// Performs one access and returns its latency breakdown.
@@ -374,8 +265,8 @@ impl Hierarchy {
         let mut total = lat.l1_hit;
 
         // ---- L1 ----
-        let l1idx = self.l1c(cpu).line_of(paddr.0);
-        let l1_state = self.l1c(cpu).probe(l1idx);
+        let l1idx = self.l1[cpu].line_of(paddr.0);
+        let l1_state = self.l1[cpu].probe(l1idx);
         match l1_state {
             Some(st) if !acc.write => {
                 let _ = st;
@@ -390,10 +281,10 @@ impl Hierarchy {
             Some(st) if st.writable() => {
                 // Write hit on E/M: silent E->M upgrade, propagated to L2.
                 if st == LineState::Exclusive {
-                    self.l1c(cpu).set_state(l1idx, LineState::Modified);
+                    self.l1[cpu].set_state(l1idx, LineState::Modified);
                     if self.has_l2() {
                         // L2 must hold the line (inclusion).
-                        self.l2c(cpu).set_state(coh, LineState::Modified);
+                        self.l2[cpu].set_state(coh, LineState::Modified);
                     }
                 }
                 self.stats.l1_hits[ci] += 1;
@@ -412,7 +303,7 @@ impl Hierarchy {
         // ---- L2 ----
         let mut l2_upgrade = false;
         if self.has_l2() {
-            match self.l2c(cpu).probe(coh) {
+            match self.l2[cpu].probe(coh) {
                 Some(st) if !acc.write => {
                     total += lat.l2_hit;
                     self.stats.l2_hits[ci] += 1;
@@ -427,7 +318,7 @@ impl Hierarchy {
                 Some(st) if st.writable() => {
                     total += lat.l2_hit;
                     self.stats.l2_hits[ci] += 1;
-                    self.l2c(cpu).set_state(coh, LineState::Modified);
+                    self.l2[cpu].set_state(coh, LineState::Modified);
                     self.fill_l1(cpu, paddr, LineState::Modified);
                     self.stats.latency[ci] += total;
                     return AccessResult {
@@ -462,25 +353,21 @@ impl Hierarchy {
 
         let simple = self.cfg.kind == MemSysKind::Simple;
         if !simple {
-            total += self.sl(mynode).bus.acquire(now + total, lat.bus_occupancy);
+            total += self.bus[mynode].acquire(now + total, lat.bus_occupancy);
         }
 
         // ---- COMA attraction memory (data fetches only) ----
         let line_bytes = self.coh_line_size();
-        let mut am_hit = false;
-        if self.cfg.kind == MemSysKind::Coma && !upgrade && !acc.write {
-            let slice = self.sl(mynode);
-            if slice.am.as_mut().expect("COMA slice").probe(coh).is_some() {
-                am_hit = true;
-                total += lat.am_hit;
-                self.stats.am_hits[ci] += 1;
-            }
-        }
-
+        let am_hit = self.cfg.kind == MemSysKind::Coma
+            && !upgrade
+            && !acc.write
+            && self.am[mynode].probe(coh).is_some();
         if am_hit {
+            total += lat.am_hit;
+            self.stats.am_hits[ci] += 1;
             // Served by the local attraction memory: still a directory
             // read so sharing stays exact, but no network/memory cost.
-            let outcome = self.dir_read(coh, home, cpu as u16);
+            let outcome = self.dir.read(coh, cpu as u16);
             if let Some(owner) = outcome.downgrade {
                 // Rare: AM copy coexisting with a dirty owner elsewhere —
                 // treat as a forward (conservative).
@@ -510,7 +397,7 @@ impl Hierarchy {
         }
 
         let grant = if acc.write {
-            let outcome = self.dir_write(coh, home, cpu as u16);
+            let outcome = self.dir.write(coh, cpu as u16);
             // Deliver invalidations (parallel sends; first costs full
             // round trip, extras a small serialisation adder).
             let n_inv = outcome.invalidate.len();
@@ -520,13 +407,9 @@ impl Hierarchy {
             for victim in outcome.invalidate {
                 self.invalidate_at_cpu(victim as usize, coh);
             }
-            if self.cfg.kind == MemSysKind::Coma {
-                let nodes = self.cfg.nodes;
-                for n in 0..nodes {
-                    if n != mynode {
-                        let slice = self.sl(n);
-                        slice.am.as_mut().expect("COMA slice").invalidate(coh);
-                    }
+            for (n, am) in self.am.iter_mut().enumerate() {
+                if n != mynode {
+                    am.invalidate(coh);
                 }
             }
             match outcome.source {
@@ -535,7 +418,7 @@ impl Hierarchy {
                     if simple {
                         total += lat.mem_access;
                     } else {
-                        total += self.sl(home).mem.acquire(now + total, lat.mem_access);
+                        total += self.mem[home].acquire(now + total, lat.mem_access);
                         total += self.net.send(&lat, now + total, home, mynode, line_bytes);
                     }
                 }
@@ -546,13 +429,13 @@ impl Hierarchy {
             }
             LineState::Modified
         } else {
-            let outcome = self.dir_read(coh, home, cpu as u16);
+            let outcome = self.dir.read(coh, cpu as u16);
             match outcome.source {
                 Source::Memory => {
                     if simple {
                         total += lat.mem_access;
                     } else {
-                        total += self.sl(home).mem.acquire(now + total, lat.mem_access);
+                        total += self.mem[home].acquire(now + total, lat.mem_access);
                         total += self.net.send(&lat, now + total, home, mynode, line_bytes);
                     }
                 }
@@ -574,31 +457,24 @@ impl Hierarchy {
         // ---- Fill ----
         if upgrade {
             if self.has_l2() {
-                self.l2c(cpu).set_state(coh, LineState::Modified);
+                self.l2[cpu].set_state(coh, LineState::Modified);
                 self.fill_l1(cpu, paddr, LineState::Modified);
             } else {
-                self.l1c(cpu).set_state(l1idx, LineState::Modified);
+                self.l1[cpu].set_state(l1idx, LineState::Modified);
             }
         } else if !self.has_l2() {
             // Simple mode: the L1 is the coherence cache.
-            if let Some((victim, vstate)) = self.l1c(cpu).insert(l1idx, grant) {
-                self.coherence_cache_evict_hint(cpu, victim, vstate);
+            if let Some((victim, vstate)) = self.l1[cpu].insert(l1idx, grant) {
+                self.dir.evict(victim, cpu as u16, vstate.dirty());
             }
         } else {
             self.fill_l2(cpu, coh, grant, now + total);
             self.fill_l1(cpu, paddr, grant);
-            if self.cfg.kind == MemSysKind::Coma {
-                let t = now + total;
-                let occ = lat.mem_access / 2;
-                let slice = self.sl(mynode);
-                let am = slice.am.as_mut().expect("COMA slice");
-                if am.peek(coh).is_none() {
-                    if let Some((victim, vstate)) = am.insert(coh, grant) {
-                        if vstate.dirty() {
-                            // Simplified master relocation: write back to home.
-                            slice.mem.acquire(t, occ);
-                        }
-                        let _ = victim;
+            if self.cfg.kind == MemSysKind::Coma && self.am[mynode].peek(coh).is_none() {
+                if let Some((_, vstate)) = self.am[mynode].insert(coh, grant) {
+                    if vstate.dirty() {
+                        // Simplified master relocation: write back to home.
+                        self.mem[mynode].acquire(now + total, lat.mem_access / 2);
                     }
                 }
             }
@@ -616,17 +492,17 @@ impl Hierarchy {
     fn l2_downgrade(&mut self, owner: usize, coh: u64) {
         self.epoch_victims.push(owner);
         if !self.has_l2() {
-            if self.l1c(owner).peek(coh).is_some() {
-                self.l1c(owner).set_state(coh, LineState::Shared);
+            if self.l1[owner].peek(coh).is_some() {
+                self.l1[owner].set_state(coh, LineState::Shared);
             }
         } else {
-            if self.l2c(owner).peek(coh).is_some() {
-                self.l2c(owner).set_state(coh, LineState::Shared);
+            if self.l2[owner].peek(coh).is_some() {
+                self.l2[owner].set_state(coh, LineState::Shared);
             }
             // Sectored L1 sublines also downgrade.
             let sublines = (self.coh_line_size() / self.cfg.l1.line) as u64;
             let base = coh * sublines;
-            let l1 = self.l1c(owner);
+            let l1 = &mut self.l1[owner];
             for s in 0..sublines {
                 if l1.peek(base + s).is_some() {
                     l1.set_state(base + s, LineState::Shared);
@@ -673,47 +549,24 @@ impl Hierarchy {
         &self.epoch_victims
     }
 
-    /// Statistics accumulated by the global (engine-thread) path only.
-    /// Equals the run total when no shard worker ever ran a private
-    /// access; use [`Hierarchy::stats_merged`] for the full picture.
+    /// Statistics accumulated so far.
     pub fn stats(&self) -> &MemStats {
         &self.stats
     }
 
-    /// Global-path statistics plus every node slice's private-path
-    /// statistics. This is the run total the backend reports.
-    pub fn stats_merged(&self) -> MemStats {
-        let mut s = self.stats;
-        for n in 0..self.cfg.nodes {
-            s.merge(&self.sl_ref(n).stats);
-        }
-        s
-    }
-
-    /// Directory statistics (global directory plus all slice
-    /// directories).
+    /// Directory statistics.
     pub fn dir_stats(&self) -> crate::directory::DirStats {
-        let mut s = self.dir.stats();
-        for n in 0..self.cfg.nodes {
-            s.merge(&self.sl_ref(n).dir.stats());
-        }
-        s
+        self.dir.stats()
     }
 
     /// Per-CPU L1 statistics.
     pub fn l1_stats(&self, cpu: usize) -> crate::cache::CacheStats {
-        let n = self.cfg.node_of_cpu(cpu);
-        self.sl_ref(n).l1[cpu - n * self.cfg.cpus_per_node].stats()
+        self.l1[cpu].stats()
     }
 
     /// Per-CPU L2 statistics (zeros when no L2 is configured).
     pub fn l2_stats(&self, cpu: usize) -> crate::cache::CacheStats {
-        let n = self.cfg.node_of_cpu(cpu);
-        self.sl_ref(n)
-            .l2
-            .get(cpu - n * self.cfg.cpus_per_node)
-            .map(|c| c.stats())
-            .unwrap_or_default()
+        self.l2.get(cpu).map(|c| c.stats()).unwrap_or_default()
     }
 
     /// Network statistics.
@@ -723,18 +576,15 @@ impl Hierarchy {
 
     /// Bus utilisation of a node over `elapsed` cycles.
     pub fn bus_utilisation(&self, node: usize, elapsed: Cycles) -> f64 {
-        self.sl_ref(node).bus.utilisation(elapsed)
+        self.bus[node].utilisation(elapsed)
     }
 
     /// The cache coherence operates on for a CPU: L2 when present, else L1.
     fn coherence_cache(&self, cpu: usize) -> &Cache {
-        let n = self.cfg.node_of_cpu(cpu);
-        let slice = self.sl_ref(n);
-        let l = cpu - n * self.cfg.cpus_per_node;
         if self.has_l2() {
-            &slice.l2[l]
+            &self.l2[cpu]
         } else {
-            &slice.l1[l]
+            &self.l1[cpu]
         }
     }
 
@@ -742,10 +592,7 @@ impl Hierarchy {
     /// feature calls this after every engine step; property tests call it
     /// directly):
     ///
-    /// * directory sanity (non-empty sharer masks, CPUs in range) for the
-    ///   global directory and every slice directory;
-    /// * **partition** — no line has entries in two directories, and a
-    ///   slice directory only involves CPUs of its own node;
+    /// * directory sanity (non-empty sharer masks, CPUs in range);
     /// * **inclusion** — every resident L1 subline's coherence line is
     ///   resident in L2 (when an L2 exists) and no more privileged than
     ///   its L2 line;
@@ -758,59 +605,14 @@ impl Hierarchy {
     pub fn check_invariants(&self) -> Result<(), String> {
         let ncpus = self.cfg.ncpus();
         self.dir.check_invariants(ncpus as u16)?;
-        for n in 0..self.cfg.nodes {
-            let sdir = &self.sl_ref(n).dir;
-            sdir.check_invariants(ncpus as u16)?;
-            for (line, entry) in sdir.entries() {
-                if self.dir.contains(line) {
-                    return Err(format!(
-                        "line {line:#x}: present in both the global directory \
-                         and node {n}'s slice directory"
-                    ));
-                }
-                for m in 0..n {
-                    if self.sl_ref(m).dir.contains(line) {
-                        return Err(format!(
-                            "line {line:#x}: present in slice directories of \
-                             nodes {m} and {n}"
-                        ));
-                    }
-                }
-                let on_node = |cpu: usize| self.cfg.node_of_cpu(cpu) == n;
-                match entry {
-                    DirEntry::Uncached => {}
-                    DirEntry::Shared(mask) => {
-                        for cpu in 0..ncpus {
-                            if mask & (1 << cpu) != 0 && !on_node(cpu) {
-                                return Err(format!(
-                                    "line {line:#x}: node {n} slice directory \
-                                     has off-node sharer cpu {cpu}"
-                                ));
-                            }
-                        }
-                    }
-                    DirEntry::Owned(owner) => {
-                        if !on_node(owner as usize) {
-                            return Err(format!(
-                                "line {line:#x}: node {n} slice directory has \
-                                 off-node owner cpu {owner}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
 
         // Inclusion: L1 ⊆ L2, never more privileged.
         if self.has_l2() {
             let sublines = (self.coh_line_size() / self.cfg.l1.line) as u64;
             for cpu in 0..ncpus {
-                let n = self.cfg.node_of_cpu(cpu);
-                let l = cpu - n * self.cfg.cpus_per_node;
-                let slice = self.sl_ref(n);
-                for (idx, st) in slice.l1[l].lines() {
+                for (idx, st) in self.l1[cpu].lines() {
                     let coh = idx / sublines;
-                    let Some(l2st) = slice.l2[l].peek(coh) else {
+                    let Some(l2st) = self.l2[cpu].peek(coh) else {
                         return Err(format!(
                             "cpu {cpu}: L1 subline {idx:#x} resident but its \
                              coherence line {coh:#x} is absent from L2 (inclusion)"
@@ -827,10 +629,10 @@ impl Hierarchy {
         }
 
         // Exclusivity, cache side: every coherence-cache resident agrees
-        // with the (merged) directory.
+        // with the directory.
         for cpu in 0..ncpus {
             for (line, st) in self.coherence_cache(cpu).lines() {
-                match self.merged_entry(line) {
+                match self.dir.entry(line) {
                     DirEntry::Uncached => {
                         return Err(format!(
                             "cpu {cpu}: line {line:#x} resident {st:?} but \
@@ -870,8 +672,7 @@ impl Hierarchy {
         }
 
         // Exclusivity, directory side: owners and sharers are resident.
-        let slice_entries = (0..self.cfg.nodes).flat_map(|n| self.sl_ref(n).dir.entries());
-        for (line, entry) in self.dir.entries().chain(slice_entries) {
+        for (line, entry) in self.dir.entries() {
             match entry {
                 DirEntry::Uncached => {}
                 DirEntry::Shared(mask) => {
@@ -1096,22 +897,45 @@ mod tests {
     }
 
     #[test]
-    fn sequential_path_keeps_slice_state_empty() {
-        let mut h = ccnuma();
-        for i in 0..200u64 {
-            let cpu = (i % 4) as usize;
-            let home = (i % 2) as usize;
-            h.access(cpu, PAddr(0x1000 + i * 256), read(), home, i * 50);
+    fn a_restored_snapshot_continues_bit_identically() {
+        // Mixed private and shared traffic: cache state, bus and
+        // controller horizons, directory entries and COMA attraction
+        // memories all carry over the cut.
+        let drive = |h: &mut Hierarchy, steps: std::ops::Range<u64>| -> Vec<AccessResult> {
+            let (ncpus, nodes) = (h.config().ncpus() as u64, h.config().nodes as u64);
+            steps
+                .map(|i| {
+                    let cpu = (i % ncpus) as usize;
+                    let paddr = PAddr(0x1000 + (i * 7919 % 512) * 64);
+                    let acc = if i % 3 == 0 { write() } else { read() };
+                    h.access(cpu, paddr, acc, (i / 5 % nodes) as usize, i * 90)
+                })
+                .collect()
+        };
+        for cfg in [
+            ArchConfig::ccnuma(2, 2),
+            ArchConfig::coma(2, 1),
+            ArchConfig::simple_smp(4),
+        ] {
+            let mut a = Hierarchy::new(cfg.clone());
+            drive(&mut a, 0..400);
+            let mut w = Writer::new();
+            a.encode_snapshot(&mut w);
+            let bytes = w.into_bytes();
+            let mut b = Hierarchy::new(cfg.clone());
+            let mut r = Reader::new(&bytes);
+            b.decode_snapshot(&mut r).unwrap();
+            assert!(r.is_exhausted());
+            assert_eq!(drive(&mut a, 400..800), drive(&mut b, 400..800));
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.dir_stats(), b.dir_stats());
+            b.check_invariants().unwrap();
         }
-        // Nothing ran through the private path: merged totals equal the
-        // global-path stats and the slice directories never populate.
-        assert_eq!(*h.stats(), h.stats_merged());
-        let arena = h.share_slices();
-        for n in 0..2 {
-            let slice = unsafe { arena.slice_ref(n) };
-            assert_eq!(slice.stats, MemStats::default());
-            assert_eq!(slice.dir.entries().count(), 0);
-        }
-        h.check_invariants().unwrap();
+        // A snapshot of another shape is an error, not a panic.
+        let mut w = Writer::new();
+        ccnuma().encode_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        let mut coma = Hierarchy::new(ArchConfig::coma(2, 2));
+        assert!(coma.decode_snapshot(&mut Reader::new(&bytes)).is_err());
     }
 }

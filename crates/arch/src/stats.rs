@@ -145,23 +145,6 @@ impl MemStats {
         s.dsm_bytes = r.u64()?;
         Ok(s)
     }
-
-    /// Folds another stats block into this one.
-    pub fn merge(&mut self, other: &MemStats) {
-        for i in 0..3 {
-            self.accesses[i] += other.accesses[i];
-            self.l1_hits[i] += other.l1_hits[i];
-            self.l2_hits[i] += other.l2_hits[i];
-            self.am_hits[i] += other.am_hits[i];
-            self.remote_accesses[i] += other.remote_accesses[i];
-            self.local_accesses[i] += other.local_accesses[i];
-            self.latency[i] += other.latency[i];
-        }
-        self.forwards += other.forwards;
-        self.invalidations_delivered += other.invalidations_delivered;
-        self.dsm_faults += other.dsm_faults;
-        self.dsm_bytes += other.dsm_bytes;
-    }
 }
 
 #[cfg(test)]
@@ -174,25 +157,6 @@ mod tests {
         assert_eq!(s.l1_miss_ratio(), 0.0);
         assert_eq!(s.remote_fraction(), 0.0);
         assert_eq!(s.mean_latency(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = MemStats::default();
-        a.accesses[0] = 10;
-        a.l1_hits[0] = 8;
-        a.latency[0] = 100;
-        let mut b = MemStats::default();
-        b.accesses[0] = 10;
-        b.l1_hits[0] = 2;
-        b.latency[0] = 300;
-        b.forwards = 3;
-        a.merge(&b);
-        assert_eq!(a.accesses[0], 20);
-        assert_eq!(a.l1_hits[0], 10);
-        assert!((a.l1_miss_ratio() - 0.5).abs() < 1e-12);
-        assert!((a.mean_latency() - 20.0).abs() < 1e-12);
-        assert_eq!(a.forwards, 3);
     }
 
     #[test]

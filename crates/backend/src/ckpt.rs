@@ -5,7 +5,7 @@
 //! therefore records the *architecture-model outcomes* instead: every
 //! [`crate::Backend::mem_access`] and DSM page-transfer result, in engine
 //! service order, plus one snapshot of the memory hierarchy taken at a
-//! quiesced cut (in-flight window drained, nothing staged).
+//! quiesced cut (between engine steps, filter logs drained).
 //!
 //! Resume re-executes everything live — frontend closures, OS-server
 //! threads, scheduler, VM, devices — but feeds the architecture models
@@ -18,11 +18,8 @@
 //! continues fully live, bit-identical to the recording run by
 //! construction.
 //!
-//! Recording, replay, and fast-forward all force the classic inline
-//! engine path (the shard-worker private-access classifier is disabled,
-//! exactly as when a simcheck trace recorder is attached), so the stream
-//! order is the engine's deterministic pop order regardless of
-//! `backend_workers`, batch depth, or reference filtering.
+//! The stream order is the engine's deterministic pop order, the same
+//! at every batch depth and with reference filtering on or off.
 //!
 //! File format: a `compass-snap` frame (`seal`/`unseal`, FNV-1a
 //! checksummed, version-tagged) whose payload is the header
@@ -37,7 +34,9 @@ use compass_snap::{seal, unseal, Reader, SnapError, Writer};
 use std::path::PathBuf;
 
 /// Checkpoint frame version (see the module docs for the bump rule).
-pub const CKPT_VERSION: u32 = 1;
+/// Version 2 lays the hierarchy snapshot out per cache array instead of
+/// per node slice; version-1 files are rejected.
+pub const CKPT_VERSION: u32 = 2;
 
 /// One recorded architecture-model outcome, in engine service order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +81,7 @@ pub enum ArchRecord {
 pub struct CheckpointData {
     /// FNV-1a hash of the architecture configuration that produced the
     /// file. Resume under a different *architecture* is meaningless
-    /// (transport knobs — workers, batch depth, filters — are free).
+    /// (transport knobs — batch depths, filters — are free).
     pub config_hash: u64,
     /// Events the recording run fast-forwarded before the models went
     /// live; the resumed run re-executes the same warmup.
@@ -328,11 +327,15 @@ mod tests {
             w.bytes(&[]);
             w.into_bytes()
         };
-        let frame = seal(CKPT_VERSION + 1, &payload);
-        assert!(matches!(
-            CheckpointData::decode(&frame),
-            Err(SnapError::BadFrame(_))
-        ));
+        // A newer frame, and a version-1 frame (per-node-slice snapshot
+        // layout): both are typed errors, never reinterpreted.
+        for version in [CKPT_VERSION + 1, 1] {
+            let frame = seal(version, &payload);
+            assert!(
+                matches!(CheckpointData::decode(&frame), Err(SnapError::BadFrame(_))),
+                "version {version} accepted"
+            );
+        }
     }
 
     #[test]

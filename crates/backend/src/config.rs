@@ -68,11 +68,11 @@ pub struct BackendConfig {
     pub tlb_assoc: usize,
     /// Interval-timer period per CPU; `None` disables timer interrupts.
     pub timer_interval: Option<Cycles>,
-    /// Host-time deadlock detector for posters on ordinary threads and
-    /// shard jobs: if no event can be processed and nothing is posted for
-    /// this many milliseconds, the engine returns a structured deadlock
-    /// report ([`crate::error::RunError::Deadlock`]). When every poster is
-    /// a task suspended on the engine, the deadlock is reported at once.
+    /// Host-time deadlock detector for posters on ordinary threads: if no
+    /// event can be processed and nothing is posted for this many
+    /// milliseconds, the engine returns a structured deadlock report
+    /// ([`crate::error::RunError::Deadlock`]). When every poster is a task
+    /// suspended on the engine, the deadlock is reported at once.
     pub deadlock_ms: u64,
     /// Which simulated CPU device interrupts are routed to.
     pub irq_cpu: usize,
@@ -82,30 +82,85 @@ pub struct BackendConfig {
     /// accounting makes results identical at any depth (see the engine
     /// module docs), so this is purely a host-performance knob.
     pub batch_depth: usize,
-    /// Backend worker threads the architecture model is sharded across
-    /// (1 = the classic single-threaded engine; N > 1 spawns N-1 shard
-    /// workers that run node-private memory accesses, partitioned by
-    /// home node). The classifier/retire protocol keeps `BackendStats`
-    /// bit-identical at every worker count (see the engine module docs),
-    /// so — like `batch_depth` — this is purely a host-performance knob.
-    pub workers: usize,
 }
 
 impl BackendConfig {
     /// Deterministic hash of the simulated configuration — the
     /// architecture hash ([`compass_arch::Hierarchy::config_hash`], also
-    /// stored in checkpoint headers) folded with every backend knob that
-    /// shapes the simulation, including the stats-neutral transport knobs
-    /// (`batch_depth`, `workers`): two configurations that differ only in
-    /// transport are still distinct *runs* even though their statistics
-    /// are identical, and the fleet runner dedupes on exactly this hash.
-    /// `deadlock_ms` is excluded: the host watchdog is not part of the
-    /// simulated configuration.
+    /// stored in checkpoint headers) followed by every backend knob that
+    /// shapes the simulation, including the stats-neutral `batch_depth`:
+    /// two configurations that differ only in transport are still distinct
+    /// *runs* even though their statistics are identical, and the fleet
+    /// runner dedupes on exactly this hash. `deadlock_ms` is excluded: the
+    /// host watchdog is not part of the simulated configuration.
+    ///
+    /// The encoding is explicit, field by field, so the hash moves only
+    /// when a field's value does — never because a type's `Debug`
+    /// rendering changed. Destructuring makes a new field a compile error
+    /// here until it is encoded (or deliberately excluded).
     pub fn config_hash(&self) -> u64 {
-        let mut norm = self.clone();
-        norm.deadlock_ms = 0;
-        let arch = compass_arch::Hierarchy::config_hash(&self.arch);
-        compass_snap::fnv1a64(format!("{arch:016x}|{norm:?}").as_bytes())
+        let BackendConfig {
+            arch,
+            mode,
+            sched,
+            preempt_interval,
+            placement,
+            mem_per_node,
+            disks,
+            disk,
+            net,
+            tlb_entries,
+            tlb_assoc,
+            timer_interval,
+            deadlock_ms: _,
+            irq_cpu,
+            batch_depth,
+        } = self;
+        let mut w = compass_snap::Writer::new();
+        w.u64(compass_arch::Hierarchy::config_hash(arch));
+        w.u8(match mode {
+            EngineMode::Serialized => 0,
+            EngineMode::Pipelined => 1,
+        });
+        w.u8(match sched {
+            SchedPolicy::Fcfs => 0,
+            SchedPolicy::Affinity => 1,
+        });
+        encode_opt(&mut w, *preempt_interval);
+        match placement {
+            PlacementPolicy::RoundRobin => w.u8(0),
+            PlacementPolicy::Block(pages) => {
+                w.u8(1);
+                w.u32(*pages);
+            }
+            PlacementPolicy::FirstTouch => w.u8(2),
+        }
+        w.u64(*mem_per_node);
+        w.u64(*disks as u64);
+        let DiskParams {
+            positioning,
+            per_block,
+            issue_overhead,
+        } = disk;
+        for v in [positioning, per_block, issue_overhead] {
+            w.u64(*v);
+        }
+        let NetParams {
+            per_frame,
+            per_byte_x100,
+            mtu,
+            issue_overhead,
+        } = net;
+        w.u64(*per_frame);
+        w.u64(*per_byte_x100);
+        w.u32(*mtu);
+        w.u64(*issue_overhead);
+        w.u64(*tlb_entries as u64);
+        w.u64(*tlb_assoc as u64);
+        encode_opt(&mut w, *timer_interval);
+        w.u64(*irq_cpu as u64);
+        w.u64(*batch_depth as u64);
+        compass_snap::fnv1a64(&w.into_bytes())
     }
 
     /// A reasonable default around a given architecture.
@@ -126,7 +181,6 @@ impl BackendConfig {
             deadlock_ms: 10_000,
             irq_cpu: 0,
             batch_depth: 8,
-            workers: 1,
         }
     }
 
@@ -156,14 +210,14 @@ impl BackendConfig {
         if self.batch_depth == 0 {
             return Err("batch_depth must be at least 1".into());
         }
-        if self.workers == 0 {
-            return Err("workers must be at least 1".into());
-        }
-        if self.workers > 1 && self.mode == EngineMode::Serialized {
-            return Err("serialized mode requires workers = 1".into());
-        }
         Ok(())
     }
+}
+
+/// Encodes an optional cycle count as a presence flag plus the value.
+fn encode_opt(w: &mut compass_snap::Writer, v: Option<Cycles>) {
+    w.bool(v.is_some());
+    w.u64(v.unwrap_or(0));
 }
 
 #[cfg(test)]
@@ -185,9 +239,14 @@ mod tests {
         sched.sched = SchedPolicy::Affinity;
         let mut batch = base.clone();
         batch.batch_depth += 1;
-        let mut workers = base.clone();
-        workers.workers = 4;
-        let hashes = [&base, &arch, &sched, &batch, &workers].map(|c| c.config_hash());
+        let mut preempt = base.clone();
+        preempt.preempt_interval = Some(400_000);
+        let mut timer = base.clone();
+        timer.timer_interval = Some(400_000);
+        let mut block = base.clone();
+        block.placement = PlacementPolicy::Block(2);
+        let hashes =
+            [&base, &arch, &sched, &batch, &preempt, &timer, &block].map(|c| c.config_hash());
         for i in 0..hashes.len() {
             for j in i + 1..hashes.len() {
                 assert_ne!(hashes[i], hashes[j], "configs {i} and {j} collide");
@@ -231,22 +290,6 @@ mod tests {
     fn zero_batch_depth_rejected() {
         let mut c = BackendConfig::new(ArchConfig::simple_smp(2));
         c.batch_depth = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn zero_workers_rejected() {
-        let mut c = BackendConfig::new(ArchConfig::simple_smp(2));
-        c.workers = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn serialized_mode_refuses_multiple_workers() {
-        let mut c = BackendConfig::new(ArchConfig::ccnuma(2, 2));
-        c.workers = 4;
-        c.validate().unwrap();
-        c.mode = EngineMode::Serialized;
         assert!(c.validate().is_err());
     }
 }

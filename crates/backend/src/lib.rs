@@ -28,9 +28,14 @@
 //! * [`engine`] — the scan/take/simulate/reply loop with the
 //!   least-execution-time pickup rule and its serialized ("uniprocessor
 //!   host") and pipelined ("SMP host") modes;
-//! * `shard` — worker threads that run node-private memory accesses when
-//!   `BackendConfig::workers > 1`, bit-identical to the single-threaded
-//!   engine by construction.
+//! * [`ckpt`] — checkpoint files: the recorded architecture-outcome
+//!   stream plus a hierarchy snapshot.
+//!
+//! Like the paper's backend process, everything here runs on one host
+//! thread: the engine drives the architecture models directly, in global
+//! simulated-time order.
+
+#![forbid(unsafe_code)]
 
 pub mod ckpt;
 pub mod config;
@@ -39,7 +44,6 @@ pub mod engine;
 pub mod error;
 pub mod locks;
 pub mod sched;
-pub(crate) mod shard;
 pub mod stats;
 pub mod tasks;
 pub mod trace;

@@ -17,10 +17,9 @@
 //! to the recording run's. `--smoke` shrinks the transaction count for
 //! CI; the JSON shape is the same.
 //!
-//! Wall-clock rows inherit the same honesty guard as `report_shard`:
-//! when the host has a single hardware thread the speedup is still
-//! meaningful (fast-forward removes *work*, not just parallelism), but
-//! `host_cpus` is recorded so readers can judge the absolute numbers.
+//! Wall-clock rows carry `host_cpus`: the speedup is meaningful on any
+//! host (fast-forward removes *work*, not just parallelism), but readers
+//! need the host to judge the absolute numbers.
 //!
 //! The record/resume identity cycle is also exercised by `compass-fleet
 //! --preset ckpt` and by every `--smoke` run (the fleet CI gate that

@@ -21,8 +21,8 @@
 //!   with the kernel filter off vs on, plus the filtered-reference and
 //!   deferred-refresh counters that show what the mirrors cost and save;
 //! * `--smoke` — CI gate: (a) bit-identity — the batched + filtered +
-//!   disk-wake run must reproduce the baseline `BackendStats` exactly
-//!   (and across shard workers); (b) regression — the measured
+//!   disk-wake run must reproduce the baseline `BackendStats` exactly;
+//!   (b) regression — the measured
 //!   events/s speedup must stay within 20% of the committed
 //!   `BENCH_http.json` baseline. Exits nonzero on either failure.
 
@@ -46,7 +46,6 @@ struct Knobs {
     kernel_batch_depth: usize,
     kernel_filter: bool,
     disk_wake: bool,
-    workers: usize,
 }
 
 const BASELINE: Knobs = Knobs {
@@ -59,7 +58,6 @@ const BASELINE: Knobs = Knobs {
     kernel_batch_depth: 1,
     kernel_filter: false,
     disk_wake: false,
-    workers: 1,
 };
 
 /// `SimConfig::new` as shipped: the row the casual `b.run()` user gets.
@@ -70,7 +68,6 @@ const DEFAULTS: Knobs = Knobs {
     kernel_batch_depth: 8,
     kernel_filter: false,
     disk_wake: true,
-    workers: 1,
 };
 
 const TUNED: Knobs = Knobs {
@@ -80,7 +77,6 @@ const TUNED: Knobs = Knobs {
     kernel_batch_depth: 64,
     kernel_filter: true,
     disk_wake: true,
-    workers: 1,
 };
 
 /// Workload scale.
@@ -100,7 +96,6 @@ struct Outcome {
 fn apply_knobs(c: &mut compass::SimConfig, k: Knobs, obs_counters: bool) {
     c.backend.deadlock_ms = 60_000;
     c.backend.batch_depth = k.batch_depth;
-    c.backend.workers = k.workers;
     c.filter = k.filter;
     c.kernel_batch_depth = k.kernel_batch_depth;
     c.kernel_filter = k.kernel_filter;
@@ -269,7 +264,6 @@ fn row_json(r: &Row) -> String {
     format!(
         "    {{\"label\": \"{}\", \"batch_depth\": {}, \"filter\": {}, \
          \"kernel_batch_depth\": {}, \"kernel_filter\": {}, \"disk_wake\": {}, \
-         \"workers\": {}, \
          \"events_per_sec\": {:.0}, \"sim_requests_per_sec\": {:.1}, \
          \"p99_latency_cycles\": {}, \"p99_latency_ms\": {:.3}, \"wall_s\": {:.3}}}",
         r.label,
@@ -278,7 +272,6 @@ fn row_json(r: &Row) -> String {
         r.knobs.kernel_batch_depth,
         r.knobs.kernel_filter,
         r.knobs.disk_wake,
-        r.knobs.workers,
         r.events_per_sec,
         r.sim_requests_per_sec,
         r.p99_latency_cycles,
@@ -329,15 +322,7 @@ fn smoke() -> i32 {
     let base = run_http(scale, BASELINE, false);
     let base_stats = format!("{:#?}", base.report.backend);
     let mut failures = 0;
-    for k in [
-        DEFAULTS,
-        TUNED,
-        Knobs {
-            label: "batched+filtered+sharded",
-            workers: 4,
-            ..TUNED
-        },
-    ] {
+    for k in [DEFAULTS, TUNED] {
         let got = run_http(scale, k, false);
         if format!("{:#?}", got.report.backend) != base_stats {
             eprintln!("FAIL: BackendStats diverged under {}", k.label);
@@ -358,7 +343,7 @@ fn smoke() -> i32 {
     if failures == 0 {
         eprintln!(
             "ok: httplite BackendStats bit-identical across OS-port batching, \
-             kernel filtering, disk-wake, and shard workers ({} requests, {} conns)",
+             kernel filtering and disk-wake ({} requests, {} conns)",
             base.seen.completed, base.report.net.conns
         );
     }
@@ -492,11 +477,6 @@ fn main() {
                 },
                 DEFAULTS,
                 TUNED,
-                Knobs {
-                    label: "batched+filtered+sharded",
-                    workers: 4,
-                    ..TUNED
-                },
             ] {
                 let r = measure(scale, k);
                 eprintln!(

@@ -235,8 +235,9 @@ extern "C" fn entry(ctl: usize) -> ! {
         let mut dead = 0usize;
         arch::switch_stack(&mut dead, (*ctl).caller_sp);
     }
-    // Unreachable: a finished coroutine is never resumed.
-    std::process::abort()
+    // A panic cannot unwind out of this `extern "C"` frame, so reaching
+    // here still aborts the process, now with a message.
+    unreachable!("a finished coroutine was resumed")
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -189,7 +189,7 @@ fn an_idle_executor_wakes_on_a_foreign_notify() {
     let n = Arc::clone(&notifier);
     let worker = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(20));
-        n.notify(); // a shard worker posting a result
+        n.notify(); // a poster on an ordinary thread
     });
     let t0 = Instant::now();
     assert!(ex.wait_idle(epoch, Duration::from_secs(30)));

@@ -40,7 +40,6 @@ pub mod event;
 pub mod notifier;
 pub mod port;
 pub mod rendezvous;
-pub mod shard_ring;
 
 pub use coro::{Class, Executor};
 pub use cpu_states::{CpuStates, IrqSource};
@@ -52,4 +51,3 @@ pub use event::{
 pub use notifier::Notifier;
 pub use port::{EventPort, ReqPort, DEFAULT_RING_CAPACITY};
 pub use rendezvous::EventRing;
-pub use shard_ring::{shard_ring, ShardReceiver, ShardSender};

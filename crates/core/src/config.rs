@@ -2,7 +2,7 @@
 
 use compass_arch::ArchConfig;
 use compass_backend::BackendConfig;
-use compass_isa::TimingModel;
+use compass_isa::{InstClass, TimingModel};
 use compass_obs::ObsConfig;
 use compass_os::KernelConfig;
 
@@ -82,35 +82,73 @@ impl SimConfig {
     /// Canonical hash of the whole simulated configuration: the backend
     /// hash ([`compass_backend::BackendConfig::config_hash`], which folds
     /// [`compass_arch::Hierarchy::config_hash`] with every engine knob)
-    /// plus the kernel cost model, instruction timing, and the
+    /// followed by the kernel cost model, instruction timing, and the
     /// frontend/OS transport knobs. Observability is excluded — it is
     /// observation-only by construction and proven stats-neutral by
     /// simcheck, so two runs differing only in `obs` are the same
     /// configuration. The fleet runner dedupes lattice points on this.
+    ///
+    /// Like the backend hash, the encoding is explicit and field by field
+    /// (no `Debug` rendering), and destructuring forces a new field to be
+    /// encoded or deliberately excluded here.
     pub fn config_hash(&self) -> u64 {
-        let transport = (
-            &self.kernel,
-            &self.timing,
-            self.os_threads,
-            self.pseudo_irq,
-            self.sample_period,
-            self.filter,
-            self.kernel_batch_depth,
-            self.kernel_filter,
-            self.disk_wake,
-        );
-        compass_snap::fnv1a64(
-            format!("{:016x}|{transport:?}", self.backend.config_hash()).as_bytes(),
-        )
-    }
-
-    /// Sets the backend worker-thread count (see
-    /// `BackendConfig::workers`): 1 is the classic single-threaded
-    /// engine; N > 1 shards node-private memory accesses across N - 1
-    /// worker threads with bit-identical results.
-    pub fn backend_workers(mut self, n: usize) -> Self {
-        self.backend.workers = n;
-        self
+        let SimConfig {
+            backend,
+            kernel,
+            timing,
+            os_threads,
+            pseudo_irq,
+            sample_period,
+            filter,
+            kernel_batch_depth,
+            kernel_filter,
+            disk_wake,
+            obs: _,
+        } = self;
+        let KernelConfig {
+            touch_gran,
+            nbufs,
+            mss,
+            checksum_per_byte_x100,
+            tcp_per_packet,
+            ip_per_packet,
+            disk_intr,
+            ether_intr,
+            timer_intr,
+            path_per_byte,
+            select_per_fd,
+            ndisks,
+        } = kernel;
+        let mut w = compass_snap::Writer::new();
+        w.u64(backend.config_hash());
+        w.u32(*touch_gran);
+        w.u64(*nbufs as u64);
+        w.u32(*mss);
+        for v in [
+            checksum_per_byte_x100,
+            tcp_per_packet,
+            ip_per_packet,
+            disk_intr,
+            ether_intr,
+            timer_intr,
+            path_per_byte,
+            select_per_fd,
+        ] {
+            w.u64(*v);
+        }
+        w.u64(*ndisks as u64);
+        for class in InstClass::ALL {
+            w.u64(timing.cost(class));
+        }
+        w.u32(timing.clock_mhz);
+        w.u64(*os_threads as u64);
+        w.bool(*pseudo_irq);
+        w.u32(*sample_period);
+        w.bool(*filter);
+        w.u64(*kernel_batch_depth as u64);
+        w.bool(*kernel_filter);
+        w.bool(*disk_wake);
+        compass_snap::fnv1a64(&w.into_bytes())
     }
 
     /// Validates cross-component consistency. Nonsensical knob
@@ -173,6 +211,26 @@ mod tests {
 
         let arch = SimConfig::new(ArchConfig::simple_smp(4));
         assert_ne!(base.config_hash(), arch.config_hash());
+
+        let mut timing = SimConfig::new(ArchConfig::ccnuma(2, 2));
+        timing.timing = TimingModel::unit();
+        assert_ne!(base.config_hash(), timing.config_hash());
+
+        let mut kernel = SimConfig::new(ArchConfig::ccnuma(2, 2));
+        kernel.kernel.nbufs += 1;
+        assert_ne!(base.config_hash(), kernel.config_hash());
+    }
+
+    /// The shipped defaults hash to a pinned value: the encoding is
+    /// explicit, so this moves only when a default or the encoding itself
+    /// changes — re-pin deliberately (fleet dedupe keys move with it).
+    #[test]
+    fn default_config_hash_is_pinned() {
+        assert_eq!(
+            SimConfig::new(ArchConfig::ccnuma(2, 2)).config_hash(),
+            0xe809_2ad0_21f9_4b22,
+            "SimConfig::config_hash of the ccnuma(2, 2) defaults moved"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! One host thread, `compass-backend`, runs the whole simulation: the
 //! frontends, OS threads and daemon are tasks on its executor (see
 //! [`compass_comm::coro`]), resumed by the engine whenever it needs their
-//! next event. Shard workers (`backend_workers > 1`) are the only other
+//! next event — the paper's single backend process, with no other
 //! simulator threads.
 
 use crate::config::SimConfig;
@@ -151,8 +151,8 @@ impl SimBuilder {
     }
 
     /// Checkpoints the deterministic simulation state to `path` every
-    /// `every` serviced events, at quiesced window boundaries (shard
-    /// workers drained, rings empty, filter logs flushed). The file is
+    /// `every` serviced events, at quiesced step boundaries (rings
+    /// empty, filter logs flushed). The file is
     /// atomically overwritten at each cut — the latest cut wins. Resume
     /// it with [`SimBuilder::resume`].
     pub fn checkpoint_every(mut self, every: u64, path: impl Into<PathBuf>) -> Self {
@@ -167,7 +167,7 @@ impl SimBuilder {
     /// (the resume-identity oracle); at the recorded cut the hierarchy
     /// snapshot is swapped in and the run continues fully live —
     /// bit-identical `BackendStats` to the recording run. Transport knobs
-    /// (`backend_workers`, batch depths, reference filters) may differ
+    /// (batch depths, reference filters) may differ
     /// between the two runs; the architecture configuration must match.
     pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
@@ -223,7 +223,7 @@ impl SimBuilder {
     /// re-raised here.
     pub fn try_run(self) -> Result<RunReport, RunError> {
         let SimBuilder {
-            mut config,
+            config,
             processes,
             traffic,
             prepare,
@@ -239,22 +239,6 @@ impl SimBuilder {
             ckpt_every.is_none() || resume_from.is_none(),
             "checkpoint recording and resume are mutually exclusive in one run"
         );
-        // More engine threads than host cores only adds scheduling churn
-        // (results are bit-identical at any worker count, so clamping is
-        // safe). `workers` counts the coordinator: N > 1 means N - 1
-        // shard threads beside it.
-        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if config.backend.workers > host_cores.max(1) {
-            static CLAMP_WARNED: std::sync::Once = std::sync::Once::new();
-            let (want, got) = (config.backend.workers, host_cores.max(1));
-            CLAMP_WARNED.call_once(|| {
-                eprintln!(
-                    "compass: clamping backend_workers {want} to available parallelism {got} \
-                     (results are identical at any worker count; warning shown once)"
-                );
-            });
-            config.backend.workers = got;
-        }
         config.validate().expect("invalid simulation configuration");
         let nprocs = processes.len();
         assert!(nprocs > 0, "no processes to simulate");

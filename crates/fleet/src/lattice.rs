@@ -37,8 +37,6 @@ pub enum Knob {
     Depth(usize),
     /// Frontend reference filtering.
     Filter(bool),
-    /// Backend shard workers.
-    Workers(usize),
     /// Kernel-side OS-port batch depth.
     OsBatch(usize),
     /// Kernel reference filtering.
@@ -61,7 +59,6 @@ impl Knob {
             Knob::Preempt(_) => "preempt",
             Knob::Depth(_) => "depth",
             Knob::Filter(_) => "filter",
-            Knob::Workers(_) => "workers",
             Knob::OsBatch(_) => "os_batch",
             Knob::KernelFilter(_) => "kernel_filter",
             Knob::DiskWake(_) => "disk_wake",
@@ -81,7 +78,7 @@ impl Knob {
             | Knob::KernelFilter(v)
             | Knob::DiskWake(v)
             | Knob::Ckpt(v) => format!("{v}"),
-            Knob::Depth(v) | Knob::Workers(v) | Knob::OsBatch(v) => format!("{v}"),
+            Knob::Depth(v) | Knob::OsBatch(v) => format!("{v}"),
         }
     }
 
@@ -94,7 +91,6 @@ impl Knob {
             self,
             Knob::Depth(_)
                 | Knob::Filter(_)
-                | Knob::Workers(_)
                 | Knob::OsBatch(_)
                 | Knob::KernelFilter(_)
                 | Knob::DiskWake(_)
@@ -112,7 +108,6 @@ impl Knob {
             Knob::Preempt(v) => p.scenario.preempt = v,
             Knob::Depth(v) => p.depth = v,
             Knob::Filter(v) => p.scenario.filter = v,
-            Knob::Workers(v) => p.scenario.workers = v,
             Knob::OsBatch(v) => p.scenario.os_batch = v,
             Knob::KernelFilter(v) => p.scenario.kernel_filter = v,
             Knob::DiskWake(v) => p.scenario.disk_wake = v,
@@ -176,14 +171,13 @@ impl FleetPoint {
     pub fn label(&self, workload: &str) -> String {
         let sc = &self.scenario;
         format!(
-            "{workload} {:?}/{:?} sched={:?} place={:?} d{} f{} w{} ob{} kf{} dw{} ck{}",
+            "{workload} {:?}/{:?} sched={:?} place={:?} d{} f{} ob{} kf{} dw{} ck{}",
             sc.preset,
             sc.geometry,
             sc.sched,
             sc.placement,
             self.depth,
             sc.filter as u8,
-            sc.workers,
             sc.os_batch,
             sc.kernel_filter as u8,
             sc.disk_wake as u8,

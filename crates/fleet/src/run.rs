@@ -169,7 +169,6 @@ pub fn twin_of(p: &FleetPoint) -> FleetPoint {
     let mut t = *p;
     t.depth = 1;
     t.scenario.filter = false;
-    t.scenario.workers = 1;
     t.scenario.os_batch = 1;
     t.scenario.kernel_filter = false;
     t.scenario.ckpt = false;

@@ -78,7 +78,7 @@ pub enum Ctr {
     /// Wall-clock ns the backend spent servicing events.
     BackendActiveNs,
     /// Wall-clock ns the backend thread spent blocked with no task ready
-    /// (shard jobs in flight, or posters on ordinary threads).
+    /// (posters on ordinary threads).
     BackendWaitNs,
     /// Trace records dropped because the ring was full.
     TraceDropped,
@@ -96,14 +96,13 @@ pub enum Ctr {
     /// spin is gone (posters suspend to the engine); the slot stays so
     /// the catalogue remains append-only.
     RingSpinsAvoidedPark,
-    /// Memory references classified node-private and run on a shard
-    /// worker (`BackendConfig::workers > 1`).
+    /// Retired, always 0: memory references once run on a backend shard
+    /// worker. The sharded backend is gone; the slot stays so the
+    /// catalogue remains append-only.
     ShardPrivateJobs,
-    /// Engine steps that stalled on the shard window: the least candidate
-    /// was at or above an in-flight floor, or was a device task.
+    /// Retired, always 0: engine steps once stalled on the shard window.
     ShardStalls,
-    /// Events that had to wait for the in-flight window to drain before
-    /// running globally on the engine thread.
+    /// Retired, always 0: events once staged behind the shard window.
     ShardStagedEvents,
     /// Syscall replies that aggregated work instead of round-tripping per
     /// event: each `DoneBatch` result beyond the first, plus each `Done`

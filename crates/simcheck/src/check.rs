@@ -27,9 +27,7 @@ pub struct RunOutput {
 /// the depth differentials then double as the proof that instrumentation
 /// never perturbs the simulation. `filter` sets frontend reference
 /// filtering for this run (callers pass `sc.filter` or its negation for
-/// the filter differential); `workers` likewise sets the backend
-/// shard-worker count (callers pass `sc.workers` or `1` for the
-/// workers-twin differential); `os_batch`, `kernel_filter` and
+/// the filter differential); `os_batch`, `kernel_filter` and
 /// `disk_wake` set the kernel-side OS-port batch depth, kernel
 /// reference filtering and the event-driven disk path the same way for
 /// their twins. A deadlock comes back as `Err` so soak runs record and
@@ -41,7 +39,6 @@ pub fn run_scenario(
     record: bool,
     observe: bool,
     filter: bool,
-    workers: usize,
     os_batch: usize,
     kernel_filter: bool,
     disk_wake: bool,
@@ -52,7 +49,6 @@ pub fn run_scenario(
         record,
         observe,
         filter,
-        workers,
         os_batch,
         kernel_filter,
         disk_wake,
@@ -81,9 +77,9 @@ pub enum CkptMode<'a> {
 }
 
 /// Applies a scenario's backend/transport knobs (scheduler, placement,
-/// pre-emption, filter, shard workers, OS batch, kernel filter, disk
-/// wake) plus the frontend batch `depth` onto a `SimConfig`. Shared with
-/// the fleet runner (`compass-fleet`), whose lattice points carry their
+/// pre-emption, filter, OS batch, kernel filter, disk wake) plus the
+/// frontend batch `depth` onto a `SimConfig`. Shared with the fleet
+/// runner (`compass-fleet`), whose lattice points carry their
 /// knob values in the scenario itself — one definition of "how a
 /// scenario configures a run" for both harnesses.
 pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: usize) {
@@ -100,7 +96,6 @@ pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: 
         cfg.backend.timer_interval = Some(900_000);
     }
     cfg.filter = sc.filter;
-    cfg.backend.workers = sc.workers;
     cfg.kernel_batch_depth = sc.os_batch;
     cfg.kernel_filter = sc.kernel_filter;
     cfg.disk_wake = sc.disk_wake;
@@ -114,7 +109,6 @@ pub fn run_scenario_ckpt(
     record: bool,
     observe: bool,
     filter: bool,
-    workers: usize,
     os_batch: usize,
     kernel_filter: bool,
     disk_wake: bool,
@@ -134,7 +128,6 @@ pub fn run_scenario_ckpt(
     // into a scenario view so knob application has a single definition.
     let knobs = Scenario {
         filter,
-        workers,
         os_batch,
         kernel_filter,
         disk_wake,
@@ -236,10 +229,6 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
         filter: !sc.filter,
         ..*sc
     });
-    push(Scenario {
-        workers: if sc.workers == 1 { 2 } else { 1 },
-        ..*sc
-    });
     v
 }
 
@@ -248,11 +237,10 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
 ///
 /// Layers: depth-1 baseline with trace recording → oracle replay →
 /// schedule-permuted twins (`check-invariants` builds) →
-/// filter-toggled differential → shard-workers-twin differential →
-/// OS-batch-twin, kernel-filter-twin and disk-wake-twin differentials →
-/// depth {4,16,64}
-/// differentials → (timing-independent workloads only) metamorphic knob
-/// variants. The per-step invariant layer runs inside every one of these
+/// filter-toggled differential → OS-batch-twin, kernel-filter-twin and
+/// disk-wake-twin differentials → depth {4,16,64} differentials →
+/// (timing-independent workloads only) metamorphic knob variants. The
+/// per-step invariant layer runs inside every one of these
 /// when built with `--features check-invariants`.
 pub fn check_scenario(sc: &Scenario) -> Vec<String> {
     check_scenario_with_soak_ckpt(sc, None)
@@ -277,7 +265,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         true,
         true,
         sc.filter,
-        sc.workers,
         sc.os_batch,
         sc.kernel_filter,
         sc.disk_wake,
@@ -331,7 +318,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         false,
         false,
         !sc.filter,
-        sc.workers,
         sc.os_batch,
         sc.kernel_filter,
         sc.disk_wake,
@@ -346,32 +332,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         }
         Err(e) => failures.push(format!("filter-toggled run deadlocked: {e}")),
     }
-    // Shard-workers differential: every scenario is rerun against its
-    // `workers = 1` twin (or, when it already is single-threaded, a
-    // 4-worker twin) and must match statistic for statistic — the
-    // node-partitioned parallel backend may change host time only.
-    let twin_workers = if sc.workers == 1 { 4 } else { 1 };
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        twin_workers,
-        sc.os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "workers={} vs workers={}: {d}",
-                    twin_workers, sc.workers
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("workers-twin run deadlocked: {e}")),
-    }
     // OS-batch differential: the kernel syscall path replayed on the
     // classic per-event port (or, when the scenario already is classic,
     // at depth 64) must match statistic for statistic — the credit-based
@@ -383,7 +343,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         false,
         false,
         sc.filter,
-        sc.workers,
         twin_os_batch,
         sc.kernel_filter,
         sc.disk_wake,
@@ -407,7 +366,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         false,
         false,
         sc.filter,
-        sc.workers,
         sc.os_batch,
         !sc.kernel_filter,
         sc.disk_wake,
@@ -432,7 +390,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         false,
         false,
         sc.filter,
-        sc.workers,
         sc.os_batch,
         sc.kernel_filter,
         !sc.disk_wake,
@@ -450,8 +407,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     // Checkpoint/resume differential (ISSUE 8): record the scenario with
     // `checkpoint_every`, then resume from the latest cut — once under
     // the scenario's own knobs and once under flipped transport knobs
-    // (filter, workers, OS batch, kernel filter, disk wake, batch
-    // depth). All of
+    // (filter, OS batch, kernel filter, disk wake, batch depth). All of
     // them run under the resume-identity oracle and must reproduce the
     // baseline `BackendStats` bit for bit.
     if sc.ckpt {
@@ -467,7 +423,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             false,
             false,
             sc.filter,
-            sc.workers,
             sc.os_batch,
             sc.kernel_filter,
             sc.disk_wake,
@@ -489,7 +444,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                         false,
                         false,
                         sc.filter,
-                        sc.workers,
                         sc.os_batch,
                         sc.kernel_filter,
                         sc.disk_wake,
@@ -504,7 +458,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                         }
                         Err(e) => failures.push(format!("checkpoint-resume run failed: {e}")),
                     }
-                    let twin_workers = if sc.workers == 1 { 4 } else { 1 };
                     let twin_os_batch = if sc.os_batch == 1 { 64 } else { 1 };
                     match run_scenario_ckpt(
                         sc,
@@ -512,7 +465,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                         false,
                         false,
                         !sc.filter,
-                        twin_workers,
                         twin_os_batch,
                         !sc.kernel_filter,
                         !sc.disk_wake,
@@ -543,7 +495,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             false,
             false,
             sc.filter,
-            sc.workers,
             sc.os_batch,
             sc.kernel_filter,
             sc.disk_wake,
@@ -567,7 +518,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                 false,
                 false,
                 var.filter,
-                var.workers,
                 var.os_batch,
                 var.kernel_filter,
                 var.disk_wake,

@@ -4,7 +4,7 @@
 //! own workload shapes; this module is the single catalogue both (and
 //! any future harness) draw from. Every preset is a fully-specified
 //! [`Scenario`] at the *baseline* transport point — depth-1-equivalent
-//! knobs everywhere (`filter` off, `workers` 1, `os_batch` 1,
+//! knobs everywhere (`filter` off, `os_batch` 1,
 //! `kernel_filter` off, `ckpt` off, `disk_wake` on) — so a harness that
 //! wants to sweep an axis mutates exactly that axis and nothing else.
 
@@ -26,7 +26,6 @@ fn base(workload: Workload, nprocs: u16) -> Scenario {
         preempt: false,
         placement: PlacementPolicy::FirstTouch,
         filter: false,
-        workers: 1,
         os_batch: 1,
         kernel_filter: false,
         ckpt: false,
@@ -48,7 +47,7 @@ pub fn sci_small() -> Scenario {
 }
 
 /// Denser scientific kernel: more rows/iterations, 4 processes — the
-/// shape the shard-worker sweeps care about (node-private traffic).
+/// shape the frontend batch-depth sweep cares about.
 pub fn sci_dense() -> Scenario {
     base(
         Workload::Sci {
@@ -105,7 +104,6 @@ mod tests {
     fn every_preset_is_baseline_and_validates() {
         for (name, sc) in all() {
             assert!(!sc.filter, "{name} not baseline");
-            assert_eq!(sc.workers, 1, "{name} not baseline");
             assert_eq!(sc.os_batch, 1, "{name} not baseline");
             assert!(!sc.kernel_filter, "{name} not baseline");
             assert!(!sc.ckpt, "{name} not baseline");

@@ -112,11 +112,6 @@ pub struct Scenario {
     /// twin, so this axis proves the mirror/replay protocol bit-exact
     /// across the whole scenario space.
     pub filter: bool,
-    /// Backend shard workers (ISSUE 5). Must be results-neutral: the
-    /// check stack diffs every scenario against its `workers = 1` twin,
-    /// so this axis proves the node-partitioned parallel backend
-    /// bit-exact across the whole scenario space.
-    pub workers: usize,
     /// Kernel-side OS-port batch depth (ISSUE 6). Must be
     /// statistics-neutral: the check stack diffs every scenario against
     /// its `os_batch = 1` twin (the classic one-rendezvous-per-event
@@ -199,9 +194,10 @@ impl Scenario {
         // Drawn last so adding the axis left every earlier draw (and thus
         // every historical seed's scenario shape) unchanged.
         let filter = rng.gen_bool(0.5);
-        // Drawn after `filter` for the same reason: seeds from before the
-        // shard-worker axis existed still generate the same scenario.
-        let workers = [1usize, 2, 4][rng.gen_range(0..3usize)];
+        // The retired shard-worker axis was drawn here. The draw stays —
+        // house rule: the draw order only ever grows, so every historical
+        // seed keeps generating the same scenario.
+        let _ = rng.gen_range(0..3usize);
         // Kernel-path knobs (ISSUE 6), again drawn last so every
         // historical seed keeps its scenario shape.
         let os_batch = [1usize, 8, 64][rng.gen_range(0..3usize)];
@@ -223,7 +219,6 @@ impl Scenario {
             preempt,
             placement,
             filter,
-            workers,
             os_batch,
             kernel_filter,
             ckpt,
@@ -382,12 +377,6 @@ impl Scenario {
                 push(Scenario { nprocs: 1, ..*self });
                 push(Scenario {
                     nprocs: self.nprocs - 1,
-                    ..*self
-                });
-            }
-            if self.workers > 1 {
-                push(Scenario {
-                    workers: 1,
                     ..*self
                 });
             }
@@ -630,8 +619,6 @@ mod tests {
         assert!(scenarios.iter().any(|s| s.preempt));
         assert!(scenarios.iter().any(|s| s.filter));
         assert!(scenarios.iter().any(|s| !s.filter));
-        assert!(scenarios.iter().any(|s| s.workers == 1));
-        assert!(scenarios.iter().any(|s| s.workers > 1));
         assert!(scenarios.iter().any(|s| s.os_batch == 1));
         assert!(scenarios.iter().any(|s| s.os_batch > 1));
         assert!(scenarios.iter().any(|s| s.kernel_filter));

@@ -133,7 +133,6 @@ pub fn resume_inflight(dir: &Path, seed: u64) -> (bool, Vec<String>) {
         false,
         false,
         sc.filter,
-        sc.workers,
         sc.os_batch,
         sc.kernel_filter,
         sc.disk_wake,
@@ -151,7 +150,6 @@ pub fn resume_inflight(dir: &Path, seed: u64) -> (bool, Vec<String>) {
                 false,
                 false,
                 sc.filter,
-                sc.workers,
                 sc.os_batch,
                 sc.kernel_filter,
                 sc.disk_wake,

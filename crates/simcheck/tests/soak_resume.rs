@@ -39,7 +39,6 @@ fn record_baseline_with_cuts(dir: &std::path::Path, seed: u64) -> bool {
         false,
         false,
         sc.filter,
-        sc.workers,
         sc.os_batch,
         sc.kernel_filter,
         sc.disk_wake,

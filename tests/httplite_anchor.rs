@@ -4,8 +4,7 @@
 //! mix and the headline `BackendStats` quantities pinned to literals.
 //! The same anchor is then replayed across the kernel-path knobs —
 //! OS-port batch depth, kernel reference filtering, the event-driven
-//! disk path, shard workers — all of which are pure transport
-//! optimisations and must reproduce every pinned value bit for bit.
+//! disk path — all of which are pure transport optimisations and must reproduce every pinned value bit for bit.
 //! Intentional timing-model changes re-pin the literals (the failure
 //! message prints the fresh values).
 
@@ -30,7 +29,6 @@ struct Anchor {
 fn run_http_sized(
     requests: u32,
     clients: u32,
-    workers: usize,
     kernel_batch_depth: usize,
     kernel_filter: bool,
     disk_wake: bool,
@@ -63,7 +61,6 @@ fn run_http_sized(
     }
     let c = b.config_mut();
     c.backend.deadlock_ms = 30_000;
-    c.backend.workers = workers;
     c.kernel_batch_depth = kernel_batch_depth;
     c.kernel_filter = kernel_filter;
     c.disk_wake = disk_wake;
@@ -76,16 +73,10 @@ fn run_http_sized(
     }
 }
 
-fn run_http(
-    workers: usize,
-    kernel_batch_depth: usize,
-    kernel_filter: bool,
-    disk_wake: bool,
-) -> Anchor {
+fn run_http(kernel_batch_depth: usize, kernel_filter: bool, disk_wake: bool) -> Anchor {
     run_http_sized(
         REQUESTS,
         CLIENTS,
-        workers,
         kernel_batch_depth,
         kernel_filter,
         disk_wake,
@@ -106,7 +97,7 @@ fn run_http(
 fn fixed_seed_httplite_results_are_pinned() {
     // The baseline uses the default kernel path (depth 8, unfiltered,
     // event-driven disk wakes on).
-    let base = run_http(1, 8, false, true);
+    let base = run_http(8, false, true);
 
     // Request mix: every trace entry served exactly once, the churn
     // schedule a pure function of the block ids, the connection count
@@ -138,7 +129,7 @@ fn fixed_seed_httplite_results_are_pinned() {
     assert_eq!(base.p99, 98_716_836, "p99 request latency moved");
 
     // Bit-stability across an identical rerun.
-    let again = run_http(1, 8, false, true);
+    let again = run_http(8, false, true);
     assert_eq!(
         format!("{:#?}", base.report.backend),
         format!("{:#?}", again.report.backend),
@@ -147,33 +138,32 @@ fn fixed_seed_httplite_results_are_pinned() {
     assert_eq!(seen, &again.seen, "player observations not bit-stable");
 
     // Kernel-path knob twins: OS-port batch depth × kernel filtering ×
-    // the event-driven disk path × shard workers are pure transport
-    // optimisations — every combination must replay to the very same
-    // anchor.
-    for (workers, kb, kf, dw) in [
-        (1, 1, false, false),
-        (1, 64, false, true),
-        (1, 1, true, true),
-        (1, 64, true, false),
-        (1, 8, false, false),
-        (4, 64, true, true),
+    // the event-driven disk path are pure transport optimisations —
+    // every combination must replay to the very same anchor.
+    for (kb, kf, dw) in [
+        (1, false, false),
+        (64, false, true),
+        (1, true, true),
+        (64, true, false),
+        (8, false, false),
+        (64, true, true),
     ] {
-        let twin = run_http(workers, kb, kf, dw);
+        let twin = run_http(kb, kf, dw);
         assert_eq!(
             format!("{:#?}", base.report.backend),
             format!("{:#?}", twin.report.backend),
-            "BackendStats moved at workers={workers} kernel_batch_depth={kb} \
+            "BackendStats moved at kernel_batch_depth={kb} \
              kernel_filter={kf} disk_wake={dw}"
         );
         assert_eq!(
             seen, &twin.seen,
-            "player observations moved at workers={workers} \
+            "player observations moved at \
              kernel_batch_depth={kb} kernel_filter={kf} disk_wake={dw}"
         );
         assert_eq!(
             (base.p50, base.p99),
             (twin.p50, twin.p99),
-            "latency quantiles moved at workers={workers} \
+            "latency quantiles moved at \
              kernel_batch_depth={kb} kernel_filter={kf} disk_wake={dw}"
         );
     }
@@ -181,41 +171,41 @@ fn fixed_seed_httplite_results_are_pinned() {
 
 /// The audited-build stand-in for the full matrix above: a small run of
 /// the same workload (so per-step invariant audits stay affordable)
-/// exercising batching, filtering and shard workers together, with the
+/// exercising batching and filtering together, with the
 /// bit-identity contract checked but no pinned literals to maintain.
 #[test]
 fn audited_kernel_knob_twins_stay_bit_identical() {
     const SMALL_REQS: u32 = 8;
     const SMALL_CLIENTS: u32 = 2;
-    let base = run_http_sized(SMALL_REQS, SMALL_CLIENTS, 1, 8, false, true);
+    let base = run_http_sized(SMALL_REQS, SMALL_CLIENTS, 8, false, true);
     assert_eq!(
         base.seen.completed,
         u64::from(SMALL_REQS),
         "a request was lost: {:?}",
         base.seen
     );
-    for (workers, kb, kf, dw) in [
-        (1, 1, false, false),
-        (1, 64, true, true),
-        (1, 8, false, false),
-        (4, 8, true, true),
+    for (kb, kf, dw) in [
+        (1, false, false),
+        (64, true, true),
+        (8, false, false),
+        (8, true, true),
     ] {
-        let twin = run_http_sized(SMALL_REQS, SMALL_CLIENTS, workers, kb, kf, dw);
+        let twin = run_http_sized(SMALL_REQS, SMALL_CLIENTS, kb, kf, dw);
         assert_eq!(
             format!("{:#?}", base.report.backend),
             format!("{:#?}", twin.report.backend),
-            "BackendStats moved at workers={workers} kernel_batch_depth={kb} \
+            "BackendStats moved at kernel_batch_depth={kb} \
              kernel_filter={kf} disk_wake={dw}"
         );
         assert_eq!(
             &base.seen, &twin.seen,
-            "player observations moved at workers={workers} \
+            "player observations moved at \
              kernel_batch_depth={kb} kernel_filter={kf} disk_wake={dw}"
         );
         assert_eq!(
             (base.p50, base.p99),
             (twin.p50, twin.p99),
-            "latency quantiles moved at workers={workers} \
+            "latency quantiles moved at \
              kernel_batch_depth={kb} kernel_filter={kf} disk_wake={dw}"
         );
     }

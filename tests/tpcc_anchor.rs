@@ -1,6 +1,6 @@
 //! Fixed-seed regression anchor for the db2lite TPC-C workload: one
-//! exact configuration, run twice for bit-stability and once sharded,
-//! with the per-terminal transaction counts and the headline
+//! exact configuration, run twice for bit-stability and across the
+//! kernel-path knobs, with the per-terminal transaction counts and the headline
 //! `BackendStats` quantities pinned to literals. If any engine,
 //! OS-server, buffer-pool or locking change shifts a single simulated
 //! cycle, this test names the quantity that moved; intentional changes
@@ -14,12 +14,11 @@ use std::sync::Arc;
 
 const TERMINALS: usize = 3;
 
-fn run_tpcc(workers: usize) -> (RunReport, Vec<TerminalStats>) {
-    run_tpcc_with(workers, 8, false)
+fn run_tpcc() -> (RunReport, Vec<TerminalStats>) {
+    run_tpcc_with(8, false)
 }
 
 fn run_tpcc_with(
-    workers: usize,
     kernel_batch_depth: usize,
     kernel_filter: bool,
 ) -> (RunReport, Vec<TerminalStats>) {
@@ -53,7 +52,6 @@ fn run_tpcc_with(
     let c = b.config_mut();
     c.backend.deadlock_ms = 30_000;
     c.backend.timer_interval = Some(2_000_000);
-    c.backend.workers = workers;
     c.kernel_batch_depth = kernel_batch_depth;
     c.kernel_filter = kernel_filter;
     let report = b.run();
@@ -63,7 +61,7 @@ fn run_tpcc_with(
 
 #[test]
 fn fixed_seed_tpcc_results_are_pinned() {
-    let (report, terminals) = run_tpcc(1);
+    let (report, terminals) = run_tpcc();
 
     // Per-terminal transaction mix: a pure function of (seed, rank) plus
     // lock outcomes — any scheduler or locking change shows up here.
@@ -95,7 +93,7 @@ fn fixed_seed_tpcc_results_are_pinned() {
 
     // Bit-stability: an identical second run must reproduce every
     // statistic exactly (no hidden host-time or iteration-order leaks).
-    let (again, terminals_again) = run_tpcc(1);
+    let (again, terminals_again) = run_tpcc();
     assert_eq!(terminals, terminals_again, "terminal stats not stable");
     assert_eq!(
         format!("{:#?}", report.backend),
@@ -103,23 +101,11 @@ fn fixed_seed_tpcc_results_are_pinned() {
         "BackendStats not bit-stable across identical runs"
     );
 
-    // And the sharded engine pins to the same anchor.
-    let (sharded, terminals_sharded) = run_tpcc(4);
-    assert_eq!(
-        terminals, terminals_sharded,
-        "terminal stats moved under shard workers"
-    );
-    assert_eq!(
-        format!("{:#?}", report.backend),
-        format!("{:#?}", sharded.backend),
-        "BackendStats moved under shard workers"
-    );
-
     // OS-port batching and kernel-reference filtering are pure transport
     // optimisations: any depth, filtered or not, must replay to the very
     // same anchor (the credit/replay invariants — see DESIGN.md).
     for (kb, kf) in [(1, false), (64, false), (8, true), (1, true)] {
-        let (twin, terminals_twin) = run_tpcc_with(1, kb, kf);
+        let (twin, terminals_twin) = run_tpcc_with(kb, kf);
         assert_eq!(
             terminals, terminals_twin,
             "terminal stats moved at kernel_batch_depth={kb} kernel_filter={kf}"
