@@ -32,6 +32,15 @@ cargo run --release -q -p compass-bench --bin report_http -- --short >target/BEN
 # benchmark's own catalogue field by field, and its unit tests must pass.
 bash benchmark/run.sh --check-manifest BENCHMARK.json
 cargo test --offline --manifest-path benchmark/Cargo.toml
+# Golden fingerprints: one short driver run per workload at the golden
+# seed. Its warm-ups check events, cycles, per-class accesses, disk and
+# NIC totals and units done against benchmark/golden.json, so a change
+# that moves any simulated result fails here.
+for w in sci tpcc tpcd httplite; do
+  bash benchmark/run.sh --workload "$w" --seed 1998 --seconds 0 --trace 0 \
+    --out-dir target/bench-smoke | tail -n 1 | grep -q '"correct": true' \
+    || { echo "benchmark golden check failed: $w" >&2; exit 1; }
+done
 # Clippy over both feature combinations: default and with the per-step
 # invariant layer (which adds the mirror/epoch assertions).
 cargo clippy --all-targets --workspace -- -D warnings

@@ -12,8 +12,8 @@
 //! index represents the union, since the home is recoverable from the
 //! address.
 
+use compass_isa::FoldHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Directory state of one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ pub struct DirStats {
 /// The full-map directory.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    entries: HashMap<u64, DirEntry>,
+    entries: FoldHashMap<u64, DirEntry>,
     stats: DirStats,
 }
 
@@ -248,7 +248,7 @@ impl Directory {
     /// replacing all current entries and counters.
     pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
         let n = r.seq_len(9)?;
-        let mut entries = HashMap::with_capacity(n);
+        let mut entries = FoldHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let line = r.u64()?;
             let e = match r.u8()? {

@@ -28,6 +28,8 @@
 //! * [`engine`] — the scan/take/simulate/reply loop with the
 //!   least-execution-time pickup rule and its serialized ("uniprocessor
 //!   host") and pipelined ("SMP host") modes;
+//! * `scan` — the engine's least-time index, a fixed min-tournament over
+//!   the process slots;
 //! * [`ckpt`] — checkpoint files: the recorded architecture-outcome
 //!   stream plus a hierarchy snapshot.
 //!
@@ -43,6 +45,7 @@ pub mod devices;
 pub mod engine;
 pub mod error;
 pub mod locks;
+mod scan;
 pub mod sched;
 pub mod stats;
 pub mod tasks;

@@ -11,10 +11,10 @@
 //! of pure spinning (a spinner holding the only CPU while the lock holder
 //! sits on the ready queue).
 
-use compass_isa::{Cycles, ProcessId};
+use compass_isa::{Cycles, FoldHashMap, ProcessId};
 use compass_mem::VAddr;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Synchronisation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,8 +61,8 @@ pub enum SyncOutcome {
 /// The lock/barrier table.
 #[derive(Debug, Default)]
 pub struct SyncTable {
-    locks: HashMap<VAddr, LockState>,
-    barriers: HashMap<VAddr, BarrierState>,
+    locks: FoldHashMap<VAddr, LockState>,
+    barriers: FoldHashMap<VAddr, BarrierState>,
     stats: SyncStats,
 }
 

@@ -5,7 +5,7 @@
 //! per-CPU TLBs, and — for the software-DSM memory system — page-level
 //! coherence driven by the translations themselves.
 
-use compass_isa::{CpuId, NodeId, ProcessId, SegId};
+use compass_isa::{CpuId, FoldHashMap, NodeId, ProcessId, SegId};
 use compass_mem::{
     addr, FrameAllocator, HomeMap, PAddr, PageFlags, PageTable, PlacementPolicy, Region, ShmError,
     ShmRegistry, Tlb, TlbStats, VAddr, PAGE_SIZE,
@@ -125,7 +125,7 @@ pub struct Vm {
     placement: PlacementPolicy,
     nodes: usize,
     dsm_enabled: bool,
-    dsm_pages: HashMap<u64, PageRes>,
+    dsm_pages: FoldHashMap<u64, PageRes>,
     stats: VmStats,
 }
 
@@ -159,7 +159,7 @@ impl Vm {
             placement,
             nodes,
             dsm_enabled,
-            dsm_pages: HashMap::new(),
+            dsm_pages: FoldHashMap::default(),
             stats: VmStats::default(),
         }
     }

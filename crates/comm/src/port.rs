@@ -133,9 +133,12 @@ impl EventPort {
     }
 
     /// Backend: drains the log channel into `out` (appended in post
-    /// order). Cheap no-op unless [`EventPort::log_pending`] was raised.
+    /// order). Cheap no-op unless [`EventPort::log_pending`] was raised:
+    /// a plain load first, so the common empty case never takes the
+    /// hint's cache line exclusive with a locked swap.
+    #[inline]
     pub fn take_log(&self, out: &mut VecDeque<Event>) {
-        if !self.log_hint.swap(false, Ordering::AcqRel) {
+        if !self.log_pending() || !self.log_hint.swap(false, Ordering::AcqRel) {
             return;
         }
         out.extend(self.log.lock().drain(..));

@@ -13,17 +13,20 @@
 //! * [`BlockCost`] — a pre-computed basic-block cost, the unit by which
 //!   frontend processes advance their clocks between memory references;
 //! * the small identifier newtypes ([`ProcessId`], [`CpuId`], [`NodeId`],
-//!   …) shared by every other crate in the workspace.
+//!   …) shared by every other crate in the workspace;
+//! * [`hash`] — the fixed hasher of the simulator-state maps.
 //!
 //! Nothing in this crate depends on the rest of the simulator; it sits at
 //! the bottom of the crate DAG.
 
 pub mod block;
+pub mod hash;
 pub mod ids;
 pub mod inst;
 pub mod timing;
 
 pub use block::{BlockCost, BlockCostBuilder};
+pub use hash::{FoldHashMap, FoldHashSet};
 pub use ids::{ConnId, CpuId, Cycles, DiskId, NicId, NodeId, ProcessId, SegId};
 pub use inst::InstClass;
 pub use timing::TimingModel;

@@ -7,9 +7,8 @@
 //! referenced (if a first-touch page placement algorithm is used)."
 //! (§3.3.1)
 
-use compass_isa::NodeId;
+use compass_isa::{FoldHashMap, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Page placement policies (paper §3.3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,7 +61,7 @@ pub struct PlacementStats {
 /// The backend's page-home hash table, keyed by physical page number.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HomeMap {
-    homes: HashMap<u64, NodeId>,
+    homes: FoldHashMap<u64, NodeId>,
     stats: PlacementStats,
 }
 

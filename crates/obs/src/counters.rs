@@ -137,10 +137,13 @@ pub enum Ctr {
     HostBottomHalfNs,
     /// Host ns the backend engine spent outside every task.
     HostBackendNs,
+    /// Leaf writes to the engine's least-time index: one per process
+    /// entry that actually changed when re-derived before a selection.
+    ScanIndexUpdates,
 }
 
 /// Number of counters in the catalogue.
-pub const CTR_COUNT: usize = Ctr::HostBackendNs as usize + 1;
+pub const CTR_COUNT: usize = Ctr::ScanIndexUpdates as usize + 1;
 
 impl Ctr {
     /// Every counter, in slot order.
@@ -191,6 +194,7 @@ impl Ctr {
         Ctr::HostOsNs,
         Ctr::HostBottomHalfNs,
         Ctr::HostBackendNs,
+        Ctr::ScanIndexUpdates,
     ];
 
     /// True for counters that measure the *host* transport mechanics
@@ -227,6 +231,7 @@ impl Ctr {
                 | Ctr::DevicePollsEliminated
                 | Ctr::DiskWakeEvents
                 | Ctr::DiskPollsEliminated
+                | Ctr::ScanIndexUpdates
         )
     }
 
@@ -284,6 +289,7 @@ impl Ctr {
             Ctr::HostOsNs => "host_os_ns",
             Ctr::HostBottomHalfNs => "host_bottom_half_ns",
             Ctr::HostBackendNs => "host_backend_ns",
+            Ctr::ScanIndexUpdates => "scan_index_updates",
         }
     }
 }
@@ -412,6 +418,7 @@ mod tests {
         assert!(!Ctr::EventsMemRef.host_timing());
         assert!(!Ctr::OsCalls.host_timing());
         assert!(!Ctr::DiskWakeEvents.host_timing());
+        assert!(!Ctr::ScanIndexUpdates.host_timing());
     }
 
     #[test]

@@ -167,3 +167,39 @@ fn shm_exhaustion_surfaces_as_an_error_not_a_crash() {
     let report = b.run();
     assert!(report.backend.global_cycles > 0);
 }
+
+#[test]
+fn the_least_time_index_is_rewritten_about_once_per_event() {
+    // Handlers only touch the processes they change, the engine
+    // re-derives each once before the next selection, and an unchanged
+    // entry costs no write, so a small `sci` run (the memref path alone)
+    // needs about one index write per processed event (1.13 at this
+    // scale; 2.13 when every touch rewrites its entry at once).
+    use compass_workloads::sci::{self, SciConfig};
+    let cfg = SciConfig {
+        nprocs: 4,
+        rows: 16,
+        cols: 32,
+        iters: 4,
+        shm_key: 0x5C1,
+    };
+    let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2));
+    for rank in 0..cfg.nprocs {
+        b = b.add_process(sci::worker(cfg, rank));
+    }
+    b.config_mut().obs = ObsConfig {
+        counters: true,
+        ..ObsConfig::default()
+    };
+    let report = b.run();
+    let o = report.obs.expect("counters on");
+    let writes = o.counter("scan_index_updates");
+    let events = report.backend.events;
+    assert!(events > 10_000, "run too small to measure: {events} events");
+    assert!(writes > 0, "the index counter is not wired up");
+    let ratio = writes as f64 / events as f64;
+    assert!(
+        ratio <= 1.25,
+        "{writes} index writes for {events} events = {ratio:.2} per event"
+    );
+}
