@@ -12,24 +12,24 @@ cargo run --release -q -p compass-simcheck -- --soak 30
 # BENCH_obs.json) and exits nonzero on any malformed or silent output.
 cargo run --release -q -p compass-bench --bin report_obs -- target/obs-smoke >/dev/null
 # Fleet smoke: the design-space runner sweeps every knob family across
-# four workloads (frontend depth/filter, OS-port batch, kernel filter,
-# disk wake, checkpoint record/resume), dedupes shared baselines, re-runs
-# a sampled subset at the transport baseline and requires bit-identical
-# BackendStats, and gates on zero neutrality violations in the per-axis
-# sensitivity deltas. This subsumes the old quickstart filter diff and
-# the report_ckpt smoke.
+# four workloads (frontend depth, OS-port batch, disk wake, checkpoint
+# record/resume), dedupes shared baselines, re-runs a sampled subset at
+# the transport baseline and requires bit-identical BackendStats, and
+# gates on zero neutrality violations in the per-axis sensitivity deltas.
+# This subsumes the report_ckpt smoke.
 cargo run --release -q -p compass-fleet -- --smoke --out target/BENCH_fleet_smoke.json
 # OS-server-wall smoke: httplite BackendStats must be bit-identical
-# across OS-port batching, kernel filtering and the disk-wake path
-# (exits nonzero on any divergence), and the measured
-# short-scale batching speedup must stay within 20% of the committed
+# across frontend and OS-port batching and the disk-wake path (exits
+# nonzero on any divergence), and the measured short-scale speedup of the
+# deepest batched row must stay within 20% of the committed
 # BENCH_http.json headline (override the baseline artifact with
-# BENCH_HTTP_BASELINE). Then a short measured sweep records the
-# kernel-path speedup artifact.
+# BENCH_HTTP_BASELINE).
 cargo run --release -q -p compass-bench --bin report_http -- --smoke
-cargo run --release -q -p compass-bench --bin report_http -- --short >target/BENCH_http_short.json
 # The benchmark (read-only here): BENCHMARK.json must match the
 # benchmark's own catalogue field by field, and its unit tests must pass.
+# The unit tests build benchmark/ against this workspace, so they also
+# guard every public name it uses (L1Mirror, Hierarchy::epoch_victims,
+# ArchRecord::Access::victims, the counter names it reads).
 bash benchmark/run.sh --check-manifest BENCHMARK.json
 cargo test --offline --manifest-path benchmark/Cargo.toml
 # Golden fingerprints: one short driver run per workload at the golden
@@ -42,7 +42,8 @@ for w in sci tpcc tpcd httplite; do
     || { echo "benchmark golden check failed: $w" >&2; exit 1; }
 done
 # Clippy over both feature combinations: default and with the per-step
-# invariant layer (which adds the mirror/epoch assertions).
+# invariant layer (the engine's whole-backend audit after every step, the
+# OS wait-queue audit after every syscall, and the schedule-seed oracle).
 cargo clippy --all-targets --workspace -- -D warnings
 cargo clippy --all-targets --workspace --features check-invariants -- -D warnings
 cargo fmt --all --check

@@ -205,15 +205,6 @@ impl Cache {
         None
     }
 
-    /// Empties every set without touching counters or the LRU clock —
-    /// a mirror refresh, not a protocol action (protocol invalidations go
-    /// through [`Cache::invalidate`] so the directory stays exact).
-    pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.iter_mut().for_each(|w| *w = None);
-        }
-    }
-
     /// Counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -289,20 +280,31 @@ impl Cache {
         {
             return Err(compass_snap::SnapError::Corrupt("cache geometry"));
         }
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = match r.u8()? {
+        let set_mask = self.set_mask;
+        for (s, set) in self.sets.iter_mut().enumerate() {
+            for w in 0..set.len() {
+                set[w] = match r.u8()? {
                     0 => None,
-                    1 => Some(Line {
-                        idx: r.u64()?,
-                        state: match r.u8()? {
-                            0 => LineState::Shared,
-                            1 => LineState::Exclusive,
-                            2 => LineState::Modified,
-                            _ => return Err(compass_snap::SnapError::Corrupt("line state")),
-                        },
-                        stamp: r.u64()?,
-                    }),
+                    1 => {
+                        let idx = r.u64()?;
+                        // A line outside its set, or resident twice, is
+                        // state no access sequence can produce.
+                        if (idx & set_mask) as usize != s
+                            || set[..w].iter().flatten().any(|l| l.idx == idx)
+                        {
+                            return Err(compass_snap::SnapError::Corrupt("line placement"));
+                        }
+                        Some(Line {
+                            idx,
+                            state: match r.u8()? {
+                                0 => LineState::Shared,
+                                1 => LineState::Exclusive,
+                                2 => LineState::Modified,
+                                _ => return Err(compass_snap::SnapError::Corrupt("line state")),
+                            },
+                            stamp: r.u64()?,
+                        })
+                    }
                     _ => return Err(compass_snap::SnapError::Corrupt("way tag")),
                 };
             }
@@ -428,5 +430,33 @@ mod tests {
         c.probe(a);
         c.probe(a);
         assert!((c.stats().miss_ratio() - 0.25).abs() < 1e-12);
+    }
+
+    /// Found by the checkpoint fuzz: a snapshot may only place a line in
+    /// the set its index maps to, and only once.
+    #[test]
+    fn snapshot_lines_must_sit_in_their_own_set_once() {
+        let restore = |c: &Cache| {
+            let mut w = compass_snap::Writer::new();
+            c.encode_snapshot(&mut w);
+            let bytes = w.into_bytes();
+            tiny().decode_snapshot(&mut compass_snap::Reader::new(&bytes))
+        };
+        let line = |idx| {
+            Some(Line {
+                idx,
+                state: LineState::Shared,
+                stamp: 1,
+            })
+        };
+        let mut c = tiny();
+        c.sets[1][0] = line(1);
+        assert_eq!(restore(&c), Ok(()));
+        c.sets[1][1] = line(1);
+        let placement = Err(compass_snap::SnapError::Corrupt("line placement"));
+        assert_eq!(restore(&c), placement, "duplicate line");
+        c.sets[1][1] = None;
+        c.sets[2][0] = line(1);
+        assert_eq!(restore(&c), placement, "line in a foreign set");
     }
 }

@@ -68,10 +68,9 @@ pub struct Hierarchy {
     coh_shift: u32,
     /// CPUs whose private L1 state was changed *externally* by the most
     /// recent [`Hierarchy::access`] (directory invalidation, owner
-    /// downgrade, L2-inclusion back-invalidation). The engine reads this
-    /// after each access to bump the victims' mirror epochs; it is cleared
-    /// at the start of the next access. Pure observation — it feeds no
-    /// latency or statistic, so oracle replays are unaffected.
+    /// downgrade, L2-inclusion back-invalidation); cleared at the start of
+    /// the next access. Pure observation — it feeds no latency or
+    /// statistic. The engine records it into checkpoints.
     epoch_victims: Vec<usize>,
 }
 
@@ -137,8 +136,10 @@ impl Hierarchy {
 
     /// Restores a snapshot taken by [`Hierarchy::encode_snapshot`] into
     /// a hierarchy built from the same configuration. Errors (never
-    /// panics) on shape mismatches or malformed bytes; `epoch_victims`
-    /// is cleared — a restore is not an access.
+    /// panics) on shape mismatches, malformed bytes, or a restored state
+    /// that breaks the coherence invariants (which the first access would
+    /// trip over); `epoch_victims` is cleared — a restore is not an
+    /// access.
     pub fn decode_snapshot(&mut self, r: &mut Reader) -> compass_snap::Result<()> {
         for (caches, what) in [
             (&mut self.l1, "L1 count"),
@@ -163,7 +164,8 @@ impl Hierarchy {
         self.net.decode_snapshot(r)?;
         self.stats = MemStats::decode_snapshot(r)?;
         self.epoch_victims.clear();
-        Ok(())
+        self.check_invariants()
+            .map_err(|_| SnapError::Corrupt("coherence invariants"))
     }
 
     /// Coherence line index of an address.
@@ -216,8 +218,7 @@ impl Hierarchy {
             return;
         }
         if let Some((victim, vstate)) = self.l2[cpu].insert(coh, state) {
-            // Inclusion: purge the victim's L1 sublines. The frontend
-            // mirror cannot model L2 evictions, so this is an epoch event.
+            // Inclusion: purge the victim's L1 sublines.
             self.l1_back_invalidate(cpu, victim);
             self.epoch_victims.push(cpu);
             self.dir.evict(victim, cpu as u16, vstate.dirty());
@@ -545,6 +546,7 @@ impl Hierarchy {
     /// CPUs whose private L1/L2 state the most recent
     /// [`Hierarchy::access`] changed from the outside (invalidations,
     /// downgrades, inclusion back-invalidations). May contain duplicates.
+    /// Kept public because the benchmark's checkpoint probe records it.
     pub fn epoch_victims(&self) -> &[usize] {
         &self.epoch_victims
     }
@@ -761,7 +763,7 @@ mod tests {
         assert!(h.stats().invalidations_delivered >= 1);
         assert!(
             h.epoch_victims().contains(&0),
-            "invalidated CPU must be reported as an epoch victim"
+            "invalidated CPU must be reported as a victim"
         );
         // CPU0's next read misses again.
         let r = h.access(0, p, read(), 0, 3_000);
@@ -937,5 +939,23 @@ mod tests {
         let bytes = w.into_bytes();
         let mut coma = Hierarchy::new(ArchConfig::coma(2, 2));
         assert!(coma.decode_snapshot(&mut Reader::new(&bytes)).is_err());
+    }
+
+    /// Found by the checkpoint fuzz: a well-formed snapshot whose caches
+    /// and directory disagree used to restore fine and then trip the
+    /// protocol's assertions on the first access.
+    #[test]
+    fn a_snapshot_whose_caches_and_directory_disagree_is_refused() {
+        let mut h = ccnuma();
+        h.access(0, PAddr(0x2000), write(), 0, 0);
+        // CPU 0 holds the line Modified; the directory forgets it.
+        h.dir = Directory::new();
+        let mut w = Writer::new();
+        h.encode_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            ccnuma().decode_snapshot(&mut Reader::new(&bytes)),
+            Err(SnapError::Corrupt("coherence invariants"))
+        );
     }
 }

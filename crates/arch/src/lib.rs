@@ -31,15 +31,15 @@ pub mod bus;
 pub mod cache;
 pub mod config;
 pub mod directory;
-pub mod filter;
 pub mod hierarchy;
 pub mod interconnect;
+pub mod mirror;
 pub mod stats;
 
 pub use cache::{Cache, LineState};
 pub use config::{ArchConfig, CacheConfig, LatencyParams, MemSysKind};
 pub use directory::{DirEntry, Directory};
-pub use filter::L1Mirror;
 pub use hierarchy::{Access, AccessResult, Hierarchy};
 pub use interconnect::{Interconnect, Topology};
+pub use mirror::L1Mirror;
 pub use stats::{AccessClass, MemStats};

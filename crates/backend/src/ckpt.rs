@@ -5,7 +5,7 @@
 //! therefore records the *architecture-model outcomes* instead: every
 //! [`crate::Backend::mem_access`] and DSM page-transfer result, in engine
 //! service order, plus one snapshot of the memory hierarchy taken at a
-//! quiesced cut (between engine steps, filter logs drained).
+//! quiesced cut (between engine steps).
 //!
 //! Resume re-executes everything live — frontend closures, OS-server
 //! threads, scheduler, VM, devices — but feeds the architecture models
@@ -19,7 +19,7 @@
 //! construction.
 //!
 //! The stream order is the engine's deterministic pop order, the same
-//! at every batch depth and with reference filtering on or off.
+//! at every batch depth.
 //!
 //! File format: a `compass-snap` frame (`seal`/`unseal`, FNV-1a
 //! checksummed, version-tagged) whose payload is the header
@@ -59,8 +59,9 @@ pub enum ArchRecord {
         l1_hit: bool,
         /// Involved a remote home directory.
         remote: bool,
-        /// CPUs whose mirror epoch the access bumped (invalidation,
-        /// intervention, inclusion eviction victims).
+        /// CPUs whose private L1 the access changed from outside
+        /// ([`compass_arch::Hierarchy::epoch_victims`]). Resume ignores it;
+        /// it remains because the benchmark's checkpoint probe fills it.
         victims: Vec<u32>,
     },
     /// A software-DSM page transfer and its charged latency.
@@ -81,7 +82,7 @@ pub enum ArchRecord {
 pub struct CheckpointData {
     /// FNV-1a hash of the architecture configuration that produced the
     /// file. Resume under a different *architecture* is meaningless
-    /// (transport knobs — batch depths, filters — are free).
+    /// (transport knobs such as batch depths are free).
     pub config_hash: u64,
     /// Events the recording run fast-forwarded before the models went
     /// live; the resumed run re-executes the same warmup.

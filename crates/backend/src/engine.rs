@@ -41,28 +41,6 @@
 //! processes are re-polled on a new epoch, because a non-empty ring's head
 //! cannot change except by the engine's own pop.
 //!
-//! **Reference filtering (ISSUE 4).** A filtering frontend predicts L1
-//! hits against a private mirror, charges itself the fixed `l1_hit`
-//! latency, and appends the reference to the port's *log* side channel
-//! instead of the ring; the accumulated log is flushed immediately before
-//! every real post. The engine drains each flush into a per-process
-//! replay queue and merges it with the ring under the normal least-time
-//! rule (log entries win ties: they precede the post that flushed them in
-//! program order), so every filtered reference is still simulated
-//! authoritatively, in exactly the position it would have occupied
-//! unfiltered. Reconciliation rides the credit: a log-origin event
-//! carries a *precharge* of `l1_hit` — the amount the frontend already
-//! paid itself — and `deliver` adds `latency - precharge` instead of
-//! `latency` to the credit, so raw-clock + credit equals effective time
-//! whether the prediction was right or not. `BackendStats` are therefore
-//! bit-identical with the filter on or off; mispredictions cost only
-//! transient local-clock skew (and are counted). The backend, in turn,
-//! bumps the per-CPU epoch in the shared [`CpuStates`] on every action
-//! that can change a CPU's private L1/TLB state behind the frontend's
-//! back — coherence invalidations, interventions, inclusion evictions,
-//! unmaps, DSM page moves, context switches, interrupt delivery — and a
-//! frontend seeing a stale epoch clears its mirrors before predicting.
-//!
 //! **Actors.** Frontends, OS-server threads and the bottom-half daemon
 //! are tasks on an [`Executor`] that [`Backend::run_with`] drives on the
 //! engine's own host thread: the engine steps until nothing is safe, then
@@ -102,7 +80,6 @@ use compass_isa::{CpuId, Cycles, FoldHashSet, ProcessId};
 use compass_obs::{
     CounterBlock, Ctr, ProgressFn, ProgressSnapshot, TraceHandle, TraceKind, TraceRec,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -165,12 +142,6 @@ struct Proc {
     /// since its last reply. Raw posted times lag effective times by
     /// exactly this much; the next blocking reply folds it in.
     credit: Cycles,
-    /// Latency the frontend already charged itself for the in-flight
-    /// event (the fixed `l1_hit` cost of a filtered reference being
-    /// replayed). Consumed by `deliver`: the credit grows by
-    /// `latency - precharge` so the local prepayment is not double
-    /// counted. Zero for ring-origin events.
-    pending_precharge: Cycles,
     /// CPU while running.
     cpu: Option<CpuId>,
     /// Time of the previous event, for attribution deltas.
@@ -291,8 +262,8 @@ pub struct Backend {
     /// simcheck reference oracle (see [`crate::trace`]).
     recorder: Option<TraceSink>,
     /// The OS server's counter block, read (never written) by progress
-    /// snapshots so heartbeats can surface `os_batched_replies` and
-    /// `kernel_refs_filtered` alongside engine-side quantities.
+    /// snapshots so heartbeats can surface `os_batched_replies` alongside
+    /// engine-side quantities.
     os_counters: Option<Arc<CounterBlock>>,
     // --- incremental least-time scanner state ---
     /// Cached per-process port classification; the least entry is the
@@ -305,9 +276,6 @@ pub struct Backend {
     /// Notifier epoch at the last port poll; ports are re-polled only
     /// when the epoch moves.
     seen_epoch: u64,
-    /// Per-process replay queues of filtered references, drained from the
-    /// ports' log side channels; merged with the ring by `reindex`.
-    logs: Vec<VecDeque<Event>>,
     /// Processes holding a deferred wire reply.
     deferred: Vec<usize>,
 }
@@ -360,7 +328,6 @@ impl Backend {
                 held: None,
                 held_extra: 0,
                 credit: 0,
-                pending_precharge: 0,
                 cpu: None,
                 last_event_time: 0,
                 preempt_pending: false,
@@ -412,7 +379,6 @@ impl Backend {
             is_touched: vec![false; nprocs],
             // Force a full poll on the first step: posts may predate us.
             seen_epoch: u64::MAX,
-            logs: (0..nprocs).map(|_| VecDeque::new()).collect(),
             deferred: Vec::new(),
         }
     }
@@ -485,7 +451,7 @@ impl Backend {
     }
 
     /// Attaches the OS server's counter block so progress snapshots can
-    /// report syscall batching and kernel filtering. Setup time only.
+    /// report syscall batching. Setup time only.
     pub fn set_os_counters(&mut self, c: Arc<CounterBlock>) {
         self.os_counters = Some(c);
     }
@@ -533,13 +499,6 @@ impl Backend {
             return self.replay_access(cpu, paddr, acc, home);
         }
         let res = self.hierarchy.access(cpu, paddr, acc, home, now);
-        // Any CPU whose private L1 state this access changed from the
-        // outside (invalidation, intervention downgrade, inclusion
-        // eviction) gets its mirror epoch bumped so a filtering frontend
-        // refreshes before its next prediction.
-        for &victim in self.hierarchy.epoch_victims() {
-            self.cpu_states.bump_epoch(CpuId::from(victim));
-        }
         if let Some(ck) = &mut self.ckpt {
             ck.records.push(crate::ckpt::ArchRecord::Access {
                 cpu: cpu as u32,
@@ -603,16 +562,13 @@ impl Backend {
                 latency,
                 l1_hit,
                 remote,
-                victims,
+                victims: _,
             }) if rcpu == cpu as u32
                 && rpaddr == paddr.0
                 && write == acc.write
                 && class == acc.class.index() as u8
                 && rhome == home as u32 =>
             {
-                for v in victims {
-                    self.cpu_states.bump_epoch(CpuId::from(v as usize));
-                }
                 compass_arch::AccessResult {
                     latency,
                     l1_hit,
@@ -678,7 +634,7 @@ impl Backend {
 
     /// Marks process `i`'s index entry for re-derivation before the next
     /// selection. Call after any mutation of the process's bound, held
-    /// event, credit, liveness, ring head, or replay queue.
+    /// event, credit, liveness or ring head.
     fn touch(&mut self, i: usize) {
         if !self.is_touched[i] {
             self.is_touched[i] = true;
@@ -697,23 +653,9 @@ impl Backend {
     /// Re-derives process `i`'s index entry from its current state and
     /// port head. Idempotent.
     fn reindex(&mut self, i: usize) {
-        // Drain any freshly flushed filter log into the replay queue so
-        // head selection below sees it (no-op unless the hint is set).
-        self.ports[i].take_log(&mut self.logs[i]);
         let p = &self.procs[i];
         let entry = if p.constraining() {
-            // The head is the earlier of the replay-queue front and the
-            // ring head; both carry raw frontend times, so the same
-            // credit converts either to effective time.
-            let head = match (
-                self.logs[i].front().map(|e| e.time),
-                self.ports[i].peek_time(),
-            ) {
-                (Some(l), Some(r)) => Some(l.min(r)),
-                (l, None) => l,
-                (None, r) => r,
-            };
-            if let Some(t) = head {
+            if let Some(t) = self.ports[i].peek_time() {
                 // Raw posted time + owed credit = effective time.
                 Indexed::Pending(Key(t + p.credit, 1, i as u64))
             } else {
@@ -729,11 +671,6 @@ impl Backend {
     /// Only `Bound` (empty-ring) processes can have gained a head event —
     /// a `Pending` head changes only via the engine's own pop, and an
     /// `Off` process's producer is parked — so only those are re-polled.
-    /// A filter-log flush also notifies, and may precede a blocking OS
-    /// call with no ring post at all, so a pending log counts as a new
-    /// head here. (A flush landing on a `Pending` process cannot lower
-    /// its cached key: entries logged after a still-unconsumed ring event
-    /// carry later raw times.)
     fn refresh_ports(&mut self) {
         let e = self.notifier.epoch();
         if e == self.seen_epoch {
@@ -743,8 +680,7 @@ impl Backend {
         // landing mid-poll (bumping the epoch again) triggers a re-poll.
         self.seen_epoch = e;
         for i in 0..self.procs.len() {
-            if matches!(self.index.get(i), Indexed::Bound(_))
-                && (self.ports[i].peek_time().is_some() || self.ports[i].log_pending())
+            if matches!(self.index.get(i), Indexed::Bound(_)) && self.ports[i].peek_time().is_some()
             {
                 self.touch(i);
             }
@@ -987,29 +923,9 @@ impl Backend {
             }
             Key(_, _, pid) => {
                 let i = pid as usize;
-                // The indexed head may live in the replay queue (filtered
-                // references) or the ring. The log wins ties: its entries
-                // precede the post that flushed them in program order.
-                let from_log = match (
-                    self.logs[i].front().map(|e| e.time),
-                    self.ports[i].peek_time(),
-                ) {
-                    (Some(l), Some(r)) => l <= r,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                debug_assert_eq!(self.procs[i].pending_precharge, 0, "precharge leaked");
-                let (mut ev, wants_reply) = if from_log {
-                    // A predicted L1 hit the frontend already charged
-                    // itself `l1_hit` for; replay it authoritatively and
-                    // let `deliver` reconcile the difference.
-                    self.procs[i].pending_precharge = self.cfg.arch.lat.l1_hit;
-                    (self.logs[i].pop_front().expect("log head"), false)
-                } else {
-                    self.ports[i]
-                        .pop()
-                        .expect("indexed event gone: second consumer?")
-                };
+                let (mut ev, wants_reply) = self.ports[i]
+                    .pop()
+                    .expect("indexed event gone: second consumer?");
                 // Raw posted time → effective time (see module docs).
                 ev.time += self.procs[i].credit;
                 debug_assert_eq!(Key(ev.time, 1, pid), candidate, "index out of date");
@@ -1152,10 +1068,6 @@ impl Backend {
                 .os_counters
                 .as_ref()
                 .map_or(0, |c| c.get(Ctr::OsBatchedReplies)),
-            kernel_refs_filtered: self
-                .os_counters
-                .as_ref()
-                .map_or(0, |c| c.get(Ctr::KernelRefsFiltered)),
             device_wake_events: self.device_wake_events,
             device_polls_eliminated: self.device_polls_eliminated,
             disk_wake_events: self.disk_wake_events,
@@ -1325,9 +1237,6 @@ impl Backend {
             if let Some(c) = &self.obs.counters {
                 c.inc(Ctr::DsmTransfers);
             }
-            // A DSM page changed hands: cached copies anywhere may be
-            // gone, so every frontend mirror must refresh.
-            self.cpu_states.bump_all_epochs();
             if d.bytes > 0 {
                 let dsm_lat = if self.in_fast_forward() {
                     // Functional warmup: the page moved (VM state is
@@ -1557,9 +1466,6 @@ impl Backend {
                 self.reply_now(pid, ev, reply, wants);
             }
             CtlOp::ShmDt { seg } => {
-                // Detach tears down translations; conservatively refresh
-                // every mirror (the segment may be attached anywhere).
-                self.cpu_states.bump_all_epochs();
                 let reply = match self.vm.shmdt(seg, pid) {
                     Ok(removed) => Reply::latency(cost::SHMAT + cost::PER_PTE * removed as u64),
                     Err(err) => Reply {
@@ -1581,10 +1487,6 @@ impl Backend {
                 );
             }
             CtlOp::UnmapRegion { base, len } => {
-                // Unmapping frees frames a later map may reuse with new
-                // placement; stale TLB/L1 mirror entries for the region
-                // must not predict hits. Refresh every mirror.
-                self.cpu_states.bump_all_epochs();
                 let removed = self.vm.unmap_region(pid, base, len);
                 self.reply_now(
                     pid,
@@ -1643,7 +1545,7 @@ impl Backend {
                 // instead of polling at every interval the tick disarms
                 // and `install` re-arms it when work next lands here.
                 // (Idleness is simulated state, so this is deterministic
-                // and identical across batching/filter knobs.)
+                // and identical across batching knobs.)
                 if self.cpu_states.running(cpu).is_none() || self.all_apps_exited() {
                     self.timer_armed[cpu.index()] = false;
                     self.device_polls_eliminated += 1;
@@ -1687,8 +1589,6 @@ impl Backend {
         self.procs[i].times.block_wait += wait;
         self.procs[i].state = PState::Running;
         self.procs[i].cpu = Some(CpuId::from(self.cfg.irq_cpu));
-        // The daemon's interrupt service pollutes the IRQ CPU's L1.
-        self.cpu_states.bump_epoch(CpuId::from(self.cfg.irq_cpu));
         self.procs[i].bound = now;
         self.procs[i].last_event_time = now;
         self.deliver(
@@ -1723,9 +1623,7 @@ impl Backend {
     /// the credit instead.
     fn deliver(&mut self, pid: ProcessId, reply: Reply, wants: bool) {
         let i = pid.index();
-        let pre = std::mem::take(&mut self.procs[i].pending_precharge);
         if wants {
-            debug_assert_eq!(pre, 0, "blocking reply with an outstanding precharge");
             let mut r = reply;
             r.latency += std::mem::take(&mut self.procs[i].credit);
             if let Some(c) = &self.obs.counters {
@@ -1750,21 +1648,7 @@ impl Backend {
                 self.ports[i].reply(r);
             }
         } else {
-            // A replayed filtered reference was locally prepaid `pre`;
-            // only the difference to the true latency is still owed. The
-            // true latency can never undercut the prepayment: a correct
-            // prediction replays to exactly `l1_hit`, anything else costs
-            // more.
-            debug_assert!(
-                reply.latency >= pre,
-                "replayed reference cheaper than its precharge"
-            );
-            if pre > 0 && reply.latency != pre {
-                if let Some(c) = &self.obs.counters {
-                    c.inc(Ctr::FilterMispredicts);
-                }
-            }
-            self.procs[i].credit += reply.latency - pre;
+            self.procs[i].credit += reply.latency;
         }
         self.last_released = Some(pid);
     }
@@ -2004,9 +1888,6 @@ impl Backend {
             t.record(r);
         }
         self.cpu_states.set_running(cpu, Some(pid));
-        // Context switch: the incoming process inherits a cache and TLB
-        // warmed by someone else — its mirrors must start cold.
-        self.cpu_states.bump_epoch(cpu);
         self.vm.on_context_switch(cpu);
         self.procs[pid.index()].cpu = Some(cpu);
         self.procs[pid.index()].state = PState::Running;
@@ -2133,7 +2014,6 @@ impl Backend {
                 credit: p.credit,
                 held: p.held.is_some(),
                 ring: self.ports[i].pending(),
-                log: self.logs[i].len(),
                 head: self.ports[i].peek_time(),
                 indexed: format!("{:?}", self.index.get(i)),
                 cpu: p.cpu.map(|c| c.index() as u32),
@@ -2184,7 +2064,7 @@ impl Backend {
     /// when recording crosses the interval; swaps the hierarchy snapshot
     /// in when replay reaches the recorded cut. Cuts happen only here,
     /// between steps, so the engine is quiesced by construction (nothing
-    /// in flight, filter logs drained through the ordinary pop path).
+    /// in flight).
     fn after_arch_step(&mut self) {
         if let Some(rp) = &self.replay {
             if self.events_processed >= rp.cut_events {

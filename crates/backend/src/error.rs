@@ -101,9 +101,9 @@ impl fmt::Display for WildAccessReport {
         for p in &self.procs {
             writeln!(
                 f,
-                "  pid {}: state={} bound={} credit={} held={} ring={} log={} head={:?} \
-                 indexed={} cpu={:?}",
-                p.pid, p.state, p.bound, p.credit, p.held, p.ring, p.log, p.head, p.indexed, p.cpu
+                "  pid {}: state={} bound={} credit={} held={} ring={} head={:?} indexed={} \
+                 cpu={:?}",
+                p.pid, p.state, p.bound, p.credit, p.held, p.ring, p.head, p.indexed, p.cpu
             )?;
         }
         Ok(())
@@ -138,8 +138,6 @@ pub struct ProcDump {
     pub held: bool,
     /// Unconsumed events in its ring.
     pub ring: usize,
-    /// Filtered references still queued for replay.
-    pub log: usize,
     /// Raw timestamp at its ring head, if any.
     pub head: Option<Cycles>,
     /// Scanner-index classification, pre-formatted.
@@ -178,9 +176,9 @@ impl fmt::Display for DeadlockReport {
         for p in &self.procs {
             writeln!(
                 f,
-                "  pid {}: state={} bound={} credit={} held={} ring={} log={} head={:?} \
-                 indexed={} cpu={:?}",
-                p.pid, p.state, p.bound, p.credit, p.held, p.ring, p.log, p.head, p.indexed, p.cpu
+                "  pid {}: state={} bound={} credit={} held={} ring={} head={:?} indexed={} \
+                 cpu={:?}",
+                p.pid, p.state, p.bound, p.credit, p.held, p.ring, p.head, p.indexed, p.cpu
             )?;
         }
         writeln!(
@@ -207,7 +205,6 @@ mod tests {
                 credit: 0,
                 held: true,
                 ring: 0,
-                log: 0,
                 head: None,
                 indexed: "Off".into(),
                 cpu: None,

@@ -1,28 +1,23 @@
 //! **OS-server wall report** (`BENCH_http.json`) — httplite throughput
-//! with the OS-port batched, kernel references filtered, the bottom-half
-//! daemon on the event-driven disk path, and the scaled keep-alive
-//! client model, against the classic per-event protocol.
+//! with the OS-port batched, the bottom-half daemon on the event-driven
+//! disk path, and the scaled keep-alive client model, against the
+//! classic per-event protocol.
 //!
 //! The OS-server wall: web serving is ~85% kernel time (§4.2), so after
-//! the frontend's own batching/filtering (PR 1, PR 5) every remaining
-//! rendezvous belongs to *kernel* memory references — the syscall path
-//! and the interrupt handlers. This report measures what batching +
-//! filtering + the event-driven device path buy, as host
-//! events/second, and records the simulated service quality of the
-//! scaled client model (requests per simulated second, p99 simulated
-//! request latency on the paper's 133 MHz target).
+//! the frontend's own batching every remaining rendezvous belongs to
+//! *kernel* memory references — the syscall path and the interrupt
+//! handlers. This report measures what batching + the event-driven
+//! device path buy, as host events/second, and records the simulated
+//! service quality of the scaled client model (requests per simulated
+//! second, p99 simulated request latency on the paper's 133 MHz target).
 //!
 //! Modes:
 //! * (no args) — the full sweep, JSON on stdout (redirect to
 //!   `BENCH_http.json`); includes the db2lite disk-path row and the
 //!   10k-connection streaming-player row;
-//! * `--short` — a quick CI-sized sweep, same JSON shape;
-//! * `--profile-mirrors` — kernel-mirror maintenance profile: events/s
-//!   with the kernel filter off vs on, plus the filtered-reference and
-//!   deferred-refresh counters that show what the mirrors cost and save;
-//! * `--smoke` — CI gate: (a) bit-identity — the batched + filtered +
-//!   disk-wake run must reproduce the baseline `BackendStats` exactly;
-//!   (b) regression — the measured
+//! * `--smoke` — CI gate: (a) bit-identity — the shipped defaults and the
+//!   deepest batched row must reproduce the baseline `BackendStats`
+//!   exactly; (b) regression — the measured
 //!   events/s speedup must stay within 20% of the committed
 //!   `BENCH_http.json` baseline. Exits nonzero on either failure.
 
@@ -42,9 +37,7 @@ use std::sync::Arc;
 struct Knobs {
     label: &'static str,
     batch_depth: usize,
-    filter: bool,
     kernel_batch_depth: usize,
-    kernel_filter: bool,
     disk_wake: bool,
 }
 
@@ -54,9 +47,7 @@ const BASELINE: Knobs = Knobs {
     // daemon handlers on the per-reference protocol.
     label: "baseline",
     batch_depth: 8,
-    filter: false,
     kernel_batch_depth: 1,
-    kernel_filter: false,
     disk_wake: false,
 };
 
@@ -64,18 +55,16 @@ const BASELINE: Knobs = Knobs {
 const DEFAULTS: Knobs = Knobs {
     label: "default-knobs",
     batch_depth: 8,
-    filter: false,
     kernel_batch_depth: 8,
-    kernel_filter: false,
     disk_wake: true,
 };
 
-const TUNED: Knobs = Knobs {
-    label: "batched+filtered",
+/// Every batching knob at its deepest setting: the row the speedup and
+/// the smoke gate's bit-identity check are taken against.
+const DEEPEST: Knobs = Knobs {
+    label: "batched-64",
     batch_depth: 64,
-    filter: true,
     kernel_batch_depth: 64,
-    kernel_filter: true,
     disk_wake: true,
 };
 
@@ -87,6 +76,14 @@ struct Scale {
     server_procs: usize,
 }
 
+/// The sweep's scale. The smoke gate measures its speedup at the same
+/// scale, so the ratio it checks is the one the artifact records.
+const SWEEP: Scale = Scale {
+    requests: 600,
+    clients: 48,
+    server_procs: 4,
+};
+
 struct Outcome {
     report: RunReport,
     seen: PlayerObserved,
@@ -96,9 +93,7 @@ struct Outcome {
 fn apply_knobs(c: &mut compass::SimConfig, k: Knobs, obs_counters: bool) {
     c.backend.deadlock_ms = 60_000;
     c.backend.batch_depth = k.batch_depth;
-    c.filter = k.filter;
     c.kernel_batch_depth = k.kernel_batch_depth;
-    c.kernel_filter = k.kernel_filter;
     c.disk_wake = k.disk_wake;
     c.obs.counters = obs_counters;
 }
@@ -253,24 +248,21 @@ fn speedup_of(rows: &[Row]) -> f64 {
         .iter()
         .find(|r| r.label == "baseline")
         .expect("baseline row");
-    let tuned = rows
+    let deepest = rows
         .iter()
-        .find(|r| r.label == "batched+filtered")
-        .expect("tuned row");
-    tuned.events_per_sec / base.events_per_sec
+        .find(|r| r.label == DEEPEST.label)
+        .expect("deepest batched row");
+    deepest.events_per_sec / base.events_per_sec
 }
 
 fn row_json(r: &Row) -> String {
     format!(
-        "    {{\"label\": \"{}\", \"batch_depth\": {}, \"filter\": {}, \
-         \"kernel_batch_depth\": {}, \"kernel_filter\": {}, \"disk_wake\": {}, \
-         \"events_per_sec\": {:.0}, \"sim_requests_per_sec\": {:.1}, \
+        "    {{\"label\": \"{}\", \"batch_depth\": {}, \"kernel_batch_depth\": {}, \
+         \"disk_wake\": {}, \"events_per_sec\": {:.0}, \"sim_requests_per_sec\": {:.1}, \
          \"p99_latency_cycles\": {}, \"p99_latency_ms\": {:.3}, \"wall_s\": {:.3}}}",
         r.label,
         r.knobs.batch_depth,
-        r.knobs.filter,
         r.knobs.kernel_batch_depth,
-        r.knobs.kernel_filter,
         r.knobs.disk_wake,
         r.events_per_sec,
         r.sim_requests_per_sec,
@@ -280,14 +272,14 @@ fn row_json(r: &Row) -> String {
     )
 }
 
-fn print_json(rows: &[Row], scale: Scale, extras: &[String]) {
+fn print_json(rows: &[Row], extras: &[String]) {
     let entries: Vec<String> = rows.iter().map(row_json).collect();
     println!("{{");
     println!("  \"bench\": \"http_os_wall\",");
     println!("  \"target_mhz\": 133,");
     println!(
         "  \"scale\": {{\"requests\": {}, \"clients\": {}, \"server_procs\": {}}},",
-        scale.requests, scale.clients, scale.server_procs
+        SWEEP.requests, SWEEP.clients, SWEEP.server_procs
     );
     println!("  \"rows\": [");
     println!("{}", entries.join(",\n"));
@@ -322,7 +314,7 @@ fn smoke() -> i32 {
     let base = run_http(scale, BASELINE, false);
     let base_stats = format!("{:#?}", base.report.backend);
     let mut failures = 0;
-    for k in [DEFAULTS, TUNED] {
+    for k in [DEFAULTS, DEEPEST] {
         let got = run_http(scale, k, false);
         if format!("{:#?}", got.report.backend) != base_stats {
             eprintln!("FAIL: BackendStats diverged under {}", k.label);
@@ -342,8 +334,8 @@ fn smoke() -> i32 {
     }
     if failures == 0 {
         eprintln!(
-            "ok: httplite BackendStats bit-identical across OS-port batching, \
-             kernel filtering and disk-wake ({} requests, {} conns)",
+            "ok: httplite BackendStats bit-identical across frontend and OS-port \
+             batching and disk-wake ({} requests, {} conns)",
             base.seen.completed, base.report.net.conns
         );
     }
@@ -355,13 +347,8 @@ fn smoke() -> i32 {
         std::env::var("BENCH_HTTP_BASELINE").unwrap_or_else(|_| "BENCH_http.json".into());
     match committed_speedup(&baseline_path) {
         Some(committed) => {
-            let scale = Scale {
-                requests: 120,
-                clients: 12,
-                server_procs: 2,
-            };
             // The bit-identity runs above double as warmup.
-            let rows = [measure(scale, BASELINE), measure(scale, TUNED)];
+            let rows = [measure(SWEEP, BASELINE), measure(SWEEP, DEEPEST)];
             let got = speedup_of(&rows);
             if got < committed * 0.8 {
                 eprintln!(
@@ -384,181 +371,112 @@ fn smoke() -> i32 {
     failures
 }
 
-/// Kernel-mirror maintenance profile: what reference filtering costs
-/// (mirror upkeep) and saves (rendezvous eliminated), with the
-/// deferred-refresh counter showing how rarely the lazy epoch clear
-/// actually runs.
-fn profile_mirrors() -> i32 {
-    let scale = Scale {
-        requests: 120,
-        clients: 12,
-        server_procs: 2,
-    };
-    println!("{{");
-    println!("  \"bench\": \"http_mirror_profile\",");
-    println!("  \"rows\": [");
-    let mut entries = Vec::new();
-    for (label, kernel_filter) in [("filter-off", false), ("filter-on", true)] {
-        let k = Knobs {
-            label,
-            kernel_filter,
-            ..TUNED
-        };
-        let o = run_http(scale, k, true);
-        let obs = o.report.obs.as_ref().expect("counters enabled");
-        let wall = o.report.wall.as_secs_f64().max(1e-9);
-        let eps = o.report.backend.events as f64 / wall;
-        eprintln!(
-            "{label:<11} {eps:>12.0} events/s  refs_filtered {:>9}  mirror_refreshes {:>6}  mispredicts {:>6}",
-            obs.counter("kernel_refs_filtered"),
-            obs.counter("kernel_mirror_refreshes"),
-            obs.counter("filter_mispredicts"),
-        );
-        entries.push(format!(
-            "    {{\"label\": \"{label}\", \"events_per_sec\": {eps:.0}, \
-             \"kernel_refs_filtered\": {}, \"kernel_mirror_refreshes\": {}, \
-             \"filter_mispredicts\": {}, \"wall_s\": {wall:.3}}}",
-            obs.counter("kernel_refs_filtered"),
-            obs.counter("kernel_mirror_refreshes"),
-            obs.counter("filter_mispredicts"),
-        ));
-    }
-    println!("{}", entries.join(",\n"));
-    println!("  ]");
-    println!("}}");
-    0
-}
-
 fn main() {
-    let timing = TimingModel::powerpc_604();
-    let arg = std::env::args().nth(1);
-    match arg.as_deref() {
-        Some("--smoke") => std::process::exit(smoke()),
-        Some("--profile-mirrors") => std::process::exit(profile_mirrors()),
-        Some("--short") => {
-            let scale = Scale {
-                requests: 120,
-                clients: 12,
-                server_procs: 2,
-            };
-            let rows = vec![measure(scale, BASELINE), measure(scale, TUNED)];
-            for r in &rows {
-                eprintln!(
-                    "{:<18} {:>12.0} events/s  {:>8.1} sim req/s  p99 {:>7.2} ms",
-                    r.label, r.events_per_sec, r.sim_requests_per_sec, r.p99_latency_ms
-                );
-            }
-            print_json(&rows, scale, &[]);
-        }
-        _ => {
-            let scale = Scale {
-                requests: 600,
-                clients: 48,
-                server_procs: 4,
-            };
-            let mut rows = Vec::new();
-            for k in [
-                BASELINE,
-                Knobs {
-                    label: "kernel-batched",
-                    kernel_batch_depth: 64,
-                    ..BASELINE
-                },
-                Knobs {
-                    label: "kernel-batched+disk-wake",
-                    kernel_batch_depth: 64,
-                    disk_wake: true,
-                    ..BASELINE
-                },
-                Knobs {
-                    label: "default-no-disk-wake",
-                    disk_wake: false,
-                    ..DEFAULTS
-                },
-                DEFAULTS,
-                TUNED,
-            ] {
-                let r = measure(scale, k);
-                eprintln!(
-                    "{:<26} {:>12.0} events/s  {:>8.1} sim req/s  p99 {:>7.2} ms  ({:.2}s)",
-                    r.label, r.events_per_sec, r.sim_requests_per_sec, r.p99_latency_ms, r.wall_s
-                );
-                rows.push(r);
-            }
-
-            let mut extras = Vec::new();
-
-            // Disk-wake proof: an obs-counter run showing the daemon
-            // woke by event and how many device polls that eliminated.
-            let counted = run_http(
-                Scale {
-                    requests: 120,
-                    clients: 12,
-                    server_procs: 2,
-                },
-                TUNED,
-                true,
-            );
-            let obs = counted.report.obs.as_ref().expect("counters enabled");
-            extras.push(format!(
-                "  \"disk_wake\": {{\"disk_wake_events\": {}, \"disk_polls_eliminated\": {}}},",
-                obs.counter("disk_wake_events"),
-                obs.counter("disk_polls_eliminated"),
-            ));
-
-            // db2lite disk path: the same knob flip on a disk-bound
-            // transaction workload.
-            let db2_poll = run_db2(
-                Knobs {
-                    disk_wake: false,
-                    ..TUNED
-                },
-                false,
-            );
-            let db2_wake = run_db2(TUNED, true);
-            let db2_obs = db2_wake.obs.as_ref().expect("counters enabled");
-            let eps = |r: &RunReport| r.backend.events as f64 / r.wall.as_secs_f64().max(1e-9);
-            eprintln!(
-                "db2lite  poll {:>12.0} events/s  wake {:>12.0} events/s  \
-                 dwakes {}  dpolls_cut {}",
-                eps(&db2_poll),
-                eps(&db2_wake),
-                db2_obs.counter("disk_wake_events"),
-                db2_obs.counter("disk_polls_eliminated"),
-            );
-            extras.push(format!(
-                "  \"db2lite\": {{\"events_per_sec_poll\": {:.0}, \
-                 \"events_per_sec_wake\": {:.0}, \"disk_wake_events\": {}, \
-                 \"disk_polls_eliminated\": {}}},",
-                eps(&db2_poll),
-                eps(&db2_wake),
-                db2_obs.counter("disk_wake_events"),
-                db2_obs.counter("disk_polls_eliminated"),
-            ));
-
-            // The streaming 10k-connection row.
-            let (o, conns) = run_streaming_10k(TUNED);
-            let wall = o.report.wall.as_secs_f64().max(1e-9);
-            let eps10k = o.report.backend.events as f64 / wall;
-            eprintln!(
-                "streaming-10k  {} conns  {:>12.0} events/s  peak_live {}  p99 {:>7.2} ms  ({:.2}s)",
-                o.seen.connections,
-                eps10k,
-                o.seen.peak_live,
-                timing.cycles_to_secs(o.p99) * 1e3,
-                wall
-            );
-            extras.push(format!(
-                "  \"streaming_10k\": {{\"connections\": {}, \"expected_connections\": {conns}, \
-                 \"requests_completed\": {}, \"events_per_sec\": {eps10k:.0}, \
-                 \"peak_live_sessions\": {}, \"p99_latency_ms\": {:.3}, \"wall_s\": {wall:.3}}},",
-                o.seen.connections,
-                o.seen.completed,
-                o.seen.peak_live,
-                timing.cycles_to_secs(o.p99) * 1e3,
-            ));
-
-            print_json(&rows, scale, &extras);
-        }
+    if std::env::args().nth(1).as_deref() == Some("--smoke") {
+        std::process::exit(smoke());
     }
+    let timing = TimingModel::powerpc_604();
+    let mut rows = Vec::new();
+    for k in [
+        BASELINE,
+        Knobs {
+            label: "kernel-batched",
+            kernel_batch_depth: 64,
+            ..BASELINE
+        },
+        Knobs {
+            label: "kernel-batched+disk-wake",
+            kernel_batch_depth: 64,
+            disk_wake: true,
+            ..BASELINE
+        },
+        Knobs {
+            label: "default-no-disk-wake",
+            disk_wake: false,
+            ..DEFAULTS
+        },
+        DEFAULTS,
+        DEEPEST,
+    ] {
+        let r = measure(SWEEP, k);
+        eprintln!(
+            "{:<26} {:>12.0} events/s  {:>8.1} sim req/s  p99 {:>7.2} ms  ({:.2}s)",
+            r.label, r.events_per_sec, r.sim_requests_per_sec, r.p99_latency_ms, r.wall_s
+        );
+        rows.push(r);
+    }
+
+    let mut extras = Vec::new();
+
+    // Disk-wake proof: an obs-counter run showing the daemon
+    // woke by event and how many device polls that eliminated.
+    let counted = run_http(
+        Scale {
+            requests: 120,
+            clients: 12,
+            server_procs: 2,
+        },
+        DEEPEST,
+        true,
+    );
+    let obs = counted.report.obs.as_ref().expect("counters enabled");
+    extras.push(format!(
+        "  \"disk_wake\": {{\"disk_wake_events\": {}, \"disk_polls_eliminated\": {}}},",
+        obs.counter("disk_wake_events"),
+        obs.counter("disk_polls_eliminated"),
+    ));
+
+    // db2lite disk path: the same knob flip on a disk-bound
+    // transaction workload.
+    let db2_poll = run_db2(
+        Knobs {
+            disk_wake: false,
+            ..DEEPEST
+        },
+        false,
+    );
+    let db2_wake = run_db2(DEEPEST, true);
+    let db2_obs = db2_wake.obs.as_ref().expect("counters enabled");
+    let eps = |r: &RunReport| r.backend.events as f64 / r.wall.as_secs_f64().max(1e-9);
+    eprintln!(
+        "db2lite  poll {:>12.0} events/s  wake {:>12.0} events/s  \
+         dwakes {}  dpolls_cut {}",
+        eps(&db2_poll),
+        eps(&db2_wake),
+        db2_obs.counter("disk_wake_events"),
+        db2_obs.counter("disk_polls_eliminated"),
+    );
+    extras.push(format!(
+        "  \"db2lite\": {{\"events_per_sec_poll\": {:.0}, \
+         \"events_per_sec_wake\": {:.0}, \"disk_wake_events\": {}, \
+         \"disk_polls_eliminated\": {}}},",
+        eps(&db2_poll),
+        eps(&db2_wake),
+        db2_obs.counter("disk_wake_events"),
+        db2_obs.counter("disk_polls_eliminated"),
+    ));
+
+    // The streaming 10k-connection row.
+    let (o, conns) = run_streaming_10k(DEEPEST);
+    let wall = o.report.wall.as_secs_f64().max(1e-9);
+    let eps10k = o.report.backend.events as f64 / wall;
+    eprintln!(
+        "streaming-10k  {} conns  {:>12.0} events/s  peak_live {}  p99 {:>7.2} ms  ({:.2}s)",
+        o.seen.connections,
+        eps10k,
+        o.seen.peak_live,
+        timing.cycles_to_secs(o.p99) * 1e3,
+        wall
+    );
+    extras.push(format!(
+        "  \"streaming_10k\": {{\"connections\": {}, \"expected_connections\": {conns}, \
+         \"requests_completed\": {}, \"events_per_sec\": {eps10k:.0}, \
+         \"peak_live_sessions\": {}, \"p99_latency_ms\": {:.3}, \"wall_s\": {wall:.3}}},",
+        o.seen.connections,
+        o.seen.completed,
+        o.seen.peak_live,
+        timing.cycles_to_secs(o.p99) * 1e3,
+    ));
+
+    print_json(&rows, &extras);
 }

@@ -48,12 +48,6 @@ struct CpuState {
     /// Cycles stolen from this CPU by interrupt handlers since the last
     /// reply to its running process.
     steal: AtomicU64,
-    /// Mirror epoch: bumped by the backend on any action that can change
-    /// this CPU's private L1 or TLB state behind the frontend's back
-    /// (coherence invalidation/intervention, inclusion eviction, page
-    /// unmap, context switch, interrupt delivery). A frontend whose cached
-    /// epoch is stale must refresh its reference-filter mirrors.
-    epoch: AtomicU64,
 }
 
 /// The CPU-states area: one record per simulated processor.
@@ -71,7 +65,6 @@ impl CpuStates {
                 word: CachePadded::new(AtomicU32::new(ENABLED_BIT)),
                 running: AtomicU32::new(IDLE_PID),
                 steal: AtomicU64::new(0),
-                epoch: AtomicU64::new(0),
             })
             .collect();
         Self { cpus }
@@ -150,24 +143,6 @@ impl CpuStates {
     pub fn take_steal(&self, cpu: CpuId) -> u64 {
         self.cpus[cpu.index()].steal.swap(0, Ordering::AcqRel)
     }
-
-    /// Current mirror epoch of `cpu`.
-    pub fn epoch(&self, cpu: CpuId) -> u64 {
-        self.cpus[cpu.index()].epoch.load(Ordering::Acquire)
-    }
-
-    /// Bumps the mirror epoch of `cpu` (backend only).
-    pub fn bump_epoch(&self, cpu: CpuId) {
-        self.cpus[cpu.index()].epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Bumps every CPU's mirror epoch (address-space-wide changes such as
-    /// a region unmap, whose TLB shootdown reaches all processors).
-    pub fn bump_all_epochs(&self) {
-        for cpu in &self.cpus {
-            cpu.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,19 +196,6 @@ mod tests {
         s.add_steal(C0, 50);
         assert_eq!(s.take_steal(C0), 150);
         assert_eq!(s.take_steal(C0), 0);
-    }
-
-    #[test]
-    fn epochs_bump_per_cpu_and_globally() {
-        let s = CpuStates::new(2);
-        assert_eq!(s.epoch(C0), 0);
-        s.bump_epoch(C0);
-        s.bump_epoch(C0);
-        assert_eq!(s.epoch(C0), 2);
-        assert_eq!(s.epoch(C1), 0, "per-CPU isolation");
-        s.bump_all_epochs();
-        assert_eq!(s.epoch(C0), 3);
-        assert_eq!(s.epoch(C1), 1);
     }
 
     #[test]

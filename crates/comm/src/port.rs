@@ -22,8 +22,6 @@ use crate::rendezvous::EventRing;
 use compass_isa::{Cycles, ProcessId};
 use compass_obs::{CounterBlock, Ctr};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Default ring capacity: comfortably above any sensible batch depth, small
@@ -37,15 +35,6 @@ pub struct EventPort {
     pub pid: ProcessId,
     ring: EventRing,
     notifier: Arc<Notifier>,
-    /// Reference-filter side channel: events the frontend resolved locally
-    /// against its L1/TLB mirrors, flushed in time order before every real
-    /// post so the backend can replay them authoritatively. Unbounded (it
-    /// never blocks the producer) and off the per-reference hot path — one
-    /// mutex acquisition per flush, not per reference.
-    log: Mutex<Vec<Event>>,
-    /// Cheap "the log has unseen entries" flag the backend polls without
-    /// taking the mutex.
-    log_hint: AtomicBool,
     /// Observability counters (`None` = disabled; one branch per hook).
     counters: Option<Arc<CounterBlock>>,
 }
@@ -63,8 +52,6 @@ impl EventPort {
             pid,
             ring: EventRing::new(capacity),
             notifier,
-            log: Mutex::new(Vec::new()),
-            log_hint: AtomicBool::new(false),
             counters: None,
         }
     }
@@ -109,39 +96,6 @@ impl EventPort {
             }
             self.notifier.notify();
         }
-    }
-
-    /// Frontend: pushes locally filtered references onto the log channel,
-    /// draining `events` (its capacity is kept for reuse). Always notifies:
-    /// a flush may precede a blocking OS call rather than a ring post, and
-    /// the backend must still learn about the entries.
-    pub fn push_log(&self, events: &mut Vec<Event>) {
-        debug_assert!(events.iter().all(|e| e.pid == self.pid));
-        self.log.lock().append(events);
-        self.log_hint.store(true, Ordering::Release);
-        if let Some(c) = &self.counters {
-            c.inc(Ctr::FilterFlushes);
-        }
-        self.notifier.notify();
-    }
-
-    /// Backend: true if the log has entries not yet taken (one atomic
-    /// load; no lock).
-    #[inline]
-    pub fn log_pending(&self) -> bool {
-        self.log_hint.load(Ordering::Acquire)
-    }
-
-    /// Backend: drains the log channel into `out` (appended in post
-    /// order). Cheap no-op unless [`EventPort::log_pending`] was raised:
-    /// a plain load first, so the common empty case never takes the
-    /// hint's cache line exclusive with a locked swap.
-    #[inline]
-    pub fn take_log(&self, out: &mut VecDeque<Event>) {
-        if !self.log_pending() || !self.log_hint.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        out.extend(self.log.lock().drain(..));
     }
 
     /// Backend: peeks the head event's timestamp (as posted — the backend
@@ -335,26 +289,6 @@ mod tests {
             assert!(!wants, "batched events need no reply");
         }
         assert!(port.pop().is_none());
-    }
-
-    #[test]
-    fn log_channel_drains_in_order_and_notifies() {
-        let notifier = Arc::new(Notifier::new());
-        let port = EventPort::with_capacity(ProcessId(0), Arc::clone(&notifier), 8);
-        assert!(!port.log_pending());
-        let e0 = notifier.epoch();
-        let mut batch = vec![ev(0, 5), ev(0, 9)];
-        port.push_log(&mut batch);
-        assert!(batch.is_empty(), "push_log drains the caller's buffer");
-        assert!(port.log_pending());
-        assert!(notifier.epoch() > e0, "log flush must wake the backend");
-        let mut out = VecDeque::new();
-        port.take_log(&mut out);
-        assert_eq!(out.iter().map(|e| e.time).collect::<Vec<_>>(), [5, 9]);
-        assert!(!port.log_pending());
-        // Second take without a push is a no-op.
-        port.take_log(&mut out);
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

@@ -24,31 +24,20 @@ pub struct SimConfig {
     /// Interleaving granularity: post every Nth user memory reference
     /// (1 = the paper's basic-block-exact interleaving).
     pub sample_period: u32,
-    /// Reference filtering: each frontend keeps private L1/TLB mirrors
-    /// and handles predicted hits locally, logging them for backend
-    /// replay. Bit-identical results either way (see the backend engine
-    /// docs); ignored when `pseudo_irq` is on, whose per-reply flag check
-    /// filtering would skip.
-    pub filter: bool,
     /// OS-port event-batch depth for syscall-path kernel code: kernel
     /// memory references publish non-blocking events whose latencies the
     /// backend settles through the port credit, exactly like the frontend
     /// `batch_depth`. 1 disables; bit-identical results at any depth.
-    /// Ignored when `pseudo_irq` is on (interrupt work must stay on the
-    /// per-event protocol).
+    /// Silently ignored when `pseudo_irq` is on (interrupt work must stay
+    /// on the per-event protocol).
     pub kernel_batch_depth: usize,
-    /// Kernel-side reference filtering: each OS thread mirrors its
-    /// companion CPU's L1/TLB and keeps predicted kernel hits local,
-    /// logging them for authoritative backend replay. Bit-identical
-    /// backend results either way; ignored when `pseudo_irq` is on.
-    pub kernel_filter: bool,
     /// Event-driven disk path (ISSUE 9): the bottom-half daemon's
     /// interrupt handlers ride the batched-event protocol (depth =
     /// `kernel_batch_depth`), settling latencies through the port credit
     /// instead of rendezvousing per kernel reference. Device-queue
     /// drains only ever run at settled points, so results stay
-    /// bit-identical either way. Ignored when `pseudo_irq` is on or
-    /// `kernel_batch_depth` is 1.
+    /// bit-identical either way. Silently ignored when `pseudo_irq` is on
+    /// or `kernel_batch_depth` is 1.
     pub disk_wake: bool,
     /// Observability: counters, structured trace, progress snapshots.
     /// Off by default; never consulted by simulation logic, so it cannot
@@ -71,9 +60,7 @@ impl SimConfig {
             os_threads: 0,
             pseudo_irq: false,
             sample_period: 1,
-            filter: false,
             kernel_batch_depth: 8,
-            kernel_filter: false,
             disk_wake: true,
             obs: ObsConfig::default(),
         }
@@ -99,9 +86,7 @@ impl SimConfig {
             os_threads,
             pseudo_irq,
             sample_period,
-            filter,
             kernel_batch_depth,
-            kernel_filter,
             disk_wake,
             obs: _,
         } = self;
@@ -144,9 +129,7 @@ impl SimConfig {
         w.u64(*os_threads as u64);
         w.bool(*pseudo_irq);
         w.u32(*sample_period);
-        w.bool(*filter);
         w.u64(*kernel_batch_depth as u64);
-        w.bool(*kernel_filter);
         w.bool(*disk_wake);
         compass_snap::fnv1a64(&w.into_bytes())
     }
@@ -170,22 +153,9 @@ impl SimConfig {
         if self.sample_period == 0 {
             return Err("sample_period must be >= 1 (1 = every reference)".into());
         }
-        // `filter`/`kernel_filter` are documented as ignored under
-        // pseudo-IRQ delivery (the per-reply flag check would be
-        // skipped); asking for both explicitly is a contradiction, not a
-        // default, so refuse it outright. `kernel_batch_depth > 1` and
-        // `disk_wake` stay warn-and-ignore: they are on by default and
-        // pseudo_irq users never chose them.
-        if self.pseudo_irq && self.filter {
-            return Err("filter is incompatible with pseudo_irq (replies carry \
-                 the IRQ flag the filter would skip); disable one"
-                .into());
-        }
-        if self.pseudo_irq && self.kernel_filter {
-            return Err("kernel_filter is incompatible with pseudo_irq (interrupt \
-                 work must see authoritative replies); disable one"
-                .into());
-        }
+        // Under pseudo-IRQ delivery `kernel_batch_depth > 1` and
+        // `disk_wake` are silently ignored rather than refused: they are
+        // on by default and pseudo_irq users never chose them.
         Ok(())
     }
 }
@@ -200,10 +170,6 @@ mod tests {
         let mut obs = SimConfig::new(ArchConfig::ccnuma(2, 2));
         obs.obs.counters = true;
         assert_eq!(base.config_hash(), obs.config_hash());
-
-        let mut filter = SimConfig::new(ArchConfig::ccnuma(2, 2));
-        filter.filter = true;
-        assert_ne!(base.config_hash(), filter.config_hash());
 
         let mut kbatch = SimConfig::new(ArchConfig::ccnuma(2, 2));
         kbatch.kernel_batch_depth = 1;
@@ -228,7 +194,7 @@ mod tests {
     fn default_config_hash_is_pinned() {
         assert_eq!(
             SimConfig::new(ArchConfig::ccnuma(2, 2)).config_hash(),
-            0xe809_2ad0_21f9_4b22,
+            0xf84a_e510_bb55_3baa,
             "SimConfig::config_hash of the ccnuma(2, 2) defaults moved"
         );
     }
@@ -257,15 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_irq_refuses_explicit_filters_but_tolerates_defaults() {
+    fn pseudo_irq_tolerates_the_default_kernel_knobs() {
         let mut c = SimConfig::new(ArchConfig::simple_smp(2));
         c.pseudo_irq = true;
-        // Defaults (batch depth 8, disk_wake on) are warn-and-ignore.
+        // Defaults (batch depth 8, disk_wake on) are silently ignored.
         c.validate().unwrap();
-        c.filter = true;
-        assert!(c.validate().is_err());
-        c.filter = false;
-        c.kernel_filter = true;
-        assert!(c.validate().is_err());
     }
 }

@@ -151,8 +151,7 @@ impl SimBuilder {
     }
 
     /// Checkpoints the deterministic simulation state to `path` every
-    /// `every` serviced events, at quiesced step boundaries (rings
-    /// empty, filter logs flushed). The file is
+    /// `every` serviced events, at quiesced step boundaries. The file is
     /// atomically overwritten at each cut — the latest cut wins. Resume
     /// it with [`SimBuilder::resume`].
     pub fn checkpoint_every(mut self, every: u64, path: impl Into<PathBuf>) -> Self {
@@ -167,8 +166,8 @@ impl SimBuilder {
     /// (the resume-identity oracle); at the recorded cut the hierarchy
     /// snapshot is swapped in and the run continues fully live —
     /// bit-identical `BackendStats` to the recording run. Transport knobs
-    /// (batch depths, reference filters) may differ
-    /// between the two runs; the architecture configuration must match.
+    /// (batch depths) may differ between the two runs; the architecture
+    /// configuration must match.
     pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
         self
@@ -291,36 +290,19 @@ impl SimBuilder {
             counters: os_block.clone(),
             trace: trace.clone(),
         };
-        // Kernel-side batching/filtering (ISSUE 6): syscall-path only, so
-        // it is disabled wholesale under pseudo-IRQ delivery — interrupt
+        // Kernel-side batching (ISSUE 6): syscall-path only, so it is
+        // disabled wholesale under pseudo-IRQ delivery — interrupt
         // handlers must see the authoritative clock and reply flags.
-        let kernel_perf = (!config.pseudo_irq
-            && (config.kernel_batch_depth > 1 || config.kernel_filter))
-            .then(|| compass_os::KernelPerfSetup {
+        let kernel_perf = (!config.pseudo_irq && config.kernel_batch_depth > 1).then_some(
+            compass_os::KernelPerfSetup {
                 batch_depth: config.kernel_batch_depth,
-                filter: config
-                    .kernel_filter
-                    .then_some(compass_os::KernelFilterConfig {
-                        l1: config.backend.arch.l1,
-                        hit_lat: config.backend.arch.lat.l1_hit,
-                        tlb_entries: config.backend.tlb_entries,
-                        tlb_assoc: config.backend.tlb_assoc,
-                    }),
-                cpu_states: Arc::clone(&cpu_states),
-                counters: os_block.clone(),
-            });
+            },
+        );
         // Event-driven disk path (ISSUE 9): the bottom-half daemon gets a
-        // batching-only sink so interrupt handlers settle their kernel
+        // batching sink so interrupt handlers settle their kernel
         // references through the port credit. Off under pseudo-IRQ for
-        // the same reason as the syscall-path perf above, and pointless
-        // at depth 1.
-        let daemon_perf = (!config.pseudo_irq && config.disk_wake && config.kernel_batch_depth > 1)
-            .then(|| compass_os::KernelPerfSetup {
-                batch_depth: config.kernel_batch_depth,
-                filter: None,
-                cpu_states: Arc::clone(&cpu_states),
-                counters: os_block.clone(),
-            });
+        // the same reason as the syscall-path setup above.
+        let daemon_perf = kernel_perf.clone().filter(|_| config.disk_wake);
 
         // --- Backend ---
         let mut backend = Backend::new(
@@ -361,8 +343,8 @@ impl SimBuilder {
             backend.set_counters(Arc::clone(block));
         }
         if let Some(block) = &os_block {
-            // Progress snapshots surface the OS-side batching/filtering
-            // counters alongside the backend's own.
+            // Progress snapshots surface the OS-side batching counter
+            // alongside the backend's own.
             backend.set_os_counters(Arc::clone(block));
         }
         if let Some(t) = &trace {
@@ -385,12 +367,6 @@ impl SimBuilder {
         let pseudo = config.pseudo_irq;
         let sample_period = config.sample_period;
         let batch_depth = config.backend.batch_depth;
-        let filter = config.filter.then_some((
-            config.backend.arch.l1,
-            config.backend.arch.lat.l1_hit,
-            config.backend.tlb_entries,
-            config.backend.tlb_assoc,
-        ));
         let results: Arc<Mutex<Vec<Option<FrontendStats>>>> =
             Arc::new(Mutex::new(vec![None; nprocs]));
 
@@ -435,12 +411,6 @@ impl SimBuilder {
                             let mut cpu = CpuCtx::simulated(pid_id, port, os, cpu_states, timing);
                             if pseudo {
                                 cpu.enable_pseudo_irq();
-                            }
-                            if let Some((l1, hit_lat, tlb_entries, tlb_assoc)) = filter {
-                                // Mirrors match the real L1 geometry and
-                                // TLB; a no-op under pseudo-IRQ (see
-                                // enable_filter).
-                                cpu.enable_filter(l1, hit_lat, tlb_entries, tlb_assoc);
                             }
                             cpu.set_batch_depth(batch_depth);
                             cpu.set_sample_period(sample_period);

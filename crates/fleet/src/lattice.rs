@@ -35,12 +35,8 @@ pub enum Knob {
     Preempt(bool),
     /// Frontend event-batch depth.
     Depth(usize),
-    /// Frontend reference filtering.
-    Filter(bool),
     /// Kernel-side OS-port batch depth.
     OsBatch(usize),
-    /// Kernel reference filtering.
-    KernelFilter(bool),
     /// Event-driven disk path.
     DiskWake(bool),
     /// Checkpoint gate: record with cuts, resume, require bit-identical
@@ -58,9 +54,7 @@ impl Knob {
             Knob::Placement(_) => "placement",
             Knob::Preempt(_) => "preempt",
             Knob::Depth(_) => "depth",
-            Knob::Filter(_) => "filter",
             Knob::OsBatch(_) => "os_batch",
-            Knob::KernelFilter(_) => "kernel_filter",
             Knob::DiskWake(_) => "disk_wake",
             Knob::Ckpt(_) => "ckpt",
         }
@@ -73,11 +67,7 @@ impl Knob {
             Knob::Geometry(v) => format!("{v:?}"),
             Knob::Sched(v) => format!("{v:?}"),
             Knob::Placement(v) => format!("{v:?}"),
-            Knob::Preempt(v)
-            | Knob::Filter(v)
-            | Knob::KernelFilter(v)
-            | Knob::DiskWake(v)
-            | Knob::Ckpt(v) => format!("{v}"),
+            Knob::Preempt(v) | Knob::DiskWake(v) | Knob::Ckpt(v) => format!("{v}"),
             Knob::Depth(v) | Knob::OsBatch(v) => format!("{v}"),
         }
     }
@@ -89,12 +79,7 @@ impl Knob {
     pub fn stats_neutral(&self) -> bool {
         matches!(
             self,
-            Knob::Depth(_)
-                | Knob::Filter(_)
-                | Knob::OsBatch(_)
-                | Knob::KernelFilter(_)
-                | Knob::DiskWake(_)
-                | Knob::Ckpt(_)
+            Knob::Depth(_) | Knob::OsBatch(_) | Knob::DiskWake(_) | Knob::Ckpt(_)
         )
     }
 
@@ -107,9 +92,7 @@ impl Knob {
             Knob::Placement(v) => p.scenario.placement = v,
             Knob::Preempt(v) => p.scenario.preempt = v,
             Knob::Depth(v) => p.depth = v,
-            Knob::Filter(v) => p.scenario.filter = v,
             Knob::OsBatch(v) => p.scenario.os_batch = v,
-            Knob::KernelFilter(v) => p.scenario.kernel_filter = v,
             Knob::DiskWake(v) => p.scenario.disk_wake = v,
             Knob::Ckpt(v) => p.scenario.ckpt = v,
         }
@@ -171,15 +154,13 @@ impl FleetPoint {
     pub fn label(&self, workload: &str) -> String {
         let sc = &self.scenario;
         format!(
-            "{workload} {:?}/{:?} sched={:?} place={:?} d{} f{} ob{} kf{} dw{} ck{}",
+            "{workload} {:?}/{:?} sched={:?} place={:?} d{} ob{} dw{} ck{}",
             sc.preset,
             sc.geometry,
             sc.sched,
             sc.placement,
             self.depth,
-            sc.filter as u8,
             sc.os_batch,
-            sc.kernel_filter as u8,
             sc.disk_wake as u8,
             sc.ckpt as u8,
         )

@@ -7,8 +7,7 @@
 //!
 //! 1. **Declare** ([`lattice`]): a [`Lattice`] is a baseline
 //!    [`compass_simcheck::Scenario`] plus axes (geometry, protocol,
-//!    placement, scheduler, batch/filter/disk-wake transport
-//!    knobs). Presets ([`presets`]) fold the old `report_*` sweeps into
+//!    placement, scheduler, batch/disk-wake transport knobs). Presets ([`presets`]) fold the old `report_*` sweeps into
 //!    unions of lattices over the shared scenario catalogue.
 //! 2. **Expand & dedupe** ([`lattice::dedupe`]): cartesian expansion in
 //!    a fixed order, then collapse of points whose canonical simulated
@@ -24,7 +23,7 @@
 //!    sub-objects so reports are byte-comparable modulo the host.
 //! 5. **Verify** ([`run::run_twins`]): the fleet oracle re-runs a
 //!    deterministic sample of jobs at the transport baseline (depth 1,
-//!    filters off, per-event OS port) and requires
+//!    per-event OS port) and requires
 //!    bit-identical `BackendStats` — the simcheck neutrality theorems,
 //!    spot-checked inside every sweep that relies on them.
 

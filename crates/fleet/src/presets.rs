@@ -18,12 +18,8 @@ use Knob::*;
 /// enough for a single-core host. The shared baselines dedupe.
 pub fn smoke() -> Vec<Lattice> {
     vec![
-        Lattice::new("sci_small", sc::sci_small())
-            .axis(&[Depth(1), Depth(16)])
-            .axis(&[Filter(false), Filter(true)]),
-        Lattice::new("chaos_small", sc::chaos_small())
-            .axis(&[OsBatch(1), OsBatch(8)])
-            .axis(&[KernelFilter(false), KernelFilter(true)]),
+        Lattice::new("sci_small", sc::sci_small()).axis(&[Depth(1), Depth(16)]),
+        Lattice::new("chaos_small", sc::chaos_small()).axis(&[OsBatch(1), OsBatch(8)]),
         Lattice::new("chaos_small", sc::chaos_small()).axis(&[DiskWake(true), DiskWake(false)]),
         Lattice::new("tpcc_small", sc::tpcc_small()).axis(&[Ckpt(false), Ckpt(true)]),
         Lattice::new("http_small", sc::http_small()).axis(&[Depth(1), Depth(16)]),
@@ -39,18 +35,6 @@ pub fn comm() -> Vec<Lattice> {
         Depth(16),
         Depth(64),
     ])]
-}
-
-/// Folds `report_filter`: frontend filtering on/off crossed with depth,
-/// plus the kernel-side filter as its own sub-sweep.
-pub fn filter() -> Vec<Lattice> {
-    vec![
-        Lattice::new("chaos_small", sc::chaos_small())
-            .axis(&[Filter(false), Filter(true)])
-            .axis(&[Depth(1), Depth(16)]),
-        Lattice::new("chaos_small", sc::chaos_small())
-            .axis(&[KernelFilter(false), KernelFilter(true)]),
-    ]
 }
 
 /// Folds `report_http`'s transport half: depth crossed with the OS-port
@@ -98,7 +82,6 @@ pub fn all() -> Vec<(&'static str, Vec<Lattice>)> {
     vec![
         ("smoke", smoke()),
         ("comm", comm()),
-        ("filter", filter()),
         ("http", http()),
         ("ckpt", ckpt()),
         ("explore", explore()),

@@ -5,8 +5,7 @@
 //! held at its baseline value, each value of the swept axis names one
 //! lattice point, and its entry records the delta of the headline
 //! simulated statistics against the axis baseline. For the transport
-//! axes (depth, filter, OS batch, kernel filter, disk wake,
-//! checkpoint) those deltas double as an oracle — simcheck proves them
+//! axes (depth, OS batch, disk wake, checkpoint) those deltas double as an oracle — simcheck proves them
 //! stats-neutral, so any nonzero simulated delta is a correctness
 //! failure ([`Sensitivity::neutral_violations`]), not a finding.
 //!

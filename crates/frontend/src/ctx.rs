@@ -1,13 +1,12 @@
 //! `CpuCtx`: the per-process execution context and instrumentation API.
 
-use compass_arch::{CacheConfig, L1Mirror};
 use compass_comm::{
     CpuStates, CtlOp, Event, EventBody, EventPort, ExecMode, MemRefKind, Reply, ReplyData,
     SimAbort, SyncOp,
 };
 use compass_isa::{BlockCost, CpuId, Cycles, InstClass, ProcessId, SegId, TimingModel};
 use compass_mem::addr::HEAP_BASE;
-use compass_mem::{ShmError, SimAlloc, Tlb, VAddr};
+use compass_mem::{ShmError, SimAlloc, VAddr};
 use compass_obs::{CounterBlock, Ctr};
 use compass_os::kctx::{KernelCtx, RawSink};
 use compass_os::{KernelShared, OsCall, OsConn, SysResult};
@@ -26,12 +25,6 @@ pub struct FrontendStats {
     /// References suppressed by the simulation ON/OFF switch or the
     /// event-generation flag.
     pub suppressed_refs: u64,
-    /// References filtered by the L1/TLB mirrors: charged the fixed hit
-    /// latency locally and logged for backend replay instead of posted.
-    /// Still counted in `events` (the backend replays each one).
-    pub refs_filtered: u64,
-    /// Wholesale mirror refreshes forced by a stale CPU epoch.
-    pub epoch_refreshes: u64,
 }
 
 enum Mode {
@@ -48,34 +41,6 @@ enum Mode {
     /// Raw execution: no events, OS calls served in-line.
     Raw { kernel: Arc<KernelShared> },
 }
-
-/// The reference filter (ISSUE 4): read-only mirrors of this CPU's
-/// private L1 tag state and TLB, consulted on every user-mode memory
-/// reference. A predicted hit is charged `hit_lat` locally and appended
-/// to `log`; the log is flushed to the port's side channel before every
-/// real post (and whenever it grows past [`FILTER_FLUSH_THRESHOLD`]), and
-/// the backend replays each entry authoritatively, so filtering changes
-/// no simulation result — only how often this thread crosses the port.
-struct Filter {
-    mirror: L1Mirror,
-    /// `None` when the backend models no TLB (`tlb_entries == 0`): every
-    /// reference then trivially "hits" the TLB mirror.
-    tlb: Option<Tlb>,
-    /// Fixed L1-hit latency charged locally per filtered reference.
-    hit_lat: Cycles,
-    /// Last observed value of this CPU's epoch in the shared area; a
-    /// mismatch means the backend changed our private cache/TLB state
-    /// behind our back and both mirrors must start cold.
-    seen_epoch: u64,
-    /// Filtered references awaiting a flush, in program order.
-    log: Vec<Event>,
-}
-
-/// Flush the filter log once it holds this many entries even if no real
-/// post is due: bounds the log's memory and keeps the backend fed during
-/// long all-hit streaks (an idle backend past its deadlock window would
-/// otherwise misreport a stall).
-const FILTER_FLUSH_THRESHOLD: usize = 1024;
 
 /// The simulated process a workload runs on.
 pub struct CpuCtx {
@@ -111,14 +76,10 @@ pub struct CpuCtx {
     batch_depth: usize,
     /// Non-blocking events published since the last rendezvous.
     batch_pending: usize,
-    /// The reference filter, when enabled (simulated mode only, mutually
-    /// exclusive with pseudo-IRQ delivery).
-    filter: Option<Filter>,
     last_event_clock: Cycles,
     stats: FrontendStats,
-    /// Observability counters (`None` = disabled): posts issued, filter
-    /// activity. (Host time is ledgered by the executor that runs the
-    /// process.)
+    /// Observability counters (`None` = disabled): posts issued. (Host
+    /// time is ledgered by the executor that runs the process.)
     obs: Option<Arc<CounterBlock>>,
     started: bool,
     exited: bool,
@@ -179,7 +140,6 @@ impl CpuCtx {
             sample_count: 0,
             batch_depth: 1,
             batch_pending: 0,
-            filter: None,
             last_event_clock: 0,
             stats: FrontendStats::default(),
             obs: None,
@@ -200,44 +160,7 @@ impl CpuCtx {
         if let Mode::Sim { pseudo_irq, .. } = &mut self.mode {
             *pseudo_irq = true;
             self.batch_depth = 1;
-            // Filtered references never see a reply, so the §3.2 flag
-            // check would be skipped at exactly the wrong moments; the
-            // two features are mutually exclusive.
-            self.filter = None;
         }
-    }
-
-    /// Enables the reference filter: a private mirror of this CPU's L1
-    /// (same geometry as the real one) and TLB, consulted on every
-    /// user-mode load/store. Predicted hits are charged `hit_lat` locally
-    /// and logged for authoritative backend replay instead of crossing
-    /// the port, which changes no simulation statistic — only the
-    /// rendezvous rate. No-op in raw mode and under pseudo-IRQ delivery
-    /// (whose per-reply flag check filtering would skip).
-    pub fn enable_filter(
-        &mut self,
-        l1: CacheConfig,
-        hit_lat: Cycles,
-        tlb_entries: usize,
-        tlb_assoc: usize,
-    ) {
-        match &self.mode {
-            Mode::Sim { pseudo_irq, .. } if !*pseudo_irq => {
-                self.filter = Some(Filter {
-                    mirror: L1Mirror::new(l1),
-                    tlb: (tlb_entries > 0).then(|| Tlb::new(tlb_entries, tlb_assoc)),
-                    hit_lat,
-                    seen_epoch: 0,
-                    log: Vec::new(),
-                });
-            }
-            _ => {}
-        }
-    }
-
-    /// True when the reference filter is active.
-    pub fn filter_enabled(&self) -> bool {
-        self.filter.is_some()
     }
 
     /// Sets the event-batch depth: memory references are appended to the
@@ -288,20 +211,7 @@ impl CpuCtx {
     // Event plumbing
     // ------------------------------------------------------------------
 
-    /// Hands any accumulated filtered references to the port's log side
-    /// channel. Must run before anything that can make the backend (or
-    /// the paired OS thread) process work at later timestamps: a real
-    /// post, or an OS call. Cheap no-op when the log is empty.
-    fn flush_filter_log(&mut self) {
-        if let (Mode::Sim { port, .. }, Some(f)) = (&self.mode, &mut self.filter) {
-            if !f.log.is_empty() {
-                port.push_log(&mut f.log);
-            }
-        }
-    }
-
     fn post(&mut self, body: EventBody) -> Reply {
-        self.flush_filter_log();
         match &self.mode {
             Mode::Sim {
                 port,
@@ -352,7 +262,6 @@ impl CpuCtx {
     /// (see the engine docs). `last_event_clock` still advances so the
     /// compute-quantum Yield triggers at the same points as at depth 1.
     fn post_mem(&mut self, body: EventBody) {
-        self.flush_filter_log();
         if let Mode::Sim { port, .. } = &self.mode {
             if self.batch_depth > 1 && self.batch_pending + 1 < self.batch_depth {
                 self.stats.events += 1;
@@ -460,56 +369,6 @@ impl CpuCtx {
                 self.clock += 1;
                 self.stats.suppressed_refs += 1;
                 self.maybe_yield();
-                return;
-            }
-        }
-        // Reference filter fast path: consult the private L1/TLB mirrors
-        // and keep predicted hits local (logged for backend replay). RMWs
-        // are atomics and always take the slow path; they still warm the
-        // mirrors so the surrounding plain references predict well.
-        if let (Mode::Sim { cpu_states, .. }, Some(f)) = (&self.mode, &mut self.filter) {
-            let epoch = cpu_states.epoch(self.cpu);
-            if epoch != f.seen_epoch {
-                // The backend changed this CPU's private state (coherence
-                // action, context switch, unmap, interrupt): start cold.
-                f.seen_epoch = epoch;
-                f.mirror.refresh();
-                if let Some(t) = &mut f.tlb {
-                    t.flush();
-                }
-                self.stats.epoch_refreshes += 1;
-                if let Some(c) = &self.obs {
-                    c.inc(Ctr::EpochRefreshes);
-                }
-            }
-            // Both mirrors observe every reference (optimistic fill), so
-            // don't short-circuit the pair.
-            let tlb_hit = f.tlb.as_mut().is_none_or(|t| t.access(self.pid, va));
-            let l1_hit = f.mirror.access(u64::from(va.0), kind.is_write());
-            if tlb_hit && l1_hit && kind != MemRefKind::Rmw {
-                f.log.push(Event {
-                    pid: self.pid,
-                    time: self.clock,
-                    body: EventBody::MemRef {
-                        kind,
-                        mode: ExecMode::User,
-                        vaddr: va,
-                        size,
-                    },
-                });
-                self.clock += f.hit_lat;
-                self.last_event_clock = self.clock;
-                // The backend replays this reference, so it counts as an
-                // event on both sides of the port.
-                self.stats.events += 1;
-                self.stats.refs_filtered += 1;
-                let must_flush = f.log.len() >= FILTER_FLUSH_THRESHOLD;
-                if let Some(c) = &self.obs {
-                    c.inc(Ctr::RefsFiltered);
-                }
-                if must_flush {
-                    self.flush_filter_log();
-                }
                 return;
             }
         }
@@ -687,10 +546,6 @@ impl CpuCtx {
     /// paired OS thread; raw mode runs the same kernel code silently.
     pub fn os_call(&mut self, call: OsCall) -> SysResult {
         self.stats.os_calls += 1;
-        // The OS thread generates kernel events at times past our clock;
-        // logged references (at earlier times) must reach the backend
-        // first or the least-time rule would stall on our bound.
-        self.flush_filter_log();
         match &self.mode {
             Mode::Sim { os, .. } => {
                 let (clock, result) = os.call(self.clock, call);
@@ -729,7 +584,6 @@ impl CpuCtx {
             return Vec::new();
         }
         self.stats.os_calls += calls.len() as u64;
-        self.flush_filter_log();
         match &self.mode {
             Mode::Sim { os, .. } => {
                 let (clock, results) = os.call_batch(self.clock, calls);

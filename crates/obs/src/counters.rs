@@ -82,15 +82,18 @@ pub enum Ctr {
     BackendWaitNs,
     /// Trace records dropped because the ring was full.
     TraceDropped,
-    /// Memory references resolved locally by a frontend's L1/TLB mirror
-    /// (charged the fixed L1-hit latency without a port rendezvous).
+    /// Retired, always 0: memory references once resolved by a frontend's
+    /// L1/TLB mirror. The reference filter is gone; the slot stays so the
+    /// catalogue remains append-only.
     RefsFiltered,
-    /// Mirror refreshes forced by a stale per-CPU epoch.
+    /// Retired, always 0: frontend mirror refreshes once forced by a stale
+    /// per-CPU epoch.
     EpochRefreshes,
-    /// Filtered-reference log flushes pushed through a port.
+    /// Retired, always 0: filtered-reference log flushes once pushed
+    /// through a port.
     FilterFlushes,
-    /// Replayed filtered references whose true latency differed from the
-    /// frontend's pre-charged L1-hit latency (mirror mispredictions).
+    /// Retired, always 0: replayed filtered references once mispredicted
+    /// by a mirror.
     FilterMispredicts,
     /// Retired: blocking posts once answered during a reply spin. The
     /// spin is gone (posters suspend to the engine); the slot stays so
@@ -108,8 +111,9 @@ pub enum Ctr {
     /// event: each `DoneBatch` result beyond the first, plus each `Done`
     /// whose kernel context left batched events for credit to settle.
     OsBatchedReplies,
-    /// Kernel memory references resolved by the OS-side L1/TLB mirror
-    /// (charged the fixed L1-hit latency without a port rendezvous).
+    /// Retired, always 0: kernel memory references once resolved by the
+    /// OS-side L1/TLB mirror. The kernel filter is gone; the slot stays so
+    /// the catalogue remains append-only.
     KernelRefsFiltered,
     /// Device completion wake events scheduled (disk completions and
     /// network deliveries entered into the engine's task heap).
@@ -124,10 +128,8 @@ pub enum Ctr {
     /// passes) the postbox due-time summary answered without a lock
     /// acquisition or queue scan.
     DiskPollsEliminated,
-    /// Wholesale kernel-mirror clears actually executed. Epoch bumps set
-    /// a deferred-refresh flag instead of clearing; the clear runs only
-    /// when stale contents would otherwise predict a hit, so consecutive
-    /// bumps between kernel references coalesce into at most one clear.
+    /// Retired, always 0: kernel-mirror clears once executed by the
+    /// kernel filter.
     KernelMirrorRefreshes,
     /// Host ns spent running OS-server-thread tasks (the in-program host
     /// ledger: with [`Ctr::FrontendGenNs`], the bottom-half and backend
@@ -198,14 +200,12 @@ impl Ctr {
     ];
 
     /// True for counters that measure the *host* transport mechanics
-    /// (posts, replies, parks, doorbells, occupancy, wall-clock ns,
-    /// mirror-filter hits) rather than the simulated machine. Two runs
-    /// of the same configuration produce bit-identical simulated
-    /// counters, but the host set races: mirror filtering depends on
-    /// the backend-epoch-vs-frontend interleaving (a ref filtered in
-    /// one run posts in another, shifting every post/reply/pop count
-    /// downstream), and parks/stalls/ns are wall-clock by definition —
-    /// even though `BackendStats` stays bit-identical throughout.
+    /// (posts, replies, parks, doorbells, occupancy, wall-clock ns) rather
+    /// than the simulated machine. Two runs of the same configuration
+    /// produce bit-identical simulated counters, but the host set depends
+    /// on transport knobs and host timing: ns are wall-clock by
+    /// definition, and post/reply counts move with batch depths — even
+    /// though `BackendStats` stays bit-identical throughout.
     /// Report generators (the fleet runner's aggregate JSON) segregate
     /// these so reports stay byte-comparable modulo the host.
     pub fn host_timing(self) -> bool {
@@ -406,9 +406,9 @@ mod tests {
             assert_eq!(Ctr::by_name(c.name()), Some(c), "{c:?}");
         }
         assert_eq!(Ctr::by_name("no_such_counter"), None);
-        // Wall-clock measurements, ring traffic, and mirror-filter hits
-        // are host timing; simulated event/syscall/device counts are
-        // reproducible.
+        // Wall-clock measurements and ring traffic are host timing (so are
+        // the retired filter slots); simulated event/syscall/device counts
+        // are reproducible.
         assert!(Ctr::FrontendGenNs.host_timing());
         assert!(Ctr::HostBottomHalfNs.host_timing());
         assert!(Ctr::HostBackendNs.host_timing());

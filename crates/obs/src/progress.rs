@@ -31,9 +31,6 @@ pub struct ProgressSnapshot {
     /// Syscall replies that aggregated batched work (see
     /// `Ctr::OsBatchedReplies`). Zero when counters are off.
     pub os_batched_replies: u64,
-    /// Kernel references the OS-side mirror filtered (see
-    /// `Ctr::KernelRefsFiltered`). Zero when counters are off.
-    pub kernel_refs_filtered: u64,
     /// Device completion wake events scheduled so far.
     pub device_wake_events: u64,
     /// Idle interval-timer polls eliminated so far.
@@ -58,11 +55,8 @@ impl ProgressSnapshot {
             "t={} events={} ({:.0}/s) lag={} [{}]",
             self.sim_time, self.events, self.events_per_sec, self.min_lag, states
         );
-        if self.kernel_refs_filtered > 0 || self.os_batched_replies > 0 {
-            line.push_str(&format!(
-                " kfilt={} obatch={}",
-                self.kernel_refs_filtered, self.os_batched_replies
-            ));
+        if self.os_batched_replies > 0 {
+            line.push_str(&format!(" obatch={}", self.os_batched_replies));
         }
         if self.device_wake_events > 0 || self.device_polls_eliminated > 0 {
             line.push_str(&format!(
@@ -98,7 +92,6 @@ mod tests {
             states: vec![("Running", 2), ("Blocked", 1)],
             min_lag: 7,
             os_batched_replies: 3,
-            kernel_refs_filtered: 41,
             device_wake_events: 12,
             device_polls_eliminated: 5,
             disk_wake_events: 4,
@@ -109,7 +102,7 @@ mod tests {
         assert!(line.contains("events=99"));
         assert!(line.contains("Running:2"));
         assert!(line.contains("lag=7"));
-        assert!(line.contains("kfilt=41"));
+        assert!(line.contains("obatch=3"));
         assert!(line.contains("wakes=12"));
     }
 }

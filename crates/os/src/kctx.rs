@@ -11,14 +11,12 @@
 //! a no-op ([`RawSink`]) used by *raw* runs — the paper's uninstrumented
 //! baseline for the slowdown tables — so the same kernel code serves both.
 
-use compass_arch::{CacheConfig, L1Mirror};
 use compass_comm::{
-    BlockReason, CpuStates, CtlOp, DevCmd, Event, EventBody, EventPort, ExecMode, MemRefKind,
-    Reply, ReplyData, SimAbort, SyncOp,
+    BlockReason, CtlOp, DevCmd, Event, EventBody, EventPort, ExecMode, MemRefKind, Reply,
+    ReplyData, SimAbort, SyncOp,
 };
-use compass_isa::{CpuId, Cycles, ProcessId};
-use compass_mem::{Tlb, VAddr};
-use compass_obs::{CounterBlock, Ctr};
+use compass_isa::{Cycles, ProcessId};
+use compass_mem::VAddr;
 use std::sync::Arc;
 
 /// Where kernel (and frontend) events go.
@@ -32,13 +30,6 @@ pub trait EventSink: Send + Sync {
     /// reply dropped — correct for sinks with no batching transport.
     fn post_batched(&self, ev: Event) {
         let _ = self.post(ev);
-    }
-
-    /// Hands locally filtered references to the port's log side channel
-    /// for authoritative backend replay, draining `log`. The default
-    /// discards them — only meaningful for sinks with a real backend.
-    fn flush_log(&self, log: &mut Vec<Event>) {
-        log.clear();
     }
 
     /// True if this sink actually simulates (false for raw runs; raw-mode
@@ -68,40 +59,14 @@ impl EventSink for PortSink {
     fn post_batched(&self, ev: Event) {
         self.0.post_batched(ev);
     }
-
-    fn flush_log(&self, log: &mut Vec<Event>) {
-        self.0.push_log(log);
-    }
-}
-
-/// Geometry of the kernel-side reference filter's mirrors (matches the
-/// backend's real L1 and TLB, exactly as the frontend filter does).
-#[derive(Debug, Clone, Copy)]
-pub struct KernelFilterConfig {
-    /// L1 geometry to mirror.
-    pub l1: CacheConfig,
-    /// Fixed L1-hit latency charged locally per filtered reference. Must
-    /// equal the backend's `lat.l1_hit`: the engine precharges exactly
-    /// that amount per replayed log entry.
-    pub hit_lat: Cycles,
-    /// TLB entries (0 = backend models no TLB; everything "hits").
-    pub tlb_entries: usize,
-    /// TLB associativity.
-    pub tlb_assoc: usize,
 }
 
 /// How the OS server builds per-thread [`KernelPerf`] state: the syscall
-/// analogue of the frontend's batching + filtering knobs (ISSUE 6).
+/// analogue of the frontend's batching knob (ISSUE 6).
 #[derive(Clone)]
 pub struct KernelPerfSetup {
     /// Kernel event-batch depth (1 = classic per-event rendezvous).
     pub batch_depth: usize,
-    /// Mirror geometry when kernel-reference filtering is on.
-    pub filter: Option<KernelFilterConfig>,
-    /// The shared per-CPU epoch/state area (epoch checks).
-    pub cpu_states: Arc<CpuStates>,
-    /// OS counter block for `KernelRefsFiltered` et al.
-    pub counters: Option<Arc<CounterBlock>>,
 }
 
 impl KernelPerfSetup {
@@ -111,53 +76,14 @@ impl KernelPerfSetup {
             batch_depth: self.batch_depth.max(1),
             batch_pending: 0,
             batched_any: false,
-            filter: self.filter.map(|f| KernelFilter {
-                mirror: L1Mirror::new(f.l1),
-                tlb: (f.tlb_entries > 0).then(|| Tlb::new(f.tlb_entries, f.tlb_assoc)),
-                hit_lat: f.hit_lat,
-                seen_epoch: u64::MAX,
-                needs_refresh: false,
-                log: Vec::new(),
-            }),
-            cpu_states: Arc::clone(&self.cpu_states),
-            cpu: CpuId(0),
-            epoch_at_post: 0,
-            counters: self.counters.clone(),
         }
     }
 }
 
-/// Flush the kernel filter log once it holds this many entries even if no
-/// real post is due (syscall bodies are short; this mostly matters for
-/// large `touch_range`/`copy` loops over cached file data).
-const KERNEL_FILTER_FLUSH_THRESHOLD: usize = 256;
-
-/// Kernel-side reference filter: read-only mirrors of the companion
-/// CPU's L1 tag state and TLB (see `compass_frontend`'s `Filter` — same
-/// epoch rules, same replay contract). A predicted hit is charged
-/// `hit_lat` locally and logged; the backend replays every entry
-/// authoritatively, so filtering changes no simulation result.
-struct KernelFilter {
-    mirror: L1Mirror,
-    tlb: Option<Tlb>,
-    hit_lat: Cycles,
-    seen_epoch: u64,
-    /// Set on epoch mismatch instead of clearing the mirrors eagerly
-    /// (O(lines) per bump). The wholesale clear is deferred until stale
-    /// contents would otherwise predict a hit; bumps with no intervening
-    /// stale hit — the common case around interrupt service — coalesce
-    /// into at most one clear. Safe because a mispredicted hit is still
-    /// replayed authoritatively (it costs only transient local-clock
-    /// skew, never a stats difference).
-    needs_refresh: bool,
-    log: Vec<Event>,
-}
-
-/// Per-OS-thread perf state: event batching and reference filtering for
-/// kernel contexts.
+/// Per-OS-thread perf state: event batching for kernel contexts.
 ///
-/// Interrupt-mode contexts (the bottom-half daemon) may attach
-/// batching-only state *provided* every device-queue drain happens at a
+/// Interrupt-mode contexts (the bottom-half daemon) may attach it
+/// *provided* every device-queue drain happens at a
 /// settled point — `batch_pending == 0`, where the logical clock is
 /// exact. `handlers::run_pending` guarantees this structurally (drains
 /// run right after a blocking lock acquisition, and every handler body
@@ -175,18 +101,6 @@ pub struct KernelPerf {
     /// Whether the current syscall batched or left batched events — one
     /// `OsBatchedReplies` tick per such aggregated `Done`.
     batched_any: bool,
-    filter: Option<KernelFilter>,
-    cpu_states: Arc<CpuStates>,
-    /// Best-effort current CPU, updated from `ReplyData::Cpu` on blocking
-    /// replies. A stale value is safe: a wrong epoch only mis-predicts,
-    /// and every filtered reference is replayed authoritatively anyway.
-    cpu: CpuId,
-    /// The CPU's epoch as sampled at the last blocking rendezvous — one
-    /// atomic load per post instead of one per kernel memory reference.
-    /// Bumps landing between posts are seen at the next rendezvous; the
-    /// missed window only yields tolerated (replayed) mispredicts.
-    epoch_at_post: u64,
-    counters: Option<Arc<CounterBlock>>,
 }
 
 impl KernelPerf {
@@ -240,8 +154,7 @@ pub struct KernelCtx<'a> {
     /// Cycles spent blocked (device waits) — excluded from per-syscall CPU
     /// accounting, as the paper's profiles exclude I/O wait.
     pub wait_cycles: Cycles,
-    /// Batching + filtering state for syscall-dispatch contexts; `None`
-    /// keeps the classic one-rendezvous-per-event protocol.
+    /// Batching state for syscall-dispatch contexts; `None` keeps the classic one-rendezvous-per-event protocol.
     perf: Option<&'a mut KernelPerf>,
 }
 
@@ -266,25 +179,10 @@ impl<'a> KernelCtx<'a> {
         }
     }
 
-    /// Attaches batching/filtering state (syscall dispatch only — see
-    /// [`KernelPerf`]).
+    /// Attaches batching state (see [`KernelPerf`]).
     pub fn with_perf(mut self, perf: &'a mut KernelPerf) -> Self {
         self.perf = Some(perf);
         self
-    }
-
-    /// Hands any accumulated filtered kernel references to the sink's log
-    /// side channel. Must run before anything that can make the backend
-    /// process work at later timestamps — a ring post (batched or
-    /// blocking), or returning control to the frontend.
-    pub fn flush_filter_log(&mut self) {
-        if let Some(p) = &mut self.perf {
-            if let Some(f) = &mut p.filter {
-                if !f.log.is_empty() {
-                    self.sink.flush_log(&mut f.log);
-                }
-            }
-        }
     }
 
     /// True when events actually reach a backend.
@@ -293,9 +191,6 @@ impl<'a> KernelCtx<'a> {
     }
 
     fn post(&mut self, body: EventBody) -> Reply {
-        // Log entries carry earlier timestamps than this event; they must
-        // reach the backend first or effective-time order would invert.
-        self.flush_filter_log();
         let r = self.sink.post(Event {
             pid: self.pid,
             time: self.clock,
@@ -306,12 +201,6 @@ impl<'a> KernelCtx<'a> {
             // The rendezvous drained every batched event ahead of it and
             // settled their latencies into this reply via the credit.
             p.batch_pending = 0;
-            if let ReplyData::Cpu { cpu } = r.data {
-                p.cpu = cpu;
-            }
-            if p.filter.is_some() {
-                p.epoch_at_post = p.cpu_states.epoch(p.cpu);
-            }
         }
         r
     }
@@ -323,97 +212,29 @@ impl<'a> KernelCtx<'a> {
         self.perf.as_ref().map_or(0, |p| p.batch_pending)
     }
 
-    /// One kernel memory reference: filter (predicted hits stay local,
-    /// logged for replay), else batch (non-blocking publish, latency
-    /// settled by credit), else the classic blocking post.
+    /// One kernel memory reference: batched (non-blocking publish,
+    /// latency settled by credit) while the batch has room, else the
+    /// classic blocking post.
     fn mem_event(&mut self, kind: MemRefKind, va: VAddr, size: u16) {
-        enum Action {
-            Blocking,
-            Batched,
-            Filtered { must_flush: bool },
-        }
         let body = EventBody::MemRef {
             kind,
             mode: self.mode,
             vaddr: va,
             size,
         };
-        let action = match &mut self.perf {
-            None => Action::Blocking,
-            Some(p) => {
-                let mut filtered = None;
-                if let Some(f) = &mut p.filter {
-                    if p.epoch_at_post != f.seen_epoch {
-                        // The backend changed this CPU's private state
-                        // (coherence action, context switch, interrupt).
-                        // Don't pay the O(lines) clear yet: flag the
-                        // mirrors stale and defer until stale contents
-                        // would actually predict a hit.
-                        f.seen_epoch = p.epoch_at_post;
-                        f.needs_refresh = true;
-                    }
-                    // Both mirrors observe every reference (optimistic
-                    // fill), so don't short-circuit the pair.
-                    let tlb_hit = f.tlb.as_mut().is_none_or(|t| t.access(self.pid, va));
-                    let mut l1_hit = f.mirror.access(u64::from(va.0), kind.is_write());
-                    if tlb_hit && l1_hit && f.needs_refresh {
-                        // Stale contents predicted a hit: run the
-                        // deferred wholesale clear now and treat this
-                        // reference as cold.
-                        f.mirror.refresh();
-                        if let Some(t) = &mut f.tlb {
-                            t.flush();
-                        }
-                        f.needs_refresh = false;
-                        l1_hit = false;
-                        if let Some(c) = &p.counters {
-                            c.inc(Ctr::KernelMirrorRefreshes);
-                        }
-                    }
-                    if tlb_hit && l1_hit {
-                        f.log.push(Event {
-                            pid: self.pid,
-                            time: self.clock,
-                            body,
-                        });
-                        self.clock += f.hit_lat;
-                        if let Some(c) = &p.counters {
-                            c.inc(Ctr::KernelRefsFiltered);
-                        }
-                        filtered = Some(Action::Filtered {
-                            must_flush: f.log.len() >= KERNEL_FILTER_FLUSH_THRESHOLD,
-                        });
-                    }
-                }
-                match filtered {
-                    Some(a) => a,
-                    None if p.batch_depth > 1 && p.batch_pending + 1 < p.batch_depth => {
-                        p.batch_pending += 1;
-                        p.batched_any = true;
-                        Action::Batched
-                    }
-                    None => Action::Blocking,
-                }
-            }
-        };
-        match action {
-            Action::Filtered { must_flush } => {
-                if must_flush {
-                    self.flush_filter_log();
-                }
-            }
-            Action::Batched => {
-                self.flush_filter_log();
+        if let Some(p) = &mut self.perf {
+            if p.batch_depth > 1 && p.batch_pending + 1 < p.batch_depth {
+                p.batch_pending += 1;
+                p.batched_any = true;
                 self.sink.post_batched(Event {
                     pid: self.pid,
                     time: self.clock,
                     body,
                 });
-            }
-            Action::Blocking => {
-                self.post(body);
+                return;
             }
         }
+        self.post(body);
     }
 
     /// Advances the clock by pure compute cycles.

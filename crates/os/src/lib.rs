@@ -43,8 +43,6 @@ pub mod server;
 pub mod syscalls;
 pub mod waitq;
 
-pub use kctx::{
-    EventSink, KernelCtx, KernelFilterConfig, KernelPerf, KernelPerfSetup, PortSink, RawSink,
-};
+pub use kctx::{EventSink, KernelCtx, KernelPerf, KernelPerfSetup, PortSink, RawSink};
 pub use proto::{Errno, Fd, OsCall, OsMsg, OsRet, SysResult, SysVal};
 pub use server::{KernelConfig, KernelShared, OsConn, OsObs, OsServer, SyscallStats};

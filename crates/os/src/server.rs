@@ -328,11 +328,10 @@ pub struct OsServer {
 
 impl OsServer {
     /// Starts `nthreads` OS threads around `kernel` as tasks on `exec`,
-    /// with observability hooks and an optional kernel-side performance
-    /// setup (event batching and reference filtering for syscall-path
-    /// kernel code). The setup is rebuilt into fresh
+    /// with observability hooks and an optional kernel-side event-batching
+    /// setup for syscall-path kernel code. The setup is rebuilt into fresh
     /// per-pairing state on every Connect; pseudo-IRQ delivery never uses
-    /// it, and the bottom-half daemon has its own batching-only setup (see
+    /// it, and the bottom-half daemon has its own setup (see
     /// [`OsServer::start_daemon`]).
     pub fn start(
         kernel: Arc<KernelShared>,
@@ -398,11 +397,10 @@ impl OsServer {
     /// task on `exec`. "Dedicated threads can be scheduled to simulate
     /// bottom half kernel activities." (§3.1)
     ///
-    /// `perf` is an optional *batching-only* setup for the daemon's
-    /// interrupt context (the `disk_wake` knob). It must not carry a
-    /// filter config: handler drains run `until(kc.clock)` and only the
-    /// batching protocol's settled-at-drain invariant is established for
-    /// interrupt mode.
+    /// `perf` is an optional batching setup for the daemon's interrupt
+    /// context (the `disk_wake` knob): handler drains run
+    /// `until(kc.clock)`, which the batching protocol's settled-at-drain
+    /// invariant keeps exact.
     pub fn start_daemon(
         &self,
         daemon_pid: ProcessId,
@@ -410,10 +408,6 @@ impl OsServer {
         perf: Option<KernelPerfSetup>,
         exec: &mut Executor,
     ) {
-        assert!(
-            perf.as_ref().is_none_or(|p| p.filter.is_none()),
-            "daemon perf must be batching-only (no kernel filter)"
-        );
         let k = Arc::clone(&self.kernel);
         exec.spawn(Class::BottomHalf, self.obs.counters.clone(), move || {
             daemon_main(daemon_pid, port, k, perf)
@@ -440,7 +434,7 @@ fn absorb_abort<R>(f: impl FnOnce() -> R) -> Result<R, Errno> {
 /// One OS thread: waits for pairing, then serves calls until Exit, then
 /// returns to "single". It runs until its task is cancelled at teardown.
 ///
-/// `perf` (when configured) batches and filters kernel-mode events for
+/// `perf` (when configured) batches kernel-mode events for
 /// the **syscall path only**: pseudo IRQs and the daemon run interrupt
 /// handlers whose postbox drains depend on the authoritative clock, so
 /// they keep the per-event protocol.
@@ -457,8 +451,8 @@ fn os_thread_main(
             OsMsg::Connect { pid, port: eport } => {
                 debug_assert!(paired.is_none(), "connect to a paired OS thread");
                 paired = Some((pid, eport));
-                // Fresh mirror/TLB/credit state per pairing: a new process
-                // shares nothing with the previous tenant.
+                // Fresh batching state per pairing: a new process shares
+                // nothing with the previous tenant.
                 perf_state = perf.as_ref().map(KernelPerfSetup::build);
                 port.respond(OsRet::Connected);
             }
@@ -478,7 +472,6 @@ fn os_thread_main(
                     Ok(r) => r,
                     Err(e) => Err(e),
                 };
-                kc.flush_filter_log();
                 let end_clock = kc.clock;
                 if let Some(p) = perf_state.as_mut() {
                     if p.take_batched_any() {
@@ -532,7 +525,6 @@ fn os_thread_main(
                     }
                     results.push(result);
                 }
-                kc.flush_filter_log();
                 let end_clock = kc.clock;
                 let mut coalesced = n.saturating_sub(1);
                 if let Some(p) = perf_state.as_mut() {

@@ -25,22 +25,17 @@ pub struct RunOutput {
 /// Runs `sc` once at the given batch depth. `observe` turns the full
 /// observability stack on (counters, fine tracing, progress snapshots) —
 /// the depth differentials then double as the proof that instrumentation
-/// never perturbs the simulation. `filter` sets frontend reference
-/// filtering for this run (callers pass `sc.filter` or its negation for
-/// the filter differential); `os_batch`, `kernel_filter` and
-/// `disk_wake` set the kernel-side OS-port batch depth, kernel
-/// reference filtering and the event-driven disk path the same way for
-/// their twins. A deadlock comes back as `Err` so soak runs record and
-/// shrink it instead of dying.
-#[allow(clippy::too_many_arguments)]
+/// never perturbs the simulation. `os_batch` and `disk_wake` set the
+/// kernel-side OS-port batch depth and the event-driven disk path for
+/// this run (callers pass the scenario's own values or flip one for its
+/// twin). A deadlock comes back as `Err` so soak runs record and shrink
+/// it instead of dying.
 pub fn run_scenario(
     sc: &Scenario,
     depth: usize,
     record: bool,
     observe: bool,
-    filter: bool,
     os_batch: usize,
-    kernel_filter: bool,
     disk_wake: bool,
 ) -> Result<RunOutput, RunError> {
     run_scenario_ckpt(
@@ -48,9 +43,7 @@ pub fn run_scenario(
         depth,
         record,
         observe,
-        filter,
         os_batch,
-        kernel_filter,
         disk_wake,
         CkptMode::Off,
     )
@@ -77,7 +70,7 @@ pub enum CkptMode<'a> {
 }
 
 /// Applies a scenario's backend/transport knobs (scheduler, placement,
-/// pre-emption, filter, OS batch, kernel filter, disk wake) plus the
+/// pre-emption, OS batch, disk wake) plus the
 /// frontend batch `depth` onto a `SimConfig`. Shared with the fleet
 /// runner (`compass-fleet`), whose lattice points carry their
 /// knob values in the scenario itself — one definition of "how a
@@ -95,22 +88,17 @@ pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: 
         // path stays under test even without pre-emption.
         cfg.backend.timer_interval = Some(900_000);
     }
-    cfg.filter = sc.filter;
     cfg.kernel_batch_depth = sc.os_batch;
-    cfg.kernel_filter = sc.kernel_filter;
     cfg.disk_wake = sc.disk_wake;
 }
 
 /// [`run_scenario`] with a checkpoint mode.
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_ckpt(
     sc: &Scenario,
     depth: usize,
     record: bool,
     observe: bool,
-    filter: bool,
     os_batch: usize,
-    kernel_filter: bool,
     disk_wake: bool,
     ckpt: CkptMode<'_>,
 ) -> Result<RunOutput, RunError> {
@@ -127,9 +115,7 @@ pub fn run_scenario_ckpt(
     // The caller's overrides (a twin flips exactly one knob) are folded
     // into a scenario view so knob application has a single definition.
     let knobs = Scenario {
-        filter,
         os_batch,
-        kernel_filter,
         disk_wake,
         ..*sc
     };
@@ -225,10 +211,6 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
         preempt: !sc.preempt,
         ..*sc
     });
-    push(Scenario {
-        filter: !sc.filter,
-        ..*sc
-    });
     v
 }
 
@@ -236,9 +218,8 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
 /// failed check (empty = clean).
 ///
 /// Layers: depth-1 baseline with trace recording → oracle replay →
-/// schedule-permuted twins (`check-invariants` builds) →
-/// filter-toggled differential → OS-batch-twin, kernel-filter-twin and
-/// disk-wake-twin differentials → depth {4,16,64} differentials →
+/// schedule-permuted twins (`check-invariants` builds) → OS-batch-twin
+/// and disk-wake-twin differentials → depth {4,16,64} differentials →
 /// (timing-independent workloads only) metamorphic knob variants. The
 /// per-step invariant layer runs inside every one of these
 /// when built with `--features check-invariants`.
@@ -259,17 +240,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         Some(path) => CkptMode::Record { every: 500, path },
         None => CkptMode::Off,
     };
-    let base = match run_scenario_ckpt(
-        sc,
-        1,
-        true,
-        true,
-        sc.filter,
-        sc.os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-        base_ckpt,
-    ) {
+    let base = match run_scenario_ckpt(sc, 1, true, true, sc.os_batch, sc.disk_wake, base_ckpt) {
         Ok(out) => out,
         Err(e) => return vec![format!("depth-1 run deadlocked: {e}")],
     };
@@ -308,45 +279,12 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             Err(e) => failures.push(format!("schedule {seed:#x} run failed: {e}")),
         }
     }
-    // Filter differential: a dark depth-1 run with reference filtering
-    // toggled the other way must match the instrumented baseline
-    // statistic for statistic. Depth 1 pins per-event rendezvous, so any
-    // divergence is the filter's alone.
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        !sc.filter,
-        sc.os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "filter={} vs filter={}: {d}",
-                    !sc.filter, sc.filter
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("filter-toggled run deadlocked: {e}")),
-    }
     // OS-batch differential: the kernel syscall path replayed on the
     // classic per-event port (or, when the scenario already is classic,
     // at depth 64) must match statistic for statistic — the credit-based
     // aggregate reply may change host time only.
     let twin_os_batch = if sc.os_batch == 1 { 64 } else { 1 };
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        twin_os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-    ) {
+    match run_scenario(sc, 1, false, false, twin_os_batch, sc.disk_wake) {
         Ok(run) => {
             for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
                 failures.push(format!(
@@ -357,43 +295,11 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         }
         Err(e) => failures.push(format!("os-batch-twin run deadlocked: {e}")),
     }
-    // Kernel-filter differential: predicted-hit kernel references charged
-    // locally and replayed through the authoritative path must leave
-    // every backend statistic untouched.
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        sc.os_batch,
-        !sc.kernel_filter,
-        sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "kernel_filter={} vs kernel_filter={}: {d}",
-                    !sc.kernel_filter, sc.kernel_filter
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("kernel-filter-twin run deadlocked: {e}")),
-    }
     // Disk-wake differential (ISSUE 9): the event-driven disk completion
     // path toggled the other way must leave every backend statistic
     // untouched — wake-driven delivery settles the same latencies the
     // polled drain charged.
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        sc.os_batch,
-        sc.kernel_filter,
-        !sc.disk_wake,
-    ) {
+    match run_scenario(sc, 1, false, false, sc.os_batch, !sc.disk_wake) {
         Ok(run) => {
             for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
                 failures.push(format!(
@@ -407,7 +313,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     // Checkpoint/resume differential (ISSUE 8): record the scenario with
     // `checkpoint_every`, then resume from the latest cut — once under
     // the scenario's own knobs and once under flipped transport knobs
-    // (filter, OS batch, kernel filter, disk wake, batch depth). All of
+    // (OS batch, disk wake, batch depth). All of
     // them run under the resume-identity oracle and must reproduce the
     // baseline `BackendStats` bit for bit.
     if sc.ckpt {
@@ -422,9 +328,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             1,
             false,
             false,
-            sc.filter,
             sc.os_batch,
-            sc.kernel_filter,
             sc.disk_wake,
             CkptMode::Record {
                 every: 500,
@@ -443,9 +347,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                         1,
                         false,
                         false,
-                        sc.filter,
                         sc.os_batch,
-                        sc.kernel_filter,
                         sc.disk_wake,
                         CkptMode::Resume { path: &path },
                     ) {
@@ -464,9 +366,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                         16,
                         false,
                         false,
-                        !sc.filter,
                         twin_os_batch,
-                        !sc.kernel_filter,
                         !sc.disk_wake,
                         CkptMode::Resume { path: &path },
                     ) {
@@ -489,16 +389,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         let _ = std::fs::remove_file(&path);
     }
     for depth in &DEPTHS[1..] {
-        let run = match run_scenario(
-            sc,
-            *depth,
-            false,
-            false,
-            sc.filter,
-            sc.os_batch,
-            sc.kernel_filter,
-            sc.disk_wake,
-        ) {
+        let run = match run_scenario(sc, *depth, false, false, sc.os_batch, sc.disk_wake) {
             Ok(out) => out,
             Err(e) => {
                 failures.push(format!("depth {depth} run deadlocked: {e}"));
@@ -512,16 +403,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     if sc.workload.timing_independent() {
         let sig0 = signature(&base.report);
         for var in metamorphic_variants(sc) {
-            let run = match run_scenario(
-                &var,
-                8,
-                false,
-                false,
-                var.filter,
-                var.os_batch,
-                var.kernel_filter,
-                var.disk_wake,
-            ) {
+            let run = match run_scenario(&var, 8, false, false, var.os_batch, var.disk_wake) {
                 Ok(out) => out,
                 Err(e) => {
                     failures.push(format!("metamorphic variant {var:?} deadlocked: {e}"));

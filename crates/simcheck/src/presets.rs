@@ -4,9 +4,9 @@
 //! own workload shapes; this module is the single catalogue both (and
 //! any future harness) draw from. Every preset is a fully-specified
 //! [`Scenario`] at the *baseline* transport point — depth-1-equivalent
-//! knobs everywhere (`filter` off, `os_batch` 1,
-//! `kernel_filter` off, `ckpt` off, `disk_wake` on) — so a harness that
-//! wants to sweep an axis mutates exactly that axis and nothing else.
+//! knobs everywhere (`os_batch` 1, `ckpt` off, `disk_wake` on) — so a
+//! harness that wants to sweep an axis mutates exactly that axis and
+//! nothing else.
 
 use crate::scenario::{ArchPreset, Geometry, Scenario, Workload};
 use compass::{PlacementPolicy, SchedPolicy};
@@ -25,9 +25,7 @@ fn base(workload: Workload, nprocs: u16) -> Scenario {
         sched: SchedPolicy::Fcfs,
         preempt: false,
         placement: PlacementPolicy::FirstTouch,
-        filter: false,
         os_batch: 1,
-        kernel_filter: false,
         ckpt: false,
         disk_wake: true,
         schedule: 0,
@@ -59,8 +57,8 @@ pub fn sci_dense() -> Scenario {
     )
 }
 
-/// File-I/O chaos: the OS-server stress shape (syscall-path batching,
-/// kernel filtering and the event-driven disk path all light up here).
+/// File-I/O chaos: the OS-server stress shape (syscall-path batching and
+/// the event-driven disk path both light up here).
 pub fn chaos_small() -> Scenario {
     base(Workload::FileChaos { steps: 40 }, 2)
 }
@@ -103,9 +101,7 @@ mod tests {
     #[test]
     fn every_preset_is_baseline_and_validates() {
         for (name, sc) in all() {
-            assert!(!sc.filter, "{name} not baseline");
             assert_eq!(sc.os_batch, 1, "{name} not baseline");
-            assert!(!sc.kernel_filter, "{name} not baseline");
             assert!(!sc.ckpt, "{name} not baseline");
             assert!(sc.disk_wake, "{name} not baseline");
             sc.arch_config(); // panics if the geometry does not validate

@@ -107,23 +107,12 @@ pub struct Scenario {
     pub preempt: bool,
     /// Page placement.
     pub placement: PlacementPolicy,
-    /// Frontend reference filtering (ISSUE 4). Must be statistics-neutral:
-    /// the check stack diffs every scenario against its filter-toggled
-    /// twin, so this axis proves the mirror/replay protocol bit-exact
-    /// across the whole scenario space.
-    pub filter: bool,
     /// Kernel-side OS-port batch depth (ISSUE 6). Must be
     /// statistics-neutral: the check stack diffs every scenario against
     /// its `os_batch = 1` twin (the classic one-rendezvous-per-event
     /// syscall port), so this axis proves the credit-based
     /// aggregate-reply protocol bit-exact on the kernel path too.
     pub os_batch: usize,
-    /// Kernel reference filtering (ISSUE 6). Must be
-    /// statistics-neutral: the check stack diffs every scenario against
-    /// its toggled twin, so this axis proves the kernel-side L1/TLB
-    /// mirror with its precharge/credit replay protocol bit-exact
-    /// across the whole scenario space.
-    pub kernel_filter: bool,
     /// Checkpoint/resume differential (ISSUE 8). When set, the check
     /// stack records the scenario with `checkpoint_every`, resumes it
     /// (and resumes under flipped transport knobs), and requires
@@ -191,17 +180,17 @@ impl Scenario {
             PlacementPolicy::RoundRobin,
             PlacementPolicy::Block(2),
         ][rng.gen_range(0..3usize)];
-        // Drawn last so adding the axis left every earlier draw (and thus
-        // every historical seed's scenario shape) unchanged.
-        let filter = rng.gen_bool(0.5);
-        // The retired shard-worker axis was drawn here. The draw stays —
-        // house rule: the draw order only ever grows, so every historical
-        // seed keeps generating the same scenario.
+        // The retired frontend-filter and shard-worker axes were drawn
+        // here. The draws stay — house rule: the draw order only ever
+        // grows, so every historical seed keeps generating the same
+        // scenario (`historical_seeds_keep_their_scenarios` pins it).
+        let _ = rng.gen_bool(0.5);
         let _ = rng.gen_range(0..3usize);
-        // Kernel-path knobs (ISSUE 6), again drawn last so every
+        // Kernel-path knob (ISSUE 6), again drawn last so every
         // historical seed keeps its scenario shape.
         let os_batch = [1usize, 8, 64][rng.gen_range(0..3usize)];
-        let kernel_filter = rng.gen_bool(0.5);
+        // The retired kernel-filter axis was drawn here; the draw stays.
+        let _ = rng.gen_bool(0.5);
         // Checkpoint axis (ISSUE 8), drawn last for the same reason.
         let ckpt = rng.gen_bool(0.5);
         // Disk-wake axis (ISSUE 9), drawn last — house rule: new axes
@@ -218,9 +207,7 @@ impl Scenario {
             sched,
             preempt,
             placement,
-            filter,
             os_batch,
-            kernel_filter,
             ckpt,
             disk_wake,
             schedule,
@@ -386,12 +373,6 @@ impl Scenario {
                     ..*self
                 });
             }
-            if self.kernel_filter {
-                push(Scenario {
-                    kernel_filter: false,
-                    ..*self
-                });
-            }
             if self.ckpt {
                 push(Scenario {
                     ckpt: false,
@@ -479,12 +460,6 @@ impl Scenario {
             if self.preempt {
                 push(Scenario {
                     preempt: false,
-                    ..*self
-                });
-            }
-            if self.filter {
-                push(Scenario {
-                    filter: false,
                     ..*self
                 });
             }
@@ -617,12 +592,8 @@ mod tests {
             assert!(scenarios.iter().any(|s| s.preset == preset));
         }
         assert!(scenarios.iter().any(|s| s.preempt));
-        assert!(scenarios.iter().any(|s| s.filter));
-        assert!(scenarios.iter().any(|s| !s.filter));
         assert!(scenarios.iter().any(|s| s.os_batch == 1));
         assert!(scenarios.iter().any(|s| s.os_batch > 1));
-        assert!(scenarios.iter().any(|s| s.kernel_filter));
-        assert!(scenarios.iter().any(|s| !s.kernel_filter));
         assert!(scenarios.iter().any(|s| s.ckpt));
         assert!(scenarios.iter().any(|s| !s.ckpt));
         assert!(scenarios.iter().any(|s| s.disk_wake));
@@ -650,5 +621,100 @@ mod tests {
             }
         }
         panic!("shrinking did not terminate: {sc:?}");
+    }
+
+    /// Historical seeds keep their scenarios: a retired axis keeps its
+    /// draw, so every remaining field of these seeds never moves.
+    #[test]
+    fn historical_seeds_keep_their_scenarios() {
+        let pinned = [
+            (
+                0,
+                Workload::Sci {
+                    rows: 2,
+                    cols: 8,
+                    iters: 1,
+                },
+                4,
+                ArchPreset::SimpleSmp,
+                Geometry::Default,
+                SchedPolicy::Fcfs,
+                true,
+                PlacementPolicy::RoundRobin,
+                1,
+                true,
+                false,
+                9_693_749_374_903_693_122,
+            ),
+            (
+                8,
+                Workload::Tpcc { txns: 2 },
+                2,
+                ArchPreset::Coma2x2,
+                Geometry::WideLines,
+                SchedPolicy::Fcfs,
+                false,
+                PlacementPolicy::Block(2),
+                64,
+                false,
+                false,
+                3_037_686_178_332_931_172,
+            ),
+            (
+                1998,
+                Workload::Sci {
+                    rows: 5,
+                    cols: 24,
+                    iters: 2,
+                },
+                5,
+                ArchPreset::CcNuma2x2,
+                Geometry::WideLines,
+                SchedPolicy::Affinity,
+                false,
+                PlacementPolicy::Block(2),
+                8,
+                true,
+                false,
+                4_515_195_573_538_475_775,
+            ),
+        ];
+        for (
+            seed,
+            workload,
+            nprocs,
+            preset,
+            geometry,
+            sched,
+            preempt,
+            placement,
+            os_batch,
+            ckpt,
+            disk_wake,
+            schedule,
+        ) in pinned
+        {
+            let s = Scenario::from_seed(seed);
+            assert_eq!(
+                (
+                    s.workload,
+                    s.nprocs,
+                    s.preset,
+                    s.geometry,
+                    s.sched,
+                    s.preempt,
+                    s.placement,
+                    s.os_batch,
+                    s.ckpt,
+                    s.disk_wake,
+                    s.schedule
+                ),
+                (
+                    workload, nprocs, preset, geometry, sched, preempt, placement, os_batch, ckpt,
+                    disk_wake, schedule
+                ),
+                "seed {seed} changed its scenario"
+            );
+        }
     }
 }

@@ -132,9 +132,7 @@ pub fn resume_inflight(dir: &Path, seed: u64) -> (bool, Vec<String>) {
         1,
         false,
         false,
-        sc.filter,
         sc.os_batch,
-        sc.kernel_filter,
         sc.disk_wake,
         CkptMode::Resume { path: &ckpt },
     );
@@ -144,16 +142,7 @@ pub fn resume_inflight(dir: &Path, seed: u64) -> (bool, Vec<String>) {
             // to finish. Resume replays the pre-cut stream, swaps the
             // snapshot in, and continues live, so the two must agree on
             // every backend statistic.
-            match check::run_scenario(
-                &sc,
-                1,
-                false,
-                false,
-                sc.filter,
-                sc.os_batch,
-                sc.kernel_filter,
-                sc.disk_wake,
-            ) {
+            match check::run_scenario(&sc, 1, false, false, sc.os_batch, sc.disk_wake) {
                 Ok(twin) => {
                     for d in diff::diff_backend_stats(&twin.report.backend, &resumed.report.backend)
                     {

@@ -38,9 +38,7 @@ fn record_baseline_with_cuts(dir: &std::path::Path, seed: u64) -> bool {
         1,
         false,
         false,
-        sc.filter,
         sc.os_batch,
-        sc.kernel_filter,
         sc.disk_wake,
         CkptMode::Record {
             every: 500,

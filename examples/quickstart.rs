@@ -7,10 +7,6 @@
 //! daemon, and the backend attributes every cycle.
 //!
 //! Run: `cargo run --release --example quickstart`
-//!
-//! Set `COMPASS_FILTER=1` to turn on frontend reference filtering
-//! (private L1/TLB mirrors, ISSUE 4); every printed statistic is
-//! bit-identical either way.
 
 use compass::report::{format_syscall_table, format_table1};
 use compass::{ArchConfig, CpuCtx, SimBuilder};
@@ -25,7 +21,7 @@ fn main() {
         arch.nodes
     );
 
-    let mut builder = SimBuilder::new(arch)
+    let report = SimBuilder::new(arch)
         .prepare_kernel(|k| {
             k.create_file("/data/input", FileData::Synthetic { len: 64 * 1024 });
         })
@@ -55,9 +51,8 @@ fn main() {
             }
             cpu.os_call(OsCall::Close { fd }).unwrap();
             assert_eq!(total, 64 * 1024);
-        });
-    builder.config_mut().filter = std::env::var_os("COMPASS_FILTER").is_some_and(|v| v == "1");
-    let report = builder.run();
+        })
+        .run();
 
     println!("simulated cycles : {}", report.backend.global_cycles);
     println!("events processed : {}", report.backend.events);

@@ -5,8 +5,8 @@
 //! workload live, feeds the models from the stream under the
 //! resume-identity oracle, swaps the snapshot in at the cut, and must
 //! finish with **bit-identical** `BackendStats` — at every combination
-//! of transport knobs (batch depth, reference filter),
-//! because those are stats-neutral by construction. Fast-forward skips
+//! transport setting (batch depth), because those are stats-neutral by
+//! construction. Fast-forward skips
 //! the timing models during warmup, so a long run becomes
 //! checkpoint-warm-then-measure; timing-independent counters must agree
 //! with a cold run. Corrupt checkpoints must error, never panic.
@@ -94,7 +94,7 @@ enum Ckpt<'a> {
     Resume(&'a Path),
 }
 
-fn builder(nprocs: u16, steps: u32, depth: usize, filter: bool) -> SimBuilder {
+fn builder(nprocs: u16, steps: u32, depth: usize) -> SimBuilder {
     let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
         k.create_file("/ckpt.dat", FileData::Synthetic { len: 64 * 1024 });
     });
@@ -102,14 +102,13 @@ fn builder(nprocs: u16, steps: u32, depth: usize, filter: bool) -> SimBuilder {
         b = b.add_process(chaos(0xC0FFEE, rank, nprocs, steps));
     }
     b.config_mut().backend.batch_depth = depth;
-    b.config_mut().filter = filter;
     b.config_mut().backend.timer_interval = Some(500_000);
     b.config_mut().backend.deadlock_ms = 10_000;
     b
 }
 
-fn run(depth: usize, filter: bool, ckpt: Ckpt) -> RunReport {
-    let mut b = builder(3, 40, depth, filter);
+fn run(depth: usize, ckpt: Ckpt) -> RunReport {
+    let mut b = builder(3, 40, depth);
     b = match ckpt {
         Ckpt::Off => b,
         Ckpt::Record(p) => b.checkpoint_every(700, p),
@@ -130,19 +129,18 @@ fn assert_bit_identical(a: &BackendStats, b: &BackendStats, what: &str) {
     );
 }
 
-/// Cold vs record vs resume across depth {1,16} x filter on/off: all
-/// bit-identical.
+/// Cold vs record vs resume across depth {1,16}: all bit-identical.
 #[test]
 fn resume_is_bit_identical_across_the_knob_matrix() {
-    let cold = run(1, false, Ckpt::Off);
-    for &(depth, filter) in &[(1usize, false), (16, true), (1, true), (16, false)] {
-        let what = format!("depth={depth} filter={filter}");
-        let path = tmp(&format!("mx-{depth}-{filter}"));
+    let cold = run(1, Ckpt::Off);
+    for depth in [1usize, 16] {
+        let what = format!("depth={depth}");
+        let path = tmp(&format!("mx-{depth}"));
         let _ = std::fs::remove_file(&path);
-        let rec = run(depth, filter, Ckpt::Record(&path));
+        let rec = run(depth, Ckpt::Record(&path));
         assert_bit_identical(&cold.backend, &rec.backend, &format!("record {what}"));
         assert!(path.exists(), "{what}: no cut was written");
-        let res = run(depth, filter, Ckpt::Resume(&path));
+        let res = run(depth, Ckpt::Resume(&path));
         assert_bit_identical(&cold.backend, &res.backend, &format!("resume {what}"));
         let _ = std::fs::remove_file(&path);
     }
@@ -153,12 +151,12 @@ fn resume_is_bit_identical_across_the_knob_matrix() {
 /// transport-invariant).
 #[test]
 fn resume_under_different_knobs_is_bit_identical() {
-    let cold = run(1, false, Ckpt::Off);
+    let cold = run(1, Ckpt::Off);
     let path = tmp("knobs");
     let _ = std::fs::remove_file(&path);
-    let _ = run(1, false, Ckpt::Record(&path));
+    let _ = run(1, Ckpt::Record(&path));
     assert!(path.exists());
-    let res = run(16, true, Ckpt::Resume(&path));
+    let res = run(16, Ckpt::Resume(&path));
     assert_bit_identical(&cold.backend, &res.backend, "resume under flipped knobs");
     let _ = std::fs::remove_file(&path);
 }
@@ -169,7 +167,7 @@ fn resume_under_different_knobs_is_bit_identical() {
 #[test]
 fn resume_mid_soak_after_injected_abort() {
     let wild_after = |wild: bool, ckpt: Ckpt| {
-        let mut b = builder(2, 40, 1, false);
+        let mut b = builder(2, 40, 1);
         b = b.add_process(move |cpu: &mut CpuCtx| {
             let heap = cpu.malloc_pages(4 * 4096);
             for i in 0..600u32 {
@@ -215,8 +213,8 @@ fn resume_mid_soak_after_injected_abort() {
 /// match a cold run; memory-model traffic shrinks.
 #[test]
 fn fast_forward_matches_cold_on_timing_independent_counters() {
-    let cold = run(1, false, Ckpt::Off);
-    let mut b = builder(3, 40, 1, false);
+    let cold = run(1, Ckpt::Off);
+    let mut b = builder(3, 40, 1);
     b = b.fast_forward(2_000);
     let ff = b.run();
     for (pid, (a, b)) in cold.frontends.iter().zip(&ff.frontends).enumerate() {
@@ -244,11 +242,11 @@ fn fast_forward_matches_cold_on_timing_independent_counters() {
 fn fast_forward_then_checkpoint_then_resume_is_bit_identical() {
     let path = tmp("ffck");
     let _ = std::fs::remove_file(&path);
-    let mut b = builder(3, 40, 1, false);
+    let mut b = builder(3, 40, 1);
     b = b.fast_forward(300).checkpoint_every(300, &path);
     let rec = b.run();
     assert!(path.exists(), "no cut written after warmup");
-    let mut b = builder(3, 40, 1, false);
+    let mut b = builder(3, 40, 1);
     b = b.resume(&path);
     let res = b.run();
     assert_bit_identical(&rec.backend, &res.backend, "ff+checkpoint resume");
@@ -261,13 +259,13 @@ fn fast_forward_then_checkpoint_then_resume_is_bit_identical() {
 fn corrupt_checkpoints_error_instead_of_panicking() {
     let path = tmp("corrupt");
     let _ = std::fs::remove_file(&path);
-    let _ = run(1, false, Ckpt::Record(&path));
+    let _ = run(1, Ckpt::Record(&path));
     let frame = std::fs::read(&path).expect("checkpoint written");
 
     let expect_ckpt_err = |bytes: &[u8], what: &str| {
         let bad = tmp("corrupt-bad");
         std::fs::write(&bad, bytes).unwrap();
-        let err = builder(3, 40, 1, false)
+        let err = builder(3, 40, 1)
             .resume(&bad)
             .try_run()
             .expect_err(&format!("{what} must fail"));
@@ -291,7 +289,7 @@ fn corrupt_checkpoints_error_instead_of_panicking() {
     // Garbage that is not a frame at all.
     expect_ckpt_err(b"not a checkpoint", "garbage file");
     // Missing file.
-    let missing = builder(3, 40, 1, false)
+    let missing = builder(3, 40, 1)
         .resume(tmp("never-written"))
         .try_run()
         .expect_err("missing checkpoint must fail");

@@ -3,8 +3,8 @@
 //! appends keep the simulated disks busy, with the per-disk operation
 //! counts and the headline `BackendStats` quantities pinned to literals.
 //! The anchor is then replayed across the kernel-path knobs — OS-port
-//! batch depth × kernel reference filtering × the event-driven disk
-//! path (`disk_wake`) — all pure transport optimisations that must
+//! batch depth × the event-driven disk path (`disk_wake`) — both pure
+//! transport optimisations that must
 //! reproduce every pinned value bit for bit, disk timeline included.
 //! Intentional timing-model changes re-pin the literals (the failure
 //! message prints the fresh values).
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 const TERMINALS: usize = 3;
 
-fn run_db2(kernel_batch_depth: usize, kernel_filter: bool, disk_wake: bool) -> Anchor {
+fn run_db2(kernel_batch_depth: usize, disk_wake: bool) -> Anchor {
     let cfg = TpccConfig {
         txns_per_terminal: 6,
         seed: 0xD15C,
@@ -51,7 +51,6 @@ fn run_db2(kernel_batch_depth: usize, kernel_filter: bool, disk_wake: bool) -> A
     c.backend.deadlock_ms = 30_000;
     c.backend.timer_interval = Some(2_000_000);
     c.kernel_batch_depth = kernel_batch_depth;
-    c.kernel_filter = kernel_filter;
     c.disk_wake = disk_wake;
     let report = b.run();
     let terminals = sink.lock().clone();
@@ -65,8 +64,8 @@ struct Anchor {
 
 #[test]
 fn fixed_seed_db2lite_disk_results_are_pinned() {
-    // Baseline: the shipped defaults (depth 8, unfiltered, disk_wake on).
-    let base = run_db2(8, false, true);
+    // Baseline: the shipped defaults (depth 8, disk_wake on).
+    let base = run_db2(8, true);
 
     // Per-terminal transaction mix — a pure function of (seed, rank)
     // plus lock outcomes.
@@ -104,7 +103,7 @@ fn fixed_seed_db2lite_disk_results_are_pinned() {
     assert_eq!(b.soft_faults, 33, "soft fault count moved");
 
     // Bit-stability across an identical rerun.
-    let again = run_db2(8, false, true);
+    let again = run_db2(8, true);
     assert_eq!(
         base.terminals, again.terminals,
         "terminal stats not bit-stable"
@@ -115,30 +114,20 @@ fn fixed_seed_db2lite_disk_results_are_pinned() {
         "BackendStats not bit-stable across identical runs"
     );
 
-    // Knob twins: kernel_batch_depth × kernel_filter × disk_wake must
-    // replay the very same anchor — the event-driven disk path settles
-    // the same latencies through the port credit that the per-reference
+    // Knob twins: kernel_batch_depth × disk_wake must replay the very
+    // same anchor — the event-driven disk path settles the same
+    // latencies through the port credit that the per-reference
     // rendezvous charged directly (see DESIGN.md).
-    for (kb, kf, dw) in [
-        (1, false, false),
-        (1, false, true),
-        (64, false, false),
-        (64, false, true),
-        (8, true, false),
-        (8, false, false),
-        (64, true, true),
-    ] {
-        let twin = run_db2(kb, kf, dw);
+    for (kb, dw) in [(1, false), (1, true), (64, false), (64, true), (8, false)] {
+        let twin = run_db2(kb, dw);
         assert_eq!(
             base.terminals, twin.terminals,
-            "terminal stats moved at kernel_batch_depth={kb} \
-             kernel_filter={kf} disk_wake={dw}"
+            "terminal stats moved at kernel_batch_depth={kb} disk_wake={dw}"
         );
         assert_eq!(
             format!("{:#?}", base.report.backend),
             format!("{:#?}", twin.report.backend),
-            "BackendStats moved at kernel_batch_depth={kb} \
-             kernel_filter={kf} disk_wake={dw}"
+            "BackendStats moved at kernel_batch_depth={kb} disk_wake={dw}"
         );
     }
 }

@@ -83,7 +83,7 @@ fn chaos_process(seed: u64, nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
     }
 }
 
-fn run_chaos_at_depth(mode: EngineMode, nprocs: u16, batch_depth: usize) -> BackendStats {
+fn chaos_builder(mode: EngineMode, nprocs: u16, batch_depth: usize) -> SimBuilder {
     let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
         k.create_file("/chaos", FileData::Synthetic { len: 96 * 1024 });
     });
@@ -94,11 +94,11 @@ fn run_chaos_at_depth(mode: EngineMode, nprocs: u16, batch_depth: usize) -> Back
     b.config_mut().backend.timer_interval = Some(500_000);
     b.config_mut().backend.deadlock_ms = 10_000;
     b.config_mut().backend.batch_depth = batch_depth;
-    b.run().backend
+    b
 }
 
 fn run_chaos(mode: EngineMode, nprocs: u16) -> BackendStats {
-    run_chaos_at_depth(mode, nprocs, 8)
+    chaos_builder(mode, nprocs, 8).run().backend
 }
 
 fn assert_same(a: &BackendStats, b: &BackendStats) {
@@ -128,28 +128,106 @@ fn engine_modes_produce_identical_simulations() {
     assert_same(&serial, &pipe);
 }
 
+/// Reader/writer ping-pong over one shared line: every round the
+/// writer's store invalidates the reader's cached copy.
+fn pingpong_process(role: usize) -> impl FnMut(&mut CpuCtx) + Send {
+    move |cpu: &mut CpuCtx| {
+        let seg = cpu.shmget(0xBEEF, 4096);
+        let base = cpu.shmat(seg);
+        for _ in 0..20 {
+            if role == 0 {
+                for _ in 0..50 {
+                    cpu.load(base, 8);
+                }
+            } else {
+                cpu.store(base, 8);
+                cpu.compute(200);
+            }
+            cpu.barrier(base + 256, 2);
+        }
+        cpu.barrier(base + 256, 2);
+    }
+}
+
+/// Maps a file region, touches it twice under first-touch placement and
+/// unmaps it, four times over: the page tables are torn down and rebuilt
+/// between rounds.
+fn remap_process() -> impl FnMut(&mut CpuCtx) + Send {
+    move |cpu: &mut CpuCtx| {
+        for _ in 0..4 {
+            let region = cpu.mmap("/data", 4 * 4096).expect("mmap");
+            cpu.touch_range(region, 4 * 4096, 64, false);
+            cpu.touch_range(region, 4 * 4096, 64, true);
+            cpu.munmap(region, 4 * 4096).expect("munmap");
+        }
+    }
+}
+
+/// Requires `build(depth)` to simulate byte-identically at every depth in
+/// `depths` to the classic depth-1 rendezvous.
+fn assert_depth_invariant(what: &str, depths: &[usize], build: impl Fn(usize) -> SimBuilder) {
+    let bytes = |s: &BackendStats| format!("{s:#?}").into_bytes();
+    let d1 = build(1).run().backend;
+    for &depth in depths {
+        let d = build(depth).run().backend;
+        assert_same(&d1, &d);
+        assert_eq!(
+            bytes(&d1),
+            bytes(&d),
+            "{what}: depth {depth} stats not byte-identical to depth 1"
+        );
+    }
+}
+
 #[test]
 fn batch_depth_does_not_change_the_simulation() {
     // The batched communicator is a host-performance knob only: the
-    // backend's credit accounting must make depths 1 (classic per-event
-    // rendezvous), 4 and 16 byte-identical — same event stream, same
+    // backend's credit accounting must make every depth byte-identical to
+    // depth 1 (classic per-event rendezvous) — same event stream, same
     // global order, same attribution — not merely statistically close.
-    let d1 = run_chaos_at_depth(EngineMode::Pipelined, 3, 1);
-    let d4 = run_chaos_at_depth(EngineMode::Pipelined, 3, 4);
-    let d16 = run_chaos_at_depth(EngineMode::Pipelined, 3, 16);
-    let bytes = |s: &BackendStats| format!("{s:#?}").into_bytes();
-    assert_same(&d1, &d4);
-    assert_same(&d1, &d16);
-    assert_eq!(
-        bytes(&d1),
-        bytes(&d4),
-        "depth 4 stats not byte-identical to depth 1"
-    );
-    assert_eq!(
-        bytes(&d1),
-        bytes(&d16),
-        "depth 16 stats not byte-identical to depth 1"
-    );
+    assert_depth_invariant("chaos", &[4, 16], |d| {
+        chaos_builder(EngineMode::Pipelined, 3, d)
+    });
+    // More processes than CPUs: context switches migrate processes
+    // between CPUs mid-batch.
+    assert_depth_invariant("oversubscribed chaos", &[8], |d| {
+        chaos_builder(EngineMode::Pipelined, 5, d)
+    });
+    // Serialized ("uniprocessor host") mode with sampled references.
+    assert_depth_invariant("serialized+sampled", &[4], |d| {
+        let mut b = SimBuilder::new(ArchConfig::simple_smp(2)).prepare_kernel(|k| {
+            k.create_file("/chaos", FileData::Synthetic { len: 96 * 1024 });
+        });
+        for p in 0..2 {
+            b = b.add_process(chaos_process(p as u64 + 41, 2));
+        }
+        let c = b.config_mut();
+        c.backend.mode = EngineMode::Serialized;
+        c.backend.batch_depth = d;
+        c.backend.deadlock_ms = 10_000;
+        c.sample_period = 3;
+        b
+    });
+    // Directory invalidations of a line another CPU keeps re-reading.
+    assert_depth_invariant("pingpong", &[8], |d| {
+        let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2));
+        for role in 0..2 {
+            b = b.add_process(pingpong_process(role));
+        }
+        b.config_mut().backend.batch_depth = d;
+        b.config_mut().backend.deadlock_ms = 10_000;
+        b
+    });
+    // Unmap and remap under first-touch placement.
+    assert_depth_invariant("first-touch remap", &[8], |d| {
+        let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
+            k.create_file("/data", FileData::Synthetic { len: 4 * 4096 });
+        });
+        b = b.add_process(remap_process());
+        b.config_mut().backend.batch_depth = d;
+        b.config_mut().backend.deadlock_ms = 10_000;
+        b
+    });
 }
 
 #[test]

@@ -17,9 +17,9 @@ const DEPTHS: [Knob; 4] = [
     Knob::Depth(16),
     Knob::Depth(64),
 ];
-const KERNEL_FILTERS: [Knob; 2] = [Knob::KernelFilter(false), Knob::KernelFilter(true)];
+const DISK_WAKE: [Knob; 2] = [Knob::DiskWake(true), Knob::DiskWake(false)];
 const OS_BATCH: [Knob; 3] = [Knob::OsBatch(1), Knob::OsBatch(8), Knob::OsBatch(64)];
-const FILTERS: [Knob; 2] = [Knob::Filter(false), Knob::Filter(true)];
+const PREEMPT: [Knob; 2] = [Knob::Preempt(false), Knob::Preempt(true)];
 
 proptest! {
     /// Cartesian cardinality: the expansion is exactly the product of
@@ -29,17 +29,17 @@ proptest! {
     #[test]
     fn expansion_cardinality_is_product_of_axis_sizes(
         nd in 1usize..=4,
-        nk in 1usize..=2,
+        nw in 1usize..=2,
         nb in 1usize..=3,
-        nf in 1usize..=2,
+        np in 1usize..=2,
     ) {
         let lat = Lattice::new("sci_small", presets::sci_small())
             .axis(&DEPTHS[..nd])
-            .axis(&KERNEL_FILTERS[..nk])
+            .axis(&DISK_WAKE[..nw])
             .axis(&OS_BATCH[..nb])
-            .axis(&FILTERS[..nf]);
+            .axis(&PREEMPT[..np]);
         let points = lat.expand();
-        prop_assert_eq!(points.len(), nd * nk * nb * nf);
+        prop_assert_eq!(points.len(), nd * nw * nb * np);
         prop_assert_eq!(lat.cardinality(), points.len());
         let (unique, map) = dedupe(&points);
         prop_assert_eq!(unique.len(), points.len(), "distinct axis values collapsed");
@@ -54,7 +54,7 @@ proptest! {
         let build = || {
             Lattice::new("seeded", compass_simcheck::Scenario::from_seed(seed))
                 .axis(&DEPTHS[..3])
-                .axis(&FILTERS)
+                .axis(&PREEMPT)
         };
         let a = build().expand();
         let b = build().expand();
@@ -72,7 +72,7 @@ proptest! {
 fn identical_configs_collapse_under_dedupe() {
     let lat = Lattice::new("sci_small", presets::sci_small())
         .axis(&DEPTHS[..2])
-        .axis(&FILTERS);
+        .axis(&PREEMPT);
     let mut points = lat.expand();
     let n = points.len();
     points.extend(lat.expand());

@@ -206,8 +206,8 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
     // crossing. Failures must come back *per call* — an errno in the
     // middle of a batch aborts nothing — and the simulated timeline must
     // be identical to issuing the same calls one `Call` at a time, at
-    // any kernel batch depth, filtered or not.
-    fn run_once(batched: bool, kernel_batch_depth: usize, kernel_filter: bool) -> u64 {
+    // any kernel batch depth.
+    fn run_once(batched: bool, kernel_batch_depth: usize) -> u64 {
         let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
             .prepare_kernel(|k| {
                 k.create_file("/f", compass_os::fs::FileData::Synthetic { len: 4_096 });
@@ -254,20 +254,14 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
         let c = b.config_mut();
         c.backend.deadlock_ms = 3_000;
         c.kernel_batch_depth = kernel_batch_depth;
-        c.kernel_filter = kernel_filter;
         b.run().backend.global_cycles
     }
-    let anchor = run_once(false, 1, false);
-    for (batched, kb, kf) in [
-        (true, 1, false),
-        (true, 64, false),
-        (false, 64, true),
-        (true, 8, true),
-    ] {
+    let anchor = run_once(false, 1);
+    for (batched, kb) in [(true, 1), (true, 64), (false, 64), (true, 8)] {
         assert_eq!(
-            run_once(batched, kb, kf),
+            run_once(batched, kb),
             anchor,
-            "timeline moved: batched={batched} kernel_batch_depth={kb} kernel_filter={kf}"
+            "timeline moved: batched={batched} kernel_batch_depth={kb}"
         );
     }
 }
