@@ -12,19 +12,12 @@ cargo run --release -q -p compass-simcheck -- --soak 30
 # BENCH_obs.json) and exits nonzero on any malformed or silent output.
 cargo run --release -q -p compass-bench --bin report_obs -- target/obs-smoke >/dev/null
 # Fleet smoke: the design-space runner sweeps every knob family across
-# four workloads (frontend depth, OS-port batch, disk wake, checkpoint
-# record/resume), dedupes shared baselines, re-runs a sampled subset at
-# the transport baseline and requires bit-identical BackendStats, and
-# gates on zero neutrality violations in the per-axis sensitivity deltas.
-# This subsumes the report_ckpt smoke.
+# four workloads (batch depth on the compute-, OS/disk- and
+# network-heavy ones, checkpoint record/resume on TPC-C), re-runs a
+# sampled subset at the transport baseline and requires bit-identical
+# BackendStats, and gates on zero neutrality violations in the per-axis
+# sensitivity deltas.
 cargo run --release -q -p compass-fleet -- --smoke --out target/BENCH_fleet_smoke.json
-# OS-server-wall smoke: httplite BackendStats must be bit-identical
-# across frontend and OS-port batching and the disk-wake path (exits
-# nonzero on any divergence), and the measured short-scale speedup of the
-# deepest batched row must stay within 20% of the committed
-# BENCH_http.json headline (override the baseline artifact with
-# BENCH_HTTP_BASELINE).
-cargo run --release -q -p compass-bench --bin report_http -- --smoke
 # The benchmark (read-only here): BENCHMARK.json must match the
 # benchmark's own catalogue field by field, and its unit tests must pass.
 # The unit tests build benchmark/ against this workspace, so they also

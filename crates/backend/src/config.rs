@@ -6,25 +6,6 @@ use compass_isa::Cycles;
 use compass_mem::PlacementPolicy;
 use serde::{Deserialize, Serialize};
 
-/// The engine's pickup discipline between rendezvous (§5, Tables 2–3).
-///
-/// Frontends run as tasks on the engine's own host thread (see the engine
-/// module docs), so neither mode overlaps frontends with the backend on
-/// the host any more; the modes differ only in how much the engine does
-/// before resuming the frontends it released. Results are identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// "Uniprocessor host": after replying to a process the backend waits
-    /// for that process's next post before touching anything else, so
-    /// exactly one entity runs at a time — the rendezvous per event models
-    /// the context switch the paper's uniprocessor deployment pays.
-    Serialized,
-    /// "SMP host": the backend processes every *safe* pending event before
-    /// resuming the frontends it released. (With frontends on host threads
-    /// they computed concurrently meanwhile; as tasks they run after.)
-    Pipelined,
-}
-
 /// Process-scheduler policies (§3.3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedPolicy {
@@ -43,8 +24,6 @@ pub enum SchedPolicy {
 pub struct BackendConfig {
     /// Target architecture model.
     pub arch: ArchConfig,
-    /// Host-overlap mode.
-    pub mode: EngineMode,
     /// Scheduler policy.
     pub sched: SchedPolicy,
     /// Pre-emption interval; `None` disables the pre-emptive scheduler.
@@ -76,11 +55,13 @@ pub struct BackendConfig {
     pub deadlock_ms: u64,
     /// Which simulated CPU device interrupts are routed to.
     pub irq_cpu: usize,
-    /// Frontend event-batch depth: how many events a frontend publishes
-    /// into its port ring before rendezvousing (1 = classic per-event
-    /// rendezvous; the runner sizes port rings from this). Credit
-    /// accounting makes results identical at any depth (see the engine
-    /// module docs), so this is purely a host-performance knob.
+    /// Event-batch depth of every poster: how many events a frontend, an
+    /// OS thread on the syscall path or the bottom-half daemon's
+    /// interrupt handlers publish into a port ring before rendezvousing
+    /// (1 = classic per-event rendezvous; the runner sizes port rings
+    /// from this). Credit accounting makes results identical at any depth
+    /// (see the engine module docs), so this is purely a host-performance
+    /// knob.
     pub batch_depth: usize,
 }
 
@@ -101,7 +82,6 @@ impl BackendConfig {
     pub fn config_hash(&self) -> u64 {
         let BackendConfig {
             arch,
-            mode,
             sched,
             preempt_interval,
             placement,
@@ -118,10 +98,6 @@ impl BackendConfig {
         } = self;
         let mut w = compass_snap::Writer::new();
         w.u64(compass_arch::Hierarchy::config_hash(arch));
-        w.u8(match mode {
-            EngineMode::Serialized => 0,
-            EngineMode::Pipelined => 1,
-        });
         w.u8(match sched {
             SchedPolicy::Fcfs => 0,
             SchedPolicy::Affinity => 1,
@@ -167,7 +143,6 @@ impl BackendConfig {
     pub fn new(arch: ArchConfig) -> Self {
         BackendConfig {
             arch,
-            mode: EngineMode::Pipelined,
             sched: SchedPolicy::Fcfs,
             preempt_interval: None,
             placement: PlacementPolicy::FirstTouch,

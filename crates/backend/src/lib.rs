@@ -8,8 +8,8 @@
 //!
 //! Modules:
 //!
-//! * [`config`] — backend configuration (engine mode, scheduler policy,
-//!   page placement, device parameters);
+//! * [`config`] — backend configuration (scheduler policy, page
+//!   placement, device parameters, frontend batch depth);
 //! * [`sched`] — the process scheduler: FCFS, affinity and pre-emptive
 //!   variants (§3.3.2);
 //! * [`vm`] — virtual-memory management: per-process page tables, demand
@@ -26,8 +26,7 @@
 //! * [`stats`] — per-process and global time-attribution counters (the
 //!   data behind Table 1);
 //! * [`engine`] — the scan/take/simulate/reply loop with the
-//!   least-execution-time pickup rule and its serialized ("uniprocessor
-//!   host") and pipelined ("SMP host") modes;
+//!   least-execution-time pickup rule;
 //! * `scan` — the engine's least-time index, a fixed min-tournament over
 //!   the process slots;
 //! * [`ckpt`] — checkpoint files: the recorded architecture-outcome
@@ -53,7 +52,7 @@ pub mod trace;
 pub mod vm;
 
 pub use ckpt::{ArchRecord, CheckpointData, CKPT_VERSION};
-pub use config::{BackendConfig, EngineMode, SchedPolicy};
+pub use config::{BackendConfig, SchedPolicy};
 pub use devices::{DiskParams, NetParams, TrafficSource};
 pub use engine::{Backend, SimOutcome};
 pub use error::{DeadlockKind, DeadlockReport, ProcDump, RunError, WildAccessReport};

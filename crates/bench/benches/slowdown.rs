@@ -1,10 +1,9 @@
-//! T2/T3 — slowdown benchmarks: the same TPC-D query raw, under the
-//! simple backend, and under the complex backend (Table 2's columns), and
-//! the serialized-vs-pipelined engine modes (Table 3's uniprocessor vs
-//! SMP hosts). `report_table2` / `report_table3` print the actual
-//! slowdown factors.
+//! T2 — slowdown benchmarks: the same TPC-D query raw, under the simple
+//! backend, and under the complex backend (Table 2's columns), and a
+//! 4-way CC-NUMA run across event-batch depths. `report_table2` prints
+//! the actual slowdown factors.
 
-use compass::{ArchConfig, EngineMode};
+use compass::ArchConfig;
 use compass_bench::TpcdRun;
 use compass_workloads::db2lite::tpcd::{Query, TpcdConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -37,23 +36,6 @@ fn bench_slowdown(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut run = TpcdRun::new(arch.clone());
-                run.mode = EngineMode::Serialized;
-                run.data = data();
-                run.query = Query::Q1(1_600);
-                run.run()
-            })
-        });
-    }
-
-    for (name, mode) in [
-        ("smp_serialized", EngineMode::Serialized),
-        ("smp_pipelined", EngineMode::Pipelined),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut run = TpcdRun::new(ArchConfig::ccnuma(2, 2));
-                run.mode = mode;
-                run.workers = 4;
                 run.data = data();
                 run.query = Query::Q1(1_600);
                 run.run()
@@ -62,12 +44,11 @@ fn bench_slowdown(c: &mut Criterion) {
     }
 
     // Event-batch depth sweep: same simulation (bit-identical stats), less
-    // rendezvous overhead per event as the depth grows.
-    for depth in [1usize, 4, 16] {
-        g.bench_function(format!("smp_pipelined_batch_{depth}"), |b| {
+    // rendezvous overhead per event as the depth grows (8 is the default).
+    for depth in [1usize, 4, 8, 16] {
+        g.bench_function(format!("smp_batch_{depth}"), |b| {
             b.iter(|| {
                 let mut run = TpcdRun::new(ArchConfig::ccnuma(2, 2));
-                run.mode = EngineMode::Pipelined;
                 run.workers = 4;
                 run.batch_depth = depth;
                 run.data = data();

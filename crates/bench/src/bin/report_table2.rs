@@ -19,7 +19,7 @@
 //! is the reproduction target: slowdown(simple) and slowdown(complex)
 //! both ≫ 1, with complex ≥ simple.
 
-use compass::{ArchConfig, EngineMode};
+use compass::ArchConfig;
 use compass_bench::{slowdown_row, timed, TpcdRun};
 use compass_workloads::db2lite::tpcd::{Query, TpcdConfig};
 
@@ -36,7 +36,6 @@ fn main() {
     println!("paper: raw 52s, simple 16149s (310x), complex 34841s (670x)\n");
 
     let mut run = TpcdRun::new(ArchConfig::simple_smp(1));
-    run.mode = EngineMode::Serialized;
     run.workers = 1;
     run.data = data;
     run.query = Query::Q1(1_600);

@@ -5,9 +5,7 @@
 //! experiment index and EXPERIMENTS.md for the paper-vs-measured record.
 
 use compass::runner::RunReport;
-use compass::{
-    ArchConfig, CpuCtx, EngineMode, ObsConfig, PlacementPolicy, SchedPolicy, SimBuilder,
-};
+use compass::{ArchConfig, CpuCtx, ObsConfig, PlacementPolicy, SchedPolicy, SimBuilder};
 use compass_workloads::db2lite::tpcc::{self, TerminalStats, TpccConfig};
 use compass_workloads::db2lite::tpcd::{self, Query, QueryResults, TpcdConfig};
 use compass_workloads::db2lite::{Db2Config, Db2Shared};
@@ -30,8 +28,6 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 pub struct TpcdRun {
     /// Architecture.
     pub arch: ArchConfig,
-    /// Engine mode (Tables 2 vs 3).
-    pub mode: EngineMode,
     /// Parallel query workers.
     pub workers: u64,
     /// Data scale.
@@ -59,7 +55,6 @@ impl TpcdRun {
     pub fn new(arch: ArchConfig) -> Self {
         TpcdRun {
             arch,
-            mode: EngineMode::Pipelined,
             workers: 1,
             data: TpcdConfig::tiny(),
             query: Query::Q1(1_200),
@@ -95,7 +90,6 @@ impl TpcdRun {
             ));
         }
         let cfg = b.config_mut();
-        cfg.backend.mode = self.mode;
         cfg.backend.placement = self.placement;
         cfg.backend.sched = self.sched;
         cfg.backend.preempt_interval = self.preempt;

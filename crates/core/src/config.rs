@@ -15,30 +15,15 @@ pub struct SimConfig {
     pub kernel: KernelConfig,
     /// Frontend instruction timing.
     pub timing: TimingModel,
-    /// OS-thread pool size; defaults to one per process at run time when
-    /// zero.
-    pub os_threads: usize,
     /// Enable §3.2's user-mode pseudo-interrupt delivery in addition to
-    /// the bottom-half kernel daemon.
+    /// the bottom-half kernel daemon. Turns kernel-side batching off: the
+    /// OS threads and the daemon then post per event whatever
+    /// `backend.batch_depth` says (interrupt work must see the
+    /// authoritative clock and reply flags).
     pub pseudo_irq: bool,
     /// Interleaving granularity: post every Nth user memory reference
     /// (1 = the paper's basic-block-exact interleaving).
     pub sample_period: u32,
-    /// OS-port event-batch depth for syscall-path kernel code: kernel
-    /// memory references publish non-blocking events whose latencies the
-    /// backend settles through the port credit, exactly like the frontend
-    /// `batch_depth`. 1 disables; bit-identical results at any depth.
-    /// Silently ignored when `pseudo_irq` is on (interrupt work must stay
-    /// on the per-event protocol).
-    pub kernel_batch_depth: usize,
-    /// Event-driven disk path (ISSUE 9): the bottom-half daemon's
-    /// interrupt handlers ride the batched-event protocol (depth =
-    /// `kernel_batch_depth`), settling latencies through the port credit
-    /// instead of rendezvousing per kernel reference. Device-queue
-    /// drains only ever run at settled points, so results stay
-    /// bit-identical either way. Silently ignored when `pseudo_irq` is on
-    /// or `kernel_batch_depth` is 1.
-    pub disk_wake: bool,
     /// Observability: counters, structured trace, progress snapshots.
     /// Off by default; never consulted by simulation logic, so it cannot
     /// change simulated results.
@@ -57,11 +42,8 @@ impl SimConfig {
             backend,
             kernel,
             timing: TimingModel::powerpc_604(),
-            os_threads: 0,
             pseudo_irq: false,
             sample_period: 1,
-            kernel_batch_depth: 8,
-            disk_wake: true,
             obs: ObsConfig::default(),
         }
     }
@@ -69,8 +51,8 @@ impl SimConfig {
     /// Canonical hash of the whole simulated configuration: the backend
     /// hash ([`compass_backend::BackendConfig::config_hash`], which folds
     /// [`compass_arch::Hierarchy::config_hash`] with every engine knob)
-    /// followed by the kernel cost model, instruction timing, and the
-    /// frontend/OS transport knobs. Observability is excluded — it is
+    /// followed by the kernel cost model, instruction timing and the
+    /// frontend knobs. Observability is excluded — it is
     /// observation-only by construction and proven stats-neutral by
     /// simcheck, so two runs differing only in `obs` are the same
     /// configuration. The fleet runner dedupes lattice points on this.
@@ -83,11 +65,8 @@ impl SimConfig {
             backend,
             kernel,
             timing,
-            os_threads,
             pseudo_irq,
             sample_period,
-            kernel_batch_depth,
-            disk_wake,
             obs: _,
         } = self;
         let KernelConfig {
@@ -126,11 +105,8 @@ impl SimConfig {
             w.u64(timing.cost(class));
         }
         w.u32(timing.clock_mhz);
-        w.u64(*os_threads as u64);
         w.bool(*pseudo_irq);
         w.u32(*sample_period);
-        w.u64(*kernel_batch_depth as u64);
-        w.bool(*disk_wake);
         compass_snap::fnv1a64(&w.into_bytes())
     }
 
@@ -145,17 +121,9 @@ impl SimConfig {
                 self.kernel.ndisks, self.backend.disks
             ));
         }
-        if self.kernel_batch_depth == 0 {
-            return Err(
-                "kernel_batch_depth must be >= 1 (1 = classic per-event rendezvous)".into(),
-            );
-        }
         if self.sample_period == 0 {
             return Err("sample_period must be >= 1 (1 = every reference)".into());
         }
-        // Under pseudo-IRQ delivery `kernel_batch_depth > 1` and
-        // `disk_wake` are silently ignored rather than refused: they are
-        // on by default and pseudo_irq users never chose them.
         Ok(())
     }
 }
@@ -171,9 +139,9 @@ mod tests {
         obs.obs.counters = true;
         assert_eq!(base.config_hash(), obs.config_hash());
 
-        let mut kbatch = SimConfig::new(ArchConfig::ccnuma(2, 2));
-        kbatch.kernel_batch_depth = 1;
-        assert_ne!(base.config_hash(), kbatch.config_hash());
+        let mut batch = SimConfig::new(ArchConfig::ccnuma(2, 2));
+        batch.backend.batch_depth = 1;
+        assert_ne!(base.config_hash(), batch.config_hash());
 
         let arch = SimConfig::new(ArchConfig::simple_smp(4));
         assert_ne!(base.config_hash(), arch.config_hash());
@@ -194,7 +162,7 @@ mod tests {
     fn default_config_hash_is_pinned() {
         assert_eq!(
             SimConfig::new(ArchConfig::ccnuma(2, 2)).config_hash(),
-            0xf84a_e510_bb55_3baa,
+            0x53c9_a429_03a0_21de,
             "SimConfig::config_hash of the ccnuma(2, 2) defaults moved"
         );
     }
@@ -214,7 +182,7 @@ mod tests {
     #[test]
     fn degenerate_knobs_are_rejected_at_build_time() {
         let mut c = SimConfig::new(ArchConfig::simple_smp(2));
-        c.kernel_batch_depth = 0;
+        c.backend.batch_depth = 0;
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::new(ArchConfig::simple_smp(2));
@@ -223,10 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_irq_tolerates_the_default_kernel_knobs() {
+    fn pseudo_irq_tolerates_the_default_batch_depth() {
         let mut c = SimConfig::new(ArchConfig::simple_smp(2));
         c.pseudo_irq = true;
-        // Defaults (batch depth 8, disk_wake on) are silently ignored.
+        // Depth 8 still batches the frontends; the kernel side ignores it.
         c.validate().unwrap();
     }
 }

@@ -259,8 +259,8 @@ impl SimBuilder {
         // the blocking event that cuts the batch. The frontend waits
         // while its OS thread runs, so the two never publish into one
         // ring concurrently — capacity is the only constraint.
-        let ring_cap = compass_comm::DEFAULT_RING_CAPACITY
-            .max(config.backend.batch_depth + config.kernel_batch_depth.max(1) + 1);
+        let batch_depth = config.backend.batch_depth;
+        let ring_cap = compass_comm::DEFAULT_RING_CAPACITY.max(2 * batch_depth + 1);
         let ports: Vec<Arc<EventPort>> = (0..=nprocs)
             .map(|pid| {
                 let mut port = EventPort::with_capacity(
@@ -280,29 +280,18 @@ impl SimBuilder {
         if let Some(f) = prepare {
             f(&kernel);
         }
-        let os_threads = if config.os_threads == 0 {
-            nprocs
-        } else {
-            config.os_threads
-        };
         let os_block = counters.map(|hub| hub.register("os"));
         let os_obs = OsObs {
             counters: os_block.clone(),
             trace: trace.clone(),
         };
-        // Kernel-side batching (ISSUE 6): syscall-path only, so it is
-        // disabled wholesale under pseudo-IRQ delivery — interrupt
-        // handlers must see the authoritative clock and reply flags.
-        let kernel_perf = (!config.pseudo_irq && config.kernel_batch_depth > 1).then_some(
-            compass_os::KernelPerfSetup {
-                batch_depth: config.kernel_batch_depth,
-            },
-        );
-        // Event-driven disk path (ISSUE 9): the bottom-half daemon gets a
-        // batching sink so interrupt handlers settle their kernel
-        // references through the port credit. Off under pseudo-IRQ for
-        // the same reason as the syscall-path setup above.
-        let daemon_perf = kernel_perf.clone().filter(|_| config.disk_wake);
+        // Kernel-side batching at the frontends' depth: the OS threads'
+        // syscall path and the bottom-half daemon's interrupt handlers
+        // settle their kernel references through the port credit. Off
+        // wholesale under pseudo-IRQ delivery — interrupt handlers must
+        // see the authoritative clock and reply flags.
+        let kernel_perf = (!config.pseudo_irq && batch_depth > 1)
+            .then_some(compass_os::KernelPerfSetup { batch_depth });
 
         // --- Backend ---
         let mut backend = Backend::new(
@@ -366,7 +355,6 @@ impl SimBuilder {
         let timing = config.timing.clone();
         let pseudo = config.pseudo_irq;
         let sample_period = config.sample_period;
-        let batch_depth = config.backend.batch_depth;
         let results: Arc<Mutex<Vec<Option<FrontendStats>>>> =
             Arc::new(Mutex::new(vec![None; nprocs]));
 
@@ -388,7 +376,7 @@ impl SimBuilder {
                     }
                     let os_server = OsServer::start(
                         Arc::clone(&kernel),
-                        os_threads,
+                        nprocs,
                         os_obs,
                         kernel_perf,
                         &mut exec,
@@ -396,7 +384,6 @@ impl SimBuilder {
                     os_server.start_daemon(
                         daemon_pid,
                         Arc::clone(&ports[daemon_pid.index()]),
-                        daemon_perf,
                         &mut exec,
                     );
                     for (pid, mut body, fe_block) in frontend_setup {

@@ -33,12 +33,9 @@ pub enum Knob {
     Placement(PlacementPolicy),
     /// Pre-emptive scheduling.
     Preempt(bool),
-    /// Frontend event-batch depth.
+    /// Event-batch depth of every poster (frontends, OS threads, the
+    /// bottom-half daemon).
     Depth(usize),
-    /// Kernel-side OS-port batch depth.
-    OsBatch(usize),
-    /// Event-driven disk path.
-    DiskWake(bool),
     /// Checkpoint gate: record with cuts, resume, require bit-identical
     /// stats (a harness-level knob, not a `SimConfig` field).
     Ckpt(bool),
@@ -54,8 +51,6 @@ impl Knob {
             Knob::Placement(_) => "placement",
             Knob::Preempt(_) => "preempt",
             Knob::Depth(_) => "depth",
-            Knob::OsBatch(_) => "os_batch",
-            Knob::DiskWake(_) => "disk_wake",
             Knob::Ckpt(_) => "ckpt",
         }
     }
@@ -67,8 +62,8 @@ impl Knob {
             Knob::Geometry(v) => format!("{v:?}"),
             Knob::Sched(v) => format!("{v:?}"),
             Knob::Placement(v) => format!("{v:?}"),
-            Knob::Preempt(v) | Knob::DiskWake(v) | Knob::Ckpt(v) => format!("{v}"),
-            Knob::Depth(v) | Knob::OsBatch(v) => format!("{v}"),
+            Knob::Preempt(v) | Knob::Ckpt(v) => format!("{v}"),
+            Knob::Depth(v) => format!("{v}"),
         }
     }
 
@@ -77,10 +72,7 @@ impl Knob {
     /// bit-identical simulated statistics, so its sensitivity delta is
     /// an *oracle* (must be zero), not a measurement.
     pub fn stats_neutral(&self) -> bool {
-        matches!(
-            self,
-            Knob::Depth(_) | Knob::OsBatch(_) | Knob::DiskWake(_) | Knob::Ckpt(_)
-        )
+        matches!(self, Knob::Depth(_) | Knob::Ckpt(_))
     }
 
     /// Applies the value onto a point.
@@ -92,8 +84,6 @@ impl Knob {
             Knob::Placement(v) => p.scenario.placement = v,
             Knob::Preempt(v) => p.scenario.preempt = v,
             Knob::Depth(v) => p.depth = v,
-            Knob::OsBatch(v) => p.scenario.os_batch = v,
-            Knob::DiskWake(v) => p.scenario.disk_wake = v,
             Knob::Ckpt(v) => p.scenario.ckpt = v,
         }
     }
@@ -109,13 +99,13 @@ pub struct Axis {
     pub values: Vec<Knob>,
 }
 
-/// One concrete run: a fully-specified scenario plus the frontend batch
-/// depth (the only swept knob that is not a [`Scenario`] field).
+/// One concrete run: a fully-specified scenario plus the batch depth
+/// (the only swept knob that is not a [`Scenario`] field).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetPoint {
     /// Everything the scenario carries (workload, arch, knobs).
     pub scenario: Scenario,
-    /// Frontend event-batch depth.
+    /// Event-batch depth of every poster.
     pub depth: usize,
 }
 
@@ -154,15 +144,8 @@ impl FleetPoint {
     pub fn label(&self, workload: &str) -> String {
         let sc = &self.scenario;
         format!(
-            "{workload} {:?}/{:?} sched={:?} place={:?} d{} ob{} dw{} ck{}",
-            sc.preset,
-            sc.geometry,
-            sc.sched,
-            sc.placement,
-            self.depth,
-            sc.os_batch,
-            sc.disk_wake as u8,
-            sc.ckpt as u8,
+            "{workload} {:?}/{:?} sched={:?} place={:?} d{} ck{}",
+            sc.preset, sc.geometry, sc.sched, sc.placement, self.depth, sc.ckpt as u8,
         )
     }
 }

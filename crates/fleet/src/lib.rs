@@ -7,8 +7,9 @@
 //!
 //! 1. **Declare** ([`lattice`]): a [`Lattice`] is a baseline
 //!    [`compass_simcheck::Scenario`] plus axes (geometry, protocol,
-//!    placement, scheduler, batch/disk-wake transport knobs). Presets ([`presets`]) fold the old `report_*` sweeps into
-//!    unions of lattices over the shared scenario catalogue.
+//!    placement, scheduler, batch depth, checkpoint gate). Presets
+//!    ([`presets`]) are unions of lattices over the shared scenario
+//!    catalogue.
 //! 2. **Expand & dedupe** ([`lattice::dedupe`]): cartesian expansion in
 //!    a fixed order, then collapse of points whose canonical simulated
 //!    configuration ([`compass::SimConfig::config_hash`] + workload
@@ -22,8 +23,8 @@
 //!    baseline). Host timing is segregated into single-line `"host"`
 //!    sub-objects so reports are byte-comparable modulo the host.
 //! 5. **Verify** ([`run::run_twins`]): the fleet oracle re-runs a
-//!    deterministic sample of jobs at the transport baseline (depth 1,
-//!    per-event OS port) and requires
+//!    deterministic sample of jobs at the transport baseline (depth 1:
+//!    every poster per event) and requires
 //!    bit-identical `BackendStats` — the simcheck neutrality theorems,
 //!    spot-checked inside every sweep that relies on them.
 

@@ -15,19 +15,20 @@ use compass_simcheck::{ArchPreset, Geometry as Geo};
 use Knob::*;
 
 /// CI preset: every knob family exercised across four workloads, small
-/// enough for a single-core host. The shared baselines dedupe.
+/// enough for a single-core host. The batch-depth axis rides on the
+/// compute-bound, the OS/disk-heavy and the network-heavy workloads;
+/// one lattice per workload, so nothing dedupes.
 pub fn smoke() -> Vec<Lattice> {
     vec![
         Lattice::new("sci_small", sc::sci_small()).axis(&[Depth(1), Depth(16)]),
-        Lattice::new("chaos_small", sc::chaos_small()).axis(&[OsBatch(1), OsBatch(8)]),
-        Lattice::new("chaos_small", sc::chaos_small()).axis(&[DiskWake(true), DiskWake(false)]),
+        Lattice::new("chaos_small", sc::chaos_small()).axis(&[Depth(1), Depth(16)]),
         Lattice::new("tpcc_small", sc::tpcc_small()).axis(&[Ckpt(false), Ckpt(true)]),
         Lattice::new("http_small", sc::http_small()).axis(&[Depth(1), Depth(16)]),
     ]
 }
 
-/// Folds `report_comm`'s event-batch sweep: frontend depth across the
-/// dense scientific kernel.
+/// Event-batch sweep: batch depth across the dense scientific kernel,
+/// where frontend posting dominates host time.
 pub fn comm() -> Vec<Lattice> {
     vec![Lattice::new("sci_dense", sc::sci_dense()).axis(&[
         Depth(1),
@@ -37,16 +38,14 @@ pub fn comm() -> Vec<Lattice> {
     ])]
 }
 
-/// Folds `report_http`'s transport half: depth crossed with the OS-port
-/// batch on the HTTP workload.
+/// Batch depth on the HTTP workload, where the OS threads and the
+/// bottom-half daemon post most of the events.
 pub fn http() -> Vec<Lattice> {
-    vec![Lattice::new("http_small", sc::http_small())
-        .axis(&[Depth(1), Depth(16)])
-        .axis(&[OsBatch(1), OsBatch(8)])]
+    vec![Lattice::new("http_small", sc::http_small()).axis(&[Depth(1), Depth(8), Depth(64)])]
 }
 
-/// Folds `report_ckpt`'s identity gate: the checkpoint record/resume
-/// cycle against the plain run.
+/// Checkpoint identity gate: the record/resume cycle against the plain
+/// run.
 pub fn ckpt() -> Vec<Lattice> {
     vec![Lattice::new("tpcc_small", sc::tpcc_small()).axis(&[Ckpt(false), Ckpt(true)])]
 }
@@ -114,11 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn smoke_shares_baselines_across_sub_sweeps() {
+    fn smoke_shares_no_points_across_sub_sweeps() {
         let (points, jobs) = expand_preset(&smoke());
-        // chaos_small's disk-wake sub-sweep shares its baseline with the
-        // sibling lattice.
-        assert_eq!(points - jobs.len(), 1, "expected exactly 1 deduped point");
+        // One lattice per workload: nothing to dedupe.
+        assert_eq!(points, 8);
+        assert_eq!(jobs.len(), points, "expected no deduped point");
     }
 
     #[test]

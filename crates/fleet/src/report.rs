@@ -5,8 +5,9 @@
 //! held at its baseline value, each value of the swept axis names one
 //! lattice point, and its entry records the delta of the headline
 //! simulated statistics against the axis baseline. For the transport
-//! axes (depth, OS batch, disk wake, checkpoint) those deltas double as an oracle — simcheck proves them
-//! stats-neutral, so any nonzero simulated delta is a correctness
+//! axes (batch depth, checkpoint) those deltas double as an oracle —
+//! simcheck proves them stats-neutral, so any nonzero simulated delta is
+//! a correctness
 //! failure ([`Sensitivity::neutral_violations`]), not a finding.
 //!
 //! **JSON** is hand-rolled (the vendored `serde` is a no-op marker —

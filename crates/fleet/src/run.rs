@@ -160,14 +160,13 @@ pub fn run_fleet(jobs: &[Job], workers: usize, verbose: bool) -> Vec<Result<JobR
         .collect()
 }
 
-/// A point's transport-baseline twin: frontend depth 1, per-event OS
-/// port, no checkpoint gate. Every swept *semantic* knob (arch, geometry,
-/// scheduler, placement, pre-emption, disk path) is untouched, so the
+/// A point's transport-baseline twin: batch depth 1 (every poster per
+/// event), no checkpoint gate. Every swept *semantic* knob (arch,
+/// geometry, scheduler, placement, pre-emption) is untouched, so the
 /// twin simulates the same machine through the classic engine.
 pub fn twin_of(p: &FleetPoint) -> FleetPoint {
     let mut t = *p;
     t.depth = 1;
-    t.scenario.os_batch = 1;
     t.scenario.ckpt = false;
     t
 }

@@ -21,7 +21,7 @@ use compass_mem::VAddr;
 /// Drains and services all device work due at the handler's clock.
 ///
 /// The handler context may carry batching-only perf state (the daemon's
-/// `disk_wake` sink): drains then rely on the clock being *exact*, which
+/// batching sink): drains then rely on the clock being *exact*, which
 /// holds because each drain pass starts right after a blocking post (the
 /// `INTR` lock, or the previous handler's trailing unlock/unblock) — the
 /// settled-at-drain invariant checked below. The backend releases that

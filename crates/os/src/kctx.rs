@@ -61,8 +61,8 @@ impl EventSink for PortSink {
     }
 }
 
-/// How the OS server builds per-thread [`KernelPerf`] state: the syscall
-/// analogue of the frontend's batching knob (ISSUE 6).
+/// How the OS server builds per-thread [`KernelPerf`] state: the kernel
+/// side of the one batch depth the frontends also use.
 #[derive(Clone)]
 pub struct KernelPerfSetup {
     /// Kernel event-batch depth (1 = classic per-event rendezvous).

@@ -324,6 +324,9 @@ pub struct OsServer {
     kernel: Arc<KernelShared>,
     slots: Vec<ThreadSlot>,
     obs: OsObs,
+    /// The kernel-side batching setup, shared by the OS threads and the
+    /// bottom-half daemon.
+    perf: Option<KernelPerfSetup>,
 }
 
 impl OsServer {
@@ -331,7 +334,7 @@ impl OsServer {
     /// with observability hooks and an optional kernel-side event-batching
     /// setup for syscall-path kernel code. The setup is rebuilt into fresh
     /// per-pairing state on every Connect; pseudo-IRQ delivery never uses
-    /// it, and the bottom-half daemon has its own setup (see
+    /// it, and the bottom-half daemon builds its own state from it (see
     /// [`OsServer::start_daemon`]).
     pub fn start(
         kernel: Arc<KernelShared>,
@@ -356,7 +359,12 @@ impl OsServer {
                 os_thread_main(port, k, o, p)
             });
         }
-        Arc::new(Self { kernel, slots, obs })
+        Arc::new(Self {
+            kernel,
+            slots,
+            obs,
+            perf,
+        })
     }
 
     /// The shared kernel.
@@ -397,18 +405,12 @@ impl OsServer {
     /// task on `exec`. "Dedicated threads can be scheduled to simulate
     /// bottom half kernel activities." (§3.1)
     ///
-    /// `perf` is an optional batching setup for the daemon's interrupt
-    /// context (the `disk_wake` knob): handler drains run
-    /// `until(kc.clock)`, which the batching protocol's settled-at-drain
-    /// invariant keeps exact.
-    pub fn start_daemon(
-        &self,
-        daemon_pid: ProcessId,
-        port: Arc<EventPort>,
-        perf: Option<KernelPerfSetup>,
-        exec: &mut Executor,
-    ) {
+    /// The daemon's interrupt context batches with the OS threads' setup:
+    /// handler drains run `until(kc.clock)`, which the batching protocol's
+    /// settled-at-drain invariant keeps exact.
+    pub fn start_daemon(&self, daemon_pid: ProcessId, port: Arc<EventPort>, exec: &mut Executor) {
         let k = Arc::clone(&self.kernel);
+        let perf = self.perf.clone();
         exec.spawn(Class::BottomHalf, self.obs.counters.clone(), move || {
             daemon_main(daemon_pid, port, k, perf)
         });
@@ -434,10 +436,11 @@ fn absorb_abort<R>(f: impl FnOnce() -> R) -> Result<R, Errno> {
 /// One OS thread: waits for pairing, then serves calls until Exit, then
 /// returns to "single". It runs until its task is cancelled at teardown.
 ///
-/// `perf` (when configured) batches kernel-mode events for
-/// the **syscall path only**: pseudo IRQs and the daemon run interrupt
-/// handlers whose postbox drains depend on the authoritative clock, so
-/// they keep the per-event protocol.
+/// `perf` (when configured) batches kernel-mode events for the
+/// **syscall path only** here: pseudo IRQs run interrupt handlers whose
+/// postbox drains depend on the authoritative clock, so they keep the
+/// per-event protocol (the daemon batches in its own context, see
+/// [`daemon_main`]).
 fn os_thread_main(
     port: Arc<ReqPort<OsMsg, OsRet>>,
     kernel: Arc<KernelShared>,
@@ -576,13 +579,12 @@ fn os_thread_main(
 /// The bottom-half daemon: blocks until the backend signals device work,
 /// drains the postbox through the interrupt handlers, blocks again.
 ///
-/// With `perf` attached (the `disk_wake` knob) the handlers' kernel
-/// memory references ride the batched-event protocol instead of
-/// rendezvousing one at a time. This is safe in interrupt mode because
-/// every device-queue drain and every raw `Block` post below happens at
-/// a settled point (`batch_pending == 0`): each handler body ends in
-/// blocking unlock/unblock posts that fold outstanding credit, so the
-/// daemon's clock is exact whenever it matters.
+/// With `perf` attached the handlers' kernel memory references ride the
+/// batched-event protocol instead of rendezvousing one at a time. This is
+/// safe in interrupt mode because every device-queue drain and every raw
+/// `Block` post below happens at a settled point (`batch_pending == 0`):
+/// each handler body ends in blocking unlock/unblock posts that fold
+/// outstanding credit, so the daemon's clock is exact whenever it matters.
 fn daemon_main(
     pid: ProcessId,
     port: Arc<EventPort>,

@@ -11,7 +11,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Batch depths every scenario is replayed at; depth 1 (classic
-/// per-event rendezvous) is the baseline the others must match.
+/// per-event rendezvous) is the baseline the others must match. The
+/// depth sets every poster at once: frontends, the OS threads' syscall
+/// path and the bottom-half daemon.
 pub const DEPTHS: [usize; 4] = [1, 4, 16, 64];
 
 /// One finished run, optionally with its recorded engine→arch trace.
@@ -25,31 +27,18 @@ pub struct RunOutput {
 /// Runs `sc` once at the given batch depth. `observe` turns the full
 /// observability stack on (counters, fine tracing, progress snapshots) —
 /// the depth differentials then double as the proof that instrumentation
-/// never perturbs the simulation. `os_batch` and `disk_wake` set the
-/// kernel-side OS-port batch depth and the event-driven disk path for
-/// this run (callers pass the scenario's own values or flip one for its
-/// twin). A deadlock comes back as `Err` so soak runs record and shrink
-/// it instead of dying.
+/// never perturbs the simulation. A deadlock comes back as `Err` so soak
+/// runs record and shrink it instead of dying.
 pub fn run_scenario(
     sc: &Scenario,
     depth: usize,
     record: bool,
     observe: bool,
-    os_batch: usize,
-    disk_wake: bool,
 ) -> Result<RunOutput, RunError> {
-    run_scenario_ckpt(
-        sc,
-        depth,
-        record,
-        observe,
-        os_batch,
-        disk_wake,
-        CkptMode::Off,
-    )
+    run_scenario_ckpt(sc, depth, record, observe, CkptMode::Off)
 }
 
-/// Checkpoint participation of one run (ISSUE 8).
+/// Checkpoint participation of one run.
 #[derive(Clone, Copy)]
 pub enum CkptMode<'a> {
     /// Plain run.
@@ -69,10 +58,9 @@ pub enum CkptMode<'a> {
     },
 }
 
-/// Applies a scenario's backend/transport knobs (scheduler, placement,
-/// pre-emption, OS batch, disk wake) plus the
-/// frontend batch `depth` onto a `SimConfig`. Shared with the fleet
-/// runner (`compass-fleet`), whose lattice points carry their
+/// Applies a scenario's backend knobs (scheduler, placement,
+/// pre-emption) plus the batch `depth` onto a `SimConfig`. Shared with
+/// the fleet runner (`compass-fleet`), whose lattice points carry their
 /// knob values in the scenario itself — one definition of "how a
 /// scenario configures a run" for both harnesses.
 pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: usize) {
@@ -88,8 +76,6 @@ pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: 
         // path stays under test even without pre-emption.
         cfg.backend.timer_interval = Some(900_000);
     }
-    cfg.kernel_batch_depth = sc.os_batch;
-    cfg.disk_wake = sc.disk_wake;
 }
 
 /// [`run_scenario`] with a checkpoint mode.
@@ -98,8 +84,6 @@ pub fn run_scenario_ckpt(
     depth: usize,
     record: bool,
     observe: bool,
-    os_batch: usize,
-    disk_wake: bool,
     ckpt: CkptMode<'_>,
 ) -> Result<RunOutput, RunError> {
     let mut b = sc.builder();
@@ -112,15 +96,8 @@ pub fn run_scenario_ckpt(
         CkptMode::Record { every, path } => b = b.checkpoint_every(every, path),
         CkptMode::Resume { path } => b = b.resume(path),
     }
-    // The caller's overrides (a twin flips exactly one knob) are folded
-    // into a scenario view so knob application has a single definition.
-    let knobs = Scenario {
-        os_batch,
-        disk_wake,
-        ..*sc
-    };
     let cfg = b.config_mut();
-    apply_scenario_knobs(cfg, &knobs, depth);
+    apply_scenario_knobs(cfg, sc, depth);
     if observe {
         cfg.obs = ObsConfig::full(TraceLevel::Fine);
         cfg.obs.progress_every = Some(10_000);
@@ -218,8 +195,8 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
 /// failed check (empty = clean).
 ///
 /// Layers: depth-1 baseline with trace recording → oracle replay →
-/// schedule-permuted twins (`check-invariants` builds) → OS-batch-twin
-/// and disk-wake-twin differentials → depth {4,16,64} differentials →
+/// schedule-permuted twins (`check-invariants` builds) → checkpoint
+/// resume (when `sc.ckpt`) → depth {4,16,64} differentials →
 /// (timing-independent workloads only) metamorphic knob variants. The
 /// per-step invariant layer runs inside every one of these
 /// when built with `--features check-invariants`.
@@ -240,7 +217,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         Some(path) => CkptMode::Record { every: 500, path },
         None => CkptMode::Off,
     };
-    let base = match run_scenario_ckpt(sc, 1, true, true, sc.os_batch, sc.disk_wake, base_ckpt) {
+    let base = match run_scenario_ckpt(sc, 1, true, true, base_ckpt) {
         Ok(out) => out,
         Err(e) => return vec![format!("depth-1 run deadlocked: {e}")],
     };
@@ -259,63 +236,31 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         failures.push(format!("oracle(depth 1): {e}"));
     }
     // Schedule-independence differential: the simulated threads resumed
-    // under two seeded random schedules must reproduce the
-    // baseline byte for byte — the simulation may depend on simulated
-    // state only, never on which ready thread the host runs first.
+    // under two seeded random schedules must reproduce the baseline byte
+    // for byte — the simulation may depend on simulated state only, never
+    // on which ready thread the host runs first. The first twin runs per
+    // event, the second batched, so both protocols meet random orders.
     #[cfg(feature = "check-invariants")]
-    for seed in [
-        sc.schedule,
-        sc.schedule.rotate_left(29) ^ 0x9E37_79B9_7F4A_7C15,
+    for (seed, depth) in [
+        (sc.schedule, 1),
+        (sc.schedule.rotate_left(29) ^ 0x9E37_79B9_7F4A_7C15, 16),
     ] {
         let mut b = sc.builder().schedule_seed(seed);
-        apply_scenario_knobs(b.config_mut(), sc, 1);
+        apply_scenario_knobs(b.config_mut(), sc, depth);
         match b.try_run() {
             Ok(r) => require_identical(
                 &base.report.backend,
                 &r.backend,
-                &format!("schedule {seed:#x} vs first-ready order"),
+                &format!("schedule {seed:#x} at depth {depth} vs first-ready order"),
                 &mut failures,
             ),
             Err(e) => failures.push(format!("schedule {seed:#x} run failed: {e}")),
         }
     }
-    // OS-batch differential: the kernel syscall path replayed on the
-    // classic per-event port (or, when the scenario already is classic,
-    // at depth 64) must match statistic for statistic — the credit-based
-    // aggregate reply may change host time only.
-    let twin_os_batch = if sc.os_batch == 1 { 64 } else { 1 };
-    match run_scenario(sc, 1, false, false, twin_os_batch, sc.disk_wake) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "os_batch={} vs os_batch={}: {d}",
-                    twin_os_batch, sc.os_batch
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("os-batch-twin run deadlocked: {e}")),
-    }
-    // Disk-wake differential (ISSUE 9): the event-driven disk completion
-    // path toggled the other way must leave every backend statistic
-    // untouched — wake-driven delivery settles the same latencies the
-    // polled drain charged.
-    match run_scenario(sc, 1, false, false, sc.os_batch, !sc.disk_wake) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "disk_wake={} vs disk_wake={}: {d}",
-                    !sc.disk_wake, sc.disk_wake
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("disk-wake-twin run deadlocked: {e}")),
-    }
-    // Checkpoint/resume differential (ISSUE 8): record the scenario with
-    // `checkpoint_every`, then resume from the latest cut — once under
-    // the scenario's own knobs and once under flipped transport knobs
-    // (OS batch, disk wake, batch depth). All of
-    // them run under the resume-identity oracle and must reproduce the
-    // baseline `BackendStats` bit for bit.
+    // Checkpoint/resume differential: record the scenario with
+    // `checkpoint_every`, then resume from the latest cut — once at
+    // depth 1 and once at depth 16. Both run under the resume-identity
+    // oracle and must reproduce the baseline `BackendStats` bit for bit.
     if sc.ckpt {
         let path = std::env::temp_dir().join(format!(
             "compass-simcheck-{}-{:x}.ckpt",
@@ -328,8 +273,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             1,
             false,
             false,
-            sc.os_batch,
-            sc.disk_wake,
             CkptMode::Record {
                 every: 500,
                 path: &path,
@@ -342,44 +285,26 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                 // A run shorter than one cut interval writes no file;
                 // there is then nothing to resume.
                 if path.exists() {
-                    match run_scenario_ckpt(
-                        sc,
-                        1,
-                        false,
-                        false,
-                        sc.os_batch,
-                        sc.disk_wake,
-                        CkptMode::Resume { path: &path },
-                    ) {
-                        Ok(run) => {
-                            for d in
-                                diff::diff_backend_stats(&base.report.backend, &run.report.backend)
-                            {
-                                failures.push(format!("checkpoint-resume vs base: {d}"));
+                    for depth in [1, 16] {
+                        match run_scenario_ckpt(
+                            sc,
+                            depth,
+                            false,
+                            false,
+                            CkptMode::Resume { path: &path },
+                        ) {
+                            Ok(run) => {
+                                for d in diff::diff_backend_stats(
+                                    &base.report.backend,
+                                    &run.report.backend,
+                                ) {
+                                    failures.push(format!(
+                                        "checkpoint-resume(depth {depth}) vs base: {d}"
+                                    ));
+                                }
                             }
-                        }
-                        Err(e) => failures.push(format!("checkpoint-resume run failed: {e}")),
-                    }
-                    let twin_os_batch = if sc.os_batch == 1 { 64 } else { 1 };
-                    match run_scenario_ckpt(
-                        sc,
-                        16,
-                        false,
-                        false,
-                        twin_os_batch,
-                        !sc.disk_wake,
-                        CkptMode::Resume { path: &path },
-                    ) {
-                        Ok(run) => {
-                            for d in
-                                diff::diff_backend_stats(&base.report.backend, &run.report.backend)
-                            {
-                                failures
-                                    .push(format!("checkpoint-resume(flipped knobs) vs base: {d}"));
-                            }
-                        }
-                        Err(e) => {
-                            failures.push(format!("checkpoint-resume(flipped knobs) failed: {e}"))
+                            Err(e) => failures
+                                .push(format!("checkpoint-resume(depth {depth}) run failed: {e}")),
                         }
                     }
                 }
@@ -389,7 +314,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         let _ = std::fs::remove_file(&path);
     }
     for depth in &DEPTHS[1..] {
-        let run = match run_scenario(sc, *depth, false, false, sc.os_batch, sc.disk_wake) {
+        let run = match run_scenario(sc, *depth, false, false) {
             Ok(out) => out,
             Err(e) => {
                 failures.push(format!("depth {depth} run deadlocked: {e}"));
@@ -403,7 +328,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     if sc.workload.timing_independent() {
         let sig0 = signature(&base.report);
         for var in metamorphic_variants(sc) {
-            let run = match run_scenario(&var, 8, false, false, var.os_batch, var.disk_wake) {
+            let run = match run_scenario(&var, 8, false, false) {
                 Ok(out) => out,
                 Err(e) => {
                     failures.push(format!("metamorphic variant {var:?} deadlocked: {e}"));

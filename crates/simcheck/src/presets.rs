@@ -3,18 +3,16 @@
 //! The bench reports and the fleet runner used to each hard-code their
 //! own workload shapes; this module is the single catalogue both (and
 //! any future harness) draw from. Every preset is a fully-specified
-//! [`Scenario`] at the *baseline* transport point — depth-1-equivalent
-//! knobs everywhere (`os_batch` 1, `ckpt` off, `disk_wake` on) — so a
-//! harness that wants to sweep an axis mutates exactly that axis and
-//! nothing else.
+//! [`Scenario`] at the *baseline* point (`ckpt` off; the batch depth is
+//! set by the harness, not the scenario) — so a harness that wants to
+//! sweep an axis mutates exactly that axis and nothing else.
 
 use crate::scenario::{ArchPreset, Geometry, Scenario, Workload};
 use compass::{PlacementPolicy, SchedPolicy};
 
 /// A baseline scenario around a workload: seed 0, 2 processes, the
 /// 2x2 cc-NUMA preset, default geometry, FCFS, no pre-emption,
-/// first-touch placement, and every transport knob at its classic
-/// (unoptimised) setting.
+/// first-touch placement, no checkpoint gate.
 fn base(workload: Workload, nprocs: u16) -> Scenario {
     Scenario {
         seed: 0,
@@ -25,9 +23,7 @@ fn base(workload: Workload, nprocs: u16) -> Scenario {
         sched: SchedPolicy::Fcfs,
         preempt: false,
         placement: PlacementPolicy::FirstTouch,
-        os_batch: 1,
         ckpt: false,
-        disk_wake: true,
         schedule: 0,
     }
 }
@@ -58,7 +54,7 @@ pub fn sci_dense() -> Scenario {
 }
 
 /// File-I/O chaos: the OS-server stress shape (syscall-path batching and
-/// the event-driven disk path both light up here).
+/// the daemon's batched disk interrupts both light up here).
 pub fn chaos_small() -> Scenario {
     base(Workload::FileChaos { steps: 40 }, 2)
 }
@@ -101,9 +97,7 @@ mod tests {
     #[test]
     fn every_preset_is_baseline_and_validates() {
         for (name, sc) in all() {
-            assert_eq!(sc.os_batch, 1, "{name} not baseline");
             assert!(!sc.ckpt, "{name} not baseline");
-            assert!(sc.disk_wake, "{name} not baseline");
             sc.arch_config(); // panics if the geometry does not validate
             assert_eq!(by_name(name), Some(sc));
         }

@@ -107,23 +107,11 @@ pub struct Scenario {
     pub preempt: bool,
     /// Page placement.
     pub placement: PlacementPolicy,
-    /// Kernel-side OS-port batch depth (ISSUE 6). Must be
-    /// statistics-neutral: the check stack diffs every scenario against
-    /// its `os_batch = 1` twin (the classic one-rendezvous-per-event
-    /// syscall port), so this axis proves the credit-based
-    /// aggregate-reply protocol bit-exact on the kernel path too.
-    pub os_batch: usize,
-    /// Checkpoint/resume differential (ISSUE 8). When set, the check
-    /// stack records the scenario with `checkpoint_every`, resumes it
-    /// (and resumes under flipped transport knobs), and requires
+    /// Checkpoint/resume differential. When set, the check stack
+    /// records the scenario with `checkpoint_every`, resumes it (and
+    /// resumes again at a different batch depth), and requires
     /// bit-identical `BackendStats` — the resume-identity oracle.
     pub ckpt: bool,
-    /// Event-driven disk path (ISSUE 9). Must be statistics-neutral:
-    /// the check stack diffs every scenario against its toggled twin,
-    /// so this axis proves the daemon's batched interrupt-handler
-    /// protocol (settled-at-drain device queues) bit-exact across the
-    /// whole scenario space.
-    pub disk_wake: bool,
     /// Schedule-independence axis: seeds the two random schedules of the
     /// simulated threads the check stack re-runs the scenario under
     /// (`check-invariants` builds only — release builds have no way to
@@ -186,17 +174,16 @@ impl Scenario {
         // scenario (`historical_seeds_keep_their_scenarios` pins it).
         let _ = rng.gen_bool(0.5);
         let _ = rng.gen_range(0..3usize);
-        // Kernel-path knob (ISSUE 6), again drawn last so every
-        // historical seed keeps its scenario shape.
-        let os_batch = [1usize, 8, 64][rng.gen_range(0..3usize)];
-        // The retired kernel-filter axis was drawn here; the draw stays.
+        // The retired OS-port batch axis (`os_batch`, now the one batch
+        // depth) and kernel-filter axis were drawn here; the draws stay.
+        let _ = rng.gen_range(0..3usize);
         let _ = rng.gen_bool(0.5);
-        // Checkpoint axis (ISSUE 8), drawn last for the same reason.
+        // Checkpoint axis.
         let ckpt = rng.gen_bool(0.5);
-        // Disk-wake axis (ISSUE 9), drawn last — house rule: new axes
-        // append to the draw order so historical seeds keep their shape.
-        let disk_wake = rng.gen_bool(0.5);
-        // Schedule axis, drawn last for the same reason.
+        // The retired disk-wake axis (`disk_wake`, now always on) was
+        // drawn here; the draw stays.
+        let _ = rng.gen_bool(0.5);
+        // Schedule axis, drawn last: new axes append to the draw order.
         let schedule = rng.next_u64();
         Scenario {
             seed,
@@ -207,9 +194,7 @@ impl Scenario {
             sched,
             preempt,
             placement,
-            os_batch,
             ckpt,
-            disk_wake,
             schedule,
         }
     }
@@ -367,21 +352,9 @@ impl Scenario {
                     ..*self
                 });
             }
-            if self.os_batch > 1 {
-                push(Scenario {
-                    os_batch: 1,
-                    ..*self
-                });
-            }
             if self.ckpt {
                 push(Scenario {
                     ckpt: false,
-                    ..*self
-                });
-            }
-            if self.disk_wake {
-                push(Scenario {
-                    disk_wake: false,
                     ..*self
                 });
             }
@@ -592,12 +565,8 @@ mod tests {
             assert!(scenarios.iter().any(|s| s.preset == preset));
         }
         assert!(scenarios.iter().any(|s| s.preempt));
-        assert!(scenarios.iter().any(|s| s.os_batch == 1));
-        assert!(scenarios.iter().any(|s| s.os_batch > 1));
         assert!(scenarios.iter().any(|s| s.ckpt));
         assert!(scenarios.iter().any(|s| !s.ckpt));
-        assert!(scenarios.iter().any(|s| s.disk_wake));
-        assert!(scenarios.iter().any(|s| !s.disk_wake));
     }
 
     #[test]
@@ -624,7 +593,9 @@ mod tests {
     }
 
     /// Historical seeds keep their scenarios: a retired axis keeps its
-    /// draw, so every remaining field of these seeds never moves.
+    /// draw, so every remaining field of these seeds never moves. (The
+    /// retired `os_batch` and `disk_wake` columns dropped out: `os_batch`
+    /// was 1, 64 and 8 for seeds 0, 8 and 1998, `disk_wake` false.)
     #[test]
     fn historical_seeds_keep_their_scenarios() {
         let pinned = [
@@ -641,9 +612,7 @@ mod tests {
                 SchedPolicy::Fcfs,
                 true,
                 PlacementPolicy::RoundRobin,
-                1,
                 true,
-                false,
                 9_693_749_374_903_693_122,
             ),
             (
@@ -655,8 +624,6 @@ mod tests {
                 SchedPolicy::Fcfs,
                 false,
                 PlacementPolicy::Block(2),
-                64,
-                false,
                 false,
                 3_037_686_178_332_931_172,
             ),
@@ -673,26 +640,12 @@ mod tests {
                 SchedPolicy::Affinity,
                 false,
                 PlacementPolicy::Block(2),
-                8,
                 true,
-                false,
                 4_515_195_573_538_475_775,
             ),
         ];
-        for (
-            seed,
-            workload,
-            nprocs,
-            preset,
-            geometry,
-            sched,
-            preempt,
-            placement,
-            os_batch,
-            ckpt,
-            disk_wake,
-            schedule,
-        ) in pinned
+        for (seed, workload, nprocs, preset, geometry, sched, preempt, placement, ckpt, schedule) in
+            pinned
         {
             let s = Scenario::from_seed(seed);
             assert_eq!(
@@ -704,15 +657,10 @@ mod tests {
                     s.sched,
                     s.preempt,
                     s.placement,
-                    s.os_batch,
                     s.ckpt,
-                    s.disk_wake,
                     s.schedule
                 ),
-                (
-                    workload, nprocs, preset, geometry, sched, preempt, placement, os_batch, ckpt,
-                    disk_wake, schedule
-                ),
+                (workload, nprocs, preset, geometry, sched, preempt, placement, ckpt, schedule),
                 "seed {seed} changed its scenario"
             );
         }

@@ -38,8 +38,6 @@ fn record_baseline_with_cuts(dir: &std::path::Path, seed: u64) -> bool {
         1,
         false,
         false,
-        sc.os_batch,
-        sc.disk_wake,
         CkptMode::Record {
             every: 500,
             path: &ckpt,

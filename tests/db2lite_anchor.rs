@@ -2,10 +2,9 @@
 //! buffer-pool-starved TPC-C run whose misses, victim writebacks and WAL
 //! appends keep the simulated disks busy, with the per-disk operation
 //! counts and the headline `BackendStats` quantities pinned to literals.
-//! The anchor is then replayed across the kernel-path knobs — OS-port
-//! batch depth × the event-driven disk path (`disk_wake`) — both pure
-//! transport optimisations that must
-//! reproduce every pinned value bit for bit, disk timeline included.
+//! The anchor is then replayed across batch depths — the one transport
+//! knob for frontends, OS threads and the bottom-half daemon — which
+//! must reproduce every pinned value bit for bit, disk timeline included.
 //! Intentional timing-model changes re-pin the literals (the failure
 //! message prints the fresh values).
 
@@ -17,7 +16,7 @@ use std::sync::Arc;
 
 const TERMINALS: usize = 3;
 
-fn run_db2(kernel_batch_depth: usize, disk_wake: bool) -> Anchor {
+fn run_db2(batch_depth: usize) -> Anchor {
     let cfg = TpccConfig {
         txns_per_terminal: 6,
         seed: 0xD15C,
@@ -50,8 +49,7 @@ fn run_db2(kernel_batch_depth: usize, disk_wake: bool) -> Anchor {
     let c = b.config_mut();
     c.backend.deadlock_ms = 30_000;
     c.backend.timer_interval = Some(2_000_000);
-    c.kernel_batch_depth = kernel_batch_depth;
-    c.disk_wake = disk_wake;
+    c.backend.batch_depth = batch_depth;
     let report = b.run();
     let terminals = sink.lock().clone();
     Anchor { report, terminals }
@@ -64,8 +62,8 @@ struct Anchor {
 
 #[test]
 fn fixed_seed_db2lite_disk_results_are_pinned() {
-    // Baseline: the shipped defaults (depth 8, disk_wake on).
-    let base = run_db2(8, true);
+    // Baseline: the shipped default depth, 8.
+    let base = run_db2(8);
 
     // Per-terminal transaction mix — a pure function of (seed, rank)
     // plus lock outcomes.
@@ -103,7 +101,7 @@ fn fixed_seed_db2lite_disk_results_are_pinned() {
     assert_eq!(b.soft_faults, 33, "soft fault count moved");
 
     // Bit-stability across an identical rerun.
-    let again = run_db2(8, true);
+    let again = run_db2(8);
     assert_eq!(
         base.terminals, again.terminals,
         "terminal stats not bit-stable"
@@ -114,20 +112,20 @@ fn fixed_seed_db2lite_disk_results_are_pinned() {
         "BackendStats not bit-stable across identical runs"
     );
 
-    // Knob twins: kernel_batch_depth × disk_wake must replay the very
-    // same anchor — the event-driven disk path settles the same
-    // latencies through the port credit that the per-reference
-    // rendezvous charged directly (see DESIGN.md).
-    for (kb, dw) in [(1, false), (1, true), (64, false), (64, true), (8, false)] {
-        let twin = run_db2(kb, dw);
+    // Depth twins must replay the very same anchor — batched kernel
+    // references and interrupt handlers settle the same latencies through
+    // the port credit that the per-reference rendezvous charges directly
+    // (see DESIGN.md).
+    for depth in [1, 64] {
+        let twin = run_db2(depth);
         assert_eq!(
             base.terminals, twin.terminals,
-            "terminal stats moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "terminal stats moved at batch_depth={depth}"
         );
         assert_eq!(
             format!("{:#?}", base.report.backend),
             format!("{:#?}", twin.report.backend),
-            "BackendStats moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "BackendStats moved at batch_depth={depth}"
         );
     }
 }

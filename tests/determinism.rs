@@ -1,9 +1,9 @@
 //! Whole-system determinism: arbitrary mixed workloads — shared memory,
 //! simulated locks, barriers, file I/O, compute — must produce
-//! bit-identical simulations across runs and across engine modes. This is
+//! bit-identical simulations across runs and across batch depths. This is
 //! the load-bearing property of the least-execution-time pickup rule (§2).
 
-use compass::{ArchConfig, CpuCtx, EngineMode, SimBuilder};
+use compass::{ArchConfig, CpuCtx, SimBuilder};
 use compass_backend::BackendStats;
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
@@ -83,22 +83,21 @@ fn chaos_process(seed: u64, nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
     }
 }
 
-fn chaos_builder(mode: EngineMode, nprocs: u16, batch_depth: usize) -> SimBuilder {
+fn chaos_builder(nprocs: u16, batch_depth: usize) -> SimBuilder {
     let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
         k.create_file("/chaos", FileData::Synthetic { len: 96 * 1024 });
     });
     for p in 0..nprocs {
         b = b.add_process(chaos_process(p as u64 * 7919 + 17, nprocs));
     }
-    b.config_mut().backend.mode = mode;
     b.config_mut().backend.timer_interval = Some(500_000);
     b.config_mut().backend.deadlock_ms = 10_000;
     b.config_mut().backend.batch_depth = batch_depth;
     b
 }
 
-fn run_chaos(mode: EngineMode, nprocs: u16) -> BackendStats {
-    chaos_builder(mode, nprocs, 8).run().backend
+fn run_chaos(nprocs: u16) -> BackendStats {
+    chaos_builder(nprocs, 8).run().backend
 }
 
 fn assert_same(a: &BackendStats, b: &BackendStats) {
@@ -114,18 +113,9 @@ fn assert_same(a: &BackendStats, b: &BackendStats) {
 
 #[test]
 fn chaos_is_deterministic_across_runs() {
-    let a = run_chaos(EngineMode::Pipelined, 3);
-    let b = run_chaos(EngineMode::Pipelined, 3);
+    let a = run_chaos(3);
+    let b = run_chaos(3);
     assert_same(&a, &b);
-}
-
-#[test]
-fn engine_modes_produce_identical_simulations() {
-    // The paper's uniprocessor and SMP deployments differ only in
-    // wall-clock; the simulation itself must be bit-identical.
-    let serial = run_chaos(EngineMode::Serialized, 3);
-    let pipe = run_chaos(EngineMode::Pipelined, 3);
-    assert_same(&serial, &pipe);
 }
 
 /// Reader/writer ping-pong over one shared line: every round the
@@ -185,16 +175,12 @@ fn batch_depth_does_not_change_the_simulation() {
     // backend's credit accounting must make every depth byte-identical to
     // depth 1 (classic per-event rendezvous) — same event stream, same
     // global order, same attribution — not merely statistically close.
-    assert_depth_invariant("chaos", &[4, 16], |d| {
-        chaos_builder(EngineMode::Pipelined, 3, d)
-    });
+    assert_depth_invariant("chaos", &[4, 16], |d| chaos_builder(3, d));
     // More processes than CPUs: context switches migrate processes
     // between CPUs mid-batch.
-    assert_depth_invariant("oversubscribed chaos", &[8], |d| {
-        chaos_builder(EngineMode::Pipelined, 5, d)
-    });
-    // Serialized ("uniprocessor host") mode with sampled references.
-    assert_depth_invariant("serialized+sampled", &[4], |d| {
+    assert_depth_invariant("oversubscribed chaos", &[8], |d| chaos_builder(5, d));
+    // Sampled references on the simple two-CPU machine.
+    assert_depth_invariant("sampled", &[4], |d| {
         let mut b = SimBuilder::new(ArchConfig::simple_smp(2)).prepare_kernel(|k| {
             k.create_file("/chaos", FileData::Synthetic { len: 96 * 1024 });
         });
@@ -202,7 +188,6 @@ fn batch_depth_does_not_change_the_simulation() {
             b = b.add_process(chaos_process(p as u64 + 41, 2));
         }
         let c = b.config_mut();
-        c.backend.mode = EngineMode::Serialized;
         c.backend.batch_depth = d;
         c.backend.deadlock_ms = 10_000;
         c.sample_period = 3;
@@ -234,8 +219,8 @@ fn batch_depth_does_not_change_the_simulation() {
 fn oversubscription_is_deterministic() {
     // More processes than CPUs: the ready queue and context switches are
     // in play, and everything must still replay exactly.
-    let a = run_chaos(EngineMode::Pipelined, 5);
-    let b = run_chaos(EngineMode::Pipelined, 5);
+    let a = run_chaos(5);
+    let b = run_chaos(5);
     assert_same(&a, &b);
     assert!(
         a.procs.iter().any(|p| p.ready_wait > 0),

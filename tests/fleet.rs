@@ -2,6 +2,7 @@
 //! golden-run determinism of the aggregate report, and hand-computed
 //! per-axis sensitivity fixtures.
 
+use compass::{PlacementPolicy, SchedPolicy};
 use compass_fleet::report::{render, sensitivity, ReportInput};
 use compass_fleet::{dedupe, expand_preset, run_fleet, FleetPoint, Job, JobResult, Knob, Lattice};
 use compass_simcheck::presets;
@@ -17,8 +18,15 @@ const DEPTHS: [Knob; 4] = [
     Knob::Depth(16),
     Knob::Depth(64),
 ];
-const DISK_WAKE: [Knob; 2] = [Knob::DiskWake(true), Knob::DiskWake(false)];
-const OS_BATCH: [Knob; 3] = [Knob::OsBatch(1), Knob::OsBatch(8), Knob::OsBatch(64)];
+const SCHED: [Knob; 2] = [
+    Knob::Sched(SchedPolicy::Fcfs),
+    Knob::Sched(SchedPolicy::Affinity),
+];
+const PLACEMENT: [Knob; 3] = [
+    Knob::Placement(PlacementPolicy::FirstTouch),
+    Knob::Placement(PlacementPolicy::RoundRobin),
+    Knob::Placement(PlacementPolicy::Block(2)),
+];
 const PREEMPT: [Knob; 2] = [Knob::Preempt(false), Knob::Preempt(true)];
 
 proptest! {
@@ -29,17 +37,17 @@ proptest! {
     #[test]
     fn expansion_cardinality_is_product_of_axis_sizes(
         nd in 1usize..=4,
-        nw in 1usize..=2,
-        nb in 1usize..=3,
+        ns in 1usize..=2,
+        nl in 1usize..=3,
         np in 1usize..=2,
     ) {
         let lat = Lattice::new("sci_small", presets::sci_small())
             .axis(&DEPTHS[..nd])
-            .axis(&DISK_WAKE[..nw])
-            .axis(&OS_BATCH[..nb])
+            .axis(&SCHED[..ns])
+            .axis(&PLACEMENT[..nl])
             .axis(&PREEMPT[..np]);
         let points = lat.expand();
-        prop_assert_eq!(points.len(), nd * nw * nb * np);
+        prop_assert_eq!(points.len(), nd * ns * nl * np);
         prop_assert_eq!(lat.cardinality(), points.len());
         let (unique, map) = dedupe(&points);
         prop_assert_eq!(unique.len(), points.len(), "distinct axis values collapsed");
@@ -203,15 +211,12 @@ fn fake_result(point: FleetPoint, cycles: u64, events: u64) -> JobResult {
 /// single-value axis that still reports its lone point.
 #[test]
 fn sensitivity_deltas_match_hand_computed_fixture() {
-    use compass::SchedPolicy;
+    // Axis points: baseline (Fcfs, d1, no preempt), Affinity variant, d4
+    // variant; the third axis is a degenerate single-point one.
     let lat = Lattice::new("fixture", presets::sci_small())
-        .axis(&[
-            Knob::Sched(SchedPolicy::Fcfs),
-            Knob::Sched(SchedPolicy::Affinity),
-        ])
+        .axis(&SCHED)
         .axis(&DEPTHS[..2])
-        .axis(&[Knob::OsBatch(1)]); // degenerate single-point axis
-                                    // Axis points: baseline (Fcfs, d1, ob1), Affinity variant, d4 variant.
+        .axis(&[Knob::Preempt(false)]);
     let base = lat.baseline();
     let affinity = &lat.axis_points(0)[1];
     let deep = &lat.axis_points(1)[1];
@@ -240,11 +245,11 @@ fn sensitivity_deltas_match_hand_computed_fixture() {
     assert!(depth.entries[1].stats_neutral);
 
     // The degenerate axis: one entry, the baseline itself, all zeros.
-    let os_batch = &sens.axes[2];
-    assert_eq!(os_batch.axis, "os_batch");
-    assert_eq!(os_batch.entries.len(), 1);
-    assert_eq!(os_batch.entries[0].d_global_cycles, 0);
-    assert_eq!(os_batch.entries[0].d_events, 0);
+    let preempt = &sens.axes[2];
+    assert_eq!(preempt.axis, "preempt");
+    assert_eq!(preempt.entries.len(), 1);
+    assert_eq!(preempt.entries[0].d_global_cycles, 0);
+    assert_eq!(preempt.entries[0].d_events, 0);
 }
 
 /// A transport axis whose simulated stats differ is a correctness

@@ -2,10 +2,10 @@
 //! scaled client model (keep-alive blocks, slow clients, churned
 //! connections) against the keep-alive pre-fork server, with the request
 //! mix and the headline `BackendStats` quantities pinned to literals.
-//! The same anchor is then replayed across the kernel-path knobs —
-//! OS-port batch depth and the event-driven disk path — both pure
-//! transport optimisations that must reproduce every pinned value bit
-//! for bit.
+//! The same anchor is then replayed across batch depths — one knob for
+//! the frontends, the OS threads and the bottom-half daemon, a pure
+//! transport optimisation that must reproduce every pinned value bit for
+//! bit.
 //! Intentional timing-model changes re-pin the literals (the failure
 //! message prints the fresh values).
 
@@ -27,12 +27,7 @@ struct Anchor {
     p99: u64,
 }
 
-fn run_http_sized(
-    requests: u32,
-    clients: u32,
-    kernel_batch_depth: usize,
-    disk_wake: bool,
-) -> Anchor {
+fn run_http_sized(requests: u32, clients: u32, batch_depth: usize) -> Anchor {
     let fileset = FileSetConfig { dirs: 2 };
     let trace = generate_trace(fileset, requests, 0x5EC);
     let cfg = ServerConfig {
@@ -61,8 +56,7 @@ fn run_http_sized(
     }
     let c = b.config_mut();
     c.backend.deadlock_ms = 30_000;
-    c.kernel_batch_depth = kernel_batch_depth;
-    c.disk_wake = disk_wake;
+    c.backend.batch_depth = batch_depth;
     let report = b.run();
     Anchor {
         report,
@@ -72,14 +66,14 @@ fn run_http_sized(
     }
 }
 
-fn run_http(kernel_batch_depth: usize, disk_wake: bool) -> Anchor {
-    run_http_sized(REQUESTS, CLIENTS, kernel_batch_depth, disk_wake)
+fn run_http(batch_depth: usize) -> Anchor {
+    run_http_sized(REQUESTS, CLIENTS, batch_depth)
 }
 
 // Under `check-invariants` the engine re-audits the whole cache hierarchy
-// after every drained step, which turns this test's seven full 52k-event
+// after every drained step, which turns this test's four full 52k-event
 // runs into the better part of an hour. The audited build instead runs
-// `audited_kernel_knob_twins_stay_bit_identical` below — same knobs, same
+// `audited_kernel_knob_twins_stay_bit_identical` below — same depths, same
 // workload, a fraction of the events — while the plain build keeps the
 // full pinned matrix.
 #[cfg_attr(
@@ -88,9 +82,8 @@ fn run_http(kernel_batch_depth: usize, disk_wake: bool) -> Anchor {
 )]
 #[test]
 fn fixed_seed_httplite_results_are_pinned() {
-    // The baseline uses the default kernel path (depth 8, event-driven
-    // disk wakes on).
-    let base = run_http(8, true);
+    // The baseline uses the default batch depth, 8.
+    let base = run_http(8);
 
     // Request mix: every trace entry served exactly once, the churn
     // schedule a pure function of the block ids, the connection count
@@ -122,7 +115,7 @@ fn fixed_seed_httplite_results_are_pinned() {
     assert_eq!(base.p99, 98_716_836, "p99 request latency moved");
 
     // Bit-stability across an identical rerun.
-    let again = run_http(8, true);
+    let again = run_http(8);
     assert_eq!(
         format!("{:#?}", base.report.backend),
         format!("{:#?}", again.report.backend),
@@ -130,58 +123,59 @@ fn fixed_seed_httplite_results_are_pinned() {
     );
     assert_eq!(seen, &again.seen, "player observations not bit-stable");
 
-    // Kernel-path knob twins: OS-port batch depth × the event-driven disk
-    // path are pure transport optimisations — every combination must
-    // replay to the very same anchor.
-    for (kb, dw) in [(1, false), (64, true), (1, true), (64, false), (8, false)] {
-        let twin = run_http(kb, dw);
+    // Depth twins: per-event posting everywhere (1) and deep batches
+    // everywhere (64) are pure transport changes — both must replay to the
+    // very same anchor.
+    for depth in [1, 64] {
+        let twin = run_http(depth);
         assert_eq!(
             format!("{:#?}", base.report.backend),
             format!("{:#?}", twin.report.backend),
-            "BackendStats moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "BackendStats moved at batch_depth={depth}"
         );
         assert_eq!(
             seen, &twin.seen,
-            "player observations moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "player observations moved at batch_depth={depth}"
         );
         assert_eq!(
             (base.p50, base.p99),
             (twin.p50, twin.p99),
-            "latency quantiles moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "latency quantiles moved at batch_depth={depth}"
         );
     }
 }
 
 /// The audited-build stand-in for the full matrix above: a small run of
 /// the same workload (so per-step invariant audits stay affordable)
-/// exercising OS-port batching and disk wakes together, with the
-/// bit-identity contract checked but no pinned literals to maintain.
+/// exercising kernel batching and the daemon's batched interrupts across
+/// depths, with the bit-identity contract checked but no pinned literals
+/// to maintain.
 #[test]
 fn audited_kernel_knob_twins_stay_bit_identical() {
     const SMALL_REQS: u32 = 8;
     const SMALL_CLIENTS: u32 = 2;
-    let base = run_http_sized(SMALL_REQS, SMALL_CLIENTS, 8, true);
+    let base = run_http_sized(SMALL_REQS, SMALL_CLIENTS, 8);
     assert_eq!(
         base.seen.completed,
         u64::from(SMALL_REQS),
         "a request was lost: {:?}",
         base.seen
     );
-    for (kb, dw) in [(1, false), (64, true), (8, false)] {
-        let twin = run_http_sized(SMALL_REQS, SMALL_CLIENTS, kb, dw);
+    for depth in [1, 64] {
+        let twin = run_http_sized(SMALL_REQS, SMALL_CLIENTS, depth);
         assert_eq!(
             format!("{:#?}", base.report.backend),
             format!("{:#?}", twin.report.backend),
-            "BackendStats moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "BackendStats moved at batch_depth={depth}"
         );
         assert_eq!(
             &base.seen, &twin.seen,
-            "player observations moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "player observations moved at batch_depth={depth}"
         );
         assert_eq!(
             (base.p50, base.p99),
             (twin.p50, twin.p99),
-            "latency quantiles moved at kernel_batch_depth={kb} disk_wake={dw}"
+            "latency quantiles moved at batch_depth={depth}"
         );
     }
 }

@@ -202,12 +202,11 @@ fn kernel_time_is_attributed_to_kernel_mode() {
 
 #[test]
 fn batched_syscall_errors_are_per_call_and_depth_invariant() {
-    // ISSUE 6: `CallBatch` carries adjacent syscalls in one port
-    // crossing. Failures must come back *per call* — an errno in the
-    // middle of a batch aborts nothing — and the simulated timeline must
-    // be identical to issuing the same calls one `Call` at a time, at
-    // any kernel batch depth.
-    fn run_once(batched: bool, kernel_batch_depth: usize) -> u64 {
+    // `CallBatch` carries adjacent syscalls in one port crossing.
+    // Failures must come back *per call* — an errno in the middle of a
+    // batch aborts nothing — and the simulated timeline must be identical
+    // to issuing the same calls one `Call` at a time, at any batch depth.
+    fn run_once(batched: bool, batch_depth: usize) -> u64 {
         let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
             .prepare_kernel(|k| {
                 k.create_file("/f", compass_os::fs::FileData::Synthetic { len: 4_096 });
@@ -253,17 +252,87 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
             });
         let c = b.config_mut();
         c.backend.deadlock_ms = 3_000;
-        c.kernel_batch_depth = kernel_batch_depth;
+        c.backend.batch_depth = batch_depth;
         b.run().backend.global_cycles
     }
-    let anchor = run_once(false, 1);
-    for (batched, kb) in [(true, 1), (true, 64), (false, 64), (true, 8)] {
+    let anchor = run_once(false, 8);
+    for (batched, depth) in [(true, 8), (false, 1), (true, 1), (false, 64), (true, 64)] {
         assert_eq!(
-            run_once(batched, kb),
+            run_once(batched, depth),
             anchor,
-            "timeline moved: batched={batched} kernel_batch_depth={kb}"
+            "timeline moved: batched={batched} batch_depth={depth}"
         );
     }
+}
+
+/// Batching is stats-neutral, so a wiring slip that left the OS threads
+/// or the bottom-half daemon at depth 1 would pass every anchor. This
+/// reads the host-side evidence instead: syscall replies that aggregated
+/// batched kernel events (`os_batched_replies`), and the non-blocking
+/// events the daemon posted on its own port (that port's `ring_batched`,
+/// read from the fine trace's pickups because counters merge across
+/// ports). The workload issues plain `os_call`s only — `os_call_batch`
+/// would tick `os_batched_replies` at any depth — and misses the buffer
+/// cache, so disk interrupts reach the daemon.
+#[test]
+fn one_batch_depth_reaches_every_poster() {
+    fn run_once(batch_depth: usize) -> (u64, u64, u64) {
+        let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
+            k.create_file("/f", compass_os::fs::FileData::Synthetic { len: 32 * 1024 });
+        });
+        for _ in 0..2 {
+            b = b.add_process(|cpu: &mut CpuCtx| {
+                let buf = cpu.malloc_pages(4096);
+                let fd = match cpu.os_call(OsCall::Open {
+                    path: "/f".into(),
+                    create: false,
+                }) {
+                    Ok(SysVal::NewFd(fd)) => fd,
+                    other => panic!("{other:?}"),
+                };
+                loop {
+                    match cpu.os_call(OsCall::Read { fd, len: 4096, buf }) {
+                        Ok(SysVal::Data(d)) if d.is_empty() => break,
+                        Ok(SysVal::Data(_)) => {}
+                        other => panic!("{other:?}"),
+                    }
+                }
+                let _ = cpu.os_call(OsCall::Close { fd });
+            });
+        }
+        let c = b.config_mut();
+        c.backend.batch_depth = batch_depth;
+        c.backend.deadlock_ms = 3_000;
+        c.obs = compass::ObsConfig::full(compass::TraceLevel::Fine);
+        let r = b.run();
+        assert!(
+            r.backend.disk_ops.iter().any(|&(ops, _)| ops > 0),
+            "the reads must reach the disks"
+        );
+        let daemon = r.app_processes as u32;
+        let trace = r.trace.expect("tracing on");
+        assert_eq!(trace.dropped(), 0, "trace ring too small for this run");
+        let daemon_batched = trace
+            .records()
+            .iter()
+            .filter(|t| t.kind == compass_obs::TraceKind::Pickup && t.pid == daemon && t.b == 0)
+            .count() as u64;
+        let o = r.obs.expect("counters on");
+        (
+            o.counter("os_batched_replies"),
+            daemon_batched,
+            o.counter("ring_batched"),
+        )
+    }
+    let (os_batched, daemon_batched, ring_batched) = run_once(1);
+    assert_eq!(
+        (os_batched, daemon_batched, ring_batched),
+        (0, 0, 0),
+        "depth 1 must post every event blocking"
+    );
+    let (os_batched, daemon_batched, _) = run_once(8);
+    assert!(os_batched > 0, "the OS threads' syscall path never batched");
+    assert!(daemon_batched > 0, "the bottom-half daemon never batched");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Fixed-seed regression anchor for the db2lite TPC-C workload: one
-//! exact configuration, run twice for bit-stability and across the
-//! kernel-path knobs, with the per-terminal transaction counts and the headline
+//! exact configuration, run twice for bit-stability and across batch
+//! depths, with the per-terminal transaction counts and the headline
 //! `BackendStats` quantities pinned to literals. If any engine,
 //! OS-server, buffer-pool or locking change shifts a single simulated
 //! cycle, this test names the quantity that moved; intentional changes
@@ -18,7 +18,7 @@ fn run_tpcc() -> (RunReport, Vec<TerminalStats>) {
     run_tpcc_with(8)
 }
 
-fn run_tpcc_with(kernel_batch_depth: usize) -> (RunReport, Vec<TerminalStats>) {
+fn run_tpcc_with(batch_depth: usize) -> (RunReport, Vec<TerminalStats>) {
     let cfg = TpccConfig {
         txns_per_terminal: 5,
         seed: 0xA27C,
@@ -49,7 +49,7 @@ fn run_tpcc_with(kernel_batch_depth: usize) -> (RunReport, Vec<TerminalStats>) {
     let c = b.config_mut();
     c.backend.deadlock_ms = 30_000;
     c.backend.timer_interval = Some(2_000_000);
-    c.kernel_batch_depth = kernel_batch_depth;
+    c.backend.batch_depth = batch_depth;
     let report = b.run();
     let terminals = sink.lock().clone();
     (report, terminals)
@@ -97,19 +97,18 @@ fn fixed_seed_tpcc_results_are_pinned() {
         "BackendStats not bit-stable across identical runs"
     );
 
-    // OS-port batching is a pure transport optimisation: any depth must
-    // replay to the very same anchor (the credit invariants — see
-    // DESIGN.md).
-    for kb in [1, 64] {
-        let (twin, terminals_twin) = run_tpcc_with(kb);
+    // Batching is a pure transport optimisation: any depth must replay to
+    // the very same anchor (the credit invariants — see DESIGN.md).
+    for depth in [1, 64] {
+        let (twin, terminals_twin) = run_tpcc_with(depth);
         assert_eq!(
             terminals, terminals_twin,
-            "terminal stats moved at kernel_batch_depth={kb}"
+            "terminal stats moved at batch_depth={depth}"
         );
         assert_eq!(
             format!("{:#?}", report.backend),
             format!("{:#?}", twin.backend),
-            "BackendStats moved at kernel_batch_depth={kb}"
+            "BackendStats moved at batch_depth={depth}"
         );
     }
 }
