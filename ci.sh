@@ -22,7 +22,9 @@ cargo run --release -q -p compass-fleet -- --smoke --out target/BENCH_fleet_smok
 # benchmark's own catalogue field by field, and its unit tests must pass.
 # The unit tests build benchmark/ against this workspace, so they also
 # guard every public name it uses (L1Mirror, Hierarchy::epoch_victims,
-# ArchRecord::Access::victims, the counter names it reads).
+# ArchRecord::Access::victims, CheckpointData::ff_events,
+# BackendConfig::deadlock_ms, EventPort/ReqPort/Notifier driven from
+# std::thread posters, the counter names it reads).
 bash benchmark/run.sh --check-manifest BENCHMARK.json
 cargo test --offline --manifest-path benchmark/Cargo.toml
 # Golden fingerprints: one short driver run per workload at the golden

@@ -388,11 +388,13 @@ mod tests {
         assert_eq!(c.peek(a), Some(LineState::Modified));
     }
 
+    /// Debug builds panic; release builds refuse the call with `false`.
     #[test]
-    #[should_panic(expected = "absent line")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "absent line"))]
     fn set_state_on_absent_line_panics() {
         let mut c = tiny();
-        c.set_state(5, LineState::Shared);
+        assert!(!c.set_state(5, LineState::Shared));
+        assert_eq!(c.resident(), 0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Deterministic checkpoint/restore (ISSUE 8).
+//! Deterministic checkpoint/restore: the file format.
 //!
 //! COMPASS frontends are coroutines running real closures, so their
 //! "state" lives on host stacks and cannot be serialized. A checkpoint
 //! therefore records the *architecture-model outcomes* instead: every
-//! [`crate::Backend::mem_access`] and DSM page-transfer result, in engine
-//! service order, plus one snapshot of the memory hierarchy taken at a
-//! quiesced cut (between engine steps).
+//! hierarchy access and DSM page-transfer result, in engine service
+//! order, plus one snapshot of the memory hierarchy taken at a quiesced
+//! cut (between engine steps). [`crate::ArchPort`] records and replays
+//! the stream; this module only encodes and decodes it.
 //!
 //! Resume re-executes everything live — frontend closures, OS-server
 //! threads, scheduler, VM, devices — but feeds the architecture models
@@ -31,7 +32,6 @@
 //! rejected, never reinterpreted.
 
 use compass_snap::{seal, unseal, Reader, SnapError, Writer};
-use std::path::PathBuf;
 
 /// Checkpoint frame version (see the module docs for the bump rule).
 /// Version 2 lays the hierarchy snapshot out per cache array instead of
@@ -216,31 +216,6 @@ impl CheckpointData {
             .map_err(|e| format!("reading checkpoint {}: {e}", path.display()))?;
         Self::decode(&bytes).map_err(|e| format!("decoding checkpoint {}: {e}", path.display()))
     }
-}
-
-/// Engine-side recording state (`Backend::set_checkpoint`).
-pub struct Recording {
-    /// Cut interval in serviced events.
-    pub every: u64,
-    /// Destination file, overwritten at each cut (latest cut wins).
-    pub path: PathBuf,
-    /// Outcomes recorded since the models went live.
-    pub records: Vec<ArchRecord>,
-    /// Next `events_processed` ordinal at which to cut.
-    pub next_cut: u64,
-}
-
-/// Engine-side replay state (`Backend::set_resume`).
-pub struct Replay {
-    /// The recorded stream.
-    pub records: Vec<ArchRecord>,
-    /// Next record to consume.
-    pub idx: usize,
-    /// Ordinal at which the stream must be exhausted and the hierarchy
-    /// snapshot swapped in.
-    pub cut_events: u64,
-    /// Raw hierarchy snapshot bytes.
-    pub snapshot: Vec<u8>,
 }
 
 #[cfg(test)]

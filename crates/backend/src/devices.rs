@@ -7,12 +7,21 @@
 //! Devices turn commands into *future completions* (tasks in the global
 //! event scheduler) plus interrupt requests; the functional side of a
 //! completion is deposited in the communicator's device postbox for the
-//! kernel's interrupt handlers.
+//! kernel's interrupt handlers. The engine's side of that — issuing
+//! commands, running due tasks, waking the bottom-half daemon — is the
+//! `impl Backend` block at the end of this file.
 
+use crate::engine::{Backend, PState};
+use crate::error::DeadlockKind;
+use crate::tasks::Task;
 use compass_arch::bus::BusyResource;
-use compass_comm::Frame;
-use compass_isa::{ConnId, Cycles};
+use compass_comm::{DevCmd, DiskCompletion, Event, Frame, IrqSource, Reply, ReplyData, TimerTick};
+use compass_isa::{ConnId, CpuId, Cycles, ProcessId};
+use compass_obs::Ctr;
 use serde::{Deserialize, Serialize};
+
+/// Cycles a clock-device register read costs.
+const CLOCK_READ: Cycles = 20;
 
 /// Disk timing parameters (a late-90s SCSI drive at a 133 MHz clock:
 /// ~6 ms average positioning ≈ 800k cycles, ~15 MB/s media rate).
@@ -171,6 +180,161 @@ impl TrafficSource for NullTraffic {
 
     fn on_tx(&mut self, _conn: ConnId, _bytes: u32, _now: Cycles) -> Vec<(Cycles, Frame)> {
         Vec::new()
+    }
+}
+
+impl Backend {
+    /// Seeds device work before the first step: client traffic and the
+    /// interval timers.
+    pub(crate) fn seed_devices(&mut self) {
+        for (t, mut f) in self.traffic.initial() {
+            f.time = t;
+            self.note_device_wake();
+            self.tasks.schedule(t, Task::NetDeliver(f));
+        }
+        if let Some(iv) = self.cfg.timer_interval {
+            for c in 0..self.cfg.arch.ncpus() {
+                self.timer_armed[c] = true;
+                let cpu = CpuId::from(c);
+                self.tasks.schedule(iv, Task::TimerTick { cpu });
+            }
+        }
+    }
+
+    /// Issues a device command posted by `pid`: the device schedules its
+    /// completion and the issuing kernel code pays the driver overhead.
+    pub(crate) fn handle_dev(&mut self, pid: ProcessId, ev: Event, cmd: DevCmd, wants: bool) {
+        let latency = match cmd {
+            DevCmd::DiskRead {
+                disk,
+                nblocks,
+                token,
+                ..
+            }
+            | DevCmd::DiskWrite {
+                disk,
+                nblocks,
+                token,
+                ..
+            } => {
+                let write = matches!(cmd, DevCmd::DiskWrite { .. });
+                let d = self
+                    .disks
+                    .get_mut(disk.index())
+                    .unwrap_or_else(|| panic!("unknown {disk}"));
+                let time = d.start(ev.time, nblocks);
+                let overhead = d.issue_overhead();
+                self.note_device_wake();
+                let done = DiskCompletion {
+                    disk,
+                    token,
+                    write,
+                    time,
+                };
+                self.tasks.schedule(time, Task::DiskComplete(done));
+                overhead
+            }
+            DevCmd::NetTx { conn, bytes, .. } => {
+                let done = self.nic.transmit(ev.time, bytes);
+                for (t, mut f) in self.traffic.on_tx(conn, bytes, done) {
+                    let at = t.max(done);
+                    f.time = at;
+                    self.note_device_wake();
+                    self.tasks.schedule(at, Task::NetDeliver(f));
+                }
+                self.nic.issue_overhead()
+            }
+            DevCmd::ClockRead => {
+                let clock = ReplyData::Clock { cycles: ev.time };
+                return self.reply_now(pid, ev, Reply::with_data(CLOCK_READ, clock), wants);
+            }
+        };
+        self.reply_now(pid, ev, Reply::latency(latency), wants);
+    }
+
+    /// Runs one due device task: a completion or frame is deposited for
+    /// the interrupt handlers and the daemon woken; a timer tick may also
+    /// flag a pre-emption.
+    pub(crate) fn run_task(&mut self, time: Cycles, task: Task) {
+        if matches!(task, Task::DiskComplete(_) | Task::NetDeliver(_)) {
+            self.obs.inc(Ctr::IrqDispatches);
+        }
+        let irq_cpu = self.irq_cpu();
+        match task {
+            Task::DiskComplete(c) => {
+                self.devshared.push_disk(c);
+                self.cpu_states.raise(irq_cpu, IrqSource::Disk);
+                self.irq_dispatches[0] += 1;
+                self.wake_daemon(time);
+            }
+            Task::NetDeliver(f) => {
+                self.devshared.push_frame(f);
+                self.cpu_states.raise(irq_cpu, IrqSource::Net);
+                self.irq_dispatches[1] += 1;
+                self.wake_daemon(time);
+            }
+            Task::TimerTick { cpu } => {
+                self.obs.inc(Ctr::TimerTicks);
+                // Timer ticks keep the simulation "alive" even when the
+                // application has deadlocked on its own synchronisation;
+                // catch that here instead of spinning forever: if every
+                // live application process waits on a lock or barrier
+                // (which only another application process can resolve)
+                // and no device completion is in flight, nothing can ever
+                // wake anyone.
+                if self.sync_deadlocked() {
+                    self.latch(|b| b.deadlock_error(DeadlockKind::SyncCycle));
+                    return;
+                }
+                // Event-driven ticks: an idle CPU has no running process
+                // to preempt and no kernel entity consuming its ticks, so
+                // instead of polling at every interval the tick disarms
+                // and `install` re-arms it when work next lands here.
+                // (Idleness is simulated state, so this is deterministic
+                // and identical across batching knobs.)
+                if self.cpu_states.running(cpu).is_none() || self.all_apps_exited() {
+                    self.timer_armed[cpu.index()] = false;
+                    self.device_polls_eliminated += 1;
+                    self.obs.inc(Ctr::DevicePollsEliminated);
+                    return;
+                }
+                self.devshared.push_tick(TimerTick { cpu, time });
+                self.cpu_states.raise(cpu, IrqSource::Timer);
+                self.irq_dispatches[2] += 1;
+                if self.cfg.preempt_interval.is_some() {
+                    if let Some(victim) = self.sched.running_on(cpu) {
+                        if self.sched.ready_len() > 0 && !self.is_daemon(victim) {
+                            self.procs[victim.index()].preempt_pending = true;
+                        }
+                    }
+                }
+                self.wake_daemon(time);
+                if let Some(iv) = self.cfg.timer_interval {
+                    // The CPU is busy (checked above), so keep ticking.
+                    self.tasks.schedule(time + iv, Task::TimerTick { cpu });
+                }
+            }
+        }
+    }
+
+    /// Releases the kernel daemon's held Block so it drains device work.
+    fn wake_daemon(&mut self, now: Cycles) {
+        let Some(d) = self.daemon else { return };
+        let p = &mut self.procs[d.index()];
+        let Some(held) = p.held.as_ref().filter(|_| p.state == PState::Blocked) else {
+            return; // daemon awake: it will see the work before blocking
+        };
+        p.times.block_wait += now.saturating_sub(held.ev.time);
+        self.disk_wake_events += 1;
+        self.obs.inc(Ctr::DiskWakeEvents);
+        let cpu = self.irq_cpu();
+        self.resume(d, cpu, now, 0, true, ReplyData::Cpu { cpu });
+    }
+
+    /// Counts one scheduled device completion wake event.
+    fn note_device_wake(&mut self) {
+        self.device_wake_events += 1;
+        self.obs.inc(Ctr::DeviceWakeEvents);
     }
 }
 

@@ -27,8 +27,13 @@
 //!   data behind Table 1);
 //! * [`engine`] — the scan/take/simulate/reply loop with the
 //!   least-execution-time pickup rule;
+//! * [`arch_port`] — the engine's one port into the architecture models:
+//!   live, fast-forwarded or replayed from a checkpoint;
 //! * `scan` — the engine's least-time index, a fixed min-tournament over
 //!   the process slots;
+//! * `progress` — the engine's counters, trace and progress snapshots;
+//! * [`error`] — structured run failures and the engine diagnostics
+//!   behind them;
 //! * [`ckpt`] — checkpoint files: the recorded architecture-outcome
 //!   stream plus a hierarchy snapshot.
 //!
@@ -38,12 +43,14 @@
 
 #![forbid(unsafe_code)]
 
+pub mod arch_port;
 pub mod ckpt;
 pub mod config;
 pub mod devices;
 pub mod engine;
 pub mod error;
 pub mod locks;
+mod progress;
 mod scan;
 pub mod sched;
 pub mod stats;
@@ -51,11 +58,12 @@ pub mod tasks;
 pub mod trace;
 pub mod vm;
 
+pub use arch_port::ArchPort;
 pub use ckpt::{ArchRecord, CheckpointData, CKPT_VERSION};
 pub use config::{BackendConfig, SchedPolicy};
 pub use devices::{DiskParams, NetParams, TrafficSource};
 pub use engine::{Backend, SimOutcome};
 pub use error::{DeadlockKind, DeadlockReport, ProcDump, RunError, WildAccessReport};
 pub use stats::{BackendStats, ProcTimes};
-pub use trace::{TraceRecord, TraceSink};
+pub use trace::TraceRecord;
 pub use vm::{VmFault, VmFaultKind};

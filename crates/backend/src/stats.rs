@@ -9,12 +9,14 @@
 //! tracked separately and excluded from "CPU time", matching the paper
 //! ("the total CPU time which excludes wait time due to disk IO").
 
+use crate::engine::{Backend, SimOutcome};
 use crate::locks::SyncStats;
 use crate::sched::SchedStats;
 use compass_arch::{AccessClass, MemStats};
 use compass_isa::Cycles;
 use compass_mem::placement::PlacementStats;
 use compass_mem::TlbStats;
+use compass_obs::Ctr;
 use serde::{Deserialize, Serialize};
 
 /// Per-process time attribution.
@@ -115,6 +117,39 @@ impl BackendStats {
             os_pct: pct(
                 by_mode[AccessClass::Kernel.index()] + by_mode[AccessClass::Interrupt.index()]
             ),
+        }
+    }
+}
+
+impl Backend {
+    /// Collects every statistic of a finished run.
+    pub(crate) fn finish(mut self) -> SimOutcome {
+        // Flush the postbox's lock-free probe tally into the counter
+        // catalogue. Observation-only: never part of BackendStats, so the
+        // knob twins stay bit-identical by construction.
+        self.obs
+            .add(Ctr::DiskPollsEliminated, self.devshared.polls_eliminated());
+        self.obs.add(Ctr::ScanIndexUpdates, self.index.writes());
+        let (placement, pages_per_node) = self.vm.placement_stats();
+        let stats = BackendStats {
+            procs: self.procs.iter().map(|p| p.times).collect(),
+            global_cycles: self.global_time,
+            events: self.events_processed,
+            mem: *self.arch.hierarchy().stats(),
+            sched: self.sched.stats(),
+            sync: self.sync.stats(),
+            tlb: self.vm.tlb_stats(),
+            placement,
+            pages_per_node,
+            soft_faults: self.soft_faults,
+            disk_ops: self.disks.iter().map(|d| (d.ops, d.blocks)).collect(),
+            nic_tx: (self.nic.tx_bytes, self.nic.tx_frames),
+            irq_dispatches: self.irq_dispatches,
+            dropped_events: self.dropped_events,
+        };
+        SimOutcome {
+            stats,
+            access_trace: self.arch.take_trace(),
         }
     }
 }

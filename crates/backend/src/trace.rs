@@ -1,8 +1,10 @@
 //! Memory-access trace recording for differential checking.
 //!
-//! The engine can record every call it makes into the architecture models
-//! — cache/directory accesses and software-DSM page transfers — at the
-//! exact boundary where the `simcheck` reference oracle replays them.
+//! The engine's [`crate::ArchPort`] can record every live call into the
+//! architecture models — cache/directory accesses and software-DSM page
+//! transfers — at the exact boundary where the `simcheck` reference
+//! oracle replays them. The trace comes back with the run's outcome
+//! ([`crate::SimOutcome::access_trace`]).
 //! Replaying a recorded trace single-step through a fresh
 //! [`compass_arch::Hierarchy`] built from the same [`compass_arch::ArchConfig`]
 //! must reproduce every per-access latency and the final statistics bit for
@@ -12,8 +14,6 @@
 use compass_arch::AccessClass;
 use compass_isa::Cycles;
 use compass_mem::PAddr;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// One recorded call into the architecture models, in global simulated
 /// order (the engine is single-threaded, so recording order is replay
@@ -57,13 +57,4 @@ pub enum TraceRecord {
     /// A software-DSM ownership move without a data copy
     /// ([`compass_arch::Hierarchy::count_dsm_fault`]).
     DsmNoCopy,
-}
-
-/// Shared sink the engine appends [`TraceRecord`]s to when recording is
-/// enabled (see `Backend::set_access_recorder`).
-pub type TraceSink = Arc<Mutex<Vec<TraceRecord>>>;
-
-/// Creates an empty sink.
-pub fn sink() -> TraceSink {
-    Arc::new(Mutex::new(Vec::new()))
 }

@@ -3,14 +3,23 @@
 //! Per-process page tables, demand paging, shared-segment attach, the
 //! page-home hash table with round-robin / block / first-touch placement,
 //! per-CPU TLBs, and — for the software-DSM memory system — page-level
-//! coherence driven by the translations themselves.
+//! coherence driven by the translations themselves. The engine's side —
+//! charging one reference's translation and hierarchy access — is the
+//! `impl Backend` block at the end of this file.
 
-use compass_isa::{CpuId, FoldHashMap, NodeId, ProcessId, SegId};
+use crate::engine::Backend;
+use compass_arch::{Access, AccessClass};
+use compass_comm::ExecMode;
+use compass_isa::{CpuId, Cycles, FoldHashMap, NodeId, ProcessId, SegId};
 use compass_mem::{
     addr, FrameAllocator, HomeMap, PAddr, PageFlags, PageTable, PlacementPolicy, Region, ShmError,
     ShmRegistry, Tlb, TlbStats, VAddr, PAGE_SIZE,
 };
+use compass_obs::{Ctr, TraceKind};
 use std::collections::HashMap;
+
+/// Per-invalidation cost of a DSM write fault, in cycles.
+const DSM_INVAL: Cycles = 500;
 
 /// Page-level residency for the software-DSM model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -545,6 +554,80 @@ impl Vm {
             }
         }
         Ok(())
+    }
+}
+
+/// The access class a reference made in `mode` is attributed to.
+pub(crate) fn class_of(mode: ExecMode) -> AccessClass {
+    match mode {
+        ExecMode::User => AccessClass::User,
+        ExecMode::Kernel => AccessClass::Kernel,
+        ExecMode::Interrupt => AccessClass::Interrupt,
+    }
+}
+
+impl Backend {
+    /// One memory reference by `pid` at `now`: its translation costs plus
+    /// the hierarchy access. `None` when the VM cannot map it — the fault
+    /// is latched and the run unwinds before the next step.
+    pub(crate) fn reference(
+        &mut self,
+        pid: ProcessId,
+        vaddr: VAddr,
+        write: bool,
+        mode: ExecMode,
+        now: Cycles,
+    ) -> Option<Cycles> {
+        let cpu = self.cpu_for(pid);
+        let node = self.cfg.arch.node_of_cpu(cpu.index());
+        let tr = match self.vm.translate(pid, cpu, node, vaddr, write) {
+            Ok(tr) => tr,
+            Err(fault) => {
+                self.latch(|b| b.wild_access_error(fault));
+                return None;
+            }
+        };
+        let lat = self.charge_translation(&tr, now);
+        let acc = Access {
+            write,
+            class: class_of(mode),
+        };
+        let event = self.events_processed;
+        let res = self.arch.access(
+            cpu.index(),
+            tr.paddr,
+            acc,
+            tr.home,
+            now,
+            event,
+            &mut self.error,
+        );
+        Some(lat + res.latency)
+    }
+
+    /// TLB-miss, soft-fault and software-DSM costs of one translation.
+    fn charge_translation(&mut self, tr: &Translation, now: Cycles) -> Cycles {
+        let mut lat = 0;
+        if tr.tlb_miss {
+            lat += self.cfg.arch.lat.tlb_miss;
+            self.obs.inc(Ctr::TlbMisses);
+        }
+        if tr.soft_fault {
+            lat += self.cfg.arch.lat.soft_fault;
+            self.soft_faults += 1;
+            self.obs.inc(Ctr::PageFaults);
+            let cost = self.cfg.arch.lat.soft_fault;
+            self.obs
+                .record(now, u32::MAX, TraceKind::PageFault, cost, 0);
+        }
+        if let Some(d) = tr.dsm {
+            self.obs.inc(Ctr::DsmTransfers);
+            lat += self
+                .arch
+                .dsm(d, now, self.events_processed, &mut self.error);
+            lat += d.invalidations as u64 * DSM_INVAL;
+        }
+        lat
     }
 }
 

@@ -1,5 +1,5 @@
 //! The benchmark harness: parametric workload runners shared by the
-//! table/figure report binaries (`report_*`) and the Criterion benches.
+//! table/figure report binaries (`report_*`) and the `probe` CLI.
 //!
 //! Every experiment of the paper maps to a function here; see DESIGN.md's
 //! experiment index and EXPERIMENTS.md for the paper-vs-measured record.
@@ -38,8 +38,6 @@ pub struct TpcdRun {
     pub placement: PlacementPolicy,
     /// Buffer-pool pages.
     pub pool_pages: usize,
-    /// Interleaving sample period (S4).
-    pub sample_period: u32,
     /// Scheduler (S1).
     pub sched: SchedPolicy,
     /// Pre-emption interval (S1).
@@ -60,7 +58,6 @@ impl TpcdRun {
             query: Query::Q1(1_200),
             placement: PlacementPolicy::FirstTouch,
             pool_pages: 64,
-            sample_period: 1,
             sched: SchedPolicy::Fcfs,
             preempt: None,
             batch_depth: 8,
@@ -95,7 +92,6 @@ impl TpcdRun {
         cfg.backend.preempt_interval = self.preempt;
         cfg.backend.timer_interval = self.preempt;
         cfg.backend.batch_depth = self.batch_depth;
-        cfg.sample_period = self.sample_period;
         cfg.backend.deadlock_ms = 30_000;
         cfg.obs = self.obs.clone();
         (b.run(), results)

@@ -252,10 +252,15 @@ pub struct Reply {
 impl Reply {
     /// A plain reply with the given latency and no payload.
     pub fn latency(latency: Cycles) -> Self {
+        Self::with_data(latency, ReplyData::None)
+    }
+
+    /// A reply with the given latency and payload, interrupt flag clear.
+    pub fn with_data(latency: Cycles, data: ReplyData) -> Self {
         Reply {
             latency,
             irq_pending: false,
-            data: ReplyData::None,
+            data,
         }
     }
 }

@@ -21,9 +21,6 @@ pub struct SimConfig {
     /// `backend.batch_depth` says (interrupt work must see the
     /// authoritative clock and reply flags).
     pub pseudo_irq: bool,
-    /// Interleaving granularity: post every Nth user memory reference
-    /// (1 = the paper's basic-block-exact interleaving).
-    pub sample_period: u32,
     /// Observability: counters, structured trace, progress snapshots.
     /// Off by default; never consulted by simulation logic, so it cannot
     /// change simulated results.
@@ -43,7 +40,6 @@ impl SimConfig {
             kernel,
             timing: TimingModel::powerpc_604(),
             pseudo_irq: false,
-            sample_period: 1,
             obs: ObsConfig::default(),
         }
     }
@@ -66,7 +62,6 @@ impl SimConfig {
             kernel,
             timing,
             pseudo_irq,
-            sample_period,
             obs: _,
         } = self;
         let KernelConfig {
@@ -106,7 +101,6 @@ impl SimConfig {
         }
         w.u32(timing.clock_mhz);
         w.bool(*pseudo_irq);
-        w.u32(*sample_period);
         compass_snap::fnv1a64(&w.into_bytes())
     }
 
@@ -120,9 +114,6 @@ impl SimConfig {
                 "kernel stripes over {} disks but the backend models {}",
                 self.kernel.ndisks, self.backend.disks
             ));
-        }
-        if self.sample_period == 0 {
-            return Err("sample_period must be >= 1 (1 = every reference)".into());
         }
         Ok(())
     }
@@ -162,7 +153,7 @@ mod tests {
     fn default_config_hash_is_pinned() {
         assert_eq!(
             SimConfig::new(ArchConfig::ccnuma(2, 2)).config_hash(),
-            0x53c9_a429_03a0_21de,
+            0x0b77_3750_200b_6aff,
             "SimConfig::config_hash of the ccnuma(2, 2) defaults moved"
         );
     }
@@ -183,10 +174,6 @@ mod tests {
     fn degenerate_knobs_are_rejected_at_build_time() {
         let mut c = SimConfig::new(ArchConfig::simple_smp(2));
         c.backend.batch_depth = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::new(ArchConfig::simple_smp(2));
-        c.sample_period = 0;
         assert!(c.validate().is_err());
     }
 

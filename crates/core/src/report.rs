@@ -68,6 +68,7 @@ mod tests {
             fs_write_bytes: 0,
             obs: None,
             trace: None,
+            access_trace: None,
         }
     }
 

@@ -11,7 +11,7 @@
 use crate::config::SimConfig;
 use compass_arch::ArchConfig;
 use compass_backend::devices::NullTraffic;
-use compass_backend::{Backend, BackendStats, RunError, TrafficSource};
+use compass_backend::{Backend, BackendStats, RunError, TraceRecord, TrafficSource};
 use compass_comm::coro::payload_message;
 use compass_comm::{Class, CpuStates, DevShared, EventPort, Executor, Notifier};
 use compass_frontend::{CpuCtx, FrontendStats, Process};
@@ -60,6 +60,9 @@ pub struct RunReport {
     /// The structured trace ring, for JSONL / Chrome `trace_event`
     /// export (present when tracing was on).
     pub trace: Option<Arc<TraceBuffer>>,
+    /// Every backend call into the architecture models, in global
+    /// simulated order (present after [`SimBuilder::record_accesses`]).
+    pub access_trace: Option<Vec<TraceRecord>>,
 }
 
 impl RunReport {
@@ -83,7 +86,7 @@ pub struct SimBuilder {
     processes: Vec<Box<dyn Process>>,
     traffic: Option<Box<dyn TrafficSource>>,
     prepare: Option<PrepareFn>,
-    recorder: Option<compass_backend::TraceSink>,
+    record_accesses: bool,
     progress: Option<ProgressFn>,
     ckpt_every: Option<(u64, PathBuf)>,
     resume_from: Option<PathBuf>,
@@ -105,7 +108,7 @@ impl SimBuilder {
             processes: Vec::new(),
             traffic: None,
             prepare: None,
-            recorder: None,
+            record_accesses: false,
             progress: None,
             ckpt_every: None,
             resume_from: None,
@@ -142,11 +145,11 @@ impl SimBuilder {
         self
     }
 
-    /// Records every backend call into the architecture models into
-    /// `sink`, in global simulated order (the simcheck reference oracle
-    /// replays it — see [`compass_backend::trace`]).
-    pub fn record_accesses(mut self, sink: compass_backend::TraceSink) -> Self {
-        self.recorder = Some(sink);
+    /// Records every backend call into the architecture models, in global
+    /// simulated order, into [`RunReport::access_trace`] (the simcheck
+    /// reference oracle replays it — see [`compass_backend::trace`]).
+    pub fn record_accesses(mut self) -> Self {
+        self.record_accesses = true;
         self
     }
 
@@ -226,7 +229,7 @@ impl SimBuilder {
             processes,
             traffic,
             prepare,
-            recorder,
+            record_accesses,
             progress,
             ckpt_every,
             resume_from,
@@ -303,14 +306,15 @@ impl SimBuilder {
             Some(daemon_pid),
             traffic.unwrap_or_else(|| Box::new(NullTraffic)),
         );
-        if let Some(sink) = recorder {
-            backend.set_access_recorder(sink);
+        let arch = backend.arch_mut();
+        if record_accesses {
+            arch.record_trace();
         }
         if ff_events > 0 {
-            backend.set_fast_forward(ff_events);
+            arch.fast_forward(ff_events);
         }
         if let Some((every, path)) = ckpt_every {
-            backend.set_checkpoint(every, path);
+            arch.checkpoint_every(every, path);
         }
         if let Some(path) = resume_from {
             let data = compass_backend::CheckpointData::load(&path)
@@ -325,7 +329,7 @@ impl SimBuilder {
                     ),
                 });
             }
-            backend.set_resume(data);
+            arch.resume(data);
         }
         let backend_block = counters.map(|hub| hub.register("backend"));
         if let Some(block) = &backend_block {
@@ -354,7 +358,6 @@ impl SimBuilder {
             .collect();
         let timing = config.timing.clone();
         let pseudo = config.pseudo_irq;
-        let sample_period = config.sample_period;
         let results: Arc<Mutex<Vec<Option<FrontendStats>>>> =
             Arc::new(Mutex::new(vec![None; nprocs]));
 
@@ -400,7 +403,6 @@ impl SimBuilder {
                                 cpu.enable_pseudo_irq();
                             }
                             cpu.set_batch_depth(batch_depth);
-                            cpu.set_sample_period(sample_period);
                             if let Some(block) = fe_block {
                                 cpu.set_obs_counters(block);
                             }
@@ -483,6 +485,7 @@ impl SimBuilder {
             fs_write_bytes: kernel.fs_write_bytes.load(Ordering::Relaxed),
             obs,
             trace: trace.map(|t| t.buf),
+            access_trace: outcome.access_trace,
         })
     }
 }

@@ -61,13 +61,6 @@ pub struct CpuCtx {
     /// Compute-only stretch bound: a Yield event is posted after this many
     /// un-evented cycles so the backend's clock bound keeps advancing.
     quantum: Cycles,
-    /// Interleaving granularity: post every Nth memory reference
-    /// (1 = the paper's basic-block-exact interleaving). Skipped
-    /// references charge an assumed L1-hit latency locally — the
-    /// classical sampling speed/accuracy trade the granularity study
-    /// quantifies.
-    sample_period: u32,
-    sample_count: u32,
     /// Event-batch depth: memory references are published non-blocking
     /// until the batch holds `batch_depth - 1` of them; the next event
     /// rendezvouses and resynchronises the clock. 1 = classic per-event
@@ -136,8 +129,6 @@ impl CpuCtx {
             sim_on: true,
             events_enabled: true,
             quantum: 20_000,
-            sample_period: 1,
-            sample_count: 0,
             batch_depth: 1,
             batch_pending: 0,
             last_event_clock: 0,
@@ -362,31 +353,12 @@ impl CpuCtx {
             self.stats.suppressed_refs += 1;
             return;
         }
-        if self.sample_period > 1 {
-            self.sample_count += 1;
-            if !self.sample_count.is_multiple_of(self.sample_period) {
-                // Unsampled reference: assume an L1 hit locally.
-                self.clock += 1;
-                self.stats.suppressed_refs += 1;
-                self.maybe_yield();
-                return;
-            }
-        }
         self.post_mem(EventBody::MemRef {
             kind,
             mode: ExecMode::User,
             vaddr: va,
             size,
         });
-    }
-
-    /// Sets the interleaving granularity: post every `period`-th memory
-    /// reference (1 = basic-block exact, the paper's default). Coarser
-    /// periods trade simulation accuracy for speed — the §2 granularity
-    /// discussion made measurable.
-    pub fn set_sample_period(&mut self, period: u32) {
-        assert!(period >= 1);
-        self.sample_period = period;
     }
 
     /// A load of `size` bytes.

@@ -127,11 +127,7 @@ impl EventSink for RawSink {
             EventBody::Dev(DevCmd::ClockRead) => ReplyData::Clock { cycles: ev.time },
             _ => ReplyData::None,
         };
-        Reply {
-            latency: 0,
-            irq_pending: false,
-            data,
-        }
+        Reply::with_data(0, data)
     }
 
     fn is_simulated(&self) -> bool {

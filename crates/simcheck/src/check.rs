@@ -6,9 +6,7 @@ use compass::runner::RunReport;
 use compass::{ObsConfig, PlacementPolicy, RunError, SchedPolicy, TraceLevel};
 #[cfg(feature = "check-invariants")]
 use compass_backend::BackendStats;
-use compass_backend::{trace, TraceRecord};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Batch depths every scenario is replayed at; depth 1 (classic
 /// per-event rendezvous) is the baseline the others must match. The
@@ -16,15 +14,8 @@ use std::sync::Arc;
 /// path and the bottom-half daemon.
 pub const DEPTHS: [usize; 4] = [1, 4, 16, 64];
 
-/// One finished run, optionally with its recorded engine→arch trace.
-pub struct RunOutput {
-    /// The full report.
-    pub report: RunReport,
-    /// Recorded trace (empty unless recording was requested).
-    pub trace: Vec<TraceRecord>,
-}
-
-/// Runs `sc` once at the given batch depth. `observe` turns the full
+/// Runs `sc` once at the given batch depth; `record` fills
+/// [`RunReport::access_trace`] with the engine→arch trace. `observe` turns the full
 /// observability stack on (counters, fine tracing, progress snapshots) —
 /// the depth differentials then double as the proof that instrumentation
 /// never perturbs the simulation. A deadlock comes back as `Err` so soak
@@ -34,7 +25,7 @@ pub fn run_scenario(
     depth: usize,
     record: bool,
     observe: bool,
-) -> Result<RunOutput, RunError> {
+) -> Result<RunReport, RunError> {
     run_scenario_ckpt(sc, depth, record, observe, CkptMode::Off)
 }
 
@@ -85,11 +76,10 @@ pub fn run_scenario_ckpt(
     record: bool,
     observe: bool,
     ckpt: CkptMode<'_>,
-) -> Result<RunOutput, RunError> {
+) -> Result<RunReport, RunError> {
     let mut b = sc.builder();
-    let sink = if record { Some(trace::sink()) } else { None };
-    if let Some(s) = &sink {
-        b = b.record_accesses(Arc::clone(s));
+    if record {
+        b = b.record_accesses();
     }
     match ckpt {
         CkptMode::Off => {}
@@ -102,11 +92,7 @@ pub fn run_scenario_ckpt(
         cfg.obs = ObsConfig::full(TraceLevel::Fine);
         cfg.obs.progress_every = Some(10_000);
     }
-    let report = b.try_run()?;
-    let trace = sink
-        .map(|s| std::mem::take(&mut *s.lock()))
-        .unwrap_or_default();
-    Ok(RunOutput { report, trace })
+    b.try_run()
 }
 
 /// Appends a failure per differing statistic when `got` is not
@@ -221,18 +207,14 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         Ok(out) => out,
         Err(e) => return vec![format!("depth-1 run deadlocked: {e}")],
     };
-    if base.trace.is_empty() {
+    let trace = base.access_trace.as_deref().unwrap_or_default();
+    if trace.is_empty() {
         failures.push("depth-1 run recorded an empty trace".into());
     }
-    if base
-        .report
-        .obs
-        .as_ref()
-        .is_none_or(|o| o.counters.is_empty())
-    {
+    if base.obs.as_ref().is_none_or(|o| o.counters.is_empty()) {
         failures.push("observed depth-1 run reported no counters".into());
     }
-    if let Err(e) = oracle::verify_trace(&sc.arch_config(), &base.trace, &base.report.backend.mem) {
+    if let Err(e) = oracle::verify_trace(&sc.arch_config(), trace, &base.backend.mem) {
         failures.push(format!("oracle(depth 1): {e}"));
     }
     // Schedule-independence differential: the simulated threads resumed
@@ -249,7 +231,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         apply_scenario_knobs(b.config_mut(), sc, depth);
         match b.try_run() {
             Ok(r) => require_identical(
-                &base.report.backend,
+                &base.backend,
                 &r.backend,
                 &format!("schedule {seed:#x} at depth {depth} vs first-ready order"),
                 &mut failures,
@@ -279,7 +261,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             },
         ) {
             Ok(run) => {
-                for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
+                for d in diff::diff_backend_stats(&base.backend, &run.backend) {
                     failures.push(format!("checkpoint-record vs base: {d}"));
                 }
                 // A run shorter than one cut interval writes no file;
@@ -294,10 +276,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                             CkptMode::Resume { path: &path },
                         ) {
                             Ok(run) => {
-                                for d in diff::diff_backend_stats(
-                                    &base.report.backend,
-                                    &run.report.backend,
-                                ) {
+                                for d in diff::diff_backend_stats(&base.backend, &run.backend) {
                                     failures.push(format!(
                                         "checkpoint-resume(depth {depth}) vs base: {d}"
                                     ));
@@ -321,12 +300,12 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                 continue;
             }
         };
-        for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
+        for d in diff::diff_backend_stats(&base.backend, &run.backend) {
             failures.push(format!("depth {depth} vs 1: {d}"));
         }
     }
     if sc.workload.timing_independent() {
-        let sig0 = signature(&base.report);
+        let sig0 = signature(&base);
         for var in metamorphic_variants(sc) {
             let run = match run_scenario(&var, 8, false, false) {
                 Ok(out) => out,
@@ -335,7 +314,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                     continue;
                 }
             };
-            let sig = signature(&run.report);
+            let sig = signature(&run);
             if sig != sig0 {
                 failures.push(format!(
                     "metamorphic: architecture-independent quantities changed \

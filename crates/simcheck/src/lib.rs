@@ -43,7 +43,7 @@ pub mod soak;
 
 pub use check::{
     apply_scenario_knobs, check_scenario, check_scenario_with_soak_ckpt, metamorphic_variants,
-    run_scenario, shrink_failure, CkptMode, RunOutput,
+    run_scenario, shrink_failure, CkptMode,
 };
 pub use diff::diff_backend_stats;
 pub use oracle::verify_trace;

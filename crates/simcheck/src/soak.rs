@@ -136,8 +136,7 @@ pub fn resume_inflight(dir: &Path, seed: u64) -> (bool, Vec<String>) {
             // every backend statistic.
             match check::run_scenario(&sc, 1, false, false) {
                 Ok(twin) => {
-                    for d in diff::diff_backend_stats(&twin.report.backend, &resumed.report.backend)
-                    {
+                    for d in diff::diff_backend_stats(&twin.backend, &resumed.backend) {
                         failures.push(format!(
                             "resumed soak baseline vs uninterrupted twin (seed {seed}): {d}"
                         ));

@@ -179,8 +179,8 @@ fn batch_depth_does_not_change_the_simulation() {
     // More processes than CPUs: context switches migrate processes
     // between CPUs mid-batch.
     assert_depth_invariant("oversubscribed chaos", &[8], |d| chaos_builder(5, d));
-    // Sampled references on the simple two-CPU machine.
-    assert_depth_invariant("sampled", &[4], |d| {
+    // Chaos on the simple two-CPU machine (one cache level).
+    assert_depth_invariant("simple-smp chaos", &[4], |d| {
         let mut b = SimBuilder::new(ArchConfig::simple_smp(2)).prepare_kernel(|k| {
             k.create_file("/chaos", FileData::Synthetic { len: 96 * 1024 });
         });
@@ -190,7 +190,6 @@ fn batch_depth_does_not_change_the_simulation() {
         let c = b.config_mut();
         c.backend.batch_depth = d;
         c.backend.deadlock_ms = 10_000;
-        c.sample_period = 3;
         b
     });
     // Directory invalidations of a line another CPU keeps re-reading.

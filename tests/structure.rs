@@ -205,10 +205,8 @@ fn engine_trace_recording_is_complete_and_ordered() {
     // differential replay in crates/simcheck): SimBuilder::record_accesses
     // captures every architecture access in non-decreasing time order,
     // and the count matches the backend's own accounting.
-    use compass_backend::{trace, TraceRecord};
-    let sink = trace::sink();
-    let mut b =
-        SimBuilder::new(ArchConfig::ccnuma(2, 1)).record_accesses(std::sync::Arc::clone(&sink));
+    use compass_backend::TraceRecord;
+    let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 1)).record_accesses();
     for _ in 0..2 {
         b = b.add_process(|cpu: &mut CpuCtx| {
             let seg = cpu.shmget(11, 4096);
@@ -222,7 +220,7 @@ fn engine_trace_recording_is_complete_and_ordered() {
     }
     small_deadlock_ms(&mut b);
     let r = b.run();
-    let trace = sink.lock();
+    let trace = r.access_trace.as_deref().expect("recording was on");
     assert!(!trace.is_empty(), "recorder captured nothing");
     let accesses = trace
         .iter()
