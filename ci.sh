@@ -8,9 +8,6 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo test -q --workspace --features check-invariants
 cargo run --release -q -p compass-simcheck -- --soak 30
-# report_obs self-validates its artifacts (counters, JSONL + Chrome trace,
-# BENCH_obs.json) and exits nonzero on any malformed or silent output.
-cargo run --release -q -p compass-bench --bin report_obs -- target/obs-smoke >/dev/null
 # Fleet smoke: the design-space runner sweeps every knob family across
 # four workloads (batch depth on the compute-, OS/disk- and
 # network-heavy ones, checkpoint record/resume on TPC-C), re-runs a
@@ -18,6 +15,10 @@ cargo run --release -q -p compass-bench --bin report_obs -- target/obs-smoke >/d
 # BackendStats, and gates on zero neutrality violations in the per-axis
 # sensitivity deltas.
 cargo run --release -q -p compass-fleet -- --smoke --out target/BENCH_fleet_smoke.json
+# The paper's simulated tables (Table 1 and studies S1-S3, EXPERIMENTS.md)
+# as one preset, every job twinned at batch depth 1: the TPC-D scan and
+# software DSM are diffed across depths on every CI run.
+cargo run --release -q -p compass-fleet -- --preset paper --twin 64 --quiet --out target/paper.json
 # The benchmark (read-only here): BENCHMARK.json must match the
 # benchmark's own catalogue field by field, and its unit tests must pass.
 # The unit tests build benchmark/ against this workspace, so they also

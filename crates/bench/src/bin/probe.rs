@@ -1,4 +1,5 @@
-//! Scratch probe binary for sizing/diagnosis.
+//! Runs one scenario of the shared catalogue (`compass_simcheck::presets`)
+//! at the shipped batch depth and prints its event count and wall time.
 //!
 //! This is the CLI edge for the observability env knobs:
 //! `COMPASS_TRACE=off|coarse|fine` selects the trace level (counters come
@@ -6,9 +7,12 @@
 //! An observed run prints its nonzero counters to stderr and writes the
 //! trace ring to `compass_trace.jsonl` + `compass_trace.json` (Chrome
 //! `about:tracing` / Perfetto format) in the current directory.
-use compass::{ArchConfig, ObsConfig};
-use compass_bench::*;
-use compass_workloads::httplite::FileSetConfig;
+//!
+//! Usage: `probe <name>`, e.g. `COMPASS_TRACE=fine probe tpcd_scan`.
+use compass::ObsConfig;
+use compass_simcheck::check::apply_scenario_knobs;
+use compass_simcheck::presets;
+use std::time::Instant;
 
 /// Prints the counter catalogue and writes the trace exports when the
 /// env knobs enabled them; silent otherwise.
@@ -37,99 +41,19 @@ fn dump_obs(r: &compass::RunReport) {
 }
 
 fn main() {
-    let obs = ObsConfig::from_env();
-    let which = std::env::args().nth(1).unwrap_or_default();
-    match which.as_str() {
-        "web" => {
-            let n: u32 = std::env::args()
-                .nth(2)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(20);
-            let (r, wall) = timed(|| {
-                run_specweb(
-                    ArchConfig::ccnuma(2, 2),
-                    4,
-                    FileSetConfig { dirs: 2 },
-                    n,
-                    6,
-                    obs,
-                )
-            });
-            println!("web {n}: {} events in {wall:?}", r.backend.events);
-            dump_obs(&r);
-        }
-        "tpcc" => {
-            let n: u32 = std::env::args()
-                .nth(2)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(10);
-            let cfg = compass_workloads::db2lite::tpcc::TpccConfig {
-                districts: 4,
-                customers: 32,
-                items: 64,
-                txns_per_terminal: n,
-                new_order_pct: 50,
-                seed: 7,
-            };
-            let ((r, _), wall) = timed(|| {
-                run_tpcc(
-                    ArchConfig::ccnuma(2, 2),
-                    4,
-                    cfg,
-                    compass::SchedPolicy::Fcfs,
-                    None,
-                    obs,
-                )
-            });
-            println!("tpcc {n}: {} events in {wall:?}", r.backend.events);
-            dump_obs(&r);
-        }
-        "tpcd" => {
-            let n: u32 = std::env::args()
-                .nth(2)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(60_000);
-            let mut run = TpcdRun::new(ArchConfig::ccnuma(2, 2));
-            run.workers = 4;
-            run.data = compass_workloads::db2lite::tpcd::TpcdConfig {
-                lineitems: n,
-                orders: n / 4,
-                seed: 1,
-            };
-            run.query = compass_workloads::db2lite::tpcd::Query::Q1(1_600);
-            run.pool_pages = 96;
-            run.obs = obs;
-            let ((r, _), wall) = timed(|| run.run());
-            println!("tpcd {n}: {} events in {wall:?}", r.backend.events);
-            dump_obs(&r);
-        }
-        "batch" => {
-            // Cross-depth check at the CLI: same TPC-D run at several
-            // batch depths must report identical simulated results.
-            let n: u32 = std::env::args()
-                .nth(2)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(20_000);
-            for depth in [1usize, 4, 16] {
-                let mut run = TpcdRun::new(ArchConfig::ccnuma(2, 2));
-                run.workers = 4;
-                run.batch_depth = depth;
-                run.data = compass_workloads::db2lite::tpcd::TpcdConfig {
-                    lineitems: n,
-                    orders: n / 4,
-                    seed: 1,
-                };
-                run.query = compass_workloads::db2lite::tpcd::Query::Q1(1_600);
-                run.pool_pages = 96;
-                run.obs = obs.clone();
-                let ((r, _), wall) = timed(|| run.run());
-                println!(
-                    "batch depth {depth:>2}: {} events, {} simulated cycles, wall {wall:?}",
-                    r.backend.events, r.backend.global_cycles
-                );
-                dump_obs(&r);
-            }
-        }
-        _ => eprintln!("usage: probe web|tpcc|tpcd|batch [n]"),
-    }
+    let name = std::env::args().nth(1).unwrap_or_default();
+    let Some(sc) = presets::by_name(&name) else {
+        let names: Vec<&str> = presets::all().iter().map(|(n, _)| *n).collect();
+        eprintln!("usage: probe <{}>", names.join("|"));
+        std::process::exit(2);
+    };
+    let mut b = sc.builder();
+    let cfg = b.config_mut();
+    let depth = cfg.backend.batch_depth;
+    apply_scenario_knobs(cfg, &sc, depth);
+    cfg.obs = ObsConfig::from_env();
+    let t0 = Instant::now();
+    let r = b.run();
+    println!("{name}: {} events in {:?}", r.backend.events, t0.elapsed());
+    dump_obs(&r);
 }

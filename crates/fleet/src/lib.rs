@@ -1,9 +1,10 @@
 //! **compass-fleet** — the design-space-exploration runner.
 //!
-//! The bench reports each sweep one knob of one workload; real COMPASS
-//! studies (the paper's scheduler/placement comparisons, the transport
-//! ablations) want the *cross product*. This crate turns a declarative
-//! parameter lattice into a deduplicated, parallel, self-checking sweep:
+//! COMPASS studies (the paper's Table 1, its scheduler, placement and
+//! memory-system comparisons, the transport ablations) vary simulated
+//! knobs over a workload; this crate is the one harness for them. It
+//! turns a declarative parameter lattice into a deduplicated, parallel,
+//! self-checking sweep:
 //!
 //! 1. **Declare** ([`lattice`]): a [`Lattice`] is a baseline
 //!    [`compass_simcheck::Scenario`] plus axes (geometry, protocol,

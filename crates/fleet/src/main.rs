@@ -5,6 +5,7 @@
 //! ```text
 //! compass-fleet --smoke                  # the CI preset (twins on)
 //! compass-fleet --preset explore         # semantic design space
+//! compass-fleet --preset paper --twin 64 # Table 1 and studies S1–S3
 //! compass-fleet --preset comm --out f.json
 //! compass-fleet --list                   # preset catalogue
 //! compass-fleet ... --jobs 4             # cap worker threads

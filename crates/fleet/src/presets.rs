@@ -1,6 +1,6 @@
-//! Named fleet presets: the design-space sweeps the individual bench
-//! reports used to hard-code, folded into declarative lattices over the
-//! shared scenario catalogue (`compass_simcheck::presets`).
+//! Named fleet presets: the design-space sweeps and the paper's simulated
+//! tables, as declarative lattices over the shared scenario catalogue
+//! (`compass_simcheck::presets`).
 //!
 //! Union semantics: a preset is a *list* of lattices, expanded
 //! independently and deduplicated together — sub-sweeps over the same
@@ -8,7 +8,8 @@
 //! collapses to a single run.
 
 use crate::lattice::{Knob, Lattice};
-use compass::{PlacementPolicy, SchedPolicy};
+use compass::{ArchConfig, PlacementPolicy, SchedPolicy};
+use compass_backend::BackendConfig;
 use compass_simcheck::presets as sc;
 use compass_simcheck::{ArchPreset, Geometry as Geo};
 
@@ -76,6 +77,51 @@ pub fn explore() -> Vec<Lattice> {
     ]
 }
 
+/// The paper's simulated tables in one sweep (EXPERIMENTS.md is
+/// regenerated from its report):
+///
+/// * Table 1 — one point per workload for the user / interrupt / kernel
+///   split and the per-syscall kernel time;
+/// * S1 (§3.3.2) — scheduler × pre-emption on oversubscribed TPC-C;
+/// * S2 (§3.3.1) — page placement under the parallel TPC-D scan;
+/// * S3 (§5) — the four memory systems under the same scan.
+///
+/// Every point runs at the shipped batch depth (a one-value depth axis),
+/// so the twin oracle's depth-1 re-run diffs each study across depths.
+/// Table 1's TPC-C and TPC-D rows are the S1 and S2 baselines, and S2
+/// and S3 share their baseline; dedupe runs each shared point once.
+pub fn paper() -> Vec<Lattice> {
+    let shipped = [Depth(
+        BackendConfig::new(ArchConfig::simple_smp(1)).batch_depth,
+    )];
+    let table1 = |name, base| Lattice::new(name, base).axis(&shipped);
+    vec![
+        table1("sci_table1", sc::sci_table1()),
+        table1("tpcc_oversub", sc::tpcc_oversub()),
+        table1("tpcd_scan", sc::tpcd_scan()),
+        table1("http_table1", sc::http_table1()),
+        Lattice::new("tpcc_oversub", sc::tpcc_oversub())
+            .axis(&[Sched(SchedPolicy::Fcfs), Sched(SchedPolicy::Affinity)])
+            .axis(&[Preempt(false), Preempt(true)])
+            .axis(&shipped),
+        Lattice::new("tpcd_scan", sc::tpcd_scan())
+            .axis(&[
+                Placement(PlacementPolicy::FirstTouch),
+                Placement(PlacementPolicy::RoundRobin),
+                Placement(PlacementPolicy::Block(16)),
+            ])
+            .axis(&shipped),
+        Lattice::new("tpcd_scan", sc::tpcd_scan())
+            .axis(&[
+                Preset(ArchPreset::CcNuma2x2),
+                Preset(ArchPreset::SimpleSmp),
+                Preset(ArchPreset::Coma2x2),
+                Preset(ArchPreset::SwDsm2x2),
+            ])
+            .axis(&shipped),
+    ]
+}
+
 /// Every preset, in catalogue order.
 pub fn all() -> Vec<(&'static str, Vec<Lattice>)> {
     vec![
@@ -84,6 +130,7 @@ pub fn all() -> Vec<(&'static str, Vec<Lattice>)> {
         ("http", http()),
         ("ckpt", ckpt()),
         ("explore", explore()),
+        ("paper", paper()),
     ]
 }
 
@@ -118,6 +165,21 @@ mod tests {
         // One lattice per workload: nothing to dedupe.
         assert_eq!(points, 8);
         assert_eq!(jobs.len(), points, "expected no deduped point");
+    }
+
+    #[test]
+    fn paper_runs_each_shared_baseline_once() {
+        let lattices = paper();
+        let (points, jobs) = expand_preset(&lattices);
+        // Table 1's TPC-C row is S1's baseline; its TPC-D row is S2's
+        // baseline, which S3 shares.
+        assert_eq!(points - jobs.len(), 3, "expected three deduped points");
+        let (s2, s3) = (&lattices[5], &lattices[6]);
+        assert_eq!(s2.baseline().dedupe_key(), s3.baseline().dedupe_key());
+        assert_eq!(
+            s2.baseline().dedupe_key(),
+            lattices[2].baseline().dedupe_key()
+        );
     }
 
     #[test]

@@ -149,6 +149,48 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// The paper-study columns of a job row, all simulated: Table 1's
+/// user / interrupt / kernel shares of CPU time (every process, the
+/// kernel daemon's interrupt time included), the memory-system columns
+/// of S2/S3, the scheduler columns of S1, and the per-syscall kernel
+/// time behind Table 1's syscall breakdown.
+fn study_fields(r: &JobResult) -> String {
+    let t = r.stats.os_time_breakdown(0..r.stats.procs.len());
+    let m = &r.stats.mem;
+    let sched = &r.stats.sched;
+    let syscalls: Vec<String> = r
+        .syscalls
+        .iter()
+        .map(|(name, calls, cycles)| {
+            format!(
+                "{{ \"name\": \"{}\", \"calls\": {calls}, \"cycles\": {cycles} }}",
+                esc(name)
+            )
+        })
+        .collect();
+    format!(
+        "      \"user_pct\": {:.3},\n      \"interrupt_pct\": {:.3},\n      \
+         \"kernel_pct\": {:.3},\n      \"mean_latency\": {:.3},\n      \
+         \"remote_fraction\": {:.6},\n      \"l1_miss_ratio\": {:.6},\n      \
+         \"tlb_miss_ratio\": {:.6},\n      \"dsm_faults\": {},\n      \
+         \"dispatches\": {},\n      \"same_cpu\": {},\n      \"migrations\": {},\n      \
+         \"preemptions\": {},\n      \"syscalls\": [{}],\n",
+        t.user_pct,
+        t.interrupt_pct,
+        t.kernel_pct,
+        m.mean_latency(),
+        m.remote_fraction(),
+        m.l1_miss_ratio(),
+        r.stats.tlb.miss_ratio(),
+        m.dsm_faults,
+        sched.dispatches,
+        sched.same_cpu,
+        sched.migrations,
+        sched.preemptions,
+        syscalls.join(", ")
+    )
+}
+
 /// Renders the aggregate JSON document. Deterministic for a fixed job
 /// list and fixed simulated results: host timing only ever appears in
 /// single-line `"host"` sub-objects.
@@ -223,6 +265,7 @@ pub fn render(input: &ReportInput<'_>) -> String {
                     r.fs_write_bytes
                 ));
                 s.push_str(&format!("      \"barriers\": {},\n", r.stats.sync.barriers));
+                s.push_str(&study_fields(r));
                 if let Some(identical) = r.resume_identical {
                     s.push_str(&format!("      \"resume_bit_identical\": {identical},\n"));
                 }

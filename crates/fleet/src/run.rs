@@ -36,6 +36,8 @@ pub struct JobResult {
     pub os_calls: u64,
     /// Bytes written through `os::fs`.
     pub fs_write_bytes: u64,
+    /// Per-syscall `(name, calls, kernel cycles)`, as in `RunReport`.
+    pub syscalls: Vec<(String, u64, u64)>,
     /// Merged observability counters.
     pub obs: Option<ObsReport>,
     /// Host wall-clock of the run (checkpointed jobs: the record run).
@@ -114,7 +116,8 @@ pub fn run_job(job: &Job) -> Result<JobResult, String> {
         events: report.frontends.iter().map(|f| f.events).sum(),
         os_calls: report.frontends.iter().map(|f| f.os_calls).sum(),
         fs_write_bytes: report.fs_write_bytes,
-        obs: report.obs.clone(),
+        obs: report.obs,
+        syscalls: report.syscalls,
         stats: report.backend,
         wall,
         resume_identical,

@@ -14,8 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The fixed counter catalogue. The numeric value is the slot index in a
-/// [`CounterBlock`]; the catalogue is append-only so exported reports
-/// stay comparable across versions.
+/// [`CounterBlock`] and is internal: reports, the fleet and the benchmark
+/// read counters by [`Ctr::name`], so names are the stable interface. A
+/// name that leaves the catalogue reads as 0 through
+/// `ObsReport::counter`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Ctr {
@@ -82,39 +84,10 @@ pub enum Ctr {
     BackendWaitNs,
     /// Trace records dropped because the ring was full.
     TraceDropped,
-    /// Retired, always 0: memory references once resolved by a frontend's
-    /// L1/TLB mirror. The reference filter is gone; the slot stays so the
-    /// catalogue remains append-only.
-    RefsFiltered,
-    /// Retired, always 0: frontend mirror refreshes once forced by a stale
-    /// per-CPU epoch.
-    EpochRefreshes,
-    /// Retired, always 0: filtered-reference log flushes once pushed
-    /// through a port.
-    FilterFlushes,
-    /// Retired, always 0: replayed filtered references once mispredicted
-    /// by a mirror.
-    FilterMispredicts,
-    /// Retired: blocking posts once answered during a reply spin. The
-    /// spin is gone (posters suspend to the engine); the slot stays so
-    /// the catalogue remains append-only.
-    RingSpinsAvoidedPark,
-    /// Retired, always 0: memory references once run on a backend shard
-    /// worker. The sharded backend is gone; the slot stays so the
-    /// catalogue remains append-only.
-    ShardPrivateJobs,
-    /// Retired, always 0: engine steps once stalled on the shard window.
-    ShardStalls,
-    /// Retired, always 0: events once staged behind the shard window.
-    ShardStagedEvents,
     /// Syscall replies that aggregated work instead of round-tripping per
     /// event: each `DoneBatch` result beyond the first, plus each `Done`
     /// whose kernel context left batched events for credit to settle.
     OsBatchedReplies,
-    /// Retired, always 0: kernel memory references once resolved by the
-    /// OS-side L1/TLB mirror. The kernel filter is gone; the slot stays so
-    /// the catalogue remains append-only.
-    KernelRefsFiltered,
     /// Device completion wake events scheduled (disk completions and
     /// network deliveries entered into the engine's task heap).
     DeviceWakeEvents,
@@ -128,9 +101,6 @@ pub enum Ctr {
     /// passes) the postbox due-time summary answered without a lock
     /// acquisition or queue scan.
     DiskPollsEliminated,
-    /// Retired, always 0: kernel-mirror clears once executed by the
-    /// kernel filter.
-    KernelMirrorRefreshes,
     /// Host ns spent running OS-server-thread tasks (the in-program host
     /// ledger: with [`Ctr::FrontendGenNs`], the bottom-half and backend
     /// classes, it sums to the run's wall).
@@ -178,21 +148,11 @@ impl Ctr {
         Ctr::BackendActiveNs,
         Ctr::BackendWaitNs,
         Ctr::TraceDropped,
-        Ctr::RefsFiltered,
-        Ctr::EpochRefreshes,
-        Ctr::FilterFlushes,
-        Ctr::FilterMispredicts,
-        Ctr::RingSpinsAvoidedPark,
-        Ctr::ShardPrivateJobs,
-        Ctr::ShardStalls,
-        Ctr::ShardStagedEvents,
         Ctr::OsBatchedReplies,
-        Ctr::KernelRefsFiltered,
         Ctr::DeviceWakeEvents,
         Ctr::DevicePollsEliminated,
         Ctr::DiskWakeEvents,
         Ctr::DiskPollsEliminated,
-        Ctr::KernelMirrorRefreshes,
         Ctr::HostOsNs,
         Ctr::HostBottomHalfNs,
         Ctr::HostBackendNs,
@@ -271,21 +231,11 @@ impl Ctr {
             Ctr::BackendActiveNs => "backend_active_ns",
             Ctr::BackendWaitNs => "backend_wait_ns",
             Ctr::TraceDropped => "trace_dropped",
-            Ctr::RefsFiltered => "refs_filtered",
-            Ctr::EpochRefreshes => "epoch_refreshes",
-            Ctr::FilterFlushes => "filter_flushes",
-            Ctr::FilterMispredicts => "filter_mispredicts",
-            Ctr::RingSpinsAvoidedPark => "ring_spins_avoided_park",
-            Ctr::ShardPrivateJobs => "shard_private_jobs",
-            Ctr::ShardStalls => "shard_stalls",
-            Ctr::ShardStagedEvents => "shard_staged_events",
             Ctr::OsBatchedReplies => "os_batched_replies",
-            Ctr::KernelRefsFiltered => "kernel_refs_filtered",
             Ctr::DeviceWakeEvents => "device_wake_events",
             Ctr::DevicePollsEliminated => "device_polls_eliminated",
             Ctr::DiskWakeEvents => "disk_wake_events",
             Ctr::DiskPollsEliminated => "disk_polls_eliminated",
-            Ctr::KernelMirrorRefreshes => "kernel_mirror_refreshes",
             Ctr::HostOsNs => "host_os_ns",
             Ctr::HostBottomHalfNs => "host_bottom_half_ns",
             Ctr::HostBackendNs => "host_backend_ns",
@@ -406,14 +356,13 @@ mod tests {
             assert_eq!(Ctr::by_name(c.name()), Some(c), "{c:?}");
         }
         assert_eq!(Ctr::by_name("no_such_counter"), None);
-        // Wall-clock measurements and ring traffic are host timing (so are
-        // the retired filter slots); simulated event/syscall/device counts
-        // are reproducible.
+        // Wall-clock measurements and ring traffic are host timing;
+        // simulated event/syscall/device counts are reproducible.
         assert!(Ctr::FrontendGenNs.host_timing());
         assert!(Ctr::HostBottomHalfNs.host_timing());
         assert!(Ctr::HostBackendNs.host_timing());
         assert!(Ctr::RingNotifies.host_timing());
-        assert!(Ctr::RefsFiltered.host_timing());
+        assert!(Ctr::RingStalls.host_timing());
         assert!(Ctr::Replies.host_timing());
         assert!(!Ctr::EventsMemRef.host_timing());
         assert!(!Ctr::OsCalls.host_timing());

@@ -63,12 +63,12 @@ impl ObsReport {
     }
 
     /// Folds another run's report into this one, summing counters by
-    /// name. The catalogue is append-only and every report carries it in
-    /// catalogue order (zeros included), so two reports from the same
-    /// build zip positionally; counters only one side knows (an empty
-    /// `Default` accumulator, or reports from builds that disagree on the
-    /// catalogue tail) are appended rather than dropped. The fleet runner
-    /// uses this to aggregate observability across a whole sweep.
+    /// name. Every report carries the catalogue in order (zeros
+    /// included), so two reports from the same build zip positionally;
+    /// counters only one side knows (an empty `Default` accumulator, or
+    /// reports from builds with different catalogues) are appended rather
+    /// than dropped. The fleet runner uses this to aggregate
+    /// observability across a whole sweep.
     pub fn merge(&mut self, other: &ObsReport) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {

@@ -326,16 +326,30 @@ mod tests {
             b: 40,
             tag: "kreadv",
         });
-        buf.record(TraceRec::new(9, 2, TraceKind::Wake));
-        let jsonl = buf.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains("\"kind\":\"os_call\""));
-        assert!(jsonl.contains("\"tag\":\"kreadv\""));
-        let chrome = buf.to_chrome_trace();
-        assert!(chrome.starts_with('{') && chrome.ends_with('}'));
-        assert!(chrome.contains("\"traceEvents\""));
-        assert!(chrome.contains("\"name\":\"kreadv\""));
-        assert!(chrome.contains("\"ph\":\"X\""));
-        assert!(chrome.contains("\"ph\":\"i\""));
+        buf.record(TraceRec {
+            a: 12,
+            ..TraceRec::new(7, 2, TraceKind::Reply)
+        });
+        buf.record(TraceRec {
+            a: 4,
+            ..TraceRec::new(9, 2, TraceKind::Wake)
+        });
+        // Both exports are fixed templates: pin every one of them (the
+        // tagged OS-call slice, the reply slice, an instant) byte for
+        // byte, which also pins them as well-formed JSON.
+        assert_eq!(
+            buf.to_jsonl(),
+            "{\"t\":5,\"pid\":1,\"kind\":\"os_call\",\"a\":3,\"b\":40,\"tag\":\"kreadv\"}\n\
+             {\"t\":7,\"pid\":2,\"kind\":\"reply\",\"a\":12,\"b\":0}\n\
+             {\"t\":9,\"pid\":2,\"kind\":\"wake\",\"a\":4,\"b\":0}\n"
+        );
+        assert_eq!(
+            buf.to_chrome_trace(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {\"name\":\"kreadv\",\"ph\":\"X\",\"ts\":3,\"dur\":40,\"pid\":0,\"tid\":1},\
+             {\"name\":\"reply\",\"ph\":\"X\",\"ts\":7,\"dur\":12,\"pid\":0,\"tid\":2},\
+             {\"name\":\"wake\",\"ph\":\"i\",\"ts\":9,\"pid\":0,\"tid\":2,\"s\":\"t\",\
+             \"args\":{\"a\":4,\"b\":0}}]}"
+        );
     }
 }

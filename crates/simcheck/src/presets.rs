@@ -1,8 +1,7 @@
 //! Named baseline scenarios shared by the harnesses.
 //!
-//! The bench reports and the fleet runner used to each hard-code their
-//! own workload shapes; this module is the single catalogue both (and
-//! any future harness) draw from. Every preset is a fully-specified
+//! The single catalogue of workload shapes the fleet runner, the `probe`
+//! CLI and the tests draw from. Every preset is a fully-specified
 //! [`Scenario`] at the *baseline* point (`ckpt` off; the batch depth is
 //! set by the harness, not the scenario) — so a harness that wants to
 //! sweep an axis mutates exactly that axis and nothing else.
@@ -71,6 +70,42 @@ pub fn http_small() -> Scenario {
     base(Workload::Http { requests: 4 }, 2)
 }
 
+/// Table 1's scientific contrast row: 4 processes relaxing 48×96
+/// blocks for 3 iterations.
+pub fn sci_table1() -> Scenario {
+    base(
+        Workload::Sci {
+            rows: 48,
+            cols: 96,
+            iters: 3,
+        },
+        4,
+    )
+}
+
+/// Table 1's web-serving row: 4 server processes, 120 requests.
+pub fn http_table1() -> Scenario {
+    base(Workload::Http { requests: 120 }, 4)
+}
+
+/// Oversubscribed TPC-C: 6 terminals on the 4 CPUs, 15 transactions
+/// each, so the ready queue is in play — the §3.3.2 scheduler study's
+/// input and Table 1's OLTP row.
+pub fn tpcc_oversub() -> Scenario {
+    base(Workload::Tpcc { txns: 15 }, 6)
+}
+
+/// Parallel TPC-D Q1 scan: 4 workers over 30,000 rows — the §3.3.1
+/// placement and §5 memory-system studies' input and Table 1's decision
+/// support row. Affinity scheduling: under FCFS every unblock lands on
+/// the first free CPU and the query collapses onto node 0.
+pub fn tpcd_scan() -> Scenario {
+    Scenario {
+        sched: SchedPolicy::Affinity,
+        ..base(Workload::Tpcd { lineitems: 30_000 }, 4)
+    }
+}
+
 /// Every named preset, in catalogue order.
 pub fn all() -> Vec<(&'static str, Scenario)> {
     vec![
@@ -79,6 +114,10 @@ pub fn all() -> Vec<(&'static str, Scenario)> {
         ("chaos_small", chaos_small()),
         ("tpcc_small", tpcc_small()),
         ("http_small", http_small()),
+        ("sci_table1", sci_table1()),
+        ("http_table1", http_table1()),
+        ("tpcc_oversub", tpcc_oversub()),
+        ("tpcd_scan", tpcd_scan()),
     ]
 }
 

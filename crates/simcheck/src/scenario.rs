@@ -12,6 +12,7 @@ use compass::{ArchConfig, CacheConfig, CpuCtx, PlacementPolicy, SchedPolicy, Sim
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
 use compass_workloads::db2lite::tpcc::{self, TerminalStats, TpccConfig};
+use compass_workloads::db2lite::tpcd::{self, Query, QueryResults, TpcdConfig};
 use compass_workloads::db2lite::{Db2Config, Db2Shared};
 use compass_workloads::httplite::{
     self, generate_fileset, generate_trace, FileSetConfig, ServerConfig, SharedTickets, TracePlayer,
@@ -53,6 +54,13 @@ pub enum Workload {
         /// Requests in the generated trace.
         requests: u32,
     },
+    /// Parallel TPC-D Q1 scan on `workloads::db2lite`: one query worker
+    /// per process over a 96-page buffer pool (timing-dependent: workers
+    /// race for pool frames and the disk).
+    Tpcd {
+        /// Rows in `lineitem` (`orders` is a quarter of it).
+        lineitems: u32,
+    },
 }
 
 impl Workload {
@@ -74,6 +82,9 @@ pub enum ArchPreset {
     CcNuma4x1,
     /// `ArchConfig::coma(2, 2)` — attraction memories in play.
     Coma2x2,
+    /// `ArchConfig::sw_dsm(2, 2)` — page-granularity software DSM. Never
+    /// drawn by [`Scenario::from_seed`]; the catalogue's studies use it.
+    SwDsm2x2,
 }
 
 /// Cache-geometry variant layered over the preset.
@@ -206,6 +217,7 @@ impl Scenario {
             ArchPreset::CcNuma2x2 => ArchConfig::ccnuma(2, 2),
             ArchPreset::CcNuma4x1 => ArchConfig::ccnuma(4, 1),
             ArchPreset::Coma2x2 => ArchConfig::coma(2, 2),
+            ArchPreset::SwDsm2x2 => ArchConfig::sw_dsm(2, 2),
         };
         match self.geometry {
             Geometry::Default => {}
@@ -332,6 +344,33 @@ impl Scenario {
                 }
                 b
             }
+            Workload::Tpcd { lineitems } => {
+                let data = TpcdConfig {
+                    lineitems,
+                    orders: lineitems / 4,
+                    seed: self.seed,
+                };
+                let shared = Db2Shared::new(Db2Config {
+                    pool_pages: 96,
+                    shm_key: 0xDB2,
+                });
+                let results = Arc::new(QueryResults::default());
+                let shared_for_load = Arc::clone(&shared);
+                let mut b = SimBuilder::new(arch).prepare_kernel(move |k| {
+                    tpcd::load(k, &shared_for_load, data);
+                });
+                let workers = self.nprocs as u64;
+                for rank in 0..workers {
+                    b = b.add_process(tpcd::query_worker(
+                        Arc::clone(&shared),
+                        Query::Q1(1_600),
+                        rank,
+                        workers,
+                        Arc::clone(&results),
+                    ));
+                }
+                b
+            }
         }
     }
 
@@ -413,6 +452,16 @@ impl Scenario {
                     if requests > 2 {
                         push(Scenario {
                             workload: Workload::Http { requests: 2 },
+                            ..*self
+                        });
+                    }
+                }
+                Workload::Tpcd { lineitems } => {
+                    if lineitems > 600 {
+                        push(Scenario {
+                            workload: Workload::Tpcd {
+                                lineitems: (lineitems / 2).max(600),
+                            },
                             ..*self
                         });
                     }
@@ -580,16 +629,17 @@ mod tests {
     fn shrink_candidates_differ_and_terminate() {
         // Shrinking must never cycle: walk greedily accepting the first
         // candidate and require progress to stop within a bound.
-        let mut sc = Scenario::from_seed(12345);
-        for _ in 0..64 {
-            let cands = sc.shrink();
-            assert!(cands.iter().all(|c| *c != sc));
-            match cands.first() {
-                Some(c) => sc = *c,
-                None => return,
+        'start: for mut sc in [Scenario::from_seed(12345), crate::presets::tpcd_scan()] {
+            for _ in 0..64 {
+                let cands = sc.shrink();
+                assert!(cands.iter().all(|c| *c != sc));
+                match cands.first() {
+                    Some(c) => sc = *c,
+                    None => continue 'start,
+                }
             }
+            panic!("shrinking did not terminate: {sc:?}");
         }
-        panic!("shrinking did not terminate: {sc:?}");
     }
 
     /// Historical seeds keep their scenarios: a retired axis keeps its

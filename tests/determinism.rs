@@ -7,6 +7,8 @@ use compass::{ArchConfig, CpuCtx, SimBuilder};
 use compass_backend::BackendStats;
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
+use compass_simcheck::check::apply_scenario_knobs;
+use compass_simcheck::{presets, ArchPreset, Scenario, Workload};
 use compass_workloads::httplite::{
     self, generate_fileset, generate_trace, FileSetConfig, PlayerConfig, ServerConfig,
     SharedTickets, TracePlayer,
@@ -210,6 +212,19 @@ fn batch_depth_does_not_change_the_simulation() {
         b = b.add_process(remap_process());
         b.config_mut().backend.batch_depth = d;
         b.config_mut().backend.deadlock_ms = 10_000;
+        b
+    });
+    // The catalogue's parallel TPC-D scan on software DSM, at a test-sized
+    // row count (14 disk reads, 8 page-granularity coherence faults):
+    // buffer-pool misses, disk interrupts and DSM faults across depths.
+    assert_depth_invariant("tpcd scan on sw-dsm", &[16], |d| {
+        let sc = Scenario {
+            workload: Workload::Tpcd { lineitems: 1_200 },
+            preset: ArchPreset::SwDsm2x2,
+            ..presets::tpcd_scan()
+        };
+        let mut b = sc.builder();
+        apply_scenario_knobs(b.config_mut(), &sc, d);
         b
     });
 }

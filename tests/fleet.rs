@@ -200,6 +200,7 @@ fn fake_result(point: FleetPoint, cycles: u64, events: u64) -> JobResult {
         events,
         os_calls: 0,
         fs_write_bytes: 0,
+        syscalls: Vec::new(),
         obs: None,
         wall: Duration::from_millis(5),
         resume_identical: None,

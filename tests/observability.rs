@@ -76,6 +76,8 @@ fn counters_and_trace_capture_the_run() {
         "os_calls",
         "frontend_posts",
         "progress_snapshots",
+        "backend_active_ns",
+        "frontend_gen_ns",
     ] {
         assert!(o.counter(name) > 0, "counter {name} stayed zero: {o:?}");
     }

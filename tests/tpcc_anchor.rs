@@ -14,11 +14,11 @@ use std::sync::Arc;
 
 const TERMINALS: usize = 3;
 
-fn run_tpcc() -> (RunReport, Vec<TerminalStats>) {
-    run_tpcc_with(8)
+fn anchor_run() -> (RunReport, Vec<TerminalStats>) {
+    anchor_run_at(8)
 }
 
-fn run_tpcc_with(batch_depth: usize) -> (RunReport, Vec<TerminalStats>) {
+fn anchor_run_at(batch_depth: usize) -> (RunReport, Vec<TerminalStats>) {
     let cfg = TpccConfig {
         txns_per_terminal: 5,
         seed: 0xA27C,
@@ -57,7 +57,7 @@ fn run_tpcc_with(batch_depth: usize) -> (RunReport, Vec<TerminalStats>) {
 
 #[test]
 fn fixed_seed_tpcc_results_are_pinned() {
-    let (report, terminals) = run_tpcc();
+    let (report, terminals) = anchor_run();
 
     // Per-terminal transaction mix: a pure function of (seed, rank) plus
     // lock outcomes — any scheduler or locking change shows up here.
@@ -89,7 +89,7 @@ fn fixed_seed_tpcc_results_are_pinned() {
 
     // Bit-stability: an identical second run must reproduce every
     // statistic exactly (no hidden host-time or iteration-order leaks).
-    let (again, terminals_again) = run_tpcc();
+    let (again, terminals_again) = anchor_run();
     assert_eq!(terminals, terminals_again, "terminal stats not stable");
     assert_eq!(
         format!("{:#?}", report.backend),
@@ -100,7 +100,7 @@ fn fixed_seed_tpcc_results_are_pinned() {
     // Batching is a pure transport optimisation: any depth must replay to
     // the very same anchor (the credit invariants — see DESIGN.md).
     for depth in [1, 64] {
-        let (twin, terminals_twin) = run_tpcc_with(depth);
+        let (twin, terminals_twin) = anchor_run_at(depth);
         assert_eq!(
             terminals, terminals_twin,
             "terminal stats moved at batch_depth={depth}"
