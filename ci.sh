@@ -8,17 +8,15 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo test -q --workspace --features check-invariants
 cargo run --release -q -p compass-simcheck -- --soak 30
-# Fleet smoke: the design-space runner sweeps every knob family across
-# four workloads (batch depth on the compute-, OS/disk- and
-# network-heavy ones, checkpoint record/resume on TPC-C), re-runs a
-# sampled subset at the transport baseline and requires bit-identical
-# BackendStats, and gates on zero neutrality violations in the per-axis
-# sensitivity deltas.
-cargo run --release -q -p compass-fleet -- --smoke --out target/BENCH_fleet_smoke.json
+# Fleet smoke: the design-space runner sweeps one simulated knob on each
+# of four workloads (compute-, OS/disk-, OLTP- and network-heavy), runs
+# every job at the shipped batch depth and again at depth 1, and
+# requires bit-identical BackendStats.
+cargo run --release -q -p compass-fleet -- --preset smoke --out target/BENCH_fleet_smoke.json
 # The paper's simulated tables (Table 1 and studies S1-S3, EXPERIMENTS.md)
 # as one preset, every job twinned at batch depth 1: the TPC-D scan and
 # software DSM are diffed across depths on every CI run.
-cargo run --release -q -p compass-fleet -- --preset paper --twin 64 --quiet --out target/paper.json
+cargo run --release -q -p compass-fleet -- --preset paper --quiet --out target/paper.json
 # The benchmark (read-only here): BENCHMARK.json must match the
 # benchmark's own catalogue field by field, and its unit tests must pass.
 # The unit tests build benchmark/ against this workspace, so they also

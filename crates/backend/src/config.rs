@@ -47,11 +47,14 @@ pub struct BackendConfig {
     pub tlb_assoc: usize,
     /// Interval-timer period per CPU; `None` disables timer interrupts.
     pub timer_interval: Option<Cycles>,
-    /// Host-time deadlock detector for posters on ordinary threads: if no
-    /// event can be processed and nothing is posted for this many
+    /// Host-time deadlock window for posters on ordinary threads (ports
+    /// driven from `std::thread`s, as the engine tests do): if no event
+    /// can be processed and none of them posts for this many
     /// milliseconds, the engine returns a structured deadlock report
-    /// ([`crate::error::RunError::Deadlock`]). When every poster is a task
-    /// suspended on the engine, the deadlock is reported at once.
+    /// ([`crate::error::RunError::Deadlock`]). A `SimBuilder` run never
+    /// waits on it: its processes, OS threads and bottom-half daemon are
+    /// coroutines that stay live until teardown, so a stuck run is
+    /// reported at once.
     pub deadlock_ms: u64,
     /// Which simulated CPU device interrupts are routed to.
     pub irq_cpu: usize,

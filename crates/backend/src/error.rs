@@ -126,8 +126,10 @@ pub enum DeadlockKind {
     /// barrier, the kernel daemon is parked, and no device completion is
     /// in flight — provably stuck (detected at a timer tick).
     SyncCycle,
-    /// The backend made no progress for the configured host-time window
-    /// (`deadlock_ms`) and a full index rebuild still found nothing to do.
+    /// Nothing could be processed and a full index rebuild still found
+    /// nothing to do: every simulated thread is suspended on the engine
+    /// (reported at once), or posters on ordinary threads stayed silent
+    /// for the `deadlock_ms` window.
     HostTimeout,
 }
 

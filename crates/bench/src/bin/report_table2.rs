@@ -50,7 +50,7 @@ fn simulated(arch: ArchConfig, data: TpcdConfig) -> (compass::RunReport, u64) {
     let shared = database();
     let results = Arc::new(QueryResults::default());
     let shared_for_load = Arc::clone(&shared);
-    let mut b = SimBuilder::new(arch)
+    let b = SimBuilder::new(arch)
         .prepare_kernel(move |k| {
             tpcd::load(k, &shared_for_load, data);
         })
@@ -61,7 +61,6 @@ fn simulated(arch: ArchConfig, data: TpcdConfig) -> (compass::RunReport, u64) {
             1,
             Arc::clone(&results),
         ));
-    b.config_mut().backend.deadlock_ms = 30_000;
     let report = b.run();
     let revenue = results.q1.lock().values().map(|v| v.1).sum();
     (report, revenue)

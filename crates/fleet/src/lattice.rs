@@ -1,26 +1,24 @@
 //! Parameter lattices: a base scenario, a set of axes, and their
-//! cartesian expansion into concrete, deduplicated run points.
+//! cartesian expansion into concrete, deduplicated scenarios.
 //!
 //! A [`Lattice`] is the declarative half of a design-space sweep: a
-//! baseline [`Scenario`] plus one [`Axis`] per knob under study, each
-//! axis listing the values it takes (first value = the axis's baseline).
-//! [`Lattice::expand`] walks the cartesian product in a fixed
-//! (axis-major, last-axis-fastest) order, so expansion is a pure
-//! function of the declaration; [`dedupe`] then collapses points whose
-//! *simulated configuration* is identical under
-//! [`FleetPoint::dedupe_key`] — the canonical
-//! [`compass::SimConfig::config_hash`] extended with the workload
-//! identity and the harness-level checkpoint flag, neither of which
-//! lives in `SimConfig`.
+//! baseline [`Scenario`] plus one [`Axis`] per simulated knob under
+//! study, each axis listing the values it takes (first value = the
+//! axis's baseline). [`Lattice::expand`] walks the cartesian product in
+//! a fixed (axis-major, last-axis-fastest) order, so expansion is a pure
+//! function of the declaration; [`expand_preset`] then collapses
+//! scenarios with equal [`dedupe_key`]s.
 
+use crate::run::Job;
 use compass::{PlacementPolicy, SchedPolicy, SimConfig};
 use compass_simcheck::check::apply_scenario_knobs;
 use compass_simcheck::{ArchPreset, Geometry, Scenario};
+use std::collections::HashSet;
 
-/// One axis value: which knob it sets and to what.
+/// One axis value: which simulated knob it sets and to what.
 ///
 /// The enum doubles as the axis identity — every value in an [`Axis`]
-/// must be the same variant ([`Knob::name`]), enforced at expansion.
+/// must be the same variant ([`Knob::name`]), enforced at declaration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Knob {
     /// Architecture shape.
@@ -33,12 +31,6 @@ pub enum Knob {
     Placement(PlacementPolicy),
     /// Pre-emptive scheduling.
     Preempt(bool),
-    /// Event-batch depth of every poster (frontends, OS threads, the
-    /// bottom-half daemon).
-    Depth(usize),
-    /// Checkpoint gate: record with cuts, resume, require bit-identical
-    /// stats (a harness-level knob, not a `SimConfig` field).
-    Ckpt(bool),
 }
 
 impl Knob {
@@ -50,41 +42,28 @@ impl Knob {
             Knob::Sched(_) => "sched",
             Knob::Placement(_) => "placement",
             Knob::Preempt(_) => "preempt",
-            Knob::Depth(_) => "depth",
-            Knob::Ckpt(_) => "ckpt",
         }
     }
 
-    /// Compact value label for reports (`sched=Affinity`, `depth=16`).
+    /// Compact value label for reports (`Affinity`, `true`).
     pub fn label(&self) -> String {
         match self {
             Knob::Preset(v) => format!("{v:?}"),
             Knob::Geometry(v) => format!("{v:?}"),
             Knob::Sched(v) => format!("{v:?}"),
             Knob::Placement(v) => format!("{v:?}"),
-            Knob::Preempt(v) | Knob::Ckpt(v) => format!("{v}"),
-            Knob::Depth(v) => format!("{v}"),
+            Knob::Preempt(v) => format!("{v}"),
         }
     }
 
-    /// True for the transport knobs simcheck proves stats-neutral: a
-    /// point differing from baseline only on these must produce
-    /// bit-identical simulated statistics, so its sensitivity delta is
-    /// an *oracle* (must be zero), not a measurement.
-    pub fn stats_neutral(&self) -> bool {
-        matches!(self, Knob::Depth(_) | Knob::Ckpt(_))
-    }
-
-    /// Applies the value onto a point.
-    fn apply(&self, p: &mut FleetPoint) {
+    /// Applies the value onto a scenario.
+    fn apply(&self, sc: &mut Scenario) {
         match *self {
-            Knob::Preset(v) => p.scenario.preset = v,
-            Knob::Geometry(v) => p.scenario.geometry = v,
-            Knob::Sched(v) => p.scenario.sched = v,
-            Knob::Placement(v) => p.scenario.placement = v,
-            Knob::Preempt(v) => p.scenario.preempt = v,
-            Knob::Depth(v) => p.depth = v,
-            Knob::Ckpt(v) => p.scenario.ckpt = v,
+            Knob::Preset(v) => sc.preset = v,
+            Knob::Geometry(v) => sc.geometry = v,
+            Knob::Sched(v) => sc.sched = v,
+            Knob::Placement(v) => sc.placement = v,
+            Knob::Preempt(v) => sc.preempt = v,
         }
     }
 }
@@ -97,57 +76,6 @@ pub struct Axis {
     pub name: &'static str,
     /// The values, baseline first.
     pub values: Vec<Knob>,
-}
-
-/// One concrete run: a fully-specified scenario plus the batch depth
-/// (the only swept knob that is not a [`Scenario`] field).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetPoint {
-    /// Everything the scenario carries (workload, arch, knobs).
-    pub scenario: Scenario,
-    /// Event-batch depth of every poster.
-    pub depth: usize,
-}
-
-impl FleetPoint {
-    /// The `SimConfig` this point runs under, built exactly the way the
-    /// runner builds it (same knob application, same defaults).
-    pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::new(self.scenario.arch_config());
-        apply_scenario_knobs(&mut cfg, &self.scenario, self.depth);
-        cfg
-    }
-
-    /// Canonical dedupe key: the simulated configuration's hash
-    /// ([`SimConfig::config_hash`], which already folds the architecture
-    /// hash and every transport knob) extended with what `SimConfig`
-    /// does not know — the workload identity (workload shape, process
-    /// count, body seed) and the harness-level checkpoint gate. Two
-    /// points with equal keys are the same run and produce bit-identical
-    /// statistics; the fleet executes one of them.
-    pub fn dedupe_key(&self) -> u64 {
-        let sc = &self.scenario;
-        compass_snap::fnv1a64(
-            format!(
-                "{:016x}|{:?}|{}|{}|{}",
-                self.sim_config().config_hash(),
-                sc.workload,
-                sc.nprocs,
-                sc.seed,
-                sc.ckpt,
-            )
-            .as_bytes(),
-        )
-    }
-
-    /// Human label: the axis-relevant coordinates.
-    pub fn label(&self, workload: &str) -> String {
-        let sc = &self.scenario;
-        format!(
-            "{workload} {:?}/{:?} sched={:?} place={:?} d{} ck{}",
-            sc.preset, sc.geometry, sc.sched, sc.placement, self.depth, sc.ckpt as u8,
-        )
-    }
 }
 
 /// A named base scenario with its swept axes.
@@ -197,78 +125,64 @@ impl Lattice {
         self.axes.iter().map(|a| a.values.len()).product()
     }
 
-    /// The baseline point: every axis at its first value.
-    pub fn baseline(&self) -> FleetPoint {
-        let mut p = FleetPoint {
-            scenario: self.base,
-            depth: 1,
-        };
-        for axis in &self.axes {
-            axis.values[0].apply(&mut p);
-        }
-        p
-    }
-
     /// Expands the full cartesian product in mixed-radix order (first
-    /// axis slowest, last axis fastest) — a pure function of the
-    /// declaration, so the job list, the dedupe outcome and the report
-    /// ordering are all deterministic.
-    pub fn expand(&self) -> Vec<FleetPoint> {
-        let n = self.cardinality();
-        let mut out = Vec::with_capacity(n);
-        for mut ix in 0..n {
-            let mut coords = vec![0usize; self.axes.len()];
-            for (slot, axis) in coords.iter_mut().zip(&self.axes).rev() {
-                *slot = ix % axis.values.len();
-                ix /= axis.values.len();
-            }
-            let mut p = FleetPoint {
-                scenario: self.base,
-                depth: 1,
-            };
-            for (axis, &c) in self.axes.iter().zip(&coords) {
-                axis.values[c].apply(&mut p);
-            }
-            out.push(p);
-        }
-        out
-    }
-
-    /// The points isolating `axis`: every other axis held at baseline,
-    /// `axis` walking its values in order (element 0 = the baseline
-    /// point itself). This is the slice the per-axis sensitivity deltas
-    /// are computed over.
-    pub fn axis_points(&self, axis: usize) -> Vec<FleetPoint> {
-        let base = self.baseline();
-        self.axes[axis]
-            .values
-            .iter()
-            .map(|v| {
-                let mut p = base;
-                v.apply(&mut p);
-                p
+    /// axis slowest, last axis fastest; element 0 is the baseline) — a
+    /// pure function of the declaration, so the job list, the dedupe
+    /// outcome and the report ordering are all deterministic.
+    pub fn expand(&self) -> Vec<Scenario> {
+        (0..self.cardinality())
+            .map(|mut ix| {
+                let mut sc = self.base;
+                for axis in self.axes.iter().rev() {
+                    axis.values[ix % axis.values.len()].apply(&mut sc);
+                    ix /= axis.values.len();
+                }
+                sc
             })
             .collect()
     }
 }
 
-/// Collapses points with equal [`FleetPoint::dedupe_key`]s, preserving
-/// first-appearance order. Returns the unique points and, for each input
-/// point, the index of its representative in the unique list.
-pub fn dedupe(points: &[FleetPoint]) -> (Vec<FleetPoint>, Vec<usize>) {
-    let mut unique: Vec<FleetPoint> = Vec::new();
-    let mut keys: Vec<u64> = Vec::new();
-    let mut map = Vec::with_capacity(points.len());
-    for p in points {
-        let key = p.dedupe_key();
-        match keys.iter().position(|&k| k == key) {
-            Some(i) => map.push(i),
-            None => {
-                keys.push(key);
-                unique.push(*p);
-                map.push(unique.len() - 1);
+/// Canonical dedupe key of a scenario: the hash of the `SimConfig` the
+/// fleet runs it under ([`SimConfig::config_hash`], which folds the
+/// architecture hash and every backend knob) extended with what
+/// `SimConfig` does not know — the workload shape, the process count
+/// and the body seed. Two scenarios with equal keys are the same run and
+/// produce bit-identical statistics; the fleet executes one of them.
+pub fn dedupe_key(sc: &Scenario) -> u64 {
+    let mut cfg = SimConfig::new(sc.arch_config());
+    let shipped = cfg.backend.batch_depth;
+    apply_scenario_knobs(&mut cfg, sc, shipped);
+    compass_snap::fnv1a64(
+        format!(
+            "{:016x}|{:?}|{}|{}",
+            cfg.config_hash(),
+            sc.workload,
+            sc.nprocs,
+            sc.seed,
+        )
+        .as_bytes(),
+    )
+}
+
+/// Expands a preset's lattices in declaration order and keeps the first
+/// scenario of every [`dedupe_key`] — sub-sweeps sharing a baseline run
+/// it once, under the workload name of its first appearance. Returns
+/// `(total points, unique jobs)`.
+pub fn expand_preset(lattices: &[Lattice]) -> (usize, Vec<Job>) {
+    let mut points = 0;
+    let mut seen = HashSet::new();
+    let mut jobs = Vec::new();
+    for lat in lattices {
+        for scenario in lat.expand() {
+            points += 1;
+            if seen.insert(dedupe_key(&scenario)) {
+                jobs.push(Job {
+                    scenario,
+                    workload: lat.workload,
+                });
             }
         }
     }
-    (unique, map)
+    (points, jobs)
 }

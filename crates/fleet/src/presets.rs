@@ -8,53 +8,33 @@
 //! collapses to a single run.
 
 use crate::lattice::{Knob, Lattice};
-use compass::{ArchConfig, PlacementPolicy, SchedPolicy};
-use compass_backend::BackendConfig;
+use compass::{PlacementPolicy, SchedPolicy};
 use compass_simcheck::presets as sc;
 use compass_simcheck::{ArchPreset, Geometry as Geo};
 
 use Knob::*;
 
-/// CI preset: every knob family exercised across four workloads, small
-/// enough for a single-core host. The batch-depth axis rides on the
-/// compute-bound, the OS/disk-heavy and the network-heavy workloads;
-/// one lattice per workload, so nothing dedupes.
+/// CI preset: one simulated knob each on the compute-bound, the
+/// OS/disk-heavy, the OLTP and the network-heavy workloads, small enough
+/// for a single-core host; one lattice per workload, so nothing
+/// dedupes.
 pub fn smoke() -> Vec<Lattice> {
     vec![
-        Lattice::new("sci_small", sc::sci_small()).axis(&[Depth(1), Depth(16)]),
-        Lattice::new("chaos_small", sc::chaos_small()).axis(&[Depth(1), Depth(16)]),
-        Lattice::new("tpcc_small", sc::tpcc_small()).axis(&[Ckpt(false), Ckpt(true)]),
-        Lattice::new("http_small", sc::http_small()).axis(&[Depth(1), Depth(16)]),
+        Lattice::new("sci_small", sc::sci_small()).axis(&[
+            Placement(PlacementPolicy::FirstTouch),
+            Placement(PlacementPolicy::RoundRobin),
+        ]),
+        Lattice::new("chaos_small", sc::chaos_small())
+            .axis(&[Geometry(Geo::Default), Geometry(Geo::SmallCaches)]),
+        Lattice::new("tpcc_small", sc::tpcc_small())
+            .axis(&[Sched(SchedPolicy::Fcfs), Sched(SchedPolicy::Affinity)]),
+        Lattice::new("http_small", sc::http_small()).axis(&[Preempt(false), Preempt(true)]),
     ]
-}
-
-/// Event-batch sweep: batch depth across the dense scientific kernel,
-/// where frontend posting dominates host time.
-pub fn comm() -> Vec<Lattice> {
-    vec![Lattice::new("sci_dense", sc::sci_dense()).axis(&[
-        Depth(1),
-        Depth(4),
-        Depth(16),
-        Depth(64),
-    ])]
-}
-
-/// Batch depth on the HTTP workload, where the OS threads and the
-/// bottom-half daemon post most of the events.
-pub fn http() -> Vec<Lattice> {
-    vec![Lattice::new("http_small", sc::http_small()).axis(&[Depth(1), Depth(8), Depth(64)])]
-}
-
-/// Checkpoint identity gate: the record/resume cycle against the plain
-/// run.
-pub fn ckpt() -> Vec<Lattice> {
-    vec![Lattice::new("tpcc_small", sc::tpcc_small()).axis(&[Ckpt(false), Ckpt(true)])]
 }
 
 /// The semantic design space: architecture shape × placement ×
 /// scheduler on the scientific kernel, plus cache geometry on the
-/// OS-heavy chaos workload. Here the sensitivity deltas are real
-/// measurements, not neutrality oracles.
+/// OS-heavy chaos workload.
 pub fn explore() -> Vec<Lattice> {
     vec![
         Lattice::new("sci_small", sc::sci_small())
@@ -86,39 +66,28 @@ pub fn explore() -> Vec<Lattice> {
 /// * S2 (§3.3.1) — page placement under the parallel TPC-D scan;
 /// * S3 (§5) — the four memory systems under the same scan.
 ///
-/// Every point runs at the shipped batch depth (a one-value depth axis),
-/// so the twin oracle's depth-1 re-run diffs each study across depths.
 /// Table 1's TPC-C and TPC-D rows are the S1 and S2 baselines, and S2
 /// and S3 share their baseline; dedupe runs each shared point once.
 pub fn paper() -> Vec<Lattice> {
-    let shipped = [Depth(
-        BackendConfig::new(ArchConfig::simple_smp(1)).batch_depth,
-    )];
-    let table1 = |name, base| Lattice::new(name, base).axis(&shipped);
     vec![
-        table1("sci_table1", sc::sci_table1()),
-        table1("tpcc_oversub", sc::tpcc_oversub()),
-        table1("tpcd_scan", sc::tpcd_scan()),
-        table1("http_table1", sc::http_table1()),
+        Lattice::new("sci_table1", sc::sci_table1()),
+        Lattice::new("tpcc_oversub", sc::tpcc_oversub()),
+        Lattice::new("tpcd_scan", sc::tpcd_scan()),
+        Lattice::new("http_table1", sc::http_table1()),
         Lattice::new("tpcc_oversub", sc::tpcc_oversub())
             .axis(&[Sched(SchedPolicy::Fcfs), Sched(SchedPolicy::Affinity)])
-            .axis(&[Preempt(false), Preempt(true)])
-            .axis(&shipped),
-        Lattice::new("tpcd_scan", sc::tpcd_scan())
-            .axis(&[
-                Placement(PlacementPolicy::FirstTouch),
-                Placement(PlacementPolicy::RoundRobin),
-                Placement(PlacementPolicy::Block(16)),
-            ])
-            .axis(&shipped),
-        Lattice::new("tpcd_scan", sc::tpcd_scan())
-            .axis(&[
-                Preset(ArchPreset::CcNuma2x2),
-                Preset(ArchPreset::SimpleSmp),
-                Preset(ArchPreset::Coma2x2),
-                Preset(ArchPreset::SwDsm2x2),
-            ])
-            .axis(&shipped),
+            .axis(&[Preempt(false), Preempt(true)]),
+        Lattice::new("tpcd_scan", sc::tpcd_scan()).axis(&[
+            Placement(PlacementPolicy::FirstTouch),
+            Placement(PlacementPolicy::RoundRobin),
+            Placement(PlacementPolicy::Block(16)),
+        ]),
+        Lattice::new("tpcd_scan", sc::tpcd_scan()).axis(&[
+            Preset(ArchPreset::CcNuma2x2),
+            Preset(ArchPreset::SimpleSmp),
+            Preset(ArchPreset::Coma2x2),
+            Preset(ArchPreset::SwDsm2x2),
+        ]),
     ]
 }
 
@@ -126,9 +95,6 @@ pub fn paper() -> Vec<Lattice> {
 pub fn all() -> Vec<(&'static str, Vec<Lattice>)> {
     vec![
         ("smoke", smoke()),
-        ("comm", comm()),
-        ("http", http()),
-        ("ckpt", ckpt()),
         ("explore", explore()),
         ("paper", paper()),
     ]
@@ -142,7 +108,7 @@ pub fn by_name(name: &str) -> Option<Vec<Lattice>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::expand_preset;
+    use crate::lattice::{dedupe_key, expand_preset};
 
     #[test]
     fn every_preset_expands_and_dedupes() {
@@ -152,10 +118,6 @@ mod tests {
             assert_eq!(points, declared, "{name}");
             assert!(!jobs.is_empty(), "{name} is empty");
             assert!(jobs.len() <= points, "{name} grew under dedupe");
-            assert!(
-                jobs.iter().all(|j| !j.workload.is_empty()),
-                "{name} left a job unlabeled"
-            );
         }
     }
 
@@ -174,12 +136,10 @@ mod tests {
         // Table 1's TPC-C row is S1's baseline; its TPC-D row is S2's
         // baseline, which S3 shares.
         assert_eq!(points - jobs.len(), 3, "expected three deduped points");
-        let (s2, s3) = (&lattices[5], &lattices[6]);
-        assert_eq!(s2.baseline().dedupe_key(), s3.baseline().dedupe_key());
-        assert_eq!(
-            s2.baseline().dedupe_key(),
-            lattices[2].baseline().dedupe_key()
-        );
+        let baseline = |i: usize| dedupe_key(&lattices[i].expand()[0]);
+        assert_eq!(baseline(5), baseline(6));
+        assert_eq!(baseline(5), baseline(2));
+        assert_eq!(baseline(4), baseline(1));
     }
 
     #[test]

@@ -1,113 +1,16 @@
-//! The aggregate fleet report: per-axis sensitivity deltas and the
-//! machine-readable JSON document.
+//! The aggregate fleet report: one machine-readable JSON document.
 //!
-//! **Sensitivity** isolates one axis at a time: with every other axis
-//! held at its baseline value, each value of the swept axis names one
-//! lattice point, and its entry records the delta of the headline
-//! simulated statistics against the axis baseline. For the transport
-//! axes (batch depth, checkpoint) those deltas double as an oracle —
-//! simcheck proves them stats-neutral, so any nonzero simulated delta is
-//! a correctness
-//! failure ([`Sensitivity::neutral_violations`]), not a finding.
-//!
-//! **JSON** is hand-rolled (the vendored `serde` is a no-op marker —
-//! see `vendor/README.md`). One layout rule does the heavy lifting for
+//! JSON is hand-rolled (the vendored `serde` is a no-op marker — see
+//! `vendor/README.md`). One layout rule does the heavy lifting for
 //! reproducibility: every host-timing field lives in a sub-object named
 //! `"host"` rendered on a single line, so byte-comparing two reports
 //! modulo host timing is "drop the lines containing `\"host\": {`" —
 //! the golden-run determinism test does exactly that.
 
-use crate::lattice::{dedupe, FleetPoint, Lattice};
-use crate::run::{Job, JobResult, TwinDivergence};
+use crate::lattice::Lattice;
+use crate::run::{Job, JobResult};
 use compass_obs::{Ctr, ObsReport};
-use std::collections::HashMap;
 use std::time::Duration;
-
-/// One value of a swept axis, relative to the axis baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SensitivityEntry {
-    /// Value label (e.g. `Affinity`, `16`).
-    pub value: String,
-    /// Whether this axis is a proven stats-neutral transport knob.
-    pub stats_neutral: bool,
-    /// Simulated end-time delta vs the axis baseline.
-    pub d_global_cycles: i64,
-    /// Modeled memory-access delta vs the axis baseline.
-    pub d_accesses: i64,
-    /// Frontend-event delta vs the axis baseline.
-    pub d_events: i64,
-    /// Host wall time of the point's run, milliseconds.
-    pub wall_ms: f64,
-}
-
-/// One axis of one lattice, fully resolved against the run results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AxisSensitivity {
-    /// Workload (lattice) name.
-    pub workload: &'static str,
-    /// Axis name.
-    pub axis: &'static str,
-    /// Label of the baseline value (`values[0]`).
-    pub baseline: String,
-    /// One entry per axis value, in declaration order (entry 0 is the
-    /// baseline itself, all deltas zero — kept so the table is total,
-    /// and so a degenerate single-value axis still reports its point).
-    pub entries: Vec<SensitivityEntry>,
-}
-
-/// The resolved sensitivity block.
-#[derive(Debug, Clone, Default)]
-pub struct Sensitivity {
-    /// Per axis, in lattice/declaration order.
-    pub axes: Vec<AxisSensitivity>,
-    /// Entries on stats-neutral axes whose simulated deltas were not
-    /// zero. Must be 0; anything else means a transport knob leaked
-    /// into the simulation.
-    pub neutral_violations: usize,
-}
-
-/// Computes per-axis sensitivity from executed results, looked up by
-/// dedupe key (the fleet runs each unique config once; axis points are
-/// a subset of the expansion, so every lookup hits when the run
-/// succeeded). Axis points whose runs failed are skipped.
-pub fn sensitivity(lattices: &[Lattice], by_key: &HashMap<u64, &JobResult>) -> Sensitivity {
-    let mut out = Sensitivity::default();
-    for lat in lattices {
-        for (ai, axis) in lat.axes.iter().enumerate() {
-            let points = lat.axis_points(ai);
-            let Some(base) = by_key.get(&points[0].dedupe_key()) else {
-                continue;
-            };
-            let mut entries = Vec::new();
-            for (vi, p) in points.iter().enumerate() {
-                let Some(r) = by_key.get(&p.dedupe_key()) else {
-                    continue;
-                };
-                let neutral = axis.values[vi].stats_neutral();
-                let e = SensitivityEntry {
-                    value: axis.values[vi].label(),
-                    stats_neutral: neutral,
-                    d_global_cycles: r.stats.global_cycles as i64 - base.stats.global_cycles as i64,
-                    d_accesses: r.stats.mem.total_accesses() as i64
-                        - base.stats.mem.total_accesses() as i64,
-                    d_events: r.events as i64 - base.events as i64,
-                    wall_ms: r.wall.as_secs_f64() * 1e3,
-                };
-                if neutral && (e.d_global_cycles != 0 || e.d_accesses != 0 || e.d_events != 0) {
-                    out.neutral_violations += 1;
-                }
-                entries.push(e);
-            }
-            out.axes.push(AxisSensitivity {
-                workload: lat.workload,
-                axis: axis.name,
-                baseline: axis.values[0].label(),
-                entries,
-            });
-        }
-    }
-    out
-}
 
 /// Everything the report document needs.
 pub struct ReportInput<'a> {
@@ -121,14 +24,6 @@ pub struct ReportInput<'a> {
     pub jobs: &'a [Job],
     /// One result per unique job.
     pub results: &'a [Result<JobResult, String>],
-    /// Resolved sensitivity.
-    pub sensitivity: &'a Sensitivity,
-    /// Twin-oracle sample (job indices).
-    pub twin_sample: &'a [usize],
-    /// Twin divergences (empty = oracle passed).
-    pub twin_divergences: &'a [TwinDivergence],
-    /// Wall time of the twin runs.
-    pub twin_wall: Duration,
     /// Worker threads used.
     pub workers: usize,
     /// Whole-fleet wall time.
@@ -244,12 +139,9 @@ pub fn render(input: &ReportInput<'_>) -> String {
         match res {
             Ok(r) => {
                 s.push_str("    {\n");
-                s.push_str(&format!("      \"workload\": \"{}\",\n", esc(r.workload)));
-                s.push_str(&format!(
-                    "      \"label\": \"{}\",\n",
-                    esc(&r.point.label(r.workload))
-                ));
-                s.push_str(&format!("      \"config\": \"{:016x}\",\n", r.key));
+                s.push_str(&format!("      \"workload\": \"{}\",\n", esc(job.workload)));
+                s.push_str(&format!("      \"label\": \"{}\",\n", esc(&job.label())));
+                s.push_str(&format!("      \"config\": \"{:016x}\",\n", job.key()));
                 s.push_str(&format!(
                     "      \"global_cycles\": {},\n",
                     r.stats.global_cycles
@@ -266,12 +158,10 @@ pub fn render(input: &ReportInput<'_>) -> String {
                 ));
                 s.push_str(&format!("      \"barriers\": {},\n", r.stats.sync.barriers));
                 s.push_str(&study_fields(r));
-                if let Some(identical) = r.resume_identical {
-                    s.push_str(&format!("      \"resume_bit_identical\": {identical},\n"));
-                }
                 s.push_str(&format!(
-                    "      \"host\": {{ \"wall_ms\": {:.1} }}\n",
-                    r.wall.as_secs_f64() * 1e3
+                    "      \"host\": {{ \"wall_ms\": {:.1}, \"twin_wall_ms\": {:.1} }}\n",
+                    r.wall.as_secs_f64() * 1e3,
+                    r.twin_wall.as_secs_f64() * 1e3
                 ));
                 s.push_str(&format!("    }}{comma}\n"));
             }
@@ -279,7 +169,7 @@ pub fn render(input: &ReportInput<'_>) -> String {
                 s.push_str(&format!(
                     "    {{ \"workload\": \"{}\", \"label\": \"{}\", \"error\": \"{}\" }}{comma}\n",
                     esc(job.workload),
-                    esc(&job.point.label(job.workload)),
+                    esc(&job.label()),
                     esc(e)
                 ));
             }
@@ -287,80 +177,37 @@ pub fn render(input: &ReportInput<'_>) -> String {
     }
     s.push_str("  ],\n");
 
-    // Sensitivity block.
-    s.push_str("  \"sensitivity\": {\n");
-    s.push_str(&format!(
-        "    \"neutral_violations\": {},\n",
-        input.sensitivity.neutral_violations
-    ));
-    s.push_str("    \"axes\": [\n");
-    for (i, ax) in input.sensitivity.axes.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!(
-            "        \"workload\": \"{}\",\n",
-            esc(ax.workload)
-        ));
-        s.push_str(&format!("        \"axis\": \"{}\",\n", esc(ax.axis)));
-        s.push_str(&format!(
-            "        \"baseline\": \"{}\",\n",
-            esc(&ax.baseline)
-        ));
-        s.push_str("        \"entries\": [\n");
-        // Two lines per entry: the simulated deltas, then the host wall
-        // on its own line so stripping host lines keeps the deltas.
-        for (j, e) in ax.entries.iter().enumerate() {
-            s.push_str(&format!(
-                "          {{ \"value\": \"{}\", \"stats_neutral\": {}, \
-                 \"d_global_cycles\": {}, \"d_accesses\": {}, \"d_events\": {},\n",
-                esc(&e.value),
-                e.stats_neutral,
-                e.d_global_cycles,
-                e.d_accesses,
-                e.d_events,
-            ));
-            s.push_str(&format!(
-                "            \"host\": {{ \"wall_ms\": {:.1} }} }}{}\n",
-                e.wall_ms,
-                if j + 1 < ax.entries.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("        ]\n");
-        s.push_str(&format!(
-            "      }}{}\n",
-            if i + 1 < input.sensitivity.axes.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-
-    // Twin oracle verdict.
+    // Twin oracle verdict: every job that ran was twinned at depth 1.
+    let twinned: Vec<(&Job, &JobResult)> = input
+        .jobs
+        .iter()
+        .zip(input.results)
+        .filter_map(|(job, res)| Some((job, res.as_ref().ok()?)))
+        .collect();
+    let details: Vec<String> = twinned
+        .iter()
+        .filter(|(_, r)| !r.twin_diffs.is_empty())
+        .map(|(job, r)| {
+            format!(
+                "      {{ \"label\": \"{}\", \"diffs\": \"{}\" }}",
+                esc(&job.label()),
+                esc(&r.twin_diffs.join("; "))
+            )
+        })
+        .collect();
+    let twin_wall: Duration = twinned.iter().map(|(_, r)| r.twin_wall).sum();
     s.push_str("  \"twin\": {\n");
-    s.push_str(&format!("    \"sampled\": {},\n", input.twin_sample.len()));
-    s.push_str(&format!(
-        "    \"divergences\": {},\n",
-        input.twin_divergences.len()
-    ));
+    s.push_str(&format!("    \"twinned\": {},\n", twinned.len()));
+    s.push_str(&format!("    \"divergences\": {},\n", details.len()));
     s.push_str("    \"details\": [\n");
-    for (i, d) in input.twin_divergences.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{ \"job\": {}, \"label\": \"{}\", \"diffs\": \"{}\" }}{}\n",
-            d.job,
-            esc(&d.label),
-            esc(&d.diffs.join("; ")),
-            if i + 1 < input.twin_divergences.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+    for (i, d) in details.iter().enumerate() {
+        s.push_str(d);
+        s.push_str(if i + 1 < details.len() { ",\n" } else { "\n" });
     }
     s.push_str("    ],\n");
     s.push_str(&format!(
         "    \"host\": {{ \"wall_ms\": {:.1} }}\n",
-        input.twin_wall.as_secs_f64() * 1e3
+        twin_wall.as_secs_f64() * 1e3
     ));
     s.push_str("  },\n");
 
@@ -404,33 +251,4 @@ pub fn render(input: &ReportInput<'_>) -> String {
     ));
     s.push_str("}\n");
     s
-}
-
-/// Expands and dedupes a preset's lattices into the unique job list.
-/// Returns `(total points, unique jobs)`.
-pub fn expand_preset(lattices: &[Lattice]) -> (usize, Vec<Job>) {
-    let mut points: Vec<FleetPoint> = Vec::new();
-    let mut workloads: Vec<&'static str> = Vec::new();
-    for lat in lattices {
-        for p in lat.expand() {
-            points.push(p);
-            workloads.push(lat.workload);
-        }
-    }
-    let total = points.len();
-    let (unique, map) = dedupe(&points);
-    // A representative keeps the workload of its first appearance.
-    let mut jobs: Vec<Job> = unique
-        .iter()
-        .map(|p| Job {
-            point: *p,
-            workload: "",
-        })
-        .collect();
-    for (pi, &ji) in map.iter().enumerate() {
-        if jobs[ji].workload.is_empty() {
-            jobs[ji].workload = workloads[pi];
-        }
-    }
-    (total, jobs)
 }

@@ -50,15 +50,15 @@ pub enum CkptMode<'a> {
 }
 
 /// Applies a scenario's backend knobs (scheduler, placement,
-/// pre-emption) plus the batch `depth` onto a `SimConfig`. Shared with
-/// the fleet runner (`compass-fleet`), whose lattice points carry their
-/// knob values in the scenario itself — one definition of "how a
-/// scenario configures a run" for both harnesses.
+/// pre-emption) plus the batch `depth` onto a `SimConfig` — one
+/// definition of "how a scenario configures a run" for simcheck, the
+/// `probe` CLI and the fleet runner (`compass-fleet`), whose lattices
+/// expand to scenarios and which runs each at the shipped depth and
+/// again at depth 1.
 pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: usize) {
     cfg.backend.sched = sc.sched;
     cfg.backend.placement = sc.placement;
     cfg.backend.batch_depth = depth;
-    cfg.backend.deadlock_ms = 30_000;
     if sc.preempt {
         cfg.backend.preempt_interval = Some(400_000);
         cfg.backend.timer_interval = Some(400_000);

@@ -39,8 +39,8 @@ pub fn sci_small() -> Scenario {
     )
 }
 
-/// Denser scientific kernel: more rows/iterations, 4 processes — the
-/// shape the frontend batch-depth sweep cares about.
+/// Denser scientific kernel: more rows/iterations, 4 processes — a
+/// `probe` shape where frontend posting dominates host time.
 pub fn sci_dense() -> Scenario {
     base(
         Workload::Sci {

@@ -30,7 +30,6 @@ fn run_wedged(depth: usize) -> Result<(), RunError> {
         .add_process(ab_ba(LOCK_B, LOCK_A));
     b.config_mut().backend.batch_depth = depth;
     b.config_mut().backend.timer_interval = Some(10_000);
-    b.config_mut().backend.deadlock_ms = 30_000;
     b.try_run().map(|_| ())
 }
 

@@ -423,7 +423,6 @@ mod tests {
                 body(cpu)
             });
         }
-        b.config_mut().backend.deadlock_ms = 10_000;
         let r = b.run();
         let stats = sink.lock().clone();
         (stats, r)
@@ -486,7 +485,6 @@ mod tests {
                 body(cpu)
             });
         }
-        b.config_mut().backend.deadlock_ms = 10_000;
         let _ = b.run();
         let inserted = sink.lock()[0].order_lines;
         assert!(inserted >= 6 * 3, "at least 3 lines per new order");

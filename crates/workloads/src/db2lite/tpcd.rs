@@ -344,7 +344,6 @@ mod tests {
                 Arc::clone(&results),
             ));
         }
-        b.config_mut().backend.deadlock_ms = 8_000;
         (Arc::clone(&results), b.run())
     }
 

@@ -77,7 +77,7 @@ mod tests {
             shm_key: 0xDB2,
         });
         let shared2 = Arc::clone(&shared);
-        let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
+        let b = SimBuilder::new(ArchConfig::simple_smp(1))
             .prepare_kernel(move |k| {
                 shared2.create_table(
                     k,
@@ -95,7 +95,6 @@ mod tests {
                     assert_eq!(txn.commit(cpu, &session), 3);
                 }
             });
-        b.config_mut().backend.deadlock_ms = 5_000;
         let r = b.run();
         // Three fsyncs, each with at least one disk write.
         assert!(r.syscalls.iter().any(|(n, c, _)| n == "fsync" && *c == 3));

@@ -44,7 +44,6 @@ mod tests {
         for _ in 0..2 {
             b = b.add_process(server::worker(cfg, std::sync::Arc::clone(&tickets)));
         }
-        b.config_mut().backend.deadlock_ms = 5_000;
         let r = b.run();
 
         assert_eq!(r.net.conns, requests as u64);
@@ -111,7 +110,6 @@ mod tests {
         for _ in 0..2 {
             b = b.add_process(server::worker(cfg, std::sync::Arc::clone(&tickets)));
         }
-        b.config_mut().backend.deadlock_ms = 10_000;
         let r = b.run();
 
         let seen = stats.observed();
@@ -142,7 +140,6 @@ mod tests {
             for _ in 0..2 {
                 b = b.add_process(server::worker(cfg, std::sync::Arc::clone(&tickets)));
             }
-            b.config_mut().backend.deadlock_ms = 5_000;
             let r = b.run();
             (r.backend.global_cycles, r.net.tx_bytes, r.syscalls)
         }

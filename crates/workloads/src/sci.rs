@@ -93,7 +93,6 @@ mod tests {
         for rank in 0..cfg.nprocs {
             b = b.add_process(worker(cfg, rank));
         }
-        b.config_mut().backend.deadlock_ms = 3_000;
         let r = b.run();
         let user: u64 = r.backend.procs.iter().map(|p| p.by_mode[0]).sum();
         let os: u64 = r

@@ -103,7 +103,6 @@ fn builder(nprocs: u16, steps: u32, depth: usize) -> SimBuilder {
     }
     b.config_mut().backend.batch_depth = depth;
     b.config_mut().backend.timer_interval = Some(500_000);
-    b.config_mut().backend.deadlock_ms = 10_000;
     b
 }
 
@@ -301,7 +300,6 @@ fn corrupt_checkpoints_error_instead_of_panicking() {
     for rank in 0..3 {
         b = b.add_process(chaos(0xC0FFEE, rank, 3, 40));
     }
-    b.config_mut().backend.deadlock_ms = 10_000;
     let err = b
         .resume(&path)
         .try_run()

@@ -47,7 +47,6 @@ fn run_db2(batch_depth: usize) -> Anchor {
         });
     }
     let c = b.config_mut();
-    c.backend.deadlock_ms = 30_000;
     c.backend.timer_interval = Some(2_000_000);
     c.backend.batch_depth = batch_depth;
     let report = b.run();

@@ -32,7 +32,6 @@ fn lock_cycle_returns_a_structured_deadlock_report() {
         .add_process(ab_ba(LOCK_B, LOCK_A));
     // Sync-deadlock detection runs off the interval timer.
     b.config_mut().backend.timer_interval = Some(10_000);
-    b.config_mut().backend.deadlock_ms = 30_000;
     let err = b.try_run().expect_err("AB/BA cycle must deadlock");
     let RunError::Deadlock { report } = err else {
         panic!("expected a deadlock, got {err}");
@@ -52,16 +51,25 @@ fn lock_cycle_returns_a_structured_deadlock_report() {
 
 #[test]
 fn host_timeout_is_reported_as_deadlock_too() {
-    // A barrier that can never fill, and no interval timer: only the
-    // host-side watchdog can notice.
+    // A barrier that can never fill, and no interval timer to run the
+    // sync-cycle check. Every simulated thread is then suspended on the
+    // engine with nothing to process, so the engine reports the deadlock
+    // at once: the `deadlock_ms` window only applies to posters on
+    // ordinary threads, and even a ten-minute one is never waited out.
     let mut b = SimBuilder::new(ArchConfig::simple_smp(2)).add_process(|cpu: &mut CpuCtx| {
         let seg = cpu.shmget(0xDEAD, 4096);
         let base = cpu.shmat(seg);
         cpu.barrier(base, 2); // waits for a second process that never comes
     });
     b.config_mut().backend.timer_interval = None;
-    b.config_mut().backend.deadlock_ms = 250;
-    let err = b.try_run().expect_err("stuck barrier must time out");
+    b.config_mut().backend.deadlock_ms = 600_000;
+    let t0 = std::time::Instant::now();
+    let err = b.try_run().expect_err("stuck barrier must deadlock");
+    assert!(
+        t0.elapsed() < std::time::Duration::from_secs(60),
+        "waited out the host-time window: {:?}",
+        t0.elapsed()
+    );
     let RunError::Deadlock { report } = err else {
         panic!("expected a deadlock, got {err}");
     };
@@ -78,7 +86,6 @@ fn run_panics_with_the_report_text() {
             .add_process(ab_ba(LOCK_A, LOCK_B))
             .add_process(ab_ba(LOCK_B, LOCK_A));
         b.config_mut().backend.timer_interval = Some(10_000);
-        b.config_mut().backend.deadlock_ms = 30_000;
         b.run()
     });
     let payload = result.expect_err("run() must panic on deadlock");
@@ -97,7 +104,6 @@ fn deadlock_detection_is_repeatable() {
             .add_process(ab_ba(LOCK_A, LOCK_B))
             .add_process(ab_ba(LOCK_B, LOCK_A));
         b.config_mut().backend.timer_interval = Some(10_000);
-        b.config_mut().backend.deadlock_ms = 30_000;
         assert!(b.try_run().is_err());
     }
 }

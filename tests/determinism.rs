@@ -93,7 +93,6 @@ fn chaos_builder(nprocs: u16, batch_depth: usize) -> SimBuilder {
         b = b.add_process(chaos_process(p as u64 * 7919 + 17, nprocs));
     }
     b.config_mut().backend.timer_interval = Some(500_000);
-    b.config_mut().backend.deadlock_ms = 10_000;
     b.config_mut().backend.batch_depth = batch_depth;
     b
 }
@@ -191,7 +190,6 @@ fn batch_depth_does_not_change_the_simulation() {
         }
         let c = b.config_mut();
         c.backend.batch_depth = d;
-        c.backend.deadlock_ms = 10_000;
         b
     });
     // Directory invalidations of a line another CPU keeps re-reading.
@@ -201,7 +199,6 @@ fn batch_depth_does_not_change_the_simulation() {
             b = b.add_process(pingpong_process(role));
         }
         b.config_mut().backend.batch_depth = d;
-        b.config_mut().backend.deadlock_ms = 10_000;
         b
     });
     // Unmap and remap under first-touch placement.
@@ -211,7 +208,6 @@ fn batch_depth_does_not_change_the_simulation() {
         });
         b = b.add_process(remap_process());
         b.config_mut().backend.batch_depth = d;
-        b.config_mut().backend.deadlock_ms = 10_000;
         b
     });
     // The catalogue's parallel TPC-D scan on software DSM, at a test-sized

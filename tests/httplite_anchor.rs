@@ -55,7 +55,6 @@ fn run_http_sized(requests: u32, clients: u32, batch_depth: usize) -> Anchor {
         b = b.add_process(httplite::worker(cfg, Arc::clone(&tickets)));
     }
     let c = b.config_mut();
-    c.backend.deadlock_ms = 30_000;
     c.backend.batch_depth = batch_depth;
     let report = b.run();
     Anchor {

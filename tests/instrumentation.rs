@@ -5,8 +5,7 @@
 use compass::{ArchConfig, CpuCtx, SimBuilder};
 
 fn run_with(body: impl FnMut(&mut CpuCtx) + Send + 'static) -> compass::runner::RunReport {
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1)).add_process(body);
-    b.config_mut().backend.deadlock_ms = 3_000;
+    let b = SimBuilder::new(ArchConfig::simple_smp(1)).add_process(body);
     b.run()
 }
 

@@ -68,7 +68,7 @@ fn accept_recv_send_roundtrip() {
         data(1, b"GET /file1 HTTP/1.0", 120_000),
         fin(1, 400_000),
     ]);
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
+    let b = SimBuilder::new(ArchConfig::simple_smp(1))
         .traffic(traffic)
         .add_process(|cpu: &mut CpuCtx| {
             let buf = cpu.malloc_pages(8192);
@@ -104,7 +104,6 @@ fn accept_recv_send_roundtrip() {
             cpu.os_call(OsCall::Close { fd }).unwrap();
             cpu.os_call(OsCall::Close { fd: lfd }).unwrap();
         });
-    b.config_mut().backend.deadlock_ms = 3_000;
     let r = b.run();
     assert_eq!(r.net.conns, 1);
     assert_eq!(r.net.tx_bytes, 10_240);
@@ -123,7 +122,7 @@ fn accept_recv_send_roundtrip() {
 #[test]
 fn select_wakes_on_connection_and_data() {
     let traffic = Script(vec![syn(1, 8080, 200_000), data(1, b"ping", 500_000)]);
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
+    let b = SimBuilder::new(ArchConfig::simple_smp(1))
         .traffic(traffic)
         .add_process(|cpu: &mut CpuCtx| {
             let buf = cpu.malloc(4096);
@@ -154,14 +153,13 @@ fn select_wakes_on_connection_and_data() {
             cpu.os_call(OsCall::Close { fd }).unwrap();
             cpu.os_call(OsCall::Close { fd: lfd }).unwrap();
         });
-    b.config_mut().backend.deadlock_ms = 3_000;
     let r = b.run();
     assert!(r.syscalls.iter().any(|(n, c, _)| n == "select" && *c == 2));
 }
 
 #[test]
 fn kernel_time_is_attributed_to_kernel_mode() {
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
+    let b = SimBuilder::new(ArchConfig::simple_smp(1))
         .prepare_kernel(|k| {
             k.create_file("/f", compass_os::fs::FileData::Synthetic { len: 32 * 1024 });
         })
@@ -184,7 +182,6 @@ fn kernel_time_is_attributed_to_kernel_mode() {
             // A little user-mode work for contrast.
             cpu.compute(1_000);
         });
-    b.config_mut().backend.deadlock_ms = 3_000;
     let r = b.run();
     let user: u64 = r.backend.procs.iter().map(|p| p.by_mode[0]).sum();
     let kernel: u64 = r.backend.procs.iter().map(|p| p.by_mode[1]).sum();
@@ -251,7 +248,6 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
                 );
             });
         let c = b.config_mut();
-        c.backend.deadlock_ms = 3_000;
         c.backend.batch_depth = batch_depth;
         b.run().backend.global_cycles
     }
@@ -302,7 +298,6 @@ fn one_batch_depth_reaches_every_poster() {
         }
         let c = b.config_mut();
         c.backend.batch_depth = batch_depth;
-        c.backend.deadlock_ms = 3_000;
         c.obs = compass::ObsConfig::full(compass::TraceLevel::Fine);
         let r = b.run();
         assert!(
@@ -365,7 +360,6 @@ fn pseudo_interrupt_path_stays_deterministic() {
                 }
             });
         b.config_mut().pseudo_irq = true;
-        b.config_mut().backend.deadlock_ms = 3_000;
         let r = b.run();
         (r.backend.global_cycles, r.syscalls)
     }

@@ -8,13 +8,9 @@ use compass_mem::VAddr;
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
 
-fn small_deadlock_ms(b: &mut SimBuilder) {
-    b.config_mut().backend.deadlock_ms = 3_000;
-}
-
 #[test]
 fn single_process_compute_only() {
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1)).add_process(|cpu: &mut CpuCtx| {
+    let b = SimBuilder::new(ArchConfig::simple_smp(1)).add_process(|cpu: &mut CpuCtx| {
         cpu.compute(10_000);
         let a = cpu.malloc(256);
         for i in 0..32 {
@@ -24,7 +20,6 @@ fn single_process_compute_only() {
             cpu.load(a + i * 8, 8);
         }
     });
-    small_deadlock_ms(&mut b);
     let r = b.run();
     // Every frontend event reached the backend, plus the kernel daemon's
     // own Start/Block events.
@@ -49,7 +44,6 @@ fn multiple_processes_interleave_deterministically() {
                 }
             });
         }
-        small_deadlock_ms(&mut b);
         b.run()
     }
     let r1 = build();
@@ -89,7 +83,6 @@ fn simulated_locks_serialise_critical_sections() {
             }
         });
     }
-    small_deadlock_ms(&mut b);
     let r = b.run();
     assert_eq!(shared.lock().unwrap().len(), 100);
     assert!(r.backend.sync.uncontended + r.backend.sync.contended == 100);
@@ -109,7 +102,6 @@ fn shm_pages_are_shared_between_processes() {
             cpu.shmdt(seg);
         });
     }
-    small_deadlock_ms(&mut b);
     let r = b.run();
     // Cross-process sharing produced coherence traffic.
     assert!(r.backend.mem.invalidations_delivered > 0 || r.backend.mem.forwards > 0);
@@ -117,7 +109,7 @@ fn shm_pages_are_shared_between_processes() {
 
 #[test]
 fn file_reads_go_through_buffer_cache_and_disk() {
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
+    let b = SimBuilder::new(ArchConfig::simple_smp(1))
         .prepare_kernel(|k| {
             k.create_file("/data", FileData::Synthetic { len: 64 * 1024 });
         })
@@ -143,7 +135,6 @@ fn file_reads_go_through_buffer_cache_and_disk() {
             }
             let _ = cpu.os_call(OsCall::Close { fd });
         });
-    small_deadlock_ms(&mut b);
     let r = b.run();
     assert_eq!(r.bufcache.misses, 16, "64 KiB = 16 buffers, read once");
     assert!(r.bufcache.hits >= 16, "second pass must hit");
@@ -218,7 +209,6 @@ fn engine_trace_recording_is_complete_and_ordered() {
             }
         });
     }
-    small_deadlock_ms(&mut b);
     let r = b.run();
     let trace = r.access_trace.as_deref().expect("recording was on");
     assert!(!trace.is_empty(), "recorder captured nothing");
@@ -244,7 +234,7 @@ fn engine_trace_recording_is_complete_and_ordered() {
 
 #[test]
 fn file_writes_and_fsync_hit_the_disk() {
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1)).add_process(|cpu: &mut CpuCtx| {
+    let b = SimBuilder::new(ArchConfig::simple_smp(1)).add_process(|cpu: &mut CpuCtx| {
         let buf = cpu.malloc_pages(4096);
         let fd = match cpu.os_call(OsCall::Open {
             path: "/log".into(),
@@ -266,7 +256,6 @@ fn file_writes_and_fsync_hit_the_disk() {
         }
         let _ = cpu.os_call(OsCall::Close { fd });
     });
-    small_deadlock_ms(&mut b);
     let r = b.run();
     // fsync pushed 4 dirty buffers to disk.
     let (_ops, blocks): (u64, u64) = r

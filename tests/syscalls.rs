@@ -6,13 +6,12 @@ use compass_os::fs::FileData;
 use compass_os::{Errno, Fd, OsCall, SysVal};
 
 fn sim(body: impl FnMut(&mut CpuCtx) + Send + 'static) -> compass::runner::RunReport {
-    let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
+    let b = SimBuilder::new(ArchConfig::simple_smp(1))
         .prepare_kernel(|k| {
             k.create_file("/small", FileData::Bytes(b"0123456789".to_vec()));
             k.create_file("/big", FileData::Synthetic { len: 20 * 1024 });
         })
         .add_process(body);
-    b.config_mut().backend.deadlock_ms = 5_000;
     b.run()
 }
 

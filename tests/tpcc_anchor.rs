@@ -47,7 +47,6 @@ fn anchor_run_at(batch_depth: usize) -> (RunReport, Vec<TerminalStats>) {
         });
     }
     let c = b.config_mut();
-    c.backend.deadlock_ms = 30_000;
     c.backend.timer_interval = Some(2_000_000);
     c.backend.batch_depth = batch_depth;
     let report = b.run();
