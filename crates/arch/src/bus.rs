@@ -51,10 +51,10 @@ impl BusyResource {
 
     /// Restores a snapshot taken by [`BusyResource::encode_snapshot`].
     pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
-        self.busy_until = r.u64()?;
-        self.busy_cycles = r.u64()?;
-        self.queue_cycles = r.u64()?;
-        self.transactions = r.u64()?;
+        self.busy_until = r.counter("busy horizon")?;
+        self.busy_cycles = r.counter("busy cycles")?;
+        self.queue_cycles = r.counter("queue cycles")?;
+        self.transactions = r.counter("transactions")?;
         Ok(())
     }
 

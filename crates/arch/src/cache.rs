@@ -265,13 +265,13 @@ impl Cache {
     /// cache of the same geometry. Geometry mismatches and malformed
     /// bytes come back as errors, never panics.
     pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
-        self.tick = r.u64()?;
+        self.tick = r.counter("LRU tick")?;
         self.stats = CacheStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            evictions: r.u64()?,
-            writebacks: r.u64()?,
-            invalidations: r.u64()?,
+            hits: r.counter("cache hits")?,
+            misses: r.counter("cache misses")?,
+            evictions: r.counter("cache evictions")?,
+            writebacks: r.counter("cache writebacks")?,
+            invalidations: r.counter("cache invalidations")?,
         };
         let sets = r.u64()?;
         let assoc = r.u64()?;
@@ -302,7 +302,7 @@ impl Cache {
                                 2 => LineState::Modified,
                                 _ => return Err(compass_snap::SnapError::Corrupt("line state")),
                             },
-                            stamp: r.u64()?,
+                            stamp: r.counter("LRU stamp")?,
                         })
                     }
                     _ => return Err(compass_snap::SnapError::Corrupt("way tag")),

@@ -261,12 +261,12 @@ impl Directory {
         }
         self.entries = entries;
         self.stats = DirStats {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            upgrades: r.u64()?,
-            invalidations: r.u64()?,
-            forwards: r.u64()?,
-            writebacks: r.u64()?,
+            reads: r.counter("directory reads")?,
+            writes: r.counter("directory writes")?,
+            upgrades: r.counter("directory upgrades")?,
+            invalidations: r.counter("directory invalidations")?,
+            forwards: r.counter("directory forwards")?,
+            writebacks: r.counter("directory writebacks")?,
         };
         Ok(())
     }

@@ -133,9 +133,9 @@ impl Interconnect {
             iface.decode_snapshot(r)?;
         }
         self.stats = NetStats {
-            messages: r.u64()?,
-            bytes: r.u64()?,
-            hops: r.u64()?,
+            messages: r.counter("network messages")?,
+            bytes: r.counter("network bytes")?,
+            hops: r.counter("network hops")?,
         };
         Ok(())
     }

@@ -135,14 +135,14 @@ impl MemStats {
             ];
             for arr in arrays.iter_mut() {
                 for f in arr.iter_mut() {
-                    *f = r.u64()?;
+                    *f = r.counter("memory statistic")?;
                 }
             }
         }
-        s.forwards = r.u64()?;
-        s.invalidations_delivered = r.u64()?;
-        s.dsm_faults = r.u64()?;
-        s.dsm_bytes = r.u64()?;
+        s.forwards = r.counter("forwards")?;
+        s.invalidations_delivered = r.counter("invalidations delivered")?;
+        s.dsm_faults = r.counter("DSM faults")?;
+        s.dsm_bytes = r.counter("DSM bytes")?;
         Ok(s)
     }
 }

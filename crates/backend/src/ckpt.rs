@@ -156,8 +156,8 @@ impl CheckpointData {
         }
         let mut r = Reader::new(payload);
         let config_hash = r.u64()?;
-        let ff_events = r.u64()?;
-        let cut_events = r.u64()?;
+        let ff_events = r.counter("fast-forwarded events")?;
+        let cut_events = r.counter("cut events")?;
         let nrecords = r.seq_len(6)?;
         let mut records = Vec::with_capacity(nrecords);
         for _ in 0..nrecords {
@@ -168,7 +168,7 @@ impl CheckpointData {
                     let write = r.bool()?;
                     let class = r.u8()?;
                     let home = r.u32()?;
-                    let latency = r.u64()?;
+                    let latency = r.counter("access latency")?;
                     let l1_hit = r.bool()?;
                     let remote = r.bool()?;
                     let nvict = r.u32()? as usize;
@@ -192,7 +192,7 @@ impl CheckpointData {
                     from: r.u32()?,
                     to: r.u32()?,
                     bytes: r.u32()?,
-                    latency: r.u64()?,
+                    latency: r.counter("DSM latency")?,
                 },
                 _ => return Err(SnapError::Corrupt("unknown record tag")),
             });

@@ -9,7 +9,7 @@
 use compass_arch::{Access, AccessClass, ArchConfig, CacheConfig, Hierarchy};
 use compass_backend::{ArchRecord, CheckpointData, CKPT_VERSION};
 use compass_mem::PAddr;
-use compass_snap::{seal, unseal, Reader, Writer};
+use compass_snap::{seal, unseal, Reader, SnapError, Writer, MAX_COUNTER};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -111,7 +111,7 @@ fn decode_round_trips(frame: &[u8]) -> Result<(), TestCaseError> {
 /// (decode, then require the reader exhausted). An accepted snapshot must
 /// re-encode to a fixed point and pass the coherence audit, so the first
 /// access after a resume cannot trip the protocol. Counters and clocks
-/// are taken at face value.
+/// are accepted up to `MAX_COUNTER`.
 fn restore_round_trips(cfg: &ArchConfig, snapshot: &[u8]) -> Result<(), TestCaseError> {
     let mut h = Hierarchy::new(cfg.clone());
     let mut r = Reader::new(snapshot);
@@ -238,6 +238,39 @@ proptest! {
         snapshot[at] = if snapshot[at] == byte { !byte } else { byte };
         restore_round_trips(&cfg, &snapshot)?;
     }
+}
+
+#[test]
+fn counters_and_clocks_near_2_pow_64_are_refused_at_decode() {
+    // A restored value keeps growing in the resumed run; one near 2^64
+    // would overflow there (a panic in a debug build), so decode refuses
+    // it instead.
+    let refused = |snapshot: &[u8], coma| {
+        let mut h = Hierarchy::new(small(coma));
+        h.decode_snapshot(&mut Reader::new(snapshot))
+    };
+    for coma in [false, true] {
+        let real = &real_checkpoint(coma).snapshot;
+        // The first L1's LRU tick follows the L1 count.
+        let mut tick = real.clone();
+        tick[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(refused(&tick, coma), Err(SnapError::Corrupt("LRU tick")));
+        // The memory statistics close the snapshot.
+        let mut stat = real.clone();
+        let n = stat.len();
+        stat[n - 8..].copy_from_slice(&(MAX_COUNTER + 1).to_le_bytes());
+        assert_eq!(refused(&stat, coma), Err(SnapError::Corrupt("DSM bytes")));
+        stat[n - 8..].copy_from_slice(&MAX_COUNTER.to_le_bytes());
+        assert_eq!(refused(&stat, coma), Ok(()), "the bound itself is accepted");
+    }
+    let mut data = real_checkpoint(false).clone();
+    if let Some(ArchRecord::Access { latency, .. }) = data.records.first_mut() {
+        *latency = u64::MAX;
+    }
+    assert_eq!(
+        CheckpointData::decode(&data.encode()),
+        Err(SnapError::Corrupt("access latency"))
+    );
 }
 
 #[test]

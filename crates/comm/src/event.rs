@@ -265,6 +265,18 @@ impl Reply {
     }
 }
 
+/// The batch credit a blocking reply folds into its latency: the
+/// latencies of the poster's earlier non-blocking events, split by the
+/// mode those events ran in. A kernel context charges the kernel share to
+/// the system call that batched it and excludes the user share.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Folded {
+    /// Owed for user-mode events.
+    pub user: Cycles,
+    /// Owed for kernel- and interrupt-mode events.
+    pub kernel: Cycles,
+}
+
 /// Reply payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplyData {

@@ -45,8 +45,8 @@ pub use coro::{Class, Executor};
 pub use cpu_states::{CpuStates, IrqSource};
 pub use devshared::{DevShared, DiskCompletion, Frame, FrameKind, TimerTick};
 pub use event::{
-    BlockReason, CtlOp, DevCmd, Event, EventBody, ExecMode, MemRefKind, Reply, ReplyData, SimAbort,
-    SyncOp,
+    BlockReason, CtlOp, DevCmd, Event, EventBody, ExecMode, Folded, MemRefKind, Reply, ReplyData,
+    SimAbort, SyncOp,
 };
 pub use notifier::Notifier;
 pub use port::{EventPort, ReqPort, DEFAULT_RING_CAPACITY};

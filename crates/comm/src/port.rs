@@ -16,12 +16,13 @@
 //! side waits through [`crate::coro`] (a task suspends, a thread parks).
 
 use crate::coro::{self, Waiter};
-use crate::event::{Event, Reply};
+use crate::event::{Event, Folded, Reply};
 use crate::notifier::Notifier;
 use crate::rendezvous::EventRing;
 use compass_isa::{Cycles, ProcessId};
 use compass_obs::{CounterBlock, Ctr};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default ring capacity: comfortably above any sensible batch depth, small
@@ -37,6 +38,11 @@ pub struct EventPort {
     notifier: Arc<Notifier>,
     /// Observability counters (`None` = disabled; one branch per hook).
     counters: Option<Arc<CounterBlock>>,
+    /// [`Folded`] of the latest blocking reply, user then kernel: data
+    /// the port shares between poster and backend (§2). Written before
+    /// the reply is released and read after it arrives, so the reply
+    /// handoff orders both accesses.
+    folded: [AtomicU64; 2],
 }
 
 impl EventPort {
@@ -53,6 +59,7 @@ impl EventPort {
             ring: EventRing::new(capacity),
             notifier,
             counters: None,
+            folded: Default::default(),
         }
     }
 
@@ -121,6 +128,21 @@ impl EventPort {
     /// Backend: replies to the outstanding blocking event.
     pub fn reply(&self, r: Reply) {
         self.ring.reply(r);
+    }
+
+    /// Backend: records how much batch credit the outstanding blocking
+    /// event's reply folds in (before that reply is sent).
+    pub fn set_folded(&self, f: Folded) {
+        self.folded[0].store(f.user, Ordering::Relaxed);
+        self.folded[1].store(f.kernel, Ordering::Relaxed);
+    }
+
+    /// Poster: the batch credit folded into the reply it just received.
+    pub fn folded(&self) -> Folded {
+        Folded {
+            user: self.folded[0].load(Ordering::Relaxed),
+            kernel: self.folded[1].load(Ordering::Relaxed),
+        }
     }
 
     /// Number of unconsumed events in the ring (diagnostic).

@@ -18,8 +18,9 @@
 //!    `available_parallelism`, so a 1-CPU host runs serially), each job
 //!    one full simulation with counters on at the shipped batch depth.
 //! 4. **Verify** ([`run::run_job`]): every job is re-run at batch depth 1
-//!    (every poster per event) and must reproduce its `BackendStats` bit
-//!    for bit — the batch depth is a transport setting, never a result.
+//!    (every poster per event) and must reproduce its `BackendStats` and
+//!    its per-syscall kernel time bit for bit — the batch depth is a
+//!    transport setting, never a result.
 //! 5. **Aggregate** ([`report`]): one machine-readable JSON document —
 //!    per-job stats, the twin verdict and fleet-wide observability
 //!    totals. Host timing is segregated into single-line `"host"`

@@ -15,7 +15,7 @@ use compass::runner::RunReport;
 use compass_backend::BackendStats;
 use compass_obs::ObsReport;
 use compass_simcheck::check::apply_scenario_knobs;
-use compass_simcheck::{diff_backend_stats, Scenario};
+use compass_simcheck::{diff_runs, Scenario};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -62,8 +62,9 @@ pub struct JobResult {
     pub obs: Option<ObsReport>,
     /// Host wall-clock of the run at the shipped depth.
     pub wall: Duration,
-    /// Where the depth-1 twin's `BackendStats` differ from the shipped
-    /// run's (empty = bit-identical), or why the twin failed.
+    /// Where the depth-1 twin's `BackendStats` or per-syscall kernel time
+    /// differ from the shipped run's (empty = bit-identical), or why the
+    /// twin failed.
     pub twin_diffs: Vec<String>,
     /// Host wall-clock of the twin.
     pub twin_wall: Duration,
@@ -83,15 +84,16 @@ fn run_report(sc: &Scenario, depth: Option<usize>) -> Result<RunReport, String> 
 
 /// Runs one job at the shipped batch depth, then its twin at depth 1
 /// (every poster rendezvouses per event). The batch depth is a transport
-/// setting, so the twin must reproduce the `BackendStats` bit for bit;
-/// [`JobResult::twin_diffs`] records any difference.
+/// setting, so the twin must reproduce the `BackendStats` and the
+/// per-syscall kernel time bit for bit; [`JobResult::twin_diffs`] records
+/// any difference.
 pub fn run_job(job: &Job) -> Result<JobResult, String> {
     let t0 = Instant::now();
     let report = run_report(&job.scenario, None)?;
     let wall = t0.elapsed();
     let t1 = Instant::now();
     let twin_diffs = match run_report(&job.scenario, Some(1)) {
-        Ok(twin) => diff_backend_stats(&twin.backend, &report.backend),
+        Ok(twin) => diff_runs(&twin, &report),
         Err(e) => vec![format!("twin run failed: {e}")],
     };
     Ok(JobResult {

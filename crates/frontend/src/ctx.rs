@@ -61,14 +61,18 @@ pub struct CpuCtx {
     /// Compute-only stretch bound: a Yield event is posted after this many
     /// un-evented cycles so the backend's clock bound keeps advancing.
     quantum: Cycles,
-    /// Event-batch depth: memory references are published non-blocking
-    /// until the batch holds `batch_depth - 1` of them; the next event
-    /// rendezvouses and resynchronises the clock. 1 = classic per-event
-    /// rendezvous. The backend's credit accounting makes results
-    /// identical at any depth.
+    /// Event-batch depth: memory references and lock releases are
+    /// published non-blocking until the batch holds `batch_depth - 1` of
+    /// them; the next event rendezvouses and resynchronises the clock.
+    /// 1 = classic per-event rendezvous. The backend's credit accounting
+    /// makes results identical at any depth.
     batch_depth: usize,
     /// Non-blocking events published since the last rendezvous.
     batch_pending: usize,
+    /// Kernel batch credit folded by this process's first rendezvous since
+    /// its last OS call returned (`None`: no rendezvous since) — the
+    /// paired OS thread charges it to the call that batched it.
+    kernel_folded: Option<Cycles>,
     last_event_clock: Cycles,
     stats: FrontendStats,
     /// Observability counters (`None` = disabled): posts issued. (Host
@@ -131,6 +135,7 @@ impl CpuCtx {
             quantum: 20_000,
             batch_depth: 1,
             batch_pending: 0,
+            kernel_folded: None,
             last_event_clock: 0,
             stats: FrontendStats::default(),
             obs: None,
@@ -154,10 +159,11 @@ impl CpuCtx {
         }
     }
 
-    /// Sets the event-batch depth: memory references are appended to the
+    /// Sets the event-batch depth: memory references and lock releases —
+    /// the events whose poster needs no answer — are appended to the
     /// port ring without a rendezvous until a batch holds `depth` events
-    /// (the last posted blocking), a sync/control/OS operation cuts the
-    /// batch early, or the ring fills. Depth 1 reproduces the classic
+    /// (the last posted blocking), or a lock acquire, barrier, control
+    /// event or OS call cuts the batch early. Depth 1 reproduces the classic
     /// one-rendezvous-per-event protocol exactly; any depth produces the
     /// same simulation results (see the backend engine docs). Clamped to
     /// the port's ring capacity, and to 1 under pseudo-IRQ delivery.
@@ -228,6 +234,11 @@ impl CpuCtx {
                 }
                 self.clock += reply.latency;
                 self.last_event_clock = self.clock;
+                // Only the first rendezvous after an OS call can fold
+                // kernel credit: it drains the call's batched tail.
+                if self.kernel_folded.is_none() {
+                    self.kernel_folded = Some(port.folded().kernel);
+                }
                 if let ReplyData::Cpu { cpu } = reply.data {
                     self.cpu = cpu;
                 }
@@ -244,10 +255,10 @@ impl CpuCtx {
         }
     }
 
-    /// The batch-building fast path: publishes a memory reference into the
-    /// port ring without rendezvousing when the current batch still has
-    /// room, falling back to a blocking [`Self::post`] on the batch's final
-    /// event. The published time is the *raw* frontend clock — it lags
+    /// The batch-building fast path: publishes a memory reference or lock
+    /// release into the port ring without rendezvousing when the current
+    /// batch still has room, falling back to a blocking [`Self::post`] on
+    /// the batch's final event. The published time is the *raw* frontend clock — it lags
     /// effective simulated time by the latencies of the unreplied events
     /// ahead of it, which the backend repairs with its per-process credit
     /// (see the engine docs). `last_event_clock` still advances so the
@@ -304,7 +315,7 @@ impl CpuCtx {
         self.exited = true;
         self.post(EventBody::Ctl(CtlOp::Exit));
         if let Mode::Sim { os, .. } = &self.mode {
-            os.exit();
+            os.exit(self.kernel_folded.take().unwrap_or(0));
         }
     }
 
@@ -407,13 +418,16 @@ impl CpuCtx {
         });
     }
 
-    /// Releases the simulated lock at `va`.
+    /// Releases the simulated lock at `va`. A release never waits, so it
+    /// joins the batch like a memory reference: the critical section's
+    /// writes precede it in host order, and the engine grants a waiter
+    /// only when it pops the release, at the release's effective time.
     pub fn unlock(&mut self, va: VAddr) {
         if !self.sim_on {
             return;
         }
         self.clock += self.timing.cost(InstClass::Store);
-        self.post(EventBody::Sync {
+        self.post_mem(EventBody::Sync {
             op: SyncOp::LockRelease,
             vaddr: va,
             mode: ExecMode::User,
@@ -520,7 +534,7 @@ impl CpuCtx {
         self.stats.os_calls += 1;
         match &self.mode {
             Mode::Sim { os, .. } => {
-                let (clock, result) = os.call(self.clock, call);
+                let (clock, result) = os.call(self.clock, self.kernel_folded.take(), call);
                 if result == Err(compass_os::Errno::Aborted) {
                     // The OS thread's kernel code hit a poisoned port:
                     // the call was never simulated and no workload can
@@ -558,7 +572,7 @@ impl CpuCtx {
         self.stats.os_calls += calls.len() as u64;
         match &self.mode {
             Mode::Sim { os, .. } => {
-                let (clock, results) = os.call_batch(self.clock, calls);
+                let (clock, results) = os.call_batch(self.clock, self.kernel_folded.take(), calls);
                 if results.contains(&Err(compass_os::Errno::Aborted)) {
                     std::panic::panic_any(SimAbort);
                 }

@@ -12,7 +12,7 @@
 //! baseline for the slowdown tables — so the same kernel code serves both.
 
 use compass_comm::{
-    BlockReason, CtlOp, DevCmd, Event, EventBody, EventPort, ExecMode, MemRefKind, Reply,
+    BlockReason, CtlOp, DevCmd, Event, EventBody, EventPort, ExecMode, Folded, MemRefKind, Reply,
     ReplyData, SimAbort, SyncOp,
 };
 use compass_isa::{Cycles, ProcessId};
@@ -30,6 +30,12 @@ pub trait EventSink: Send + Sync {
     /// reply dropped — correct for sinks with no batching transport.
     fn post_batched(&self, ev: Event) {
         let _ = self.post(ev);
+    }
+
+    /// The batch credit folded into the reply [`Self::post`] just
+    /// returned. None for sinks with no batching transport.
+    fn folded(&self) -> Folded {
+        Folded::default()
     }
 
     /// True if this sink actually simulates (false for raw runs; raw-mode
@@ -59,6 +65,10 @@ impl EventSink for PortSink {
     fn post_batched(&self, ev: Event) {
         self.0.post_batched(ev);
     }
+
+    fn folded(&self) -> Folded {
+        self.0.folded()
+    }
 }
 
 /// How the OS server builds per-thread [`KernelPerf`] state: the kernel
@@ -76,11 +86,22 @@ impl KernelPerfSetup {
             batch_depth: self.batch_depth.max(1),
             batch_pending: 0,
             batched_any: false,
+            tail: None,
+            settled: None,
         }
     }
 }
 
 /// Per-OS-thread perf state: event batching for kernel contexts.
+///
+/// On the syscall path kernel memory references and kernel-mode lock
+/// releases publish non-blocking; lock acquires, device commands and
+/// block/unblock rendezvous. A call whose last events were batched ends
+/// before their latencies are known: that *tail* sits in the port credit
+/// until the next blocking reply folds it, and [`KernelPerf`] keeps its
+/// call's name so those cycles are charged to it then (see
+/// [`KernelPerf::frontend_folded`] and [`KernelPerf::end_call`]). Per-call
+/// kernel time is therefore the same at every batch depth.
 ///
 /// Interrupt-mode contexts (the bottom-half daemon) may attach it
 /// *provided* every device-queue drain happens at a
@@ -101,6 +122,13 @@ pub struct KernelPerf {
     /// Whether the current syscall batched or left batched events — one
     /// `OsBatchedReplies` tick per such aggregated `Done`.
     batched_any: bool,
+    /// The call whose batched tail is still unfolded. Invariant between
+    /// calls: `tail.is_some()` exactly when `batch_pending > 0`. While it
+    /// is set, the next kernel event rendezvouses, so that the reply's
+    /// folded kernel credit is this tail and nothing else.
+    tail: Option<&'static str>,
+    /// A folded tail not yet charged: its call and cycles.
+    settled: Option<(&'static str, Cycles)>,
 }
 
 impl KernelPerf {
@@ -113,6 +141,36 @@ impl KernelPerf {
     /// Outstanding non-blocking kernel events (tests/diagnostics).
     pub fn pending(&self) -> usize {
         self.batch_pending
+    }
+
+    /// A request from the companion process arrives. `folded` is the
+    /// kernel credit its own blocking replies folded since its last call
+    /// returned, or `None` if it has not rendezvoused since. In the first
+    /// case the ring holds none of this context's events and the last
+    /// call's tail is settled: the return value, which the caller charges
+    /// to that call. In the second the tail is still in the credit and
+    /// the next kernel event settles it.
+    pub fn frontend_folded(&mut self, folded: Option<Cycles>) -> Option<(&'static str, Cycles)> {
+        let cycles = folded?;
+        self.batch_pending = 0;
+        self.tail.take().map(|name| (name, cycles))
+    }
+
+    /// A call named `name` ends: it owns the tail if it left batched
+    /// events unfolded. Returns a settled earlier tail, which the caller
+    /// charges to its call.
+    pub fn end_call(&mut self, name: &'static str) -> Option<(&'static str, Cycles)> {
+        if self.tail.is_none() && self.batch_pending > 0 {
+            self.tail = Some(name);
+        }
+        self.settled.take()
+    }
+
+    /// Room for one more non-blocking event: batching is on, no earlier
+    /// call's tail waits to be settled, and the ring keeps a slot for the
+    /// blocking post that cuts the batch.
+    fn has_room(&self) -> bool {
+        self.tail.is_none() && self.batch_depth > 1 && self.batch_pending + 1 < self.batch_depth
     }
 }
 
@@ -147,9 +205,12 @@ pub struct KernelCtx<'a> {
     /// Bytes per simulated touch when walking buffers (one reference per
     /// cache line is the usual execution-driven compromise).
     pub touch_gran: u32,
-    /// Cycles spent blocked (device waits) — excluded from per-syscall CPU
-    /// accounting, as the paper's profiles exclude I/O wait.
-    pub wait_cycles: Cycles,
+    /// Cycles on `clock` that are not this context's own CPU time, and so
+    /// are excluded from per-syscall accounting: blocked waits (the
+    /// paper's profiles exclude I/O wait), batch credit its blocking
+    /// replies fold for the companion's user-mode events, and an earlier
+    /// call's settled tail.
+    pub excluded: Cycles,
     /// Batching state for syscall-dispatch contexts; `None` keeps the classic one-rendezvous-per-event protocol.
     perf: Option<&'a mut KernelPerf>,
 }
@@ -170,7 +231,7 @@ impl<'a> KernelCtx<'a> {
             clock,
             mode,
             touch_gran,
-            wait_cycles: 0,
+            excluded: 0,
             perf: None,
         }
     }
@@ -186,19 +247,36 @@ impl<'a> KernelCtx<'a> {
         self.sink.is_simulated()
     }
 
-    fn post(&mut self, body: EventBody) -> Reply {
+    /// Posts `body` blocking; returns the reply and the batch credit it
+    /// folded.
+    fn post(&mut self, body: EventBody) -> (Reply, Folded) {
         let r = self.sink.post(Event {
             pid: self.pid,
             time: self.clock,
             body,
         });
         self.clock += r.latency;
+        let folded = self.sink.folded();
+        self.excluded += folded.user;
         if let Some(p) = &mut self.perf {
             // The rendezvous drained every batched event ahead of it and
             // settled their latencies into this reply via the credit.
             p.batch_pending = 0;
+            if let Some(name) = p.tail.take() {
+                // The first event since an earlier call left its tail:
+                // the folded kernel credit is that tail, all of it.
+                debug_assert!(p.settled.is_none(), "two tails settled in one call");
+                p.settled = Some((name, folded.kernel));
+                self.excluded += folded.kernel;
+            }
         }
-        r
+        (r, folded)
+    }
+
+    /// Ends the call `name` (see [`KernelPerf::end_call`]); a no-op
+    /// without batching.
+    pub fn end_call(&mut self, name: &'static str) -> Option<(&'static str, Cycles)> {
+        self.perf.as_mut().and_then(|p| p.end_call(name))
     }
 
     /// Outstanding batched (credit-settled) kernel events; 0 means the
@@ -218,8 +296,14 @@ impl<'a> KernelCtx<'a> {
             vaddr: va,
             size,
         };
+        self.post_nonblocking(body);
+    }
+
+    /// Publishes `body` non-blocking while the batch has room, else posts
+    /// it blocking.
+    fn post_nonblocking(&mut self, body: EventBody) {
         if let Some(p) = &mut self.perf {
-            if p.batch_depth > 1 && p.batch_pending + 1 < p.batch_depth {
+            if p.has_room() {
                 p.batch_pending += 1;
                 p.batched_any = true;
                 self.sink.post_batched(Event {
@@ -294,27 +378,38 @@ impl<'a> KernelCtx<'a> {
         });
     }
 
-    /// Releases a simulated kernel lock.
+    /// Releases a simulated kernel lock. A release never waits, so on the
+    /// syscall path (`ExecMode::Kernel`) it joins the batch like a memory
+    /// reference; the engine grants any waiter when it pops the release.
+    /// Interrupt-mode releases stay blocking: each bottom-half handler
+    /// ends in them, which keeps the daemon's clock settled at its
+    /// device-queue drains.
     pub fn unlock(&mut self, va: VAddr) {
-        self.post(EventBody::Sync {
+        let body = EventBody::Sync {
             op: SyncOp::LockRelease,
             vaddr: va,
             mode: self.mode,
-        });
+        };
+        if self.mode == ExecMode::Kernel {
+            self.post_nonblocking(body);
+        } else {
+            self.post(body);
+        }
     }
 
     /// Issues a device command; returns the reply payload.
     pub fn dev(&mut self, cmd: DevCmd) -> ReplyData {
-        self.post(EventBody::Dev(cmd)).data
+        self.post(EventBody::Dev(cmd)).0.data
     }
 
     /// Blocks the companion process until a wakeup names it. No-op in raw
     /// mode (device data is functionally available immediately there).
     pub fn block(&mut self, reason: BlockReason) {
         if self.sink.is_simulated() {
-            let before = self.clock;
-            self.post(EventBody::Ctl(CtlOp::Block { reason }));
-            self.wait_cycles += self.clock - before;
+            let (r, folded) = self.post(EventBody::Ctl(CtlOp::Block { reason }));
+            // The wait is the reply's own latency; the credit it folds
+            // was spent running.
+            self.excluded += r.latency - folded.user - folded.kernel;
         }
     }
 
@@ -340,6 +435,7 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     #[test]
     fn raw_sink_advances_only_compute() {
@@ -397,6 +493,108 @@ mod tests {
         kc.copy(VAddr(0xC000_0000), VAddr(0xC000_2000), 1024);
         assert_eq!(sink.loads.load(Ordering::Relaxed), 8);
         assert_eq!(sink.stores.load(Ordering::Relaxed), 8);
+    }
+
+    /// Tallies blocking and batched posts of kernel events that cost 3
+    /// cycles each, banking batched latencies as credit the way the
+    /// engine does.
+    #[derive(Default)]
+    struct Tally {
+        blocking: AtomicU64,
+        batched: AtomicU64,
+        credit: AtomicU64,
+        folded: AtomicU64,
+    }
+
+    impl EventSink for Tally {
+        fn post(&self, _ev: Event) -> Reply {
+            self.blocking.fetch_add(1, Relaxed);
+            let folded = self.credit.swap(0, Relaxed);
+            self.folded.store(folded, Relaxed);
+            Reply::latency(3 + folded)
+        }
+        fn post_batched(&self, _ev: Event) {
+            self.batched.fetch_add(1, Relaxed);
+            self.credit.fetch_add(3, Relaxed);
+        }
+        fn folded(&self) -> Folded {
+            Folded {
+                user: 0,
+                kernel: self.folded.load(Relaxed),
+            }
+        }
+    }
+
+    impl Tally {
+        fn counts(&self) -> (u64, u64) {
+            (self.blocking.load(Relaxed), self.batched.load(Relaxed))
+        }
+    }
+
+    #[test]
+    fn kernel_releases_batch_and_interrupt_releases_rendezvous() {
+        let setup = KernelPerfSetup { batch_depth: 8 };
+        let sink = Tally::default();
+        let mut perf = setup.build();
+        let mut kc =
+            KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64).with_perf(&mut perf);
+        kc.lock(VAddr(0xC000_0000));
+        kc.unlock(VAddr(0xC000_0000));
+        assert_eq!(
+            sink.counts(),
+            (1, 1),
+            "the acquire blocks, the release joins the batch"
+        );
+        assert_eq!(kc.batch_pending(), 1);
+        assert_eq!(
+            kc.clock, 3,
+            "a batched release's latency waits in the credit"
+        );
+
+        let sink = Tally::default();
+        let mut perf = setup.build();
+        let mut kc =
+            KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Interrupt, 64).with_perf(&mut perf);
+        kc.load(VAddr(0xC000_0000), 8);
+        kc.unlock(VAddr(0xC000_0000));
+        assert_eq!(
+            sink.counts(),
+            (1, 1),
+            "the interrupt-mode release rendezvouses"
+        );
+        assert_eq!(kc.batch_pending(), 0, "and settles the daemon's clock");
+    }
+
+    #[test]
+    fn a_batched_tail_is_charged_to_the_call_that_left_it() {
+        let sink = Tally::default();
+        let mut perf = KernelPerfSetup { batch_depth: 8 }.build();
+        {
+            let mut kc =
+                KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64).with_perf(&mut perf);
+            kc.load(VAddr(0xC000_0000), 8);
+            assert_eq!(kc.end_call("first"), None, "no earlier tail");
+            // Nothing rendezvoused since: the next call's first event
+            // settles the tail on its own, so its folded kernel credit is
+            // the tail.
+            kc.load(VAddr(0xC000_0040), 8);
+            let counts = sink.counts();
+            assert_eq!(counts, (1, 1), "the first event after a tail rendezvouses");
+            assert_eq!(kc.end_call("second"), Some(("first", 3)));
+            assert_eq!(kc.excluded, 3, "the tail is not the second call's time");
+            // A tail the companion process folds comes with its next
+            // request.
+            kc.load(VAddr(0xC000_0080), 8);
+            assert_eq!(kc.end_call("third"), None);
+        }
+        assert_eq!(perf.frontend_folded(None), None, "not folded yet");
+        assert_eq!(perf.frontend_folded(Some(3)), Some(("third", 3)));
+        assert_eq!(
+            perf.pending(),
+            0,
+            "the companion's rendezvous drained the ring"
+        );
+        assert_eq!(perf.frontend_folded(Some(0)), None, "no tail left");
     }
 
     #[test]

@@ -283,6 +283,10 @@ pub enum OsMsg {
     Call {
         /// Process execution-time counter at the call site.
         clock: Cycles,
+        /// Kernel batch credit the process's own blocking replies folded
+        /// since its last call returned; `None` if it has not rendezvoused
+        /// since (see `KernelPerf::frontend_folded`).
+        folded: Option<Cycles>,
         /// The call.
         call: OsCall,
     },
@@ -294,6 +298,8 @@ pub enum OsMsg {
     CallBatch {
         /// Process clock at the first call site.
         clock: Cycles,
+        /// As for [`OsMsg::Call`].
+        folded: Option<Cycles>,
         /// The calls, executed in order.
         calls: Vec<OsCall>,
     },
@@ -305,7 +311,11 @@ pub enum OsMsg {
     },
     /// "When the frontend process exits, it sends an EXIT message to its
     /// OS thread counterpart. The OS thread becomes 'single' again."
-    Exit,
+    Exit {
+        /// Kernel batch credit folded since the last call returned (the
+        /// exit event always rendezvouses, so this is never unknown).
+        folded: Cycles,
+    },
 }
 
 /// OS-thread responses.

@@ -132,6 +132,12 @@ impl SyscallStats {
         e.1 += cycles;
     }
 
+    /// Adds cycles to an already recorded call (its batched tail, folded
+    /// after it returned).
+    pub fn charge(&self, name: &'static str, cycles: Cycles) {
+        self.inner.lock().entry(name).or_insert((0, 0)).1 += cycles;
+    }
+
     /// Snapshot sorted by cycles, descending.
     pub fn snapshot(&self) -> Vec<(String, u64, u64)> {
         let mut v: Vec<(String, u64, u64)> = self
@@ -279,8 +285,14 @@ pub struct OsConn {
 
 impl OsConn {
     /// Issues a system call; returns the advanced clock and the result.
-    pub fn call(&self, clock: Cycles, call: OsCall) -> (Cycles, SysResult) {
-        match self.port.call(OsMsg::Call { clock, call }) {
+    /// `folded` is the kernel batch credit the caller's blocking replies
+    /// folded since its last call returned (`None`: no rendezvous since).
+    pub fn call(&self, clock: Cycles, folded: Option<Cycles>, call: OsCall) -> (Cycles, SysResult) {
+        match self.port.call(OsMsg::Call {
+            clock,
+            folded,
+            call,
+        }) {
             OsRet::Done { clock, result } => (clock, result),
             other => panic!("unexpected OS reply {other:?}"),
         }
@@ -290,8 +302,17 @@ impl OsConn {
     /// 6): one request, one aggregated reply. Only valid when no user
     /// event separates the calls — the simulated timeline is then
     /// identical to issuing them one at a time.
-    pub fn call_batch(&self, clock: Cycles, calls: Vec<OsCall>) -> (Cycles, Vec<SysResult>) {
-        match self.port.call(OsMsg::CallBatch { clock, calls }) {
+    pub fn call_batch(
+        &self,
+        clock: Cycles,
+        folded: Option<Cycles>,
+        calls: Vec<OsCall>,
+    ) -> (Cycles, Vec<SysResult>) {
+        match self.port.call(OsMsg::CallBatch {
+            clock,
+            folded,
+            calls,
+        }) {
             OsRet::DoneBatch { clock, results } => (clock, results),
             other => panic!("unexpected OS reply {other:?}"),
         }
@@ -305,9 +326,10 @@ impl OsConn {
         }
     }
 
-    /// Unpairs on process exit.
-    pub fn exit(&self) {
-        match self.port.call(OsMsg::Exit) {
+    /// Unpairs on process exit, reporting the kernel batch credit folded
+    /// since the last call.
+    pub fn exit(&self, folded: Cycles) {
+        match self.port.call(OsMsg::Exit { folded }) {
             OsRet::Bye => {}
             other => panic!("unexpected OS reply {other:?}"),
         }
@@ -433,6 +455,13 @@ fn absorb_abort<R>(f: impl FnOnce() -> R) -> Result<R, Errno> {
     }
 }
 
+/// Charges a batched tail settled after its call returned to that call.
+fn charge_settled(kernel: &KernelShared, settled: Option<(&'static str, Cycles)>) {
+    if let Some((name, cycles)) = settled {
+        kernel.stats.charge(name, cycles);
+    }
+}
+
 /// One OS thread: waits for pairing, then serves calls until Exit, then
 /// returns to "single". It runs until its task is cancelled at teardown.
 ///
@@ -459,12 +488,17 @@ fn os_thread_main(
                 perf_state = perf.as_ref().map(KernelPerfSetup::build);
                 port.respond(OsRet::Connected);
             }
-            OsMsg::Call { clock, call } => {
+            OsMsg::Call {
+                clock,
+                folded,
+                call,
+            } => {
                 let (pid, eport) = paired.as_ref().expect("call before pairing");
                 let sink = PortSink(Arc::clone(eport));
                 let mut kc =
                     KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran);
                 if let Some(p) = perf_state.as_mut() {
+                    charge_settled(&kernel, p.frontend_folded(folded));
                     kc = kc.with_perf(p);
                 }
                 if let Some(c) = &obs.counters {
@@ -497,12 +531,17 @@ fn os_thread_main(
                     result,
                 });
             }
-            OsMsg::CallBatch { clock, calls } => {
+            OsMsg::CallBatch {
+                clock,
+                folded,
+                calls,
+            } => {
                 let (pid, eport) = paired.as_ref().expect("call before pairing");
                 let sink = PortSink(Arc::clone(eport));
                 let mut kc =
                     KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran);
                 if let Some(p) = perf_state.as_mut() {
+                    charge_settled(&kernel, p.frontend_folded(folded));
                     kc = kc.with_perf(p);
                 }
                 let n = calls.len() as u64;
@@ -567,7 +606,11 @@ fn os_thread_main(
                     result,
                 });
             }
-            OsMsg::Exit => {
+            OsMsg::Exit { folded } => {
+                if let Some(p) = perf_state.as_mut() {
+                    // The exit rendezvous folded the last call's tail.
+                    charge_settled(&kernel, p.frontend_folded(Some(folded)));
+                }
                 paired = None;
                 perf_state = None;
                 port.respond(OsRet::Bye);

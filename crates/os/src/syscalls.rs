@@ -26,13 +26,18 @@ use compass_mem::VAddr;
 pub fn dispatch(kc: &mut KernelCtx<'_>, k: &KernelShared, call: OsCall) -> SysResult {
     let name = call.name();
     let start = kc.clock;
-    let wait_start = kc.wait_cycles;
+    let excluded_start = kc.excluded;
     let result = dispatch_inner(kc, k, call);
     // CPU time only: block waits (disk, net) are excluded, matching the
-    // paper's "total CPU time which excludes wait time due to disk IO".
+    // paper's "total CPU time which excludes wait time due to disk IO",
+    // and so is credit folded for other code. Batched events whose
+    // latencies are still unknown are charged when they fold.
     let elapsed = kc.clock - start;
-    let waited = kc.wait_cycles - wait_start;
-    k.stats.record(name, elapsed.saturating_sub(waited));
+    k.stats
+        .record(name, elapsed - (kc.excluded - excluded_start));
+    if let Some((earlier, cycles)) = kc.end_call(name) {
+        k.stats.charge(earlier, cycles);
+    }
     #[cfg(feature = "check-invariants")]
     k.waitq
         .check_invariants()

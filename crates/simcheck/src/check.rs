@@ -4,8 +4,6 @@ use crate::scenario::{ArchPreset, Geometry, Scenario};
 use crate::{diff, oracle};
 use compass::runner::RunReport;
 use compass::{ObsConfig, PlacementPolicy, RunError, SchedPolicy, TraceLevel};
-#[cfg(feature = "check-invariants")]
-use compass_backend::BackendStats;
 use std::path::Path;
 
 /// Batch depths every scenario is replayed at; depth 1 (classic
@@ -95,15 +93,13 @@ pub fn run_scenario_ckpt(
     b.try_run()
 }
 
-/// Appends a failure per differing statistic when `got` is not
-/// byte-identical to `want`.
+/// Appends a failure per differing statistic or system call when `got`'s
+/// `BackendStats` are not byte-identical to `want`'s or its per-syscall
+/// kernel time differs.
 #[cfg(feature = "check-invariants")]
-fn require_identical(want: &BackendStats, got: &BackendStats, what: &str, out: &mut Vec<String>) {
-    if format!("{want:?}") == format!("{got:?}") {
-        return;
-    }
-    let diffs = diff::diff_backend_stats(want, got);
-    if diffs.is_empty() {
+fn require_identical(want: &RunReport, got: &RunReport, what: &str, out: &mut Vec<String>) {
+    let diffs = diff::diff_runs(want, got);
+    if diffs.is_empty() && format!("{:?}", want.backend) != format!("{:?}", got.backend) {
         out.push(format!("{what}: BackendStats not byte-identical"));
     }
     out.extend(diffs.into_iter().map(|d| format!("{what}: {d}")));
@@ -231,8 +227,8 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         apply_scenario_knobs(b.config_mut(), sc, depth);
         match b.try_run() {
             Ok(r) => require_identical(
-                &base.backend,
-                &r.backend,
+                &base,
+                &r,
                 &format!("schedule {seed:#x} at depth {depth} vs first-ready order"),
                 &mut failures,
             ),
@@ -242,7 +238,8 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     // Checkpoint/resume differential: record the scenario with
     // `checkpoint_every`, then resume from the latest cut — once at
     // depth 1 and once at depth 16. Both run under the resume-identity
-    // oracle and must reproduce the baseline `BackendStats` bit for bit.
+    // oracle and must reproduce the baseline `BackendStats` and
+    // per-syscall kernel time bit for bit.
     if sc.ckpt {
         let path = std::env::temp_dir().join(format!(
             "compass-simcheck-{}-{:x}.ckpt",
@@ -261,7 +258,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             },
         ) {
             Ok(run) => {
-                for d in diff::diff_backend_stats(&base.backend, &run.backend) {
+                for d in diff::diff_runs(&base, &run) {
                     failures.push(format!("checkpoint-record vs base: {d}"));
                 }
                 // A run shorter than one cut interval writes no file;
@@ -276,7 +273,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                             CkptMode::Resume { path: &path },
                         ) {
                             Ok(run) => {
-                                for d in diff::diff_backend_stats(&base.backend, &run.backend) {
+                                for d in diff::diff_runs(&base, &run) {
                                     failures.push(format!(
                                         "checkpoint-resume(depth {depth}) vs base: {d}"
                                     ));
@@ -300,7 +297,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                 continue;
             }
         };
-        for d in diff::diff_backend_stats(&base.backend, &run.backend) {
+        for d in diff::diff_runs(&base, &run) {
             failures.push(format!("depth {depth} vs 1: {d}"));
         }
     }

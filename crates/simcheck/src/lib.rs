@@ -16,8 +16,9 @@
 //!    order).
 //! 2. **Batch-depth differentials** ([`check`]): the same scenario at
 //!    depths 1, 4, 16 and 64 must produce field-identical
-//!    [`compass_backend::BackendStats`] ([`diff`] localises a divergence
-//!    to the first differing field).
+//!    [`compass_backend::BackendStats`] and identical per-syscall kernel
+//!    time ([`diff`] localises a divergence to the first differing field
+//!    or system call).
 //! 3. **Metamorphic checks** ([`check`]): architecture-independent
 //!    quantities — per-process frontend events and OS calls, bytes
 //!    written through `os::fs`, barrier episodes — must be invariant
@@ -45,7 +46,7 @@ pub use check::{
     apply_scenario_knobs, check_scenario, check_scenario_with_soak_ckpt, metamorphic_variants,
     run_scenario, shrink_failure, CkptMode,
 };
-pub use diff::diff_backend_stats;
+pub use diff::{diff_backend_stats, diff_runs};
 pub use oracle::verify_trace;
 pub use scenario::{ArchPreset, Geometry, Scenario, Workload};
 pub use soak::SoakState;

@@ -20,6 +20,11 @@
 
 use std::fmt;
 
+/// The largest counter or clock a snapshot may restore. A resumed run
+/// keeps adding to what it restored, and an overflow panics in a debug
+/// build; below 2^62 no run can reach 2^64.
+pub const MAX_COUNTER: u64 = 1 << 62;
+
 /// Why a snapshot buffer failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
@@ -179,6 +184,17 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Reads a counter or clock (a statistic, an LRU tick, a busy
+    /// horizon); a value above [`MAX_COUNTER`] is corrupt and the message
+    /// names `what`.
+    pub fn counter(&mut self, what: &'static str) -> Result<u64> {
+        let v = self.u64()?;
+        if v > MAX_COUNTER {
+            return Err(SnapError::Corrupt(what));
+        }
+        Ok(v)
+    }
+
     /// Reads a length-prefixed byte string. The length is validated
     /// against the remaining buffer before any allocation, so a corrupt
     /// prefix cannot trigger an absurd reservation.
@@ -268,6 +284,17 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.bytes().unwrap(), b"hello");
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn counters_above_the_bound_are_corrupt() {
+        let mut w = Writer::new();
+        w.u64(MAX_COUNTER);
+        w.u64(MAX_COUNTER + 1);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.counter("tick"), Ok(MAX_COUNTER));
+        assert_eq!(r.counter("tick"), Err(SnapError::Corrupt("tick")));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use compass_workloads::httplite::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A process body generated from a seed: a random mix of the primitives.
@@ -223,6 +224,76 @@ fn batch_depth_does_not_change_the_simulation() {
         apply_scenario_knobs(b.config_mut(), &sc, d);
         b
     });
+}
+
+/// Increments per process in [`counter_builder`].
+const INCREMENTS: u64 = 25;
+
+/// Four processes each add [`INCREMENTS`] to one shared counter under one
+/// user lock. The holder reads the count, works on sixteen lines of the
+/// shared segment (more than a batch holds, so it rendezvouses inside the
+/// section and the waiters get to run), and writes the count back before
+/// it releases.
+fn counter_builder(depth: usize, counter: &Arc<AtomicU64>) -> SimBuilder {
+    let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2));
+    for p in 0..4u64 {
+        let counter = Arc::clone(counter);
+        b = b.add_process(move |cpu: &mut CpuCtx| {
+            let seg = cpu.shmget(0xC0DE_C0DE, 4096);
+            let base = cpu.shmat(seg);
+            for i in 0..INCREMENTS {
+                cpu.lock(base);
+                let count = counter.load(Ordering::Relaxed);
+                cpu.touch_range(base + 64, 16 * 64, 64, true);
+                cpu.compute(20 + (p + i) % 5 * 40);
+                counter.store(count + 1, Ordering::Relaxed);
+                cpu.unlock(base);
+                cpu.compute(100 + p * 30);
+            }
+        });
+    }
+    b.config_mut().backend.batch_depth = depth;
+    b
+}
+
+#[test]
+fn batched_lock_releases_keep_a_shared_counter_exact() {
+    // A release never waits, so it joins the batch. That is safe because
+    // the holder's writes precede its release in host order, a waiter
+    // resumes only once the engine has popped that release, and acquires
+    // still rendezvous: no update may be lost at any depth or schedule.
+    let run = |b: SimBuilder, counter: &AtomicU64| {
+        let stats = b.run().backend;
+        assert_eq!(
+            counter.swap(0, Ordering::Relaxed),
+            4 * INCREMENTS,
+            "lost update"
+        );
+        stats
+    };
+    let counter = Arc::new(AtomicU64::new(0));
+    let base = run(counter_builder(1, &counter), &counter);
+    assert!(base.sync.contended > 0, "the lock must be contended");
+    for depth in [2, 8, 64] {
+        let stats = run(counter_builder(depth, &counter), &counter);
+        assert_eq!(
+            format!("{base:?}"),
+            format!("{stats:?}"),
+            "depth {depth} vs 1"
+        );
+    }
+    #[cfg(feature = "check-invariants")]
+    for (seed, depth) in [(0x5EED_0001, 1), (0x5EED_0002, 8)] {
+        let stats = run(
+            counter_builder(depth, &counter).schedule_seed(seed),
+            &counter,
+        );
+        assert_eq!(
+            format!("{base:?}"),
+            format!("{stats:?}"),
+            "schedule {seed:#x} at depth {depth}"
+        );
+    }
 }
 
 #[test]

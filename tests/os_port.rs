@@ -368,3 +368,22 @@ fn pseudo_interrupt_path_stays_deterministic() {
     assert_eq!(c1, c2);
     assert_eq!(s1, s2);
 }
+
+#[test]
+fn per_syscall_cycles_do_not_depend_on_batch_depth() {
+    // Per-call kernel time (`RunReport::syscalls`, Table 1's syscall
+    // rows) is a simulated quantity like any other: batching may change
+    // when a kernel context learns its events' latencies, never which
+    // call they are charged to.
+    let sc = compass_simcheck::presets::http_small();
+    let table = |depth| {
+        compass_simcheck::run_scenario(&sc, depth, false, false)
+            .expect("http_small runs")
+            .syscalls
+    };
+    let base = table(1);
+    assert!(!base.is_empty(), "http_small makes system calls");
+    for depth in [8, 64] {
+        assert_eq!(table(depth), base, "syscall table at depth {depth} vs 1");
+    }
+}
