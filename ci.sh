@@ -20,10 +20,11 @@ cargo run --release -q -p compass-fleet -- --preset paper --quiet --out target/p
 # The benchmark (read-only here): BENCHMARK.json must match the
 # benchmark's own catalogue field by field, and its unit tests must pass.
 # The unit tests build benchmark/ against this workspace, so they also
-# guard every public name it uses (L1Mirror, Hierarchy::epoch_victims,
-# ArchRecord::Access::victims, CheckpointData::ff_events,
+# guard every public name it uses: CheckpointData::{encode, decode,
+# ff_events}, ArchRecord::Access::victims, Hierarchy::{encode_snapshot,
+# epoch_victims}, compass_snap::{Writer, seal}, L1Mirror,
 # BackendConfig::deadlock_ms, EventPort/ReqPort/Notifier driven from
-# std::thread posters, the counter names it reads).
+# std::thread posters, and the counter names it reads.
 bash benchmark/run.sh --check-manifest BENCHMARK.json
 cargo test --offline --manifest-path benchmark/Cargo.toml
 # Golden fingerprints: one short driver run per workload at the golden

@@ -40,22 +40,15 @@ impl BusyResource {
         wait + occupancy
     }
 
-    /// Serializes the full occupancy state (including the `busy_until`
-    /// horizon — dropping it would change queueing after a restore).
+    /// Serializes the full occupancy state, `busy_until` horizon
+    /// included. Nothing in the simulator reads or writes it: only the
+    /// benchmark's checkpoint probe does, and it goes with that probe
+    /// (ROADMAP item 1a).
     pub fn encode_snapshot(&self, w: &mut compass_snap::Writer) {
         w.u64(self.busy_until);
         w.u64(self.busy_cycles);
         w.u64(self.queue_cycles);
         w.u64(self.transactions);
-    }
-
-    /// Restores a snapshot taken by [`BusyResource::encode_snapshot`].
-    pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
-        self.busy_until = r.counter("busy horizon")?;
-        self.busy_cycles = r.counter("busy cycles")?;
-        self.queue_cycles = r.counter("queue cycles")?;
-        self.transactions = r.counter("transactions")?;
-        Ok(())
     }
 
     /// Utilisation over an interval of `elapsed` cycles.

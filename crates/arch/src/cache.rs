@@ -223,12 +223,10 @@ impl Cache {
             .flat_map(|s| s.iter().flatten().map(|l| (l.idx, l.state)))
     }
 
-    /// Serializes the complete replacement state for a checkpoint
-    /// (ISSUE 8). The raw way layout, per-line LRU stamps and the LRU
-    /// clock all go in: `insert` prefers the first empty way by position
-    /// and evicts by minimum stamp, so anything less than the exact
-    /// layout would change replacement decisions after a restore and
-    /// break resume bit-identity.
+    /// Serializes the complete replacement state: the raw way layout,
+    /// per-line LRU stamps and the LRU clock.
+    /// Nothing in the simulator reads or writes it: only the benchmark's
+    /// checkpoint probe does, and it goes with that probe (ROADMAP item 1a).
     pub fn encode_snapshot(&self, w: &mut compass_snap::Writer) {
         w.u64(self.tick);
         for f in [
@@ -259,57 +257,6 @@ impl Cache {
                 }
             }
         }
-    }
-
-    /// Restores a snapshot taken by [`Cache::encode_snapshot`] into a
-    /// cache of the same geometry. Geometry mismatches and malformed
-    /// bytes come back as errors, never panics.
-    pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
-        self.tick = r.counter("LRU tick")?;
-        self.stats = CacheStats {
-            hits: r.counter("cache hits")?,
-            misses: r.counter("cache misses")?,
-            evictions: r.counter("cache evictions")?,
-            writebacks: r.counter("cache writebacks")?,
-            invalidations: r.counter("cache invalidations")?,
-        };
-        let sets = r.u64()?;
-        let assoc = r.u64()?;
-        if sets != self.sets.len() as u64
-            || assoc != self.sets.first().map_or(0, |s| s.len()) as u64
-        {
-            return Err(compass_snap::SnapError::Corrupt("cache geometry"));
-        }
-        let set_mask = self.set_mask;
-        for (s, set) in self.sets.iter_mut().enumerate() {
-            for w in 0..set.len() {
-                set[w] = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let idx = r.u64()?;
-                        // A line outside its set, or resident twice, is
-                        // state no access sequence can produce.
-                        if (idx & set_mask) as usize != s
-                            || set[..w].iter().flatten().any(|l| l.idx == idx)
-                        {
-                            return Err(compass_snap::SnapError::Corrupt("line placement"));
-                        }
-                        Some(Line {
-                            idx,
-                            state: match r.u8()? {
-                                0 => LineState::Shared,
-                                1 => LineState::Exclusive,
-                                2 => LineState::Modified,
-                                _ => return Err(compass_snap::SnapError::Corrupt("line state")),
-                            },
-                            stamp: r.counter("LRU stamp")?,
-                        })
-                    }
-                    _ => return Err(compass_snap::SnapError::Corrupt("way tag")),
-                };
-            }
-        }
-        Ok(())
     }
 }
 
@@ -432,33 +379,5 @@ mod tests {
         c.probe(a);
         c.probe(a);
         assert!((c.stats().miss_ratio() - 0.25).abs() < 1e-12);
-    }
-
-    /// Found by the checkpoint fuzz: a snapshot may only place a line in
-    /// the set its index maps to, and only once.
-    #[test]
-    fn snapshot_lines_must_sit_in_their_own_set_once() {
-        let restore = |c: &Cache| {
-            let mut w = compass_snap::Writer::new();
-            c.encode_snapshot(&mut w);
-            let bytes = w.into_bytes();
-            tiny().decode_snapshot(&mut compass_snap::Reader::new(&bytes))
-        };
-        let line = |idx| {
-            Some(Line {
-                idx,
-                state: LineState::Shared,
-                stamp: 1,
-            })
-        };
-        let mut c = tiny();
-        c.sets[1][0] = line(1);
-        assert_eq!(restore(&c), Ok(()));
-        c.sets[1][1] = line(1);
-        let placement = Err(compass_snap::SnapError::Corrupt("line placement"));
-        assert_eq!(restore(&c), placement, "duplicate line");
-        c.sets[1][1] = None;
-        c.sets[2][0] = line(1);
-        assert_eq!(restore(&c), placement, "line in a foreign set");
     }
 }

@@ -214,6 +214,8 @@ impl Directory {
     /// Serializes all entries (sorted by line index, so two identical
     /// directories always produce identical bytes regardless of hash-map
     /// iteration order) plus the counters.
+    /// Nothing in the simulator reads or writes it: only the benchmark's
+    /// checkpoint probe does, and it goes with that probe (ROADMAP item 1a).
     pub fn encode_snapshot(&self, w: &mut compass_snap::Writer) {
         let mut lines: Vec<(u64, DirEntry)> = self.entries.iter().map(|(&l, &e)| (l, e)).collect();
         lines.sort_unstable_by_key(|&(l, _)| l);
@@ -242,33 +244,6 @@ impl Directory {
         ] {
             w.u64(f);
         }
-    }
-
-    /// Restores a snapshot taken by [`Directory::encode_snapshot`],
-    /// replacing all current entries and counters.
-    pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
-        let n = r.seq_len(9)?;
-        let mut entries = FoldHashMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let line = r.u64()?;
-            let e = match r.u8()? {
-                0 => DirEntry::Uncached,
-                1 => DirEntry::Shared(r.u64()?),
-                2 => DirEntry::Owned(r.u16()?),
-                _ => return Err(compass_snap::SnapError::Corrupt("directory entry tag")),
-            };
-            entries.insert(line, e);
-        }
-        self.entries = entries;
-        self.stats = DirStats {
-            reads: r.counter("directory reads")?,
-            writes: r.counter("directory writes")?,
-            upgrades: r.counter("directory upgrades")?,
-            invalidations: r.counter("directory invalidations")?,
-            forwards: r.counter("directory forwards")?,
-            writebacks: r.counter("directory writebacks")?,
-        };
-        Ok(())
     }
 
     /// Invariant check used by property tests: each entry's mask is

@@ -27,7 +27,7 @@ use crate::interconnect::Interconnect;
 use crate::stats::{AccessClass, MemStats};
 use compass_isa::Cycles;
 use compass_mem::PAddr;
-use compass_snap::{Reader, SnapError, Writer};
+use compass_snap::Writer;
 
 /// One memory access as the backend presents it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +70,7 @@ pub struct Hierarchy {
     /// recent [`Hierarchy::access`] (directory invalidation, owner
     /// downgrade, L2-inclusion back-invalidation); cleared at the start of
     /// the next access. Pure observation — it feeds no latency or
-    /// statistic. The engine records it into checkpoints.
+    /// statistic.
     epoch_victims: Vec<usize>,
 }
 
@@ -103,10 +103,9 @@ impl Hierarchy {
         &self.cfg
     }
 
-    /// Deterministic hash of the architecture configuration, stored in
-    /// checkpoint headers: a checkpoint is meaningless against a
-    /// different memory system, so resume refuses a mismatch. FNV over
-    /// the `Debug` rendering is stable across processes and builds of
+    /// Deterministic hash of the architecture configuration (the first
+    /// word of `BackendConfig::config_hash`). FNV over the `Debug`
+    /// rendering is stable across processes and builds of
     /// the same source (unlike `DefaultHasher`, whose keys are
     /// unspecified).
     pub fn config_hash(cfg: &ArchConfig) -> u64 {
@@ -117,6 +116,8 @@ impl Hierarchy {
     /// LRU layout included), bus and memory-controller occupancy, the
     /// directory, the network and the counters. Taken at a quiesced cut,
     /// this is the whole timing-relevant state of the architecture model.
+    /// Nothing in the simulator reads or writes it: only the benchmark's
+    /// checkpoint probe does, and it goes with that probe (ROADMAP item 1a).
     pub fn encode_snapshot(&self, w: &mut Writer) {
         for caches in [&self.l1, &self.l2, &self.am] {
             w.u64(caches.len() as u64);
@@ -132,40 +133,6 @@ impl Hierarchy {
         self.dir.encode_snapshot(w);
         self.net.encode_snapshot(w);
         self.stats.encode_snapshot(w);
-    }
-
-    /// Restores a snapshot taken by [`Hierarchy::encode_snapshot`] into
-    /// a hierarchy built from the same configuration. Errors (never
-    /// panics) on shape mismatches, malformed bytes, or a restored state
-    /// that breaks the coherence invariants (which the first access would
-    /// trip over); `epoch_victims` is cleared — a restore is not an
-    /// access.
-    pub fn decode_snapshot(&mut self, r: &mut Reader) -> compass_snap::Result<()> {
-        for (caches, what) in [
-            (&mut self.l1, "L1 count"),
-            (&mut self.l2, "L2 count"),
-            (&mut self.am, "attraction-memory count"),
-        ] {
-            if r.u64()? != caches.len() as u64 {
-                return Err(SnapError::Corrupt(what));
-            }
-            for c in caches.iter_mut() {
-                c.decode_snapshot(r)?;
-            }
-        }
-        if r.u64()? != self.cfg.nodes as u64 {
-            return Err(SnapError::Corrupt("node count"));
-        }
-        for (bus, mem) in self.bus.iter_mut().zip(&mut self.mem) {
-            bus.decode_snapshot(r)?;
-            mem.decode_snapshot(r)?;
-        }
-        self.dir.decode_snapshot(r)?;
-        self.net.decode_snapshot(r)?;
-        self.stats = MemStats::decode_snapshot(r)?;
-        self.epoch_victims.clear();
-        self.check_invariants()
-            .map_err(|_| SnapError::Corrupt("coherence invariants"))
     }
 
     /// Coherence line index of an address.
@@ -546,7 +513,8 @@ impl Hierarchy {
     /// CPUs whose private L1/L2 state the most recent
     /// [`Hierarchy::access`] changed from the outside (invalidations,
     /// downgrades, inclusion back-invalidations). May contain duplicates.
-    /// Kept public because the benchmark's checkpoint probe records it.
+    /// Nothing in the simulator reads or writes it: only the benchmark's
+    /// checkpoint probe does, and it goes with that probe (ROADMAP item 1a).
     pub fn epoch_victims(&self) -> &[usize] {
         &self.epoch_victims
     }
@@ -896,66 +864,5 @@ mod tests {
                 .latency;
         }
         assert_eq!(h.stats().latency[0], sum);
-    }
-
-    #[test]
-    fn a_restored_snapshot_continues_bit_identically() {
-        // Mixed private and shared traffic: cache state, bus and
-        // controller horizons, directory entries and COMA attraction
-        // memories all carry over the cut.
-        let drive = |h: &mut Hierarchy, steps: std::ops::Range<u64>| -> Vec<AccessResult> {
-            let (ncpus, nodes) = (h.config().ncpus() as u64, h.config().nodes as u64);
-            steps
-                .map(|i| {
-                    let cpu = (i % ncpus) as usize;
-                    let paddr = PAddr(0x1000 + (i * 7919 % 512) * 64);
-                    let acc = if i % 3 == 0 { write() } else { read() };
-                    h.access(cpu, paddr, acc, (i / 5 % nodes) as usize, i * 90)
-                })
-                .collect()
-        };
-        for cfg in [
-            ArchConfig::ccnuma(2, 2),
-            ArchConfig::coma(2, 1),
-            ArchConfig::simple_smp(4),
-        ] {
-            let mut a = Hierarchy::new(cfg.clone());
-            drive(&mut a, 0..400);
-            let mut w = Writer::new();
-            a.encode_snapshot(&mut w);
-            let bytes = w.into_bytes();
-            let mut b = Hierarchy::new(cfg.clone());
-            let mut r = Reader::new(&bytes);
-            b.decode_snapshot(&mut r).unwrap();
-            assert!(r.is_exhausted());
-            assert_eq!(drive(&mut a, 400..800), drive(&mut b, 400..800));
-            assert_eq!(a.stats(), b.stats());
-            assert_eq!(a.dir_stats(), b.dir_stats());
-            b.check_invariants().unwrap();
-        }
-        // A snapshot of another shape is an error, not a panic.
-        let mut w = Writer::new();
-        ccnuma().encode_snapshot(&mut w);
-        let bytes = w.into_bytes();
-        let mut coma = Hierarchy::new(ArchConfig::coma(2, 2));
-        assert!(coma.decode_snapshot(&mut Reader::new(&bytes)).is_err());
-    }
-
-    /// Found by the checkpoint fuzz: a well-formed snapshot whose caches
-    /// and directory disagree used to restore fine and then trip the
-    /// protocol's assertions on the first access.
-    #[test]
-    fn a_snapshot_whose_caches_and_directory_disagree_is_refused() {
-        let mut h = ccnuma();
-        h.access(0, PAddr(0x2000), write(), 0, 0);
-        // CPU 0 holds the line Modified; the directory forgets it.
-        h.dir = Directory::new();
-        let mut w = Writer::new();
-        h.encode_snapshot(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(
-            ccnuma().decode_snapshot(&mut Reader::new(&bytes)),
-            Err(SnapError::Corrupt("coherence invariants"))
-        );
     }
 }

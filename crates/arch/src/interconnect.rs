@@ -113,6 +113,8 @@ impl Interconnect {
 
     /// Serializes every interface's occupancy state and the counters
     /// (topology and node count come from the configuration).
+    /// Nothing in the simulator reads or writes it: only the benchmark's
+    /// checkpoint probe does, and it goes with that probe (ROADMAP item 1a).
     pub fn encode_snapshot(&self, w: &mut compass_snap::Writer) {
         w.u64(self.interfaces.len() as u64);
         for iface in &self.interfaces {
@@ -121,23 +123,6 @@ impl Interconnect {
         w.u64(self.stats.messages);
         w.u64(self.stats.bytes);
         w.u64(self.stats.hops);
-    }
-
-    /// Restores a snapshot taken by [`Interconnect::encode_snapshot`]
-    /// into a same-shape network.
-    pub fn decode_snapshot(&mut self, r: &mut compass_snap::Reader) -> compass_snap::Result<()> {
-        if r.u64()? != self.interfaces.len() as u64 {
-            return Err(compass_snap::SnapError::Corrupt("interface count"));
-        }
-        for iface in &mut self.interfaces {
-            iface.decode_snapshot(r)?;
-        }
-        self.stats = NetStats {
-            messages: r.counter("network messages")?,
-            bytes: r.counter("network bytes")?,
-            hops: r.counter("network hops")?,
-        };
-        Ok(())
     }
 }
 

@@ -96,6 +96,8 @@ impl MemStats {
     }
 
     /// Serializes every counter.
+    /// Nothing in the simulator reads or writes it: only the benchmark's
+    /// checkpoint probe does, and it goes with that probe (ROADMAP item 1a).
     pub fn encode_snapshot(&self, w: &mut compass_snap::Writer) {
         for arr in [
             &self.accesses,
@@ -118,32 +120,6 @@ impl MemStats {
         ] {
             w.u64(f);
         }
-    }
-
-    /// Restores a snapshot taken by [`MemStats::encode_snapshot`].
-    pub fn decode_snapshot(r: &mut compass_snap::Reader) -> compass_snap::Result<Self> {
-        let mut s = MemStats::default();
-        {
-            let mut arrays = [
-                &mut s.accesses,
-                &mut s.l1_hits,
-                &mut s.l2_hits,
-                &mut s.am_hits,
-                &mut s.remote_accesses,
-                &mut s.local_accesses,
-                &mut s.latency,
-            ];
-            for arr in arrays.iter_mut() {
-                for f in arr.iter_mut() {
-                    *f = r.counter("memory statistic")?;
-                }
-            }
-        }
-        s.forwards = r.counter("forwards")?;
-        s.invalidations_delivered = r.counter("invalidations delivered")?;
-        s.dsm_faults = r.counter("DSM faults")?;
-        s.dsm_bytes = r.counter("DSM bytes")?;
-        Ok(s)
     }
 }
 

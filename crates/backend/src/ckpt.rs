@@ -1,26 +1,16 @@
-//! Deterministic checkpoint/restore: the file format.
+//! The checkpoint frame format, kept only for the benchmark.
 //!
-//! COMPASS frontends are coroutines running real closures, so their
-//! "state" lives on host stacks and cannot be serialized. A checkpoint
-//! therefore records the *architecture-model outcomes* instead: every
-//! hierarchy access and DSM page-transfer result, in engine service
-//! order, plus one snapshot of the memory hierarchy taken at a quiesced
-//! cut (between engine steps). [`crate::ArchPort`] records and replays
-//! the stream; this module only encodes and decodes it.
-//!
-//! Resume re-executes everything live — frontend closures, OS-server
-//! threads, scheduler, VM, devices — but feeds the architecture models
-//! from the recorded stream, *validating* each request (cpu, paddr,
-//! write, class, home) against what was recorded. This is the
-//! resume-identity oracle: any nondeterminism between the recording run
-//! and the resumed run surfaces as [`crate::RunError::ResumeDiverged`]
-//! instead of silently skewed statistics. At the cut, the stream must be
-//! exactly exhausted; the hierarchy snapshot is swapped in and the run
-//! continues fully live, bit-identical to the recording run by
-//! construction.
-//!
-//! The stream order is the engine's deterministic pop order, the same
-//! at every batch depth.
+//! The simulator no longer checkpoints, resumes or fast-forwards:
+//! nothing in it reads or writes these types. A checkpoint was
+//! record-replay — resume re-executed every frontend, OS thread and the
+//! scheduler from event 0 and only skipped the hierarchy accesses — so a
+//! plain re-run was always at least as fast, and determinism makes a
+//! re-run an exact resume (DESIGN.md, "Checkpoint/restore and
+//! fast-forward (deleted)"). The standalone benchmark's
+//! `backend.ckpt_{encode,decode}_ms` and `snap.seal_mb_per_s` probes
+//! still compile against [`CheckpointData`], [`ArchRecord`] and
+//! [`CKPT_VERSION`]; they are deleted together with those rows
+//! (ROADMAP item 1a).
 //!
 //! File format: a `compass-snap` frame (`seal`/`unseal`, FNV-1a
 //! checksummed, version-tagged) whose payload is the header
@@ -35,10 +25,12 @@ use compass_snap::{seal, unseal, Reader, SnapError, Writer};
 
 /// Checkpoint frame version (see the module docs for the bump rule).
 /// Version 2 lays the hierarchy snapshot out per cache array instead of
-/// per node slice; version-1 files are rejected.
+/// per node slice; version-1 files are rejected. Nothing in the
+/// simulator reads or writes it (see the module docs).
 pub const CKPT_VERSION: u32 = 2;
 
 /// One recorded architecture-model outcome, in engine service order.
+/// Nothing in the simulator reads or writes it (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArchRecord {
     /// A [`compass_arch::Hierarchy::access`] call and its result.
@@ -60,8 +52,8 @@ pub enum ArchRecord {
         /// Involved a remote home directory.
         remote: bool,
         /// CPUs whose private L1 the access changed from outside
-        /// ([`compass_arch::Hierarchy::epoch_victims`]). Resume ignores it;
-        /// it remains because the benchmark's checkpoint probe fills it.
+        /// ([`compass_arch::Hierarchy::epoch_victims`]); only the
+        /// benchmark's checkpoint probe fills it.
         victims: Vec<u32>,
     },
     /// A software-DSM page transfer and its charged latency.
@@ -77,15 +69,14 @@ pub enum ArchRecord {
     },
 }
 
-/// A fully decoded checkpoint file.
+/// A fully decoded checkpoint file. Nothing in the simulator reads or
+/// writes it (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointData {
     /// FNV-1a hash of the architecture configuration that produced the
-    /// file. Resume under a different *architecture* is meaningless
-    /// (transport knobs such as batch depths are free).
+    /// file.
     pub config_hash: u64,
-    /// Events the recording run fast-forwarded before the models went
-    /// live; the resumed run re-executes the same warmup.
+    /// Events fast-forwarded before the models went live.
     pub ff_events: u64,
     /// `events_processed` ordinal of the quiesced cut.
     pub cut_events: u64,
@@ -209,13 +200,6 @@ impl CheckpointData {
             snapshot,
         })
     }
-
-    /// Loads and decodes a checkpoint file.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| format!("reading checkpoint {}: {e}", path.display()))?;
-        Self::decode(&bytes).map_err(|e| format!("decoding checkpoint {}: {e}", path.display()))
-    }
 }
 
 #[cfg(test)]
@@ -312,12 +296,5 @@ mod tests {
                 "version {version} accepted"
             );
         }
-    }
-
-    #[test]
-    fn load_of_missing_file_is_an_error() {
-        let err = CheckpointData::load(std::path::Path::new("/nonexistent/ckpt.bin"));
-        assert!(err.is_err());
-        assert!(err.unwrap_err().contains("/nonexistent/ckpt.bin"));
     }
 }

@@ -70,8 +70,8 @@ pub struct BackendConfig {
 
 impl BackendConfig {
     /// Deterministic hash of the simulated configuration — the
-    /// architecture hash ([`compass_arch::Hierarchy::config_hash`], also
-    /// stored in checkpoint headers) followed by every backend knob that
+    /// architecture hash ([`compass_arch::Hierarchy::config_hash`])
+    /// followed by every backend knob that
     /// shapes the simulation, including the stats-neutral `batch_depth`:
     /// two configurations that differ only in transport are still distinct
     /// *runs* even though their statistics are identical, and the fleet

@@ -56,20 +56,18 @@
 //! `until(clock)` holds exactly the records due by that clock, whatever
 //! order the executor resumes tasks in.
 //!
-//! **Errors.** A failure found mid-step — a deadlock, a wild access, a
-//! resume divergence, a checkpoint I/O error — is latched (the first one
-//! wins) and returned by the run loop at the next step boundary, with
-//! every port poisoned so parked posters unwind.
+//! **Errors.** A failure found mid-step — a deadlock or a wild access —
+//! is latched (the first one wins) and returned by the run loop at the
+//! next step boundary, with every port poisoned so parked posters unwind.
 //!
 //! **Components.** This file is the core loop (`drive`/`step` and the
 //! scan glue), event and control handling, and the process lifecycle
 //! (reply, suspend, wake, dispatch). The rest are sibling modules:
-//! [`crate::arch_port`] makes every architecture-model call and hides
-//! whether it runs live, fast-forwarded or replayed from a checkpoint;
-//! [`crate::devices`] issues device commands, runs due device tasks and
-//! wakes the bottom-half daemon; [`crate::error`] builds the deadlock and
-//! wild-access reports; `progress` holds counters, the trace and progress
-//! snapshots; `scan` is the least-time index.
+//! [`crate::arch_port`] makes every architecture-model call and keeps the
+//! access trace; [`crate::devices`] issues device commands, runs due
+//! device tasks and wakes the bottom-half daemon; [`crate::error`] builds
+//! the deadlock and wild-access reports; `progress` holds counters, the
+//! trace and progress snapshots; `scan` is the least-time index.
 
 use crate::arch_port::ArchPort;
 use crate::config::BackendConfig;
@@ -321,8 +319,8 @@ impl Backend {
         }
     }
 
-    /// The architecture-model port, to set up fast-forward, checkpoint
-    /// recording or resume, and access-trace recording. Setup time only.
+    /// The architecture-model port, to turn on access-trace recording.
+    /// Setup time only.
     pub fn arch_mut(&mut self) -> &mut ArchPort {
         &mut self.arch
     }
@@ -604,9 +602,8 @@ impl Backend {
         true
     }
 
-    /// Per-step epilogue: progress snapshots, (feature-gated) whole
-    /// backend invariants, and the architecture port's step-boundary hook
-    /// (checkpoint cuts, the replay snapshot swap).
+    /// Per-step epilogue: progress snapshots and (feature-gated) whole
+    /// backend invariants.
     fn after_step(&mut self) {
         self.maybe_progress();
         #[cfg(feature = "check-invariants")]
@@ -616,7 +613,6 @@ impl Backend {
                 self.events_processed
             );
         }
-        self.arch.end_step(self.events_processed, &mut self.error);
     }
 
     // --- Event handling ---
@@ -1019,8 +1015,7 @@ impl Backend {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use compass_arch::{Access, AccessClass};
-    use compass_mem::{PAddr, VAddr};
+    use compass_mem::VAddr;
 
     /// A backend over `nprocs` bare ports on a two-CPU SMP.
     pub(crate) fn mini_backend(nprocs: usize, daemon: Option<ProcessId>) -> Backend {
@@ -1265,19 +1260,10 @@ pub(crate) mod tests {
             kind: crate::vm::VmFaultKind::OutOfMemory,
         };
         b.latch(|b| b.wild_access_error(fault));
-        // A resume divergence later in the same step must not replace it.
-        b.arch.resume(crate::ckpt::CheckpointData {
-            config_hash: 0,
-            ff_events: 0,
-            cut_events: 10,
-            records: Vec::new(),
-            snapshot: Vec::new(),
-        });
-        let acc = Access {
-            write: false,
-            class: AccessClass::User,
-        };
-        b.arch.access(0, PAddr(0x40), acc, 0, 5, 1, &mut b.error);
+        // A second wild access later in the same step must not replace it.
+        b.procs[1].cpu = Some(CpuId(1));
+        let stray = b.reference(ProcessId(1), VAddr(0x100), false, ExecMode::User, 5);
+        assert_eq!(stray, None, "an unmappable reference is charged nothing");
         let mut exec = Executor::new(Arc::clone(&b.notifier));
         let ports = b.ports.clone();
         match b.run_with(&mut exec) {

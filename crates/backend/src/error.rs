@@ -34,20 +34,6 @@ pub enum RunError {
         /// The faulting reference plus the state of every process.
         report: Box<WildAccessReport>,
     },
-    /// A checkpoint file could not be written, read, or decoded.
-    Checkpoint {
-        /// What failed, including the path.
-        msg: String,
-    },
-    /// A resumed run's re-executed reference stream did not match the
-    /// outcomes recorded at checkpoint time — the resume-identity oracle
-    /// caught a nondeterminism bug.
-    ResumeDiverged {
-        /// Ordinal of the serviced event at which the mismatch appeared.
-        at_event: u64,
-        /// Human-readable expected-vs-got description.
-        detail: String,
-    },
     /// The backend (or a simulated thread it resumed) panicked. Every
     /// port was poisoned and every simulated thread unwound before this
     /// was returned.
@@ -69,10 +55,6 @@ impl fmt::Display for RunError {
         match self {
             RunError::Deadlock { report } => write!(f, "{report}"),
             RunError::WildAccess { report } => write!(f, "{report}"),
-            RunError::Checkpoint { msg } => write!(f, "checkpoint error: {msg}"),
-            RunError::ResumeDiverged { at_event, detail } => {
-                write!(f, "resume diverged at event {at_event}: {detail}")
-            }
             RunError::BackendPanic { msg } => write!(f, "backend panicked: {msg}"),
             RunError::UnsettledDrain { detail } => {
                 write!(f, "settled-at-drain invariant violated: {detail}")

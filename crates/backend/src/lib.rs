@@ -28,14 +28,14 @@
 //! * [`engine`] — the scan/take/simulate/reply loop with the
 //!   least-execution-time pickup rule;
 //! * [`arch_port`] — the engine's one port into the architecture models:
-//!   live, fast-forwarded or replayed from a checkpoint;
+//!   the live hierarchy plus the optional access trace;
 //! * `scan` — the engine's least-time index, a fixed min-tournament over
 //!   the process slots;
 //! * `progress` — the engine's counters, trace and progress snapshots;
 //! * [`error`] — structured run failures and the engine diagnostics
 //!   behind them;
-//! * [`ckpt`] — checkpoint files: the recorded architecture-outcome
-//!   stream plus a hierarchy snapshot.
+//! * [`ckpt`] — the checkpoint frame format; nothing in the simulator
+//!   reads or writes it, only the benchmark's codec probes use it.
 //!
 //! Like the paper's backend process, everything here runs on one host
 //! thread: the engine drives the architecture models directly, in global

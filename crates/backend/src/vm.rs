@@ -592,16 +592,7 @@ impl Backend {
             write,
             class: class_of(mode),
         };
-        let event = self.events_processed;
-        let res = self.arch.access(
-            cpu.index(),
-            tr.paddr,
-            acc,
-            tr.home,
-            now,
-            event,
-            &mut self.error,
-        );
+        let res = self.arch.access(cpu.index(), tr.paddr, acc, tr.home, now);
         Some(lat + res.latency)
     }
 
@@ -622,9 +613,7 @@ impl Backend {
         }
         if let Some(d) = tr.dsm {
             self.obs.inc(Ctr::DsmTransfers);
-            lat += self
-                .arch
-                .dsm(d, now, self.events_processed, &mut self.error);
+            lat += self.arch.dsm(d, now);
             lat += d.invalidations as u64 * DSM_INVAL;
         }
         lat

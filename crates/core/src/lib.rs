@@ -48,8 +48,8 @@ pub mod runner;
 
 pub use compass_arch::{ArchConfig, CacheConfig, LatencyParams, MemSysKind, Topology};
 pub use compass_backend::{
-    BackendConfig, CheckpointData, DeadlockKind, DeadlockReport, RunError, SchedPolicy, VmFault,
-    VmFaultKind, WildAccessReport,
+    BackendConfig, DeadlockKind, DeadlockReport, RunError, SchedPolicy, VmFault, VmFaultKind,
+    WildAccessReport,
 };
 pub use compass_frontend::{CpuCtx, Process};
 pub use compass_isa::{BlockCost, Cycles, InstClass, ProcessId, TimingModel};

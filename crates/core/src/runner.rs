@@ -22,7 +22,6 @@ use compass_os::net::NetStats;
 use compass_os::{KernelShared, OsObs, OsServer};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,9 +87,6 @@ pub struct SimBuilder {
     prepare: Option<PrepareFn>,
     record_accesses: bool,
     progress: Option<ProgressFn>,
-    ckpt_every: Option<(u64, PathBuf)>,
-    resume_from: Option<PathBuf>,
-    ff_events: u64,
     #[cfg(feature = "check-invariants")]
     schedule_seed: Option<u64>,
 }
@@ -110,9 +106,6 @@ impl SimBuilder {
             prepare: None,
             record_accesses: false,
             progress: None,
-            ckpt_every: None,
-            resume_from: None,
-            ff_events: 0,
             #[cfg(feature = "check-invariants")]
             schedule_seed: None,
         }
@@ -150,39 +143,6 @@ impl SimBuilder {
     /// reference oracle replays it — see [`compass_backend::trace`]).
     pub fn record_accesses(mut self) -> Self {
         self.record_accesses = true;
-        self
-    }
-
-    /// Checkpoints the deterministic simulation state to `path` every
-    /// `every` serviced events, at quiesced step boundaries. The file is
-    /// atomically overwritten at each cut — the latest cut wins. Resume
-    /// it with [`SimBuilder::resume`].
-    pub fn checkpoint_every(mut self, every: u64, path: impl Into<PathBuf>) -> Self {
-        assert!(every > 0, "checkpoint interval must be positive");
-        self.ckpt_every = Some((every, path.into()));
-        self
-    }
-
-    /// Resumes from a checkpoint written by [`SimBuilder::checkpoint_every`].
-    /// The run re-executes the workload live but feeds the architecture
-    /// models from the recorded outcome stream, validating every request
-    /// (the resume-identity oracle); at the recorded cut the hierarchy
-    /// snapshot is swapped in and the run continues fully live —
-    /// bit-identical `BackendStats` to the recording run. Transport knobs
-    /// (batch depths) may differ between the two runs; the architecture
-    /// configuration must match.
-    pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume_from = Some(path.into());
-        self
-    }
-
-    /// Fast-forwards the first `events` serviced events: the architecture
-    /// models are skipped entirely (fixed L1-hit latencies) while the
-    /// functional state — page tables, locks, buffer cache, scheduler —
-    /// warms up. Combine with [`SimBuilder::checkpoint_every`] to turn a
-    /// long run into checkpoint-warm-then-measure.
-    pub fn fast_forward(mut self, events: u64) -> Self {
-        self.ff_events = events;
         self
     }
 
@@ -231,16 +191,9 @@ impl SimBuilder {
             prepare,
             record_accesses,
             progress,
-            ckpt_every,
-            resume_from,
-            ff_events,
             #[cfg(feature = "check-invariants")]
             schedule_seed,
         } = self;
-        assert!(
-            ckpt_every.is_none() || resume_from.is_none(),
-            "checkpoint recording and resume are mutually exclusive in one run"
-        );
         config.validate().expect("invalid simulation configuration");
         let nprocs = processes.len();
         assert!(nprocs > 0, "no processes to simulate");
@@ -306,30 +259,8 @@ impl SimBuilder {
             Some(daemon_pid),
             traffic.unwrap_or_else(|| Box::new(NullTraffic)),
         );
-        let arch = backend.arch_mut();
         if record_accesses {
-            arch.record_trace();
-        }
-        if ff_events > 0 {
-            arch.fast_forward(ff_events);
-        }
-        if let Some((every, path)) = ckpt_every {
-            arch.checkpoint_every(every, path);
-        }
-        if let Some(path) = resume_from {
-            let data = compass_backend::CheckpointData::load(&path)
-                .map_err(|msg| RunError::Checkpoint { msg })?;
-            let want = compass_arch::Hierarchy::config_hash(&config.backend.arch);
-            if data.config_hash != want {
-                return Err(RunError::Checkpoint {
-                    msg: format!(
-                        "checkpoint {} was recorded under a different architecture                          configuration (hash {:#x}, this run {want:#x})",
-                        path.display(),
-                        data.config_hash
-                    ),
-                });
-            }
-            arch.resume(data);
+            backend.arch_mut().record_trace();
         }
         let backend_block = counters.map(|hub| hub.register("backend"));
         if let Some(block) = &backend_block {
@@ -367,11 +298,9 @@ impl SimBuilder {
             let kernel = Arc::clone(&kernel);
             let ports = ports.clone();
             let results = Arc::clone(&results);
-            let backend_block = backend_block.clone();
             std::thread::Builder::new()
                 .name("compass-backend".into())
                 .spawn(move || {
-                    let thread_start = Instant::now();
                     let mut exec = Executor::new(notifier);
                     #[cfg(feature = "check-invariants")]
                     if let Some(seed) = schedule_seed {
@@ -431,18 +360,22 @@ impl SimBuilder {
                     // Let exited frontends unpair, then unwind every task
                     // still suspended (idle OS threads; on error, all).
                     exec.cancel_all();
-                    // The host ledger's backend class: everything this
-                    // thread did outside the tasks' own running time.
-                    if let Some(block) = &backend_block {
-                        let ns = thread_start.elapsed().as_nanos() as u64;
-                        block.add(Ctr::HostBackendNs, ns.saturating_sub(exec.busy_ns()));
-                    }
-                    (outcome, exec.take_panic())
+                    (outcome, exec.take_panic(), exec.busy_ns())
                 })
                 .expect("spawn backend")
         };
-        let (outcome, task_panic) = run.join().expect("backend thread panicked");
+        let (outcome, task_panic, busy_ns) = run.join().expect("backend thread panicked");
         let wall = started.elapsed();
+        // The host ledger's backend class: all of the wall outside the
+        // tasks' own running time — the engine, the executor, setting up
+        // the simulated threads, and spawning and joining the backend
+        // thread, which alone take 10-15 % of a few-millisecond run.
+        if let Some(block) = &backend_block {
+            block.add(
+                Ctr::HostBackendNs,
+                (wall.as_nanos() as u64).saturating_sub(busy_ns),
+            );
+        }
         if let Some(payload) = task_panic {
             resume_unwind(payload);
         }

@@ -107,7 +107,8 @@ pub enum Ctr {
     HostOsNs,
     /// Host ns spent running the bottom-half daemon task.
     HostBottomHalfNs,
-    /// Host ns the backend engine spent outside every task.
+    /// Host ns of the run's wall spent outside every task: the engine,
+    /// the executor, and spawning and joining the backend thread.
     HostBackendNs,
     /// Leaf writes to the engine's least-time index: one per process
     /// entry that actually changed when re-derived before a selection.

@@ -4,7 +4,6 @@ use crate::scenario::{ArchPreset, Geometry, Scenario};
 use crate::{diff, oracle};
 use compass::runner::RunReport;
 use compass::{ObsConfig, PlacementPolicy, RunError, SchedPolicy, TraceLevel};
-use std::path::Path;
 
 /// Batch depths every scenario is replayed at; depth 1 (classic
 /// per-event rendezvous) is the baseline the others must match. The
@@ -24,27 +23,17 @@ pub fn run_scenario(
     record: bool,
     observe: bool,
 ) -> Result<RunReport, RunError> {
-    run_scenario_ckpt(sc, depth, record, observe, CkptMode::Off)
-}
-
-/// Checkpoint participation of one run.
-#[derive(Clone, Copy)]
-pub enum CkptMode<'a> {
-    /// Plain run.
-    Off,
-    /// Record: cut to `path` every `every` serviced events.
-    Record {
-        /// Cut interval.
-        every: u64,
-        /// Checkpoint file.
-        path: &'a Path,
-    },
-    /// Resume from the latest cut in `path` under the resume-identity
-    /// oracle.
-    Resume {
-        /// Checkpoint file.
-        path: &'a Path,
-    },
+    let mut b = sc.builder();
+    if record {
+        b = b.record_accesses();
+    }
+    let cfg = b.config_mut();
+    apply_scenario_knobs(cfg, sc, depth);
+    if observe {
+        cfg.obs = ObsConfig::full(TraceLevel::Fine);
+        cfg.obs.progress_every = Some(10_000);
+    }
+    b.try_run()
 }
 
 /// Applies a scenario's backend knobs (scheduler, placement,
@@ -65,32 +54,6 @@ pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: 
         // path stays under test even without pre-emption.
         cfg.backend.timer_interval = Some(900_000);
     }
-}
-
-/// [`run_scenario`] with a checkpoint mode.
-pub fn run_scenario_ckpt(
-    sc: &Scenario,
-    depth: usize,
-    record: bool,
-    observe: bool,
-    ckpt: CkptMode<'_>,
-) -> Result<RunReport, RunError> {
-    let mut b = sc.builder();
-    if record {
-        b = b.record_accesses();
-    }
-    match ckpt {
-        CkptMode::Off => {}
-        CkptMode::Record { every, path } => b = b.checkpoint_every(every, path),
-        CkptMode::Resume { path } => b = b.resume(path),
-    }
-    let cfg = b.config_mut();
-    apply_scenario_knobs(cfg, sc, depth);
-    if observe {
-        cfg.obs = ObsConfig::full(TraceLevel::Fine);
-        cfg.obs.progress_every = Some(10_000);
-    }
-    b.try_run()
 }
 
 /// Appends a failure per differing statistic or system call when `got`'s
@@ -177,29 +140,16 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
 /// failed check (empty = clean).
 ///
 /// Layers: depth-1 baseline with trace recording → oracle replay →
-/// schedule-permuted twins (`check-invariants` builds) → checkpoint
-/// resume (when `sc.ckpt`) → depth {4,16,64} differentials →
-/// (timing-independent workloads only) metamorphic knob variants. The
-/// per-step invariant layer runs inside every one of these
-/// when built with `--features check-invariants`.
+/// schedule-permuted twins (`check-invariants` builds) → depth
+/// {4,16,64} differentials → (timing-independent workloads only)
+/// metamorphic knob variants. The per-step invariant layer runs inside
+/// every one of these when built with `--features check-invariants`.
 pub fn check_scenario(sc: &Scenario) -> Vec<String> {
-    check_scenario_with_soak_ckpt(sc, None)
-}
-
-/// [`check_scenario`], optionally cutting checkpoints of the baseline
-/// run into `soak_ckpt` (every 500 serviced events) so a killed soak can
-/// continue the in-flight seed from its last cut — see
-/// [`crate::soak`].
-pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) -> Vec<String> {
     let mut failures = Vec::new();
     // The baseline runs with the full observability stack on; every other
     // run leaves it off, so the depth differentials below also prove that
     // instrumentation does not change a single statistic.
-    let base_ckpt = match soak_ckpt {
-        Some(path) => CkptMode::Record { every: 500, path },
-        None => CkptMode::Off,
-    };
-    let base = match run_scenario_ckpt(sc, 1, true, true, base_ckpt) {
+    let base = match run_scenario(sc, 1, true, true) {
         Ok(out) => out,
         Err(e) => return vec![format!("depth-1 run deadlocked: {e}")],
     };
@@ -234,60 +184,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             ),
             Err(e) => failures.push(format!("schedule {seed:#x} run failed: {e}")),
         }
-    }
-    // Checkpoint/resume differential: record the scenario with
-    // `checkpoint_every`, then resume from the latest cut — once at
-    // depth 1 and once at depth 16. Both run under the resume-identity
-    // oracle and must reproduce the baseline `BackendStats` and
-    // per-syscall kernel time bit for bit.
-    if sc.ckpt {
-        let path = std::env::temp_dir().join(format!(
-            "compass-simcheck-{}-{:x}.ckpt",
-            std::process::id(),
-            sc.seed
-        ));
-        let _ = std::fs::remove_file(&path);
-        match run_scenario_ckpt(
-            sc,
-            1,
-            false,
-            false,
-            CkptMode::Record {
-                every: 500,
-                path: &path,
-            },
-        ) {
-            Ok(run) => {
-                for d in diff::diff_runs(&base, &run) {
-                    failures.push(format!("checkpoint-record vs base: {d}"));
-                }
-                // A run shorter than one cut interval writes no file;
-                // there is then nothing to resume.
-                if path.exists() {
-                    for depth in [1, 16] {
-                        match run_scenario_ckpt(
-                            sc,
-                            depth,
-                            false,
-                            false,
-                            CkptMode::Resume { path: &path },
-                        ) {
-                            Ok(run) => {
-                                for d in diff::diff_runs(&base, &run) {
-                                    failures.push(format!(
-                                        "checkpoint-resume(depth {depth}) vs base: {d}"
-                                    ));
-                                }
-                            }
-                            Err(e) => failures
-                                .push(format!("checkpoint-resume(depth {depth}) run failed: {e}")),
-                        }
-                    }
-                }
-            }
-            Err(e) => failures.push(format!("checkpoint-record run failed: {e}")),
-        }
-        let _ = std::fs::remove_file(&path);
     }
     for depth in &DEPTHS[1..] {
         let run = match run_scenario(sc, *depth, false, false) {

@@ -43,8 +43,7 @@ pub mod scenario;
 pub mod soak;
 
 pub use check::{
-    apply_scenario_knobs, check_scenario, check_scenario_with_soak_ckpt, metamorphic_variants,
-    run_scenario, shrink_failure, CkptMode,
+    apply_scenario_knobs, check_scenario, metamorphic_variants, run_scenario, shrink_failure,
 };
 pub use diff::{diff_backend_stats, diff_runs};
 pub use oracle::verify_trace;

@@ -5,15 +5,15 @@
 //! simcheck --seed 42             # replay exactly one scenario, verbose
 //! simcheck --scenarios 100       # seeds 0..100 (or --start-seed S)
 //! simcheck --soak 30             # as many seeds as fit in 30 seconds
-//! simcheck --soak 30 --resume D  # resumable soak: progress + in-flight
-//!                                # checkpoint cuts persisted in dir D
+//! simcheck --soak 30 --resume D  # resumable soak: progress persisted
+//!                                # in dir D
 //! simcheck ... --no-shrink       # report the raw failure only
 //! ```
 //!
 //! With `--resume DIR` a killed soak continues where it died: the next
-//! invocation picks up the seed counter from `DIR/soak.state`, resumes
-//! the interrupted seed's baseline from its last checkpoint cut, and
-//! diffs it against an uninterrupted twin (see `compass_simcheck::soak`).
+//! invocation picks up the seed counter and tallies from
+//! `DIR/soak.state` and re-runs the interrupted seed from scratch (see
+//! `compass_simcheck::soak`).
 //!
 //! Any failure prints the scenario, the failed checks, a greedily shrunk
 //! minimal scenario, and the `--seed N` repro line, then exits nonzero.
@@ -114,33 +114,19 @@ fn run_one(seed: u64, shrink: bool, verbose: bool) -> bool {
     false
 }
 
-/// The resumable soak: progress and in-flight checkpoint cuts live in
-/// `dir`, so a killed run continues instead of starting over.
+/// The resumable soak: progress lives in `dir`, so a killed run
+/// continues instead of starting over.
 fn soak_resumable(dir: &std::path::Path, secs: u64, start_seed: u64, shrink: bool) -> (u64, u64) {
     let deadline = Instant::now() + Duration::from_secs(secs);
     let mut state = soak::SoakState::load(dir).unwrap_or(soak::SoakState {
         next_seed: start_seed,
         ..Default::default()
     });
-    let mut seed = state.next_seed;
-    if let Some(inflight) = state.inflight.take() {
-        let (resumed, failures) = soak::resume_inflight(dir, inflight);
-        if resumed {
-            println!("resumed in-flight seed {inflight} from its checkpoint cut");
-            state.checked += 1;
-            if !failures.is_empty() {
-                state.failed += 1;
-                report_failures(inflight, &failures, shrink);
-            }
-            seed = inflight + 1;
-        } else {
-            // Killed before the first cut: nothing to resume, rerun it.
-            println!("in-flight seed {inflight} left no cut; rerunning from scratch");
-            seed = inflight;
-        }
-        state.next_seed = seed;
-        state.save(dir).expect("soak state must be writable");
+    if let Some(inflight) = state.inflight {
+        println!("in-flight seed {inflight} was interrupted; rerunning it from scratch");
     }
+    // `check_seed` marks a seed in flight at `next_seed`, so this re-runs it.
+    let mut seed = state.next_seed;
     while Instant::now() < deadline {
         let failures = soak::check_seed(dir, &mut state, seed);
         if !failures.is_empty() {

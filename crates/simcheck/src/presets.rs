@@ -2,8 +2,8 @@
 //!
 //! The single catalogue of workload shapes the fleet runner, the `probe`
 //! CLI and the tests draw from. Every preset is a fully-specified
-//! [`Scenario`] at the *baseline* point (`ckpt` off; the batch depth is
-//! set by the harness, not the scenario) — so a harness that wants to
+//! [`Scenario`] at the *baseline* point (schedule seed 0; the batch depth
+//! is set by the harness, not the scenario) — so a harness that wants to
 //! sweep an axis mutates exactly that axis and nothing else.
 
 use crate::scenario::{ArchPreset, Geometry, Scenario, Workload};
@@ -11,7 +11,7 @@ use compass::{PlacementPolicy, SchedPolicy};
 
 /// A baseline scenario around a workload: seed 0, 2 processes, the
 /// 2x2 cc-NUMA preset, default geometry, FCFS, no pre-emption,
-/// first-touch placement, no checkpoint gate.
+/// first-touch placement, schedule seed 0.
 fn base(workload: Workload, nprocs: u16) -> Scenario {
     Scenario {
         seed: 0,
@@ -22,7 +22,6 @@ fn base(workload: Workload, nprocs: u16) -> Scenario {
         sched: SchedPolicy::Fcfs,
         preempt: false,
         placement: PlacementPolicy::FirstTouch,
-        ckpt: false,
         schedule: 0,
     }
 }
@@ -136,7 +135,7 @@ mod tests {
     #[test]
     fn every_preset_is_baseline_and_validates() {
         for (name, sc) in all() {
-            assert!(!sc.ckpt, "{name} not baseline");
+            assert_eq!(sc.schedule, 0, "{name} not baseline");
             sc.arch_config(); // panics if the geometry does not validate
             assert_eq!(by_name(name), Some(sc));
         }

@@ -118,11 +118,6 @@ pub struct Scenario {
     pub preempt: bool,
     /// Page placement.
     pub placement: PlacementPolicy,
-    /// Checkpoint/resume differential. When set, the check stack
-    /// records the scenario with `checkpoint_every`, resumes it (and
-    /// resumes again at a different batch depth), and requires
-    /// bit-identical `BackendStats` — the resume-identity oracle.
-    pub ckpt: bool,
     /// Schedule-independence axis: seeds the two random schedules of the
     /// simulated threads the check stack re-runs the scenario under
     /// (`check-invariants` builds only — release builds have no way to
@@ -189,8 +184,9 @@ impl Scenario {
         // depth) and kernel-filter axis were drawn here; the draws stay.
         let _ = rng.gen_range(0..3usize);
         let _ = rng.gen_bool(0.5);
-        // Checkpoint axis.
-        let ckpt = rng.gen_bool(0.5);
+        // The retired checkpoint axis (`ckpt`) was drawn here; the draw
+        // stays.
+        let _ = rng.gen_bool(0.5);
         // The retired disk-wake axis (`disk_wake`, now always on) was
         // drawn here; the draw stays.
         let _ = rng.gen_bool(0.5);
@@ -205,7 +201,6 @@ impl Scenario {
             sched,
             preempt,
             placement,
-            ckpt,
             schedule,
         }
     }
@@ -388,12 +383,6 @@ impl Scenario {
                 push(Scenario { nprocs: 1, ..*self });
                 push(Scenario {
                     nprocs: self.nprocs - 1,
-                    ..*self
-                });
-            }
-            if self.ckpt {
-                push(Scenario {
-                    ckpt: false,
                     ..*self
                 });
             }
@@ -614,8 +603,6 @@ mod tests {
             assert!(scenarios.iter().any(|s| s.preset == preset));
         }
         assert!(scenarios.iter().any(|s| s.preempt));
-        assert!(scenarios.iter().any(|s| s.ckpt));
-        assert!(scenarios.iter().any(|s| !s.ckpt));
     }
 
     #[test]
@@ -644,8 +631,9 @@ mod tests {
 
     /// Historical seeds keep their scenarios: a retired axis keeps its
     /// draw, so every remaining field of these seeds never moves. (The
-    /// retired `os_batch` and `disk_wake` columns dropped out: `os_batch`
-    /// was 1, 64 and 8 for seeds 0, 8 and 1998, `disk_wake` false.)
+    /// retired `os_batch`, `disk_wake` and `ckpt` columns dropped out:
+    /// `os_batch` was 1, 64 and 8 for seeds 0, 8 and 1998, `disk_wake`
+    /// false, `ckpt` true, false and true.)
     #[test]
     fn historical_seeds_keep_their_scenarios() {
         let pinned = [
@@ -662,7 +650,6 @@ mod tests {
                 SchedPolicy::Fcfs,
                 true,
                 PlacementPolicy::RoundRobin,
-                true,
                 9_693_749_374_903_693_122,
             ),
             (
@@ -674,7 +661,6 @@ mod tests {
                 SchedPolicy::Fcfs,
                 false,
                 PlacementPolicy::Block(2),
-                false,
                 3_037_686_178_332_931_172,
             ),
             (
@@ -690,11 +676,10 @@ mod tests {
                 SchedPolicy::Affinity,
                 false,
                 PlacementPolicy::Block(2),
-                true,
                 4_515_195_573_538_475_775,
             ),
         ];
-        for (seed, workload, nprocs, preset, geometry, sched, preempt, placement, ckpt, schedule) in
+        for (seed, workload, nprocs, preset, geometry, sched, preempt, placement, schedule) in
             pinned
         {
             let s = Scenario::from_seed(seed);
@@ -707,10 +692,9 @@ mod tests {
                     s.sched,
                     s.preempt,
                     s.placement,
-                    s.ckpt,
                     s.schedule
                 ),
-                (workload, nprocs, preset, geometry, sched, preempt, placement, ckpt, schedule),
+                (workload, nprocs, preset, geometry, sched, preempt, placement, schedule),
                 "seed {seed} changed its scenario"
             );
         }

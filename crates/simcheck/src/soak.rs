@@ -1,25 +1,17 @@
-//! Crash-resumable soak state (ROADMAP item 3, last leftover).
+//! Crash-resumable soak state.
 //!
-//! A soak run with `--resume DIR` persists two things into `DIR`:
-//!
-//! * `soak.state` — a tiny `key=value` file with the next seed, the
-//!   running checked/failed tallies, and the seed currently in flight,
-//!   atomically rewritten (tmp + rename) around every scenario;
-//! * `inflight.ckpt` — checkpoint cuts of the in-flight seed's baseline
-//!   run, rewritten every 500 serviced events by the engine's normal
-//!   checkpoint machinery.
+//! A soak run with `--resume DIR` persists `DIR/soak.state`: a tiny
+//! `key=value` file with the next seed, the running checked/failed
+//! tallies, and the seed currently in flight, atomically rewritten
+//! (tmp + rename) around every scenario.
 //!
 //! If the soak process dies (OOM kill, ^C, host reboot), restarting with
 //! the same `--resume DIR` continues instead of starting over: the
-//! interrupted seed's baseline is **resumed from its last cut** under
-//! the resume-identity oracle and diffed field-by-field against a fresh
-//! uninterrupted twin of the same scenario — any divergence is reported
-//! exactly like a differential failure — and the soak then proceeds with
-//! the following seeds. A kill that lands before the first cut simply
-//! reruns the seed from scratch.
+//! interrupted seed is re-run from scratch — the simulation is
+//! deterministic, so a re-run is an exact resume — and the soak then
+//! proceeds with the following seeds. The tallies only ever grow.
 
-use crate::check::{self, CkptMode};
-use crate::diff;
+use crate::check;
 use crate::scenario::Scenario;
 use std::path::{Path, PathBuf};
 
@@ -40,11 +32,6 @@ pub struct SoakState {
 /// The state file inside a soak directory.
 pub fn state_path(dir: &Path) -> PathBuf {
     dir.join("soak.state")
-}
-
-/// The in-flight baseline's checkpoint file inside a soak directory.
-pub fn inflight_ckpt(dir: &Path) -> PathBuf {
-    dir.join("inflight.ckpt")
 }
 
 impl SoakState {
@@ -92,17 +79,13 @@ impl SoakState {
     }
 }
 
-/// Checks one seed resumably: marks it in flight, cuts baseline
-/// checkpoints into `dir`, and clears the in-flight marker (and cut
-/// file) once the check stack completes. Returns the check failures.
+/// Checks one seed resumably: marks it in flight in `dir` and clears the
+/// marker once the check stack completes. Returns the check failures.
 pub fn check_seed(dir: &Path, state: &mut SoakState, seed: u64) -> Vec<String> {
     state.inflight = Some(seed);
     state.next_seed = seed;
     state.save(dir).expect("soak state must be writable");
-    let ckpt = inflight_ckpt(dir);
-    let _ = std::fs::remove_file(&ckpt);
-    let sc = Scenario::from_seed(seed);
-    let failures = check::check_scenario_with_soak_ckpt(&sc, Some(&ckpt));
+    let failures = check::check_scenario(&Scenario::from_seed(seed));
     state.inflight = None;
     state.next_seed = seed + 1;
     state.checked += 1;
@@ -110,45 +93,7 @@ pub fn check_seed(dir: &Path, state: &mut SoakState, seed: u64) -> Vec<String> {
         state.failed += 1;
     }
     state.save(dir).expect("soak state must be writable");
-    let _ = std::fs::remove_file(&ckpt);
     failures
-}
-
-/// Continues a killed soak's in-flight seed from its last checkpoint
-/// cut: the baseline is resumed under the resume-identity oracle and
-/// diffed field-by-field against a fresh uninterrupted twin of the same
-/// scenario. Returns `(resumed_from_cut, failures)`; when no cut landed
-/// before the kill there is nothing to resume and the caller reruns the
-/// seed from scratch (`resumed_from_cut = false`, no failures).
-pub fn resume_inflight(dir: &Path, seed: u64) -> (bool, Vec<String>) {
-    let ckpt = inflight_ckpt(dir);
-    if !ckpt.exists() {
-        return (false, Vec::new());
-    }
-    let sc = Scenario::from_seed(seed);
-    let mut failures = Vec::new();
-    let resumed = check::run_scenario_ckpt(&sc, 1, false, false, CkptMode::Resume { path: &ckpt });
-    match resumed {
-        Ok(resumed) => {
-            // The uninterrupted twin: the same scenario run cold, start
-            // to finish. Resume replays the pre-cut stream, swaps the
-            // snapshot in, and continues live, so the two must agree on
-            // every backend statistic.
-            match check::run_scenario(&sc, 1, false, false) {
-                Ok(twin) => {
-                    for d in diff::diff_backend_stats(&twin.backend, &resumed.backend) {
-                        failures.push(format!(
-                            "resumed soak baseline vs uninterrupted twin (seed {seed}): {d}"
-                        ));
-                    }
-                }
-                Err(e) => failures.push(format!("uninterrupted twin deadlocked: {e}")),
-            }
-        }
-        Err(e) => failures.push(format!("soak resume from cut failed (seed {seed}): {e}")),
-    }
-    let _ = std::fs::remove_file(&ckpt);
-    (true, failures)
 }
 
 #[cfg(test)]
@@ -190,16 +135,6 @@ mod tests {
             std::fs::write(state_path(&dir), bad).unwrap();
             assert_eq!(SoakState::load(&dir), None, "accepted {bad:?}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_with_no_cut_reports_nothing_to_resume() {
-        let dir = tmpdir("nocut");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (resumed, failures) = resume_inflight(&dir, 0);
-        assert!(!resumed);
-        assert!(failures.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

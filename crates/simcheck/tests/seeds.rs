@@ -1,10 +1,9 @@
 //! Fixed-seed regression anchors: one scenario per workload family,
 //! chosen as the first generated seed of that family, replayed through
-//! the full differential check (depths 1/4/16/64 + oracle + checkpoint
-//! resume + metamorphic variants). If cross-depth determinism, the
-//! replay oracle, checkpoint identity or an architecture-independence
-//! invariant regresses, these fail with the exact seed to reproduce via
-//! `simcheck --seed <n>`.
+//! the full differential check (depths 1/4/16/64 + oracle + metamorphic
+//! variants). If cross-depth determinism, the replay oracle or an
+//! architecture-independence invariant regresses, these fail with the
+//! exact seed to reproduce via `simcheck --seed <n>`.
 
 use compass_simcheck::{check_scenario, Scenario, Workload};
 
@@ -39,14 +38,11 @@ fn first_file_chaos_seed_replays_clean() {
     }));
 }
 
-/// The first TPC-C seed also carries the checkpoint gate: its baseline
-/// is recorded with cuts and resumed at depths 1 and 16, so `cargo test`
-/// covers TPC-C checkpoint/resume identity.
 #[test]
 fn first_tpcc_seed_replays_clean() {
-    let sc = first_seed(|sc| matches!(sc.workload, Workload::Tpcc { .. }));
-    assert!(sc.ckpt, "seed {} lost its checkpoint gate", sc.seed);
-    assert_clean(sc);
+    assert_clean(first_seed(|sc| {
+        matches!(sc.workload, Workload::Tpcc { .. })
+    }));
 }
 
 #[test]

@@ -1,28 +1,26 @@
-//! **compass-snap** — the byte-level encoding layer under COMPASS
-//! checkpoints (ISSUE 8).
+//! **compass-snap** — a small hand-rolled little-endian byte format.
 //!
 //! The workspace's `serde` is an offline no-op stand-in (see
 //! `vendor/serde`): its derives expand to empty impls, so nothing in the
-//! tree can rely on it for real serialization. Checkpoints therefore use
-//! this hand-rolled little-endian format instead: a [`Writer`] that
-//! appends fixed-width scalars and length-prefixed sequences, and a
-//! [`Reader`] that mirrors it and returns a structured [`SnapError`] on
-//! any malformed input — short buffers, impossible lengths, bad tags —
-//! **never** a panic, because a corrupted or truncated checkpoint file
-//! must surface as a recoverable load error (ISSUE 8's test battery
-//! checks exactly that).
+//! tree can rely on it for real serialization. This crate is used
+//! instead: a [`Writer`] that appends fixed-width scalars and
+//! length-prefixed sequences, and a [`Reader`] that mirrors it and
+//! returns a structured [`SnapError`] on any malformed input — short
+//! buffers, impossible lengths, bad tags — **never** a panic.
 //!
-//! Integrity is end-to-end: [`seal`] frames a payload with a magic, a
-//! format version and an FNV-1a checksum; [`unseal`] refuses anything
-//! that does not round-trip. [`fnv1a64`] doubles as the deterministic
-//! configuration hash (Rust's `DefaultHasher` seeds are unspecified
-//! across releases; FNV over a `Debug` rendering is stable forever).
+//! The simulator uses [`Writer`] and [`fnv1a64`] for the deterministic
+//! configuration hashes (`SimConfig::config_hash`, the fleet's dedupe
+//! key; Rust's `DefaultHasher` seeds are unspecified across releases).
+//! The frame layer — [`seal`] wraps a payload in a magic, a format
+//! version and an FNV-1a checksum, [`unseal`] refuses anything that does
+//! not round-trip — served the deleted checkpoints; only the
+//! benchmark's checkpoint-codec probes still use it.
 
 use std::fmt;
 
-/// The largest counter or clock a snapshot may restore. A resumed run
-/// keeps adding to what it restored, and an overflow panics in a debug
-/// build; below 2^62 no run can reach 2^64.
+/// The largest counter or clock [`Reader::counter`] accepts: a decoded
+/// value that kept growing could overflow, and below 2^62 no run can
+/// reach 2^64.
 pub const MAX_COUNTER: u64 = 1 << 62;
 
 /// Why a snapshot buffer failed to decode.
@@ -184,9 +182,8 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads a counter or clock (a statistic, an LRU tick, a busy
-    /// horizon); a value above [`MAX_COUNTER`] is corrupt and the message
-    /// names `what`.
+    /// Reads a counter or clock; a value above [`MAX_COUNTER`] is corrupt
+    /// and the message names `what`.
     pub fn counter(&mut self, what: &'static str) -> Result<u64> {
         let v = self.u64()?;
         if v > MAX_COUNTER {
@@ -231,7 +228,8 @@ fn frame_sum(version: u32, payload: &[u8]) -> u64 {
 }
 
 /// Frames `payload` with magic + `version` + length + FNV-1a checksum.
-/// The resulting bytes are what goes on disk.
+/// Nothing in the simulator reads or writes it: only the benchmark's
+/// checkpoint probes do, and it goes with them (ROADMAP item 1a).
 pub fn seal(version: u32, payload: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
     w.buf.extend_from_slice(MAGIC);
@@ -243,8 +241,7 @@ pub fn seal(version: u32, payload: &[u8]) -> Vec<u8> {
 
 /// Verifies a [`seal`]ed frame and returns `(version, payload)`.
 /// Truncation, a foreign magic, or a checksum mismatch all come back as
-/// structured errors — a half-written checkpoint file can never panic a
-/// resume.
+/// structured errors, never a panic.
 pub fn unseal(frame: &[u8]) -> Result<(u32, &[u8])> {
     let mut r = Reader::new(frame);
     if r.take(8)? != MAGIC {
@@ -345,8 +342,8 @@ mod tests {
 
     #[test]
     fn fnv_is_stable() {
-        // Pinned: the config hash stored in checkpoint headers must
-        // never drift across builds.
+        // Pinned: the configuration hashes built on it must never drift
+        // across builds.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"compass"), fnv1a64(b"compass"));
         assert_ne!(fnv1a64(b"compass"), fnv1a64(b"compasS"));

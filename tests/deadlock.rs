@@ -1,10 +1,11 @@
 //! Deadlock handling end to end: a wedged simulation must come back as a
 //! structured [`RunError::Deadlock`] through `try_run` — every simulated
 //! thread unwound, nothing panicking, the report naming every process —
-//! instead of the old backend panic that killed the whole harness.
+//! instead of the old backend panic that killed the whole harness. A
+//! wild access unwinds the same way as [`RunError::WildAccess`].
 
-use compass::{ArchConfig, CpuCtx, DeadlockKind, RunError, SimBuilder};
-use compass_mem::VAddr;
+use compass::{ArchConfig, CpuCtx, DeadlockKind, RunError, SimBuilder, VmFaultKind};
+use compass_mem::{Region, VAddr};
 
 const LOCK_A: VAddr = VAddr(0x5000_0000);
 const LOCK_B: VAddr = VAddr(0x5000_0040);
@@ -106,4 +107,30 @@ fn deadlock_detection_is_repeatable() {
         b.config_mut().backend.timer_interval = Some(10_000);
         assert!(b.try_run().is_err());
     }
+}
+
+#[test]
+fn a_wild_access_mid_run_is_a_structured_error() {
+    // One process touches the null-guard region after real work while
+    // the other runs to completion: the run unwinds both.
+    let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 1));
+    for wild in [false, true] {
+        b = b.add_process(move |cpu: &mut CpuCtx| {
+            let heap = cpu.malloc_pages(4 * 4096);
+            for i in 0..600u32 {
+                cpu.store(heap + (i % (4 * 4096 - 8)), 8);
+            }
+            if wild {
+                // Below TEXT_BASE: the null-guard region, never mappable.
+                cpu.load(VAddr(0x100), 8);
+            }
+        });
+    }
+    let err = b.try_run().expect_err("a wild access must abort the run");
+    let RunError::WildAccess { report } = &err else {
+        panic!("expected a wild access, got {err}");
+    };
+    assert_eq!(report.fault.kind, VmFaultKind::Wild(Region::Unmapped));
+    assert_eq!(report.fault.va, VAddr(0x100));
+    assert!(err.to_string().contains("wild access"), "{err}");
 }

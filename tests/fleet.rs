@@ -96,14 +96,13 @@ fn dedupe_key_tracks_knobs() {
     let base = presets::chaos_small();
     assert_eq!(dedupe_key(&base), dedupe_key(&base));
     let harness_only = Scenario {
-        ckpt: true,
         schedule: 7,
         ..base
     };
     assert_eq!(
         dedupe_key(&base),
         dedupe_key(&harness_only),
-        "the fleet runs neither checkpoints nor schedule twins"
+        "the fleet runs no schedule twins"
     );
     for knob in [
         Scenario {
