@@ -13,6 +13,10 @@ cargo run --release -q -p compass-simcheck -- --soak 30
 # every job at the shipped batch depth and again at depth 1, and
 # requires bit-identical BackendStats.
 cargo run --release -q -p compass-fleet -- --preset smoke --out target/BENCH_fleet_smoke.json
+# The committed BENCH_fleet.json must be that smoke output: every line but
+# the host timings ("host") is deterministic.
+diff <(grep -v '"host"' BENCH_fleet.json) <(grep -v '"host"' target/BENCH_fleet_smoke.json) \
+  || { echo "BENCH_fleet.json is stale: run compass-fleet --preset smoke --out BENCH_fleet.json" >&2; exit 1; }
 # The paper's simulated tables (Table 1 and studies S1-S3, EXPERIMENTS.md)
 # as one preset, every job twinned at batch depth 1: the TPC-D scan and
 # software DSM are diffed across depths on every CI run.

@@ -58,13 +58,14 @@ pub struct BackendConfig {
     pub deadlock_ms: u64,
     /// Which simulated CPU device interrupts are routed to.
     pub irq_cpu: usize,
-    /// Event-batch depth of every poster: how many events a frontend, an
-    /// OS thread on the syscall path or the bottom-half daemon's
-    /// interrupt handlers publish into a port ring before rendezvousing
-    /// (1 = classic per-event rendezvous; the runner sizes port rings
-    /// from this). Credit accounting makes results identical at any depth
-    /// (see the engine module docs), so this is purely a host-performance
-    /// knob.
+    /// Event-batch depth, which is every port ring's capacity: a
+    /// frontend, an OS thread on the syscall path and the bottom-half
+    /// daemon's interrupt handlers publish non-blocking while the ring
+    /// keeps a slot for the blocking post that cuts the batch (1 =
+    /// classic per-event rendezvous). Credit accounting makes results
+    /// identical at any depth (see the engine module docs), so this is
+    /// purely a host-performance knob. At most 4096: a deeper batch
+    /// buys nothing and the depth is the ring allocation.
     pub batch_depth: usize,
 }
 
@@ -158,7 +159,7 @@ impl BackendConfig {
             timer_interval: None,
             deadlock_ms: 10_000,
             irq_cpu: 0,
-            batch_depth: 8,
+            batch_depth: 64,
         }
     }
 
@@ -185,8 +186,8 @@ impl BackendConfig {
                 return Err("zero pre-emption interval".into());
             }
         }
-        if self.batch_depth == 0 {
-            return Err("batch_depth must be at least 1".into());
+        if !(1..=4096).contains(&self.batch_depth) {
+            return Err(format!("batch_depth {} not in 1..=4096", self.batch_depth));
         }
         Ok(())
     }

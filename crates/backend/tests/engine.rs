@@ -25,11 +25,18 @@ struct Rig {
 impl Rig {
     fn new(nprocs: usize, ncpus: usize) -> Self {
         let notifier = Arc::new(Notifier::new());
-        let ports = (0..nprocs)
-            .map(|p| Arc::new(EventPort::new(ProcessId(p as u32), Arc::clone(&notifier))))
-            .collect();
         let mut cfg = BackendConfig::new(ArchConfig::simple_smp(ncpus));
         cfg.deadlock_ms = 3_000;
+        let ports = (0..nprocs)
+            .map(|p| {
+                let pid = ProcessId(p as u32);
+                Arc::new(EventPort::with_capacity(
+                    pid,
+                    Arc::clone(&notifier),
+                    cfg.batch_depth,
+                ))
+            })
+            .collect();
         Rig {
             ports,
             notifier: Arc::clone(&notifier),

@@ -49,5 +49,5 @@ pub use event::{
     SimAbort, SyncOp,
 };
 pub use notifier::Notifier;
-pub use port::{EventPort, ReqPort, DEFAULT_RING_CAPACITY};
+pub use port::{EventPort, ReqPort};
 pub use rendezvous::EventRing;

@@ -25,10 +25,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default ring capacity: comfortably above any sensible batch depth, small
-/// enough that a port stays within a few cache lines of slot storage.
-pub const DEFAULT_RING_CAPACITY: usize = 64;
-
 /// A per-process event port: the frontend (or its paired OS thread) posts
 /// timed events; the backend scans, pops, and replies to blocking entries.
 pub struct EventPort {
@@ -46,13 +42,8 @@ pub struct EventPort {
 }
 
 impl EventPort {
-    /// Creates a port for `pid` with the default ring capacity.
-    pub fn new(pid: ProcessId, notifier: Arc<Notifier>) -> Self {
-        Self::with_capacity(pid, notifier, DEFAULT_RING_CAPACITY)
-    }
-
-    /// Creates a port whose ring holds at most `capacity` events — the
-    /// upper bound on the frontend's batch depth.
+    /// Creates a port whose ring holds at most `capacity` events: the
+    /// batch depth of every poster on it (1 = a rendezvous per event).
     pub fn with_capacity(pid: ProcessId, notifier: Arc<Notifier>, capacity: usize) -> Self {
         Self {
             pid,
@@ -73,6 +64,16 @@ impl EventPort {
     /// The ring capacity (maximum batch length).
     pub fn capacity(&self) -> usize {
         self.ring.capacity()
+    }
+
+    /// Poster: room for one more non-blocking event while keeping a slot
+    /// for the blocking post that cuts the batch. Reads the ring's real
+    /// occupancy, so a frontend batch and its OS thread's kernel tail in
+    /// one ring are bounded together. A poster only yields at a blocking
+    /// post or an OS call, so the occupancy can only fall under it.
+    #[inline]
+    pub fn has_room(&self) -> bool {
+        self.ring.len() + 1 < self.ring.capacity()
     }
 
     /// Posts a blocking event: publishes it, wakes the backend, and waits
@@ -276,7 +277,11 @@ mod tests {
     #[test]
     fn event_port_notifies_backend() {
         let notifier = Arc::new(Notifier::new());
-        let port = Arc::new(EventPort::new(ProcessId(3), Arc::clone(&notifier)));
+        let port = Arc::new(EventPort::with_capacity(
+            ProcessId(3),
+            Arc::clone(&notifier),
+            1,
+        ));
         let seen = notifier.epoch();
         let p2 = Arc::clone(&port);
         let poster = thread::spawn(move || p2.post(ev(3, 11)));
@@ -311,6 +316,20 @@ mod tests {
             assert!(!wants, "batched events need no reply");
         }
         assert!(port.pop().is_none());
+    }
+
+    #[test]
+    fn room_keeps_a_slot_for_the_cut() {
+        let port = EventPort::with_capacity(ProcessId(0), Arc::new(Notifier::new()), 3);
+        assert!(port.has_room());
+        port.post_batched(ev(0, 1));
+        assert!(port.has_room());
+        port.post_batched(ev(0, 2));
+        assert!(!port.has_room(), "the last slot is the blocking post's");
+        assert!(port.pop().is_some());
+        assert!(port.has_room(), "a pop frees a slot");
+        let one = EventPort::with_capacity(ProcessId(0), Arc::new(Notifier::new()), 1);
+        assert!(!one.has_room(), "a one-slot ring never batches");
     }
 
     #[test]

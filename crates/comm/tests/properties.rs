@@ -18,7 +18,7 @@ proptest! {
     #[test]
     fn event_port_is_lossless(latencies in prop::collection::vec(0u64..50, 1..60)) {
         let notifier = Arc::new(Notifier::new());
-        let port = Arc::new(EventPort::new(ProcessId(0), Arc::clone(&notifier)));
+        let port = Arc::new(EventPort::with_capacity(ProcessId(0), Arc::clone(&notifier), 1));
         let lat2 = latencies.clone();
         let consumer = {
             let port = Arc::clone(&port);

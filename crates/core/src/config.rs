@@ -16,10 +16,12 @@ pub struct SimConfig {
     /// Frontend instruction timing.
     pub timing: TimingModel,
     /// Enable §3.2's user-mode pseudo-interrupt delivery in addition to
-    /// the bottom-half kernel daemon. Turns kernel-side batching off: the
-    /// OS threads and the daemon then post per event whatever
-    /// `backend.batch_depth` says (interrupt work must see the
-    /// authoritative clock and reply flags).
+    /// the bottom-half kernel daemon. Turns batching off for every poster:
+    /// the runner gives each port a one-slot ring whatever
+    /// `backend.batch_depth` says, so the frontends, the OS threads and
+    /// the daemon all post per event (the frontend checks the interrupt
+    /// flag on every reply, and interrupt work must see the
+    /// authoritative clock).
     pub pseudo_irq: bool,
     /// Observability: counters, structured trace, progress snapshots.
     /// Off by default; never consulted by simulation logic, so it cannot
@@ -153,7 +155,7 @@ mod tests {
     fn default_config_hash_is_pinned() {
         assert_eq!(
             SimConfig::new(ArchConfig::ccnuma(2, 2)).config_hash(),
-            0x0b77_3750_200b_6aff,
+            0xda4d_cee3_5dc7_880f,
             "SimConfig::config_hash of the ccnuma(2, 2) defaults moved"
         );
     }
@@ -172,16 +174,19 @@ mod tests {
 
     #[test]
     fn degenerate_knobs_are_rejected_at_build_time() {
-        let mut c = SimConfig::new(ArchConfig::simple_smp(2));
-        c.backend.batch_depth = 0;
-        assert!(c.validate().is_err());
+        // A depth above 4096 would be the ring allocation itself.
+        for depth in [0, 4097] {
+            let mut c = SimConfig::new(ArchConfig::simple_smp(2));
+            c.backend.batch_depth = depth;
+            assert!(c.validate().is_err(), "batch_depth {depth} accepted");
+        }
     }
 
     #[test]
     fn pseudo_irq_tolerates_the_default_batch_depth() {
         let mut c = SimConfig::new(ArchConfig::simple_smp(2));
         c.pseudo_irq = true;
-        // Depth 8 still batches the frontends; the kernel side ignores it.
+        // Valid, but nothing batches: every port ring gets one slot.
         c.validate().unwrap();
     }
 }

@@ -210,13 +210,16 @@ impl SimBuilder {
         let notifier = Arc::new(Notifier::new());
         let cpu_states = Arc::new(CpuStates::new(ncpus));
         let devshared = Arc::new(DevShared::new());
-        // Rings must hold a full frontend batch, the OS thread's batched
-        // kernel events (its pending count persists across syscalls), and
-        // the blocking event that cuts the batch. The frontend waits
-        // while its OS thread runs, so the two never publish into one
-        // ring concurrently — capacity is the only constraint.
-        let batch_depth = config.backend.batch_depth;
-        let ring_cap = compass_comm::DEFAULT_RING_CAPACITY.max(2 * batch_depth + 1);
+        // The batch depth is the ring capacity. Every poster on a ring
+        // (the frontend, its OS thread, the daemon on its own) batches
+        // while the ring keeps a slot for the blocking cut, so a frontend
+        // batch and a kernel tail share one bound. Pseudo-IRQ delivery
+        // checks every reply: one slot, nothing batches.
+        let ring_cap = if config.pseudo_irq {
+            1
+        } else {
+            config.backend.batch_depth
+        };
         let ports: Vec<Arc<EventPort>> = (0..=nprocs)
             .map(|pid| {
                 let mut port = EventPort::with_capacity(
@@ -241,14 +244,6 @@ impl SimBuilder {
             counters: os_block.clone(),
             trace: trace.clone(),
         };
-        // Kernel-side batching at the frontends' depth: the OS threads'
-        // syscall path and the bottom-half daemon's interrupt handlers
-        // settle their kernel references through the port credit. Off
-        // wholesale under pseudo-IRQ delivery — interrupt handlers must
-        // see the authoritative clock and reply flags.
-        let kernel_perf = (!config.pseudo_irq && batch_depth > 1)
-            .then_some(compass_os::KernelPerfSetup { batch_depth });
-
         // --- Backend ---
         let mut backend = Backend::new(
             config.backend.clone(),
@@ -306,13 +301,7 @@ impl SimBuilder {
                     if let Some(seed) = schedule_seed {
                         exec.set_schedule_seed(seed);
                     }
-                    let os_server = OsServer::start(
-                        Arc::clone(&kernel),
-                        nprocs,
-                        os_obs,
-                        kernel_perf,
-                        &mut exec,
-                    );
+                    let os_server = OsServer::start(Arc::clone(&kernel), nprocs, os_obs, &mut exec);
                     os_server.start_daemon(
                         daemon_pid,
                         Arc::clone(&ports[daemon_pid.index()]),
@@ -331,7 +320,6 @@ impl SimBuilder {
                             if pseudo {
                                 cpu.enable_pseudo_irq();
                             }
-                            cpu.set_batch_depth(batch_depth);
                             if let Some(block) = fe_block {
                                 cpu.set_obs_counters(block);
                             }

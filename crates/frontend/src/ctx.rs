@@ -61,14 +61,6 @@ pub struct CpuCtx {
     /// Compute-only stretch bound: a Yield event is posted after this many
     /// un-evented cycles so the backend's clock bound keeps advancing.
     quantum: Cycles,
-    /// Event-batch depth: memory references and lock releases are
-    /// published non-blocking until the batch holds `batch_depth - 1` of
-    /// them; the next event rendezvouses and resynchronises the clock.
-    /// 1 = classic per-event rendezvous. The backend's credit accounting
-    /// makes results identical at any depth.
-    batch_depth: usize,
-    /// Non-blocking events published since the last rendezvous.
-    batch_pending: usize,
     /// Kernel batch credit folded by this process's first rendezvous since
     /// its last OS call returned (`None`: no rendezvous since) — the
     /// paired OS thread charges it to the call that batched it.
@@ -133,8 +125,6 @@ impl CpuCtx {
             sim_on: true,
             events_enabled: true,
             quantum: 20_000,
-            batch_depth: 1,
-            batch_pending: 0,
             kernel_folded: None,
             last_event_clock: 0,
             stats: FrontendStats::default(),
@@ -151,37 +141,12 @@ impl CpuCtx {
 
     /// Enables forwarding of pseudo interrupt requests (§3.2's user-mode
     /// delivery path) instead of leaving everything to the kernel daemon.
-    /// Pseudo-IRQ delivery checks every reply, so batching is forced off.
+    /// Pseudo-IRQ delivery checks every reply, so the runner gives such a
+    /// process a one-slot port ring: every event rendezvouses.
     pub fn enable_pseudo_irq(&mut self) {
         if let Mode::Sim { pseudo_irq, .. } = &mut self.mode {
             *pseudo_irq = true;
-            self.batch_depth = 1;
         }
-    }
-
-    /// Sets the event-batch depth: memory references and lock releases —
-    /// the events whose poster needs no answer — are appended to the
-    /// port ring without a rendezvous until a batch holds `depth` events
-    /// (the last posted blocking), or a lock acquire, barrier, control
-    /// event or OS call cuts the batch early. Depth 1 reproduces the classic
-    /// one-rendezvous-per-event protocol exactly; any depth produces the
-    /// same simulation results (see the backend engine docs). Clamped to
-    /// the port's ring capacity, and to 1 under pseudo-IRQ delivery.
-    pub fn set_batch_depth(&mut self, depth: usize) {
-        assert!(depth >= 1, "batch depth must be at least 1");
-        let cap = match &self.mode {
-            Mode::Sim {
-                port, pseudo_irq, ..
-            } => {
-                if *pseudo_irq {
-                    1
-                } else {
-                    port.capacity()
-                }
-            }
-            Mode::Raw { .. } => depth,
-        };
-        self.batch_depth = depth.min(cap);
     }
 
     /// The process clock in cycles.
@@ -217,7 +182,6 @@ impl CpuCtx {
                 pseudo_irq,
             } => {
                 self.stats.events += 1;
-                self.batch_pending = 0;
                 if let Some(c) = &self.obs {
                     c.inc(Ctr::FrontendPosts);
                 }
@@ -256,16 +220,22 @@ impl CpuCtx {
     }
 
     /// The batch-building fast path: publishes a memory reference or lock
-    /// release into the port ring without rendezvousing when the current
-    /// batch still has room, falling back to a blocking [`Self::post`] on
-    /// the batch's final event. The published time is the *raw* frontend clock — it lags
+    /// release — the events whose poster needs no answer — into the port
+    /// ring without rendezvousing while the ring has room
+    /// ([`EventPort::has_room`]: its capacity is the batch depth, and an
+    /// OS call's batched kernel tail counts against it), falling back to
+    /// a blocking [`Self::post`] on the batch's final event. A lock
+    /// acquire, barrier or control event cuts the batch early; an OS call
+    /// does not, so its kernel events queue behind the batch.
+    /// The published time is the *raw* frontend clock — it lags
     /// effective simulated time by the latencies of the unreplied events
     /// ahead of it, which the backend repairs with its per-process credit
-    /// (see the engine docs). `last_event_clock` still advances so the
-    /// compute-quantum Yield triggers at the same points as at depth 1.
+    /// (see the engine docs), so any depth produces the same results.
+    /// `last_event_clock` still advances so the compute-quantum Yield
+    /// triggers at the same points as at depth 1.
     fn post_mem(&mut self, body: EventBody) {
         if let Mode::Sim { port, .. } = &self.mode {
-            if self.batch_depth > 1 && self.batch_pending + 1 < self.batch_depth {
+            if port.has_room() {
                 self.stats.events += 1;
                 if let Some(c) = &self.obs {
                     c.inc(Ctr::FrontendPosts);
@@ -275,7 +245,6 @@ impl CpuCtx {
                     time: self.clock,
                     body,
                 });
-                self.batch_pending += 1;
                 self.last_event_clock = self.clock;
                 return;
             }

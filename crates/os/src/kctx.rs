@@ -32,6 +32,13 @@ pub trait EventSink: Send + Sync {
         let _ = self.post(ev);
     }
 
+    /// Room for one more [`Self::post_batched`] event while keeping a
+    /// slot for the blocking post that cuts the batch. Never for sinks
+    /// with no batching transport.
+    fn has_room(&self) -> bool {
+        false
+    }
+
     /// The batch credit folded into the reply [`Self::post`] just
     /// returned. None for sinks with no batching transport.
     fn folded(&self) -> Folded {
@@ -66,37 +73,23 @@ impl EventSink for PortSink {
         self.0.post_batched(ev);
     }
 
+    fn has_room(&self) -> bool {
+        self.0.has_room()
+    }
+
     fn folded(&self) -> Folded {
         self.0.folded()
-    }
-}
-
-/// How the OS server builds per-thread [`KernelPerf`] state: the kernel
-/// side of the one batch depth the frontends also use.
-#[derive(Clone)]
-pub struct KernelPerfSetup {
-    /// Kernel event-batch depth (1 = classic per-event rendezvous).
-    pub batch_depth: usize,
-}
-
-impl KernelPerfSetup {
-    /// Builds fresh per-pairing perf state.
-    pub fn build(&self) -> KernelPerf {
-        KernelPerf {
-            batch_depth: self.batch_depth.max(1),
-            batch_pending: 0,
-            batched_any: false,
-            tail: None,
-            settled: None,
-        }
     }
 }
 
 /// Per-OS-thread perf state: event batching for kernel contexts.
 ///
 /// On the syscall path kernel memory references and kernel-mode lock
-/// releases publish non-blocking; lock acquires, device commands and
-/// block/unblock rendezvous. A call whose last events were batched ends
+/// releases publish non-blocking while the port ring has room
+/// ([`EventSink::has_room`]: the ring's capacity is the batch depth, and
+/// the companion process's batch counts against it; at capacity 1
+/// nothing batches); lock acquires, device commands and block/unblock
+/// rendezvous. A call whose last events were batched ends
 /// before their latencies are known: that *tail* sits in the port credit
 /// until the next blocking reply folds it, and [`KernelPerf`] keeps its
 /// call's name so those cycles are charged to it then (see
@@ -113,11 +106,11 @@ impl KernelPerfSetup {
 /// clock at a drain would change which records `drain_*_until(kc.clock)`
 /// services and break bit-identity across batch depths; a settled clock
 /// cannot.
+#[derive(Default)]
 pub struct KernelPerf {
-    batch_depth: usize,
-    /// Non-blocking kernel events published since the last blocking post.
-    /// Persistent across syscalls (the pairing's ring occupancy bound):
-    /// once it reaches `batch_depth - 1` the next reference rendezvouses.
+    /// This context's non-blocking kernel events published since its last
+    /// blocking post (the ring may hold the companion's too). Persistent
+    /// across syscalls.
     batch_pending: usize,
     /// Whether the current syscall batched or left batched events — one
     /// `OsBatchedReplies` tick per such aggregated `Done`.
@@ -166,11 +159,10 @@ impl KernelPerf {
         self.settled.take()
     }
 
-    /// Room for one more non-blocking event: batching is on, no earlier
-    /// call's tail waits to be settled, and the ring keeps a slot for the
-    /// blocking post that cuts the batch.
-    fn has_room(&self) -> bool {
-        self.tail.is_none() && self.batch_depth > 1 && self.batch_pending + 1 < self.batch_depth
+    /// Room for one more non-blocking event: no earlier call's tail
+    /// waits to be settled, and the ring behind `sink` has room.
+    fn has_room(&self, sink: &dyn EventSink) -> bool {
+        self.tail.is_none() && sink.has_room()
     }
 }
 
@@ -303,7 +295,7 @@ impl<'a> KernelCtx<'a> {
     /// it blocking.
     fn post_nonblocking(&mut self, body: EventBody) {
         if let Some(p) = &mut self.perf {
-            if p.has_room() {
+            if p.has_room(self.sink) {
                 p.batch_pending += 1;
                 p.batched_any = true;
                 self.sink.post_batched(Event {
@@ -497,25 +489,33 @@ mod tests {
 
     /// Tallies blocking and batched posts of kernel events that cost 3
     /// cycles each, banking batched latencies as credit the way the
-    /// engine does.
+    /// engine does, in front of an 8-slot ring that every blocking post
+    /// drains.
     #[derive(Default)]
     struct Tally {
         blocking: AtomicU64,
         batched: AtomicU64,
         credit: AtomicU64,
         folded: AtomicU64,
+        /// Events in the ring: batched ones not yet drained.
+        occupancy: AtomicU64,
     }
 
     impl EventSink for Tally {
         fn post(&self, _ev: Event) -> Reply {
             self.blocking.fetch_add(1, Relaxed);
+            self.occupancy.store(0, Relaxed);
             let folded = self.credit.swap(0, Relaxed);
             self.folded.store(folded, Relaxed);
             Reply::latency(3 + folded)
         }
         fn post_batched(&self, _ev: Event) {
             self.batched.fetch_add(1, Relaxed);
+            self.occupancy.fetch_add(1, Relaxed);
             self.credit.fetch_add(3, Relaxed);
+        }
+        fn has_room(&self) -> bool {
+            self.occupancy.load(Relaxed) + 1 < 8
         }
         fn folded(&self) -> Folded {
             Folded {
@@ -533,9 +533,8 @@ mod tests {
 
     #[test]
     fn kernel_releases_batch_and_interrupt_releases_rendezvous() {
-        let setup = KernelPerfSetup { batch_depth: 8 };
         let sink = Tally::default();
-        let mut perf = setup.build();
+        let mut perf = KernelPerf::default();
         let mut kc =
             KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64).with_perf(&mut perf);
         kc.lock(VAddr(0xC000_0000));
@@ -552,7 +551,7 @@ mod tests {
         );
 
         let sink = Tally::default();
-        let mut perf = setup.build();
+        let mut perf = KernelPerf::default();
         let mut kc =
             KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Interrupt, 64).with_perf(&mut perf);
         kc.load(VAddr(0xC000_0000), 8);
@@ -568,7 +567,7 @@ mod tests {
     #[test]
     fn a_batched_tail_is_charged_to_the_call_that_left_it() {
         let sink = Tally::default();
-        let mut perf = KernelPerfSetup { batch_depth: 8 }.build();
+        let mut perf = KernelPerf::default();
         {
             let mut kc =
                 KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64).with_perf(&mut perf);
@@ -595,6 +594,25 @@ mod tests {
             "the companion's rendezvous drained the ring"
         );
         assert_eq!(perf.frontend_folded(Some(0)), None, "no tail left");
+    }
+
+    #[test]
+    fn kernel_events_share_the_ring_with_the_companions_batch() {
+        let sink = Tally::default();
+        // The companion process left five events batched before its call.
+        sink.occupancy.store(5, Relaxed);
+        let mut perf = KernelPerf::default();
+        let mut kc =
+            KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64).with_perf(&mut perf);
+        for i in 0..4 {
+            kc.load(VAddr(0xC000_0000 + 64 * i), 8);
+        }
+        assert_eq!(
+            sink.counts(),
+            (1, 3),
+            "two loads fill the ring, the third cuts it, the fourth batches again"
+        );
+        assert_eq!(kc.batch_pending(), 1, "only this context's own events");
     }
 
     #[test]

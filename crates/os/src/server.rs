@@ -13,7 +13,7 @@
 use crate::bufcache::BufCache;
 use crate::fs::{FdTables, FileData, FileSystem};
 use crate::handlers;
-use crate::kctx::{KernelCtx, KernelPerf, KernelPerfSetup, PortSink};
+use crate::kctx::{KernelCtx, KernelPerf, PortSink};
 use crate::kmem::KernelHeap;
 use crate::net::NetState;
 use crate::proto::{Errno, OsCall, OsMsg, OsRet, SysResult, SysVal};
@@ -346,23 +346,17 @@ pub struct OsServer {
     kernel: Arc<KernelShared>,
     slots: Vec<ThreadSlot>,
     obs: OsObs,
-    /// The kernel-side batching setup, shared by the OS threads and the
-    /// bottom-half daemon.
-    perf: Option<KernelPerfSetup>,
 }
 
 impl OsServer {
     /// Starts `nthreads` OS threads around `kernel` as tasks on `exec`,
-    /// with observability hooks and an optional kernel-side event-batching
-    /// setup for syscall-path kernel code. The setup is rebuilt into fresh
-    /// per-pairing state on every Connect; pseudo-IRQ delivery never uses
-    /// it, and the bottom-half daemon builds its own state from it (see
-    /// [`OsServer::start_daemon`]).
+    /// with observability hooks. Each OS thread batches its syscall-path
+    /// kernel events with fresh [`KernelPerf`] state per pairing, as deep
+    /// as its companion's port ring allows (see [`os_thread_main`]).
     pub fn start(
         kernel: Arc<KernelShared>,
         nthreads: usize,
         obs: OsObs,
-        perf: Option<KernelPerfSetup>,
         exec: &mut Executor,
     ) -> Arc<Self> {
         assert!(nthreads > 0);
@@ -376,17 +370,11 @@ impl OsServer {
             let port = Arc::clone(&slot.port);
             let k = Arc::clone(&kernel);
             let o = obs.clone();
-            let p = perf.clone();
             exec.spawn(Class::Os, obs.counters.clone(), move || {
-                os_thread_main(port, k, o, p)
+                os_thread_main(port, k, o)
             });
         }
-        Arc::new(Self {
-            kernel,
-            slots,
-            obs,
-            perf,
-        })
+        Arc::new(Self { kernel, slots, obs })
     }
 
     /// The shared kernel.
@@ -427,14 +415,13 @@ impl OsServer {
     /// task on `exec`. "Dedicated threads can be scheduled to simulate
     /// bottom half kernel activities." (§3.1)
     ///
-    /// The daemon's interrupt context batches with the OS threads' setup:
+    /// The daemon's interrupt context batches as deep as `port`'s ring:
     /// handler drains run `until(kc.clock)`, which the batching protocol's
     /// settled-at-drain invariant keeps exact.
     pub fn start_daemon(&self, daemon_pid: ProcessId, port: Arc<EventPort>, exec: &mut Executor) {
         let k = Arc::clone(&self.kernel);
-        let perf = self.perf.clone();
         exec.spawn(Class::BottomHalf, self.obs.counters.clone(), move || {
-            daemon_main(daemon_pid, port, k, perf)
+            daemon_main(daemon_pid, port, k)
         });
     }
 }
@@ -465,19 +452,13 @@ fn charge_settled(kernel: &KernelShared, settled: Option<(&'static str, Cycles)>
 /// One OS thread: waits for pairing, then serves calls until Exit, then
 /// returns to "single". It runs until its task is cancelled at teardown.
 ///
-/// `perf` (when configured) batches kernel-mode events for the
-/// **syscall path only** here: pseudo IRQs run interrupt handlers whose
-/// postbox drains depend on the authoritative clock, so they keep the
-/// per-event protocol (the daemon batches in its own context, see
-/// [`daemon_main`]).
-fn os_thread_main(
-    port: Arc<ReqPort<OsMsg, OsRet>>,
-    kernel: Arc<KernelShared>,
-    obs: OsObs,
-    perf: Option<KernelPerfSetup>,
-) {
+/// Its [`KernelPerf`] batches kernel-mode events for the **syscall path
+/// only**: pseudo IRQs run interrupt handlers whose postbox drains depend
+/// on the authoritative clock, so they keep the per-event protocol (the
+/// daemon batches in its own context, see [`daemon_main`]).
+fn os_thread_main(port: Arc<ReqPort<OsMsg, OsRet>>, kernel: Arc<KernelShared>, obs: OsObs) {
     let mut paired: Option<(ProcessId, Arc<EventPort>)> = None;
-    let mut perf_state: Option<KernelPerf> = None;
+    let mut perf = KernelPerf::default();
     loop {
         match port.recv() {
             OsMsg::Connect { pid, port: eport } => {
@@ -485,7 +466,7 @@ fn os_thread_main(
                 paired = Some((pid, eport));
                 // Fresh batching state per pairing: a new process shares
                 // nothing with the previous tenant.
-                perf_state = perf.as_ref().map(KernelPerfSetup::build);
+                perf = KernelPerf::default();
                 port.respond(OsRet::Connected);
             }
             OsMsg::Call {
@@ -495,12 +476,10 @@ fn os_thread_main(
             } => {
                 let (pid, eport) = paired.as_ref().expect("call before pairing");
                 let sink = PortSink(Arc::clone(eport));
+                charge_settled(&kernel, perf.frontend_folded(folded));
                 let mut kc =
-                    KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran);
-                if let Some(p) = perf_state.as_mut() {
-                    charge_settled(&kernel, p.frontend_folded(folded));
-                    kc = kc.with_perf(p);
-                }
+                    KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran)
+                        .with_perf(&mut perf);
                 if let Some(c) = &obs.counters {
                     c.inc(Ctr::OsCalls);
                 }
@@ -510,11 +489,9 @@ fn os_thread_main(
                     Err(e) => Err(e),
                 };
                 let end_clock = kc.clock;
-                if let Some(p) = perf_state.as_mut() {
-                    if p.take_batched_any() {
-                        if let Some(c) = &obs.counters {
-                            c.inc(Ctr::OsBatchedReplies);
-                        }
+                if perf.take_batched_any() {
+                    if let Some(c) = &obs.counters {
+                        c.inc(Ctr::OsBatchedReplies);
                     }
                 }
                 if let Some(t) = &obs.trace {
@@ -538,12 +515,10 @@ fn os_thread_main(
             } => {
                 let (pid, eport) = paired.as_ref().expect("call before pairing");
                 let sink = PortSink(Arc::clone(eport));
+                charge_settled(&kernel, perf.frontend_folded(folded));
                 let mut kc =
-                    KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran);
-                if let Some(p) = perf_state.as_mut() {
-                    charge_settled(&kernel, p.frontend_folded(folded));
-                    kc = kc.with_perf(p);
-                }
+                    KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran)
+                        .with_perf(&mut perf);
                 let n = calls.len() as u64;
                 if let Some(c) = &obs.counters {
                     c.add(Ctr::OsCalls, n);
@@ -569,10 +544,8 @@ fn os_thread_main(
                 }
                 let end_clock = kc.clock;
                 let mut coalesced = n.saturating_sub(1);
-                if let Some(p) = perf_state.as_mut() {
-                    if p.take_batched_any() {
-                        coalesced += 1;
-                    }
+                if perf.take_batched_any() {
+                    coalesced += 1;
                 }
                 if coalesced > 0 {
                     if let Some(c) = &obs.counters {
@@ -607,12 +580,9 @@ fn os_thread_main(
                 });
             }
             OsMsg::Exit { folded } => {
-                if let Some(p) = perf_state.as_mut() {
-                    // The exit rendezvous folded the last call's tail.
-                    charge_settled(&kernel, p.frontend_folded(Some(folded)));
-                }
+                // The exit rendezvous folded the last call's tail.
+                charge_settled(&kernel, perf.frontend_folded(Some(folded)));
                 paired = None;
-                perf_state = None;
                 port.respond(OsRet::Bye);
             }
         }
@@ -622,27 +592,20 @@ fn os_thread_main(
 /// The bottom-half daemon: blocks until the backend signals device work,
 /// drains the postbox through the interrupt handlers, blocks again.
 ///
-/// With `perf` attached the handlers' kernel memory references ride the
-/// batched-event protocol instead of rendezvousing one at a time. This is
+/// The handlers' kernel memory references ride the batched-event
+/// protocol instead of rendezvousing one at a time. This is
 /// safe in interrupt mode because every device-queue drain and every raw
 /// `Block` post below happens at a settled point (`batch_pending == 0`):
 /// each handler body ends in blocking unlock/unblock posts that fold
 /// outstanding credit, so the daemon's clock is exact whenever it matters.
-fn daemon_main(
-    pid: ProcessId,
-    port: Arc<EventPort>,
-    kernel: Arc<KernelShared>,
-    perf: Option<KernelPerfSetup>,
-) {
+fn daemon_main(pid: ProcessId, port: Arc<EventPort>, kernel: Arc<KernelShared>) {
     // A poisoned port makes any kernel post unwind with SimAbort; the
     // daemon treats that like Shutdown — the backend is gone.
     let _ = absorb_abort(move || {
-        let mut perf_state = perf.as_ref().map(KernelPerfSetup::build);
+        let mut perf = KernelPerf::default();
         let sink = PortSink(port);
-        let mut kc = KernelCtx::new(pid, &sink, 0, ExecMode::Interrupt, kernel.cfg.touch_gran);
-        if let Some(p) = &mut perf_state {
-            kc = kc.with_perf(p);
-        }
+        let mut kc = KernelCtx::new(pid, &sink, 0, ExecMode::Interrupt, kernel.cfg.touch_gran)
+            .with_perf(&mut perf);
         // Announce ourselves to the backend.
         let r = sink.0.post(Event {
             pid,

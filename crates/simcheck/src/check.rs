@@ -7,8 +7,10 @@ use compass::{ObsConfig, PlacementPolicy, RunError, SchedPolicy, TraceLevel};
 
 /// Batch depths every scenario is replayed at; depth 1 (classic
 /// per-event rendezvous) is the baseline the others must match. The
-/// depth sets every poster at once: frontends, the OS threads' syscall
-/// path and the bottom-half daemon.
+/// depth is every port ring's capacity, so it sets every poster at once
+/// (frontends, the OS threads' syscall path and the bottom-half daemon),
+/// and the small depths run a frontend batch and a kernel tail into a
+/// full ring.
 pub const DEPTHS: [usize; 4] = [1, 4, 16, 64];
 
 /// Runs `sc` once at the given batch depth; `record` fills

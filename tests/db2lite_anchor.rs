@@ -61,8 +61,8 @@ struct Anchor {
 
 #[test]
 fn fixed_seed_db2lite_disk_results_are_pinned() {
-    // Baseline: the shipped default depth, 8.
-    let base = run_db2(8);
+    // Baseline: the shipped default depth, 64.
+    let base = run_db2(64);
 
     // Per-terminal transaction mix — a pure function of (seed, rank)
     // plus lock outcomes.
@@ -100,7 +100,7 @@ fn fixed_seed_db2lite_disk_results_are_pinned() {
     assert_eq!(b.soft_faults, 33, "soft fault count moved");
 
     // Bit-stability across an identical rerun.
-    let again = run_db2(8);
+    let again = run_db2(64);
     assert_eq!(
         base.terminals, again.terminals,
         "terminal stats not bit-stable"
@@ -115,7 +115,7 @@ fn fixed_seed_db2lite_disk_results_are_pinned() {
     // references and interrupt handlers settle the same latencies through
     // the port credit that the per-reference rendezvous charges directly
     // (see DESIGN.md).
-    for depth in [1, 64] {
+    for depth in [1, 8] {
         let twin = run_db2(depth);
         assert_eq!(
             base.terminals, twin.terminals,

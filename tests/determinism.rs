@@ -156,17 +156,22 @@ fn remap_process() -> impl FnMut(&mut CpuCtx) + Send {
 }
 
 /// Requires `build(depth)` to simulate byte-identically at every depth in
-/// `depths` to the classic depth-1 rendezvous.
+/// `depths` to the classic depth-1 rendezvous: the same `BackendStats`
+/// and the same per-syscall table.
 fn assert_depth_invariant(what: &str, depths: &[usize], build: impl Fn(usize) -> SimBuilder) {
     let bytes = |s: &BackendStats| format!("{s:#?}").into_bytes();
-    let d1 = build(1).run().backend;
+    let d1 = build(1).run();
     for &depth in depths {
-        let d = build(depth).run().backend;
-        assert_same(&d1, &d);
+        let d = build(depth).run();
+        assert_same(&d1.backend, &d.backend);
         assert_eq!(
-            bytes(&d1),
-            bytes(&d),
+            bytes(&d1.backend),
+            bytes(&d.backend),
             "{what}: depth {depth} stats not byte-identical to depth 1"
+        );
+        assert_eq!(
+            d1.syscalls, d.syscalls,
+            "{what}: depth {depth} syscall table differs from depth 1"
         );
     }
 }
@@ -208,6 +213,62 @@ fn batch_depth_does_not_change_the_simulation() {
             k.create_file("/data", FileData::Synthetic { len: 4 * 4096 });
         });
         b = b.add_process(remap_process());
+        b.config_mut().backend.batch_depth = d;
+        b
+    });
+    // Two posters on one ring: a user reference batched before a plain
+    // `os_call`, the call's batched kernel tail, then another user
+    // reference and the next call with no rendezvous in between. Once the
+    // readers have the file cached, a process cycling a lock rendezvouses
+    // at clocks just below theirs, so its bound holds a reader's tail in
+    // the ring until the reader resumes. The ring holds exactly `depth`
+    // events: a poster that counted only its own would overflow it.
+    assert_depth_invariant("frontend batch and kernel tail", &[2, 4], |d| {
+        let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
+            k.create_file("/f", FileData::Synthetic { len: 8 * 1024 });
+        });
+        b = b.add_process(|cpu: &mut CpuCtx| {
+            let seg = cpu.shmget(0x10C4, 4096);
+            let base = cpu.shmat(seg);
+            cpu.barrier(base + 128, 3);
+            for i in 0..400u64 {
+                cpu.lock(base);
+                cpu.store(base + 64, 8);
+                cpu.unlock(base);
+                cpu.compute(i % 3 * 10);
+            }
+        });
+        for p in 0..2u64 {
+            b = b.add_process(move |cpu: &mut CpuCtx| {
+                let seg = cpu.shmget(0x10C4, 4096);
+                let base = cpu.shmat(seg);
+                let buf = cpu.malloc_pages(4096);
+                let fd = match cpu.os_call(OsCall::Open {
+                    path: "/f".into(),
+                    create: false,
+                }) {
+                    Ok(SysVal::NewFd(fd)) => fd,
+                    other => panic!("{other:?}"),
+                };
+                let read = |cpu: &mut CpuCtx, off: u64| match cpu.os_call(OsCall::ReadAt {
+                    fd,
+                    off,
+                    len: 512,
+                    buf,
+                }) {
+                    Ok(SysVal::Data(_)) => {}
+                    other => panic!("{other:?}"),
+                };
+                read(cpu, 0);
+                read(cpu, 4096);
+                cpu.barrier(base + 128, 3);
+                for i in 0..16u64 {
+                    cpu.compute(100 + p);
+                    cpu.touch_range(buf + (i as u32 % 8) * 64, 64, 64, true);
+                    read(cpu, (i + p) % 2 * 4096);
+                }
+            });
+        }
         b.config_mut().backend.batch_depth = d;
         b
     });

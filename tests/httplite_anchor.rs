@@ -81,8 +81,8 @@ fn run_http(batch_depth: usize) -> Anchor {
 )]
 #[test]
 fn fixed_seed_httplite_results_are_pinned() {
-    // The baseline uses the default batch depth, 8.
-    let base = run_http(8);
+    // The baseline uses the default batch depth, 64.
+    let base = run_http(64);
 
     // Request mix: every trace entry served exactly once, the churn
     // schedule a pure function of the block ids, the connection count
@@ -114,7 +114,7 @@ fn fixed_seed_httplite_results_are_pinned() {
     assert_eq!(base.p99, 98_716_836, "p99 request latency moved");
 
     // Bit-stability across an identical rerun.
-    let again = run_http(8);
+    let again = run_http(64);
     assert_eq!(
         format!("{:#?}", base.report.backend),
         format!("{:#?}", again.report.backend),
@@ -125,7 +125,7 @@ fn fixed_seed_httplite_results_are_pinned() {
     // Depth twins: per-event posting everywhere (1) and deep batches
     // everywhere (64) are pure transport changes — both must replay to the
     // very same anchor.
-    for depth in [1, 64] {
+    for depth in [1, 8] {
         let twin = run_http(depth);
         assert_eq!(
             format!("{:#?}", base.report.backend),
@@ -153,14 +153,14 @@ fn fixed_seed_httplite_results_are_pinned() {
 fn audited_kernel_knob_twins_stay_bit_identical() {
     const SMALL_REQS: u32 = 8;
     const SMALL_CLIENTS: u32 = 2;
-    let base = run_http_sized(SMALL_REQS, SMALL_CLIENTS, 8);
+    let base = run_http_sized(SMALL_REQS, SMALL_CLIENTS, 64);
     assert_eq!(
         base.seen.completed,
         u64::from(SMALL_REQS),
         "a request was lost: {:?}",
         base.seen
     );
-    for depth in [1, 64] {
+    for depth in [1, 8] {
         let twin = run_http_sized(SMALL_REQS, SMALL_CLIENTS, depth);
         assert_eq!(
             format!("{:#?}", base.report.backend),

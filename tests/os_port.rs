@@ -269,10 +269,11 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
 /// read from the fine trace's pickups because counters merge across
 /// ports). The workload issues plain `os_call`s only — `os_call_batch`
 /// would tick `os_batched_replies` at any depth — and misses the buffer
-/// cache, so disk interrupts reach the daemon.
+/// cache, so disk interrupts reach the daemon. Under `pseudo_irq` every
+/// port ring has one slot, so nothing batches at any depth.
 #[test]
 fn one_batch_depth_reaches_every_poster() {
-    fn run_once(batch_depth: usize) -> (u64, u64, u64) {
+    fn run_once(batch_depth: usize, pseudo_irq: bool) -> (u64, u64, u64) {
         let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
             k.create_file("/f", compass_os::fs::FileData::Synthetic { len: 32 * 1024 });
         });
@@ -298,6 +299,7 @@ fn one_batch_depth_reaches_every_poster() {
         }
         let c = b.config_mut();
         c.backend.batch_depth = batch_depth;
+        c.pseudo_irq = pseudo_irq;
         c.obs = compass::ObsConfig::full(compass::TraceLevel::Fine);
         let r = b.run();
         assert!(
@@ -319,13 +321,20 @@ fn one_batch_depth_reaches_every_poster() {
             o.counter("ring_batched"),
         )
     }
-    let (os_batched, daemon_batched, ring_batched) = run_once(1);
     assert_eq!(
-        (os_batched, daemon_batched, ring_batched),
+        run_once(1, false),
         (0, 0, 0),
         "depth 1 must post every event blocking"
     );
-    let (os_batched, daemon_batched, _) = run_once(8);
+    let shipped = compass::SimConfig::new(ArchConfig::ccnuma(2, 2))
+        .backend
+        .batch_depth;
+    assert_eq!(
+        run_once(shipped, true),
+        (0, 0, 0),
+        "pseudo-IRQ delivery must post every event blocking"
+    );
+    let (os_batched, daemon_batched, _) = run_once(shipped, false);
     assert!(os_batched > 0, "the OS threads' syscall path never batched");
     assert!(daemon_batched > 0, "the bottom-half daemon never batched");
 }
