@@ -1,6 +1,5 @@
-//! User-space rendezvous: simulated processes, OS-server threads and the
-//! bottom-half daemon run as stackful coroutines on the backend's host
-//! thread.
+//! User-space rendezvous: simulated processes and the bottom-half daemon
+//! run as stackful coroutines on the backend's host thread.
 //!
 //! "The backend … only picks up an event generated by the frontend
 //! process with the smallest execution time value" (§2): whichever actor
@@ -10,12 +9,12 @@
 //! engine resumes directly — a register-saving stack switch of a few tens
 //! of nanoseconds.
 //!
-//! * The blocking primitives ([`crate::EventRing::post`],
-//!   [`crate::ReqPort::call`]/[`recv`](crate::ReqPort::recv)) register a
-//!   [`Waiter`] and call [`wait`]: inside a task that suspends back to the
-//!   executor; on an ordinary thread (unit tests, the benchmark's port
-//!   probes) it parks the thread. Waking pushes the task onto the ready
-//!   queue or unparks the thread.
+//! * The blocking primitives ([`crate::EventRing::post`], and
+//!   [`crate::ReqPort::call`]/[`recv`](crate::ReqPort::recv), which the
+//!   simulator no longer uses) register a [`Waiter`] and call [`wait`]:
+//!   inside a task that suspends back to the executor; on an ordinary
+//!   thread (unit tests, the benchmark's port probes) it parks the thread.
+//!   Waking pushes the task onto the ready queue or unparks the thread.
 //! * [`Executor::run_ready`] resumes ready tasks in the order they became
 //!   ready; each runs until it blocks or finishes. Under the
 //!   `check-invariants` feature a seeded random schedule is available
@@ -27,6 +26,9 @@
 //!   [`SimAbort`] unwind is an orderly teardown, anything else is kept for
 //!   the owner ([`Executor::take_panic`]). [`Executor::cancel_all`] makes
 //!   every suspended task unwind with `SimAbort` from its blocking call.
+//! * A timed task books its running time to its [`Class`]; kernel code a
+//!   process runs for itself switches the class for its duration
+//!   ([`enter_class`]).
 
 mod context;
 
@@ -48,7 +50,8 @@ use std::time::{Duration, Instant};
 pub enum Class {
     /// An application process (frontend).
     Frontend,
-    /// An OS-server thread.
+    /// Kernel code a process runs for itself: an OS call or a pseudo
+    /// interrupt ([`enter_class`]).
     Os,
     /// The bottom-half kernel daemon.
     BottomHalf,
@@ -137,11 +140,65 @@ impl Waiter {
 struct TaskCtx {
     waker: TaskWaker,
     cancelled: Cell<bool>,
+    /// The host-ledger class running time is booked to now.
+    class: Cell<Class>,
+    /// Where running time is booked (`None`: the task is not timed).
+    counters: Option<Arc<CounterBlock>>,
+    /// Since when running time has not been booked (timed tasks only).
+    since: Cell<Option<Instant>>,
+}
+
+impl TaskCtx {
+    /// Books the running time since the last booking to the current
+    /// class; returns its length in ns.
+    fn book(&self, now: Instant) -> u64 {
+        let (Some(c), Some(t)) = (&self.counters, self.since.replace(Some(now))) else {
+            return 0;
+        };
+        let ns = now.duration_since(t).as_nanos() as u64;
+        c.add(self.class.get().ctr(), ns);
+        ns
+    }
 }
 
 thread_local! {
     /// The task running on this thread, if any.
     static CURRENT: Cell<*const TaskCtx> = const { Cell::new(ptr::null()) };
+}
+
+/// Books the running task's host time to `class` until the returned
+/// scope drops, then to its previous class again. A no-op outside a task
+/// or in an untimed one (counters off).
+pub fn enter_class(class: Class) -> ClassScope {
+    let t = CURRENT.with(|c| c.get());
+    // SAFETY: see `Waiter::current`.
+    let Some(ctx) = (unsafe { t.as_ref() }).filter(|t| t.counters.is_some()) else {
+        return ClassScope { prev: None };
+    };
+    ctx.book(Instant::now());
+    ClassScope {
+        prev: Some(ctx.class.replace(class)),
+    }
+}
+
+/// The extent of an [`enter_class`] switch.
+#[must_use = "the class switch ends when the scope drops"]
+pub struct ClassScope {
+    prev: Option<Class>,
+}
+
+impl Drop for ClassScope {
+    fn drop(&mut self) {
+        let Some(prev) = self.prev else { return };
+        // A scope drops on the stack of the task that entered it, while
+        // that task runs.
+        let t = CURRENT.with(|c| c.get());
+        // SAFETY: see `Waiter::current`.
+        if let Some(ctx) = unsafe { t.as_ref() } {
+            ctx.book(Instant::now());
+            ctx.class.set(prev);
+        }
+    }
 }
 
 /// Blocks the caller until its [`Waiter`] is woken: a task suspends back
@@ -167,8 +224,8 @@ pub(crate) fn wait() {
 struct Slot {
     coro: Option<Coroutine>,
     ctx: Box<TaskCtx>,
+    /// The class the task was spawned with.
     class: Class,
-    counters: Option<Arc<CounterBlock>>,
     /// When the task last suspended (timed tasks only).
     suspended_at: Option<Instant>,
 }
@@ -229,9 +286,11 @@ impl Executor {
                     id,
                 },
                 cancelled: Cell::new(false),
+                class: Cell::new(class),
+                counters,
+                since: Cell::new(None),
             }),
             class,
-            counters,
             suspended_at: None,
         });
         self.live += 1;
@@ -282,22 +341,24 @@ impl Executor {
         let Some(coro) = slot.coro.as_mut() else {
             return; // a stale wake of a finished task
         };
-        let started = slot.counters.as_ref().map(|c| {
+        let started = slot.ctx.counters.as_ref().map(|c| {
             let now = Instant::now();
             if let (Class::Frontend, Some(t)) = (slot.class, slot.suspended_at) {
                 c.add(Ctr::CommWaitNs, now.duration_since(t).as_nanos() as u64);
             }
+            slot.ctx.since.set(Some(now));
             now
         });
         let prev = CURRENT.with(|c| c.replace(&*slot.ctx));
         let outcome = coro.resume();
         CURRENT.with(|c| c.set(prev));
-        if let (Some(t0), Some(c)) = (started, &slot.counters) {
+        if let Some(t0) = started {
+            // Class switches inside the task booked their share already;
+            // the rest goes to the class it suspended in.
             let now = Instant::now();
-            let ns = now.duration_since(t0).as_nanos() as u64;
-            c.add(slot.class.ctr(), ns);
+            slot.ctx.book(now);
+            self.busy_ns += now.duration_since(t0).as_nanos() as u64;
             slot.suspended_at = Some(now);
-            self.busy_ns += ns;
         }
         let Some(result) = outcome else { return };
         self.slots[id].coro = None;

@@ -1,9 +1,10 @@
-//! The simulation runner: builds the communicator, the backend, the OS
-//! server (threads + bottom-half daemon) and the frontend processes, runs
-//! to completion, and collects every statistic.
+//! The simulation runner: builds the communicator, the backend, the shared
+//! kernel with its bottom-half daemon, and the frontend processes, runs to
+//! completion, and collects every statistic.
 //!
 //! One host thread, `compass-backend`, runs the whole simulation: the
-//! frontends, OS threads and daemon are tasks on its executor (see
+//! frontends (which run their own OS calls) and the daemon are tasks on
+//! its executor (see
 //! [`compass_comm::coro`]), resumed by the engine whenever it needs their
 //! next event — the paper's single backend process, with no other
 //! simulator threads.
@@ -19,7 +20,7 @@ use compass_isa::{Cycles, ProcessId};
 use compass_obs::{Ctr, ObsHub, ObsReport, ProgressFn, TraceBuffer, TraceHandle};
 use compass_os::bufcache::BufStats;
 use compass_os::net::NetStats;
-use compass_os::{KernelShared, OsObs, OsServer};
+use compass_os::{KernelShared, OsObs};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -211,7 +212,7 @@ impl SimBuilder {
         let cpu_states = Arc::new(CpuStates::new(ncpus));
         let devshared = Arc::new(DevShared::new());
         // The batch depth is the ring capacity. Every poster on a ring
-        // (the frontend, its OS thread, the daemon on its own) batches
+        // (the frontend and its OS calls, the daemon on its own) batches
         // while the ring keeps a slot for the blocking cut, so a frontend
         // batch and a kernel tail share one bound. Pseudo-IRQ delivery
         // checks every reply: one slot, nothing batches.
@@ -301,28 +302,28 @@ impl SimBuilder {
                     if let Some(seed) = schedule_seed {
                         exec.set_schedule_seed(seed);
                     }
-                    let os_server = OsServer::start(Arc::clone(&kernel), nprocs, os_obs, &mut exec);
-                    os_server.start_daemon(
+                    compass_os::start_daemon(
+                        &kernel,
                         daemon_pid,
                         Arc::clone(&ports[daemon_pid.index()]),
+                        os_obs.counters.clone(),
                         &mut exec,
                     );
                     for (pid, mut body, fe_block) in frontend_setup {
                         let port = Arc::clone(&ports[pid]);
-                        let os_server = Arc::clone(&os_server);
+                        let kernel = Arc::clone(&kernel);
                         let cpu_states = Arc::clone(&cpu_states);
+                        let os_obs = os_obs.clone();
                         let timing = timing.clone();
                         let results = Arc::clone(&results);
                         exec.spawn(Class::Frontend, fe_block.clone(), move || {
                             let pid_id = ProcessId(pid as u32);
-                            let os = os_server.connect(pid_id, Arc::clone(&port));
-                            let mut cpu = CpuCtx::simulated(pid_id, port, os, cpu_states, timing);
+                            let mut cpu =
+                                CpuCtx::simulated(pid_id, port, kernel, cpu_states, timing);
                             if pseudo {
                                 cpu.enable_pseudo_irq();
                             }
-                            if let Some(block) = fe_block {
-                                cpu.set_obs_counters(block);
-                            }
+                            cpu.set_obs(fe_block, os_obs);
                             // A poisoned port unwinds this task with
                             // SimAbort; the backend reports the error.
                             cpu.start();
@@ -345,8 +346,9 @@ impl SimBuilder {
                                 })
                             }
                         };
-                    // Let exited frontends unpair, then unwind every task
-                    // still suspended (idle OS threads; on error, all).
+                    // Run the tasks still ready to their end, then unwind
+                    // every task still suspended (the daemon; on error,
+                    // all).
                     exec.cancel_all();
                     (outcome, exec.take_panic(), exec.busy_ns())
                 })

@@ -1,15 +1,18 @@
 //! `CpuCtx`: the per-process execution context and instrumentation API.
 
+use compass_comm::coro::enter_class;
 use compass_comm::{
-    CpuStates, CtlOp, Event, EventBody, EventPort, ExecMode, MemRefKind, Reply, ReplyData,
-    SimAbort, SyncOp,
+    Class, CpuStates, CtlOp, Event, EventBody, EventPort, ExecMode, MemRefKind, Reply, ReplyData,
+    SyncOp,
 };
 use compass_isa::{BlockCost, CpuId, Cycles, InstClass, ProcessId, SegId, TimingModel};
 use compass_mem::addr::HEAP_BASE;
 use compass_mem::{ShmError, SimAlloc, VAddr};
-use compass_obs::{CounterBlock, Ctr};
-use compass_os::kctx::{KernelCtx, RawSink};
-use compass_os::{KernelShared, OsCall, OsConn, SysResult};
+use compass_obs::{CounterBlock, Ctr, TraceKind, TraceRec};
+use compass_os::{
+    handlers, syscalls, EventSink, KernelCtx, KernelPerf, KernelShared, OsCall, OsObs, PortSink,
+    RawSink, SysResult,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -20,7 +23,8 @@ pub struct FrontendStats {
     pub events: u64,
     /// OS calls issued.
     pub os_calls: u64,
-    /// Pseudo interrupt requests forwarded to the OS thread.
+    /// Pseudo interrupts (§3.2): times the process found the interrupt
+    /// request flag on a reply and ran the pending handlers itself.
     pub pseudo_irqs: u64,
     /// References suppressed by the simulation ON/OFF switch or the
     /// event-generation flag.
@@ -28,18 +32,17 @@ pub struct FrontendStats {
 }
 
 enum Mode {
-    /// Full simulation: event port to the backend, OS port to the paired
-    /// OS thread.
+    /// Full simulation: user and kernel events go to the backend through
+    /// the process's event port.
     Sim {
-        port: Arc<EventPort>,
-        os: OsConn,
+        port: PortSink,
         cpu_states: Arc<CpuStates>,
-        /// Forward pseudo interrupt requests on the flag (§3.2). Off by
-        /// default: the kernel daemon services interrupts.
+        /// Run pseudo interrupts on the flag (§3.2). Off by default: the
+        /// kernel daemon services interrupts.
         pseudo_irq: bool,
     },
-    /// Raw execution: no events, OS calls served in-line.
-    Raw { kernel: Arc<KernelShared> },
+    /// Raw execution: no events; kernel code runs silently.
+    Raw,
 }
 
 /// The simulated process a workload runs on.
@@ -47,6 +50,12 @@ pub struct CpuCtx {
     /// This process.
     pub pid: ProcessId,
     mode: Mode,
+    /// The kernel this process's OS calls run in, on its own task.
+    kernel: Arc<KernelShared>,
+    /// Batching state of the process's syscall-path kernel code.
+    kperf: KernelPerf,
+    /// OS-call counters and trace records.
+    os_obs: OsObs,
     clock: Cycles,
     cpu: CpuId,
     timing: TimingModel,
@@ -61,10 +70,6 @@ pub struct CpuCtx {
     /// Compute-only stretch bound: a Yield event is posted after this many
     /// un-evented cycles so the backend's clock bound keeps advancing.
     quantum: Cycles,
-    /// Kernel batch credit folded by this process's first rendezvous since
-    /// its last OS call returned (`None`: no rendezvous since) — the
-    /// paired OS thread charges it to the call that batched it.
-    kernel_folded: Option<Cycles>,
     last_event_clock: Cycles,
     stats: FrontendStats,
     /// Observability counters (`None` = disabled): posts issued. (Host
@@ -87,37 +92,42 @@ impl<F: FnMut(&mut CpuCtx) + Send> Process for F {
 }
 
 impl CpuCtx {
-    /// Creates a fully simulated context.
+    /// Creates a fully simulated context posting on `port`, whose OS calls
+    /// run in `kernel`.
     pub fn simulated(
         pid: ProcessId,
         port: Arc<EventPort>,
-        os: OsConn,
+        kernel: Arc<KernelShared>,
         cpu_states: Arc<CpuStates>,
         timing: TimingModel,
     ) -> Self {
-        Self::new_inner(
-            pid,
-            Mode::Sim {
-                port,
-                os,
-                cpu_states,
-                pseudo_irq: false,
-            },
-            timing,
-        )
+        let mode = Mode::Sim {
+            port: PortSink(port),
+            cpu_states,
+            pseudo_irq: false,
+        };
+        Self::new_inner(pid, mode, kernel, timing)
     }
 
     /// Creates a raw (uninstrumented-baseline) context around a functional
     /// kernel. Raw runs must be single-process: nothing arbitrates
     /// concurrent functional access.
     pub fn raw(pid: ProcessId, kernel: Arc<KernelShared>, timing: TimingModel) -> Self {
-        Self::new_inner(pid, Mode::Raw { kernel }, timing)
+        Self::new_inner(pid, Mode::Raw, kernel, timing)
     }
 
-    fn new_inner(pid: ProcessId, mode: Mode, timing: TimingModel) -> Self {
+    fn new_inner(
+        pid: ProcessId,
+        mode: Mode,
+        kernel: Arc<KernelShared>,
+        timing: TimingModel,
+    ) -> Self {
         Self {
             pid,
             mode,
+            kernel,
+            kperf: KernelPerf::default(),
+            os_obs: OsObs::default(),
             clock: 0,
             cpu: CpuId(0),
             timing,
@@ -125,7 +135,6 @@ impl CpuCtx {
             sim_on: true,
             events_enabled: true,
             quantum: 20_000,
-            kernel_folded: None,
             last_event_clock: 0,
             stats: FrontendStats::default(),
             obs: None,
@@ -134,15 +143,17 @@ impl CpuCtx {
         }
     }
 
-    /// Attaches observability counters (setup time, before `start`).
-    pub fn set_obs_counters(&mut self, c: Arc<CounterBlock>) {
-        self.obs = Some(c);
+    /// Attaches observability hooks (setup time, before `start`): the
+    /// process's own post counters, and its OS calls' counters and trace.
+    pub fn set_obs(&mut self, counters: Option<Arc<CounterBlock>>, os: OsObs) {
+        self.obs = counters;
+        self.os_obs = os;
     }
 
-    /// Enables forwarding of pseudo interrupt requests (§3.2's user-mode
-    /// delivery path) instead of leaving everything to the kernel daemon.
-    /// Pseudo-IRQ delivery checks every reply, so the runner gives such a
-    /// process a one-slot port ring: every event rendezvouses.
+    /// Enables pseudo interrupts (§3.2's user-mode delivery path) instead
+    /// of leaving everything to the kernel daemon. Pseudo-IRQ delivery
+    /// checks every reply, so the runner gives such a process a one-slot
+    /// port ring: every event rendezvouses.
     pub fn enable_pseudo_irq(&mut self) {
         if let Mode::Sim { pseudo_irq, .. } = &mut self.mode {
             *pseudo_irq = true;
@@ -174,49 +185,63 @@ impl CpuCtx {
     // ------------------------------------------------------------------
 
     fn post(&mut self, body: EventBody) -> Reply {
-        match &self.mode {
-            Mode::Sim {
-                port,
-                os,
-                cpu_states,
-                pseudo_irq,
-            } => {
-                self.stats.events += 1;
-                if let Some(c) = &self.obs {
-                    c.inc(Ctr::FrontendPosts);
-                }
-                let reply = port.post(Event {
-                    pid: self.pid,
-                    time: self.clock,
-                    body,
-                });
-                if matches!(reply.data, ReplyData::Aborted) {
-                    // Port poisoned: the backend is gone (deadlock report
-                    // or teardown) and this event was never simulated.
-                    // Unwind the workload; the runner catches SimAbort.
-                    std::panic::panic_any(SimAbort);
-                }
-                self.clock += reply.latency;
-                self.last_event_clock = self.clock;
-                // Only the first rendezvous after an OS call can fold
-                // kernel credit: it drains the call's batched tail.
-                if self.kernel_folded.is_none() {
-                    self.kernel_folded = Some(port.folded().kernel);
-                }
-                if let ReplyData::Cpu { cpu } = reply.data {
-                    self.cpu = cpu;
-                }
-                // "We let the frontend process check the interrupt request
-                // flag before returning from the IPC subroutine." (§3.2)
-                if reply.irq_pending && *pseudo_irq && cpu_states.should_interrupt(self.cpu) {
-                    self.stats.pseudo_irqs += 1;
-                    self.clock = os.pseudo_irq(self.clock);
-                    self.last_event_clock = self.clock;
-                }
-                reply
-            }
-            Mode::Raw { .. } => Reply::latency(0),
+        let Mode::Sim {
+            port,
+            cpu_states,
+            pseudo_irq,
+        } = &self.mode
+        else {
+            return Reply::latency(0);
+        };
+        self.stats.events += 1;
+        if let Some(c) = &self.obs {
+            c.inc(Ctr::FrontendPosts);
         }
+        // A poisoned port (the backend is gone: deadlock report or
+        // teardown) unwinds the workload with SimAbort from here.
+        let reply = port.post(Event {
+            pid: self.pid,
+            time: self.clock,
+            body,
+        });
+        self.clock += reply.latency;
+        self.last_event_clock = self.clock;
+        // Only the first rendezvous after an OS call that left a batched
+        // kernel tail folds kernel credit: it drains that tail.
+        if self.kperf.pending() > 0 {
+            if let Some((name, cycles)) = self.kperf.frontend_folded(port.folded().kernel) {
+                self.kernel.stats.charge(name, cycles);
+            }
+        }
+        if let ReplyData::Cpu { cpu } = reply.data {
+            self.cpu = cpu;
+        }
+        // "We let the frontend process check the interrupt request flag
+        // before returning from the IPC subroutine." (§3.2)
+        if reply.irq_pending && *pseudo_irq && cpu_states.should_interrupt(self.cpu) {
+            self.pseudo_interrupt();
+        }
+        reply
+    }
+
+    /// Runs the pending interrupt handlers on this process's own task, in
+    /// interrupt mode — §3.2's pseudo interrupt. No [`KernelPerf`]: the
+    /// handlers' device-queue drains need an exact clock, so every event
+    /// rendezvouses.
+    fn pseudo_interrupt(&mut self) {
+        let Mode::Sim { port, .. } = &self.mode else {
+            return;
+        };
+        let _os = enter_class(Class::Os);
+        self.stats.pseudo_irqs += 1;
+        if let Some(c) = &self.os_obs.counters {
+            c.inc(Ctr::OsPseudoIrqs);
+        }
+        let gran = self.kernel.cfg.touch_gran;
+        let mut kc = KernelCtx::new(self.pid, port, self.clock, ExecMode::Interrupt, gran);
+        handlers::run_pending(&mut kc, &self.kernel);
+        self.clock = kc.clock;
+        self.last_event_clock = self.clock;
     }
 
     /// The batch-building fast path: publishes a memory reference or lock
@@ -235,12 +260,12 @@ impl CpuCtx {
     /// triggers at the same points as at depth 1.
     fn post_mem(&mut self, body: EventBody) {
         if let Mode::Sim { port, .. } = &self.mode {
-            if port.has_room() {
+            if port.0.has_room() {
                 self.stats.events += 1;
                 if let Some(c) = &self.obs {
                     c.inc(Ctr::FrontendPosts);
                 }
-                port.post_batched(Event {
+                port.0.post_batched(Event {
                     pid: self.pid,
                     time: self.clock,
                     body,
@@ -278,14 +303,11 @@ impl CpuCtx {
         self.post(EventBody::Ctl(CtlOp::Start));
     }
 
-    /// Last act: release the CPU and unpair from the OS thread.
+    /// Last act: release the CPU.
     pub fn exit(&mut self) {
         assert!(self.started && !self.exited, "exit() without start()");
         self.exited = true;
         self.post(EventBody::Ctl(CtlOp::Exit));
-        if let Mode::Sim { os, .. } = &self.mode {
-            os.exit(self.kernel_folded.take().unwrap_or(0));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -497,75 +519,41 @@ impl CpuCtx {
     // OS stubs (§3.1) and control-flag management (§4.1)
     // ------------------------------------------------------------------
 
-    /// Issues an OS call through the stub: simulated mode forwards to the
-    /// paired OS thread; raw mode runs the same kernel code silently.
+    /// Issues an OS call through the stub: the kernel code runs on this
+    /// process's own task, posting kernel-mode events on its event port
+    /// (raw mode runs the same code silently), and its host time books
+    /// to the OS class of the ledger.
     pub fn os_call(&mut self, call: OsCall) -> SysResult {
+        let _os = enter_class(Class::Os);
         self.stats.os_calls += 1;
-        match &self.mode {
-            Mode::Sim { os, .. } => {
-                let (clock, result) = os.call(self.clock, self.kernel_folded.take(), call);
-                if result == Err(compass_os::Errno::Aborted) {
-                    // The OS thread's kernel code hit a poisoned port:
-                    // the call was never simulated and no workload can
-                    // meaningfully continue. Unwind like a direct post.
-                    std::panic::panic_any(SimAbort);
-                }
-                self.clock = clock;
-                self.last_event_clock = self.clock;
-                result
-            }
-            Mode::Raw { kernel } => {
-                let sink = RawSink;
-                let mut kc = KernelCtx::new(
-                    self.pid,
-                    &sink,
-                    self.clock,
-                    ExecMode::Kernel,
-                    kernel.cfg.touch_gran,
-                );
-                let result = compass_os::syscalls::dispatch(&mut kc, kernel, call);
-                self.clock = kc.clock;
-                result
+        let sink: &dyn EventSink = match &self.mode {
+            Mode::Sim { port, .. } => port,
+            Mode::Raw => &RawSink,
+        };
+        let name = call.name();
+        let start = self.clock;
+        let gran = self.kernel.cfg.touch_gran;
+        let mut kc = KernelCtx::new(self.pid, sink, start, ExecMode::Kernel, gran)
+            .with_perf(&mut self.kperf);
+        let result = syscalls::dispatch(&mut kc, &self.kernel, call);
+        self.clock = kc.clock;
+        self.last_event_clock = self.clock;
+        if let Some(c) = &self.os_obs.counters {
+            c.inc(Ctr::OsCalls);
+            if self.kperf.take_batched_any() {
+                c.inc(Ctr::OsBatchedReplies);
             }
         }
-    }
-
-    /// Issues several adjacent OS calls in one port crossing (ISSUE 6).
-    /// Only for call sites with no user work between the calls — the
-    /// simulated timeline is then identical to issuing them one at a
-    /// time, and the single aggregated reply saves n-1 rendezvous.
-    pub fn os_call_batch(&mut self, calls: Vec<OsCall>) -> Vec<SysResult> {
-        if calls.is_empty() {
-            return Vec::new();
-        }
-        self.stats.os_calls += calls.len() as u64;
-        match &self.mode {
-            Mode::Sim { os, .. } => {
-                let (clock, results) = os.call_batch(self.clock, self.kernel_folded.take(), calls);
-                if results.contains(&Err(compass_os::Errno::Aborted)) {
-                    std::panic::panic_any(SimAbort);
-                }
-                self.clock = clock;
-                self.last_event_clock = self.clock;
-                results
-            }
-            Mode::Raw { kernel } => {
-                let sink = RawSink;
-                let mut kc = KernelCtx::new(
-                    self.pid,
-                    &sink,
-                    self.clock,
-                    ExecMode::Kernel,
-                    kernel.cfg.touch_gran,
-                );
-                let results = calls
-                    .into_iter()
-                    .map(|call| compass_os::syscalls::dispatch(&mut kc, kernel, call))
-                    .collect();
-                self.clock = kc.clock;
-                results
+        if let Some(t) = &self.os_obs.trace {
+            if t.wants(TraceKind::OsCall) {
+                let mut r = TraceRec::new(start, self.pid.0, TraceKind::OsCall);
+                r.a = start;
+                r.b = self.clock - start;
+                r.tag = name;
+                t.record(r);
             }
         }
+        result
     }
 
     /// `mmap(path, len)`: allocates a region in the process's simulated

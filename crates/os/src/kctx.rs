@@ -5,7 +5,9 @@
 //! are sent to the backend through the event port of the thread, which is
 //! the same event port of its companion application process." (§3.1)
 //!
-//! A `KernelCtx` carries the companion process's identity and logical
+//! Here the process runs its kernel code itself, on its own task, so
+//! those events go through its own event port with no OS thread between.
+//! A `KernelCtx` carries the calling process's identity and logical
 //! clock; every kernel load/store/lock posts a kernel-mode event through an
 //! [`EventSink`]. The sink is either the real event port ([`PortSink`]) or
 //! a no-op ([`RawSink`]) used by *raw* runs — the paper's uninstrumented
@@ -52,7 +54,7 @@ pub trait EventSink: Send + Sync {
     }
 }
 
-/// The real sink: the companion process's event port.
+/// The real sink: the calling process's event port.
 pub struct PortSink(pub Arc<EventPort>);
 
 impl EventSink for PortSink {
@@ -62,8 +64,8 @@ impl EventSink for PortSink {
             // The port was poisoned: the backend is gone and this event
             // was never simulated. Kernel code cannot make progress (many
             // paths would spin forever on instant zero-latency replies),
-            // so unwind the whole simulated thread; the OS server and the
-            // runner catch [`SimAbort`] at their thread boundaries.
+            // so unwind the whole simulated thread: the executor catches
+            // [`SimAbort`] at the bottom of its task.
             std::panic::panic_any(SimAbort);
         }
         r
@@ -82,12 +84,12 @@ impl EventSink for PortSink {
     }
 }
 
-/// Per-OS-thread perf state: event batching for kernel contexts.
+/// Per-process perf state: event batching for kernel contexts.
 ///
 /// On the syscall path kernel memory references and kernel-mode lock
 /// releases publish non-blocking while the port ring has room
 /// ([`EventSink::has_room`]: the ring's capacity is the batch depth, and
-/// the companion process's batch counts against it; at capacity 1
+/// the process's own user-mode batch counts against it; at capacity 1
 /// nothing batches); lock acquires, device commands and block/unblock
 /// rendezvous. A call whose last events were batched ends
 /// before their latencies are known: that *tail* sits in the port credit
@@ -109,11 +111,11 @@ impl EventSink for PortSink {
 #[derive(Default)]
 pub struct KernelPerf {
     /// This context's non-blocking kernel events published since its last
-    /// blocking post (the ring may hold the companion's too). Persistent
-    /// across syscalls.
+    /// blocking post (the ring may hold the process's user-mode events
+    /// too). Persistent across syscalls.
     batch_pending: usize,
     /// Whether the current syscall batched or left batched events — one
-    /// `OsBatchedReplies` tick per such aggregated `Done`.
+    /// `OsBatchedReplies` tick per such call.
     batched_any: bool,
     /// The call whose batched tail is still unfolded. Invariant between
     /// calls: `tail.is_some()` exactly when `batch_pending > 0`. While it
@@ -125,28 +127,27 @@ pub struct KernelPerf {
 }
 
 impl KernelPerf {
-    /// True when the syscall that just ran published batched events (its
-    /// reply aggregates their latencies into the port credit).
+    /// True when the syscall that just ran published batched events
+    /// (their latencies wait in the port credit).
     pub fn take_batched_any(&mut self) -> bool {
         std::mem::take(&mut self.batched_any)
     }
 
-    /// Outstanding non-blocking kernel events (tests/diagnostics).
+    /// Outstanding non-blocking kernel events: between calls, nonzero
+    /// exactly while the last call's tail is unsettled.
     pub fn pending(&self) -> usize {
         self.batch_pending
     }
 
-    /// A request from the companion process arrives. `folded` is the
-    /// kernel credit its own blocking replies folded since its last call
-    /// returned, or `None` if it has not rendezvoused since. In the first
-    /// case the ring holds none of this context's events and the last
-    /// call's tail is settled: the return value, which the caller charges
-    /// to that call. In the second the tail is still in the credit and
-    /// the next kernel event settles it.
-    pub fn frontend_folded(&mut self, folded: Option<Cycles>) -> Option<(&'static str, Cycles)> {
-        let cycles = folded?;
+    /// The process's own user-mode code rendezvoused, and the reply folded
+    /// `folded` cycles of kernel credit. Only its first rendezvous after a
+    /// call with a tail folds any: the ring then holds none of this
+    /// context's events and the tail is settled — the return value, which
+    /// the caller charges to that call. Until then the tail stays in the
+    /// credit, and a next call's first kernel event settles it instead.
+    pub fn frontend_folded(&mut self, folded: Cycles) -> Option<(&'static str, Cycles)> {
         self.batch_pending = 0;
-        self.tail.take().map(|name| (name, cycles))
+        self.tail.take().map(|name| (name, folded))
     }
 
     /// A call named `name` ends: it owns the tail if it left batched
@@ -187,7 +188,7 @@ impl EventSink for RawSink {
 
 /// Execution context for kernel code running on behalf of a process.
 pub struct KernelCtx<'a> {
-    /// The companion process.
+    /// The process the kernel code runs for.
     pub pid: ProcessId,
     sink: &'a dyn EventSink,
     /// The process's logical clock, advanced by kernel execution.
@@ -200,7 +201,7 @@ pub struct KernelCtx<'a> {
     /// Cycles on `clock` that are not this context's own CPU time, and so
     /// are excluded from per-syscall accounting: blocked waits (the
     /// paper's profiles exclude I/O wait), batch credit its blocking
-    /// replies fold for the companion's user-mode events, and an earlier
+    /// replies fold for the process's user-mode events, and an earlier
     /// call's settled tail.
     pub excluded: Cycles,
     /// Batching state for syscall-dispatch contexts; `None` keeps the classic one-rendezvous-per-event protocol.
@@ -394,7 +395,7 @@ impl<'a> KernelCtx<'a> {
         self.post(EventBody::Dev(cmd)).0.data
     }
 
-    /// Blocks the companion process until a wakeup names it. No-op in raw
+    /// Blocks the calling process until a wakeup names it. No-op in raw
     /// mode (device data is functionally available immediately there).
     pub fn block(&mut self, reason: BlockReason) {
         if self.sink.is_simulated() {
@@ -581,25 +582,21 @@ mod tests {
             assert_eq!(counts, (1, 1), "the first event after a tail rendezvouses");
             assert_eq!(kc.end_call("second"), Some(("first", 3)));
             assert_eq!(kc.excluded, 3, "the tail is not the second call's time");
-            // A tail the companion process folds comes with its next
-            // request.
+            // A tail the process's own user-mode code folds is settled
+            // at that rendezvous.
             kc.load(VAddr(0xC000_0080), 8);
             assert_eq!(kc.end_call("third"), None);
         }
-        assert_eq!(perf.frontend_folded(None), None, "not folded yet");
-        assert_eq!(perf.frontend_folded(Some(3)), Some(("third", 3)));
-        assert_eq!(
-            perf.pending(),
-            0,
-            "the companion's rendezvous drained the ring"
-        );
-        assert_eq!(perf.frontend_folded(Some(0)), None, "no tail left");
+        assert_eq!(perf.pending(), 1, "the third call's tail is unsettled");
+        assert_eq!(perf.frontend_folded(3), Some(("third", 3)));
+        assert_eq!(perf.pending(), 0, "the process's rendezvous drained the ring");
+        assert_eq!(perf.frontend_folded(0), None, "no tail left");
     }
 
     #[test]
-    fn kernel_events_share_the_ring_with_the_companions_batch() {
+    fn kernel_events_share_the_ring_with_the_processs_own_batch() {
         let sink = Tally::default();
-        // The companion process left five events batched before its call.
+        // The process left five user-mode events batched before its call.
         sink.occupancy.store(5, Relaxed);
         let mut perf = KernelPerf::default();
         let mut kc =

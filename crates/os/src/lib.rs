@@ -13,13 +13,13 @@
 //!
 //! Layout:
 //!
-//! * [`proto`] — the OS-port ABI (`OsMsg`/`OsRet`/`OsCall`) between
-//!   application stubs and OS threads;
+//! * [`proto`] — the system-call ABI (`OsCall`, `SysResult`) between
+//!   application stubs and the kernel;
 //! * [`kmem`] — the simulated kernel heap (kernel structures live at
 //!   simulated kernel addresses so their memory behaviour is simulated);
 //! * [`kctx`] — `KernelCtx`, the handle kernel code uses to emit
-//!   instrumented events (through the paired process's event port) or to
-//!   run silently in *raw* mode;
+//!   instrumented events (through the calling process's own event port)
+//!   or to run silently in *raw* mode;
 //! * [`waitq`] — kernel sleep/wakeup channels;
 //! * [`bufcache`] — the disk buffer cache;
 //! * [`fs`] — inodes, directories, per-process descriptor tables;
@@ -29,8 +29,14 @@
 //!   accounting;
 //! * [`handlers`] — bottom-half interrupt handlers (disk, Ethernet,
 //!   interval timer);
-//! * [`server`] — the OS-thread pool, the pairing protocol, and the
-//!   bottom-half kernel daemon.
+//! * [`server`] — the shared kernel and the bottom-half kernel daemon.
+//!
+//! The paper's one-to-one process/OS-thread mapping is a function call
+//! here: every simulated entity is a coroutine on the backend's host
+//! thread, so a process runs its system calls and pseudo interrupts on
+//! its own task (`CpuCtx::os_call`), posting kernel-mode events on its
+//! own event port — the port the paper's OS thread would have used.
+//! The kernel state all of them share is one [`KernelShared`].
 
 pub mod bufcache;
 pub mod fs;
@@ -44,5 +50,5 @@ pub mod syscalls;
 pub mod waitq;
 
 pub use kctx::{EventSink, KernelCtx, KernelPerf, PortSink, RawSink};
-pub use proto::{Errno, Fd, OsCall, OsMsg, OsRet, SysResult, SysVal};
-pub use server::{KernelConfig, KernelShared, OsConn, OsObs, OsServer, SyscallStats};
+pub use proto::{Errno, Fd, OsCall, SysResult, SysVal};
+pub use server::{start_daemon, KernelConfig, KernelShared, OsObs, SyscallStats};

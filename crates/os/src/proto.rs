@@ -1,23 +1,18 @@
-//! The OS-port protocol between application stubs and OS threads.
+//! The system-call ABI between application stubs and the kernel.
 //!
 //! "The COMPASS instrumentor replaces all OS calls in a user application
 //! with COMPASS OS stubs. … If the stub finds that the call can be handled
 //! by an OS server, it sends the OS request, along with its arguments, to
-//! its 'companion' OS thread via the OS port. The application process then
-//! halts. … The OS thread returns the OS call by sending the result and/or
-//! the error code back to the application process after which the
-//! application process resumes execution." (§3.1)
+//! its 'companion' OS thread via the OS port." (§3.1)
 //!
-//! The process's logical clock travels with each request and response:
-//! while the OS thread executes kernel code it advances the clock by
-//! posting kernel-mode events on the *process's own* event port, and the
-//! stub adopts the advanced clock on return.
+//! Here the stub (`CpuCtx::os_call`) runs the kernel code itself, on the
+//! calling process's own task: an [`OsCall`] goes in, a [`SysResult`]
+//! comes out, and the process's logical clock advances by the kernel-mode
+//! events the call posted on the process's own event port.
 
-use compass_comm::EventPort;
-use compass_isa::{ConnId, Cycles, ProcessId};
+use compass_isa::{ConnId, Cycles};
 use compass_mem::VAddr;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A per-process file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -42,9 +37,6 @@ pub enum Errno {
     Inval,
     /// Out of (simulated) memory — shm frame exhaustion.
     NoMem,
-    /// The simulation is tearing down (backend gone, port poisoned); the
-    /// call was not simulated and the caller must unwind.
-    Aborted,
 }
 
 impl std::fmt::Display for Errno {
@@ -267,80 +259,6 @@ pub enum SysVal {
 
 /// Result of a system call.
 pub type SysResult = Result<SysVal, Errno>;
-
-/// Messages an application (or the server manager) sends to an OS thread.
-pub enum OsMsg {
-    /// Pairing request: "An OS thread will receive the request and bind
-    /// itself to the frontend process. … the application process also
-    /// passes its own event port setting to the OS thread." (§3.1)
-    Connect {
-        /// The requesting process.
-        pid: ProcessId,
-        /// Its event port, which the OS thread will use for kernel events.
-        port: Arc<EventPort>,
-    },
-    /// A system call, carrying the process clock.
-    Call {
-        /// Process execution-time counter at the call site.
-        clock: Cycles,
-        /// Kernel batch credit the process's own blocking replies folded
-        /// since its last call returned; `None` if it has not rendezvoused
-        /// since (see `KernelPerf::frontend_folded`).
-        folded: Option<Cycles>,
-        /// The call.
-        call: OsCall,
-    },
-    /// Several adjacent system calls in one port crossing (ISSUE 6): the
-    /// OS thread dispatches them back-to-back on one kernel context and
-    /// the single reply coalesces every result. Semantically identical to
-    /// the same calls issued one at a time with nothing in between — the
-    /// stub only uses it where no user event separates the calls.
-    CallBatch {
-        /// Process clock at the first call site.
-        clock: Cycles,
-        /// As for [`OsMsg::Call`].
-        folded: Option<Cycles>,
-        /// The calls, executed in order.
-        calls: Vec<OsCall>,
-    },
-    /// Pseudo interrupt request (§3.2): the frontend saw the interrupt
-    /// flag; the OS thread runs the handlers.
-    PseudoIrq {
-        /// Process clock at the check.
-        clock: Cycles,
-    },
-    /// "When the frontend process exits, it sends an EXIT message to its
-    /// OS thread counterpart. The OS thread becomes 'single' again."
-    Exit {
-        /// Kernel batch credit folded since the last call returned (the
-        /// exit event always rendezvouses, so this is never unknown).
-        folded: Cycles,
-    },
-}
-
-/// OS-thread responses.
-#[derive(Debug)]
-pub enum OsRet {
-    /// Pairing accepted.
-    Connected,
-    /// Call finished; the stub adopts the advanced clock.
-    Done {
-        /// Process clock after the kernel code ran.
-        clock: Cycles,
-        /// The result.
-        result: SysResult,
-    },
-    /// A [`OsMsg::CallBatch`] finished: one aggregated reply, one result
-    /// per call in order.
-    DoneBatch {
-        /// Process clock after every call ran.
-        clock: Cycles,
-        /// Per-call results.
-        results: Vec<SysResult>,
-    },
-    /// Acknowledges Exit.
-    Bye,
-}
 
 #[cfg(test)]
 mod tests {

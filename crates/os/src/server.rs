@@ -1,14 +1,15 @@
-//! The OS server: shared kernel state, the OS-thread pool, the pairing
-//! protocol, and the bottom-half kernel daemon.
+//! The OS server: shared kernel state and the bottom-half kernel daemon.
 //!
 //! "Upon starting, the OS server spawns a pool of *OS threads*. … Initially
 //! all OS threads are said to be in the 'single' state because they are
-//! not bound to any user process. Each thread monitors its own OS port,
-//! waiting for a *connection request* from a frontend process." (§3.1)
-//!
-//! OS threads and the daemon are tasks on the backend's executor
-//! ([`compass_comm::coro`]); they block only in their OS port and event
-//! port, and never while holding a host lock on kernel state.
+//! not bound to any user process." (§3.1) The paper pairs each process
+//! with an OS thread because its frontends were separate UNIX processes.
+//! Here every simulated entity is a task on the backend's executor
+//! ([`compass_comm::coro`]), so a process runs its system calls and
+//! pseudo interrupts on its own task (`CpuCtx::os_call`) over the same
+//! [`KernelShared`], and there is no pool and no pairing. The daemon is
+//! the one kernel task of its own; it blocks only in its event port, and
+//! never while holding a host lock on kernel state.
 
 use crate::bufcache::BufCache;
 use crate::fs::{FdTables, FileData, FileSystem};
@@ -16,26 +17,23 @@ use crate::handlers;
 use crate::kctx::{KernelCtx, KernelPerf, PortSink};
 use crate::kmem::KernelHeap;
 use crate::net::NetState;
-use crate::proto::{Errno, OsCall, OsMsg, OsRet, SysResult, SysVal};
-use crate::syscalls;
 use crate::waitq::{Chan, WaitQueues};
 use compass_comm::{
     BlockReason, Class, CtlOp, DevShared, Event, EventBody, EventPort, ExecMode, Executor,
-    ReplyData, ReqPort, SimAbort,
+    ReplyData, SimAbort,
 };
 use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::{VAddr, KERNEL_BASE};
-use compass_obs::{CounterBlock, Ctr, TraceHandle, TraceKind, TraceRec};
+use compass_obs::{CounterBlock, TraceHandle};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Observability hooks shared by every OS thread and the daemon. All
-/// fields optional: the default is fully disabled, costing one branch per
-/// hook site.
+/// Observability hooks of the processes' OS calls. All fields optional:
+/// the default is fully disabled, costing one branch per hook site.
 #[derive(Clone, Default)]
 pub struct OsObs {
     /// OS-call / pseudo-IRQ counters.
@@ -158,7 +156,8 @@ impl SyscallStats {
 
 /// The shared kernel: configuration, simulated heap, functional
 /// subsystems, wait queues, statistics. One instance is shared by every
-/// OS thread and the kernel daemon — the simulated kernel address space.
+/// process's kernel code and the kernel daemon — the simulated kernel
+/// address space.
 pub struct KernelShared {
     /// Cost parameters.
     pub cfg: KernelConfig,
@@ -278,313 +277,32 @@ impl KernelShared {
     }
 }
 
-/// A frontend's handle to its paired OS thread.
-pub struct OsConn {
-    port: Arc<ReqPort<OsMsg, OsRet>>,
-}
-
-impl OsConn {
-    /// Issues a system call; returns the advanced clock and the result.
-    /// `folded` is the kernel batch credit the caller's blocking replies
-    /// folded since its last call returned (`None`: no rendezvous since).
-    pub fn call(&self, clock: Cycles, folded: Option<Cycles>, call: OsCall) -> (Cycles, SysResult) {
-        match self.port.call(OsMsg::Call {
-            clock,
-            folded,
-            call,
-        }) {
-            OsRet::Done { clock, result } => (clock, result),
-            other => panic!("unexpected OS reply {other:?}"),
-        }
-    }
-
-    /// Issues several adjacent system calls in one port crossing (ISSUE
-    /// 6): one request, one aggregated reply. Only valid when no user
-    /// event separates the calls — the simulated timeline is then
-    /// identical to issuing them one at a time.
-    pub fn call_batch(
-        &self,
-        clock: Cycles,
-        folded: Option<Cycles>,
-        calls: Vec<OsCall>,
-    ) -> (Cycles, Vec<SysResult>) {
-        match self.port.call(OsMsg::CallBatch {
-            clock,
-            folded,
-            calls,
-        }) {
-            OsRet::DoneBatch { clock, results } => (clock, results),
-            other => panic!("unexpected OS reply {other:?}"),
-        }
-    }
-
-    /// Forwards a pseudo interrupt request (§3.2).
-    pub fn pseudo_irq(&self, clock: Cycles) -> Cycles {
-        match self.port.call(OsMsg::PseudoIrq { clock }) {
-            OsRet::Done { clock, .. } => clock,
-            other => panic!("unexpected OS reply {other:?}"),
-        }
-    }
-
-    /// Unpairs on process exit, reporting the kernel batch credit folded
-    /// since the last call.
-    pub fn exit(&self, folded: Cycles) {
-        match self.port.call(OsMsg::Exit { folded }) {
-            OsRet::Bye => {}
-            other => panic!("unexpected OS reply {other:?}"),
-        }
-    }
-}
-
-struct ThreadSlot {
-    port: Arc<ReqPort<OsMsg, OsRet>>,
-    busy: AtomicBool,
-}
-
-/// The OS server: the OS-thread pool's ports plus the shared kernel.
-pub struct OsServer {
-    kernel: Arc<KernelShared>,
-    slots: Vec<ThreadSlot>,
-    obs: OsObs,
-}
-
-impl OsServer {
-    /// Starts `nthreads` OS threads around `kernel` as tasks on `exec`,
-    /// with observability hooks. Each OS thread batches its syscall-path
-    /// kernel events with fresh [`KernelPerf`] state per pairing, as deep
-    /// as its companion's port ring allows (see [`os_thread_main`]).
-    pub fn start(
-        kernel: Arc<KernelShared>,
-        nthreads: usize,
-        obs: OsObs,
-        exec: &mut Executor,
-    ) -> Arc<Self> {
-        assert!(nthreads > 0);
-        let slots: Vec<ThreadSlot> = (0..nthreads)
-            .map(|_| ThreadSlot {
-                port: Arc::new(ReqPort::new()),
-                busy: AtomicBool::new(false),
-            })
-            .collect();
-        for slot in &slots {
-            let port = Arc::clone(&slot.port);
-            let k = Arc::clone(&kernel);
-            let o = obs.clone();
-            exec.spawn(Class::Os, obs.counters.clone(), move || {
-                os_thread_main(port, k, o)
-            });
-        }
-        Arc::new(Self { kernel, slots, obs })
-    }
-
-    /// The shared kernel.
-    pub fn kernel(&self) -> &Arc<KernelShared> {
-        &self.kernel
-    }
-
-    /// The observability hooks the server was started with.
-    pub fn obs(&self) -> &OsObs {
-        &self.obs
-    }
-
-    /// Pairs a frontend process with a "single" OS thread (§3.1).
-    pub fn connect(&self, pid: ProcessId, event_port: Arc<EventPort>) -> OsConn {
-        for slot in &self.slots {
-            if slot
-                .busy
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                match slot.port.call(OsMsg::Connect {
-                    pid,
-                    port: event_port,
-                }) {
-                    OsRet::Connected => {
-                        return OsConn {
-                            port: Arc::clone(&slot.port),
-                        }
-                    }
-                    other => panic!("pairing failed: {other:?}"),
-                }
-            }
-        }
-        panic!("no single OS thread available: pool too small");
-    }
-
-    /// Starts the bottom-half kernel daemon on its own event port, as a
-    /// task on `exec`. "Dedicated threads can be scheduled to simulate
-    /// bottom half kernel activities." (§3.1)
-    ///
-    /// The daemon's interrupt context batches as deep as `port`'s ring:
-    /// handler drains run `until(kc.clock)`, which the batching protocol's
-    /// settled-at-drain invariant keeps exact.
-    pub fn start_daemon(&self, daemon_pid: ProcessId, port: Arc<EventPort>, exec: &mut Executor) {
-        let k = Arc::clone(&self.kernel);
-        exec.spawn(Class::BottomHalf, self.obs.counters.clone(), move || {
-            daemon_main(daemon_pid, port, k)
-        });
-    }
-}
-
-/// Runs simulated kernel code, turning a [`SimAbort`] unwind (poisoned
-/// event port — the backend is gone) into `Err(Errno::Aborted)` so the OS
-/// thread survives to answer its caller. Real panics propagate.
-fn absorb_abort<R>(f: impl FnOnce() -> R) -> Result<R, Errno> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(payload) => {
-            if payload.downcast_ref::<SimAbort>().is_some() {
-                Err(Errno::Aborted)
-            } else {
-                resume_unwind(payload)
-            }
-        }
-    }
-}
-
-/// Charges a batched tail settled after its call returned to that call.
-fn charge_settled(kernel: &KernelShared, settled: Option<(&'static str, Cycles)>) {
-    if let Some((name, cycles)) = settled {
-        kernel.stats.charge(name, cycles);
-    }
-}
-
-/// One OS thread: waits for pairing, then serves calls until Exit, then
-/// returns to "single". It runs until its task is cancelled at teardown.
+/// Starts the bottom-half kernel daemon on its own event port, as a task
+/// on `exec` (its host time ledgered in `counters`). "Dedicated threads
+/// can be scheduled to simulate bottom half kernel activities." (§3.1)
 ///
-/// Its [`KernelPerf`] batches kernel-mode events for the **syscall path
-/// only**: pseudo IRQs run interrupt handlers whose postbox drains depend
-/// on the authoritative clock, so they keep the per-event protocol (the
-/// daemon batches in its own context, see [`daemon_main`]).
-fn os_thread_main(port: Arc<ReqPort<OsMsg, OsRet>>, kernel: Arc<KernelShared>, obs: OsObs) {
-    let mut paired: Option<(ProcessId, Arc<EventPort>)> = None;
-    let mut perf = KernelPerf::default();
-    loop {
-        match port.recv() {
-            OsMsg::Connect { pid, port: eport } => {
-                debug_assert!(paired.is_none(), "connect to a paired OS thread");
-                paired = Some((pid, eport));
-                // Fresh batching state per pairing: a new process shares
-                // nothing with the previous tenant.
-                perf = KernelPerf::default();
-                port.respond(OsRet::Connected);
-            }
-            OsMsg::Call {
-                clock,
-                folded,
-                call,
-            } => {
-                let (pid, eport) = paired.as_ref().expect("call before pairing");
-                let sink = PortSink(Arc::clone(eport));
-                charge_settled(&kernel, perf.frontend_folded(folded));
-                let mut kc =
-                    KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran)
-                        .with_perf(&mut perf);
-                if let Some(c) = &obs.counters {
-                    c.inc(Ctr::OsCalls);
-                }
-                let name = call.name();
-                let result = match absorb_abort(|| syscalls::dispatch(&mut kc, &kernel, call)) {
-                    Ok(r) => r,
-                    Err(e) => Err(e),
-                };
-                let end_clock = kc.clock;
-                if perf.take_batched_any() {
-                    if let Some(c) = &obs.counters {
-                        c.inc(Ctr::OsBatchedReplies);
-                    }
-                }
-                if let Some(t) = &obs.trace {
-                    if t.wants(TraceKind::OsCall) {
-                        let mut r = TraceRec::new(clock, pid.0, TraceKind::OsCall);
-                        r.a = clock;
-                        r.b = end_clock.saturating_sub(clock);
-                        r.tag = name;
-                        t.record(r);
-                    }
-                }
-                port.respond(OsRet::Done {
-                    clock: end_clock,
-                    result,
-                });
-            }
-            OsMsg::CallBatch {
-                clock,
-                folded,
-                calls,
-            } => {
-                let (pid, eport) = paired.as_ref().expect("call before pairing");
-                let sink = PortSink(Arc::clone(eport));
-                charge_settled(&kernel, perf.frontend_folded(folded));
-                let mut kc =
-                    KernelCtx::new(*pid, &sink, clock, ExecMode::Kernel, kernel.cfg.touch_gran)
-                        .with_perf(&mut perf);
-                let n = calls.len() as u64;
-                if let Some(c) = &obs.counters {
-                    c.add(Ctr::OsCalls, n);
-                }
-                let mut results = Vec::with_capacity(calls.len());
-                for call in calls {
-                    let name = call.name();
-                    let start = kc.clock;
-                    let result = match absorb_abort(|| syscalls::dispatch(&mut kc, &kernel, call)) {
-                        Ok(r) => r,
-                        Err(e) => Err(e),
-                    };
-                    if let Some(t) = &obs.trace {
-                        if t.wants(TraceKind::OsCall) {
-                            let mut r = TraceRec::new(start, pid.0, TraceKind::OsCall);
-                            r.a = start;
-                            r.b = kc.clock.saturating_sub(start);
-                            r.tag = name;
-                            t.record(r);
-                        }
-                    }
-                    results.push(result);
-                }
-                let end_clock = kc.clock;
-                let mut coalesced = n.saturating_sub(1);
-                if perf.take_batched_any() {
-                    coalesced += 1;
-                }
-                if coalesced > 0 {
-                    if let Some(c) = &obs.counters {
-                        c.add(Ctr::OsBatchedReplies, coalesced);
-                    }
-                }
-                port.respond(OsRet::DoneBatch {
-                    clock: end_clock,
-                    results,
-                });
-            }
-            OsMsg::PseudoIrq { clock } => {
-                let (pid, eport) = paired.as_ref().expect("irq before pairing");
-                let sink = PortSink(Arc::clone(eport));
-                let mut kc = KernelCtx::new(
-                    *pid,
-                    &sink,
-                    clock,
-                    ExecMode::Interrupt,
-                    kernel.cfg.touch_gran,
-                );
-                if let Some(c) = &obs.counters {
-                    c.inc(Ctr::OsPseudoIrqs);
-                }
-                let result = match absorb_abort(|| handlers::run_pending(&mut kc, &kernel)) {
-                    Ok(()) => Ok(SysVal::Unit),
-                    Err(e) => Err(e),
-                };
-                port.respond(OsRet::Done {
-                    clock: kc.clock,
-                    result,
-                });
-            }
-            OsMsg::Exit { folded } => {
-                // The exit rendezvous folded the last call's tail.
-                charge_settled(&kernel, perf.frontend_folded(Some(folded)));
-                paired = None;
-                port.respond(OsRet::Bye);
-            }
+/// The daemon's interrupt context batches as deep as `port`'s ring:
+/// handler drains run `until(kc.clock)`, which the batching protocol's
+/// settled-at-drain invariant keeps exact.
+pub fn start_daemon(
+    kernel: &Arc<KernelShared>,
+    daemon_pid: ProcessId,
+    port: Arc<EventPort>,
+    counters: Option<Arc<CounterBlock>>,
+    exec: &mut Executor,
+) {
+    let k = Arc::clone(kernel);
+    exec.spawn(Class::BottomHalf, counters, move || {
+        daemon_main(daemon_pid, port, k)
+    });
+}
+
+/// Runs simulated kernel code, swallowing a [`SimAbort`] unwind (poisoned
+/// event port — the backend is gone). Real panics propagate.
+fn absorb_abort(f: impl FnOnce()) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+        if payload.downcast_ref::<SimAbort>().is_none() {
+            resume_unwind(payload)
         }
     }
 }
@@ -601,7 +319,7 @@ fn os_thread_main(port: Arc<ReqPort<OsMsg, OsRet>>, kernel: Arc<KernelShared>, o
 fn daemon_main(pid: ProcessId, port: Arc<EventPort>, kernel: Arc<KernelShared>) {
     // A poisoned port makes any kernel post unwind with SimAbort; the
     // daemon treats that like Shutdown — the backend is gone.
-    let _ = absorb_abort(move || {
+    absorb_abort(move || {
         let mut perf = KernelPerf::default();
         let sink = PortSink(port);
         let mut kc = KernelCtx::new(pid, &sink, 0, ExecMode::Interrupt, kernel.cfg.touch_gran)

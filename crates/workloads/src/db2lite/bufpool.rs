@@ -229,23 +229,16 @@ impl BufPool {
                         len: PAGE_SIZE,
                         buf: addr,
                     };
-                    // Dirty victim: the write-behind and the miss read go
-                    // out as one batched crossing, identical timeline.
-                    let read_result = match victim {
-                        Some((vt, vp)) => {
-                            let snapshot = self.cells[frame].bytes.lock().clone();
-                            let wb = victim_write(vt, vp, addr, &snapshot);
-                            let mut rs = cpu.os_call_batch(vec![wb, read]);
-                            let r = rs.pop().expect("batched read result");
-                            match rs.pop().expect("batched writeback result") {
-                                Ok(_) => {}
-                                other => panic!("victim writeback: {other:?}"),
-                            }
-                            r
+                    // Dirty victim: the write-behind goes out just before
+                    // the miss read.
+                    if let Some((vt, vp)) = victim {
+                        let snapshot = self.cells[frame].bytes.lock().clone();
+                        match cpu.os_call(victim_write(vt, vp, addr, &snapshot)) {
+                            Ok(_) => {}
+                            other => panic!("victim writeback: {other:?}"),
                         }
-                        None => cpu.os_call(read),
-                    };
-                    let data = match read_result {
+                    }
+                    let data = match cpu.os_call(read) {
                         Ok(SysVal::Data(d)) => d,
                         Err(Errno::NoEnt) | Err(Errno::BadF) => {
                             panic!("buffer pool read through bad fd {fd:?}")

@@ -145,36 +145,25 @@ impl Db2Session {
         let seg = cpu.shmget(shared.cfg.shm_key, shared.cfg.segment_len());
         let base = cpu.shmat(seg);
         let ntables = shared.ntables();
-        // The container opens (and the WAL open) are back-to-back with
-        // no user work between them: one batched port crossing for the
-        // whole run of opens, identical timeline to opening one by one.
-        let metas: Vec<_> = (0..ntables)
-            .map(|i| shared.table(TableId(i as u32)))
-            .collect();
-        let mut calls: Vec<OsCall> = metas
-            .iter()
-            .map(|m| OsCall::Open {
-                path: m.path.clone(),
-                create: false,
-            })
-            .collect();
-        calls.push(OsCall::Open {
-            path: "/db/LOG".into(),
-            create: true,
-        });
-        let mut results = cpu.os_call_batch(calls);
-        let log_fd = match results.pop().expect("batched log open") {
-            Ok(SysVal::NewFd(fd)) => fd,
-            other => panic!("open log: {other:?}"),
-        };
         let mut fds = HashMap::new();
-        for (meta, r) in metas.iter().zip(results) {
-            let fd = match r {
+        for i in 0..ntables {
+            let meta = shared.table(TableId(i as u32));
+            let fd = match cpu.os_call(OsCall::Open {
+                path: meta.path.clone(),
+                create: false,
+            }) {
                 Ok(SysVal::NewFd(fd)) => fd,
                 other => panic!("open {}: {other:?}", meta.path),
             };
             fds.insert(meta.id, fd);
         }
+        let log_fd = match cpu.os_call(OsCall::Open {
+            path: "/db/LOG".into(),
+            create: true,
+        }) {
+            Ok(SysVal::NewFd(fd)) => fd,
+            other => panic!("open log: {other:?}"),
+        };
         Self {
             shared,
             base,
@@ -343,10 +332,9 @@ impl Db2Session {
     /// Flushes every dirty pool page to its file (checkpoint) and fsyncs
     /// the involved files.
     pub fn checkpoint(&self, cpu: &mut CpuCtx) {
-        // Nothing but host-side snapshots separates the flush writes (and
-        // nothing at all separates the msyncs), so both runs coalesce
-        // into batched port crossings — chunked to bound payload memory,
-        // timeline identical to issuing them one at a time.
+        // Each run of flush writes snapshots its frames before the first
+        // write goes out, and marks them clean after the last returns —
+        // runs are chunked to bound payload memory.
         const WRITE_RUN: usize = 8;
         let dirty = self.shared.pool.dirty_pages();
         let mut touched: Vec<TableId> = Vec::new();
@@ -360,11 +348,7 @@ impl Db2Session {
                     buf: BufPool::frame_addr(self.base, frame),
                 })
                 .collect();
-            let results = if calls.len() == 1 {
-                vec![cpu.os_call(calls.into_iter().next().expect("one call"))]
-            } else {
-                cpu.os_call_batch(calls)
-            };
+            let results: Vec<_> = calls.into_iter().map(|c| cpu.os_call(c)).collect();
             for (&(table, _, frame), r) in run.iter().zip(results) {
                 match r {
                     Ok(_) => {}
@@ -378,28 +362,14 @@ impl Db2Session {
         }
         // msync the whole container — the call the paper's TPC profiles
         // attribute buffer flushing to.
-        let calls: Vec<OsCall> = touched
-            .iter()
-            .map(|&table| {
-                let len = self.shared.table(table).pages() * PAGE_SIZE as u64;
-                OsCall::Msync {
-                    fd: self.fds[&table],
-                    off: 0,
-                    len: len.max(PAGE_SIZE as u64),
-                }
+        for table in touched {
+            let len = self.shared.table(table).pages() * PAGE_SIZE as u64;
+            cpu.os_call(OsCall::Msync {
+                fd: self.fds[&table],
+                off: 0,
+                len: len.max(PAGE_SIZE as u64),
             })
-            .collect();
-        match calls.len() {
-            0 => {}
-            1 => {
-                cpu.os_call(calls.into_iter().next().expect("one call"))
-                    .expect("checkpoint msync");
-            }
-            _ => {
-                for r in cpu.os_call_batch(calls) {
-                    r.expect("checkpoint msync");
-                }
-            }
+            .expect("checkpoint msync");
         }
     }
 }

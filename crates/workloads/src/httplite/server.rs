@@ -114,9 +114,8 @@ pub fn worker(cfg: ServerConfig, tickets: Arc<SharedTickets>) -> impl FnMut(&mut
             // One request per iteration; keep-alive connections loop
             // until the client closes (empty read = EOF).
             let mut conn_closed = false;
-            // A served file's close is deferred so it can ride the next
-            // request's recv in one batched port crossing (keep-alive
-            // only; no user work separates the two syscalls).
+            // A served file's close is deferred to just before the next
+            // request's recv (keep-alive only).
             let mut pending_file_close: Option<compass_os::Fd> = None;
             loop {
                 // Read the request line.
@@ -125,16 +124,10 @@ pub fn worker(cfg: ServerConfig, tickets: Arc<SharedTickets>) -> impl FnMut(&mut
                     len: cfg.chunk,
                     buf,
                 };
-                let recv_result = match pending_file_close.take() {
-                    Some(ffd) => {
-                        let mut rs = cpu.os_call_batch(vec![OsCall::Close { fd: ffd }, recv]);
-                        let r = rs.pop().expect("batched recv result");
-                        let _ = rs.pop().expect("batched close result");
-                        r
-                    }
-                    None => cpu.os_call(recv),
-                };
-                let request = match recv_result {
+                if let Some(ffd) = pending_file_close.take() {
+                    let _ = cpu.os_call(OsCall::Close { fd: ffd });
+                }
+                let request = match cpu.os_call(recv) {
                     Ok(SysVal::Data(d)) => d,
                     other => panic!("recv: {other:?}"),
                 };
@@ -153,20 +146,16 @@ pub fn worker(cfg: ServerConfig, tickets: Arc<SharedTickets>) -> impl FnMut(&mut
 
                 match path {
                     Some(path) => {
-                        // stat + open name the same path back to back (no
-                        // user work between): one batched port crossing.
-                        // On the 404 path — dynamically dead for paths a
-                        // generated fileset serves — the batched open
-                        // fails NoEnt harmlessly alongside the stat.
-                        let mut rs = cpu.os_call_batch(vec![
-                            OsCall::Stat { path: path.clone() },
-                            OsCall::Open {
-                                path,
-                                create: false,
-                            },
-                        ]);
-                        let open_result = rs.pop().expect("batched open result");
-                        let len = match rs.pop().expect("batched stat result") {
+                        // stat + open name the same path back to back. On
+                        // the 404 path — dynamically dead for paths a
+                        // generated fileset serves — the open fails NoEnt
+                        // harmlessly after the stat.
+                        let stat_result = cpu.os_call(OsCall::Stat { path: path.clone() });
+                        let open_result = cpu.os_call(OsCall::Open {
+                            path,
+                            create: false,
+                        });
+                        let len = match stat_result {
                             Ok(SysVal::Stat(st)) => st.len,
                             Err(Errno::NoEnt) => {
                                 send_all(cpu, fd, 64, buf); // 404
@@ -180,42 +169,18 @@ pub fn worker(cfg: ServerConfig, tickets: Arc<SharedTickets>) -> impl FnMut(&mut
                             other => panic!("stat: {other:?}"),
                         };
                         let ffd = expect_fd(open_result);
-                        // Header formatting, then the body in chunks. The
-                        // header send and the first body read are also
-                        // adjacent — batch them unless the file is empty.
+                        // Header formatting, then the body in chunks.
                         cpu.compute(1_800);
+                        send_all(cpu, fd, 128, buf);
                         let mut off = 0u64;
-                        let mut pending_read = None;
-                        if len > 0 {
-                            let mut rs = cpu.os_call_batch(vec![
-                                OsCall::Send { fd, len: 128, buf },
-                                OsCall::ReadAt {
-                                    fd: ffd,
-                                    off: 0,
-                                    len: (cfg.chunk as u64).min(len) as u32,
-                                    buf,
-                                },
-                            ]);
-                            pending_read = rs.pop();
-                            match rs.pop().expect("batched send result") {
-                                Ok(SysVal::Int(_)) | Err(Errno::ConnClosed) => {}
-                                other => panic!("send: {other:?}"),
-                            }
-                        } else {
-                            send_all(cpu, fd, 128, buf);
-                        }
                         while off < len {
                             let n = (cfg.chunk as u64).min(len - off) as u32;
-                            let r = match pending_read.take() {
-                                Some(r) => r,
-                                None => cpu.os_call(OsCall::ReadAt {
-                                    fd: ffd,
-                                    off,
-                                    len: n,
-                                    buf,
-                                }),
-                            };
-                            match r {
+                            match cpu.os_call(OsCall::ReadAt {
+                                fd: ffd,
+                                off,
+                                len: n,
+                                buf,
+                            }) {
                                 Ok(SysVal::Data(d)) if !d.is_empty() => {
                                     cpu.compute(700); // buffer management per chunk
                                     send_all(cpu, fd, d.len() as u32, buf);
@@ -231,15 +196,8 @@ pub fn worker(cfg: ServerConfig, tickets: Arc<SharedTickets>) -> impl FnMut(&mut
                             // empty read returns).
                             pending_file_close = Some(ffd);
                         } else {
-                            // The file close and the connection close are
-                            // adjacent (no user work between them): one
-                            // batched port crossing, identical timeline.
-                            for r in cpu.os_call_batch(vec![
-                                OsCall::Close { fd: ffd },
-                                OsCall::Close { fd },
-                            ]) {
-                                let _ = r;
-                            }
+                            let _ = cpu.os_call(OsCall::Close { fd: ffd });
+                            let _ = cpu.os_call(OsCall::Close { fd });
                             conn_closed = true;
                             break;
                         }

@@ -1,8 +1,8 @@
-//! F2 — OS-port and event-port communication (paper Figure 2): OS calls
-//! travel to the paired OS thread, kernel code generates kernel-mode
-//! events on the process's own event port, interrupts arrive through the
-//! CPU-states flags, and the network path (trace-player frames → Ethernet
-//! interrupt → TCP processing → socket wakeup) works end to end.
+//! F2 — OS calls and event-port communication (paper Figure 2): a process
+//! runs its OS calls' kernel code itself, generating kernel-mode events on
+//! its own event port, interrupts arrive through the reply's
+//! interrupt-request flag, and the network path (trace-player frames →
+//! Ethernet interrupt → TCP processing → socket wakeup) works end to end.
 
 use compass::{ArchConfig, CpuCtx, SimBuilder};
 use compass_backend::TrafficSource;
@@ -199,11 +199,11 @@ fn kernel_time_is_attributed_to_kernel_mode() {
 
 #[test]
 fn batched_syscall_errors_are_per_call_and_depth_invariant() {
-    // `CallBatch` carries adjacent syscalls in one port crossing.
-    // Failures must come back *per call* — an errno in the middle of a
-    // batch aborts nothing — and the simulated timeline must be identical
-    // to issuing the same calls one `Call` at a time, at any batch depth.
-    fn run_once(batched: bool, batch_depth: usize) -> u64 {
+    // Adjacent syscalls whose kernel events share the port ring's batch:
+    // failures must come back *per call* — an errno in the middle of a
+    // run of calls aborts nothing — and the simulated timeline must be
+    // identical at any batch depth.
+    fn run_once(batch_depth: usize) -> u64 {
         let mut b = SimBuilder::new(ArchConfig::simple_smp(1))
             .prepare_kernel(|k| {
                 k.create_file("/f", compass_os::fs::FileData::Synthetic { len: 4_096 });
@@ -225,11 +225,7 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
                     OsCall::Close { fd },
                     OsCall::Close { fd }, // double close
                 ];
-                let results = if batched {
-                    cpu.os_call_batch(calls)
-                } else {
-                    calls.into_iter().map(|c| cpu.os_call(c)).collect()
-                };
+                let results: Vec<_> = calls.into_iter().map(|c| cpu.os_call(c)).collect();
                 assert!(
                     matches!(results[0], Ok(SysVal::Stat(ref st)) if st.len == 4_096),
                     "stat: {:?}",
@@ -238,7 +234,7 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
                 assert_eq!(
                     results[1],
                     Err(compass_os::Errno::NoEnt),
-                    "missing file must fail mid-batch"
+                    "missing file must fail mid-run"
                 );
                 assert_eq!(results[2], Ok(SysVal::Unit), "close after an error runs");
                 assert_eq!(
@@ -251,26 +247,21 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
         c.backend.batch_depth = batch_depth;
         b.run().backend.global_cycles
     }
-    let anchor = run_once(false, 8);
-    for (batched, depth) in [(true, 8), (false, 1), (true, 1), (false, 64), (true, 64)] {
-        assert_eq!(
-            run_once(batched, depth),
-            anchor,
-            "timeline moved: batched={batched} batch_depth={depth}"
-        );
+    let anchor = run_once(8);
+    for depth in [1, 64] {
+        assert_eq!(run_once(depth), anchor, "timeline moved: batch_depth={depth}");
     }
 }
 
-/// Batching is stats-neutral, so a wiring slip that left the OS threads
-/// or the bottom-half daemon at depth 1 would pass every anchor. This
-/// reads the host-side evidence instead: syscall replies that aggregated
-/// batched kernel events (`os_batched_replies`), and the non-blocking
-/// events the daemon posted on its own port (that port's `ring_batched`,
-/// read from the fine trace's pickups because counters merge across
-/// ports). The workload issues plain `os_call`s only — `os_call_batch`
-/// would tick `os_batched_replies` at any depth — and misses the buffer
-/// cache, so disk interrupts reach the daemon. Under `pseudo_irq` every
-/// port ring has one slot, so nothing batches at any depth.
+/// Batching is stats-neutral, so a wiring slip that left the syscall
+/// path or the bottom-half daemon at depth 1 would pass every anchor.
+/// This reads the host-side evidence instead: syscalls that batched
+/// kernel events (`os_batched_replies`), and the non-blocking events the
+/// daemon posted on its own port (that port's `ring_batched`, read from
+/// the fine trace's pickups because counters merge across ports). The
+/// workload misses the buffer cache, so disk interrupts reach the
+/// daemon. Under `pseudo_irq` every port ring has one slot, so nothing
+/// batches at any depth.
 #[test]
 fn one_batch_depth_reaches_every_poster() {
     fn run_once(batch_depth: usize, pseudo_irq: bool) -> (u64, u64, u64) {
@@ -335,7 +326,7 @@ fn one_batch_depth_reaches_every_poster() {
         "pseudo-IRQ delivery must post every event blocking"
     );
     let (os_batched, daemon_batched, _) = run_once(shipped, false);
-    assert!(os_batched > 0, "the OS threads' syscall path never batched");
+    assert!(os_batched > 0, "the syscall path never batched");
     assert!(daemon_batched > 0, "the bottom-half daemon never batched");
 }
 
