@@ -28,7 +28,9 @@ cargo run --release -q -p compass-fleet -- --preset paper --quiet --out target/p
 # ff_events}, ArchRecord::Access::victims, Hierarchy::{encode_snapshot,
 # epoch_victims}, compass_snap::{Writer, seal}, L1Mirror,
 # BackendConfig::deadlock_ms, EventPort/ReqPort/Notifier driven from
-# std::thread posters, and the counter names it reads.
+# std::thread posters (ReqPort is unused by the simulator; only the
+# benchmark's comm.reqport_call_ns probe keeps it), and the counter names
+# it reads.
 bash benchmark/run.sh --check-manifest BENCHMARK.json
 cargo test --offline --manifest-path benchmark/Cargo.toml
 # Golden fingerprints: one short driver run per workload at the golden

@@ -52,14 +52,14 @@ pub struct BackendConfig {
     /// can be processed and none of them posts for this many
     /// milliseconds, the engine returns a structured deadlock report
     /// ([`crate::error::RunError::Deadlock`]). A `SimBuilder` run never
-    /// waits on it: its processes, OS threads and bottom-half daemon are
+    /// waits on it: its processes and bottom-half daemon are
     /// coroutines that stay live until teardown, so a stuck run is
     /// reported at once.
     pub deadlock_ms: u64,
     /// Which simulated CPU device interrupts are routed to.
     pub irq_cpu: usize,
     /// Event-batch depth, which is every port ring's capacity: a
-    /// frontend, an OS thread on the syscall path and the bottom-half
+    /// frontend, in user code and on the syscall path, and the bottom-half
     /// daemon's interrupt handlers publish non-blocking while the ring
     /// keeps a slot for the blocking post that cuts the batch (1 =
     /// classic per-event rendezvous). Credit accounting makes results

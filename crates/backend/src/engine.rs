@@ -808,6 +808,13 @@ impl Backend {
             return;
         }
         let mut r = reply;
+        if r.irq_pending && !self.is_daemon(pid) {
+            // The interrupt request is edge-triggered in simulated time:
+            // the blocking reply that carries it to an application
+            // process consumes it.
+            let cpu = self.procs[i].cpu.expect("an irq_pending reply names a CPU");
+            self.cpu_states.clear(cpu);
+        }
         let folded = self.procs[i].fold_credit(&mut r);
         self.ports[i].set_folded(folded);
         self.obs.inc(Ctr::Replies);
@@ -885,7 +892,7 @@ impl Backend {
         self.procs[i].bound = ev.time + reply.latency;
         reply.irq_pending = self.procs[i]
             .cpu
-            .is_some_and(|c| self.cpu_states.should_interrupt(c));
+            .is_some_and(|c| self.cpu_states.pending(c) != 0);
         self.deliver(pid, &ev.body, reply, wants);
         self.touch(i);
     }
@@ -985,7 +992,7 @@ impl Backend {
             p.times.ready_wait += now.saturating_sub(held.ev.time);
         }
         self.install(pid, cpu);
-        let irq_pending = self.cpu_states.should_interrupt(cpu);
+        let irq_pending = self.cpu_states.pending(cpu) != 0;
         let data = ReplyData::Cpu { cpu };
         self.resume(pid, cpu, now, cost::CONTEXT_SWITCH, irq_pending, data);
     }

@@ -197,7 +197,8 @@ fn contended_lock_grants_fifo_and_charges_wait() {
 #[test]
 fn disk_command_schedules_a_completion_task() {
     // Without a daemon the completion cannot be serviced by a handler,
-    // but the task must still fire and deposit a record + raise the IRQ.
+    // but the task must still fire, deposit a record and raise the IRQ,
+    // which the process's next blocking reply carries and consumes.
     let rig = Rig::new(1, 1);
     let devshared = Arc::clone(&rig.devshared);
     let cpu_states = Arc::clone(&rig.cpu_states);
@@ -219,17 +220,25 @@ fn disk_command_schedules_a_completion_task() {
             .latency;
         // Run far past the disk latency so the completion task fires.
         t += 3_000_000;
-        t += p0.post(ev(0, t, memref(0x1000_0000))).latency;
+        let r = p0.post(ev(0, t, memref(0x1000_0000)));
+        t += r.latency;
+        let carried = r.irq_pending;
+        let after = p0.post(ev(0, t, memref(0x1000_0040))).irq_pending;
         p0.post(ev(0, t + 1, EventBody::Ctl(CtlOp::Exit)));
+        (carried, after)
     });
-    t0.join().unwrap();
+    let (carried, after) = t0.join().unwrap();
+    assert!(
+        carried,
+        "the first reply after the completion carries the IRQ"
+    );
+    assert!(!after, "and consumes it: the request is edge-triggered");
     let outcome = backend.join().unwrap();
     assert_eq!(outcome.stats.irq_dispatches[0], 1, "disk IRQ dispatched");
     let completions = devshared.drain_disk();
     assert_eq!(completions.len(), 1);
     assert_eq!(completions[0].token, 77);
-    // The IRQ flag is still pending (nobody serviced it).
-    assert_ne!(cpu_states.pending(compass_isa::CpuId(0)), 0);
+    assert_eq!(cpu_states.pending(compass_isa::CpuId(0)), 0);
 }
 
 #[test]

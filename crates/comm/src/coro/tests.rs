@@ -262,3 +262,53 @@ fn a_schedule_seed_permutes_and_splits_the_ready_batch() {
     all.sort_unstable();
     assert_eq!(all, (0..8).collect::<Vec<_>>(), "every task runs once");
 }
+
+#[test]
+fn a_class_scope_books_its_share_of_the_running_time() {
+    fn spin(d: Duration) {
+        let t = Instant::now();
+        while t.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+    let c = Arc::new(CounterBlock::new());
+    let mut ex = executor();
+    ex.spawn(Class::Frontend, Some(Arc::clone(&c)), || {
+        spin(Duration::from_millis(2));
+        {
+            let _os = enter_class(Class::Os);
+            spin(Duration::from_millis(2));
+            // Suspending inside the scope books the time so far to it.
+            context::suspend();
+            spin(Duration::from_millis(2));
+        }
+        spin(Duration::from_millis(2));
+    });
+    while ex.live() > 0 {
+        ex.run_ready();
+        // Nothing wakes the suspended task but this test.
+        if ex.live() > 0 {
+            ex.ready.push(0);
+        }
+    }
+    let (fe, os) = (c.get(Ctr::FrontendGenNs), c.get(Ctr::HostOsNs));
+    assert!(
+        os >= 4_000_000,
+        "the scope's 4 ms book to the OS class: {os}"
+    );
+    assert!(fe >= 4_000_000, "the rest to the frontend class: {fe}");
+    assert_eq!(fe + os, ex.busy_ns(), "every resumed ns is booked once");
+}
+
+#[test]
+fn a_class_scope_outside_a_task_or_untimed_is_a_no_op() {
+    // No task is running: nothing to book, nothing to restore.
+    drop(enter_class(Class::Os));
+    let mut ex = executor();
+    ex.spawn(Class::Frontend, None, || {
+        let scope = enter_class(Class::Os);
+        assert!(scope.prev.is_none(), "an untimed task switches nothing");
+    });
+    assert!(ex.run_ready());
+    assert_eq!(ex.live(), 0);
+}

@@ -5,9 +5,11 @@
 //! interrupt for a given processor, the former sets the 'interrupt request'
 //! flag bit in the CPU-state area of that processor."
 //!
-//! Frontends check the request flag on the way out of every event
-//! rendezvous; kernel code toggles the enable bit around critical sections
-//! (interrupts are deferred, never lost, while a CPU is disabled).
+//! The backend raises a request bit per device interrupt and hands the
+//! request to the next blocking reply of an application process on that
+//! CPU (`Reply::irq_pending`), clearing the bits as it does: a request is
+//! edge-triggered in simulated time. No simulated kernel path masks
+//! interrupts, so the enable bit is not modelled.
 
 use compass_isa::{CpuId, ProcessId};
 use crossbeam_utils::CachePadded;
@@ -36,11 +38,10 @@ impl IrqSource {
     pub const ALL: [IrqSource; 3] = [IrqSource::Disk, IrqSource::Net, IrqSource::Timer];
 }
 
-const ENABLED_BIT: u32 = 1 << 31;
 const IDLE_PID: u32 = u32::MAX;
 
 struct CpuState {
-    /// Low bits: pending IRQ mask; bit 31: interrupt enable.
+    /// Pending IRQ mask.
     word: CachePadded<AtomicU32>,
     /// Pid currently running on the CPU (`IDLE_PID` when idle). Written by
     /// the backend scheduler, read by everyone (diagnostics, stats).
@@ -56,13 +57,13 @@ pub struct CpuStates {
 }
 
 impl CpuStates {
-    /// Creates the area for `ncpus` processors, all idle with interrupts
-    /// enabled.
+    /// Creates the area for `ncpus` processors, all idle with nothing
+    /// pending.
     pub fn new(ncpus: usize) -> Self {
         assert!(ncpus > 0);
         let cpus = (0..ncpus)
             .map(|_| CpuState {
-                word: CachePadded::new(AtomicU32::new(ENABLED_BIT)),
+                word: CachePadded::new(AtomicU32::new(0)),
                 running: AtomicU32::new(IDLE_PID),
                 steal: AtomicU64::new(0),
             })
@@ -82,38 +83,15 @@ impl CpuStates {
             .fetch_or(src.mask(), Ordering::AcqRel);
     }
 
-    /// Clears the interrupt-request flag of `src` on `cpu`.
-    pub fn clear(&self, cpu: CpuId, src: IrqSource) {
-        self.cpus[cpu.index()]
-            .word
-            .fetch_and(!src.mask(), Ordering::AcqRel);
+    /// Clears every interrupt-request flag of `cpu` (the request was
+    /// handed to a process).
+    pub fn clear(&self, cpu: CpuId) {
+        self.cpus[cpu.index()].word.store(0, Ordering::Release);
     }
 
-    /// Pending IRQ mask of `cpu` (regardless of the enable bit).
+    /// Pending IRQ mask of `cpu`.
     pub fn pending(&self, cpu: CpuId) -> u32 {
-        self.cpus[cpu.index()].word.load(Ordering::Acquire) & !ENABLED_BIT
-    }
-
-    /// True if `cpu` has a pending request *and* interrupts enabled — the
-    /// exact condition the frontend IPC subroutine checks (§3.2).
-    pub fn should_interrupt(&self, cpu: CpuId) -> bool {
-        let w = self.cpus[cpu.index()].word.load(Ordering::Acquire);
-        (w & ENABLED_BIT) != 0 && (w & !ENABLED_BIT) != 0
-    }
-
-    /// Sets the interrupt-enable bit of `cpu`.
-    pub fn set_enabled(&self, cpu: CpuId, enabled: bool) {
-        let w = &self.cpus[cpu.index()].word;
-        if enabled {
-            w.fetch_or(ENABLED_BIT, Ordering::AcqRel);
-        } else {
-            w.fetch_and(!ENABLED_BIT, Ordering::AcqRel);
-        }
-    }
-
-    /// Reads the interrupt-enable bit of `cpu`.
-    pub fn is_enabled(&self, cpu: CpuId) -> bool {
-        self.cpus[cpu.index()].word.load(Ordering::Acquire) & ENABLED_BIT != 0
+        self.cpus[cpu.index()].word.load(Ordering::Acquire)
     }
 
     /// Records which process runs on `cpu` (backend scheduler only).
@@ -163,20 +141,10 @@ mod tests {
             IrqSource::Disk.mask() | IrqSource::Timer.mask()
         );
         assert_eq!(s.pending(C1), 0, "per-CPU isolation");
-        s.clear(C0, IrqSource::Disk);
-        assert_eq!(s.pending(C0), IrqSource::Timer.mask());
-    }
-
-    #[test]
-    fn enable_bit_gates_should_interrupt() {
-        let s = CpuStates::new(1);
-        s.raise(C0, IrqSource::Net);
-        assert!(s.should_interrupt(C0));
-        s.set_enabled(C0, false);
-        assert!(!s.should_interrupt(C0), "disabled CPU must defer");
-        assert_eq!(s.pending(C0), IrqSource::Net.mask(), "request is not lost");
-        s.set_enabled(C0, true);
-        assert!(s.should_interrupt(C0));
+        s.raise(C1, IrqSource::Net);
+        s.clear(C0);
+        assert_eq!(s.pending(C0), 0);
+        assert_eq!(s.pending(C1), IrqSource::Net.mask(), "per-CPU isolation");
     }
 
     #[test]
@@ -204,7 +172,6 @@ mod tests {
         for src in IrqSource::ALL {
             assert_eq!(seen & src.mask(), 0);
             seen |= src.mask();
-            assert_eq!(src.mask() & ENABLED_BIT, 0, "mask collides with enable bit");
         }
     }
 }

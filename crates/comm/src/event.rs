@@ -15,19 +15,20 @@ use compass_isa::{ConnId, CpuId, Cycles, DiskId, NicId, ProcessId, SegId};
 use compass_mem::{ShmError, VAddr};
 use serde::{Deserialize, Serialize};
 
-/// Panic payload used to unwind a simulated thread (frontend workload or
-/// OS-thread kernel code) after its event port was poisoned: the backend
+/// Panic payload used to unwind a simulated thread (a frontend, in its
+/// workload or its kernel code, or the daemon) after its event port was
+/// poisoned: the backend
 /// is gone — typically because it returned a deadlock report — and the
 /// event can never be simulated, so the thread must tear down, not retry.
 /// The executor also raises it from a blocking call of a cancelled task.
 /// Task-boundary code (the executor's `catch_unwind` at the bottom of
-/// every task stack, and the OS server) downcasts to this type to tell an
-/// orderly abort from a real bug.
+/// every task stack, and the bottom-half daemon) downcasts to this type
+/// to tell an orderly abort from a real bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimAbort;
 
-/// One timed event from a frontend process (or its paired OS thread, which
-/// shares the same event port and logical clock).
+/// One timed event from a frontend process, posted by its user code or by
+/// the kernel code it runs (same event port, same logical clock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The simulated process this event belongs to.
@@ -185,7 +186,7 @@ pub enum CtlOp {
     /// Final event of a process; frees its CPU.
     Exit,
     /// Block (deschedule) until an `Unblock` names this process. Posted by
-    /// the process's OS thread on its behalf (§3.3.3).
+    /// the kernel code the process runs (§3.3.3).
     Block {
         /// Why the process blocked.
         reason: BlockReason,
@@ -241,9 +242,10 @@ pub struct Reply {
     /// for references, grant delay for locks, wait time for blocked or
     /// descheduled processes, plus any interrupt-handler steal time.
     pub latency: Cycles,
-    /// Snapshot of the interrupt-request flag of the CPU the process runs
-    /// on (the frontend also reads the CPU-states area directly; this copy
-    /// saves a cache miss on the common path).
+    /// The interrupt-request flag of the CPU the process runs on, as of
+    /// the reply's simulated time. A blocking reply to an application
+    /// process that carries it consumes the request (the backend clears
+    /// the CPU's bits), so one interrupt reaches one reply.
     pub irq_pending: bool,
     /// Extra payload for specific events.
     pub data: ReplyData,

@@ -7,8 +7,9 @@
 //! a set of blocking and non-blocking message passing primitives." (§2)
 //!
 //! In this reproduction the "shared memory segment" is process memory, and
-//! the frontends, OS-server threads and bottom-half daemon are stackful
-//! coroutines ([`coro`]) that the backend's host thread resumes: a blocking
+//! the frontends (which run their own OS calls) and the bottom-half daemon
+//! are stackful coroutines ([`coro`]) that the backend's host thread
+//! resumes: a blocking
 //! primitive suspends its caller back to the engine instead of parking a
 //! host thread, so a rendezvous is a user-space stack switch. The
 //! primitives are built from atomics (see *Rust Atomics and Locks*, ch.
@@ -24,10 +25,11 @@
 //!   protocol every blocking primitive uses;
 //! * [`event`] — the event/reply ABI between frontends and the backend;
 //! * [`rendezvous`] — the bounded event ring with its blocking-reply slot;
-//! * [`port`] — event ports (hot, atomics-based) and generic request ports
-//!   (OS ports use these);
-//! * [`cpu_states`] — the shared "CPU-states" area with interrupt request
-//!   and interrupt enable bits (§3.2);
+//! * [`port`] — event ports (hot, atomics-based) and a generic request
+//!   port (the paper's OS-port shape; unused by the simulator, kept for
+//!   the benchmark's `comm.reqport_call_ns` probe);
+//! * [`cpu_states`] — the shared "CPU-states" area with the interrupt
+//!   request bits (§3.2);
 //! * [`devshared`] — the device postbox: completion records and network
 //!   frames deposited by backend device models for the OS server's
 //!   interrupt handlers;

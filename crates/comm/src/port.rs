@@ -25,8 +25,9 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A per-process event port: the frontend (or its paired OS thread) posts
-/// timed events; the backend scans, pops, and replies to blocking entries.
+/// A per-process event port: the frontend (user and kernel code alike)
+/// posts timed events; the backend scans, pops, and replies to blocking
+/// entries.
 pub struct EventPort {
     /// The process this port belongs to.
     pub pid: ProcessId,
@@ -68,9 +69,9 @@ impl EventPort {
 
     /// Poster: room for one more non-blocking event while keeping a slot
     /// for the blocking post that cuts the batch. Reads the ring's real
-    /// occupancy, so a frontend batch and its OS thread's kernel tail in
-    /// one ring are bounded together. A poster only yields at a blocking
-    /// post or an OS call, so the occupancy can only fall under it.
+    /// occupancy, so a frontend batch and its own OS calls' kernel tail
+    /// in one ring are bounded together. A poster only yields at a
+    /// blocking post, so the occupancy can only fall under it.
     #[inline]
     pub fn has_room(&self) -> bool {
         self.ring.len() + 1 < self.ring.capacity()
@@ -168,11 +169,13 @@ impl EventPort {
     }
 }
 
-/// A blocking request/response rendezvous (the OS port).
+/// A blocking request/response rendezvous between one client and one
+/// server — the shape of the paper's OS port. The simulator no longer
+/// uses it (a process runs its OS calls on its own task); the
+/// benchmark's `comm.reqport_call_ns` probe measures it.
 ///
-/// One client (the application process) and one server (its paired OS
-/// thread). `call` blocks until the server `respond`s; `recv` blocks until
-/// a request arrives. Neither holds the mutex while it waits.
+/// `call` blocks until the server `respond`s; `recv` blocks until a
+/// request arrives. Neither holds the mutex while it waits.
 pub struct ReqPort<Q, S> {
     inner: Mutex<ReqInner<Q, S>>,
 }

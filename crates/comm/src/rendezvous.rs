@@ -7,9 +7,9 @@
 //! events need no individual reply, so the frontend may publish a basic
 //! block's worth of them and rendezvous only on the last.
 //!
-//! The ring is a single-producer (the frontend or its paired OS thread —
-//! never both at once; the OS-port rendezvous serialises the handoff) /
-//! single-consumer (the backend) bounded SPSC queue of `(Event, wants_reply)`
+//! The ring is a single-producer (the process's task, in user or kernel
+//! code) / single-consumer (the backend) bounded SPSC queue of
+//! `(Event, wants_reply)`
 //! entries, plus a one-shot reply slot for the single outstanding blocking
 //! entry:
 //!
@@ -18,10 +18,8 @@
 //!   consumer:  pop … pop            → reply(r) + wake
 //! ```
 //!
-//! At most one blocking entry is ever outstanding: the producer waits on it,
-//! and cross-producer handoff (frontend → OS thread) only happens while the
-//! frontend is blocked *outside* the ring, in the OS request port. The
-//! reply slot is the one-shot channel of *Rust Atomics and Locks* ch. 5;
+//! At most one blocking entry is ever outstanding: the producer waits on
+//! it. The reply slot is the one-shot channel of *Rust Atomics and Locks* ch. 5;
 //! the ring adds the frontend's batching. Waiting and waking go
 //! through [`crate::coro`]: a producer task suspends to the engine that
 //! will reply, a producer thread parks.

@@ -18,8 +18,8 @@ pub struct SimConfig {
     /// Enable §3.2's user-mode pseudo-interrupt delivery in addition to
     /// the bottom-half kernel daemon. Turns batching off for every poster:
     /// the runner gives each port a one-slot ring whatever
-    /// `backend.batch_depth` says, so the frontends, the OS threads and
-    /// the daemon all post per event (the frontend checks the interrupt
+    /// `backend.batch_depth` says, so the frontends (user and syscall
+    /// code) and the daemon all post per event (the frontend checks the interrupt
     /// flag on every reply, and interrupt work must see the
     /// authoritative clock).
     pub pseudo_irq: bool,

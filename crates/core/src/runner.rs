@@ -250,7 +250,7 @@ impl SimBuilder {
             config.backend.clone(),
             ports.clone(),
             Arc::clone(&notifier),
-            Arc::clone(&cpu_states),
+            cpu_states,
             Arc::clone(&devshared),
             Some(daemon_pid),
             traffic.unwrap_or_else(|| Box::new(NullTraffic)),
@@ -312,14 +312,12 @@ impl SimBuilder {
                     for (pid, mut body, fe_block) in frontend_setup {
                         let port = Arc::clone(&ports[pid]);
                         let kernel = Arc::clone(&kernel);
-                        let cpu_states = Arc::clone(&cpu_states);
                         let os_obs = os_obs.clone();
                         let timing = timing.clone();
                         let results = Arc::clone(&results);
                         exec.spawn(Class::Frontend, fe_block.clone(), move || {
                             let pid_id = ProcessId(pid as u32);
-                            let mut cpu =
-                                CpuCtx::simulated(pid_id, port, kernel, cpu_states, timing);
+                            let mut cpu = CpuCtx::simulated(pid_id, port, kernel, timing);
                             if pseudo {
                                 cpu.enable_pseudo_irq();
                             }

@@ -2,7 +2,7 @@
 //! running every job at the shipped batch depth and again at depth 1.
 //!
 //! Each job is two simulations on the calling worker thread (every
-//! simulated process, OS thread and the bottom-half daemon is a
+//! simulated process and the bottom-half daemon is a
 //! coroutine on one backend thread), so the fan-out clamps to the host's
 //! [`std::thread::available_parallelism`] — on a 1-CPU host the fleet
 //! degrades to a serial queue with no oversubscription. Work is pulled

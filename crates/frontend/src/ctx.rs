@@ -2,8 +2,7 @@
 
 use compass_comm::coro::enter_class;
 use compass_comm::{
-    Class, CpuStates, CtlOp, Event, EventBody, EventPort, ExecMode, MemRefKind, Reply, ReplyData,
-    SyncOp,
+    Class, CtlOp, Event, EventBody, EventPort, ExecMode, MemRefKind, Reply, ReplyData, SyncOp,
 };
 use compass_isa::{BlockCost, CpuId, Cycles, InstClass, ProcessId, SegId, TimingModel};
 use compass_mem::addr::HEAP_BASE;
@@ -36,7 +35,6 @@ enum Mode {
     /// the process's event port.
     Sim {
         port: PortSink,
-        cpu_states: Arc<CpuStates>,
         /// Run pseudo interrupts on the flag (§3.2). Off by default: the
         /// kernel daemon services interrupts.
         pseudo_irq: bool,
@@ -98,12 +96,10 @@ impl CpuCtx {
         pid: ProcessId,
         port: Arc<EventPort>,
         kernel: Arc<KernelShared>,
-        cpu_states: Arc<CpuStates>,
         timing: TimingModel,
     ) -> Self {
         let mode = Mode::Sim {
             port: PortSink(port),
-            cpu_states,
             pseudo_irq: false,
         };
         Self::new_inner(pid, mode, kernel, timing)
@@ -185,12 +181,7 @@ impl CpuCtx {
     // ------------------------------------------------------------------
 
     fn post(&mut self, body: EventBody) -> Reply {
-        let Mode::Sim {
-            port,
-            cpu_states,
-            pseudo_irq,
-        } = &self.mode
-        else {
+        let Mode::Sim { port, pseudo_irq } = &self.mode else {
             return Reply::latency(0);
         };
         self.stats.events += 1;
@@ -217,8 +208,9 @@ impl CpuCtx {
             self.cpu = cpu;
         }
         // "We let the frontend process check the interrupt request flag
-        // before returning from the IPC subroutine." (§3.2)
-        if reply.irq_pending && *pseudo_irq && cpu_states.should_interrupt(self.cpu) {
+        // before returning from the IPC subroutine." (§3.2) The reply
+        // carries the flag as of its simulated time.
+        if reply.irq_pending && *pseudo_irq {
             self.pseudo_interrupt();
         }
         reply

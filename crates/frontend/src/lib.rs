@@ -9,13 +9,14 @@
 //! [`CpuCtx`] — the programmatic equivalent of the inserted
 //! instrumentation: basic-block costs advance the process execution-time
 //! counter, memory references produce timed events over the simulated
-//! address space, OS calls go through stubs to the paired OS thread, and
-//! the interrupt-request flag is checked on the way out of every event
-//! rendezvous (§3.2). The same workload code runs in two environments:
+//! address space, OS calls go through stubs that run the simulated kernel
+//! code on the process's own task (the paper's paired OS thread, as a
+//! function call), and the interrupt-request flag is checked on the way
+//! out of every event rendezvous (§3.2). The same workload code runs in
+//! two environments:
 //!
-//! * **simulated** — events flow to the backend, OS calls to the OS
-//!   server;
-//! * **raw** — no events, OS calls served functionally in-line: the
+//! * **simulated** — user and kernel events flow to the backend;
+//! * **raw** — no events, the same kernel code runs silently: the
 //!   paper's uninstrumented baseline for the slowdown tables;
 //!
 //! selected by which [`CpuCtx`] constructor the harness uses.

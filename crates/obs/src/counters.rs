@@ -1,7 +1,7 @@
 //! The counter catalogue and the lock-free aggregation hub.
 //!
-//! Each subsystem (backend engine, every event port, each OS thread,
-//! each frontend) owns an [`CounterBlock`] — a fixed array of relaxed
+//! Each subsystem (backend engine, every event port, the processes' OS
+//! calls, each frontend) owns an [`CounterBlock`] — a fixed array of relaxed
 //! `AtomicU64`s it alone increments — registered with the run's
 //! [`ObsHub`]. Nothing is shared on the hot path; the hub walks the
 //! blocks once at the end of the run and sums them into a
@@ -63,9 +63,9 @@ pub enum Ctr {
     PortOccSum,
     /// Number of occupancy samples.
     PortOccSamples,
-    /// System calls dispatched by OS threads.
+    /// System calls the processes ran.
     OsCalls,
-    /// Pseudo-interrupt requests handled by OS threads.
+    /// Pseudo interrupts the processes ran (§3.2).
     OsPseudoIrqs,
     /// Events posted by frontends (app processes).
     FrontendPosts,
@@ -84,9 +84,8 @@ pub enum Ctr {
     BackendWaitNs,
     /// Trace records dropped because the ring was full.
     TraceDropped,
-    /// Syscall replies that aggregated work instead of round-tripping per
-    /// event: each `DoneBatch` result beyond the first, plus each `Done`
-    /// whose kernel context left batched events for credit to settle.
+    /// System calls whose kernel context batched events instead of
+    /// round-tripping per event (their latencies settle through credit).
     OsBatchedReplies,
     /// Device completion wake events scheduled (disk completions and
     /// network deliveries entered into the engine's task heap).
@@ -101,9 +100,10 @@ pub enum Ctr {
     /// passes) the postbox due-time summary answered without a lock
     /// acquisition or queue scan.
     DiskPollsEliminated,
-    /// Host ns spent running OS-server-thread tasks (the in-program host
-    /// ledger: with [`Ctr::FrontendGenNs`], the bottom-half and backend
-    /// classes, it sums to the run's wall).
+    /// Host ns the processes spent running their OS calls and pseudo
+    /// interrupts (the in-program host ledger: with
+    /// [`Ctr::FrontendGenNs`], the bottom-half and backend classes, it
+    /// sums to the run's wall).
     HostOsNs,
     /// Host ns spent running the bottom-half daemon task.
     HostBottomHalfNs,

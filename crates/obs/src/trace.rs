@@ -65,7 +65,7 @@ pub enum TraceKind {
     Wake,
     /// Page fault; `a` = faulting vaddr, `b` = cost charged.
     PageFault,
-    /// OS thread finished a system call; `a` = clock at entry,
+    /// A process finished a system call; `a` = clock at entry,
     /// `b` = kernel cycles spent, `tag` = syscall name.
     OsCall,
     /// Progress snapshot emitted; `a` = events processed so far.
@@ -132,8 +132,9 @@ impl TraceRec {
 }
 
 /// The bounded ring. One mutex-protected deque: the backend engine is
-/// the dominant writer (single thread); OS threads contribute only
-/// coarse, rare records, so contention is negligible.
+/// the dominant writer; OS calls contribute only coarse, rare records,
+/// and every writer runs on the backend's one host thread, so the lock
+/// is never contended.
 #[derive(Debug)]
 pub struct TraceBuffer {
     cap: usize,

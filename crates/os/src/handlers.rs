@@ -8,8 +8,8 @@
 //! filter by the handler's current clock, so the set of records each
 //! invocation services — and therefore every downstream wakeup — is
 //! deterministic no matter whether the kernel daemon or a pseudo-interrupt
-//! (an OS thread on behalf of a user process) gets there first in host
-//! time.
+//! (run by the interrupted process on its own task) gets there first in
+//! host time.
 
 use crate::kctx::KernelCtx;
 use crate::server::{locks, KernelShared};

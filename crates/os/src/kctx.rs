@@ -589,7 +589,11 @@ mod tests {
         }
         assert_eq!(perf.pending(), 1, "the third call's tail is unsettled");
         assert_eq!(perf.frontend_folded(3), Some(("third", 3)));
-        assert_eq!(perf.pending(), 0, "the process's rendezvous drained the ring");
+        assert_eq!(
+            perf.pending(),
+            0,
+            "the process's rendezvous drained the ring"
+        );
         assert_eq!(perf.frontend_folded(0), None, "no tail left");
     }
 

@@ -5,8 +5,9 @@
 //! addresses in the kernel region so that kernel code's memory behaviour
 //! can be simulated. "If one process running in the kernel mode makes some
 //! changes to the kernel memory … another process running in the kernel
-//! mode should be able to see these changes" (§3.1) — all OS threads share
-//! this single heap, mirroring the shared kernel address space.
+//! mode should be able to see these changes" (§3.1) — every process's
+//! kernel code and the daemon share this single heap, mirroring the
+//! shared kernel address space.
 //!
 //! Determinism: every allocation must happen while the caller holds a
 //! *simulated* kernel lock (the structure's subsystem lock or

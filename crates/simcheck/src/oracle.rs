@@ -2,7 +2,7 @@
 //! engine trace through a fresh set of architecture models.
 //!
 //! The engine under test is complicated — incremental scanning, credit
-//! accounting, batched event rings, pipelined OS threads. The oracle is
+//! accounting, batched event rings shared by user and kernel code. The oracle is
 //! not: it walks the recorded calls one at a time, in order, through a
 //! [`Hierarchy`] built from the same [`ArchConfig`], and demands exact
 //! agreement. Because the bus/network contention models are deterministic

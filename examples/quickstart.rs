@@ -1,8 +1,8 @@
 //! Quickstart: simulate one process reading a file on a 2-CPU SMP.
 //!
 //! Shows the COMPASS structure end to end (paper Figure 1): the process
-//! runs as a frontend generating memory events, its OS calls go to a
-//! paired OS thread in the OS server, the buffer cache misses become disk
+//! runs as a frontend generating memory events, its OS calls run the
+//! simulated kernel code on its own task, the buffer cache misses become disk
 //! transfers, the disk interrupt wakes the process through the bottom-half
 //! daemon, and the backend attributes every cycle.
 //!

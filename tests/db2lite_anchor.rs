@@ -3,7 +3,7 @@
 //! appends keep the simulated disks busy, with the per-disk operation
 //! counts and the headline `BackendStats` quantities pinned to literals.
 //! The anchor is then replayed across batch depths — the one transport
-//! knob for frontends, OS threads and the bottom-half daemon — which
+//! knob for frontends, their syscall path and the bottom-half daemon — which
 //! must reproduce every pinned value bit for bit, disk timeline included.
 //! Intentional timing-model changes re-pin the literals (the failure
 //! message prints the fresh values).

@@ -3,7 +3,7 @@
 //! connections) against the keep-alive pre-fork server, with the request
 //! mix and the headline `BackendStats` quantities pinned to literals.
 //! The same anchor is then replayed across batch depths — one knob for
-//! the frontends, the OS threads and the bottom-half daemon, a pure
+//! the frontends, their syscall path and the bottom-half daemon, a pure
 //! transport optimisation that must reproduce every pinned value bit for
 //! bit.
 //! Intentional timing-model changes re-pin the literals (the failure

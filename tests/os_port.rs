@@ -249,7 +249,11 @@ fn batched_syscall_errors_are_per_call_and_depth_invariant() {
     }
     let anchor = run_once(8);
     for depth in [1, 64] {
-        assert_eq!(run_once(depth), anchor, "timeline moved: batch_depth={depth}");
+        assert_eq!(
+            run_once(depth),
+            anchor,
+            "timeline moved: batch_depth={depth}"
+        );
     }
 }
 
@@ -397,18 +401,41 @@ fn pseudo_interrupt_path_stays_deterministic() {
     // itself, in interrupt mode. Enabled *with* the daemon; both drain
     // under the simulated INTR lock, so results are pinned.
     let (run, _) = pseudo_irq_run(pseudo_irq_builder());
-    assert!(run.pseudo_irqs.iter().sum::<u64>() > 0, "no pseudo interrupt");
+    assert!(
+        run.pseudo_irqs.iter().sum::<u64>() > 0,
+        "no pseudo interrupt"
+    );
     let pinned = PseudoIrqRun {
-        global_cycles: 13_567_617,
-        syscalls: vec![("kreadv".into(), 17, 118_945), ("open".into(), 1, 392)],
-        pseudo_irqs: vec![0, 32_611],
-        by_mode: vec![[0, 119_397, 0], [4_489_462, 0, 65_367], [0, 0, 58_316]],
+        global_cycles: 13_567_854,
+        syscalls: vec![("kreadv".into(), 17, 118_852), ("open".into(), 1, 392)],
+        pseudo_irqs: vec![0, 5],
+        by_mode: vec![[0, 119_304, 0], [4_489_795, 0, 155], [0, 0, 58_646]],
     };
     assert_eq!(run, pinned);
     #[cfg(feature = "check-invariants")]
     for seed in [0x5EED_0003, 0x5EED_0004] {
         let (twin, _) = pseudo_irq_run(pseudo_irq_builder().schedule_seed(seed));
         assert_eq!(twin, pinned, "schedule {seed:#x}");
+    }
+}
+
+/// An interrupt request is edge-triggered in simulated time: the
+/// blocking reply that hands it to an application process consumes it, so
+/// a process cannot take more pseudo interrupts than the backend
+/// dispatched device interrupts — with disk interrupts alone, and with
+/// interval-timer ticks as well.
+#[test]
+fn one_device_interrupt_delivers_at_most_one_pseudo_interrupt() {
+    for timer in [None, Some(200_000)] {
+        let mut b = pseudo_irq_builder();
+        b.config_mut().backend.timer_interval = timer;
+        let (run, dispatches) = pseudo_irq_run(b);
+        let pseudo: u64 = run.pseudo_irqs.iter().sum();
+        let irqs: u64 = dispatches.iter().sum();
+        assert!(
+            0 < pseudo && pseudo <= irqs,
+            "timer {timer:?}: {pseudo} pseudo interrupts for {irqs} device interrupts"
+        );
     }
 }
 
