@@ -223,7 +223,9 @@ fn disk_command_schedules_a_completion_task() {
         let r = p0.post(ev(0, t, memref(0x1000_0000)));
         t += r.latency;
         let carried = r.irq_pending;
-        let after = p0.post(ev(0, t, memref(0x1000_0040))).irq_pending;
+        let r = p0.post(ev(0, t, memref(0x1000_0040)));
+        t += r.latency;
+        let after = r.irq_pending;
         p0.post(ev(0, t + 1, EventBody::Ctl(CtlOp::Exit)));
         (carried, after)
     });

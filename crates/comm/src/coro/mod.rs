@@ -150,14 +150,14 @@ struct TaskCtx {
 
 impl TaskCtx {
     /// Books the running time since the last booking to the current
-    /// class; returns its length in ns.
-    fn book(&self, now: Instant) -> u64 {
-        let (Some(c), Some(t)) = (&self.counters, self.since.replace(Some(now))) else {
-            return 0;
-        };
-        let ns = now.duration_since(t).as_nanos() as u64;
-        c.add(self.class.get().ctr(), ns);
-        ns
+    /// class.
+    fn book(&self, now: Instant) {
+        if let (Some(c), Some(t)) = (&self.counters, self.since.replace(Some(now))) {
+            c.add(
+                self.class.get().ctr(),
+                now.duration_since(t).as_nanos() as u64,
+            );
+        }
     }
 }
 

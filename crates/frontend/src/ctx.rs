@@ -252,12 +252,12 @@ impl CpuCtx {
     /// triggers at the same points as at depth 1.
     fn post_mem(&mut self, body: EventBody) {
         if let Mode::Sim { port, .. } = &self.mode {
-            if port.0.has_room() {
+            if port.has_room() {
                 self.stats.events += 1;
                 if let Some(c) = &self.obs {
                     c.inc(Ctr::FrontendPosts);
                 }
-                port.0.post_batched(Event {
+                port.post_batched(Event {
                     pid: self.pid,
                     time: self.clock,
                     body,

@@ -598,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_events_share_the_ring_with_the_processs_own_batch() {
+    fn kernel_events_share_the_ring_with_the_user_batch() {
         let sink = Tally::default();
         // The process left five user-mode events batched before its call.
         sink.occupancy.store(5, Relaxed);
