@@ -57,7 +57,10 @@ pub trait EventSink: Send + Sync {
 /// The real sink: the calling process's event port.
 pub struct PortSink(pub Arc<EventPort>);
 
+// Inline across crates: frontends post every user-mode event through
+// this sink too.
 impl EventSink for PortSink {
+    #[inline]
     fn post(&self, ev: Event) -> Reply {
         let r = self.0.post(ev);
         if matches!(r.data, ReplyData::Aborted) {
@@ -71,14 +74,17 @@ impl EventSink for PortSink {
         r
     }
 
+    #[inline]
     fn post_batched(&self, ev: Event) {
         self.0.post_batched(ev);
     }
 
+    #[inline]
     fn has_room(&self) -> bool {
         self.0.has_room()
     }
 
+    #[inline]
     fn folded(&self) -> Folded {
         self.0.folded()
     }
@@ -135,6 +141,7 @@ impl KernelPerf {
 
     /// Outstanding non-blocking kernel events: between calls, nonzero
     /// exactly while the last call's tail is unsettled.
+    #[inline]
     pub fn pending(&self) -> usize {
         self.batch_pending
     }
