@@ -1,4 +1,4 @@
-//! The shared "CPU-states" structure (§3.2).
+//! The "CPU-states" structure (§3.2).
 //!
 //! "Each CPU has an 'interrupt request' flag bit as well as an 'interrupt
 //! enable' bit in the CPU-states structure. When the backend schedules an
@@ -9,15 +9,14 @@
 //! request to the next blocking reply of an application process on that
 //! CPU (`Reply::irq_pending`), clearing the bits as it does: a request is
 //! edge-triggered in simulated time. No simulated kernel path masks
-//! interrupts, so the enable bit is not modelled.
+//! interrupts, so the enable bit is not modelled. Only the engine reads
+//! or writes the area (a frontend learns of a request from its reply), so
+//! it is a plain struct the engine owns.
 
 use compass_isa::{CpuId, ProcessId};
-use crossbeam_utils::CachePadded;
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Sources of interrupts in the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IrqSource {
     /// Disk-controller completion.
     Disk = 0,
@@ -38,20 +37,19 @@ impl IrqSource {
     pub const ALL: [IrqSource; 3] = [IrqSource::Disk, IrqSource::Net, IrqSource::Timer];
 }
 
-const IDLE_PID: u32 = u32::MAX;
-
+#[derive(Debug, Clone, Copy, Default)]
 struct CpuState {
     /// Pending IRQ mask.
-    word: CachePadded<AtomicU32>,
-    /// Pid currently running on the CPU (`IDLE_PID` when idle). Written by
-    /// the backend scheduler, read by everyone (diagnostics, stats).
-    running: AtomicU32,
+    word: u32,
+    /// The process on the CPU, if any.
+    running: Option<ProcessId>,
     /// Cycles stolen from this CPU by interrupt handlers since the last
     /// reply to its running process.
-    steal: AtomicU64,
+    steal: u64,
 }
 
 /// The CPU-states area: one record per simulated processor.
+#[derive(Debug, Clone)]
 pub struct CpuStates {
     cpus: Vec<CpuState>,
 }
@@ -61,65 +59,48 @@ impl CpuStates {
     /// pending.
     pub fn new(ncpus: usize) -> Self {
         assert!(ncpus > 0);
-        let cpus = (0..ncpus)
-            .map(|_| CpuState {
-                word: CachePadded::new(AtomicU32::new(0)),
-                running: AtomicU32::new(IDLE_PID),
-                steal: AtomicU64::new(0),
-            })
-            .collect();
-        Self { cpus }
-    }
-
-    /// Number of simulated CPUs.
-    pub fn ncpus(&self) -> usize {
-        self.cpus.len()
+        Self {
+            cpus: vec![CpuState::default(); ncpus],
+        }
     }
 
     /// Sets the interrupt-request flag of `src` on `cpu`.
-    pub fn raise(&self, cpu: CpuId, src: IrqSource) {
-        self.cpus[cpu.index()]
-            .word
-            .fetch_or(src.mask(), Ordering::AcqRel);
+    pub fn raise(&mut self, cpu: CpuId, src: IrqSource) {
+        self.cpus[cpu.index()].word |= src.mask();
     }
 
     /// Clears every interrupt-request flag of `cpu` (the request was
     /// handed to a process).
-    pub fn clear(&self, cpu: CpuId) {
-        self.cpus[cpu.index()].word.store(0, Ordering::Release);
+    pub fn clear(&mut self, cpu: CpuId) {
+        self.cpus[cpu.index()].word = 0;
     }
 
     /// Pending IRQ mask of `cpu`.
+    #[inline]
     pub fn pending(&self, cpu: CpuId) -> u32 {
-        self.cpus[cpu.index()].word.load(Ordering::Acquire)
+        self.cpus[cpu.index()].word
     }
 
-    /// Records which process runs on `cpu` (backend scheduler only).
-    pub fn set_running(&self, cpu: CpuId, pid: Option<ProcessId>) {
-        self.cpus[cpu.index()]
-            .running
-            .store(pid.map_or(IDLE_PID, |p| p.0), Ordering::Release);
+    /// Records which process runs on `cpu`.
+    pub fn set_running(&mut self, cpu: CpuId, pid: Option<ProcessId>) {
+        self.cpus[cpu.index()].running = pid;
     }
 
     /// The process running on `cpu`, if any.
     pub fn running(&self, cpu: CpuId) -> Option<ProcessId> {
-        match self.cpus[cpu.index()].running.load(Ordering::Acquire) {
-            IDLE_PID => None,
-            p => Some(ProcessId(p)),
-        }
+        self.cpus[cpu.index()].running
     }
 
-    /// Adds interrupt-handler steal cycles to `cpu` (accumulated by the
-    /// backend, folded into the next reply of the process running there).
-    pub fn add_steal(&self, cpu: CpuId, cycles: u64) {
-        self.cpus[cpu.index()]
-            .steal
-            .fetch_add(cycles, Ordering::AcqRel);
+    /// Adds interrupt-handler steal cycles to `cpu` (folded into the next
+    /// reply of the process running there).
+    pub fn add_steal(&mut self, cpu: CpuId, cycles: u64) {
+        self.cpus[cpu.index()].steal += cycles;
     }
 
     /// Takes (and clears) the accumulated steal cycles of `cpu`.
-    pub fn take_steal(&self, cpu: CpuId) -> u64 {
-        self.cpus[cpu.index()].steal.swap(0, Ordering::AcqRel)
+    #[inline]
+    pub fn take_steal(&mut self, cpu: CpuId) -> u64 {
+        std::mem::take(&mut self.cpus[cpu.index()].steal)
     }
 }
 
@@ -132,7 +113,7 @@ mod tests {
 
     #[test]
     fn raise_clear_pending() {
-        let s = CpuStates::new(2);
+        let mut s = CpuStates::new(2);
         assert_eq!(s.pending(C0), 0);
         s.raise(C0, IrqSource::Disk);
         s.raise(C0, IrqSource::Timer);
@@ -149,7 +130,7 @@ mod tests {
 
     #[test]
     fn running_pid_roundtrip() {
-        let s = CpuStates::new(1);
+        let mut s = CpuStates::new(1);
         assert_eq!(s.running(C0), None);
         s.set_running(C0, Some(ProcessId(5)));
         assert_eq!(s.running(C0), Some(ProcessId(5)));
@@ -159,7 +140,7 @@ mod tests {
 
     #[test]
     fn steal_accumulates_and_drains() {
-        let s = CpuStates::new(1);
+        let mut s = CpuStates::new(1);
         s.add_steal(C0, 100);
         s.add_steal(C0, 50);
         assert_eq!(s.take_steal(C0), 150);

@@ -11,11 +11,12 @@
 //! commands, running due tasks, waking the bottom-half daemon — is the
 //! `impl Backend` block at the end of this file.
 
+use crate::cpu_states::IrqSource;
 use crate::engine::{Backend, PState};
 use crate::error::DeadlockKind;
 use crate::tasks::Task;
 use compass_arch::bus::BusyResource;
-use compass_comm::{DevCmd, DiskCompletion, Event, Frame, IrqSource, Reply, ReplyData, TimerTick};
+use compass_comm::{DevCmd, DiskCompletion, Event, Frame, Reply, ReplyData, TimerTick};
 use compass_isa::{ConnId, CpuId, Cycles, ProcessId};
 use compass_obs::Ctr;
 use serde::{Deserialize, Serialize};

@@ -33,19 +33,29 @@
 //! min-tournament over the process slots (`scan.rs`), whose least entry
 //! is both the candidate event and the safety horizon. Handlers *touch*
 //! the processes they change and `step` re-derives each once, right
-//! before the next selection; a new notifier epoch re-polls only the
-//! empty-ring processes, since only the engine's own pop moves a head.
+//! before the next selection. A task's blocking post touches its own
+//! process; a new notifier epoch (a post from an ordinary thread)
+//! re-polls only the empty-ring processes, since only the engine's own
+//! pop moves a head.
 //!
-//! **Actors.** Frontends, OS-server threads and the bottom-half daemon
-//! are tasks on an [`Executor`] that [`Backend::run_with`] drives on the
-//! engine's own host thread: the engine steps until nothing is safe, then
-//! resumes every task its replies made ready (in the order they became
-//! ready), and repeats. Only with no task ready does it block the host
-//! thread — on the notifier, when posters are ordinary threads
-//! ([`Backend::run`]) — and with every task suspended on the engine and
-//! nothing processable the run is deadlocked at once. Every popped event
-//! is handled in place, architecture-model access included, so nothing
-//! is ever in flight between two steps.
+//! **Actors.** Frontends and the bottom-half daemon are tasks on an
+//! [`Executor`] that [`Backend::run_with`] drives on the engine's own host
+//! thread. The engine sits in a `RefCell` that `run_with` installs as the
+//! thread's engine ([`coro::with_engine`]) and borrows one step at a
+//! time. A task's blocking post runs `step` itself, on the task's stack,
+//! until its reply is out ([`coro::serve`]): the same safety rule and the
+//! same handlers, so the least-time poster — nearly always the one
+//! posting — is served without a stack switch. Wakes of other tasks only
+//! queue them. When a post's reply cannot come yet (a lock wait, a
+//! blocking call, a process that is not the least), the poster suspends.
+//! The run loop steps until nothing is safe, then resumes every task made
+//! ready (in the order they became ready), and repeats; it holds no
+//! borrow of the engine while tasks run. Only with no task ready does it
+//! block the host thread — on the notifier, when posters are ordinary
+//! threads ([`Backend::run`]) — and with every task suspended on the
+//! engine and nothing processable the run is deadlocked at once. Every
+//! popped event is handled in place, architecture-model access included,
+//! so nothing is ever in flight between two steps.
 //!
 //! **Reply release.** A wire reply that sets a poster's clock to `b` is
 //! held back while a device task due at or before `b` is still queued,
@@ -59,6 +69,8 @@
 //! **Errors.** A failure found mid-step — a deadlock or a wild access —
 //! is latched (the first one wins) and returned by the run loop at the
 //! next step boundary, with every port poisoned so parked posters unwind.
+//! A panic in the engine is such a failure too (`RunError::BackendPanic`),
+//! whether it unwinds out of the run loop or out of a step a task served.
 //!
 //! **Components.** This file is the core loop (`drive`/`step` and the
 //! scan glue), event and control handling, and the process lifecycle
@@ -71,6 +83,7 @@
 
 use crate::arch_port::ArchPort;
 use crate::config::BackendConfig;
+use crate::cpu_states::CpuStates;
 use crate::devices::{Disk, Nic, TrafficSource};
 use crate::error::{DeadlockKind, RunError};
 use crate::locks::{SyncOutcome, SyncTable};
@@ -82,12 +95,15 @@ use crate::tasks::{Task, TaskQueue};
 use crate::trace::TraceRecord;
 use crate::vm::Vm;
 use compass_arch::MemSysKind;
+use compass_comm::coro::{self, payload_message};
 use compass_comm::{
-    CpuStates, CtlOp, DevShared, Event, EventBody, EventPort, ExecMode, Executor, Folded, Notifier,
-    Reply, ReplyData, SyncOp,
+    CtlOp, DevShared, Event, EventBody, EventPort, ExecMode, Executor, Folded, Notifier, Reply,
+    ReplyData, SyncOp,
 };
 use compass_isa::{CpuId, Cycles, FoldHashSet, ProcessId};
 use compass_obs::{Ctr, TraceKind};
+use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -189,6 +205,16 @@ pub struct SimOutcome {
     /// Every architecture-model call in service order, when
     /// [`ArchPort::record_trace`] was on (the simcheck oracle's input).
     pub access_trace: Option<Vec<TraceRecord>>,
+    /// The CPU-states area as the run left it.
+    pub(crate) cpu_states: CpuStates,
+}
+
+impl SimOutcome {
+    /// The interrupt requests still pending on `cpu` at the end of the
+    /// run (an [`crate::IrqSource::mask`] set).
+    pub fn irq_pending(&self, cpu: CpuId) -> u32 {
+        self.cpu_states.pending(cpu)
+    }
 }
 
 /// The backend simulation process.
@@ -196,7 +222,7 @@ pub struct Backend {
     pub(crate) cfg: BackendConfig,
     pub(crate) ports: Vec<Arc<EventPort>>,
     notifier: Arc<Notifier>,
-    pub(crate) cpu_states: Arc<CpuStates>,
+    pub(crate) cpu_states: CpuStates,
     pub(crate) devshared: Arc<DevShared>,
     /// Every architecture-model call goes through here.
     pub(crate) arch: ArchPort,
@@ -258,14 +284,12 @@ impl Backend {
         cfg: BackendConfig,
         ports: Vec<Arc<EventPort>>,
         notifier: Arc<Notifier>,
-        cpu_states: Arc<CpuStates>,
         devshared: Arc<DevShared>,
         daemon: Option<ProcessId>,
         traffic: Box<dyn TrafficSource>,
     ) -> Self {
         cfg.validate().expect("invalid backend configuration");
         let (nprocs, ncpus) = (ports.len(), cfg.arch.ncpus());
-        assert_eq!(cpu_states.ncpus(), ncpus, "CPU-states size mismatch");
         // Every process starts constraining with an empty ring at bound 0.
         let mut index = ScanIndex::new(nprocs);
         for i in 0..nprocs {
@@ -292,7 +316,7 @@ impl Backend {
             cfg,
             ports,
             notifier,
-            cpu_states,
+            cpu_states: CpuStates::new(ncpus),
             devshared,
             traffic,
             procs: (0..nprocs).map(|_| Proc::default()).collect(),
@@ -424,84 +448,26 @@ impl Backend {
 
     /// Runs the simulation to completion, resuming the actors spawned on
     /// `exec` whenever they are needed (see "Actors" in the module docs).
-    /// On error every port is poisoned; the caller winds the suspended
-    /// tasks down with [`Executor::cancel_all`].
-    pub fn run_with(mut self, exec: &mut Executor) -> Result<SimOutcome, RunError> {
-        match self.drive(exec) {
-            Ok(()) => Ok(self.finish()),
-            Err(e) => {
-                // A parked poster gets `Aborted`; later posts fail fast.
-                for port in &self.ports {
-                    port.poison();
-                }
-                Err(e)
-            }
+    /// On error, an engine panic included, every port is poisoned; the
+    /// caller winds the suspended tasks down with
+    /// [`Executor::cancel_all`].
+    pub fn run_with(self, exec: &mut Executor) -> Result<SimOutcome, RunError> {
+        let engine = Engine(RefCell::new(self));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            coro::with_engine(&engine, || engine.drive(exec))
+        }));
+        let err = match run {
+            Ok(Ok(())) => return Ok(engine.0.into_inner().finish()),
+            Ok(Err(e)) => e,
+            Err(payload) => RunError::BackendPanic {
+                msg: payload_message(&payload),
+            },
+        };
+        // A parked poster gets `Aborted`; later posts fail fast.
+        for port in &engine.0.borrow().ports {
+            port.poison();
         }
-    }
-
-    fn drive(&mut self, exec: &mut Executor) -> Result<(), RunError> {
-        self.seed_devices();
-        // Wall-clock phase profiling (active vs waiting-for-frontends) is
-        // taken only when counters are on: `Instant::now` is not free.
-        let timing = self.obs.counters.is_some();
-        loop {
-            let epoch = self.notifier.epoch();
-            let mut progressed = false;
-            let active_from = timing.then(Instant::now);
-            let end = loop {
-                if let Some(e) = self.error.take() {
-                    break Some(Err(e));
-                }
-                if self.finished() {
-                    break Some(Ok(()));
-                }
-                if !self.step() {
-                    break None;
-                }
-                progressed = true;
-                if exec.interleave() {
-                    break None;
-                }
-            };
-            self.note_active(active_from);
-            if let Some(end) = end {
-                return end;
-            }
-            // Resume every actor the steps made runnable; they run until
-            // they block on the engine again.
-            if exec.run_ready() {
-                if let Some(msg) = exec.panic_message() {
-                    let msg = format!("a simulated thread panicked: {msg}");
-                    return Err(RunError::BackendPanic { msg });
-                }
-                continue;
-            }
-            if progressed {
-                continue;
-            }
-            if exec.live() == 0 {
-                // Posters on ordinary threads: block until one of them
-                // notifies, or the watchdog expires.
-                let wait_from = timing.then(Instant::now);
-                let advanced = exec.wait_idle(epoch, Duration::from_millis(self.cfg.deadlock_ms));
-                if let Some(t0) = wait_from {
-                    self.obs
-                        .add(Ctr::BackendWaitNs, t0.elapsed().as_nanos() as u64);
-                }
-                if advanced {
-                    continue;
-                }
-            }
-            // Every actor waits on the engine (or the watchdog expired)
-            // and nothing is safe to process. One more scan over a rebuilt
-            // index — the safety net for a missed cache invalidation or a
-            // post that landed between the scan and the wait — before
-            // declaring the deadlock.
-            self.refresh_all();
-            if !self.step() {
-                return Err(self.deadlock_error(DeadlockKind::HostTimeout));
-            }
-        }
+        Err(err)
     }
 
     /// Adds the elapsed active time to the phase counter (no-op when
@@ -543,6 +509,7 @@ impl Backend {
     }
 
     /// Attempts to process one item; returns false when nothing is safe.
+    /// The run loop and every served post call this one function.
     ///
     /// All port knowledge comes from the incrementally maintained index
     /// (touched entries and, if the epoch moved, empty-ring ones are
@@ -1019,10 +986,112 @@ impl Backend {
     }
 }
 
+/// The backend behind a `RefCell`: the run loop and every post a task
+/// serves ([`coro::serve`]) borrow it one step at a time.
+struct Engine(RefCell<Backend>);
+
+impl coro::Engine for Engine {
+    fn touch(&self, pid: ProcessId) {
+        self.0.borrow_mut().touch(pid.index());
+    }
+
+    fn step(&self) -> bool {
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            let mut b = self.0.borrow_mut();
+            b.error.is_none() && !b.all_apps_exited() && b.step()
+        }));
+        stepped.unwrap_or_else(|payload| {
+            // The panic unwound on a task's stack; it is the engine's, not
+            // the workload's, so the run loop reports it as such.
+            let msg = payload_message(&payload);
+            self.0
+                .borrow_mut()
+                .latch(|_| RunError::BackendPanic { msg });
+            false
+        })
+    }
+}
+
+impl Engine {
+    /// The run loop (see "Actors" in the module docs).
+    fn drive(&self, exec: &mut Executor) -> Result<(), RunError> {
+        self.0.borrow_mut().seed_devices();
+        // Wall-clock phase profiling (active vs waiting-for-frontends) is
+        // taken only when counters are on: `Instant::now` is not free.
+        let timing = self.0.borrow().obs.counters.is_some();
+        loop {
+            let (epoch, progressed, end) = {
+                let b = &mut *self.0.borrow_mut();
+                let epoch = b.notifier.epoch();
+                let mut progressed = false;
+                let active_from = timing.then(Instant::now);
+                let end = loop {
+                    if let Some(e) = b.error.take() {
+                        break Some(Err(e));
+                    }
+                    if b.finished() {
+                        break Some(Ok(()));
+                    }
+                    if !b.step() {
+                        break None;
+                    }
+                    progressed = true;
+                    if exec.interleave() {
+                        break None;
+                    }
+                };
+                b.note_active(active_from);
+                (epoch, progressed, end)
+            };
+            if let Some(end) = end {
+                return end;
+            }
+            // Resume every actor the steps made runnable; they run (and
+            // serve their own posts) until they block on the engine again.
+            if exec.run_ready() {
+                if let Some(msg) = exec.panic_message() {
+                    let msg = format!("a simulated thread panicked: {msg}");
+                    return Err(RunError::BackendPanic { msg });
+                }
+                continue;
+            }
+            if progressed {
+                continue;
+            }
+            if exec.live() == 0 {
+                // Posters on ordinary threads: block until one of them
+                // notifies, or the watchdog expires.
+                let wait_from = timing.then(Instant::now);
+                let deadlock_ms = self.0.borrow().cfg.deadlock_ms;
+                let advanced = exec.wait_idle(epoch, Duration::from_millis(deadlock_ms));
+                if let Some(t0) = wait_from {
+                    let b = self.0.borrow();
+                    b.obs
+                        .add(Ctr::BackendWaitNs, t0.elapsed().as_nanos() as u64);
+                }
+                if advanced {
+                    continue;
+                }
+            }
+            // Every actor waits on the engine (or the watchdog expired)
+            // and nothing is safe to process. One more scan over a rebuilt
+            // index — the safety net for a missed cache invalidation or a
+            // post that landed between the scan and the wait — before
+            // declaring the deadlock.
+            let mut b = self.0.borrow_mut();
+            b.refresh_all();
+            if !b.step() {
+                return Err(b.deadlock_error(DeadlockKind::HostTimeout));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use compass_mem::VAddr;
+    use compass_obs::CounterBlock;
 
     /// A backend over `nprocs` bare ports on a two-CPU SMP.
     pub(crate) fn mini_backend(nprocs: usize, daemon: Option<ProcessId>) -> Backend {
@@ -1038,13 +1107,11 @@ pub(crate) mod tests {
                 ))
             })
             .collect();
-        let cpu_states = Arc::new(CpuStates::new(cfg.arch.ncpus()));
         let devshared = Arc::new(DevShared::new());
         Backend::new(
             cfg,
             ports,
             notifier,
-            cpu_states,
             devshared,
             daemon,
             Box::new(crate::devices::NullTraffic),
@@ -1112,8 +1179,19 @@ pub(crate) mod tests {
         }
     }
 
+    /// Waits until process `i`'s ring holds `n` events. Enough before
+    /// the first step, which polls every port; after it, the engine sees
+    /// a thread's posts only once they notify ([`wait_for_cut`]).
     fn wait_for_posts(b: &Backend, i: usize, n: usize) {
         while b.ports[i].pending() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Waits for a blocking post's notify to move the epoch past `seen`:
+    /// batched posts are silent, the cut tells the engine about them.
+    fn wait_for_cut(b: &Backend, seen: u64) {
+        while b.notifier.epoch() <= seen {
             std::thread::yield_now();
         }
     }
@@ -1178,8 +1256,9 @@ pub(crate) mod tests {
         assert!(!b.step(), "a lower bound must hold back a later candidate");
         assert!(matches!(b.index.get(3), Indexed::Bound(20)));
 
+        let seen = b.notifier.epoch();
         go.send(()).expect("poster 3 waits");
-        wait_for_posts(&b, 3, 2);
+        wait_for_cut(&b, seen);
         assert!(b.step());
         assert_eq!(b.device_polls_eliminated, 3, "the task at 25 precedes 30");
         assert_eq!(pick(&mut b), (30, 0));
@@ -1263,6 +1342,193 @@ pub(crate) mod tests {
         assert_eq!(exit.latency, credit);
         let folded = b.ports[0].folded();
         assert_eq!((folded.user, folded.kernel), (load_latency, kernel_credit));
+    }
+
+    /// A backend like [`mini_backend`] whose ports count their blocking
+    /// posts and the suspensions among them.
+    fn counted_backend(
+        nprocs: usize,
+        timer_interval: Option<Cycles>,
+    ) -> (Backend, Vec<Arc<CounterBlock>>) {
+        let mut cfg = BackendConfig::new(compass_arch::ArchConfig::simple_smp(2));
+        cfg.timer_interval = timer_interval;
+        let notifier = Arc::new(Notifier::new());
+        let counters: Vec<_> = (0..nprocs).map(|_| Arc::new(CounterBlock::new())).collect();
+        let ports = counters
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let pid = ProcessId(i as u32);
+                let mut port = EventPort::with_capacity(pid, Arc::clone(&notifier), 64);
+                port.set_counters(Arc::clone(c));
+                Arc::new(port)
+            })
+            .collect();
+        let b = Backend::new(
+            cfg,
+            ports,
+            notifier,
+            Arc::new(DevShared::new()),
+            None,
+            Box::new(crate::devices::NullTraffic),
+        );
+        (b, counters)
+    }
+
+    /// A scripted process: posts on its port from a task.
+    type Script = Box<dyn FnOnce(Arc<EventPort>) + Send>;
+
+    /// Runs each `(pid, body)` as a task, in that order, the way the
+    /// runner runs processes: the engine serves their posts on their own
+    /// stacks. Returns each port's `(blocking posts, suspensions)`.
+    fn run_tasks(
+        b: Backend,
+        counters: &[Arc<CounterBlock>],
+        bodies: Vec<(usize, Script)>,
+    ) -> (SimOutcome, Vec<(u64, u64)>) {
+        let mut exec = Executor::new(Arc::clone(&b.notifier));
+        for (pid, body) in bodies {
+            let port = Arc::clone(&b.ports[pid]);
+            exec.spawn(compass_comm::Class::Frontend, None, move || body(port));
+        }
+        let outcome = b.run_with(&mut exec).expect("scripted run");
+        // The run ends at the last Exit; its poster may still be queued.
+        while exec.run_ready() {}
+        assert_eq!(exec.live(), 0, "every task ran to its end");
+        let counts = counters
+            .iter()
+            .map(|c| (c.get(Ctr::RingPosts), c.get(Ctr::RingStalls)))
+            .collect();
+        (outcome, counts)
+    }
+
+    fn at(pid: u32, time: Cycles, body: EventBody) -> Event {
+        Event {
+            pid: ProcessId(pid),
+            time,
+            body,
+        }
+    }
+
+    fn load(va: u32) -> EventBody {
+        EventBody::MemRef {
+            kind: compass_comm::MemRefKind::Load,
+            mode: ExecMode::User,
+            vaddr: VAddr(va),
+            size: 8,
+        }
+    }
+
+    #[test]
+    fn a_deferred_reply_is_released_inside_the_posters_serve() {
+        // One process and a timer that ticks at 1000: a first-touch load
+        // posted at 990 costs far more than 10 cycles, so its reply sets
+        // the clock past the tick and is held until the tick has run. The
+        // poster is the only process, so its own serve runs the tick and
+        // releases the reply: it never suspends, and what it sees on
+        // return is the tick record due by its clock.
+        let (b, counters) = counted_backend(1, Some(1_000));
+        let devshared = Arc::clone(&b.devshared);
+        let (tell, seen) = std::sync::mpsc::channel();
+        let body = move |port: Arc<EventPort>| {
+            let t = port.post(at(0, 0, EventBody::Ctl(CtlOp::Start))).latency;
+            assert_eq!(t, 0);
+            let r = port.post(at(0, 990, load(0x1000_0000)));
+            let clock = 990 + r.latency;
+            assert!(clock >= 1_000, "the load spans the tick");
+            tell.send(devshared.drain_ticks_until(clock).len()).unwrap();
+            port.post(at(0, clock, EventBody::Ctl(CtlOp::Exit)));
+        };
+        let (outcome, counts) = run_tasks(b, &counters, vec![(0, Box::new(body))]);
+        assert_eq!(
+            seen.recv().unwrap(),
+            1,
+            "the tick due by the clock ran first"
+        );
+        assert_eq!(counts, [(3, 0)], "every post served without suspending");
+        assert!(outcome.stats.irq_dispatches[2] >= 1);
+    }
+
+    #[test]
+    fn a_serve_processes_another_process_event_and_wakes_it() {
+        // Process 1 runs first: its Start at 0 waits behind process 0's
+        // bound 0 (equal times go in pid order), so it suspends. Process
+        // 0's Start is served at once; its Exit's serve then processes
+        // process 1's Start first, which replies to and wakes process 1,
+        // a suspended task.
+        let (b, counters) = counted_backend(2, None);
+        let (tell, cpus) = std::sync::mpsc::channel();
+        let body = move |pid: u32| {
+            let tell = tell.clone();
+            Box::new(move |port: Arc<EventPort>| {
+                let r = port.post(at(pid, 0, EventBody::Ctl(CtlOp::Start)));
+                tell.send((pid, r.data)).unwrap();
+                port.post(at(
+                    pid,
+                    100 + 100 * pid as Cycles,
+                    EventBody::Ctl(CtlOp::Exit),
+                ));
+            }) as Script
+        };
+        let (outcome, counts) = run_tasks(b, &counters, vec![(1, body(1)), (0, body(0))]);
+        let cpu = |c| ReplyData::Cpu { cpu: CpuId(c) };
+        let got: Vec<_> = cpus.try_iter().collect();
+        assert_eq!(got, [(0, cpu(0)), (1, cpu(1))]);
+        assert_eq!(counts[1], (2, 1), "process 1 suspended on its Start only");
+        assert_eq!(outcome.stats.events, 4);
+    }
+
+    #[test]
+    fn a_served_acquire_that_must_wait_suspends_and_resumes() {
+        // Process 0 takes the lock and holds it for 5000 cycles; process
+        // 1's acquire at 100 finds it held, so that post cannot be served
+        // to its end: process 1 suspends on it and resumes with the grant
+        // when process 0 releases.
+        let (b, counters) = counted_backend(2, None);
+        let lock = VAddr(0x1000_0000);
+        let sync = move |op| EventBody::Sync {
+            op,
+            vaddr: lock,
+            mode: ExecMode::User,
+        };
+        let (tell, waited) = std::sync::mpsc::channel();
+        let holder = move |port: Arc<EventPort>| {
+            let mut t = port.post(at(0, 0, EventBody::Ctl(CtlOp::Start))).latency;
+            t += 10 + port.post(at(0, t + 10, sync(SyncOp::LockAcquire))).latency;
+            t += 3_000
+                + port
+                    .post(at(0, t + 3_000, EventBody::Ctl(CtlOp::Yield)))
+                    .latency;
+            t += 2_000
+                + port
+                    .post(at(0, t + 2_000, sync(SyncOp::LockRelease)))
+                    .latency;
+            port.post(at(0, t + 1, EventBody::Ctl(CtlOp::Exit)));
+        };
+        let waiter = move |port: Arc<EventPort>| {
+            let mut t = port.post(at(1, 0, EventBody::Ctl(CtlOp::Start))).latency;
+            t += 50
+                + port
+                    .post(at(1, t + 50, EventBody::Ctl(CtlOp::Yield)))
+                    .latency;
+            let r = port.post(at(1, t + 100, sync(SyncOp::LockAcquire)));
+            tell.send(r.latency).unwrap();
+            t += 100 + r.latency;
+            t += port.post(at(1, t, sync(SyncOp::LockRelease))).latency;
+            port.post(at(1, t + 1, EventBody::Ctl(CtlOp::Exit)));
+        };
+        let (outcome, counts) = run_tasks(
+            b,
+            &counters,
+            vec![(0, Box::new(holder)), (1, Box::new(waiter))],
+        );
+        assert!(
+            waited.recv().unwrap() > 4_000,
+            "the acquire waited for the release"
+        );
+        assert_eq!(outcome.stats.sync.contended, 1);
+        assert!(counts[1].1 >= 1, "the waiter suspended");
+        assert!(outcome.stats.procs[1].sync_wait > 4_000);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`devices`] — disk, Ethernet (with a pluggable
 //!   [`devices::TrafficSource`] for the SPECWeb-style trace player),
 //!   real-time clock and interval timer;
+//! * [`cpu_states`] — the "CPU-states" area with the interrupt request
+//!   bits (§3.2), owned by the engine;
 //! * [`tasks`] — the timestamped task queue ("global event scheduler", §2);
 //! * [`trace`] — memory-access trace recording at the engine/architecture
 //!   boundary, replayed by the `simcheck` reference oracle;
@@ -46,6 +48,7 @@
 pub mod arch_port;
 pub mod ckpt;
 pub mod config;
+pub mod cpu_states;
 pub mod devices;
 pub mod engine;
 pub mod error;
@@ -61,6 +64,7 @@ pub mod vm;
 pub use arch_port::ArchPort;
 pub use ckpt::{ArchRecord, CheckpointData, CKPT_VERSION};
 pub use config::{BackendConfig, SchedPolicy};
+pub use cpu_states::{CpuStates, IrqSource};
 pub use devices::{DiskParams, NetParams, TrafficSource};
 pub use engine::{Backend, SimOutcome};
 pub use error::{DeadlockKind, DeadlockReport, ProcDump, RunError, WildAccessReport};

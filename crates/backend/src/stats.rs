@@ -150,6 +150,7 @@ impl Backend {
         SimOutcome {
             stats,
             access_trace: self.arch.take_trace(),
+            cpu_states: self.cpu_states,
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Direct engine tests: scripted frontends drive the event ports without
 //! the OS server, pinning engine behaviours that the integration suite
 //! only exercises indirectly — the wakeup latch, the scheduler/reply
-//! interplay, lock grant ordering, and device task scheduling.
+//! interplay, lock grant ordering, device task scheduling, and what a
+//! poster on an ordinary thread gets when the engine panics.
 
 use compass_arch::ArchConfig;
 use compass_backend::devices::NullTraffic;
-use compass_backend::{Backend, BackendConfig};
+use compass_backend::{Backend, BackendConfig, RunError};
 use compass_comm::{
-    BlockReason, CpuStates, CtlOp, DevCmd, DevShared, Event, EventBody, EventPort, ExecMode,
-    MemRefKind, Notifier, ReplyData, SyncOp,
+    BlockReason, CtlOp, DevCmd, DevShared, Event, EventBody, EventPort, ExecMode, MemRefKind,
+    Notifier, ReplyData, SyncOp,
 };
 use compass_isa::{DiskId, ProcessId};
 use compass_mem::VAddr;
@@ -17,7 +18,6 @@ use std::sync::Arc;
 struct Rig {
     ports: Vec<Arc<EventPort>>,
     notifier: Arc<Notifier>,
-    cpu_states: Arc<CpuStates>,
     devshared: Arc<DevShared>,
     cfg: BackendConfig,
 }
@@ -40,23 +40,33 @@ impl Rig {
         Rig {
             ports,
             notifier: Arc::clone(&notifier),
-            cpu_states: Arc::new(CpuStates::new(ncpus)),
             devshared: Arc::new(DevShared::new()),
             cfg,
         }
     }
 
-    fn spawn_backend(&self) -> std::thread::JoinHandle<compass_backend::engine::SimOutcome> {
+    /// Runs the engine on its own thread, the posters being ordinary
+    /// threads too.
+    fn spawn_run(
+        &self,
+    ) -> std::thread::JoinHandle<Result<compass_backend::engine::SimOutcome, RunError>> {
         let backend = Backend::new(
             self.cfg.clone(),
             self.ports.clone(),
             Arc::clone(&self.notifier),
-            Arc::clone(&self.cpu_states),
             Arc::clone(&self.devshared),
             None, // no kernel daemon in these scripts
             Box::new(NullTraffic),
         );
-        std::thread::spawn(move || backend.run().expect("scripted run must not deadlock"))
+        std::thread::spawn(move || backend.run())
+    }
+
+    fn spawn_backend(&self) -> std::thread::JoinHandle<compass_backend::engine::SimOutcome> {
+        let run = self.spawn_run();
+        std::thread::spawn(move || {
+            let outcome = run.join().expect("the engine returns its panics");
+            outcome.expect("scripted run must not deadlock")
+        })
     }
 }
 
@@ -201,7 +211,6 @@ fn disk_command_schedules_a_completion_task() {
     // which the process's next blocking reply carries and consumes.
     let rig = Rig::new(1, 1);
     let devshared = Arc::clone(&rig.devshared);
-    let cpu_states = Arc::clone(&rig.cpu_states);
     let backend = rig.spawn_backend();
     let p0 = Arc::clone(&rig.ports[0]);
     let t0 = std::thread::spawn(move || {
@@ -240,7 +249,7 @@ fn disk_command_schedules_a_completion_task() {
     let completions = devshared.drain_disk();
     assert_eq!(completions.len(), 1);
     assert_eq!(completions[0].token, 77);
-    assert_eq!(cpu_states.pending(compass_isa::CpuId(0)), 0);
+    assert_eq!(outcome.irq_pending(compass_isa::CpuId(0)), 0);
 }
 
 #[test]
@@ -264,4 +273,25 @@ fn memref_latency_reflects_cache_locality() {
     });
     t0.join().unwrap();
     backend.join().unwrap();
+}
+
+#[test]
+fn an_engine_panic_aborts_a_thread_poster_instead_of_hanging_it() {
+    let rig = Rig::new(1, 1);
+    let run = rig.spawn_run();
+    // A memory reference before Start: the process is on no CPU, which
+    // the engine treats as a bug and panics on.
+    let r = rig.ports[0].post(ev(0, 0, memref(0x1000_0000)));
+    assert_eq!(
+        r.data,
+        ReplyData::Aborted,
+        "the poisoned port aborts the poster"
+    );
+    match run.join().expect("the engine returns its panics") {
+        Err(RunError::BackendPanic { msg }) => {
+            assert!(msg.contains("while not on a CPU"), "message: {msg}")
+        }
+        other => panic!("expected a backend panic, got {other:?}"),
+    }
+    assert!(rig.ports[0].is_poisoned());
 }

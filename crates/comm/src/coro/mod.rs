@@ -9,17 +9,24 @@
 //! engine resumes directly — a register-saving stack switch of a few tens
 //! of nanoseconds.
 //!
-//! * The blocking primitives ([`crate::EventRing::post`], and
-//!   [`crate::ReqPort::call`]/[`recv`](crate::ReqPort::recv), which the
-//!   simulator no longer uses) register a [`Waiter`] and call [`wait`]:
-//!   inside a task that suspends back to the executor; on an ordinary
-//!   thread (unit tests, the benchmark's port probes) it parks the thread.
-//!   Waking pushes the task onto the ready queue or unparks the thread.
+//! * A blocking post from a task is first served on the task's own
+//!   stack: while [`with_engine`] has installed the engine on this
+//!   thread, [`serve`] steps it there until the post's reply is out. The
+//!   engine's own rule decides what each step may process, so this is
+//!   the same simulation in a different host order, minus two stack
+//!   switches and a ready-queue round trip per rendezvous.
+//! * The blocking primitives ([`crate::EventRing::post`] when not served,
+//!   and [`crate::ReqPort::call`]/[`recv`](crate::ReqPort::recv), which
+//!   the simulator no longer uses) register a [`Waiter`] and call
+//!   [`wait`]: inside a task that suspends back to the executor; on an
+//!   ordinary thread (unit tests, the benchmark's port probes) it parks
+//!   the thread. Waking pushes the task onto the ready queue or unparks
+//!   the thread.
 //! * [`Executor::run_ready`] resumes ready tasks in the order they became
 //!   ready; each runs until it blocks or finishes. Under the
 //!   `check-invariants` feature a seeded random schedule is available
-//!   ([`Executor::set_schedule_seed`]): simulated results must not depend
-//!   on it.
+//!   ([`Executor::set_schedule_seed`]), which also flips a coin on every
+//!   served post: simulated results must not depend on it.
 //! * No host lock may be held across a blocking call: a contended guard
 //!   on the single host thread would hang the run.
 //! * A task's panic is caught at the bottom of its stack; a
@@ -28,7 +35,8 @@
 //!   every suspended task unwind with `SimAbort` from its blocking call.
 //! * A timed task books its running time to its [`Class`]; kernel code a
 //!   process runs for itself switches the class for its duration
-//!   ([`enter_class`]).
+//!   ([`enter_class`]), and so does an engine serve ([`Class::Backend`],
+//!   which the executor leaves out of [`Executor::busy_ns`]).
 
 mod context;
 
@@ -36,6 +44,7 @@ pub use context::Payload;
 
 use crate::event::SimAbort;
 use crate::notifier::Notifier;
+use compass_isa::ProcessId;
 use compass_obs::{CounterBlock, Ctr};
 use context::Coroutine;
 use parking_lot::Mutex;
@@ -55,15 +64,19 @@ pub enum Class {
     Os,
     /// The bottom-half kernel daemon.
     BottomHalf,
+    /// The engine, serving a post on the poster's stack ([`serve`]).
+    /// Booked to no task counter: the owner counts it as its own.
+    Backend,
 }
 
 impl Class {
     /// The counter a task of this class adds its running time to.
-    fn ctr(self) -> Ctr {
+    fn ctr(self) -> Option<Ctr> {
         match self {
-            Class::Frontend => Ctr::FrontendGenNs,
-            Class::Os => Ctr::HostOsNs,
-            Class::BottomHalf => Ctr::HostBottomHalfNs,
+            Class::Frontend => Some(Ctr::FrontendGenNs),
+            Class::Os => Some(Ctr::HostOsNs),
+            Class::BottomHalf => Some(Ctr::HostBottomHalfNs),
+            Class::Backend => None,
         }
     }
 }
@@ -79,6 +92,9 @@ struct Ready {
     ids: Vec<usize>,
     /// The owner is blocked in [`Executor::wait_idle`].
     sleeping: bool,
+    /// The seeded schedule's xorshift state ([`Executor::set_schedule_seed`]).
+    #[cfg(feature = "check-invariants")]
+    shuffle: Option<u64>,
 }
 
 impl ReadyQueue {
@@ -91,6 +107,17 @@ impl ReadyQueue {
         if sleeping {
             self.notifier.notify();
         }
+    }
+
+    /// Whether a blocking post runs the engine itself: always, except
+    /// under a seeded schedule, where it is a coin flip.
+    #[inline]
+    fn serve_inline(&self) -> bool {
+        #[cfg(feature = "check-invariants")]
+        if let Some(state) = &mut self.inner.lock().shuffle {
+            return xorshift(state).is_multiple_of(2);
+        }
+        true
     }
 }
 
@@ -146,6 +173,8 @@ struct TaskCtx {
     counters: Option<Arc<CounterBlock>>,
     /// Since when running time has not been booked (timed tasks only).
     since: Cell<Option<Instant>>,
+    /// Running time booked to [`Class::Backend`] since the last resume.
+    engine_ns: Cell<u64>,
 }
 
 impl TaskCtx {
@@ -153,10 +182,22 @@ impl TaskCtx {
     /// class.
     fn book(&self, now: Instant) {
         if let (Some(c), Some(t)) = (&self.counters, self.since.replace(Some(now))) {
-            c.add(
-                self.class.get().ctr(),
-                now.duration_since(t).as_nanos() as u64,
-            );
+            let ns = now.duration_since(t).as_nanos() as u64;
+            match self.class.get().ctr() {
+                Some(ctr) => c.add(ctr, ns),
+                None => self.engine_ns.set(self.engine_ns.get() + ns),
+            }
+        }
+    }
+
+    /// Switches the class a timed task books to (see [`enter_class`]).
+    fn enter(&self, class: Class) -> ClassScope {
+        if self.counters.is_none() {
+            return ClassScope { prev: None };
+        }
+        self.book(Instant::now());
+        ClassScope {
+            prev: Some(self.class.replace(class)),
         }
     }
 }
@@ -164,6 +205,8 @@ impl TaskCtx {
 thread_local! {
     /// The task running on this thread, if any.
     static CURRENT: Cell<*const TaskCtx> = const { Cell::new(ptr::null()) };
+    /// The engine [`with_engine`] installed on this thread, if any.
+    static ENGINE: Cell<Option<*const (dyn Engine + 'static)>> = const { Cell::new(None) };
 }
 
 /// Books the running task's host time to `class` until the returned
@@ -172,13 +215,70 @@ thread_local! {
 pub fn enter_class(class: Class) -> ClassScope {
     let t = CURRENT.with(|c| c.get());
     // SAFETY: see `Waiter::current`.
-    let Some(ctx) = (unsafe { t.as_ref() }).filter(|t| t.counters.is_some()) else {
-        return ClassScope { prev: None };
-    };
-    ctx.book(Instant::now());
-    ClassScope {
-        prev: Some(ctx.class.replace(class)),
+    match unsafe { t.as_ref() } {
+        Some(ctx) => ctx.enter(class),
+        None => ClassScope { prev: None },
     }
+}
+
+/// The engine as a blocking post sees it: the owner of the tasks, which
+/// a task may run on its own stack ([`serve`]).
+pub trait Engine {
+    /// Marks process `pid`'s port as changed, so the engine re-reads it
+    /// before its next selection: how a served post tells the engine
+    /// about its batch and its blocking entry.
+    fn touch(&self, pid: ProcessId);
+
+    /// Processes one item the engine's safety rule allows, exactly as its
+    /// own loop would. False when nothing is safe, an error is latched,
+    /// or the run is over: the engine's own loop takes it from there.
+    fn step(&self) -> bool;
+}
+
+/// Runs `f` with `engine` installed as this thread's engine, so blocking
+/// posts from the tasks `f` resumes are served on their own stacks
+/// ([`serve`]). The engine is uninstalled when `f` returns or unwinds.
+pub fn with_engine<R>(engine: &dyn Engine, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<*const (dyn Engine + 'static)>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ENGINE.with(|e| e.set(self.0));
+        }
+    }
+    // SAFETY: only the trait object's lifetime bound is erased. The
+    // pointer is read only by `serve`, on this thread, while `f` runs:
+    // `Restore` uninstalls it before `engine`'s borrow ends.
+    let ptr = unsafe {
+        std::mem::transmute::<*const (dyn Engine + '_), *const (dyn Engine + 'static)>(engine)
+    };
+    let _restore = Restore(ENGINE.with(|e| e.replace(Some(ptr))));
+    f()
+}
+
+/// Serves a blocking post on the poster's own stack. When the caller is
+/// a task on a thread with an installed engine ([`with_engine`]), touches
+/// `pid`'s port and steps the engine until `replied()` or the engine
+/// stops, booking the time to [`Class::Backend`]; the post then suspends
+/// only if its reply is still missing. Returns false when no engine can
+/// serve the caller: a thread poster, or no engine installed, must notify
+/// the backend instead.
+#[inline]
+pub fn serve(pid: ProcessId, replied: impl Fn() -> bool) -> bool {
+    let Some(engine) = ENGINE.with(Cell::get) else {
+        return false;
+    };
+    // SAFETY: see `Waiter::current`.
+    let Some(ctx) = (unsafe { CURRENT.with(Cell::get).as_ref() }) else {
+        return false;
+    };
+    // SAFETY: `with_engine` keeps the engine alive while it is installed.
+    let engine = unsafe { &*engine };
+    engine.touch(pid);
+    if ctx.waker.ready.serve_inline() {
+        let _class = ctx.enter(Class::Backend);
+        while !replied() && engine.step() {}
+    }
+    true
 }
 
 /// The extent of an [`enter_class`] switch.
@@ -239,10 +339,8 @@ pub struct Executor {
     live: usize,
     /// The first task panic that was not a [`SimAbort`].
     panic: Option<Payload>,
-    /// Host ns spent inside timed tasks.
+    /// Host ns spent inside timed tasks, engine serves excepted.
     busy_ns: u64,
-    #[cfg(feature = "check-invariants")]
-    shuffle: Option<u64>,
 }
 
 impl Executor {
@@ -255,6 +353,8 @@ impl Executor {
                 inner: Mutex::new(Ready {
                     ids: Vec::new(),
                     sleeping: false,
+                    #[cfg(feature = "check-invariants")]
+                    shuffle: None,
                 }),
                 notifier,
             }),
@@ -262,8 +362,6 @@ impl Executor {
             live: 0,
             panic: None,
             busy_ns: 0,
-            #[cfg(feature = "check-invariants")]
-            shuffle: None,
         }
     }
 
@@ -289,6 +387,7 @@ impl Executor {
                 class: Cell::new(class),
                 counters,
                 since: Cell::new(None),
+                engine_ns: Cell::new(0),
             }),
             class,
             suspended_at: None,
@@ -302,7 +401,8 @@ impl Executor {
         self.live
     }
 
-    /// Host ns spent running timed tasks so far.
+    /// Host ns spent running timed tasks so far, leaving out the engine
+    /// serves they ran ([`Class::Backend`]).
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
     }
@@ -312,21 +412,24 @@ impl Executor {
     /// whether any task was ready.
     pub fn run_ready(&mut self) -> bool {
         let mut batch = std::mem::take(&mut self.batch);
-        std::mem::swap(&mut batch, &mut self.ready.inner.lock().ids);
+        {
+            let g = &mut *self.ready.inner.lock();
+            std::mem::swap(&mut batch, &mut g.ids);
+            #[cfg(feature = "check-invariants")]
+            if let (Some(state), false) = (&mut g.shuffle, batch.is_empty()) {
+                // A random order, and a random prefix of it: the rest
+                // wait while the owner steps again, as if the host had
+                // scheduled the owner in between.
+                permute(&mut batch, state);
+                let keep = 1 + (xorshift(state) % batch.len() as u64) as usize;
+                let rest = batch.split_off(keep);
+                let woken = std::mem::replace(&mut g.ids, rest);
+                g.ids.extend(woken);
+            }
+        }
         if batch.is_empty() {
             self.batch = batch;
             return false;
-        }
-        #[cfg(feature = "check-invariants")]
-        if let Some(state) = &mut self.shuffle {
-            // A random order, and a random prefix of it: the rest wait
-            // while the owner steps again, as if the host had scheduled
-            // the owner in between.
-            permute(&mut batch, state);
-            let keep = 1 + (xorshift(state) % batch.len() as u64) as usize;
-            let mut g = self.ready.inner.lock();
-            let woken = std::mem::replace(&mut g.ids, batch.split_off(keep));
-            g.ids.extend(woken);
         }
         for &id in &batch {
             self.resume(id);
@@ -357,7 +460,8 @@ impl Executor {
             // the rest goes to the class it suspended in.
             let now = Instant::now();
             slot.ctx.book(now);
-            self.busy_ns += now.duration_since(t0).as_nanos() as u64;
+            let ran = now.duration_since(t0).as_nanos() as u64;
+            self.busy_ns += ran - slot.ctx.engine_ns.take();
             slot.suspended_at = Some(now);
         }
         let Some(result) = outcome else { return };
@@ -376,10 +480,13 @@ impl Executor {
     /// tasks then observe the owner's state midway, as they could when
     /// they were host threads running beside it.
     #[inline]
-    pub fn interleave(&mut self) -> bool {
+    pub fn interleave(&self) -> bool {
         #[cfg(feature = "check-invariants")]
-        if let Some(state) = &mut self.shuffle {
-            return xorshift(state).is_multiple_of(4) && !self.ready.inner.lock().ids.is_empty();
+        {
+            let g = &mut *self.ready.inner.lock();
+            if let Some(state) = &mut g.shuffle {
+                return xorshift(state).is_multiple_of(4) && !g.ids.is_empty();
+            }
         }
         false
     }
@@ -437,12 +544,14 @@ impl Executor {
     /// simulated results must not depend on it): each [`run_ready`]
     /// resumes a random permutation of a random non-empty prefix of the
     /// ready tasks, leaving the rest for the next call, and
-    /// [`Executor::interleave`] asks the owner to resume tasks early.
+    /// [`Executor::interleave`] asks the owner to resume tasks early, and
+    /// each blocking post a task makes is served on its stack ([`serve`])
+    /// or not at random.
     ///
     /// [`run_ready`]: Executor::run_ready
     #[cfg(feature = "check-invariants")]
     pub fn set_schedule_seed(&mut self, seed: u64) {
-        self.shuffle = Some(seed | 1);
+        self.ready.inner.lock().shuffle = Some(seed | 1);
     }
 }
 

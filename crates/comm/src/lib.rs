@@ -8,16 +8,17 @@
 //!
 //! In this reproduction the "shared memory segment" is process memory, and
 //! the frontends (which run their own OS calls) and the bottom-half daemon
-//! are stackful coroutines ([`coro`]) that the backend's host thread
-//! resumes: a blocking
-//! primitive suspends its caller back to the engine instead of parking a
-//! host thread, so a rendezvous is a user-space stack switch. The
-//! primitives are built from atomics (see *Rust Atomics and Locks*, ch.
-//! 4–5, whose one-shot channel design the [`rendezvous`] module's reply
-//! slot follows) and keep a `thread::park` fallback for callers on
-//! ordinary threads. The non-blocking primitive is a bounded SPSC event
-//! ring per port: the frontend batches a basic block's worth of timed
-//! events and rendezvouses only on the batch's final (blocking) event.
+//! are stackful coroutines ([`coro`]) on the backend's host thread. A
+//! blocking primitive called from one of them runs the engine on the
+//! caller's own stack until its reply is out ([`coro::serve`]), and
+//! suspends back to the engine only when it is not; so a rendezvous is a
+//! function call or a user-space stack switch. The primitives are built
+//! from atomics (see *Rust Atomics and Locks*, ch. 4–5, whose one-shot
+//! channel design the [`rendezvous`] module's reply slot follows) and
+//! keep a notify-and-`thread::park` fallback for callers on ordinary
+//! threads. The non-blocking primitive is a bounded SPSC event ring per
+//! port: the frontend batches a basic block's worth of timed events and
+//! rendezvouses only on the batch's final (blocking) event.
 //!
 //! Contents:
 //!
@@ -28,15 +29,13 @@
 //! * [`port`] — event ports (hot, atomics-based) and a generic request
 //!   port (the paper's OS-port shape; unused by the simulator, kept for
 //!   the benchmark's `comm.reqport_call_ns` probe);
-//! * [`cpu_states`] — the shared "CPU-states" area with the interrupt
-//!   request bits (§3.2);
 //! * [`devshared`] — the device postbox: completion records and network
 //!   frames deposited by backend device models for the OS server's
 //!   interrupt handlers;
-//! * [`notifier`] — the backend wake-up channel.
+//! * [`notifier`] — the backend wake-up channel for posters on ordinary
+//!   threads.
 
 pub mod coro;
-pub mod cpu_states;
 pub mod devshared;
 pub mod event;
 pub mod notifier;
@@ -44,7 +43,6 @@ pub mod port;
 pub mod rendezvous;
 
 pub use coro::{Class, Executor};
-pub use cpu_states::{CpuStates, IrqSource};
 pub use devshared::{DevShared, DiskCompletion, Frame, FrameKind, TimerTick};
 pub use event::{
     BlockReason, CtlOp, DevCmd, Event, EventBody, ExecMode, Folded, MemRefKind, Reply, ReplyData,

@@ -1,17 +1,23 @@
-//! Backend wake-up channel.
+//! Backend wake-up channel for posters on ordinary threads.
 //!
 //! The backend "keeps scanning the event ports of all running frontend
-//! processes" (§2). A busy spin would burn a host CPU, so ports notify this
-//! channel and the backend sleeps between scans when no event is
-//! actionable. An epoch counter closes the race between a scan that finds
-//! nothing and a post that lands just before the backend sleeps — and it
-//! doubles as the backend's cache-invalidation stamp: the incremental port
-//! scanner only re-polls ports when the epoch has moved.
+//! processes" (§2). A busy spin would burn a host CPU, so a blocking post
+//! from an ordinary thread (the engine unit tests, the benchmark's port
+//! probes) notifies this channel, and the backend sleeps between scans
+//! when no event is actionable. An epoch counter closes the race between
+//! a scan that finds nothing and a post that lands just before the
+//! backend sleeps — and it doubles as the backend's cache-invalidation
+//! stamp: the incremental port scanner only re-polls ports when the epoch
+//! has moved.
 //!
-//! With batched posting a notify fires on every batch (not every event),
-//! but the fast path still matters: the epoch lives in an atomic, and the
-//! condvar mutex is touched only when the waiter has announced itself, so
-//! a notify with the backend awake is two uncontended atomic operations.
+//! Simulated processes never notify: they are tasks on the engine's own
+//! thread, and their blocking posts touch their index entry and run the
+//! engine themselves ([`crate::coro::serve`]). Batched posts never notify
+//! either; the blocking post that cuts the batch does. The fast path
+//! still matters for thread posters: the epoch lives in an atomic, and
+//! the condvar mutex is touched only when the waiter has announced
+//! itself, so a notify with the backend awake is two uncontended atomic
+//! operations.
 
 use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};

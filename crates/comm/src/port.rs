@@ -7,13 +7,18 @@
 //!
 //! The [`EventPort`] wraps the bounded [`crate::rendezvous::EventRing`]:
 //! the frontend appends a basic block's worth of timed events with
-//! [`EventPort::post_batched`] (non-blocking; at most one backend wake-up
-//! per batch) and rendezvouses with [`EventPort::post`] on the batch's
-//! final event, whose reply aggregates the batched latencies. The
-//! [`ReqPort`] is the generic blocking request/response rendezvous used for
-//! OS ports ("The OS port is used to accept OS calls from an application
-//! process", §3.1): a mutex-guarded request/response pair whose blocked
-//! side waits through [`crate::coro`] (a task suspends, a thread parks).
+//! [`EventPort::post_batched`] (non-blocking, and silent: the backend
+//! learns of the batch from its cut) and rendezvouses with
+//! [`EventPort::post`] on the batch's final event, whose reply aggregates
+//! the batched latencies. A post from a task on the thread running the
+//! engine is served on the poster's own stack ([`coro::serve`]): the
+//! engine steps there until the reply is out, and the poster suspends
+//! only if it is not. Any other poster notifies the backend and waits.
+//! The [`ReqPort`] is the generic blocking request/response rendezvous
+//! used for OS ports ("The OS port is used to accept OS calls from an
+//! application process", §3.1): a mutex-guarded request/response pair
+//! whose blocked side waits through [`crate::coro`] (a task suspends, a
+//! thread parks).
 
 use crate::coro::{self, Waiter};
 use crate::event::{Event, Folded, Reply};
@@ -77,34 +82,35 @@ impl EventPort {
         self.ring.len() + 1 < self.ring.capacity()
     }
 
-    /// Posts a blocking event: publishes it, wakes the backend, and waits
-    /// for the reply. Any events batched before it are consumed first;
-    /// the reply's latency aggregates theirs (credit accounting lives in
-    /// the backend).
+    /// Posts a blocking event: publishes it, has the engine serve it, and
+    /// waits for the reply. A task on the engine's thread runs the engine
+    /// itself until the reply is out ([`coro::serve`]); any other poster
+    /// notifies the backend. Any events batched before it are consumed
+    /// first; the reply's latency aggregates theirs (credit accounting
+    /// lives in the backend).
+    #[inline]
     pub fn post(&self, ev: Event) -> Reply {
         debug_assert_eq!(ev.pid, self.pid, "event posted on foreign port");
-        // The notification must reach the backend *after* the ring publish;
+        // Serving or notifying must come *after* the ring publish;
         // post_with runs the hook between the Release publish and waiting.
         self.ring.post_with(ev, || {
-            if let Some(c) = &self.counters {
-                c.inc(Ctr::RingNotifies);
+            if !coro::serve(self.pid, || self.ring.is_replied()) {
+                if let Some(c) = &self.counters {
+                    c.inc(Ctr::RingNotifies);
+                }
+                self.notifier.notify();
             }
-            self.notifier.notify()
         })
     }
 
     /// Appends a non-blocking event to the batch and returns immediately.
-    /// The backend is woken only when the ring transitions empty→non-empty
-    /// (its cached view of this port may be stale then) — so a whole batch
-    /// costs at most one notify before the cut.
+    /// Nobody is told: the blocking post that cuts the batch tells the
+    /// backend about the whole ring, and until then the poster's clock
+    /// bound holds back every later event anyway.
+    #[inline]
     pub fn post_batched(&self, ev: Event) {
         debug_assert_eq!(ev.pid, self.pid, "event posted on foreign port");
-        if self.ring.publish(ev, false) {
-            if let Some(c) = &self.counters {
-                c.inc(Ctr::RingNotifies);
-            }
-            self.notifier.notify();
-        }
+        self.ring.publish(ev, false);
     }
 
     /// Backend: peeks the head event's timestamp (as posted — the backend
@@ -300,18 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_posts_notify_once_and_drain_in_order() {
+    fn batched_posts_stay_silent_and_drain_in_order() {
         let notifier = Arc::new(Notifier::new());
         let port = EventPort::with_capacity(ProcessId(0), Arc::clone(&notifier), 8);
         let e0 = notifier.epoch();
         port.post_batched(ev(0, 1));
         port.post_batched(ev(0, 2));
         port.post_batched(ev(0, 3));
-        assert_eq!(
-            notifier.epoch(),
-            e0 + 1,
-            "only the empty→non-empty append notifies"
-        );
+        assert_eq!(notifier.epoch(), e0, "only the blocking cut notifies");
         assert_eq!(port.pending(), 3);
         for t in 1..=3 {
             let (e, wants) = port.pop().unwrap();

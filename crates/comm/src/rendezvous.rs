@@ -14,15 +14,25 @@
 //! entry:
 //!
 //! ```text
-//!   producer:  publish(ev, false)*  → publish(ev, true) + wait
-//!   consumer:  pop … pop            → reply(r) + wake
+//!   producer:  publish(ev, false)*  → publish(ev, true) + serve or wait
+//!   consumer:  pop … pop            → reply(r) [+ wake]
 //! ```
 //!
 //! At most one blocking entry is ever outstanding: the producer waits on
 //! it. The reply slot is the one-shot channel of *Rust Atomics and Locks* ch. 5;
-//! the ring adds the frontend's batching. Waiting and waking go
-//! through [`crate::coro`]: a producer task suspends to the engine that
-//! will reply, a producer thread parks.
+//! the ring adds the frontend's batching. A blocking post first runs the
+//! hook its port passes (the engine serving the post on the poster's own
+//! stack, or a notify); only if the reply is still missing after that
+//! does the producer register its waiter and wait through
+//! [`crate::coro`] (a task suspends, a thread parks). The reply state
+//! says whether it did (`PARKED`), so a reply takes the waiter's mutex
+//! and wakes only a producer that is really waiting.
+//!
+//! Neither `publish` nor `pop` fences: only a blocking post tells the
+//! consumer that the ring changed (batched events ride behind it), so the
+//! tail's Release store and the consumer's Acquire load are all the
+//! ordering the entries need. The one `SeqCst` fence left is the blocking
+//! post's, paired with [`EventRing::poison`].
 
 use crate::coro::{self, Waiter};
 use crate::event::{Event, Reply, ReplyData};
@@ -45,8 +55,10 @@ const ABORTED: Reply = Reply {
 const IDLE: u32 = 0;
 /// Producer has published a blocking entry and waits until REPLIED.
 const WAITING: u32 = 1;
+/// Like WAITING, with the producer's waiter registered: the reply wakes it.
+const PARKED: u32 = 2;
 /// Consumer has written the reply; producer consumes it and returns to IDLE.
-const REPLIED: u32 = 2;
+const REPLIED: u32 = 3;
 
 struct Slot {
     ev: UnsafeCell<Event>,
@@ -70,7 +82,8 @@ pub struct EventRing {
     slots: Box<[Slot]>,
     reply_state: CachePadded<AtomicU32>,
     reply: UnsafeCell<Reply>,
-    /// Whoever waits in `post`, to be woken on reply.
+    /// The producer waiting in `post`, to be woken on reply; read only
+    /// in the PARKED state.
     poster: Mutex<Option<Waiter>>,
     /// Set by [`EventRing::poison`]: the consumer is gone; posts return
     /// [`ReplyData::Aborted`] instantly and publishes are dropped.
@@ -80,9 +93,9 @@ pub struct EventRing {
 }
 
 // SAFETY: slot cells are gated by the head/tail cursors (see struct docs);
-// the reply cell is gated by the reply_state machine exactly as in the old
-// single-slot design: written by the consumer while WAITING (producer is
-// waiting), read by the producer after observing REPLIED with Acquire.
+// the reply cell is gated by the reply_state machine: written by the
+// consumer while WAITING or PARKED (the producer does not read it then),
+// read by the producer after observing REPLIED with Acquire.
 unsafe impl Sync for EventRing {}
 unsafe impl Send for EventRing {}
 
@@ -131,19 +144,17 @@ impl EventRing {
         self.cap
     }
 
-    /// Producer: appends `ev` without blocking. Returns `true` if the ring
-    /// was observably empty before the append — i.e. the consumer may have
-    /// gone idle and needs a wake-up; callers use this to notify at most
-    /// once per batch.
+    /// Producer: appends `ev` without blocking and without telling the
+    /// consumer: the blocking post that cuts the batch does that.
     ///
     /// # Panics
     /// Panics on overflow: the producer published `cap` events without a
     /// batch cut (blocking post), which violates the port protocol.
-    pub fn publish(&self, ev: Event, wants_reply: bool) -> bool {
+    pub fn publish(&self, ev: Event, wants_reply: bool) {
         if self.poisoned.load(Ordering::Relaxed) {
             // Consumer is gone: drop silently rather than filling the ring
             // until the overflow assert fires under a straggling producer.
-            return false;
+            return;
         }
         let tail = self.tail.load(Ordering::Relaxed); // producer-owned
         let head = self.head.load(Ordering::Acquire);
@@ -168,13 +179,6 @@ impl EventRing {
             }
         }
         self.tail.store(tail + 1, Ordering::Release);
-        // Store-load fence paired with the one in `pop`: either the
-        // consumer's post-pop peek sees this tail, or we see its final
-        // head — so an empty→non-empty transition is never missed by both
-        // sides at once (a lost transition would leave the consumer
-        // sleeping on a stale "port empty" cache until the next notify).
-        fence(Ordering::SeqCst);
-        self.head.load(Ordering::Relaxed) == tail
     }
 
     /// Producer: publishes a blocking entry and waits until the consumer
@@ -184,9 +188,10 @@ impl EventRing {
         self.post_with(ev, || {})
     }
 
-    /// Like [`EventRing::post`], but runs `after_publish` once the entry is
-    /// visible to the consumer and before waiting — the hook ports use to
-    /// notify the backend without racing the publish.
+    /// Like [`EventRing::post`], but runs `after_publish` once the entry
+    /// is visible to the consumer and before waiting — the hook ports use
+    /// to serve the post in place or to notify the backend. The producer
+    /// waits only if the reply is still missing when the hook returns.
     pub fn post_with(&self, ev: Event, after_publish: impl FnOnce()) -> Reply {
         if self.poisoned.load(Ordering::SeqCst) {
             if let Some(c) = &self.counters {
@@ -197,22 +202,23 @@ impl EventRing {
         if let Some(c) = &self.counters {
             c.inc(Ctr::RingPosts);
         }
-        *self.poster.lock() = Some(Waiter::current());
-        let prev =
-            self.reply_state
-                .compare_exchange(IDLE, WAITING, Ordering::Relaxed, Ordering::Relaxed);
-        assert!(
-            prev.is_ok(),
+        // Only the producer leaves IDLE, so a plain store suffices; the
+        // publish below releases it to the consumer's pop.
+        assert_eq!(
+            self.reply_state.load(Ordering::Relaxed),
+            IDLE,
             "EventRing::post while a blocking entry is outstanding"
         );
+        self.reply_state.store(WAITING, Ordering::Relaxed);
         self.publish(ev, true);
         after_publish();
-        // Store-buffer pairing with `poison`: our WAITING transition is
-        // separated from this load by the SeqCst fence in `publish`;
-        // poison stores the flag, fences, then reads the state. At least
-        // one side sees the other, so a poster can neither wait forever
-        // on a poisoned ring nor miss a concurrent abort reply.
-        if self.poisoned.load(Ordering::SeqCst)
+        // Store-buffer pairing with `poison`: we stored WAITING, fence,
+        // then load the flag; poison stores the flag, fences, then reads
+        // the state. At least one side sees the other, so a poster can
+        // neither wait forever on a poisoned ring nor miss a concurrent
+        // abort reply.
+        fence(Ordering::SeqCst);
+        if self.poisoned.load(Ordering::Relaxed)
             && self
                 .reply_state
                 .compare_exchange(WAITING, IDLE, Ordering::Relaxed, Ordering::Acquire)
@@ -225,17 +231,43 @@ impl EventRing {
             }
             return ABORTED;
         }
-        while self.reply_state.load(Ordering::Acquire) != REPLIED {
-            if let Some(c) = &self.counters {
-                c.inc(Ctr::RingStalls);
-            }
-            coro::wait();
+        if self.reply_state.load(Ordering::Acquire) != REPLIED {
+            self.park();
         }
         // SAFETY: REPLIED observed with Acquire; consumer wrote the reply
         // before its Release transition and will not touch it again.
         let r = unsafe { *self.reply.get() };
         self.reply_state.store(IDLE, Ordering::Release);
         r
+    }
+
+    /// Producer: registers the caller as the waiter and waits until the
+    /// state reads REPLIED. A reply that lands before the registration
+    /// completes fails the WAITING → PARKED exchange, and the producer
+    /// takes it without waiting.
+    #[cold]
+    fn park(&self) {
+        *self.poster.lock() = Some(Waiter::current());
+        if self
+            .reply_state
+            .compare_exchange(WAITING, PARKED, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return;
+        }
+        if let Some(c) = &self.counters {
+            c.inc(Ctr::RingStalls);
+        }
+        while self.reply_state.load(Ordering::Acquire) != REPLIED {
+            coro::wait();
+        }
+    }
+
+    /// True once the consumer has replied to the outstanding blocking
+    /// entry (the producer has not taken the reply yet).
+    #[inline]
+    pub fn is_replied(&self) -> bool {
+        self.reply_state.load(Ordering::Acquire) == REPLIED
     }
 
     /// Consumer: non-destructively reads the head entry's timestamp.
@@ -267,8 +299,6 @@ impl EventRing {
         let ev = unsafe { *slot.ev.get() };
         let wants = unsafe { *slot.wants_reply.get() };
         self.head.store(head + 1, Ordering::Release);
-        // Paired with the fence in `publish`; see there.
-        fence(Ordering::SeqCst);
         Some((ev, wants))
     }
 
@@ -290,26 +320,36 @@ impl EventRing {
     /// blocking entry is still in the ring or already popped and held.
     #[inline]
     pub fn has_blocked_poster(&self) -> bool {
-        self.reply_state.load(Ordering::Acquire) == WAITING
+        matches!(self.reply_state.load(Ordering::Acquire), WAITING | PARKED)
     }
 
-    /// Consumer: replies to the outstanding blocking entry and wakes its
-    /// producer.
+    /// Consumer: replies to the outstanding blocking entry, waking its
+    /// producer if it waits.
     ///
     /// # Panics
     /// Panics if no blocking entry is outstanding.
     pub fn reply(&self, r: Reply) {
-        // SAFETY: state is WAITING (asserted by the CAS below): the
-        // producer is waiting and not accessing `reply`; we are the only
-        // consumer.
-        unsafe { *self.reply.get() = r };
-        let prev = self.reply_state.compare_exchange(
-            WAITING,
-            REPLIED,
-            Ordering::Release,
-            Ordering::Relaxed,
+        assert!(
+            self.has_blocked_poster(),
+            "EventRing::reply without a blocked poster"
         );
-        assert!(prev.is_ok(), "EventRing::reply without a blocked poster");
+        // SAFETY: state is WAITING or PARKED: the producer is not
+        // accessing `reply`; we are the only consumer.
+        unsafe { *self.reply.get() = r };
+        // Release publishes the reply; Acquire pairs with the producer's
+        // PARKED exchange, which follows its waiter registration.
+        if self.reply_state.swap(REPLIED, Ordering::AcqRel) == PARKED {
+            self.wake_poster();
+        }
+    }
+
+    /// Wakes the registered waiter. It stays registered: a thread poster
+    /// may already have taken this reply and registered again for its
+    /// next post, and taking the waiter here would leave that post's
+    /// reply nobody to wake. The extra wake is a spurious one, which the
+    /// waiting loop absorbs.
+    #[cold]
+    fn wake_poster(&self) {
         if let Some(w) = self.poster.lock().as_ref() {
             w.wake();
         }
@@ -328,22 +368,27 @@ impl EventRing {
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        if self.reply_state.load(Ordering::SeqCst) == WAITING {
-            // SAFETY: the poster does not read `reply` until it observes
-            // REPLIED, which only the CAS below publishes; we are the only
-            // consumer, so nobody else writes the cell.
-            unsafe { *self.reply.get() = ABORTED };
-            if self
-                .reply_state
-                .compare_exchange(WAITING, REPLIED, Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-            {
-                if let Some(w) = self.poster.lock().as_ref() {
-                    w.wake();
-                }
+        let mut state = self.reply_state.load(Ordering::SeqCst);
+        if !matches!(state, WAITING | PARKED) {
+            return;
+        }
+        // SAFETY: the poster does not read `reply` until it observes
+        // REPLIED, which only the exchange below publishes; we are the
+        // only consumer, so nobody else writes the cell.
+        unsafe { *self.reply.get() = ABORTED };
+        // The poster may move WAITING → PARKED (it registers) or
+        // WAITING → IDLE (it saw the flag and cancelled) meanwhile.
+        while matches!(state, WAITING | PARKED) {
+            match self.reply_state.compare_exchange(
+                state,
+                REPLIED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(PARKED) => return self.wake_poster(),
+                Ok(_) => return,
+                Err(now) => state = now,
             }
-            // A failed CAS means the poster cancelled itself after seeing
-            // the flag — it already returned Aborted on its own.
         }
     }
 }
@@ -429,13 +474,38 @@ mod tests {
     }
 
     #[test]
-    fn publish_reports_empty_to_nonempty_transition() {
-        let ring = EventRing::new(4);
-        assert!(ring.publish(ev(0), false), "first append finds it empty");
-        assert!(!ring.publish(ev(1), false), "second append does not");
-        assert!(ring.pop().is_some());
-        assert!(ring.pop().is_some());
-        assert!(ring.publish(ev(2), false), "drained ring reads empty again");
+    fn a_reply_before_the_wait_is_taken_without_waiting() {
+        // A hook that serves the post itself: the reply is in before the
+        // poster would register, so it never waits (or counts a stall).
+        let mut ring = EventRing::new(2);
+        let c = Arc::new(CounterBlock::new());
+        ring.set_counters(Arc::clone(&c));
+        let r = ring.post_with(ev(5), || {
+            let (e, wants) = ring.pop().expect("published before the hook");
+            assert!(wants && ring.has_blocked_poster() && !ring.is_replied());
+            ring.reply(Reply::latency(e.time + 1));
+            assert!(ring.is_replied());
+        });
+        assert_eq!(r.latency, 6);
+        assert!(!ring.has_blocked_poster() && !ring.is_replied());
+        assert_eq!((c.get(Ctr::RingPosts), c.get(Ctr::RingStalls)), (1, 0));
+    }
+
+    #[test]
+    fn a_late_wake_leaves_the_waiter_registered() {
+        // A thread poster can take a reply between the consumer's swap
+        // to REPLIED and its wake, post again and register for that post.
+        // The late wake must leave that registration in place, or the next
+        // reply would find nobody to wake.
+        let ring = EventRing::new(2);
+        *ring.poster.lock() = Some(Waiter::current());
+        ring.reply_state.store(PARKED, Ordering::Relaxed);
+        ring.reply(Reply::latency(1));
+        assert!(ring.is_replied());
+        assert!(
+            ring.poster.lock().is_some(),
+            "a wake must not unregister the waiter"
+        );
     }
 
     #[test]
@@ -487,7 +557,7 @@ mod tests {
         let ring = EventRing::new(2);
         ring.poison();
         for t in 0..10 {
-            assert!(!ring.publish(ev(t), false));
+            ring.publish(ev(t), false);
         }
         assert!(ring.is_empty());
     }

@@ -13,8 +13,7 @@ use crate::config::SimConfig;
 use compass_arch::ArchConfig;
 use compass_backend::devices::NullTraffic;
 use compass_backend::{Backend, BackendStats, RunError, TraceRecord, TrafficSource};
-use compass_comm::coro::payload_message;
-use compass_comm::{Class, CpuStates, DevShared, EventPort, Executor, Notifier};
+use compass_comm::{Class, DevShared, EventPort, Executor, Notifier};
 use compass_frontend::{CpuCtx, FrontendStats, Process};
 use compass_isa::{Cycles, ProcessId};
 use compass_obs::{Ctr, ObsHub, ObsReport, ProgressFn, TraceBuffer, TraceHandle};
@@ -22,7 +21,7 @@ use compass_os::bufcache::BufStats;
 use compass_os::net::NetStats;
 use compass_os::{KernelShared, OsObs};
 use parking_lot::Mutex;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -199,7 +198,6 @@ impl SimBuilder {
         let nprocs = processes.len();
         assert!(nprocs > 0, "no processes to simulate");
         let daemon_pid = ProcessId(nprocs as u32);
-        let ncpus = config.backend.arch.ncpus();
 
         // --- Observability ---
         let hub = config.obs.enabled().then(ObsHub::new);
@@ -209,7 +207,6 @@ impl SimBuilder {
 
         // --- Communicator ---
         let notifier = Arc::new(Notifier::new());
-        let cpu_states = Arc::new(CpuStates::new(ncpus));
         let devshared = Arc::new(DevShared::new());
         // The batch depth is the ring capacity. Every poster on a ring
         // (the frontend and its OS calls, the daemon on its own) batches
@@ -250,7 +247,6 @@ impl SimBuilder {
             config.backend.clone(),
             ports.clone(),
             Arc::clone(&notifier),
-            cpu_states,
             Arc::clone(&devshared),
             Some(daemon_pid),
             traffic.unwrap_or_else(|| Box::new(NullTraffic)),
@@ -330,20 +326,9 @@ impl SimBuilder {
                             results.lock()[pid] = Some(cpu.stats());
                         });
                     }
-                    // A backend panic becomes an error like any other:
-                    // poison the ports so every task unwinds below.
-                    let outcome =
-                        match catch_unwind(AssertUnwindSafe(|| backend.run_with(&mut exec))) {
-                            Ok(outcome) => outcome,
-                            Err(payload) => {
-                                for port in &ports {
-                                    port.poison();
-                                }
-                                Err(RunError::BackendPanic {
-                                    msg: payload_message(&payload),
-                                })
-                            }
-                        };
+                    // On error (a backend panic included) every port is
+                    // poisoned, so every task unwinds below.
+                    let outcome = backend.run_with(&mut exec);
                     // Run the tasks still ready to their end, then unwind
                     // every task still suspended (the daemon; on error,
                     // all).

@@ -51,10 +51,14 @@ pub enum Ctr {
     RingPosts,
     /// Events published in batched (credit) mode.
     RingBatched,
-    /// Doorbell notifications raised on empty→non-empty transitions.
+    /// Backend notifications: blocking posts from ordinary threads (a
+    /// task's post runs the engine itself and never notifies).
     RingNotifies,
     /// Blocking posts whose poster had to suspend (or park) for the
-    /// reply.
+    /// reply, counted once per post. A task's post is served on its own
+    /// stack first and suspends only if the reply is still missing, so
+    /// `ring_posts - ring_stalls` is the number of posts served to their
+    /// reply without a suspension.
     RingStalls,
     /// Posts answered with `Aborted` because the ring was poisoned.
     RingAborts,

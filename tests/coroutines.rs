@@ -1,12 +1,14 @@
 //! The simulated threads are coroutines on the backend's host thread:
 //! what that promises end to end — no per-process host threads, panics
-//! that come back as errors (backend) or re-raised payloads (workload),
-//! and an in-program host-time ledger that accounts for the run's wall.
+//! that come back as errors (backend, also when it runs on a process's
+//! stack to serve its post) or re-raised payloads (workload), and an
+//! in-program host-time ledger that accounts for the run's wall.
 
 use compass::{ArchConfig, CpuCtx, RunError, SimBuilder};
 use compass_backend::TrafficSource;
-use compass_comm::Frame;
-use compass_isa::{ConnId, Cycles};
+use compass_comm::{Frame, FrameKind};
+use compass_isa::{ConnId, Cycles, NicId};
+use compass_os::{OsCall, SysVal};
 use compass_simcheck::{apply_scenario_knobs, presets};
 
 /// A client model that blows up when the backend seeds the run.
@@ -20,6 +22,45 @@ impl TrafficSource for ExplodingTraffic {
     fn on_tx(&mut self, _conn: ConnId, _bytes: u32, _now: Cycles) -> Vec<(Cycles, Frame)> {
         Vec::new()
     }
+}
+
+/// A client that connects and sends one request, then blows up when the
+/// server's response goes out: in the engine's NIC model, inside the
+/// step that serves the sending process's post.
+struct ExplodingOnTx(Vec<(Cycles, Frame)>);
+
+impl TrafficSource for ExplodingOnTx {
+    fn initial(&mut self) -> Vec<(Cycles, Frame)> {
+        std::mem::take(&mut self.0)
+    }
+
+    fn on_tx(&mut self, _conn: ConnId, _bytes: u32, _now: Cycles) -> Vec<(Cycles, Frame)> {
+        panic!("traffic source exploded on transmit");
+    }
+}
+
+fn frame(kind: FrameKind, payload: &[u8], at: Cycles) -> (Cycles, Frame) {
+    let frame = Frame {
+        nic: NicId(0),
+        conn: ConnId(1),
+        kind,
+        payload: payload.to_vec(),
+        time: at,
+    };
+    (at, frame)
+}
+
+/// Accepts one connection, reads the request and sends a response.
+fn respond(cpu: &mut CpuCtx) {
+    let buf = cpu.malloc_pages(4096);
+    let Ok(SysVal::NewFd(lfd)) = cpu.os_call(OsCall::Listen { port: 80 }) else {
+        panic!("listen failed");
+    };
+    let Ok(SysVal::Accepted(fd, _)) = cpu.os_call(OsCall::Accept { lfd }) else {
+        panic!("accept failed");
+    };
+    let _ = cpu.os_call(OsCall::Recv { fd, len: 512, buf });
+    let _ = cpu.os_call(OsCall::Send { fd, len: 2048, buf });
 }
 
 fn busy(cpu: &mut CpuCtx) {
@@ -46,6 +87,29 @@ fn a_backend_panic_is_an_error_and_leaves_nothing_behind() {
         };
         assert!(msg.contains("traffic source exploded"), "message: {msg}");
         assert!(err.to_string().contains("backend panicked"));
+    }
+}
+
+#[test]
+fn an_engine_panic_on_a_process_stack_is_a_backend_error() {
+    // The send's post is served on the sending process's own stack, so
+    // the panic unwinds there; it is still the engine's, not a workload
+    // panic to re-raise.
+    for _ in 0..2 {
+        let client = ExplodingOnTx(vec![
+            frame(FrameKind::Syn, &80u16.to_be_bytes(), 50_000),
+            frame(FrameKind::Data, b"GET /", 120_000),
+        ]);
+        let err = SimBuilder::new(ArchConfig::simple_smp(2))
+            .traffic(client)
+            .add_process(respond)
+            .add_process(busy)
+            .try_run()
+            .expect_err("a panicking traffic source must fail the run");
+        let RunError::BackendPanic { msg } = &err else {
+            panic!("expected a backend panic, got {err}");
+        };
+        assert!(msg.contains("exploded on transmit"), "message: {msg}");
     }
 }
 

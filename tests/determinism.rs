@@ -287,6 +287,138 @@ fn batch_depth_does_not_change_the_simulation() {
     });
 }
 
+/// `(served, suspended)` over a run at the shipped depth with counters
+/// on: blocking posts the engine served to their reply on the poster's
+/// own stack, and posts whose poster suspended for the reply.
+fn serve_counts(mut b: SimBuilder) -> (u64, u64) {
+    b.config_mut().obs.counters = true;
+    let r = b.run();
+    let obs = r.obs.as_ref().expect("counters on");
+    let (posts, stalls) = (obs.counter("ring_posts"), obs.counter("ring_stalls"));
+    (posts - stalls, stalls)
+}
+
+#[test]
+fn a_served_acquire_that_must_wait_suspends_and_resumes() {
+    // Three processes take turns on one lock, each holding it across
+    // memory work. An acquire the engine finds held puts its poster in a
+    // lock wait mid-serve: the poster suspends, and the release that
+    // grants the lock wakes it.
+    let build = |d: usize| {
+        let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2));
+        for p in 0..3u64 {
+            b = b.add_process(move |cpu: &mut CpuCtx| {
+                let seg = cpu.shmget(0x5E4E, 4096);
+                let base = cpu.shmat(seg);
+                for i in 0..12u64 {
+                    cpu.lock(base);
+                    cpu.touch_range(base + 64, 4 * 64, 64, true);
+                    cpu.compute(200 + (p + i) % 3 * 100);
+                    cpu.unlock(base);
+                    cpu.compute(50 + p * 20);
+                }
+            });
+        }
+        b.config_mut().backend.batch_depth = d;
+        b
+    };
+    assert_depth_invariant("served lock waits", &[4, 64], build);
+    assert!(build(64).run().backend.sync.contended > 0, "no lock wait");
+    let (served, suspended) = serve_counts(build(64));
+    assert!(
+        served > 0 && suspended > 0,
+        "{served} served, {suspended} suspended"
+    );
+}
+
+#[test]
+fn a_deferred_reply_is_released_inside_a_serve() {
+    // One process, a fast interval timer and disk reads: device tasks
+    // fall due inside the latency of the process's own events, so its
+    // replies are held until those tasks have run. The process is nearly
+    // always the least poster, so its serves run the tasks and release
+    // the replies themselves.
+    let build = |d: usize| {
+        let mut b = SimBuilder::new(ArchConfig::simple_smp(1)).prepare_kernel(|k| {
+            k.create_file("/f", FileData::Synthetic { len: 64 * 1024 });
+        });
+        b = b.add_process(|cpu: &mut CpuCtx| {
+            let buf = cpu.malloc_pages(4096);
+            let heap = cpu.malloc_pages(16 * 4096);
+            let Ok(SysVal::NewFd(fd)) = cpu.os_call(OsCall::Open {
+                path: "/f".into(),
+                create: false,
+            }) else {
+                panic!("open failed");
+            };
+            for i in 0..16u64 {
+                let off = i * 4096;
+                let read = cpu.os_call(OsCall::ReadAt {
+                    fd,
+                    off,
+                    len: 1024,
+                    buf,
+                });
+                assert!(matches!(read, Ok(SysVal::Data(_))), "{read:?}");
+                cpu.touch_range(heap + (i as u32 % 4) * 4096, 8 * 64, 64, i % 2 == 0);
+                cpu.compute(500);
+            }
+        });
+        let c = b.config_mut();
+        c.backend.timer_interval = Some(3_000);
+        c.backend.batch_depth = d;
+        b
+    };
+    assert_depth_invariant("deferred replies", &[4, 64], build);
+    let irqs = build(64).run().backend.irq_dispatches;
+    assert!(
+        irqs[0] > 0 && irqs[2] > 0,
+        "disk and timer interrupts: {irqs:?}"
+    );
+    let (served, _) = serve_counts(build(64));
+    assert!(served > 0);
+}
+
+#[test]
+fn a_serve_processes_other_processes_events_and_wakes_them() {
+    // Four processes share lines without locks, at different paces: a
+    // post is often not the least, so the serve that reaches it first
+    // processes other processes' events and wakes their posters.
+    let build = |d: usize| {
+        let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2));
+        for p in 0..4u32 {
+            b = b.add_process(move |cpu: &mut CpuCtx| {
+                let seg = cpu.shmget(0x0DD5, 4096);
+                let base = cpu.shmat(seg);
+                for i in 0..40u32 {
+                    let line = base + (i * 7 + p) % 16 * 64;
+                    if (i + p) % 3 == 0 {
+                        cpu.store(line, 8);
+                    } else {
+                        cpu.load(line, 8);
+                    }
+                    cpu.compute(40 + p as u64 * 35);
+                    if i % 8 == 7 {
+                        // An uncontended private lock: a blocking post.
+                        let own = base + 2048 + p * 64;
+                        cpu.lock(own);
+                        cpu.unlock(own);
+                    }
+                }
+                cpu.barrier(base + 1024, 4);
+            });
+        }
+        b.config_mut().backend.batch_depth = d;
+        b
+    };
+    assert_depth_invariant("serves of other processes' events", &[4, 64], build);
+    let (served, suspended) = serve_counts(build(64));
+    assert!(
+        served > 0 && suspended > 0,
+        "{served} served, {suspended} suspended"
+    );
+}
+
 /// Increments per process in [`counter_builder`].
 const INCREMENTS: u64 = 25;
 
