@@ -42,6 +42,15 @@ for w in sci tpcc tpcd httplite; do
     --out-dir target/bench-smoke | tail -n 1 | grep -q '"correct": true' \
     || { echo "benchmark golden check failed: $w" >&2; exit 1; }
 done
+# The traced driver form: counters and the trace ring on, plus the layer
+# probes that drive event and request ports from std::thread posters (the
+# path on which a blocking post notifies the backend and parks instead of
+# running the engine itself). Each run must finish and stay correct.
+for w in sci tpcc tpcd httplite; do
+  timeout 600 bash benchmark/run.sh --workload "$w" --seed 1998 --seconds 0 --trace 1 \
+    --out-dir target/bench-smoke | tail -n 1 | grep -q '"correct": true' \
+    || { echo "benchmark traced run failed: $w" >&2; exit 1; }
+done
 # Clippy over both feature combinations: default and with the per-step
 # invariant layer (the engine's whole-backend audit after every step, the
 # OS wait-queue audit after every syscall, and the schedule-seed oracle).
