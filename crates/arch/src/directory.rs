@@ -10,10 +10,13 @@
 //! Entries are logically distributed across home nodes (the backend's
 //! page-home map decides a line's home); a single hash map keyed by line
 //! index represents the union, since the home is recoverable from the
-//! address.
+//! address. The map is sparse: a line no cache holds has no entry, so it
+//! holds at most as many entries as the caches hold lines, and every
+//! request is one map probe.
 
 use compass_isa::FoldHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Directory state of one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +51,11 @@ pub struct ReadOutcome {
 }
 
 /// What a write miss/upgrade requires.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteOutcome {
-    /// CPUs whose copies must be invalidated.
-    pub invalidate: Vec<u16>,
+    /// CPUs whose copies must be invalidated, as a mask (bit `c` is CPU
+    /// `c`).
+    pub invalidate: u64,
     /// Data source; `None` when the requester already holds valid data
     /// (Shared→Modified upgrade).
     pub source: Option<Source>,
@@ -87,7 +91,7 @@ impl Directory {
         Self::default()
     }
 
-    /// State of a line (Uncached when never referenced).
+    /// State of a line (Uncached when no cache holds it).
     pub fn entry(&self, line: u64) -> DirEntry {
         self.entries
             .get(&line)
@@ -95,23 +99,36 @@ impl Directory {
             .unwrap_or(DirEntry::Uncached)
     }
 
+    /// Number of lines some cache holds: the map keeps no Uncached entry,
+    /// so it never outgrows the caches it tracks.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no cache holds any line.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// Serves a read miss by `cpu`.
     pub fn read(&mut self, line: u64, cpu: u16) -> ReadOutcome {
         self.stats.reads += 1;
-        let entry = self.entry(line);
-        match entry {
-            DirEntry::Uncached => {
-                self.entries.insert(line, DirEntry::Owned(cpu));
-                ReadOutcome {
+        let slot = match self.entries.entry(line) {
+            Entry::Vacant(v) => {
+                v.insert(DirEntry::Owned(cpu));
+                return ReadOutcome {
                     grant_exclusive: true,
                     source: Source::Memory,
                     downgrade: None,
-                }
+                };
             }
+            Entry::Occupied(o) => o.into_mut(),
+        };
+        match *slot {
+            DirEntry::Uncached => unreachable!("uncached lines have no entry"),
             DirEntry::Shared(mask) => {
                 debug_assert_eq!(mask & (1 << cpu), 0, "read miss by sharer {cpu}");
-                self.entries
-                    .insert(line, DirEntry::Shared(mask | (1 << cpu)));
+                *slot = DirEntry::Shared(mask | (1 << cpu));
                 ReadOutcome {
                     grant_exclusive: false,
                     source: Source::Memory,
@@ -120,8 +137,7 @@ impl Directory {
             }
             DirEntry::Owned(owner) => {
                 debug_assert_ne!(owner, cpu, "read miss by owner {cpu}");
-                self.entries
-                    .insert(line, DirEntry::Shared((1 << owner) | (1 << cpu)));
+                *slot = DirEntry::Shared((1 << owner) | (1 << cpu));
                 self.stats.forwards += 1;
                 self.stats.writebacks += 1; // owner's downgrade writes back
                 ReadOutcome {
@@ -136,17 +152,16 @@ impl Directory {
     /// Serves a write miss or upgrade by `cpu`.
     pub fn write(&mut self, line: u64, cpu: u16) -> WriteOutcome {
         self.stats.writes += 1;
-        let entry = self.entry(line);
-        let outcome = match entry {
+        let previous = self.entries.insert(line, DirEntry::Owned(cpu));
+        match previous.unwrap_or(DirEntry::Uncached) {
             DirEntry::Uncached => WriteOutcome {
-                invalidate: Vec::new(),
+                invalidate: 0,
                 source: Some(Source::Memory),
             },
             DirEntry::Shared(mask) => {
                 let already_sharer = mask & (1 << cpu) != 0;
-                let others = mask & !(1 << cpu);
-                let invalidate: Vec<u16> = (0..64).filter(|b| others & (1 << b) != 0).collect();
-                self.stats.invalidations += invalidate.len() as u64;
+                let invalidate = mask & !(1 << cpu);
+                self.stats.invalidations += u64::from(invalidate.count_ones());
                 if already_sharer {
                     self.stats.upgrades += 1;
                 }
@@ -164,38 +179,38 @@ impl Directory {
                 self.stats.invalidations += 1;
                 self.stats.forwards += 1;
                 WriteOutcome {
-                    invalidate: vec![owner],
+                    invalidate: 1 << owner,
                     source: Some(Source::Cache(owner)),
                 }
             }
-        };
-        self.entries.insert(line, DirEntry::Owned(cpu));
-        outcome
+        }
     }
 
     /// Handles an eviction notice from `cpu` (replacement hint keeping the
-    /// directory exact). `dirty` marks a Modified writeback.
+    /// directory exact). `dirty` marks a Modified writeback. A line that
+    /// no cache holds any more loses its entry.
     pub fn evict(&mut self, line: u64, cpu: u16, dirty: bool) {
         if dirty {
             self.stats.writebacks += 1;
         }
-        let entry = self.entry(line);
-        match entry {
-            DirEntry::Uncached => {
-                debug_assert!(false, "eviction of uncached line {line:#x}");
-            }
+        let Entry::Occupied(mut o) = self.entries.entry(line) else {
+            debug_assert!(false, "eviction of uncached line {line:#x}");
+            return;
+        };
+        match *o.get() {
+            DirEntry::Uncached => unreachable!("uncached lines have no entry"),
             DirEntry::Shared(mask) => {
                 let new = mask & !(1 << cpu);
                 debug_assert_ne!(mask, new, "evicting non-sharer {cpu}");
                 if new == 0 {
-                    self.entries.insert(line, DirEntry::Uncached);
+                    o.remove();
                 } else {
-                    self.entries.insert(line, DirEntry::Shared(new));
+                    *o.get_mut() = DirEntry::Shared(new);
                 }
             }
             DirEntry::Owned(owner) => {
                 debug_assert_eq!(owner, cpu, "eviction of line owned elsewhere");
-                self.entries.insert(line, DirEntry::Uncached);
+                o.remove();
             }
         }
     }
@@ -205,8 +220,8 @@ impl Directory {
         self.stats
     }
 
-    /// Iterates over all known entries as `(line, entry)` pairs (invariant
-    /// checks; lines that returned to [`DirEntry::Uncached`] are included).
+    /// Iterates over every cached line's entry as `(line, entry)` pairs
+    /// (invariant checks); none is [`DirEntry::Uncached`].
     pub fn entries(&self) -> impl Iterator<Item = (u64, DirEntry)> + '_ {
         self.entries.iter().map(|(&l, &e)| (l, e))
     }
@@ -246,12 +261,15 @@ impl Directory {
         }
     }
 
-    /// Invariant check used by property tests: each entry's mask is
-    /// non-empty, owned entries name a valid CPU.
+    /// Invariant check used by property tests: no entry is kept for an
+    /// uncached line, each entry's mask is non-empty, owned entries name a
+    /// valid CPU.
     pub fn check_invariants(&self, ncpus: u16) -> Result<(), String> {
         for (&line, &e) in &self.entries {
             match e {
-                DirEntry::Uncached => {}
+                DirEntry::Uncached => {
+                    return Err(format!("line {line:#x}: entry kept while uncached"));
+                }
                 DirEntry::Shared(mask) => {
                     if mask == 0 {
                         return Err(format!("line {line:#x}: empty sharer mask"));
@@ -303,7 +321,7 @@ mod tests {
         d.read(7, 1);
         d.read(7, 2);
         let o = d.write(7, 1);
-        assert_eq!(o.invalidate, vec![0, 2]);
+        assert_eq!(o.invalidate, 0b101);
         assert_eq!(o.source, None, "sharer upgrade needs no data");
         assert_eq!(d.entry(7), DirEntry::Owned(1));
         assert_eq!(d.stats().upgrades, 1);
@@ -316,7 +334,7 @@ mod tests {
         d.read(7, 0);
         d.read(7, 1);
         let o = d.write(7, 5);
-        assert_eq!(o.invalidate, vec![0, 1]);
+        assert_eq!(o.invalidate, 0b11);
         assert_eq!(o.source, Some(Source::Memory));
         assert_eq!(d.entry(7), DirEntry::Owned(5));
     }
@@ -326,7 +344,7 @@ mod tests {
         let mut d = Directory::new();
         d.write(7, 0);
         let o = d.write(7, 3);
-        assert_eq!(o.invalidate, vec![0]);
+        assert_eq!(o.invalidate, 0b1);
         assert_eq!(o.source, Some(Source::Cache(0)));
         assert_eq!(d.entry(7), DirEntry::Owned(3));
     }
@@ -340,11 +358,13 @@ mod tests {
         assert_eq!(d.entry(7), DirEntry::Shared(0b10));
         d.evict(7, 1, false);
         assert_eq!(d.entry(7), DirEntry::Uncached);
+        assert!(d.is_empty(), "the last sharer's eviction drops the entry");
         d.write(7, 2);
         let wb_before = d.stats().writebacks;
         d.evict(7, 2, true);
         assert_eq!(d.entry(7), DirEntry::Uncached);
         assert_eq!(d.stats().writebacks, wb_before + 1);
+        assert!(d.is_empty(), "an uncached line keeps no entry");
     }
 
     #[test]
@@ -365,16 +385,20 @@ mod tests {
                     // Sharer: either upgrade-write or do nothing.
                     if i % 3 == 0 {
                         let out = d.write(line, cpu as u16);
-                        for v in out.invalidate {
-                            held[v as usize].remove(&line);
+                        for (v, h) in held.iter_mut().enumerate() {
+                            if out.invalidate & (1 << v) != 0 {
+                                h.remove(&line);
+                            }
                         }
                     }
                 }
                 _ => {
                     if i % 3 == 0 {
                         let out = d.write(line, cpu as u16);
-                        for v in out.invalidate {
-                            held[v as usize].remove(&line);
+                        for (v, h) in held.iter_mut().enumerate() {
+                            if out.invalidate & (1 << v) != 0 {
+                                h.remove(&line);
+                            }
                         }
                     } else {
                         d.read(line, cpu as u16);

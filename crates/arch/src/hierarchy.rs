@@ -368,12 +368,14 @@ impl Hierarchy {
             let outcome = self.dir.write(coh, cpu as u16);
             // Deliver invalidations (parallel sends; first costs full
             // round trip, extras a small serialisation adder).
-            let n_inv = outcome.invalidate.len();
+            let n_inv = u64::from(outcome.invalidate.count_ones());
             if n_inv > 0 && !simple {
-                total += lat.invalidate + 4 * (n_inv as u64 - 1);
+                total += lat.invalidate + 4 * (n_inv - 1);
             }
-            for victim in outcome.invalidate {
-                self.invalidate_at_cpu(victim as usize, coh);
+            let mut victims = outcome.invalidate;
+            while victims != 0 {
+                self.invalidate_at_cpu(victims.trailing_zeros() as usize, coh);
+                victims &= victims - 1;
             }
             for (n, am) in self.am.iter_mut().enumerate() {
                 if n != mynode {
@@ -864,5 +866,49 @@ mod tests {
                 .latency;
         }
         assert_eq!(h.stats().latency[0], sum);
+    }
+
+    #[test]
+    fn the_directory_keeps_an_entry_only_for_cached_lines() {
+        // Small L2s, so a short stream overruns every cache many times.
+        let mut cfg = ArchConfig::ccnuma(2, 2);
+        cfg.l2 = Some(crate::config::CacheConfig {
+            size: 64 * 1024,
+            assoc: 4,
+            line: 64,
+        });
+        let l2 = cfg.l2.unwrap();
+        let resident_max = cfg.ncpus() * (l2.sets() * l2.assoc) as usize;
+        let mut h = Hierarchy::new(cfg);
+        let line = u64::from(h.coh_line_size());
+        // One line shared by every CPU, then a stream four times the
+        // caches' footprint, read and written from every CPU.
+        let first = PAddr(0x100_0000);
+        for cpu in 0..4 {
+            h.access(cpu, first, read(), 0, cpu as u64);
+        }
+        assert_eq!(h.dir.len(), 1);
+        let lines = 4 * resident_max as u64;
+        for i in 0..lines {
+            let p = PAddr(0x200_0000 + i * line);
+            let acc = if i % 3 == 0 { write() } else { read() };
+            // Each CPU takes runs of one line per set, so it fills them all.
+            let cpu = (i / u64::from(l2.sets()) % 4) as usize;
+            h.access(cpu, p, acc, (i % 2) as usize, 1_000 + i);
+            assert!(
+                h.dir.len() <= resident_max,
+                "{} entries for {resident_max} cache lines",
+                h.dir.len()
+            );
+        }
+        assert!(
+            h.dir.len() > resident_max / 2,
+            "the stream filled the caches"
+        );
+        assert!(
+            h.dir.entries().all(|(l, _)| l != h.coh_line(first)),
+            "a line evicted from every cache keeps no entry"
+        );
+        h.check_invariants().unwrap();
     }
 }

@@ -118,6 +118,19 @@ impl ScanIndex {
         (self.tree[1] != EMPTY).then(|| unpack(self.tree[1]))
     }
 
+    /// The least entry among every slot but `i`, read like [`Self::first`]:
+    /// the min over the siblings on `i`'s path to the root, in
+    /// ⌈log₂ n⌉ reads. Slot `i`'s own entry may be stale.
+    pub(crate) fn first_excluding(&self, i: usize) -> Option<(Key, bool)> {
+        let mut j = self.n + i;
+        let mut least = EMPTY;
+        while j > 1 {
+            least = least.min(self.tree[j ^ 1]);
+            j >>= 1;
+        }
+        (least != EMPTY).then(|| unpack(least))
+    }
+
     /// The least clock bound, in `O(n)` (progress snapshots only).
     pub(crate) fn least_bound(&self) -> Option<Cycles> {
         (0..self.n)
@@ -192,6 +205,11 @@ mod tests {
                 model[i] = e;
                 prop_assert_eq!(idx.get(i), e);
                 prop_assert_eq!(idx.first(), reference_first(&model));
+                for k in 0..n {
+                    let mut others = model.clone();
+                    others[k] = Indexed::Off;
+                    prop_assert_eq!(idx.first_excluding(k), reference_first(&others));
+                }
             }
             for i in 0..n {
                 idx.set(i, Indexed::Off);

@@ -74,7 +74,11 @@ struct Slot {
 /// `pop`/`peek_time`, and the Release store of `head` returns the slot to
 /// the producer via the Acquire load in `publish`.
 pub struct EventRing {
+    /// The overflow bound: at most this many entries are outstanding.
     cap: usize,
+    /// `slots.len() - 1`; the slot count is `cap` rounded up to a power
+    /// of two, so a cursor maps to its slot with a mask, not a division.
+    mask: usize,
     /// Consumer cursor: next index to pop.
     head: CachePadded<AtomicU64>,
     /// Producer cursor: next index to fill. `head == tail` ⇒ empty.
@@ -113,7 +117,7 @@ impl EventRing {
             time: 0,
             body: crate::event::EventBody::Ctl(crate::event::CtlOp::Yield),
         };
-        let slots = (0..cap)
+        let slots = (0..cap.next_power_of_two())
             .map(|_| Slot {
                 ev: UnsafeCell::new(placeholder),
                 wants_reply: UnsafeCell::new(false),
@@ -122,6 +126,7 @@ impl EventRing {
             .into_boxed_slice();
         EventRing {
             cap,
+            mask: slots.len() - 1,
             head: CachePadded::new(AtomicU64::new(0)),
             tail: CachePadded::new(AtomicU64::new(0)),
             slots,
@@ -164,7 +169,7 @@ impl EventRing {
             self.cap,
             self.cap,
         );
-        let slot = &self.slots[(tail as usize) % self.cap];
+        let slot = &self.slots[tail as usize & self.mask];
         // SAFETY: `tail - head < cap` means the consumer has returned this
         // slot (its head Release / our head Acquire ordered those reads
         // before this write); the consumer will not read it until the tail
@@ -281,7 +286,7 @@ impl EventRing {
         // SAFETY: head < tail with Acquire on tail: the producer's slot
         // write happened-before, and it will not reuse the slot until our
         // head store in `pop`.
-        Some(unsafe { (*self.slots[(head as usize) % self.cap].ev.get()).time })
+        Some(unsafe { (*self.slots[head as usize & self.mask].ev.get()).time })
     }
 
     /// Consumer: pops the head entry. The `bool` is its `wants_reply` flag;
@@ -294,7 +299,7 @@ impl EventRing {
         if head == tail {
             return None;
         }
-        let slot = &self.slots[(head as usize) % self.cap];
+        let slot = &self.slots[head as usize & self.mask];
         // SAFETY: as in `peek_time`.
         let ev = unsafe { *slot.ev.get() };
         let wants = unsafe { *slot.wants_reply.get() };
@@ -576,6 +581,41 @@ mod tests {
         assert!(wants);
         ring.poison();
         assert_eq!(poster.join().unwrap().data, ReplyData::Aborted);
+    }
+
+    #[test]
+    fn odd_capacities_wrap_in_fifo_order_and_overflow_at_cap() {
+        // Capacities 3 and 5 get 4 and 8 slots; the overflow bound stays
+        // the capacity, not the slot count.
+        for cap in [3usize, 5] {
+            let ring = EventRing::new(cap);
+            let slots = cap.next_power_of_two() as u64;
+            let mut t = 0;
+            // Batches of `cap` entries, popped between batches, until the
+            // cursors have passed the slot count more than ten times.
+            while t <= 10 * slots {
+                for k in 0..cap as u64 {
+                    ring.publish(ev(t + k), false);
+                }
+                for k in 0..cap as u64 {
+                    let (e, wants) = ring.pop().expect("published");
+                    assert_eq!(e.time, t + k, "cap {cap}: FIFO across wrap-around");
+                    assert!(!wants);
+                }
+                t += cap as u64;
+            }
+            for k in 0..cap as u64 {
+                ring.publish(ev(k), false);
+            }
+            let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ring.publish(ev(0), false)
+            }));
+            assert!(
+                overflow.is_err(),
+                "cap {cap}: publish {} must overflow",
+                cap + 1
+            );
+        }
     }
 
     #[test]

@@ -157,8 +157,12 @@ fn remap_process() -> impl FnMut(&mut CpuCtx) + Send {
 
 /// Requires `build(depth)` to simulate byte-identically at every depth in
 /// `depths` to the classic depth-1 rendezvous: the same `BackendStats`
-/// and the same per-syscall table.
-fn assert_depth_invariant(what: &str, depths: &[usize], build: impl Fn(usize) -> SimBuilder) {
+/// and the same per-syscall table. Returns the depth-1 statistics.
+fn assert_depth_invariant(
+    what: &str,
+    depths: &[usize],
+    build: impl Fn(usize) -> SimBuilder,
+) -> BackendStats {
     let bytes = |s: &BackendStats| format!("{s:#?}").into_bytes();
     let d1 = build(1).run();
     for &depth in depths {
@@ -174,6 +178,7 @@ fn assert_depth_invariant(what: &str, depths: &[usize], build: impl Fn(usize) ->
             "{what}: depth {depth} syscall table differs from depth 1"
         );
     }
+    d1.backend
 }
 
 #[test]
@@ -417,6 +422,79 @@ fn a_serve_processes_other_processes_events_and_wakes_them() {
         served > 0 && suspended > 0,
         "{served} served, {suspended} suspended"
     );
+}
+
+#[test]
+fn drains_cut_by_disk_completions_and_lock_wakes_keep_the_order() {
+    // The engine processes a run of one process's least-time events in
+    // one selection. Here the runs are cut. A reader's disk reads take
+    // ~800k cycles each, and a streamer's batches each span ~75k cycles,
+    // so disk completions fall inside them; the woken reader then writes
+    // lines the streamer reads. Two
+    // processes contend on a lock whose batched releases wake a waiter
+    // mid-run.
+    let build = |d: usize| {
+        let mut b = SimBuilder::new(ArchConfig::ccnuma(2, 2)).prepare_kernel(|k| {
+            k.create_file("/scan", FileData::Synthetic { len: 64 * 1024 });
+        });
+        b = b.add_process(|cpu: &mut CpuCtx| {
+            let buf = cpu.malloc_pages(4096);
+            let seg = cpu.shmget(0xD7A2, 4096);
+            let shared = cpu.shmat(seg);
+            let Ok(SysVal::NewFd(fd)) = cpu.os_call(OsCall::Open {
+                path: "/scan".into(),
+                create: false,
+            }) else {
+                panic!("open failed");
+            };
+            for i in 0..6u64 {
+                let read = cpu.os_call(OsCall::ReadAt {
+                    fd,
+                    off: i * 8192,
+                    len: 2048,
+                    buf,
+                });
+                assert!(matches!(read, Ok(SysVal::Data(_))), "{read:?}");
+                cpu.touch_range(shared, 16 * 64, 64, true);
+            }
+        });
+        b = b.add_process(|cpu: &mut CpuCtx| {
+            let seg = cpu.shmget(0xD7A2, 4096);
+            let shared = cpu.shmat(seg);
+            for i in 0..1_000u32 {
+                cpu.touch_range(shared + (i % 4) * 256, 4 * 64, 64, false);
+                cpu.compute(5_000);
+            }
+        });
+        for p in 0..2u64 {
+            b = b.add_process(move |cpu: &mut CpuCtx| {
+                let seg = cpu.shmget(0xD7A1, 8192);
+                let base = cpu.shmat(seg);
+                for i in 0..24u64 {
+                    cpu.lock(base);
+                    cpu.touch_range(base + 64, 12 * 64, 64, true);
+                    cpu.compute(12_000 + (p + i) % 4 * 1_500);
+                    cpu.unlock(base);
+                    // Reread the section's lines while the woken waiter
+                    // writes them.
+                    cpu.compute(2_000);
+                    cpu.touch_range(base + 64, 12 * 64, 64, false);
+                    cpu.compute(6_000 + p * 2_000);
+                }
+            });
+        }
+        b.config_mut().backend.batch_depth = d;
+        b
+    };
+    let stats = assert_depth_invariant("drains cut by disk and lock wakes", &[4, 64], build);
+    assert!(stats.irq_dispatches[0] > 0, "no disk completion");
+    assert!(stats.sync.contended > 0, "no lock wait");
+    // A seeded schedule may end a drain on the interleave coin.
+    #[cfg(feature = "check-invariants")]
+    {
+        let seeded = build(64).schedule_seed(0xD7A1_0001).run().backend;
+        assert_eq!(format!("{stats:?}"), format!("{seeded:?}"));
+    }
 }
 
 /// Increments per process in [`counter_builder`].
