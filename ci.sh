@@ -8,6 +8,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo test -q --workspace --features check-invariants
 cargo run --release -q -p compass-simcheck -- --soak 30
+# The reference memo's differential proptests again, in release at 16x
+# the default case count: the L1 rehit against the full hierarchy
+# access, and the memoised translation against a fresh page walk.
+PROPTEST_CASES=4096 cargo test --release -q -p compass-arch --test rehit_props
+PROPTEST_CASES=4096 cargo test --release -q -p compass-backend --test memo_props
 # Fleet smoke: the design-space runner sweeps one simulated knob on each
 # of four workloads (compute-, OS/disk-, OLTP- and network-heavy), runs
 # every job at the shipped batch depth and again at depth 1, and

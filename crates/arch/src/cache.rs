@@ -76,6 +76,9 @@ pub struct Cache {
     set_mask: u64,
     line_shift: u32,
     tick: u64,
+    /// The slot `(set, way)` the most recent probe hit or fill used,
+    /// which [`Cache::rehit`] checks first.
+    mru: (usize, usize),
     stats: CacheStats,
 }
 
@@ -89,6 +92,7 @@ impl Cache {
             set_mask: sets as u64 - 1,
             line_shift: cfg.line.trailing_zeros(),
             tick: 0,
+            mru: (0, 0),
             stats: CacheStats::default(),
         }
     }
@@ -116,15 +120,51 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_of(idx);
-        for way in self.sets[set].iter_mut().flatten() {
-            if way.idx == idx {
-                way.stamp = tick;
-                self.stats.hits += 1;
-                return Some(way.state);
+        for (way, slot) in self.sets[set].iter_mut().enumerate() {
+            if let Some(line) = slot {
+                if line.idx == idx {
+                    line.stamp = tick;
+                    self.stats.hits += 1;
+                    self.mru = (set, way);
+                    return Some(line.state);
+                }
             }
         }
         self.stats.misses += 1;
         None
+    }
+
+    /// [`Cache::probe`] without the set scan, for a line that still sits
+    /// in the slot the most recent probe hit or fill used. A read takes
+    /// any state; a write only a Modified line (it changes no state). On
+    /// success books exactly the hit `probe` would (tick, LRU stamp, hit
+    /// count) and returns the state; otherwise changes nothing.
+    #[inline]
+    pub fn rehit(&mut self, idx: u64, write: bool) -> Option<LineState> {
+        let (set, way) = self.mru;
+        match &mut self.sets[set][way] {
+            Some(line) if line.idx == idx && (!write || line.state == LineState::Modified) => {
+                self.tick += 1;
+                line.stamp = self.tick;
+                self.stats.hits += 1;
+                Some(line.state)
+            }
+            _ => None,
+        }
+    }
+
+    /// Checks that an occupied MRU slot sits in the set its line maps to,
+    /// so a [`Cache::rehit`] books only hits a probe would find.
+    pub fn check_mru(&self) -> Result<(), String> {
+        let (set, way) = self.mru;
+        match self.sets[set][way] {
+            Some(l) if self.set_of(l.idx) != set => Err(format!(
+                "MRU slot ({set}, {way}) holds line {:#x} of set {}",
+                l.idx,
+                self.set_of(l.idx)
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Checks residency without touching LRU or counters.
@@ -147,19 +187,22 @@ impl Cache {
         let set = self.set_of(idx);
         let ways = &mut self.sets[set];
         // Prefer an empty way.
-        if let Some(slot) = ways.iter_mut().find(|w| w.is_none()) {
-            *slot = Some(Line {
+        if let Some(way) = ways.iter().position(|w| w.is_none()) {
+            ways[way] = Some(Line {
                 idx,
                 state,
                 stamp: tick,
             });
+            self.mru = (set, way);
             return None;
         }
         // Evict LRU.
-        let victim_way = ways
+        let (way, victim_way) = ways
             .iter_mut()
-            .min_by_key(|w| w.as_ref().map_or(0, |l| l.stamp))
+            .enumerate()
+            .min_by_key(|(_, w)| w.as_ref().map_or(0, |l| l.stamp))
             .expect("assoc > 0");
+        self.mru = (set, way);
         let victim = victim_way.take().expect("set full");
         *victim_way = Some(Line {
             idx,
@@ -358,6 +401,28 @@ mod tests {
         // a was inserted first and peek must not refresh it: a is victim.
         let victim = c.insert(d, LineState::Shared).unwrap();
         assert_eq!(victim.0, a);
+    }
+
+    #[test]
+    fn rehit_serves_only_the_mru_slot_and_books_like_probe() {
+        let mut fast = tiny();
+        let mut full = tiny();
+        let a = fast.line_of(0x0000);
+        let b = fast.line_of(0x0080); // same set as a
+        for c in [&mut fast, &mut full] {
+            c.insert(a, LineState::Shared);
+            c.insert(b, LineState::Modified);
+        }
+        assert_eq!(fast.rehit(a, false), None, "a is not in the MRU slot");
+        assert_eq!(fast.rehit(b, true), Some(LineState::Modified));
+        assert_eq!(full.probe(b), Some(LineState::Modified));
+        assert_eq!(fast.stats(), full.stats());
+        assert_eq!(fast.probe(a), Some(LineState::Shared));
+        assert_eq!(fast.rehit(a, true), None, "a write needs a Modified line");
+        assert_eq!(fast.rehit(a, false), Some(LineState::Shared));
+        fast.invalidate(a);
+        assert_eq!(fast.rehit(a, false), None, "an invalidated slot is empty");
+        fast.check_mru().unwrap();
     }
 
     #[test]

@@ -66,6 +66,9 @@ pub struct Hierarchy {
     net: Interconnect,
     stats: MemStats,
     coh_shift: u32,
+    /// Node of each CPU (`ArchConfig::node_of_cpu`, built once so the
+    /// access path reads it instead of dividing).
+    cpu_node: Box<[usize]>,
     /// CPUs whose private L1 state was changed *externally* by the most
     /// recent [`Hierarchy::access`] (directory invalidation, owner
     /// downgrade, L2-inclusion back-invalidation); cleared at the start of
@@ -93,6 +96,7 @@ impl Hierarchy {
             net: Interconnect::new(cfg.topology, nodes),
             stats: MemStats::default(),
             coh_shift: cfg.coherence_line().trailing_zeros(),
+            cpu_node: (0..ncpus).map(|c| cfg.node_of_cpu(c)).collect(),
             epoch_victims: Vec::new(),
             cfg,
         }
@@ -147,8 +151,10 @@ impl Hierarchy {
         1 << self.coh_shift
     }
 
-    fn node_of(&self, cpu: usize) -> usize {
-        self.cfg.node_of_cpu(cpu)
+    /// The node `cpu` sits on.
+    #[inline]
+    pub fn node_of(&self, cpu: usize) -> usize {
+        self.cpu_node[cpu]
     }
 
     #[inline]
@@ -458,6 +464,29 @@ impl Hierarchy {
         }
     }
 
+    /// [`Hierarchy::access`] for a repeat reference: a read, or a write to
+    /// a Modified line, whose L1 line still sits in the slot that CPU's
+    /// most recent L1 probe hit or fill used. Books exactly the L1 hit
+    /// `access` would (per-class counters, the cache's hit count and LRU
+    /// stamp, latency) without the set scan. `None` means nothing was
+    /// booked and the caller takes `access`.
+    #[inline]
+    pub fn l1_rehit(&mut self, cpu: usize, paddr: PAddr, acc: Access) -> Option<AccessResult> {
+        let l1 = &mut self.l1[cpu];
+        l1.rehit(l1.line_of(paddr.0), acc.write)?;
+        self.epoch_victims.clear();
+        let ci = acc.class.index();
+        let latency = self.cfg.lat.l1_hit;
+        self.stats.accesses[ci] += 1;
+        self.stats.l1_hits[ci] += 1;
+        self.stats.latency[ci] += latency;
+        Some(AccessResult {
+            latency,
+            l1_hit: true,
+            remote: false,
+        })
+    }
+
     /// Owner-side downgrade M→S after a read forward.
     fn l2_downgrade(&mut self, owner: usize, coh: u64) {
         self.epoch_victims.push(owner);
@@ -577,6 +606,9 @@ impl Hierarchy {
     pub fn check_invariants(&self) -> Result<(), String> {
         let ncpus = self.cfg.ncpus();
         self.dir.check_invariants(ncpus as u16)?;
+        for (cpu, l1) in self.l1.iter().enumerate() {
+            l1.check_mru().map_err(|e| format!("cpu {cpu} L1: {e}"))?;
+        }
 
         // Inclusion: L1 ⊆ L2, never more privileged.
         if self.has_l2() {

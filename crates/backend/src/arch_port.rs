@@ -53,6 +53,40 @@ impl ArchPort {
         now: Cycles,
     ) -> AccessResult {
         let res = self.hierarchy.access(cpu, paddr, acc, home, now);
+        self.record(cpu, paddr, acc, home, now, res);
+        res
+    }
+
+    /// [`Hierarchy::l1_rehit`]: the same L1 hit [`ArchPort::access`]
+    /// would book, without its set scan, or `None` with nothing booked.
+    /// A rehit is traced as an ordinary access (with the `home` the caller
+    /// would have passed), so the reference oracle replays it through the
+    /// full `Hierarchy::access`.
+    #[inline]
+    pub fn l1_rehit(
+        &mut self,
+        cpu: usize,
+        paddr: PAddr,
+        acc: Access,
+        home: usize,
+        now: Cycles,
+    ) -> Option<AccessResult> {
+        let res = self.hierarchy.l1_rehit(cpu, paddr, acc)?;
+        self.record(cpu, paddr, acc, home, now, res);
+        Some(res)
+    }
+
+    /// Appends one access to the trace when recording is on.
+    #[inline]
+    fn record(
+        &mut self,
+        cpu: usize,
+        paddr: PAddr,
+        acc: Access,
+        home: usize,
+        now: Cycles,
+        res: AccessResult,
+    ) {
         if let Some(trace) = &mut self.trace {
             trace.push(TraceRecord::Access {
                 cpu,
@@ -66,7 +100,6 @@ impl ArchPort {
                 remote: res.remote,
             });
         }
-        res
     }
 
     /// One software-DSM page move at `now`: the transfer latency, or 0

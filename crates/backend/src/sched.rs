@@ -47,7 +47,8 @@ struct ProcSched {
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     policy: SchedPolicy,
-    cpus_per_node: usize,
+    /// cpu -> node, built once so dispatch reads it instead of dividing.
+    cpu_node: Box<[usize]>,
     /// cpu -> running pid.
     running: Vec<Option<ProcessId>>,
     ready: VecDeque<ProcessId>,
@@ -62,7 +63,7 @@ impl Scheduler {
         assert!(ncpus > 0 && cpus_per_node > 0);
         Self {
             policy,
-            cpus_per_node,
+            cpu_node: (0..ncpus).map(|c| c / cpus_per_node).collect(),
             running: vec![None; ncpus],
             ready: VecDeque::new(),
             procs: vec![ProcSched::default(); nprocs],
@@ -71,7 +72,7 @@ impl Scheduler {
     }
 
     fn node_of(&self, cpu: CpuId) -> usize {
-        cpu.index() / self.cpus_per_node
+        self.cpu_node[cpu.index()]
     }
 
     /// The process running on `cpu`.
@@ -145,7 +146,7 @@ impl Scheduler {
         } else if ps
             .used_cpus
             .iter()
-            .any(|&c| c.index() / self.cpus_per_node == node)
+            .any(|&c| self.cpu_node[c.index()] == node)
         {
             self.stats.same_node += 1;
         } else if ps.last_cpu.is_some() {

@@ -71,6 +71,9 @@ pub enum TranslateError {
 pub struct PageTable {
     dir: Vec<Option<Box<[Option<Pte>; L2_ENTRIES]>>>,
     mapped_pages: u64,
+    /// Bumped by every call that may change an entry (`map`, `unmap`,
+    /// `lookup_mut`), so a memoised translation can tell it is stale.
+    generation: u64,
 }
 
 impl PageTable {
@@ -81,6 +84,7 @@ impl PageTable {
         Self {
             dir,
             mapped_pages: 0,
+            generation: 0,
         }
     }
 
@@ -96,6 +100,7 @@ impl PageTable {
     ///
     /// Returns the previous entry if one existed (remap).
     pub fn map(&mut self, va: VAddr, ppn: u64, flags: PageFlags) -> Option<Pte> {
+        self.generation += 1;
         let (i1, i2) = Self::split(va.vpn());
         let leaf = self.dir[i1].get_or_insert_with(|| Box::new([None; L2_ENTRIES]));
         let old = leaf[i2].replace(Pte { ppn, flags });
@@ -107,6 +112,7 @@ impl PageTable {
 
     /// Removes the mapping for the page containing `va`.
     pub fn unmap(&mut self, va: VAddr) -> Option<Pte> {
+        self.generation += 1;
         let (i1, i2) = Self::split(va.vpn());
         let old = self.dir[i1].as_mut().and_then(|leaf| leaf[i2].take());
         if old.is_some() {
@@ -125,6 +131,7 @@ impl PageTable {
     /// Mutable entry lookup (used to flip DSM protection bits).
     #[inline]
     pub fn lookup_mut(&mut self, va: VAddr) -> Option<&mut Pte> {
+        self.generation += 1;
         let (i1, i2) = Self::split(va.vpn());
         self.dir[i1].as_mut().and_then(|leaf| leaf[i2].as_mut())
     }
@@ -147,6 +154,13 @@ impl PageTable {
             }
         }
         Ok(PAddr::from_parts(pte.ppn, va.page_offset()))
+    }
+
+    /// The change counter: it moves on every `map`, `unmap` and
+    /// `lookup_mut`, so an unchanged value means every entry is as it was.
+    #[inline]
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of mapped (user) pages.
@@ -254,6 +268,24 @@ mod tests {
         assert_eq!(pt.mapped_pages(), 0);
         assert_eq!(pt.translate(va, false), Err(TranslateError::NotMapped));
         assert!(pt.unmap(va).is_none());
+    }
+
+    #[test]
+    fn every_mutating_call_moves_the_generation() {
+        let mut pt = PageTable::new();
+        let va = VAddr(0x1000_0000);
+        let g0 = pt.generation();
+        pt.map(va, 1, PageFlags::RW);
+        let g1 = pt.generation();
+        assert!(g1 > g0);
+        let _ = pt.translate(va, true);
+        let _ = pt.lookup(va);
+        assert_eq!(pt.generation(), g1, "reads leave it alone");
+        let _ = pt.lookup_mut(va);
+        let g2 = pt.generation();
+        assert!(g2 > g1);
+        pt.unmap(va);
+        assert!(pt.generation() > g2);
     }
 
     #[test]

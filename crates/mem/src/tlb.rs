@@ -48,6 +48,9 @@ pub struct Tlb {
     sets: Vec<Vec<Option<TlbEntry>>>,
     assoc: usize,
     tick: u64,
+    /// The slot `(set, way)` the most recent [`Tlb::access`] hit or
+    /// filled: the MRU entry, which [`Tlb::rehit`] checks first.
+    mru: (usize, usize),
     stats: TlbStats,
 }
 
@@ -69,6 +72,7 @@ impl Tlb {
             sets: vec![vec![None; assoc]; nsets],
             assoc,
             tick: 0,
+            mru: (0, 0),
             stats: TlbStats::default(),
         }
     }
@@ -90,25 +94,63 @@ impl Tlb {
         let vpn = va.vpn();
         let set = self.set_of(vpn);
         let ways = &mut self.sets[set];
-        for e in ways.iter_mut().flatten() {
-            if e.pid == pid && e.vpn == vpn {
-                e.stamp = self.tick;
-                self.stats.hits += 1;
-                return true;
+        for (way, slot) in ways.iter_mut().enumerate() {
+            if let Some(e) = slot {
+                if e.pid == pid && e.vpn == vpn {
+                    e.stamp = self.tick;
+                    self.stats.hits += 1;
+                    self.mru = (set, way);
+                    return true;
+                }
             }
         }
         self.stats.misses += 1;
         // Fill: pick an empty way or evict the LRU.
-        let victim = ways
+        let (way, victim) = ways
             .iter_mut()
-            .min_by_key(|w| w.map_or(0, |e| e.stamp))
+            .enumerate()
+            .min_by_key(|(_, w)| w.map_or(0, |e| e.stamp))
             .expect("assoc > 0");
         *victim = Some(TlbEntry {
             pid,
             vpn,
             stamp: self.tick,
         });
+        self.mru = (set, way);
         false
+    }
+
+    /// [`Tlb::access`] without the set scan, for a repeat of the most
+    /// recent lookup's page: when the MRU slot still holds `pid`'s entry
+    /// for `va`, books the hit exactly as `access` would (tick, stamp, hit
+    /// count) and returns `true`. Otherwise changes nothing and returns
+    /// `false`; the caller then takes the full `access`.
+    #[inline]
+    pub fn rehit(&mut self, pid: ProcessId, va: VAddr) -> bool {
+        let (set, way) = self.mru;
+        match &mut self.sets[set][way] {
+            Some(e) if e.pid == pid && e.vpn == va.vpn() => {
+                self.tick += 1;
+                e.stamp = self.tick;
+                self.stats.hits += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Checks that an occupied MRU slot sits in the set its page maps to,
+    /// so a [`Tlb::rehit`] books only hits a full lookup would find.
+    pub fn check_mru(&self) -> Result<(), String> {
+        let (set, way) = self.mru;
+        match self.sets[set][way] {
+            Some(e) if self.set_of(e.vpn) != set => Err(format!(
+                "TLB MRU slot ({set}, {way}) holds vpn {:#x} of set {}",
+                e.vpn,
+                self.set_of(e.vpn)
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Invalidates one page mapping (munmap/shmdt/page migration).
@@ -204,6 +246,32 @@ mod tests {
         t.invalidate_page(P0, a);
         assert!(!t.access(P0, a));
         assert!(t.access(P0, b));
+    }
+
+    #[test]
+    fn rehit_books_exactly_what_access_books() {
+        let a = VAddr(0x1000_0000);
+        let b = a + 4 * PAGE_SIZE; // same set in a 4-set TLB
+        let mut fast = Tlb::new(8, 2);
+        let mut full = Tlb::new(8, 2);
+        for t in [&mut fast, &mut full] {
+            t.access(P0, a);
+            t.access(P0, b);
+        }
+        assert!(!fast.rehit(P0, a), "a is not the MRU entry");
+        assert!(!fast.rehit(P1, b), "the entry is process-tagged");
+        assert!(fast.rehit(P0, b + 8));
+        assert!(full.access(P0, b + 8));
+        assert_eq!(fast.stats(), full.stats());
+        // The LRU order is the same too: a new page in the set evicts a
+        // in both, so b still hits.
+        fast.access(P0, b + 4 * PAGE_SIZE);
+        full.access(P0, b + 4 * PAGE_SIZE);
+        assert!(fast.access(P0, b) && full.access(P0, b));
+        assert_eq!(fast.stats(), full.stats());
+        fast.check_mru().unwrap();
+        fast.flush();
+        assert!(!fast.rehit(P0, b), "a flush empties the MRU slot");
     }
 
     #[test]
