@@ -5,6 +5,13 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --workspace
+# The shipped crates' runtime dependencies stay in the tree: apart from
+# parking_lot (vendored until ROADMAP 1(b)), every package they build
+# against lives under crates/.
+tree=$(cargo tree --offline -e normal -p compass -p compass-workloads -p compass-simcheck \
+  -p compass-fleet -p compass-bench --prefix none)
+outside=$(grep -v -e '^$' -e "($PWD/crates/" -e '^parking_lot ' <<<"$tree" | sort -u || true)
+[ -z "$outside" ] || { echo "runtime dependencies outside crates/:" >&2; echo "$outside" >&2; exit 1; }
 cargo test -q --workspace
 cargo test -q --workspace --features check-invariants
 cargo run --release -q -p compass-simcheck -- --soak 30

@@ -7,10 +7,9 @@
 //! captures FIFO queueing exactly.
 
 use compass_isa::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// A time-shared resource (bus, memory controller, network link).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BusyResource {
     busy_until: Cycles,
     /// Total cycles of occupancy charged.

@@ -6,10 +6,9 @@
 //! fills, invalidations and evictions into protocol transactions.
 
 use crate::config::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// MESI states of a resident line (absence of the line is Invalid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Clean, possibly in other caches.
     Shared,
@@ -43,7 +42,7 @@ struct Line {
 }
 
 /// Per-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes that found the line.
     pub hits: u64,

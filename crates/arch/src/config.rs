@@ -1,9 +1,7 @@
 //! Architecture configuration: geometries, latencies, memory-system kind.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: u32,
@@ -61,7 +59,7 @@ impl CacheConfig {
 /// The defaults approximate a late-90s CC-NUMA built from 133 MHz nodes:
 /// single-cycle L1, ~8-cycle L2, ~60-cycle local memory, and a network
 /// whose remote round trip lands in the few-hundred-cycle range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyParams {
     /// L1 hit time.
     pub l1_hit: u64,
@@ -115,7 +113,7 @@ impl Default for LatencyParams {
 }
 
 /// Which memory system the backend simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemSysKind {
     /// The paper's "simple backend": one-level cache per processor and a
     /// flat memory latency; coherence bookkeeping without directory or
@@ -133,7 +131,7 @@ pub enum MemSysKind {
 }
 
 /// Full architecture configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     /// Memory-system kind.
     pub kind: MemSysKind,

@@ -15,7 +15,6 @@
 //! request is one map probe.
 
 use compass_isa::FoldHashMap;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 
 /// Directory state of one line.
@@ -62,7 +61,7 @@ pub struct WriteOutcome {
 }
 
 /// Directory counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirStats {
     /// Read misses served.
     pub reads: u64,

@@ -8,10 +8,9 @@
 use crate::bus::BusyResource;
 use crate::config::LatencyParams;
 use compass_isa::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Interconnect topologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Single-hop crossbar.
     Crossbar,
@@ -44,7 +43,7 @@ impl Topology {
 }
 
 /// Per-network counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages sent (excluding node-local "messages").
     pub messages: u64,

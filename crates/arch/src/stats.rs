@@ -1,11 +1,9 @@
 //! Aggregated memory-system statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Execution class of an access, for Table-1-style attribution.
 /// (Mirrors the communicator's `ExecMode`; the arch crate keeps its own
 /// copy to stay at the bottom of the crate DAG.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessClass {
     /// Application code.
     User = 0,
@@ -31,7 +29,7 @@ impl AccessClass {
 }
 
 /// Counters accumulated by the memory hierarchy, split by access class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Accesses per class.
     pub accesses: [u64; 3],

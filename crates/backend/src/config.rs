@@ -4,10 +4,9 @@ use crate::devices::{DiskParams, NetParams};
 use compass_arch::ArchConfig;
 use compass_isa::Cycles;
 use compass_mem::PlacementPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Process-scheduler policies (§3.3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// "In the default or FCFS scheduler a process will be assigned the
     /// first available processor."
@@ -20,7 +19,7 @@ pub enum SchedPolicy {
 }
 
 /// Backend configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackendConfig {
     /// Target architecture model.
     pub arch: ArchConfig,

@@ -19,14 +19,13 @@ use compass_arch::bus::BusyResource;
 use compass_comm::{DevCmd, DiskCompletion, Event, Frame, Reply, ReplyData, TimerTick};
 use compass_isa::{ConnId, CpuId, Cycles, ProcessId};
 use compass_obs::Ctr;
-use serde::{Deserialize, Serialize};
 
 /// Cycles a clock-device register read costs.
 const CLOCK_READ: Cycles = 20;
 
 /// Disk timing parameters (a late-90s SCSI drive at a 133 MHz clock:
 /// ~6 ms average positioning ≈ 800k cycles, ~15 MB/s media rate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskParams {
     /// Average seek + rotational positioning, cycles.
     pub positioning: Cycles,
@@ -93,7 +92,7 @@ impl Disk {
 
 /// Ethernet timing parameters (100 Mbit/s at 133 MHz ≈ 10.6 cycles/byte;
 /// we charge ~11 per byte plus per-frame overhead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetParams {
     /// Fixed cycles per frame on the wire.
     pub per_frame: Cycles,

@@ -13,11 +13,10 @@
 
 use compass_isa::{Cycles, FoldHashMap, ProcessId};
 use compass_mem::VAddr;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Synchronisation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
     /// Acquires granted immediately.
     pub uncontended: u64,

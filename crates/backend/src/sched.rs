@@ -10,7 +10,6 @@
 
 use crate::config::SchedPolicy;
 use compass_isa::{CpuId, ProcessId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Outcome of asking for a CPU.
@@ -23,7 +22,7 @@ pub enum Dispatch {
 }
 
 /// Scheduler counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Dispatches performed.
     pub dispatches: u64,

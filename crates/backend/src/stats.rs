@@ -17,10 +17,9 @@ use compass_isa::Cycles;
 use compass_mem::placement::PlacementStats;
 use compass_mem::TlbStats;
 use compass_obs::Ctr;
-use serde::{Deserialize, Serialize};
 
 /// Per-process time attribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcTimes {
     /// CPU cycles by execution mode: `[user, kernel, interrupt]`.
     pub by_mode: [Cycles; 3],
@@ -44,7 +43,7 @@ impl ProcTimes {
 }
 
 /// A Table-1-style row: shares of total CPU time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsTimeBreakdown {
     /// User share in percent.
     pub user_pct: f64,
@@ -57,7 +56,7 @@ pub struct OsTimeBreakdown {
 }
 
 /// Backend-wide statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BackendStats {
     /// Per-process attribution, indexed by pid.
     pub procs: Vec<ProcTimes>,

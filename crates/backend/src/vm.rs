@@ -319,7 +319,7 @@ impl Vm {
             let Some(va) = base.checked_page(idx) else {
                 break;
             };
-            if self.tables[pid.index()].unmap(va).is_some() {
+            if self.unmap_page(pid, va) {
                 removed += 1;
             }
         }
@@ -337,11 +337,24 @@ impl Vm {
             let Some(va) = base.checked_page(i) else {
                 break;
             };
-            if self.tables[pid.index()].unmap(va).is_some() {
+            if self.unmap_page(pid, va) {
                 removed += 1;
             }
         }
         removed
+    }
+
+    /// Removes `pid`'s mapping of the page at `va` and shoots its entry
+    /// down in every CPU's TLB, not only the current one: the process may
+    /// have run anywhere. Returns whether a page was mapped.
+    fn unmap_page(&mut self, pid: ProcessId, va: VAddr) -> bool {
+        if self.tables[pid.index()].unmap(va).is_none() {
+            return false;
+        }
+        for tlb in &mut self.tlbs {
+            tlb.invalidate_page(pid, va);
+        }
+        true
     }
 
     /// Serves a repeat of `cpu`'s memoised page (see "The reference memo"
@@ -948,6 +961,29 @@ mod tests {
             !v.translate(P0, C0, 0, low, false).unwrap().soft_fault,
             "the low page must still be mapped"
         );
+    }
+
+    #[test]
+    fn an_unmapped_page_leaves_no_tlb_entry_on_any_cpu() {
+        let mut v = vm(1, PlacementPolicy::RoundRobin);
+        let c1 = CpuId(1);
+        let va = VAddr(0x1000_0000);
+        assert!(v.translate(P0, c1, 0, va, true).unwrap().tlb_miss);
+        assert!(!v.translate(P0, c1, 0, va, false).unwrap().tlb_miss);
+        // Unmapped while P0 runs on CPU 0; CPU 1 still caches the page.
+        v.translate(P0, C0, 0, va, false).unwrap();
+        assert_eq!(v.unmap_region(P0, va, PAGE_SIZE), 1);
+        let t = v.translate(P0, c1, 0, va, false).unwrap();
+        assert!(t.soft_fault);
+        assert!(t.tlb_miss, "re-fault on CPU 1 hit a stale TLB entry");
+
+        // The same for a detached and re-attached shared page.
+        let seg = v.shmget(7, PAGE_SIZE).unwrap();
+        let (base, _) = v.shmat(seg, P0).unwrap();
+        v.translate(P0, c1, 0, base, false).unwrap();
+        assert_eq!(v.shmdt(seg, P0).unwrap(), 1);
+        v.shmat(seg, P0).unwrap();
+        assert!(v.translate(P0, c1, 0, base, false).unwrap().tlb_miss);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use compass_isa::{ConnId, CpuId, Cycles, DiskId, NicId, ProcessId, SegId};
 use compass_mem::{ShmError, VAddr};
-use serde::{Deserialize, Serialize};
 
 /// Panic payload used to unwind a simulated thread (a frontend, in its
 /// workload or its kernel code, or the daemon) after its event port was
@@ -72,7 +71,7 @@ pub enum EventBody {
 }
 
 /// Memory reference kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemRefKind {
     /// A read.
     Load,
@@ -91,7 +90,7 @@ impl MemRefKind {
 }
 
 /// Who is executing when an event is generated (§3 time attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Application code.
     User,
@@ -161,7 +160,7 @@ pub enum DevCmd {
 }
 
 /// Reasons a process blocks (for wait-time statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockReason {
     /// Waiting for a disk transfer.
     Disk,

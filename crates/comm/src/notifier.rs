@@ -19,7 +19,6 @@
 //! itself, so a notify with the backend awake is two uncontended atomic
 //! operations.
 
-use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -27,7 +26,7 @@ use std::time::Duration;
 /// An epoch-counting notification channel (many notifiers, one waiter).
 #[derive(Default)]
 pub struct Notifier {
-    epoch: CachePadded<AtomicU64>,
+    epoch: AtomicU64,
     /// True while the single waiter is inside [`Notifier::wait_past`];
     /// notifies skip the condvar entirely otherwise.
     waiting: AtomicBool,

@@ -38,7 +38,6 @@ use crate::coro::{self, Waiter};
 use crate::event::{Event, Reply, ReplyData};
 use compass_isa::Cycles;
 use compass_obs::{CounterBlock, Ctr};
-use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -80,11 +79,11 @@ pub struct EventRing {
     /// of two, so a cursor maps to its slot with a mask, not a division.
     mask: usize,
     /// Consumer cursor: next index to pop.
-    head: CachePadded<AtomicU64>,
+    head: AtomicU64,
     /// Producer cursor: next index to fill. `head == tail` ⇒ empty.
-    tail: CachePadded<AtomicU64>,
+    tail: AtomicU64,
     slots: Box<[Slot]>,
-    reply_state: CachePadded<AtomicU32>,
+    reply_state: AtomicU32,
     reply: UnsafeCell<Reply>,
     /// The producer waiting in `post`, to be woken on reply; read only
     /// in the PARKED state.
@@ -127,10 +126,10 @@ impl EventRing {
         EventRing {
             cap,
             mask: slots.len() - 1,
-            head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
+            head: AtomicU64::new(0),
+            tail: AtomicU64::new(0),
             slots,
-            reply_state: CachePadded::new(AtomicU32::new(IDLE)),
+            reply_state: AtomicU32::new(IDLE),
             reply: UnsafeCell::new(Reply::latency(0)),
             poster: Mutex::new(None),
             poisoned: AtomicBool::new(false),

@@ -1,9 +1,9 @@
 //! The aggregate fleet report: one machine-readable JSON document.
 //!
-//! JSON is hand-rolled (the vendored `serde` is a no-op marker — see
-//! `vendor/README.md`). One layout rule does the heavy lifting for
-//! reproducibility: every host-timing field lives in a sub-object named
-//! `"host"` rendered on a single line, so byte-comparing two reports
+//! JSON is hand-rolled (the workspace has no serialization framework).
+//! One layout rule does the heavy lifting for reproducibility: every
+//! host-timing field lives in a sub-object named `"host"` rendered on a
+//! single line, so byte-comparing two reports
 //! modulo host timing is "drop the lines containing `\"host\": {`" —
 //! the golden-run determinism test does exactly that.
 

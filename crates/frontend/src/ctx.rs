@@ -12,11 +12,10 @@ use compass_os::{
     handlers, syscalls, EventSink, KernelCtx, KernelPerf, KernelShared, OsCall, OsObs, PortSink,
     RawSink, SysResult,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Per-process frontend counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendStats {
     /// Events posted to the backend.
     pub events: u64,

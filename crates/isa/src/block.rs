@@ -8,10 +8,9 @@
 //! each time the block "executes".
 
 use crate::{Cycles, InstClass, TimingModel};
-use serde::{Deserialize, Serialize};
 
 /// The pre-computed cost of one basic block of straight-line code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockCost {
     /// Total static cycles of the block's non-memory instructions (the
     /// memory instructions' *address generation* cycles are included; their

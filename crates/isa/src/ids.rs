@@ -5,7 +5,6 @@
 //! the backend processes one event per simulated memory reference, so every
 //! byte in an event matters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Simulated time, in cycles of the target processor clock.
@@ -14,9 +13,7 @@ pub type Cycles = u64;
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident($inner:ty)) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $inner);
 
         impl $name {

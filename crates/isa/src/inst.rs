@@ -9,10 +9,8 @@
 //! address generation for loads/stores (the *memory* latency of a load or
 //! store is supplied by the backend architecture model, not by this table).
 
-use serde::{Deserialize, Serialize};
-
 /// Classes of instructions with distinct static cycle costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstClass {
     /// Integer add/sub/logical/shift/compare.
     IntAlu,

@@ -14,7 +14,9 @@
 //!   frontend processes advance their clocks between memory references;
 //! * the small identifier newtypes ([`ProcessId`], [`CpuId`], [`NodeId`],
 //!   …) shared by every other crate in the workspace;
-//! * [`hash`] — the fixed hasher of the simulator-state maps.
+//! * [`hash`] — the fixed hasher of the simulator-state maps;
+//! * [`rng`] — [`rng::SimRng`], the seeded generator every synthetic
+//!   workload draws from (its stream is part of the determinism contract).
 //!
 //! Nothing in this crate depends on the rest of the simulator; it sits at
 //! the bottom of the crate DAG.
@@ -23,6 +25,7 @@ pub mod block;
 pub mod hash;
 pub mod ids;
 pub mod inst;
+pub mod rng;
 pub mod timing;
 
 pub use block::{BlockCost, BlockCostBuilder};

@@ -1,7 +1,6 @@
 //! Static per-class instruction cycle costs.
 
 use crate::{Cycles, InstClass};
-use serde::{Deserialize, Serialize};
 
 /// A per-class static cycle cost table.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// uses: the instrumentation assumes 100% instruction-cache hits and charges
 /// a fixed cost per instruction class; memory latency for loads/stores is
 /// added later by the backend architecture model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingModel {
     costs: [Cycles; InstClass::ALL.len()],
     /// Clock frequency of the simulated processor in MHz; used only for

@@ -5,7 +5,6 @@
 //! a high kernel region that is identity-mapped ("V=R") into a reserved
 //! physical range so kernel data structures have stable physical homes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -36,12 +35,12 @@ pub const KERNEL_BASE: u32 = 0xC000_0000;
 pub const KERNEL_PPN_BASE: u64 = 1 << 40;
 
 /// A simulated 32-bit virtual address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VAddr(pub u32);
 
 /// A simulated physical address. Physical memory spans all NUMA nodes so it
 /// is wider than a single process's 32-bit virtual space.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PAddr(pub u64);
 
 impl VAddr {
@@ -186,7 +185,7 @@ impl fmt::Display for PAddr {
 }
 
 /// Architectural regions of the simulated 32-bit address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Below the text base; never mapped (null-pointer guard).
     Unmapped,

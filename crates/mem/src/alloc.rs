@@ -10,7 +10,6 @@
 //! stable kernel-space addresses.
 
 use crate::addr::VAddr;
-use serde::{Deserialize, Serialize};
 
 /// Alignment guaranteed for every allocation.
 pub const MIN_ALIGN: u32 = 16;
@@ -19,7 +18,7 @@ pub const MIN_ALIGN: u32 = 16;
 const SIZE_CLASSES: [u32; 10] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192];
 
 /// A simple region allocator producing simulated virtual addresses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimAlloc {
     base: u32,
     end: u32,

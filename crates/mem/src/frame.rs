@@ -7,7 +7,6 @@
 
 use crate::addr::PAGE_SHIFT;
 use compass_isa::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Allocates simulated physical frames, node by node.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// simulator runs one workload to completion); `free_frames` reports the
 /// remaining budget and exhaustion is an error so misconfigured runs fail
 /// loudly instead of silently aliasing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameAllocator {
     /// Number of frames each node may hand out in total.
     frames_per_node: u64,

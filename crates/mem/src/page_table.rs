@@ -10,14 +10,13 @@
 //! cheap.
 
 use crate::addr::{kernel_vtop, PAddr, VAddr};
-use serde::{Deserialize, Serialize};
 
 const L1_BITS: u32 = 10;
 const L2_BITS: u32 = 10;
 const L2_ENTRIES: usize = 1 << L2_BITS;
 
 /// Per-page protection / bookkeeping flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageFlags {
     /// Page may be written.
     pub writable: bool,
@@ -45,7 +44,7 @@ impl PageFlags {
 }
 
 /// A page-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pte {
     /// Physical frame number.
     pub ppn: u64,
@@ -56,7 +55,7 @@ pub struct Pte {
 /// Translation failure reasons; the backend turns these into page-fault
 /// traps (§3.2 notes the scheme "can accurately simulate traps (such as
 /// page faults) caused by memory reference instructions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslateError {
     /// No mapping exists for the page (demand-zero fault or wild access).
     NotMapped,

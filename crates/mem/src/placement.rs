@@ -8,10 +8,9 @@
 //! (§3.3.1)
 
 use compass_isa::{FoldHashMap, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Page placement policies (paper §3.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Pages are assigned to nodes round-robin at creation time.
     RoundRobin,
@@ -48,7 +47,7 @@ impl PlacementPolicy {
 }
 
 /// Per-policy placement statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementStats {
     /// Pages whose home was assigned at creation time.
     pub eager_placements: u64,
@@ -59,7 +58,7 @@ pub struct PlacementStats {
 }
 
 /// The backend's page-home hash table, keyed by physical page number.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HomeMap {
     homes: FoldHashMap<u64, NodeId>,
     stats: PlacementStats,

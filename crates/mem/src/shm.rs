@@ -16,12 +16,11 @@
 
 use crate::addr::{VAddr, PAGE_SIZE, SHM_BASE, SHM_END};
 use compass_isa::{ProcessId, SegId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One shared segment's descriptor (the paper's "common shared memory
 /// descriptor").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShmSegment {
     /// The segment id returned by `shmget`.
     pub id: SegId,
@@ -46,7 +45,7 @@ impl ShmSegment {
 }
 
 /// Errors from the shm registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShmError {
     /// The SHM attach window is exhausted.
     WindowFull,
@@ -85,7 +84,7 @@ impl std::fmt::Display for ShmError {
 impl std::error::Error for ShmError {}
 
 /// The backend's registry of shared segments.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShmRegistry {
     by_key: HashMap<u32, SegId>,
     segments: Vec<ShmSegment>,

@@ -9,10 +9,9 @@
 
 use crate::addr::VAddr;
 use compass_isa::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// TLB hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Lookups that hit.
     pub hits: u64,
@@ -34,7 +33,7 @@ impl TlbStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TlbEntry {
     pid: ProcessId,
     vpn: u32,
@@ -43,7 +42,7 @@ struct TlbEntry {
 }
 
 /// A set-associative TLB.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     sets: Vec<Vec<Option<TlbEntry>>>,
     assoc: usize,

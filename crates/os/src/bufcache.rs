@@ -14,7 +14,6 @@
 
 use crate::kmem::KernelHeap;
 use compass_mem::VAddr;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Buffer (and file-block) size in bytes.
@@ -45,7 +44,7 @@ pub struct Buffer {
 }
 
 /// Cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufStats {
     /// Lookups that found a valid or in-flight buffer.
     pub hits: u64,

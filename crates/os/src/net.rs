@@ -11,7 +11,6 @@
 use crate::proto::Errno;
 use compass_isa::ConnId;
 use compass_mem::VAddr;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// One TCP connection.
@@ -45,7 +44,7 @@ pub struct Listener {
 }
 
 /// Network counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections established.
     pub conns: u64,

@@ -12,14 +12,13 @@
 
 use compass_isa::{ConnId, Cycles};
 use compass_mem::VAddr;
-use serde::{Deserialize, Serialize};
 
 /// A per-process file descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fd(pub u32);
 
 /// Error numbers (the subset our kernel produces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Errno {
     /// No such file.
     NoEnt,
@@ -46,7 +45,7 @@ impl std::fmt::Display for Errno {
 }
 
 /// File metadata returned by `statx`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileStat {
     /// Inode number.
     pub inode: u64,

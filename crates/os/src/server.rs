@@ -26,7 +26,6 @@ use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::{VAddr, KERNEL_BASE};
 use compass_obs::{CounterBlock, TraceHandle};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -66,7 +65,7 @@ pub fn fd_table_addr(pid: ProcessId, fd: u32) -> VAddr {
 }
 
 /// Kernel cost parameters (cycles on the 133 MHz target).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Bytes per simulated touch in block moves.
     pub touch_gran: u32,

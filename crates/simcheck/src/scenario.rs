@@ -9,6 +9,7 @@
 //! under test, never the scheduling width.
 
 use compass::{ArchConfig, CacheConfig, CpuCtx, PlacementPolicy, SchedPolicy, SimBuilder};
+use compass_isa::rng::SimRng;
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
 use compass_workloads::db2lite::tpcc::{self, TerminalStats, TpccConfig};
@@ -18,8 +19,6 @@ use compass_workloads::httplite::{
     self, generate_fileset, generate_trace, FileSetConfig, ServerConfig, SharedTickets, TracePlayer,
 };
 use compass_workloads::sci::{self, SciConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// Which application the scenario runs.
@@ -129,7 +128,7 @@ impl Scenario {
     /// Draws a scenario from a seed. Same seed, same scenario, forever —
     /// `simcheck --seed N` is the repro line for any failure.
     pub fn from_seed(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x51AC_C41C_0FFE_E000);
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x51AC_C41C_0FFE_E000);
         let workload = match rng.gen_range(0..10u32) {
             0..=3 => Workload::Sci {
                 rows: rng.gen_range(2..=5),
@@ -491,7 +490,7 @@ impl Scenario {
 /// across every backend knob.
 fn file_chaos(seed: u64, rank: u16, steps: u32, nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
     move |cpu: &mut CpuCtx| {
-        let mut rng = StdRng::seed_from_u64(seed ^ ((rank as u64 + 1).wrapping_mul(0x9E37_79B9)));
+        let mut rng = SimRng::seed_from_u64(seed ^ ((rank as u64 + 1).wrapping_mul(0x9E37_79B9)));
         let seg = cpu.shmget(0x51CC, 8 * 4096);
         let base = cpu.shmat(seg);
         let heap = cpu.malloc_pages(8 * 4096);

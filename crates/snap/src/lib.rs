@@ -1,9 +1,7 @@
 //! **compass-snap** — a small hand-rolled little-endian byte format.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (see
-//! `vendor/serde`): its derives expand to empty impls, so nothing in the
-//! tree can rely on it for real serialization. This crate is used
-//! instead: a [`Writer`] that appends fixed-width scalars and
+//! The workspace has no serialization framework; this crate is what it
+//! uses instead: a [`Writer`] that appends fixed-width scalars and
 //! length-prefixed sequences, and a [`Reader`] that mirrors it and
 //! returns a structured [`SnapError`] on any malformed input — short
 //! buffers, impossible lengths, bad tags — **never** a panic.

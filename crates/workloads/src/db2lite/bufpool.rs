@@ -17,12 +17,11 @@ use compass_frontend::CpuCtx;
 use compass_mem::VAddr;
 use compass_os::{Errno, Fd, OsCall, SysVal};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Pool configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Db2Config {
     /// Frames in the pool.
     pub pool_pages: usize,
@@ -48,7 +47,7 @@ impl Db2Config {
 }
 
 /// Pool counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Lookups that hit.
     pub hits: u64,

@@ -1,17 +1,15 @@
 //! Schemas, the fixed-width row codec, page layout and table metadata.
 
-use serde::{Deserialize, Serialize};
-
 /// Page size of the storage layer (matches the kernel buffer size).
 pub const PAGE_SIZE: u32 = 4096;
 
 /// A table identifier (dense, assigned at creation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableId(pub u32);
 
 /// Column types (fixed width, so row offsets are static — the layout
 /// style row stores of the era used).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColType {
     /// 32-bit unsigned.
     U32,
@@ -74,7 +72,7 @@ impl Value {
 pub type Row = Vec<Value>;
 
 /// A table schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Column types in order.
     pub cols: Vec<ColType>,

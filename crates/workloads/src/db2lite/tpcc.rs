@@ -14,10 +14,9 @@ use super::index::{attach_index_segment, Index};
 use super::storage::{ColType, Row, Schema, TableId, Value};
 use super::txn::Txn;
 use compass_frontend::CpuCtx;
+use compass_isa::rng::SimRng;
 use compass_isa::InstClass;
 use compass_os::KernelShared;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Scale parameters.
@@ -87,7 +86,7 @@ fn cust_key(d_id: u32, c_id: u32) -> u64 {
 /// Loads the TPC-C tables; returns the customer primary-key index the
 /// terminals share (DB2 reaches customers through an index, not a scan).
 pub fn load(kernel: &KernelShared, shared: &Db2Shared, cfg: TpccConfig) -> Arc<Index> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
     shared.create_table(
         kernel,
         "warehouse",
@@ -197,7 +196,7 @@ fn new_order(
     session: &Db2Session,
     t: &Tables,
     cfg: &TpccConfig,
-    rng: &mut StdRng,
+    rng: &mut SimRng,
     stats: &mut TerminalStats,
     cust_index: &Index,
     idx_base: compass_mem::VAddr,
@@ -293,7 +292,7 @@ fn payment(
     session: &Db2Session,
     t: &Tables,
     cfg: &TpccConfig,
-    rng: &mut StdRng,
+    rng: &mut SimRng,
     stats: &mut TerminalStats,
     cust_index: &Index,
     idx_base: compass_mem::VAddr,
@@ -355,7 +354,7 @@ pub fn terminal(
         let session = Db2Session::attach(cpu, Arc::clone(&shared));
         let idx_base = attach_index_segment(cpu);
         let tables = Tables::resolve(&session.shared);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ (rank << 32));
+        let mut rng = SimRng::seed_from_u64(cfg.seed ^ (rank << 32));
         let mut stats = TerminalStats::default();
         for _ in 0..cfg.txns_per_terminal {
             // Terminal think time.

@@ -12,11 +12,10 @@
 use super::engine::{Db2Session, Db2Shared, SimHashTable};
 use super::storage::{ColType, Schema, TableId, Value};
 use compass_frontend::CpuCtx;
+use compass_isa::rng::SimRng;
 use compass_isa::InstClass;
 use compass_os::KernelShared;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -101,7 +100,7 @@ fn orders_schema() -> Schema {
 
 /// Loads the TPC-D tables; returns `(lineitem, orders)` ids.
 pub fn load(kernel: &KernelShared, shared: &Db2Shared, cfg: TpcdConfig) -> (TableId, TableId) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
     let flags = ["A", "N", "R"];
     let lineitem_rows: Vec<_> = (0..cfg.lineitems)
         .map(|i| {
@@ -349,7 +348,7 @@ mod tests {
 
     /// Functional oracle computed directly from the generator.
     fn oracle_q1(cfg: TpcdConfig, cutoff: u32) -> Q1Result {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = SimRng::seed_from_u64(cfg.seed);
         let flags = ["A", "N", "R"];
         let mut out: Q1Result = HashMap::new();
         for i in 0..cfg.lineitems {

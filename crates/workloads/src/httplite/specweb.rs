@@ -11,14 +11,12 @@
 //! is 35% / 50% / 14% / 1%, and within a class the nine files follow a
 //! centre-weighted distribution. We reproduce that shape.
 
+use compass_isa::rng::SimRng;
 use compass_os::fs::FileData;
 use compass_os::KernelShared;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// File-set shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileSetConfig {
     /// Number of directories (SPECWeb scales this with the target load).
     pub dirs: u32,
@@ -48,7 +46,7 @@ pub fn size_of(class: u32, idx: u32) -> u32 {
 }
 
 /// One request of the trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Requested path.
     pub path: String,
@@ -58,7 +56,7 @@ pub struct TraceEntry {
 }
 
 /// An HTTP request trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Requests in play order.
     pub entries: Vec<TraceEntry>,
@@ -92,7 +90,7 @@ pub fn generate_fileset(kernel: &KernelShared, cfg: FileSetConfig) -> u32 {
     n
 }
 
-fn pick_weighted(rng: &mut StdRng, weights: &[u32]) -> u32 {
+fn pick_weighted(rng: &mut SimRng, weights: &[u32]) -> u32 {
     let total: u32 = weights.iter().sum();
     let mut x = rng.gen_range(0..total);
     for (i, &w) in weights.iter().enumerate() {
@@ -106,7 +104,7 @@ fn pick_weighted(rng: &mut StdRng, weights: &[u32]) -> u32 {
 
 /// Draws one trace entry: directory, class by the 35/50/14/1 mix, file
 /// by the centre-weighted in-class distribution.
-fn draw_entry(rng: &mut StdRng, cfg: FileSetConfig) -> TraceEntry {
+fn draw_entry(rng: &mut SimRng, cfg: FileSetConfig) -> TraceEntry {
     let dir = rng.gen_range(0..cfg.dirs);
     let class = pick_weighted(rng, &CLASS_MIX);
     let idx = pick_weighted(rng, &FILE_WEIGHTS);
@@ -123,7 +121,7 @@ fn draw_entry(rng: &mut StdRng, cfg: FileSetConfig) -> TraceEntry {
 /// memory as a ten-request one.
 #[derive(Debug, Clone)]
 pub struct TraceStream {
-    rng: StdRng,
+    rng: SimRng,
     cfg: FileSetConfig,
     total: u32,
     drawn: u32,
@@ -134,7 +132,7 @@ impl TraceStream {
     /// [`generate_trace`].
     pub fn new(cfg: FileSetConfig, requests: u32, seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SimRng::seed_from_u64(seed),
             cfg,
             total: requests,
             drawn: 0,

@@ -5,6 +5,7 @@
 
 use compass::{ArchConfig, CpuCtx, SimBuilder};
 use compass_backend::BackendStats;
+use compass_isa::rng::SimRng;
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
 use compass_simcheck::check::apply_scenario_knobs;
@@ -13,15 +14,13 @@ use compass_workloads::httplite::{
     self, generate_fileset, generate_trace, FileSetConfig, PlayerConfig, ServerConfig,
     SharedTickets, TracePlayer,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A process body generated from a seed: a random mix of the primitives.
 fn chaos_process(seed: u64, nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
     move |cpu: &mut CpuCtx| {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SimRng::seed_from_u64(seed);
         let seg = cpu.shmget(0xC0DE, 16 * 4096);
         let base = cpu.shmat(seg);
         let heap = cpu.malloc_pages(16 * 4096);
