@@ -39,10 +39,12 @@ cargo run --release -q -p compass-fleet -- --preset paper --quiet --out target/p
 # guard every public name it uses: CheckpointData::{encode, decode,
 # ff_events}, ArchRecord::Access::victims, Hierarchy::{encode_snapshot,
 # epoch_victims}, compass_snap::{Writer, seal}, L1Mirror,
-# BackendConfig::deadlock_ms, EventPort/ReqPort/Notifier driven from
-# std::thread posters (ReqPort is unused by the simulator; only the
-# benchmark's comm.reqport_call_ns probe keeps it), and the counter names
-# it reads.
+# BackendConfig::deadlock_ms (read by nothing: the engine's only posters
+# are tasks; the benchmark still sets it), EventPort::with_capacity with a
+# Notifier::new epoch and ReqPort, both driven from std::thread posters
+# that park in coro::wait and never reach an engine (ReqPort is unused by
+# the simulator; only the benchmark's comm.reqport_call_ns probe keeps
+# it), and the counter names it reads (a deleted one reads 0).
 bash benchmark/run.sh --check-manifest BENCHMARK.json
 cargo test --offline --manifest-path benchmark/Cargo.toml
 # Golden fingerprints: one short driver run per workload at the golden
@@ -55,9 +57,10 @@ for w in sci tpcc tpcd httplite; do
     || { echo "benchmark golden check failed: $w" >&2; exit 1; }
 done
 # The traced driver form: counters and the trace ring on, plus the layer
-# probes that drive event and request ports from std::thread posters (the
-# path on which a blocking post notifies the backend and parks instead of
-# running the engine itself). Each run must finish and stay correct.
+# probes that drive event and request ports from std::thread posters (a
+# blocking post from a plain thread bumps the port's notify epoch and
+# parks until the probe's consumer thread replies; no simulation posts
+# that way). Each run must finish and stay correct.
 for w in sci tpcc tpcd httplite; do
   timeout 600 bash benchmark/run.sh --workload "$w" --seed 1998 --seconds 0 --trace 1 \
     --out-dir target/bench-smoke | tail -n 1 | grep -q '"correct": true' \

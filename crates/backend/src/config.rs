@@ -46,14 +46,9 @@ pub struct BackendConfig {
     pub tlb_assoc: usize,
     /// Interval-timer period per CPU; `None` disables timer interrupts.
     pub timer_interval: Option<Cycles>,
-    /// Host-time deadlock window for posters on ordinary threads (ports
-    /// driven from `std::thread`s, as the engine tests do): if no event
-    /// can be processed and none of them posts for this many
-    /// milliseconds, the engine returns a structured deadlock report
-    /// ([`crate::error::RunError::Deadlock`]). A `SimBuilder` run never
-    /// waits on it: its processes and bottom-half daemon are
-    /// coroutines that stay live until teardown, so a stuck run is
-    /// reported at once.
+    /// Read by nothing: every poster is a task, so a stuck run is reported
+    /// at once ([`crate::error::DeadlockKind::HostTimeout`]). Kept only
+    /// because the benchmark sets it; it goes with ROADMAP item 1(a).
     pub deadlock_ms: u64,
     /// Which simulated CPU device interrupts are routed to.
     pub irq_cpu: usize,
@@ -75,8 +70,8 @@ impl BackendConfig {
     /// shapes the simulation, including the stats-neutral `batch_depth`:
     /// two configurations that differ only in transport are still distinct
     /// *runs* even though their statistics are identical, and the fleet
-    /// runner dedupes on exactly this hash. `deadlock_ms` is excluded: the
-    /// host watchdog is not part of the simulated configuration.
+    /// runner dedupes on exactly this hash. `deadlock_ms` is excluded: it
+    /// is read by nothing, so it shapes no simulation.
     ///
     /// The encoding is explicit, field by field, so the hash moves only
     /// when a field's value does — never because a type's `Debug`
@@ -203,13 +198,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_hash_tracks_every_simulated_knob_but_not_the_watchdog() {
+    fn config_hash_tracks_every_simulated_knob_but_not_the_unused_window() {
         let base = BackendConfig::new(ArchConfig::ccnuma(2, 2));
         assert_eq!(base.config_hash(), base.clone().config_hash());
 
         let mut c = base.clone();
         c.deadlock_ms += 1;
-        assert_eq!(base.config_hash(), c.config_hash(), "watchdog leaked in");
+        assert_eq!(base.config_hash(), c.config_hash(), "deadlock_ms leaked in");
 
         let mut arch = base.clone();
         arch.arch = ArchConfig::simple_smp(4);

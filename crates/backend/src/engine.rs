@@ -34,9 +34,10 @@
 //! is both the candidate event and the safety horizon. Handlers *touch*
 //! the processes they change and `step` re-derives each once, right
 //! before the next selection. A task's blocking post touches its own
-//! process; a new notifier epoch (a post from an ordinary thread)
-//! re-polls only the empty-ring processes, since only the engine's own
-//! pop moves a head.
+//! process ([`coro::Engine::touch`]), which covers the events it batched
+//! before it; a head moves otherwise only by the engine's own pop. Posts
+//! that predate the engine are covered by [`Backend::new`], which touches
+//! every process once.
 //!
 //! **Draining a run.** Nearly every event on an OS-heavy run comes from
 //! the same process as the one before it, so a step that processes
@@ -63,12 +64,12 @@
 //! blocking call, a process that is not the least), the poster suspends.
 //! The run loop steps until nothing is safe, then resumes every task made
 //! ready (in the order they became ready), and repeats; it holds no
-//! borrow of the engine while tasks run. Only with no task ready does it
-//! block the host thread — on the notifier, when posters are ordinary
-//! threads ([`Backend::run`]) — and with every task suspended on the
-//! engine and nothing processable the run is deadlocked at once. Every
-//! popped event is handled in place, architecture-model access included,
-//! so nothing is ever in flight between two steps.
+//! borrow of the engine while tasks run. Tasks are the engine's only
+//! posters, so the loop never blocks the host thread: with no task ready
+//! and nothing processable after a full re-index, every task waits on
+//! the engine and the run is deadlocked at once. Every popped event is
+//! handled in place, architecture-model access included, so nothing is
+//! ever in flight between two steps.
 //!
 //! **Reply release.** A wire reply that sets a poster's clock to `b` is
 //! held back while a device task due at or before `b` is still queued,
@@ -110,15 +111,15 @@ use crate::vm::Vm;
 use compass_arch::MemSysKind;
 use compass_comm::coro::{self, payload_message};
 use compass_comm::{
-    CtlOp, DevShared, Event, EventBody, EventPort, ExecMode, Executor, Folded, Notifier, Reply,
-    ReplyData, SyncOp,
+    CtlOp, DevShared, Event, EventBody, EventPort, ExecMode, Executor, Folded, Reply, ReplyData,
+    SyncOp,
 };
 use compass_isa::{CpuId, Cycles, FoldHashSet, ProcessId};
 use compass_obs::{Ctr, TraceKind};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Fixed costs of backend-modelled (category-2) operations, in cycles.
 mod cost {
@@ -234,7 +235,6 @@ impl SimOutcome {
 pub struct Backend {
     pub(crate) cfg: BackendConfig,
     pub(crate) ports: Vec<Arc<EventPort>>,
-    notifier: Arc<Notifier>,
     pub(crate) cpu_states: CpuStates,
     pub(crate) devshared: Arc<DevShared>,
     /// Every architecture-model call goes through here.
@@ -280,9 +280,6 @@ pub struct Backend {
     /// (`is_touched`); `reindex_touched` re-derives them.
     touched: Vec<usize>,
     is_touched: Vec<bool>,
-    /// Notifier epoch at the last port poll; ports are re-polled only
-    /// when the epoch moves.
-    seen_epoch: u64,
     /// Processes holding a deferred wire reply.
     deferred: Vec<usize>,
     /// The executor's interleave coin (see [`Self::coin`]).
@@ -296,10 +293,11 @@ impl Backend {
     /// `ports[pid]` is process `pid`'s event port. `daemon`, when present,
     /// names the OS server's bottom-half kernel thread: it takes no
     /// scheduler slot and services device interrupts on `cfg.irq_cpu`.
+    /// Every process starts touched, so the first step reads events
+    /// posted before the engine existed.
     pub fn new(
         cfg: BackendConfig,
         ports: Vec<Arc<EventPort>>,
-        notifier: Arc<Notifier>,
         devshared: Arc<DevShared>,
         daemon: Option<ProcessId>,
         traffic: Box<dyn TrafficSource>,
@@ -321,7 +319,7 @@ impl Backend {
             cfg.tlb_assoc,
             cfg.arch.kind == MemSysKind::SoftDsm,
         );
-        Self {
+        let mut b = Self {
             arch: ArchPort::new(cfg.arch.clone()),
             vm,
             sched: Scheduler::new(cfg.sched, ncpus, cfg.arch.cpus_per_node, nprocs),
@@ -331,7 +329,6 @@ impl Backend {
             nic: Nic::new(cfg.net),
             cfg,
             ports,
-            notifier,
             cpu_states: CpuStates::new(ncpus),
             devshared,
             traffic,
@@ -353,12 +350,12 @@ impl Backend {
             index,
             touched: Vec::with_capacity(nprocs),
             is_touched: vec![false; nprocs],
-            // Force a full poll on the first step: posts may predate us.
-            seen_epoch: u64::MAX,
             deferred: Vec::new(),
             #[cfg(feature = "check-invariants")]
             coin: None,
-        }
+        };
+        b.refresh_all();
+        b
     }
 
     /// The architecture-model port, to turn on access-trace recording.
@@ -406,30 +403,9 @@ impl Backend {
         }
     }
 
-    /// Polls ports for frontend-side changes if the notifier epoch moved.
-    /// Only `Bound` (empty-ring) processes can have gained a head event —
-    /// a `Pending` head changes only via the engine's own pop, and an
-    /// `Off` process's producer is parked — so only those are re-polled.
-    fn refresh_ports(&mut self) {
-        let e = self.notifier.epoch();
-        if e == self.seen_epoch {
-            return;
-        }
-        // Order matters: record the epoch *before* polling, so a post
-        // landing mid-poll (bumping the epoch again) triggers a re-poll.
-        self.seen_epoch = e;
-        for i in 0..self.procs.len() {
-            if matches!(self.index.get(i), Indexed::Bound(_)) && self.ports[i].peek_time().is_some()
-            {
-                self.touch(i);
-            }
-        }
-    }
-
-    /// Marks the whole index for re-derivation — the pre-deadlock safety
-    /// net against any stale cache.
+    /// Marks the whole index for re-derivation: at construction, and as
+    /// the pre-deadlock safety net against any stale entry.
     fn refresh_all(&mut self) {
-        self.seen_epoch = self.notifier.epoch();
         for i in 0..self.procs.len() {
             self.touch(i);
         }
@@ -455,20 +431,12 @@ impl Backend {
 
     // --- The run loop ---
 
-    /// Runs the simulation to completion with its posters on ordinary
-    /// threads, returning the statistics or a structured [`RunError`]
-    /// (deadlock report) with every port poisoned so waiting frontends
-    /// unwind instead of waiting forever.
-    pub fn run(self) -> Result<SimOutcome, RunError> {
-        let mut exec = Executor::new(Arc::clone(&self.notifier));
-        self.run_with(&mut exec)
-    }
-
     /// Runs the simulation to completion, resuming the actors spawned on
-    /// `exec` whenever they are needed (see "Actors" in the module docs).
-    /// On error, an engine panic included, every port is poisoned; the
-    /// caller winds the suspended tasks down with
-    /// [`Executor::cancel_all`].
+    /// `exec` whenever they are needed (see "Actors" in the module docs),
+    /// and returns the statistics or a structured [`RunError`] (e.g. a
+    /// deadlock report). On error, an engine panic included, every port
+    /// is poisoned so waiting posters unwind; the caller winds the
+    /// suspended tasks down with [`Executor::cancel_all`].
     pub fn run_with(self, exec: &mut Executor) -> Result<SimOutcome, RunError> {
         let engine = Engine(RefCell::new(self));
         #[cfg(feature = "check-invariants")]
@@ -536,12 +504,10 @@ impl Backend {
     /// post call this one function.
     ///
     /// All port knowledge comes from the incrementally maintained index
-    /// (touched entries and, if the epoch moved, empty-ring ones are
-    /// re-derived here), so candidate selection and the safety horizon
-    /// read one consistent snapshot: its least entry.
+    /// (touched entries are re-derived here), so candidate selection and
+    /// the safety horizon read one consistent snapshot: its least entry.
     fn step(&mut self) -> bool {
         self.release_deferred();
-        self.refresh_ports();
         self.reindex_touched();
 
         // Candidate: earliest device task vs earliest pending event.
@@ -1097,13 +1063,12 @@ impl Engine {
     /// The run loop (see "Actors" in the module docs).
     fn drive(&self, exec: &mut Executor) -> Result<(), RunError> {
         self.0.borrow_mut().seed_devices();
-        // Wall-clock phase profiling (active vs waiting-for-frontends) is
-        // taken only when counters are on: `Instant::now` is not free.
+        // Wall-clock active time is taken only when counters are on:
+        // `Instant::now` is not free.
         let timing = self.0.borrow().obs.counters.is_some();
         loop {
-            let (epoch, progressed, end) = {
+            let (progressed, end) = {
                 let b = &mut *self.0.borrow_mut();
-                let epoch = b.notifier.epoch();
                 let mut progressed = false;
                 let active_from = timing.then(Instant::now);
                 let end = loop {
@@ -1122,7 +1087,7 @@ impl Engine {
                     }
                 };
                 b.note_active(active_from);
-                (epoch, progressed, end)
+                (progressed, end)
             };
             if let Some(end) = end {
                 return end;
@@ -1139,26 +1104,9 @@ impl Engine {
             if progressed {
                 continue;
             }
-            if exec.live() == 0 {
-                // Posters on ordinary threads: block until one of them
-                // notifies, or the watchdog expires.
-                let wait_from = timing.then(Instant::now);
-                let deadlock_ms = self.0.borrow().cfg.deadlock_ms;
-                let advanced = exec.wait_idle(epoch, Duration::from_millis(deadlock_ms));
-                if let Some(t0) = wait_from {
-                    let b = self.0.borrow();
-                    b.obs
-                        .add(Ctr::BackendWaitNs, t0.elapsed().as_nanos() as u64);
-                }
-                if advanced {
-                    continue;
-                }
-            }
-            // Every actor waits on the engine (or the watchdog expired)
-            // and nothing is safe to process. One more scan over a rebuilt
-            // index — the safety net for a missed cache invalidation or a
-            // post that landed between the scan and the wait — before
-            // declaring the deadlock.
+            // Every actor waits on the engine and nothing is safe to
+            // process. One more scan over a rebuilt index — the safety net
+            // for a missed touch — before declaring the deadlock.
             let mut b = self.0.borrow_mut();
             b.refresh_all();
             if !b.step() {
@@ -1172,8 +1120,10 @@ impl Engine {
 pub(crate) mod tests {
     use super::*;
     use compass_arch::AccessClass;
+    use compass_comm::{Class, Notifier};
     use compass_mem::VAddr;
     use compass_obs::CounterBlock;
+    use std::sync::mpsc::{self, Receiver};
 
     /// A backend over `nprocs` bare ports on a two-CPU SMP.
     pub(crate) fn mini_backend(nprocs: usize, daemon: Option<ProcessId>) -> Backend {
@@ -1193,46 +1143,96 @@ pub(crate) mod tests {
         Backend::new(
             cfg,
             ports,
-            notifier,
             devshared,
             daemon,
             Box::new(crate::devices::NullTraffic),
         )
     }
 
-    /// Posts a blocking event to process `i`'s port from a plain thread
-    /// and pops it, as the engine does before replying.
-    fn blocked_poster(b: &Backend, i: usize) -> std::thread::JoinHandle<Reply> {
-        let port = Arc::clone(&b.ports[i]);
-        let poster = std::thread::spawn(move || {
-            port.post(Event {
-                pid: ProcessId(i as u32),
-                time: 0,
-                body: EventBody::Ctl(CtlOp::Yield),
-            })
-        });
-        while b.ports[i].pop().is_none() {
-            std::thread::yield_now();
+    /// Scripted posters for a backend a test steps by hand: tasks on an
+    /// executor with no engine installed, so a blocking post suspends its
+    /// task instead of serving itself ([`coro::serve`]), and the test
+    /// touches the posters itself ([`Posters::run`]).
+    #[derive(Default)]
+    struct Posters(Executor);
+
+    impl Posters {
+        /// Spawns `body` as a task; what it returns arrives on the
+        /// channel.
+        fn spawn<T: Send + 'static>(
+            &mut self,
+            body: impl FnOnce() -> T + Send + 'static,
+        ) -> Receiver<T> {
+            let (tell, done) = mpsc::channel();
+            self.0.spawn(Class::Frontend, None, move || {
+                let _ = tell.send(body());
+            });
+            done
         }
+
+        /// Spawns a task that posts `batch` on process `pid`'s port: every
+        /// event batched but the last, which blocks. Its reply arrives on
+        /// the channel.
+        fn script(&mut self, b: &Backend, pid: usize, batch: Vec<Event>) -> Receiver<Reply> {
+            let port = Arc::clone(&b.ports[pid]);
+            self.spawn(move || {
+                let mut batch = batch.into_iter();
+                let last = batch.next_back().expect("a blocking post ends the script");
+                for ev in batch {
+                    port.post_batched(ev);
+                }
+                port.post(last)
+            })
+        }
+
+        /// Runs every ready poster until it waits on the engine, then
+        /// touches every process, as a served post touches its own.
+        /// Returns whether any poster ran.
+        fn run(&mut self, b: &mut Backend) -> bool {
+            let mut ran = false;
+            while self.0.run_ready() {
+                ran = true;
+            }
+            if let Some(payload) = self.0.take_panic() {
+                std::panic::resume_unwind(payload);
+            }
+            b.refresh_all();
+            ran
+        }
+
+        /// Runs the posters and takes what the one behind `done` returned.
+        fn done<T>(&mut self, b: &mut Backend, done: &Receiver<T>) -> T {
+            self.run(b);
+            done.try_recv().expect("the poster has not finished")
+        }
+    }
+
+    /// Posts a blocking event to process `i`'s port from a task and pops
+    /// it, as the engine does before replying.
+    fn blocked_poster(posters: &mut Posters, b: &mut Backend, i: usize) -> Receiver<Reply> {
+        let poster = posters.script(b, i, vec![yield_at(i as u32, 0)]);
+        posters.run(b);
+        assert!(b.ports[i].pop().is_some(), "the poster posted");
         poster
     }
 
     #[test]
     fn a_wire_reply_waits_for_device_tasks_due_by_the_posters_clock() {
         let mut b = mini_backend(1, None);
+        let mut posters = Posters::default();
         let pid = ProcessId(0);
         b.procs[0].bound = 100;
 
         // A task after the poster's clock cannot precede what it does next.
         b.tasks.schedule(101, Task::TimerTick { cpu: CpuId(0) });
         let body = EventBody::Ctl(CtlOp::Yield);
-        let poster = blocked_poster(&b, 0);
+        let poster = blocked_poster(&mut posters, &mut b, 0);
         b.deliver(pid, &body, Reply::latency(5), true);
-        assert_eq!(poster.join().unwrap().latency, 5);
+        assert_eq!(posters.done(&mut b, &poster).latency, 5);
 
         // One due at the poster's clock holds the reply until it has run.
         b.tasks.schedule(100, Task::TimerTick { cpu: CpuId(1) });
-        let poster = blocked_poster(&b, 0);
+        let poster = blocked_poster(&mut posters, &mut b, 0);
         b.deliver(pid, &body, Reply::latency(7), true);
         b.release_deferred();
         assert!(
@@ -1241,7 +1241,7 @@ pub(crate) mod tests {
         );
         assert_eq!(b.tasks.pop().map(|(t, _)| t), Some(100));
         b.release_deferred();
-        assert_eq!(poster.join().unwrap().latency, 7);
+        assert_eq!(posters.done(&mut b, &poster).latency, 7);
         assert!(b.deferred.is_empty() && b.procs[0].deferred.is_none());
     }
 
@@ -1261,23 +1261,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Waits until process `i`'s ring holds `n` events. Enough before
-    /// the first step, which polls every port; after it, the engine sees
-    /// a thread's posts only once they notify ([`wait_for_cut`]).
-    fn wait_for_posts(b: &Backend, i: usize, n: usize) {
-        while b.ports[i].pending() < n {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Waits for a blocking post's notify to move the epoch past `seen`:
-    /// batched posts are silent, the cut tells the engine about them.
-    fn wait_for_cut(b: &Backend, seen: u64) {
-        while b.notifier.epoch() <= seen {
-            std::thread::yield_now();
-        }
-    }
-
     /// Takes one step that must process an event and returns its
     /// `(time, pid)`.
     fn pick(b: &mut Backend) -> (Cycles, usize) {
@@ -1290,34 +1273,64 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn the_first_step_sees_posts_that_predate_it() {
+        // The posters post before the engine's first step, and nothing
+        // touches their processes: only `Backend::new`, which touches
+        // every process once, makes the first step read their rings.
+        let mut b = mini_backend(3, None);
+        let mut posters = Posters::default();
+        let exits: Vec<_> = [
+            (0, vec![30], 2_000),
+            (1, vec![10], 1_000),
+            (2, vec![10, 40], 1_000),
+        ]
+        .into_iter()
+        .map(|(pid, times, exit)| {
+            let mut batch: Vec<_> = times.into_iter().map(|t| yield_at(pid, t)).collect();
+            batch.push(exit_at(pid, exit));
+            posters.script(&b, pid as usize, batch)
+        })
+        .collect();
+        while posters.0.run_ready() {}
+        // Selected in (time, pid) order.
+        for want in [
+            (10, 1),
+            (10, 2),
+            (30, 0),
+            (40, 2),
+            (1_000, 1),
+            (1_000, 2),
+            (2_000, 0),
+        ] {
+            assert_eq!(pick(&mut b), want);
+        }
+        for exit in &exits {
+            assert_eq!(posters.done(&mut b, exit).latency, 0);
+        }
+    }
+
+    #[test]
     fn the_scan_pops_in_time_then_pid_order_behind_tasks_and_bounds() {
         let mut b = mini_backend(4, None);
+        let mut posters = Posters::default();
         // Processes 0-2 post one batched event each and then block on
         // their exit; all three exits land at time 1000.
-        let posters: Vec<_> = [(0u32, 30), (1, 10), (2, 10)]
+        let exits: Vec<_> = [(0u32, 30), (1, 10), (2, 10)]
             .into_iter()
             .map(|(pid, t)| {
-                let port = Arc::clone(&b.ports[pid as usize]);
-                std::thread::spawn(move || {
-                    port.post_batched(yield_at(pid, t));
-                    port.post(exit_at(pid, 1000))
-                })
+                let batch = vec![yield_at(pid, t), exit_at(pid, 1000)];
+                posters.script(&b, pid as usize, batch)
             })
             .collect();
-        // Process 3 posts a blocking event at 20, then waits for the test
-        // before posting again.
-        let (go, wait) = std::sync::mpsc::channel::<()>();
+        // Process 3 posts a blocking event at 20 and posts again only
+        // once the test runs it after the reply.
         let port3 = Arc::clone(&b.ports[3]);
-        let p3 = std::thread::spawn(move || {
+        let p3 = posters.spawn(move || {
             port3.post(yield_at(3, 20));
-            wait.recv().expect("test signals");
             port3.post_batched(yield_at(3, 40));
             port3.post(exit_at(3, 1000))
         });
-        for i in 0..3 {
-            wait_for_posts(&b, i, 2);
-        }
-        wait_for_posts(&b, 3, 1);
+        posters.run(&mut b);
         // A device task at the same time as the earliest events goes first.
         b.tasks.schedule(10, Task::TimerTick { cpu: CpuId(0) });
         assert!(b.step());
@@ -1338,9 +1351,7 @@ pub(crate) mod tests {
         assert!(!b.step(), "a lower bound must hold back a later candidate");
         assert!(matches!(b.index.get(3), Indexed::Bound(20)));
 
-        let seen = b.notifier.epoch();
-        go.send(()).expect("poster 3 waits");
-        wait_for_cut(&b, seen);
+        posters.run(&mut b);
         assert!(b.step());
         assert_eq!(b.device_polls_eliminated, 3, "the task at 25 precedes 30");
         assert_eq!(pick(&mut b), (30, 0));
@@ -1349,8 +1360,8 @@ pub(crate) mod tests {
             assert_eq!(pick(&mut b), (1000, pid));
         }
         assert!(!b.step(), "every process exited");
-        for p in posters.into_iter().chain([p3]) {
-            assert_eq!(p.join().expect("poster").latency, 0);
+        for exit in exits.iter().chain([&p3]) {
+            assert_eq!(posters.done(&mut b, exit).latency, 0);
         }
     }
 
@@ -1375,10 +1386,11 @@ pub(crate) mod tests {
             size: 8,
         };
         b.arch_mut().record_trace();
+        let mut posters = Posters::default();
         // The holder takes the lock, then batches a user load and a
         // kernel-mode release behind it and blocks on its exit.
         let p0 = Arc::clone(&b.ports[0]);
-        let holder = std::thread::spawn(move || {
+        let holder = posters.spawn(move || {
             let t = p0.post(at(0, 0, EventBody::Ctl(CtlOp::Start))).latency;
             let t = t + 10;
             let t = t + p0
@@ -1390,21 +1402,18 @@ pub(crate) mod tests {
         });
         // The waiter arrives at 15, while the lock is held.
         let p1 = Arc::clone(&b.ports[1]);
-        let waiter = std::thread::spawn(move || {
+        let waiter = posters.spawn(move || {
             p1.post(at(1, 0, EventBody::Ctl(CtlOp::Start)));
             let r = p1.post(at(1, 15, sync(SyncOp::LockAcquire, ExecMode::User)));
             p1.post(exit_at(1, 15 + r.latency))
         });
-        let step_to = |b: &mut Backend, events: u64| {
-            while b.events_processed < events {
-                if !b.step() {
-                    std::thread::yield_now();
-                }
+        while b.events_processed < 8 {
+            if !b.step() {
+                assert!(posters.run(&mut b), "nothing to step and no poster to run");
             }
-        };
-        step_to(&mut b, 8);
-        let (release_raw, exit) = holder.join().expect("holder");
-        waiter.join().expect("waiter");
+        }
+        let (release_raw, exit) = posters.done(&mut b, &holder);
+        posters.done(&mut b, &waiter);
         // The load and the release behind it ran in one drain, so their
         // times come from the access trace: the last two accesses are the
         // user load and the kernel-mode release of the lock word, each
@@ -1448,20 +1457,19 @@ pub(crate) mod tests {
         assert_eq!(b.procs[1].state, PState::Exited, "the waiter was granted");
     }
 
-    /// Posts `batch` to process `pid`'s port from a thread: every event
-    /// batched but the last, which blocks. Returns the last reply.
-    fn post_script(b: &Backend, pid: usize, batch: Vec<Event>) -> std::thread::JoinHandle<Reply> {
-        let port = Arc::clone(&b.ports[pid]);
-        let n = batch.len();
+    /// Posts `batch` on process `pid`'s port from a task ([`Posters::script`])
+    /// and runs it until the whole batch is in the ring.
+    fn post_script(
+        posters: &mut Posters,
+        b: &mut Backend,
+        pid: usize,
+        batch: Vec<Event>,
+    ) -> Receiver<Reply> {
         assert_eq!(b.ports[pid].pending(), 0, "script posted over a full ring");
-        let poster = std::thread::spawn(move || {
-            let mut batch = batch.into_iter();
-            for ev in batch.by_ref().take(n - 1) {
-                port.post_batched(ev);
-            }
-            port.post(batch.next().expect("a blocking post ends the script"))
-        });
-        wait_for_posts(b, pid, n);
+        let n = batch.len();
+        let poster = posters.script(b, pid, batch);
+        posters.run(b);
+        assert_eq!(b.ports[pid].pending(), n, "the script posted its batch");
         poster
     }
 
@@ -1480,28 +1488,29 @@ pub(crate) mod tests {
     #[test]
     fn a_drain_stops_at_another_process_entry_at_or_before_its_next_key() {
         let mut b = mini_backend(2, None);
+        let mut posters = Posters::default();
         // Process 0 is constraining at bound 20 with an empty ring.
         b.procs[0].bound = 20;
-        b.touch(0);
-        let p1 = post_script(&b, 1, [10, 15, 20, 40, 50].map(|t| yield_at(1, t)).to_vec());
+        let batch = [10, 15, 20, 40, 50].map(|t| yield_at(1, t)).to_vec();
+        let p1 = post_script(&mut posters, &mut b, 1, batch);
         // 10 and 15 precede the bound; (20, pid 1) follows (20, pid 0).
         assert_eq!(step_events(&mut b), 2);
         assert!(!b.step(), "the bound holds back the rest of the run");
         // A pending event of process 0 at 40 lets 20 run, but not 40.
-        let seen = b.notifier.epoch();
-        let p0 = post_script(&b, 0, vec![exit_at(0, 40)]);
-        wait_for_cut(&b, seen);
+        let p0 = post_script(&mut posters, &mut b, 0, vec![exit_at(0, 40)]);
         assert_eq!(step_events(&mut b), 1);
         assert_eq!(pick(&mut b), (40, 0));
         assert_eq!(step_events(&mut b), 2, "nothing else bounds 40 and 50");
-        p0.join().expect("poster 0");
-        p1.join().expect("poster 1");
+        posters.done(&mut b, &p0);
+        posters.done(&mut b, &p1);
     }
 
     #[test]
     fn a_drain_stops_at_a_device_task_due_at_or_before_its_next_key() {
         let mut b = mini_backend(1, None);
-        let poster = post_script(&b, 0, [10, 20, 30, 40].map(|t| yield_at(0, t)).to_vec());
+        let mut posters = Posters::default();
+        let batch = [10, 20, 30, 40].map(|t| yield_at(0, t)).to_vec();
+        let poster = post_script(&mut posters, &mut b, 0, batch);
         b.tasks.schedule(20, Task::TimerTick { cpu: CpuId(0) });
         assert_eq!(
             step_events(&mut b),
@@ -1511,12 +1520,13 @@ pub(crate) mod tests {
         assert_eq!(step_events(&mut b), 0, "the task runs next");
         assert_eq!(b.device_polls_eliminated, 1);
         assert_eq!(step_events(&mut b), 3);
-        poster.join().expect("poster");
+        posters.done(&mut b, &poster);
     }
 
     #[test]
     fn a_drain_stops_when_a_batched_release_wakes_a_lock_waiter() {
         let mut b = mini_backend(2, None);
+        let mut posters = Posters::default();
         let lock = VAddr(0x1000_0000);
         let sync = move |pid, time, op| {
             at(
@@ -1532,7 +1542,8 @@ pub(crate) mod tests {
         // The holder's release is batched between loads; the loads behind
         // it come long after the waiter's grant.
         let holder = post_script(
-            &b,
+            &mut posters,
+            &mut b,
             0,
             vec![
                 start_at(0, 0),
@@ -1546,13 +1557,13 @@ pub(crate) mod tests {
         );
         // The waiter exits once granted.
         let port = Arc::clone(&b.ports[1]);
-        let waiter = std::thread::spawn(move || {
+        let waiter = posters.spawn(move || {
             port.post_batched(start_at(1, 0));
             let r = port.post(sync(1, 15, SyncOp::LockAcquire));
             port.post(exit_at(1, 15 + r.latency));
             r
         });
-        wait_for_posts(&b, 1, 2);
+        posters.run(&mut b);
         // Both starts, the holder's acquire, the waiter's.
         for _ in 0..4 {
             assert_eq!(step_events(&mut b), 1);
@@ -1566,11 +1577,11 @@ pub(crate) mod tests {
         assert_eq!(b.ports[0].pending(), 3);
         while b.events_processed < 10 {
             if !b.step() {
-                std::thread::yield_now();
+                assert!(posters.run(&mut b), "nothing to step and no poster to run");
             }
         }
-        assert!(waiter.join().expect("waiter").latency > 0);
-        holder.join().expect("holder");
+        assert!(posters.done(&mut b, &waiter).latency > 0);
+        posters.done(&mut b, &holder);
     }
 
     #[test]
@@ -1578,8 +1589,10 @@ pub(crate) mod tests {
         // Three processes on two CPUs: process 2 waits on the ready queue
         // when process 0's pre-emption falls due.
         let mut b = mini_backend(3, None);
+        let mut posters = Posters::default();
         let p0 = post_script(
-            &b,
+            &mut posters,
+            &mut b,
             0,
             vec![
                 start_at(0, 0),
@@ -1589,8 +1602,13 @@ pub(crate) mod tests {
                 yield_at(0, 40),
             ],
         );
-        let p1 = post_script(&b, 1, vec![start_at(1, 0), yield_at(1, 1_000)]);
-        let p2 = post_script(&b, 2, vec![start_at(2, 0)]);
+        let p1 = post_script(
+            &mut posters,
+            &mut b,
+            1,
+            vec![start_at(1, 0), yield_at(1, 1_000)],
+        );
+        let p2 = post_script(&mut posters, &mut b, 2, vec![start_at(2, 0)]);
         for _ in 0..3 {
             assert_eq!(step_events(&mut b), 1);
         }
@@ -1601,14 +1619,14 @@ pub(crate) mod tests {
         assert_eq!(b.ports[0].pending(), 3);
         // Process 2 took the CPU.
         assert_eq!(
-            p2.join().expect("poster 2").data,
+            posters.done(&mut b, &p2).data,
             ReplyData::Cpu { cpu: CpuId(0) }
         );
         for port in &b.ports {
             port.poison();
         }
         for p in [p0, p1] {
-            assert_eq!(p.join().expect("poster").data, ReplyData::Aborted);
+            assert_eq!(posters.done(&mut b, &p).data, ReplyData::Aborted);
         }
 
         // A batched acquire that must wait holds its poster with events
@@ -1627,12 +1645,14 @@ pub(crate) mod tests {
             )
         };
         let holder = post_script(
-            &b,
+            &mut posters,
+            &mut b,
             0,
             vec![start_at(0, 0), acquire(0, 10), yield_at(0, 100_000)],
         );
         let waiter = post_script(
-            &b,
+            &mut posters,
+            &mut b,
             1,
             vec![
                 start_at(1, 0),
@@ -1652,7 +1672,7 @@ pub(crate) mod tests {
             port.poison();
         }
         for p in [holder, waiter] {
-            assert_eq!(p.join().expect("poster").data, ReplyData::Aborted);
+            assert_eq!(posters.done(&mut b, &p).data, ReplyData::Aborted);
         }
     }
 
@@ -1663,8 +1683,10 @@ pub(crate) mod tests {
         // held: the drain ends there, the tick runs, and the next step
         // releases the reply.
         let mut b = mini_backend(1, None);
+        let mut posters = Posters::default();
         let poster = post_script(
-            &b,
+            &mut posters,
+            &mut b,
             0,
             vec![
                 start_at(0, 0),
@@ -1678,14 +1700,16 @@ pub(crate) mod tests {
         assert!(b.ports[0].has_blocked_poster(), "the reply is held");
         assert_eq!(step_events(&mut b), 0, "the tick runs");
         assert!(!b.step(), "the poster's bound holds");
-        assert!(poster.join().expect("poster").latency > 1);
+        assert!(posters.done(&mut b, &poster).latency > 1);
     }
 
     #[test]
     fn a_drain_stops_at_a_latched_error() {
         let mut b = mini_backend(1, None);
+        let mut posters = Posters::default();
         let poster = post_script(
-            &b,
+            &mut posters,
+            &mut b,
             0,
             vec![
                 start_at(0, 0),
@@ -1697,25 +1721,27 @@ pub(crate) mod tests {
         assert_eq!(step_events(&mut b), 2, "the wild load ends the drain");
         assert!(b.error.is_some());
         b.ports[0].poison();
-        assert_eq!(poster.join().expect("poster").data, ReplyData::Aborted);
+        assert_eq!(posters.done(&mut b, &poster).data, ReplyData::Aborted);
     }
 
     #[cfg(feature = "check-invariants")]
     #[test]
     fn a_seeded_schedule_ends_a_drain_on_the_interleave_coin() {
         let mut b = mini_backend(1, None);
-        let mut exec = Executor::new(Arc::clone(&b.notifier));
+        let mut posters = Posters::default();
+        let batch = (0..32).map(|t| yield_at(0, t)).collect();
+        let poster = post_script(&mut posters, &mut b, 0, batch);
+        let mut exec = Executor::new();
         exec.set_schedule_seed(7);
         // A ready task, so the coin can come up.
-        exec.spawn(compass_comm::Class::Frontend, None, || {});
+        exec.spawn(Class::Frontend, None, || {});
         b.coin = Some(exec.coin());
-        let poster = post_script(&b, 0, (0..32).map(|t| yield_at(0, t)).collect());
         let first = step_events(&mut b);
         assert!(first < 32, "the coin never ended the drain");
         while b.events_processed < 32 {
             step_events(&mut b);
         }
-        poster.join().expect("poster");
+        posters.done(&mut b, &poster);
     }
 
     /// A backend like [`mini_backend`] whose ports count their blocking
@@ -1741,7 +1767,6 @@ pub(crate) mod tests {
         let b = Backend::new(
             cfg,
             ports,
-            notifier,
             Arc::new(DevShared::new()),
             None,
             Box::new(crate::devices::NullTraffic),
@@ -1760,10 +1785,10 @@ pub(crate) mod tests {
         counters: &[Arc<CounterBlock>],
         bodies: Vec<(usize, Script)>,
     ) -> (SimOutcome, Vec<(u64, u64)>) {
-        let mut exec = Executor::new(Arc::clone(&b.notifier));
+        let mut exec = Executor::new();
         for (pid, body) in bodies {
             let port = Arc::clone(&b.ports[pid]);
-            exec.spawn(compass_comm::Class::Frontend, None, move || body(port));
+            exec.spawn(Class::Frontend, None, move || body(port));
         }
         let outcome = b.run_with(&mut exec).expect("scripted run");
         // The run ends at the last Exit; its poster may still be queued.
@@ -1918,7 +1943,7 @@ pub(crate) mod tests {
         b.procs[1].cpu = Some(CpuId(1));
         let stray = b.reference(ProcessId(1), VAddr(0x100), false, ExecMode::User, 5);
         assert_eq!(stray, None, "an unmappable reference is charged nothing");
-        let mut exec = Executor::new(Arc::clone(&b.notifier));
+        let mut exec = Executor::new();
         let ports = b.ports.clone();
         match b.run_with(&mut exec) {
             Err(RunError::WildAccess { report }) => assert_eq!(report.fault, fault),

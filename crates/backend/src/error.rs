@@ -108,10 +108,8 @@ pub enum DeadlockKind {
     /// barrier, the kernel daemon is parked, and no device completion is
     /// in flight — provably stuck (detected at a timer tick).
     SyncCycle,
-    /// Nothing could be processed and a full index rebuild still found
-    /// nothing to do: every simulated thread is suspended on the engine
-    /// (reported at once), or posters on ordinary threads stayed silent
-    /// for the `deadlock_ms` window.
+    /// Every task waits on the engine and a full re-index finds nothing;
+    /// reported at once.
     HostTimeout,
 }
 

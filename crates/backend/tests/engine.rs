@@ -2,75 +2,90 @@
 //! the OS server, pinning engine behaviours that the integration suite
 //! only exercises indirectly — the wakeup latch, the scheduler/reply
 //! interplay, lock grant ordering, device task scheduling, and what a
-//! poster on an ordinary thread gets when the engine panics.
+//! waiting poster gets when the engine panics. Each script is a task on
+//! an [`Executor`] that [`Backend::run_with`] drives, as in a full
+//! simulation: its blocking posts run the engine on the task's own stack.
 
 use compass_arch::ArchConfig;
 use compass_backend::devices::NullTraffic;
+use compass_backend::engine::SimOutcome;
 use compass_backend::{Backend, BackendConfig, RunError};
 use compass_comm::{
-    BlockReason, CtlOp, DevCmd, DevShared, Event, EventBody, EventPort, ExecMode, MemRefKind,
-    Notifier, ReplyData, SyncOp,
+    BlockReason, Class, CtlOp, DevCmd, DevShared, Event, EventBody, EventPort, ExecMode, Executor,
+    MemRefKind, Notifier, ReplyData, SyncOp,
 };
-use compass_isa::{DiskId, ProcessId};
+use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::VAddr;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 struct Rig {
     ports: Vec<Arc<EventPort>>,
-    notifier: Arc<Notifier>,
     devshared: Arc<DevShared>,
-    cfg: BackendConfig,
+    exec: Executor,
 }
 
 impl Rig {
-    fn new(nprocs: usize, ncpus: usize) -> Self {
+    fn new(nprocs: usize) -> Self {
+        // Thread posters would bump it; these scripts are tasks.
         let notifier = Arc::new(Notifier::new());
-        let mut cfg = BackendConfig::new(ArchConfig::simple_smp(ncpus));
-        cfg.deadlock_ms = 3_000;
         let ports = (0..nprocs)
             .map(|p| {
                 let pid = ProcessId(p as u32);
-                Arc::new(EventPort::with_capacity(
-                    pid,
-                    Arc::clone(&notifier),
-                    cfg.batch_depth,
-                ))
+                Arc::new(EventPort::with_capacity(pid, Arc::clone(&notifier), 64))
             })
             .collect();
         Rig {
             ports,
-            notifier: Arc::clone(&notifier),
             devshared: Arc::new(DevShared::new()),
-            cfg,
+            exec: Executor::new(),
         }
     }
 
-    /// Runs the engine on its own thread, the posters being ordinary
-    /// threads too.
-    fn spawn_run(
-        &self,
-    ) -> std::thread::JoinHandle<Result<compass_backend::engine::SimOutcome, RunError>> {
+    /// Spawns `body` as a task posting on process `pid`'s port; what it
+    /// returns arrives on the channel.
+    fn script<T: Send + 'static>(
+        &mut self,
+        pid: usize,
+        body: impl FnOnce(Arc<EventPort>) -> T + Send + 'static,
+    ) -> Receiver<T> {
+        let (tell, done) = mpsc::channel();
+        let port = Arc::clone(&self.ports[pid]);
+        self.exec.spawn(Class::Frontend, None, move || {
+            let _ = tell.send(body(port));
+        });
+        done
+    }
+
+    /// Runs the engine over the scripts on `ncpus` CPUs, then lets the
+    /// tasks it woke last run to their end. A script's panic is re-raised.
+    fn try_run(mut self, ncpus: usize) -> Result<SimOutcome, RunError> {
         let backend = Backend::new(
-            self.cfg.clone(),
-            self.ports.clone(),
-            Arc::clone(&self.notifier),
-            Arc::clone(&self.devshared),
+            BackendConfig::new(ArchConfig::simple_smp(ncpus)),
+            self.ports,
+            self.devshared,
             None, // no kernel daemon in these scripts
             Box::new(NullTraffic),
         );
-        std::thread::spawn(move || backend.run())
+        let outcome = backend.run_with(&mut self.exec);
+        while self.exec.run_ready() {}
+        if let Some(payload) = self.exec.take_panic() {
+            std::panic::resume_unwind(payload);
+        }
+        outcome
     }
 
-    fn spawn_backend(&self) -> std::thread::JoinHandle<compass_backend::engine::SimOutcome> {
-        let run = self.spawn_run();
-        std::thread::spawn(move || {
-            let outcome = run.join().expect("the engine returns its panics");
-            outcome.expect("scripted run must not deadlock")
-        })
+    fn run(self, ncpus: usize) -> SimOutcome {
+        self.try_run(ncpus).expect("scripted run must not deadlock")
     }
 }
 
-fn ev(pid: u32, time: u64, body: EventBody) -> Event {
+/// What a script sent, once the run is over.
+fn result<T>(done: &Receiver<T>) -> T {
+    done.try_recv().expect("the script ran to its end")
+}
+
+fn ev(pid: u32, time: Cycles, body: EventBody) -> Event {
     Event {
         pid: ProcessId(pid),
         time,
@@ -89,13 +104,10 @@ fn memref(va: u32) -> EventBody {
 
 #[test]
 fn start_assigns_cpus_in_pid_order_and_queues_the_rest() {
-    let rig = Rig::new(3, 2);
-    let backend = rig.spawn_backend();
-    let ports = rig.ports.clone();
-    let handles: Vec<_> = (0..3u32)
+    let mut rig = Rig::new(3);
+    let cpus: Vec<_> = (0..3u32)
         .map(|p| {
-            let port = Arc::clone(&ports[p as usize]);
-            std::thread::spawn(move || {
+            rig.script(p as usize, move |port| {
                 let r = port.post(ev(p, 0, EventBody::Ctl(CtlOp::Start)));
                 let cpu = match r.data {
                     ReplyData::Cpu { cpu } => cpu,
@@ -106,24 +118,16 @@ fn start_assigns_cpus_in_pid_order_and_queues_the_rest() {
                 let r2 = port.post(ev(p, t + 100, memref(0x1000_0000 + p * 64)));
                 t += 100 + r2.latency;
                 port.post(ev(p, t + 10, EventBody::Ctl(CtlOp::Exit)));
-                (p, cpu)
+                cpu.0
             })
         })
         .collect();
-    let mut got: Vec<(u32, u16)> = handles
-        .into_iter()
-        .map(|h| {
-            let (p, cpu) = h.join().unwrap();
-            (p, cpu.0)
-        })
-        .collect();
-    got.sort_unstable();
+    let outcome = rig.run(2);
     // Pids 0 and 1 got cpus 0 and 1 (Start events at t=0 processed in pid
     // order); pid 2 waited and then got whichever freed first (cpu 0).
-    assert_eq!(got[0], (0, 0));
-    assert_eq!(got[1], (1, 1));
-    assert_eq!(got[2].0, 2);
-    let outcome = backend.join().unwrap();
+    assert_eq!(result(&cpus[0]), 0);
+    assert_eq!(result(&cpus[1]), 1);
+    assert_eq!(result(&cpus[2]), 0);
     assert!(outcome.stats.procs[2].ready_wait > 0, "pid 2 queued");
 }
 
@@ -131,11 +135,8 @@ fn start_assigns_cpus_in_pid_order_and_queues_the_rest() {
 fn wakeup_latch_absorbs_unblock_before_block() {
     // P1 posts Unblock(P0) *earlier in simulated time* than P0's Block:
     // the engine must latch it so P0 does not sleep forever.
-    let rig = Rig::new(2, 2);
-    let backend = rig.spawn_backend();
-    let p0 = Arc::clone(&rig.ports[0]);
-    let p1 = Arc::clone(&rig.ports[1]);
-    let t0 = std::thread::spawn(move || {
+    let mut rig = Rig::new(2);
+    let block = rig.script(0, |p0| {
         let r = p0.post(ev(0, 0, EventBody::Ctl(CtlOp::Start)));
         // Block at t=1000 — *after* P1's unblock at t=500.
         let r2 = p0.post(ev(
@@ -145,11 +146,10 @@ fn wakeup_latch_absorbs_unblock_before_block() {
                 reason: BlockReason::Ipc,
             }),
         ));
-        // The latch fires: the block returns immediately (no wait).
-        assert_eq!(r2.latency, 0, "latched wakeup must not sleep");
         p0.post(ev(0, r.latency + 1_001, EventBody::Ctl(CtlOp::Exit)));
+        r2.latency
     });
-    let t1 = std::thread::spawn(move || {
+    rig.script(1, |p1| {
         let r = p1.post(ev(1, 0, EventBody::Ctl(CtlOp::Start)));
         p1.post(ev(
             1,
@@ -158,24 +158,21 @@ fn wakeup_latch_absorbs_unblock_before_block() {
         ));
         p1.post(ev(1, r.latency + 501, EventBody::Ctl(CtlOp::Exit)));
     });
-    t0.join().unwrap();
-    t1.join().unwrap();
-    backend.join().unwrap();
+    rig.run(2);
+    // The latch fires: the block returns immediately (no wait).
+    assert_eq!(result(&block), 0, "latched wakeup must not sleep");
 }
 
 #[test]
 fn contended_lock_grants_fifo_and_charges_wait() {
-    let rig = Rig::new(2, 2);
-    let backend = rig.spawn_backend();
+    let mut rig = Rig::new(2);
     let lock = VAddr(0x1000_0000);
-    let p0 = Arc::clone(&rig.ports[0]);
-    let p1 = Arc::clone(&rig.ports[1]);
     let sync = move |op| EventBody::Sync {
         op,
         vaddr: lock,
         mode: ExecMode::User,
     };
-    let t0 = std::thread::spawn(move || {
+    rig.script(0, move |p0| {
         let mut t = p0.post(ev(0, 0, EventBody::Ctl(CtlOp::Start))).latency;
         t += p0.post(ev(0, t, sync(SyncOp::LockAcquire))).latency;
         // Hold the lock for 10k cycles.
@@ -183,22 +180,21 @@ fn contended_lock_grants_fifo_and_charges_wait() {
         t += p0.post(ev(0, t, sync(SyncOp::LockRelease))).latency;
         p0.post(ev(0, t + 1, EventBody::Ctl(CtlOp::Exit)));
     });
-    let t1 = std::thread::spawn(move || {
+    let waited = rig.script(1, move |p1| {
         let mut t = p1.post(ev(1, 0, EventBody::Ctl(CtlOp::Start))).latency;
         // Arrive at t=100: the lock is held until ~10k.
         let r = p1.post(ev(1, t + 100, sync(SyncOp::LockAcquire)));
-        assert!(
-            r.latency > 5_000,
-            "contended acquire must wait for the holder (waited {})",
-            r.latency
-        );
         t += 100 + r.latency;
         t += p1.post(ev(1, t, sync(SyncOp::LockRelease))).latency;
         p1.post(ev(1, t + 1, EventBody::Ctl(CtlOp::Exit)));
+        r.latency
     });
-    t0.join().unwrap();
-    t1.join().unwrap();
-    let outcome = backend.join().unwrap();
+    let outcome = rig.run(2);
+    let waited = result(&waited);
+    assert!(
+        waited > 5_000,
+        "contended acquire must wait for the holder (waited {waited})"
+    );
     assert_eq!(outcome.stats.sync.contended, 1);
     assert_eq!(outcome.stats.sync.uncontended, 1);
     assert!(outcome.stats.procs[1].sync_wait > 5_000);
@@ -209,11 +205,9 @@ fn disk_command_schedules_a_completion_task() {
     // Without a daemon the completion cannot be serviced by a handler,
     // but the task must still fire, deposit a record and raise the IRQ,
     // which the process's next blocking reply carries and consumes.
-    let rig = Rig::new(1, 1);
+    let mut rig = Rig::new(1);
     let devshared = Arc::clone(&rig.devshared);
-    let backend = rig.spawn_backend();
-    let p0 = Arc::clone(&rig.ports[0]);
-    let t0 = std::thread::spawn(move || {
+    let irqs = rig.script(0, |p0| {
         let mut t = p0.post(ev(0, 0, EventBody::Ctl(CtlOp::Start))).latency;
         t += p0
             .post(ev(
@@ -238,15 +232,15 @@ fn disk_command_schedules_a_completion_task() {
         p0.post(ev(0, t + 1, EventBody::Ctl(CtlOp::Exit)));
         (carried, after)
     });
-    let (carried, after) = t0.join().unwrap();
+    let outcome = rig.run(1);
+    let (carried, after) = result(&irqs);
     assert!(
         carried,
         "the first reply after the completion carries the IRQ"
     );
     assert!(!after, "and consumes it: the request is edge-triggered");
-    let outcome = backend.join().unwrap();
     assert_eq!(outcome.stats.irq_dispatches[0], 1, "disk IRQ dispatched");
-    let completions = devshared.drain_disk();
+    let completions = devshared.drain_disk_until(Cycles::MAX);
     assert_eq!(completions.len(), 1);
     assert_eq!(completions[0].token, 77);
     assert_eq!(outcome.irq_pending(compass_isa::CpuId(0)), 0);
@@ -254,44 +248,41 @@ fn disk_command_schedules_a_completion_task() {
 
 #[test]
 fn memref_latency_reflects_cache_locality() {
-    let rig = Rig::new(1, 1);
-    let backend = rig.spawn_backend();
-    let p0 = Arc::clone(&rig.ports[0]);
-    let t0 = std::thread::spawn(move || {
+    let mut rig = Rig::new(1);
+    let latencies = rig.script(0, |p0| {
         let mut t = p0.post(ev(0, 0, EventBody::Ctl(CtlOp::Start))).latency;
         let first = p0.post(ev(0, t + 10, memref(0x1000_0000)));
         t += 10 + first.latency;
         let second = p0.post(ev(0, t + 10, memref(0x1000_0000)));
-        assert!(
-            second.latency < first.latency,
-            "re-reference must hit the cache ({} !< {})",
-            second.latency,
-            first.latency
-        );
         t += 10 + second.latency;
         p0.post(ev(0, t + 1, EventBody::Ctl(CtlOp::Exit)));
+        (first.latency, second.latency)
     });
-    t0.join().unwrap();
-    backend.join().unwrap();
+    rig.run(1);
+    let (first, second) = result(&latencies);
+    assert!(
+        second < first,
+        "re-reference must hit the cache ({second} !< {first})"
+    );
 }
 
 #[test]
-fn an_engine_panic_aborts_a_thread_poster_instead_of_hanging_it() {
-    let rig = Rig::new(1, 1);
-    let run = rig.spawn_run();
+fn an_engine_panic_aborts_a_waiting_poster_instead_of_hanging_it() {
+    let mut rig = Rig::new(1);
+    let ports = rig.ports.clone();
     // A memory reference before Start: the process is on no CPU, which
-    // the engine treats as a bug and panics on.
-    let r = rig.ports[0].post(ev(0, 0, memref(0x1000_0000)));
-    assert_eq!(
-        r.data,
-        ReplyData::Aborted,
-        "the poisoned port aborts the poster"
-    );
-    match run.join().expect("the engine returns its panics") {
+    // the engine treats as a bug and panics on, inside the poster's serve.
+    let reply = rig.script(0, |p0| p0.post(ev(0, 0, memref(0x1000_0000))));
+    match rig.try_run(1) {
         Err(RunError::BackendPanic { msg }) => {
             assert!(msg.contains("while not on a CPU"), "message: {msg}")
         }
         other => panic!("expected a backend panic, got {other:?}"),
     }
-    assert!(rig.ports[0].is_poisoned());
+    assert_eq!(
+        result(&reply).data,
+        ReplyData::Aborted,
+        "the poisoned port aborts the poster"
+    );
+    assert!(ports[0].is_poisoned());
 }

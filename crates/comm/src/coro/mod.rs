@@ -19,9 +19,11 @@
 //!   and [`crate::ReqPort::call`]/[`recv`](crate::ReqPort::recv), which
 //!   the simulator no longer uses) register a [`Waiter`] and call
 //!   [`wait`]: inside a task that suspends back to the executor; on an
-//!   ordinary thread (unit tests, the benchmark's port probes) it parks
-//!   the thread. Waking pushes the task onto the ready queue or unparks
-//!   the thread.
+//!   ordinary thread (the benchmark's port probes, which never reach an
+//!   engine) it parks the thread. Waking pushes the task onto the ready
+//!   queue or unparks the thread. The executor's owner never sleeps:
+//!   every poster that can wake the engine is one of its tasks, so with
+//!   no task ready and nothing safe to process the owner is deadlocked.
 //! * [`Executor::run_ready`] resumes ready tasks in the order they became
 //!   ready; each runs until it blocks or finishes. Under the
 //!   `check-invariants` feature a seeded random schedule is available
@@ -43,7 +45,6 @@ mod context;
 pub use context::Payload;
 
 use crate::event::SimAbort;
-use crate::notifier::Notifier;
 use compass_isa::ProcessId;
 use compass_obs::{CounterBlock, Ctr};
 use context::Coroutine;
@@ -52,7 +53,7 @@ use std::cell::Cell;
 use std::ptr;
 use std::sync::Arc;
 use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What a task simulates, for the host-time ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,16 +83,14 @@ impl Class {
 }
 
 /// Ready task ids, shared with every [`Waiter`] that can wake one.
+#[derive(Default)]
 struct ReadyQueue {
     inner: Mutex<Ready>,
-    /// Bumped when a foreign thread wakes a task while the owner sleeps.
-    notifier: Arc<Notifier>,
 }
 
+#[derive(Default)]
 struct Ready {
     ids: Vec<usize>,
-    /// The owner is blocked in [`Executor::wait_idle`].
-    sleeping: bool,
     /// The seeded schedule's xorshift state ([`Executor::set_schedule_seed`]).
     #[cfg(feature = "check-invariants")]
     shuffle: Option<u64>,
@@ -99,14 +98,7 @@ struct Ready {
 
 impl ReadyQueue {
     fn push(&self, id: usize) {
-        let sleeping = {
-            let mut g = self.inner.lock();
-            g.ids.push(id);
-            g.sleeping
-        };
-        if sleeping {
-            self.notifier.notify();
-        }
+        self.inner.lock().ids.push(id);
     }
 
     /// Whether a blocking post runs the engine itself: always, except
@@ -280,8 +272,9 @@ pub fn with_engine<R>(engine: &dyn Engine, f: impl FnOnce() -> R) -> R {
 /// `pid`'s port and steps the engine until `replied()` or the engine
 /// stops, booking the time to [`Class::Backend`]; the post then suspends
 /// only if its reply is still missing. Returns false when no engine can
-/// serve the caller: a thread poster, or no engine installed, must notify
-/// the backend instead.
+/// serve the caller: a thread poster, or a task with no engine installed
+/// (a test stepping the engine by hand), notifies the port's epoch
+/// instead and waits.
 #[inline]
 pub fn serve(pid: ProcessId, replied: impl Fn() -> bool) -> bool {
     let Some(engine) = ENGINE.with(Cell::get) else {
@@ -351,6 +344,7 @@ struct Slot {
 }
 
 /// Runs tasks on the calling thread.
+#[derive(Default)]
 pub struct Executor {
     slots: Vec<Slot>,
     ready: Arc<ReadyQueue>,
@@ -364,25 +358,9 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor whose idle waits block on `notifier` (which foreign
-    /// threads also bump, e.g. posters on ordinary threads).
-    pub fn new(notifier: Arc<Notifier>) -> Executor {
-        Executor {
-            slots: Vec::new(),
-            ready: Arc::new(ReadyQueue {
-                inner: Mutex::new(Ready {
-                    ids: Vec::new(),
-                    sleeping: false,
-                    #[cfg(feature = "check-invariants")]
-                    shuffle: None,
-                }),
-                notifier,
-            }),
-            batch: Vec::new(),
-            live: 0,
-            panic: None,
-            busy_ns: 0,
-        }
+    /// An executor with no tasks.
+    pub fn new() -> Executor {
+        Executor::default()
     }
 
     /// Adds a task, ready to run. With `counters`, its host time is
@@ -499,24 +477,6 @@ impl Executor {
     #[cfg(feature = "check-invariants")]
     pub fn coin(&self) -> Coin {
         Coin(Arc::clone(&self.ready))
-    }
-
-    /// Blocks the thread until a task is woken, `notifier` moves past
-    /// `epoch`, or `timeout` elapses; true unless it timed out. For an
-    /// owner with nothing to resume and work outstanding on other
-    /// threads.
-    pub fn wait_idle(&self, epoch: u64, timeout: Duration) -> bool {
-        {
-            let mut g = self.ready.inner.lock();
-            if !g.ids.is_empty() {
-                return true;
-            }
-            g.sleeping = true;
-        }
-        let (_, advanced) = self.ready.notifier.wait_past(epoch, timeout);
-        let mut g = self.ready.inner.lock();
-        g.sleeping = false;
-        advanced || !g.ids.is_empty()
     }
 
     /// The first panic a task raised that was not a [`SimAbort`].

@@ -5,6 +5,7 @@ use crate::port::ReqPort;
 use crate::rendezvous::EventRing;
 use compass_isa::ProcessId;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::time::Duration;
 
 fn ev(time: u64) -> Event {
     Event {
@@ -15,7 +16,7 @@ fn ev(time: u64) -> Event {
 }
 
 fn executor() -> Executor {
-    Executor::new(Arc::new(Notifier::new()))
+    Executor::new()
 }
 
 #[test]
@@ -182,28 +183,9 @@ fn cancel_unwinds_a_task_blocked_on_a_reply() {
 }
 
 #[test]
-fn an_idle_executor_wakes_on_a_foreign_notify() {
-    let notifier = Arc::new(Notifier::new());
-    let ex = Executor::new(Arc::clone(&notifier));
-    let epoch = notifier.epoch();
-    let n = Arc::clone(&notifier);
-    let worker = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(20));
-        n.notify(); // a poster on an ordinary thread
-    });
-    let t0 = Instant::now();
-    assert!(ex.wait_idle(epoch, Duration::from_secs(30)));
-    assert!(t0.elapsed() < Duration::from_secs(10));
-    worker.join().unwrap();
-    // Nothing ready and nothing notified: the wait times out.
-    assert!(!ex.wait_idle(notifier.epoch(), Duration::from_millis(5)));
-}
-
-#[test]
 fn a_foreign_thread_can_wake_a_task() {
     let ring = Arc::new(EventRing::new(2));
-    let notifier = Arc::new(Notifier::new());
-    let mut ex = Executor::new(Arc::clone(&notifier));
+    let mut ex = executor();
     let got = Arc::new(AtomicU32::new(0));
     {
         let (ring, got) = (Arc::clone(&ring), Arc::clone(&got));
@@ -223,7 +205,7 @@ fn a_foreign_thread_can_wake_a_task() {
     };
     while ex.live() > 0 {
         if !ex.run_ready() {
-            ex.wait_idle(notifier.epoch(), Duration::from_millis(50));
+            std::thread::yield_now();
         }
     }
     consumer.join().unwrap();

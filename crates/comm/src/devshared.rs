@@ -6,7 +6,10 @@
 //! raise the corresponding interrupt-request flag. Kernel interrupt-handler
 //! code (bottom half, §3.2) drains the queues under a simulated kernel
 //! lock, so the *simulated* drain order is deterministic; the host-level
-//! mutexes below only provide memory safety.
+//! mutexes below only provide memory safety. A handler drains only the
+//! records due by its own clock (`drain_*_until(now)`): there is no
+//! drain-everything path, since that filter is what keeps handlers
+//! deterministic.
 //!
 //! Every queue keeps an atomic earliest-due-time alongside the mutex, so
 //! the hot "is anything due at `now`?" probes — one per OS-daemon block
@@ -106,16 +109,6 @@ impl<T: Clone> DueQueue<T> {
         self.earliest.load(Ordering::Acquire)
     }
 
-    fn drain_all(&self) -> Vec<T> {
-        if self.earliest() == u64::MAX {
-            return Vec::new();
-        }
-        let mut q = self.q.lock();
-        let out: Vec<T> = q.drain(..).collect();
-        self.earliest.store(u64::MAX, Ordering::Release);
-        out
-    }
-
     /// Drains records due at or before `now`; `skipped` counts calls the
     /// due-time summary answered without locking.
     fn drain_until(&self, now: Cycles, due: impl Fn(&T) -> Cycles, skipped: &AtomicU64) -> Vec<T> {
@@ -172,11 +165,6 @@ impl DevShared {
         self.disk.push(c, t);
     }
 
-    /// Drains all pending disk completions (interrupt handler side).
-    pub fn drain_disk(&self) -> Vec<DiskCompletion> {
-        self.disk.drain_all()
-    }
-
     /// Drains disk completions with `time <= now`.
     ///
     /// Interrupt handlers run at a definite simulated time; records the
@@ -194,11 +182,6 @@ impl DevShared {
         self.nic_rx.push(f, t);
     }
 
-    /// Drains all pending frames (Ethernet interrupt handler).
-    pub fn drain_frames(&self) -> Vec<Frame> {
-        self.nic_rx.drain_all()
-    }
-
     /// Drains frames with `time <= now` (see [`DevShared::drain_disk_until`]).
     pub fn drain_frames_until(&self, now: Cycles) -> Vec<Frame> {
         self.nic_rx
@@ -211,23 +194,11 @@ impl DevShared {
         self.timer.push(t, due);
     }
 
-    /// Drains all pending timer ticks (timer interrupt handler).
-    pub fn drain_ticks(&self) -> Vec<TimerTick> {
-        self.timer.drain_all()
-    }
-
     /// Drains timer ticks with `time <= now`
     /// (see [`DevShared::drain_disk_until`]).
     pub fn drain_ticks_until(&self, now: Cycles) -> Vec<TimerTick> {
         self.timer
             .drain_until(now, |t| t.time, &self.polls_eliminated)
-    }
-
-    /// True if any queue holds work. Three atomic loads, no locks.
-    pub fn has_work(&self) -> bool {
-        self.disk.earliest() != u64::MAX
-            || self.nic_rx.earliest() != u64::MAX
-            || self.timer.earliest() != u64::MAX
     }
 
     /// True if any queue holds work due at or before `now`. Answered from
@@ -278,11 +249,11 @@ mod tests {
             write: true,
             time: 20,
         });
-        let got = d.drain_disk();
+        let got = d.drain_disk_until(Cycles::MAX);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].token, 1);
         assert_eq!(got[1].token, 2);
-        assert!(d.drain_disk().is_empty());
+        assert!(d.drain_disk_until(Cycles::MAX).is_empty());
         assert_eq!(d.totals().0, 2);
     }
 
@@ -296,7 +267,7 @@ mod tests {
             payload: b"GET /file1 HTTP/1.0".to_vec(),
             time: 5,
         });
-        let got = d.drain_frames();
+        let got = d.drain_frames_until(Cycles::MAX);
         assert_eq!(got[0].payload, b"GET /file1 HTTP/1.0");
         assert_eq!(got[0].kind, FrameKind::Data);
     }
@@ -344,14 +315,14 @@ mod tests {
     #[test]
     fn has_work_reflects_any_queue() {
         let d = DevShared::new();
-        assert!(!d.has_work());
+        assert!(!d.has_work_until(Cycles::MAX - 1));
         d.push_tick(TimerTick {
             cpu: CpuId(0),
             time: 1,
         });
-        assert!(d.has_work());
-        d.drain_ticks();
-        assert!(!d.has_work());
+        assert!(d.has_work_until(1));
+        assert_eq!(d.drain_ticks_until(Cycles::MAX).len(), 1);
+        assert!(!d.has_work_until(Cycles::MAX - 1));
     }
 
     #[test]
@@ -384,6 +355,6 @@ mod tests {
         assert_eq!(d.drain_disk_until(500).len(), 1);
         assert!(!d.has_work_until(899));
         assert_eq!(d.drain_disk_until(900).len(), 1);
-        assert!(!d.has_work());
+        assert!(!d.has_work_until(Cycles::MAX - 1));
     }
 }

@@ -14,9 +14,11 @@
 //! suspends back to the engine only when it is not; so a rendezvous is a
 //! function call or a user-space stack switch. The primitives are built
 //! from atomics (see *Rust Atomics and Locks*, ch. 4–5, whose one-shot
-//! channel design the [`rendezvous`] module's reply slot follows) and
-//! keep a notify-and-`thread::park` fallback for callers on ordinary
-//! threads. The non-blocking primitive is a bounded SPSC event ring per
+//! channel design the [`rendezvous`] module's reply slot follows). Tasks
+//! are the engine's only posters; a caller on an ordinary thread (the
+//! benchmark's port probes) bumps a notify epoch and parks with
+//! `thread::park`, and never reaches an engine. The non-blocking
+//! primitive is a bounded SPSC event ring per
 //! port: the frontend batches a basic block's worth of timed events and
 //! rendezvouses only on the batch's final (blocking) event.
 //!
@@ -32,8 +34,8 @@
 //! * [`devshared`] — the device postbox: completion records and network
 //!   frames deposited by backend device models for the OS server's
 //!   interrupt handlers;
-//! * [`notifier`] — the backend wake-up channel for posters on ordinary
-//!   threads.
+//! * [`notifier`] — the notify epoch that posters on ordinary threads
+//!   bump.
 
 pub mod coro;
 pub mod devshared;

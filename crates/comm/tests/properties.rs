@@ -5,7 +5,7 @@
 use compass_comm::{
     CtlOp, DevShared, DiskCompletion, Event, EventBody, EventPort, Notifier, Reply, SyncOp,
 };
-use compass_isa::{DiskId, ProcessId};
+use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::VAddr;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -125,7 +125,7 @@ proptest! {
             });
         }
         let drained = d.drain_disk_until(horizon);
-        let rest = d.drain_disk();
+        let rest = d.drain_disk_until(Cycles::MAX);
         prop_assert_eq!(drained.len() + rest.len(), times.len());
         for c in &drained {
             prop_assert!(c.time <= horizon);

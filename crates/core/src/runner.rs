@@ -206,6 +206,8 @@ impl SimBuilder {
             .then(|| TraceHandle::new(config.obs.trace, config.obs.trace_capacity));
 
         // --- Communicator ---
+        // Only posters on ordinary threads bump the ports' notify epoch;
+        // every poster here is a task, so nothing reads it.
         let notifier = Arc::new(Notifier::new());
         let devshared = Arc::new(DevShared::new());
         // The batch depth is the ring capacity. Every poster on a ring
@@ -246,7 +248,6 @@ impl SimBuilder {
         let mut backend = Backend::new(
             config.backend.clone(),
             ports.clone(),
-            Arc::clone(&notifier),
             Arc::clone(&devshared),
             Some(daemon_pid),
             traffic.unwrap_or_else(|| Box::new(NullTraffic)),
@@ -293,7 +294,7 @@ impl SimBuilder {
             std::thread::Builder::new()
                 .name("compass-backend".into())
                 .spawn(move || {
-                    let mut exec = Executor::new(notifier);
+                    let mut exec = Executor::new();
                     #[cfg(feature = "check-invariants")]
                     if let Some(seed) = schedule_seed {
                         exec.set_schedule_seed(seed);

@@ -83,9 +83,6 @@ pub enum Ctr {
     CommWaitNs,
     /// Wall-clock ns the backend spent servicing events.
     BackendActiveNs,
-    /// Wall-clock ns the backend thread spent blocked with no task ready
-    /// (posters on ordinary threads).
-    BackendWaitNs,
     /// Trace records dropped because the ring was full.
     TraceDropped,
     /// System calls whose kernel context batched events instead of
@@ -151,7 +148,6 @@ impl Ctr {
         Ctr::FrontendGenNs,
         Ctr::CommWaitNs,
         Ctr::BackendActiveNs,
-        Ctr::BackendWaitNs,
         Ctr::TraceDropped,
         Ctr::OsBatchedReplies,
         Ctr::DeviceWakeEvents,
@@ -234,7 +230,6 @@ impl Ctr {
             Ctr::FrontendGenNs => "frontend_gen_ns",
             Ctr::CommWaitNs => "comm_wait_ns",
             Ctr::BackendActiveNs => "backend_active_ns",
-            Ctr::BackendWaitNs => "backend_wait_ns",
             Ctr::TraceDropped => "trace_dropped",
             Ctr::OsBatchedReplies => "os_batched_replies",
             Ctr::DeviceWakeEvents => "device_wake_events",

@@ -183,3 +183,49 @@ fn the_host_ledger_accounts_for_the_wall() {
     );
     assert!(obs.counter("comm_wait_ns") > 0);
 }
+
+/// The quick start of `crates/core/src/lib.rs`, whose doctest once failed
+/// without its output being kept.
+fn quick_start() -> Cycles {
+    let report = SimBuilder::new(ArchConfig::simple_smp(2))
+        .prepare_kernel(|k| {
+            k.create_file("/data", compass_os::fs::FileData::Synthetic { len: 8192 });
+        })
+        .add_process(|cpu: &mut CpuCtx| {
+            let buf = cpu.malloc(4096);
+            let fd = match cpu.os_call(OsCall::Open {
+                path: "/data".into(),
+                create: false,
+            }) {
+                Ok(SysVal::NewFd(fd)) => fd,
+                other => panic!("{other:?}"),
+            };
+            let _ = cpu.os_call(OsCall::Read { fd, len: 4096, buf });
+            let _ = cpu.os_call(OsCall::Close { fd });
+        })
+        .run();
+    report.backend.global_cycles
+}
+
+/// The quick start looped under parallel load: four threads run it at
+/// once, 2,500 times each, so a host-side race in spawning the
+/// `compass-backend` thread (`spawn backend`) or mapping coroutine stacks
+/// (`cannot map a coroutine stack`) would show as a failed or diverging
+/// run. A stress loop rather than a per-change check, so ignored:
+/// `cargo test --test coroutines -- --ignored` (about 7 s in a debug
+/// build and 2 s in release on a 2-vCPU VM).
+#[test]
+#[ignore]
+fn the_quick_start_survives_parallel_load() {
+    let want = quick_start();
+    assert!(want > 0);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for _ in 0..2_500 {
+                    assert_eq!(quick_start(), want, "a run diverged");
+                }
+            });
+        }
+    });
+}

@@ -55,8 +55,8 @@ fn host_timeout_is_reported_as_deadlock_too() {
     // A barrier that can never fill, and no interval timer to run the
     // sync-cycle check. Every simulated thread is then suspended on the
     // engine with nothing to process, so the engine reports the deadlock
-    // at once: the `deadlock_ms` window only applies to posters on
-    // ordinary threads, and even a ten-minute one is never waited out.
+    // at once: nothing reads `deadlock_ms`, so even a ten-minute window
+    // is never waited out.
     let mut b = SimBuilder::new(ArchConfig::simple_smp(2)).add_process(|cpu: &mut CpuCtx| {
         let seg = cpu.shmget(0xDEAD, 4096);
         let base = cpu.shmat(seg);

@@ -194,6 +194,34 @@ fn workspace_layout_and_feature_surface() {
 }
 
 #[test]
+fn the_engine_has_one_run_mode() {
+    // Tasks are the engine's only posters: their blocking posts touch
+    // their own index entries and run the engine themselves. So the
+    // backend's code (each file up to its `#[cfg(test)]`) neither names
+    // the notifier that posters on ordinary threads bump nor touches a
+    // host thread.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/backend/src");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).expect("crates/backend/src") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|e| e != "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for name in ["Notifier", "std::thread"] {
+            assert!(
+                !code.contains(name),
+                "{}: names `{name}` outside its tests",
+                path.display()
+            );
+        }
+        files += 1;
+    }
+    assert!(files >= 10, "only {files} backend sources found");
+}
+
+#[test]
 fn engine_trace_recording_is_complete_and_ordered() {
     // The simcheck oracle's foundation (API surface asserted here, full
     // differential replay in crates/simcheck): SimBuilder::record_accesses
