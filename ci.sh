@@ -21,9 +21,10 @@ cargo run --release -q -p compass-simcheck -- --soak 30
 PROPTEST_CASES=4096 cargo test --release -q -p compass-arch --test rehit_props
 PROPTEST_CASES=4096 cargo test --release -q -p compass-backend --test memo_props
 # Fleet smoke: the design-space runner sweeps one simulated knob on each
-# of four workloads (compute-, OS/disk-, OLTP- and network-heavy), runs
-# every job at the shipped batch depth and again at depth 1, and
-# requires bit-identical BackendStats.
+# of four workloads (compute-, OS/disk-, OLTP- and network-heavy) plus
+# pre-emption on an oversubscribed compute kernel (the job that
+# pre-empts), runs every job at the shipped batch depth and again at
+# depth 1, and requires bit-identical BackendStats.
 cargo run --release -q -p compass-fleet -- --preset smoke --out target/BENCH_fleet_smoke.json
 # The committed BENCH_fleet.json must be that smoke output: every line but
 # the host timings ("host") is deterministic.

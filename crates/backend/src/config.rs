@@ -25,11 +25,10 @@ pub struct BackendConfig {
     pub arch: ArchConfig,
     /// Scheduler policy.
     pub sched: SchedPolicy,
-    /// Pre-emption interval; `None` disables the pre-emptive scheduler.
-    /// "The pre-emption interval can be changed in the simulator. The
-    /// pre-emptive scheduler can be used with the default or optimized
-    /// scheduler." (§3.3.2)
-    pub preempt_interval: Option<Cycles>,
+    /// The pre-emptive scheduler; its quantum is `timer_interval`. "The
+    /// pre-emption interval can be changed in the simulator. The pre-emptive
+    /// scheduler can be used with the default or optimized scheduler." (§3.3.2)
+    pub preempt: bool,
     /// Page placement policy (§3.3.1).
     pub placement: PlacementPolicy,
     /// Simulated memory per node, bytes.
@@ -81,7 +80,7 @@ impl BackendConfig {
         let BackendConfig {
             arch,
             sched,
-            preempt_interval,
+            preempt,
             placement,
             mem_per_node,
             disks,
@@ -100,7 +99,8 @@ impl BackendConfig {
             SchedPolicy::Fcfs => 0,
             SchedPolicy::Affinity => 1,
         });
-        encode_opt(&mut w, *preempt_interval);
+        // The quantum, in the bytes of the interval field it replaced.
+        encode_opt(&mut w, timer_interval.filter(|_| *preempt));
         match placement {
             PlacementPolicy::RoundRobin => w.u8(0),
             PlacementPolicy::Block(pages) => {
@@ -142,7 +142,7 @@ impl BackendConfig {
         BackendConfig {
             arch,
             sched: SchedPolicy::Fcfs,
-            preempt_interval: None,
+            preempt: false,
             placement: PlacementPolicy::FirstTouch,
             mem_per_node: 1 << 32, // 4 GiB per node: placement studies never exhaust
             disks: 2,
@@ -175,10 +175,11 @@ impl BackendConfig {
                 return Err("TLB set count must be a power of two".into());
             }
         }
-        if let Some(p) = self.preempt_interval {
-            if p == 0 {
-                return Err("zero pre-emption interval".into());
-            }
+        if self.timer_interval == Some(0) {
+            return Err("zero timer interval: its ticks never advance time".into());
+        }
+        if self.preempt && self.timer_interval.is_none() {
+            return Err("pre-emption needs the interval timer".into());
         }
         if !(1..=4096).contains(&self.batch_depth) {
             return Err(format!("batch_depth {} not in 1..=4096", self.batch_depth));
@@ -213,7 +214,8 @@ mod tests {
         let mut batch = base.clone();
         batch.batch_depth += 1;
         let mut preempt = base.clone();
-        preempt.preempt_interval = Some(400_000);
+        preempt.preempt = true;
+        preempt.timer_interval = Some(400_000);
         let mut timer = base.clone();
         timer.timer_interval = Some(400_000);
         let mut block = base.clone();
@@ -253,9 +255,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_preempt_interval_rejected() {
+    fn preempt_without_timer_rejected() {
         let mut c = BackendConfig::new(ArchConfig::simple_smp(2));
-        c.preempt_interval = Some(0);
+        c.preempt = true;
+        assert!(c.validate().is_err());
+        c.timer_interval = Some(400_000);
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn zero_timer_interval_rejected() {
+        // A zero-interval tick re-arms at its own time forever.
+        let mut c = BackendConfig::new(ArchConfig::simple_smp(2));
+        c.timer_interval = Some(0);
         assert!(c.validate().is_err());
     }
 

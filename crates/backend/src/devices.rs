@@ -301,11 +301,11 @@ impl Backend {
                 self.devshared.push_tick(TimerTick { cpu, time });
                 self.cpu_states.raise(cpu, IrqSource::Timer);
                 self.irq_dispatches[2] += 1;
-                if self.cfg.preempt_interval.is_some() {
+                // The tick is the pre-emption quantum (the scheduler never
+                // runs the daemon, so the victim is an application process).
+                if self.cfg.preempt && self.sched.ready_len() > 0 {
                     if let Some(victim) = self.sched.running_on(cpu) {
-                        if self.sched.ready_len() > 0 && !self.is_daemon(victim) {
-                            self.procs[victim.index()].preempt_pending = true;
-                        }
+                        self.procs[victim.index()].preempt_pending = true;
                     }
                 }
                 self.wake_daemon(time);

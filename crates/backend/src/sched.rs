@@ -92,6 +92,11 @@ impl Scheduler {
         self.ready.len()
     }
 
+    /// The ready queue, head first.
+    pub(crate) fn ready_queue(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.ready.iter().copied()
+    }
+
     fn free_cpus(&self) -> impl Iterator<Item = CpuId> + '_ {
         self.running
             .iter()
@@ -214,12 +219,6 @@ impl Scheduler {
         self.record_dispatch(next, cpu);
         self.stats.preemptions += 1;
         Some((victim, next))
-    }
-
-    /// Records a pre-emption performed by the engine at an event boundary
-    /// (the engine releases the CPU and requeues the victim itself).
-    pub fn note_preemption(&mut self) {
-        self.stats.preemptions += 1;
     }
 
     /// Counters.

@@ -15,9 +15,10 @@ use compass_simcheck::{ArchPreset, Geometry as Geo};
 use Knob::*;
 
 /// CI preset: one simulated knob each on the compute-bound, the
-/// OS/disk-heavy, the OLTP and the network-heavy workloads, small enough
-/// for a single-core host; one lattice per workload, so nothing
-/// dedupes.
+/// OS/disk-heavy, the OLTP and the network-heavy workloads, plus
+/// pre-emption on the oversubscribed compute kernel (the one smoke job
+/// that pre-empts), small enough for a single-core host; one lattice per
+/// workload, so nothing dedupes.
 pub fn smoke() -> Vec<Lattice> {
     vec![
         Lattice::new("sci_small", sc::sci_small()).axis(&[
@@ -29,6 +30,7 @@ pub fn smoke() -> Vec<Lattice> {
         Lattice::new("tpcc_small", sc::tpcc_small())
             .axis(&[Sched(SchedPolicy::Fcfs), Sched(SchedPolicy::Affinity)]),
         Lattice::new("http_small", sc::http_small()).axis(&[Preempt(false), Preempt(true)]),
+        Lattice::new("sci_oversub", sc::sci_oversub()).axis(&[Preempt(false), Preempt(true)]),
     ]
 }
 
@@ -125,7 +127,7 @@ mod tests {
     fn smoke_shares_no_points_across_sub_sweeps() {
         let (points, jobs) = expand_preset(&smoke());
         // One lattice per workload: nothing to dedupe.
-        assert_eq!(points, 8);
+        assert_eq!(points, 10);
         assert_eq!(jobs.len(), points, "expected no deduped point");
     }
 

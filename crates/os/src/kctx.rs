@@ -68,8 +68,9 @@ impl EventSink for PortSink {
             // was never simulated. Kernel code cannot make progress (many
             // paths would spin forever on instant zero-latency replies),
             // so unwind the whole simulated thread: the executor catches
-            // [`SimAbort`] at the bottom of its task.
-            std::panic::panic_any(SimAbort);
+            // [`SimAbort`] at the bottom of its task. `resume_unwind`
+            // skips the panic hook: an orderly teardown prints nothing.
+            std::panic::resume_unwind(Box::new(SimAbort));
         }
         r
     }

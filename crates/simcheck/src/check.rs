@@ -49,7 +49,7 @@ pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: 
     cfg.backend.placement = sc.placement;
     cfg.backend.batch_depth = depth;
     if sc.preempt {
-        cfg.backend.preempt_interval = Some(400_000);
+        cfg.backend.preempt = true;
         cfg.backend.timer_interval = Some(400_000);
     } else {
         // Keep the interval timer ticking in every scenario so the IRQ

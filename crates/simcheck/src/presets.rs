@@ -82,6 +82,16 @@ pub fn sci_table1() -> Scenario {
     )
 }
 
+/// Oversubscribed scientific kernel: Table 1's shape with 8 processes on
+/// the 4 CPUs, so the ready queue is always in play and a pre-emptive
+/// run swaps processes at its timer ticks.
+pub fn sci_oversub() -> Scenario {
+    Scenario {
+        nprocs: 8,
+        ..sci_table1()
+    }
+}
+
 /// Table 1's web-serving row: 4 server processes, 120 requests.
 pub fn http_table1() -> Scenario {
     base(Workload::Http { requests: 120 }, 4)
@@ -114,6 +124,7 @@ pub fn all() -> Vec<(&'static str, Scenario)> {
         ("tpcc_small", tpcc_small()),
         ("http_small", http_small()),
         ("sci_table1", sci_table1()),
+        ("sci_oversub", sci_oversub()),
         ("http_table1", http_table1()),
         ("tpcc_oversub", tpcc_oversub()),
         ("tpcd_scan", tpcd_scan()),

@@ -112,8 +112,8 @@ pub struct Scenario {
     pub geometry: Geometry,
     /// Scheduler policy.
     pub sched: SchedPolicy,
-    /// Pre-emptive scheduling (sets both the pre-emption quantum and the
-    /// interval timer).
+    /// Pre-emptive scheduling, whose quantum is the interval timer (set
+    /// to 400,000 cycles then).
     pub preempt: bool,
     /// Page placement.
     pub placement: PlacementPolicy,

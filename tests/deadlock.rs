@@ -5,7 +5,9 @@
 //! wild access unwinds the same way as [`RunError::WildAccess`].
 
 use compass::{ArchConfig, CpuCtx, DeadlockKind, RunError, SimBuilder, VmFaultKind};
+use compass_comm::SimAbort;
 use compass_mem::{Region, VAddr};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const LOCK_A: VAddr = VAddr(0x5000_0000);
 const LOCK_B: VAddr = VAddr(0x5000_0040);
@@ -94,6 +96,27 @@ fn run_panics_with_the_report_text() {
         .downcast_ref::<String>()
         .expect("panic payload is the report text");
     assert!(msg.contains("deadlock"), "panic message: {msg}");
+}
+
+#[test]
+fn an_aborted_run_unwinds_its_tasks_without_the_panic_hook() {
+    // Teardown unwinds every simulated thread with `SimAbort`. That is an
+    // orderly exit, not a panic: it must not reach the panic hook, which
+    // prints a message (and a backtrace under RUST_BACKTRACE) per task.
+    static ABORTS: AtomicUsize = AtomicUsize::new(0);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload().is::<SimAbort>() {
+            ABORTS.fetch_add(1, Ordering::SeqCst);
+        }
+        prev(info);
+    }));
+    let mut b = SimBuilder::new(ArchConfig::simple_smp(2))
+        .add_process(ab_ba(LOCK_A, LOCK_B))
+        .add_process(ab_ba(LOCK_B, LOCK_A));
+    b.config_mut().backend.timer_interval = Some(10_000);
+    assert!(b.try_run().is_err());
+    assert_eq!(ABORTS.load(Ordering::SeqCst), 0, "a SimAbort panicked");
 }
 
 #[test]

@@ -579,6 +579,38 @@ fn oversubscription_is_deterministic() {
     );
 }
 
+#[test]
+fn a_preempted_process_is_requeued_and_runs_again() {
+    // Oversubscribed compute with a 5,000-cycle quantum: timer ticks find
+    // waiters, and each victim goes to the back of the ready queue. A lost
+    // victim wedges the run. `sci_small` with 8 processes has a tick fall
+    // due before a `shmat`, whose reply carries data and so is not the one
+    // pre-empted.
+    for (name, nprocs) in [("sci_dense", 8), ("sci_small", 6), ("sci_small", 8)] {
+        let run = |depth| {
+            let sc = Scenario {
+                nprocs,
+                preempt: true,
+                ..presets::by_name(name).unwrap()
+            };
+            let mut b = sc.builder();
+            let cfg = b.config_mut();
+            apply_scenario_knobs(cfg, &sc, depth);
+            cfg.backend.timer_interval = Some(5_000);
+            let r = b
+                .try_run()
+                .unwrap_or_else(|e| panic!("{name} x{nprocs}: {e}"));
+            r.backend
+        };
+        let a = run(1);
+        assert!(a.sched.preemptions > 0, "{name} x{nprocs} never pre-empted");
+        let ready_wait: u64 = a.procs.iter().map(|p| p.ready_wait).sum();
+        assert!(ready_wait > 0, "{name} x{nprocs}: nobody waited");
+        let b = run(64);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name} x{nprocs}");
+    }
+}
+
 /// The benchmark's `httplite` input on the shipped defaults: 4 keep-alive
 /// servers on the 2x2 cc-NUMA machine, 400 requests from 48 clients with
 /// slow clients and connection churn, trace seed `seed`.
