@@ -20,6 +20,10 @@ cargo run --release -q -p compass-simcheck -- --soak 30
 # access, and the memoised translation against a fresh page walk.
 PROPTEST_CASES=4096 cargo test --release -q -p compass-arch --test rehit_props
 PROPTEST_CASES=4096 cargo test --release -q -p compass-backend --test memo_props
+# The parallel-load stress test: four threads each run the quick start
+# 2,500 times, every simulation inline on its own thread, as the fleet's
+# workers do; a host-side race shows as a failed or diverging run.
+cargo test --release -q --test coroutines -- --ignored
 # Fleet smoke: the design-space runner sweeps one simulated knob on each
 # of four workloads (compute-, OS/disk-, OLTP- and network-heavy) plus
 # pre-emption on an oversubscribed compute kernel (the job that

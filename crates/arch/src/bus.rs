@@ -49,15 +49,6 @@ impl BusyResource {
         w.u64(self.queue_cycles);
         w.u64(self.transactions);
     }
-
-    /// Utilisation over an interval of `elapsed` cycles.
-    pub fn utilisation(&self, elapsed: Cycles) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / elapsed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,13 +78,5 @@ mod tests {
         let mut b = BusyResource::new();
         b.acquire(0, 10);
         assert_eq!(b.acquire(100, 10), 10, "bus idle again by t=100");
-    }
-
-    #[test]
-    fn utilisation_is_fractional() {
-        let mut b = BusyResource::new();
-        b.acquire(0, 25);
-        assert!((b.utilisation(100) - 0.25).abs() < 1e-12);
-        assert_eq!(BusyResource::new().utilisation(0), 0.0);
     }
 }

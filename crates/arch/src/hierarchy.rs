@@ -570,16 +570,6 @@ impl Hierarchy {
         self.l2.get(cpu).map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Network statistics.
-    pub fn net_stats(&self) -> crate::interconnect::NetStats {
-        self.net.stats()
-    }
-
-    /// Bus utilisation of a node over `elapsed` cycles.
-    pub fn bus_utilisation(&self, node: usize, elapsed: Cycles) -> f64 {
-        self.bus[node].utilisation(elapsed)
-    }
-
     /// The cache coherence operates on for a CPU: L2 when present, else L1.
     fn coherence_cache(&self, cpu: usize) -> &Cache {
         if self.has_l2() {

@@ -159,7 +159,7 @@ impl Nic {
 /// implements this: it injects request frames at trace times and reacts to
 /// server transmissions (§4.2: "We then implement a trace player that
 /// reads the trace file and feeds the requests to a web server").
-pub trait TrafficSource: Send {
+pub trait TrafficSource {
     /// Frames to inject when the simulation starts, with absolute times.
     fn initial(&mut self) -> Vec<(Cycles, Frame)>;
 

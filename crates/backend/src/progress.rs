@@ -10,6 +10,7 @@ use compass_isa::Cycles;
 use compass_obs::{
     CounterBlock, Ctr, ProgressFn, ProgressSnapshot, TraceHandle, TraceKind, TraceRec,
 };
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -139,7 +140,7 @@ impl Backend {
         p.last_events = self.events_processed;
         p.next = self.events_processed + p.every;
         let wall = now.duration_since(p.started);
-        let callback = Arc::clone(&p.callback);
+        let callback = Rc::clone(&p.callback);
 
         // Per-state histogram and the least-time lag: how far the slowest
         // constraining process trails global time (a big, growing lag

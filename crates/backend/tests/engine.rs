@@ -16,12 +16,13 @@ use compass_comm::{
 };
 use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::VAddr;
+use std::rc::Rc;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 struct Rig {
     ports: Vec<Arc<EventPort>>,
-    devshared: Arc<DevShared>,
+    devshared: Rc<DevShared>,
     exec: Executor,
 }
 
@@ -37,17 +38,17 @@ impl Rig {
             .collect();
         Rig {
             ports,
-            devshared: Arc::new(DevShared::new()),
+            devshared: Rc::new(DevShared::new()),
             exec: Executor::new(),
         }
     }
 
     /// Spawns `body` as a task posting on process `pid`'s port; what it
     /// returns arrives on the channel.
-    fn script<T: Send + 'static>(
+    fn script<T: 'static>(
         &mut self,
         pid: usize,
-        body: impl FnOnce(Arc<EventPort>) -> T + Send + 'static,
+        body: impl FnOnce(Arc<EventPort>) -> T + 'static,
     ) -> Receiver<T> {
         let (tell, done) = mpsc::channel();
         let port = Arc::clone(&self.ports[pid]);
@@ -206,7 +207,7 @@ fn disk_command_schedules_a_completion_task() {
     // but the task must still fire, deposit a record and raise the IRQ,
     // which the process's next blocking reply carries and consumes.
     let mut rig = Rig::new(1);
-    let devshared = Arc::clone(&rig.devshared);
+    let devshared = Rc::clone(&rig.devshared);
     let irqs = rig.script(0, |p0| {
         let mut t = p0.post(ev(0, 0, EventBody::Ctl(CtlOp::Start))).latency;
         t += p0

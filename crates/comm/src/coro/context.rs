@@ -125,7 +125,7 @@ struct Control {
     sp: usize,
     /// The resumer's stack pointer while the coroutine runs.
     caller_sp: usize,
-    body: Option<Box<dyn FnOnce() + Send>>,
+    body: Option<Box<dyn FnOnce()>>,
     /// The body's outcome, set when it returns or unwinds.
     outcome: Option<Result<(), Payload>>,
     finished: bool,
@@ -146,7 +146,7 @@ pub struct Coroutine {
 impl Coroutine {
     /// Prepares `body` on a fresh stack; it first runs at the first
     /// [`Coroutine::resume`].
-    pub fn new(body: Box<dyn FnOnce() + Send>) -> std::io::Result<Coroutine> {
+    pub fn new(body: Box<dyn FnOnce()>) -> std::io::Result<Coroutine> {
         let stack = Stack::new()?;
         let ctl = Box::into_raw(Box::new(Control {
             sp: 0,

@@ -215,20 +215,21 @@ fn a_foreign_thread_can_wake_a_task() {
 #[cfg(feature = "check-invariants")]
 #[test]
 fn a_schedule_seed_permutes_and_splits_the_ready_batch() {
+    use std::{cell::RefCell, rc::Rc};
     // Records which tasks each `run_ready` call resumed.
     let rounds = |seed: Option<u64>| {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let mut ex = executor();
         if let Some(s) = seed {
             ex.set_schedule_seed(s);
         }
         for i in 0..8 {
-            let log = Arc::clone(&log);
-            ex.spawn(Class::Frontend, None, move || log.lock().push(i));
+            let log = Rc::clone(&log);
+            ex.spawn(Class::Frontend, None, move || log.borrow_mut().push(i));
         }
         let mut rounds = Vec::new();
         while ex.run_ready() {
-            rounds.push(std::mem::take(&mut *log.lock()));
+            rounds.push(log.take());
         }
         rounds
     };

@@ -5,25 +5,22 @@
 //! timer — §3.4) deposit completion records and received frames here and
 //! raise the corresponding interrupt-request flag. Kernel interrupt-handler
 //! code (bottom half, §3.2) drains the queues under a simulated kernel
-//! lock, so the *simulated* drain order is deterministic; the host-level
-//! mutexes below only provide memory safety. A handler drains only the
-//! records due by its own clock (`drain_*_until(now)`): there is no
-//! drain-everything path, since that filter is what keeps handlers
-//! deterministic.
+//! lock, so the *simulated* drain order is deterministic. The engine and
+//! every handler run on the one thread that runs the simulation, so the
+//! postbox is plain single-thread state, shared through an `Rc`. A
+//! handler drains only the records due by its own clock
+//! (`drain_*_until(now)`): there is no drain-everything path, since that
+//! filter is what keeps handlers deterministic.
 //!
-//! Every queue keeps an atomic earliest-due-time alongside the mutex, so
-//! the hot "is anything due at `now`?" probes — one per OS-daemon block
-//! and one per handler drain pass — are answered with a relaxed load
-//! instead of a lock acquisition plus an O(pending) scan. The invariant
-//! (`earliest == min(due times)`, `u64::MAX` when empty) is maintained
-//! under the queue lock; fast-path readers rely on the reply-channel
-//! synchronization that already orders deposits before the wake that
-//! services them. Eliminated scans are counted in `polls_eliminated`.
+//! Every queue keeps its earliest due time alongside the records
+//! (`u64::MAX` when empty), so the hot "is anything due at `now`?"
+//! probes — one per OS-daemon block and one per handler drain pass — are
+//! answered without an O(pending) scan. Eliminated scans are counted in
+//! `polls_eliminated`.
 
 use compass_isa::{ConnId, CpuId, Cycles, DiskId, NicId};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A completed disk transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,44 +76,37 @@ pub struct TimerTick {
     pub time: Cycles,
 }
 
-/// One device queue plus its lock-free due-time summary.
+/// One device queue plus its due-time summary.
 struct DueQueue<T> {
-    q: Mutex<VecDeque<T>>,
+    q: RefCell<VecDeque<T>>,
     /// Minimum due time of queued records, `u64::MAX` when empty.
-    /// Written only under `q`'s lock; read without it.
-    earliest: AtomicU64,
-    total: AtomicU64,
+    earliest: Cell<u64>,
+    total: Cell<u64>,
 }
 
 impl<T: Clone> DueQueue<T> {
     fn new() -> Self {
         Self {
-            q: Mutex::new(VecDeque::new()),
-            earliest: AtomicU64::new(u64::MAX),
-            total: AtomicU64::new(0),
+            q: RefCell::new(VecDeque::new()),
+            earliest: Cell::new(u64::MAX),
+            total: Cell::new(0),
         }
     }
 
     fn push(&self, item: T, time: Cycles) {
-        let mut q = self.q.lock();
-        q.push_back(item);
-        self.earliest.fetch_min(time, Ordering::AcqRel);
-        self.total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Earliest due time, `u64::MAX` if the queue is (last seen) empty.
-    fn earliest(&self) -> u64 {
-        self.earliest.load(Ordering::Acquire)
+        self.q.borrow_mut().push_back(item);
+        self.earliest.set(self.earliest.get().min(time));
+        self.total.set(self.total.get() + 1);
     }
 
     /// Drains records due at or before `now`; `skipped` counts calls the
-    /// due-time summary answered without locking.
-    fn drain_until(&self, now: Cycles, due: impl Fn(&T) -> Cycles, skipped: &AtomicU64) -> Vec<T> {
-        if self.earliest() > now {
-            skipped.fetch_add(1, Ordering::Relaxed);
+    /// due-time summary answered without a scan.
+    fn drain_until(&self, now: Cycles, due: impl Fn(&T) -> Cycles, skipped: &Cell<u64>) -> Vec<T> {
+        if self.earliest.get() > now {
+            skipped.set(skipped.get() + 1);
             return Vec::new();
         }
-        let mut q = self.q.lock();
+        let mut q = self.q.borrow_mut();
         let mut out = Vec::new();
         let mut min = u64::MAX;
         q.retain(|it| {
@@ -129,7 +119,7 @@ impl<T: Clone> DueQueue<T> {
                 true
             }
         });
-        self.earliest.store(min, Ordering::Release);
+        self.earliest.set(min);
         out
     }
 }
@@ -139,7 +129,7 @@ pub struct DevShared {
     disk: DueQueue<DiskCompletion>,
     nic_rx: DueQueue<Frame>,
     timer: DueQueue<TimerTick>,
-    polls_eliminated: AtomicU64,
+    polls_eliminated: Cell<u64>,
 }
 
 impl Default for DevShared {
@@ -155,7 +145,7 @@ impl DevShared {
             disk: DueQueue::new(),
             nic_rx: DueQueue::new(),
             timer: DueQueue::new(),
-            polls_eliminated: AtomicU64::new(0),
+            polls_eliminated: Cell::new(0),
         }
     }
 
@@ -202,14 +192,14 @@ impl DevShared {
     }
 
     /// True if any queue holds work due at or before `now`. Answered from
-    /// the due-time summaries — no locks, no scans; a fruitless probe is
-    /// counted as an eliminated poll.
+    /// the due-time summaries, with no scan; a fruitless probe is counted
+    /// as an eliminated poll.
     pub fn has_work_until(&self, now: Cycles) -> bool {
-        let due = self.disk.earliest() <= now
-            || self.nic_rx.earliest() <= now
-            || self.timer.earliest() <= now;
+        let due = self.disk.earliest.get() <= now
+            || self.nic_rx.earliest.get() <= now
+            || self.timer.earliest.get() <= now;
         if !due {
-            self.polls_eliminated.fetch_add(1, Ordering::Relaxed);
+            self.polls_eliminated.set(self.polls_eliminated.get() + 1);
         }
         due
     }
@@ -217,16 +207,16 @@ impl DevShared {
     /// Lifetime totals `(disk completions, frames, ticks)`.
     pub fn totals(&self) -> (u64, u64, u64) {
         (
-            self.disk.total.load(Ordering::Relaxed),
-            self.nic_rx.total.load(Ordering::Relaxed),
-            self.timer.total.load(Ordering::Relaxed),
+            self.disk.total.get(),
+            self.nic_rx.total.get(),
+            self.timer.total.get(),
         )
     }
 
     /// Queue probes (blocked-daemon checks and handler drain passes) the
-    /// due-time summaries answered without a lock acquisition or scan.
+    /// due-time summaries answered without a scan.
     pub fn polls_eliminated(&self) -> u64 {
-        self.polls_eliminated.load(Ordering::Relaxed)
+        self.polls_eliminated.get()
     }
 }
 
@@ -328,7 +318,7 @@ mod tests {
     #[test]
     fn due_time_summary_tracks_drains_and_counts_eliminated_polls() {
         let d = DevShared::new();
-        // Empty postbox: every probe and filtered drain is lock-free.
+        // Empty postbox: every probe and filtered drain skips the scan.
         assert!(!d.has_work_until(u64::MAX - 1));
         assert!(d.drain_disk_until(100).is_empty());
         assert!(d.drain_frames_until(100).is_empty());

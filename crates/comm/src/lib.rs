@@ -8,11 +8,11 @@
 //!
 //! In this reproduction the "shared memory segment" is process memory, and
 //! the frontends (which run their own OS calls) and the bottom-half daemon
-//! are stackful coroutines ([`coro`]) on the backend's host thread. A
-//! blocking primitive called from one of them runs the engine on the
-//! caller's own stack until its reply is out ([`coro::serve`]), and
-//! suspends back to the engine only when it is not; so a rendezvous is a
-//! function call or a user-space stack switch. The primitives are built
+//! are stackful coroutines ([`coro`]) on the thread running the
+//! simulation. A blocking primitive called from one of them runs the
+//! engine on the caller's own stack until its reply is out
+//! ([`coro::serve`]), and suspends back to the engine only when it is
+//! not; so a rendezvous is a function call or a user-space stack switch. The primitives are built
 //! from atomics (see *Rust Atomics and Locks*, ch. 4–5, whose one-shot
 //! channel design the [`rendezvous`] module's reply slot follows). Tasks
 //! are the engine's only posters; a caller on an ordinary thread (the

@@ -27,9 +27,9 @@ use crate::notifier::Notifier;
 use crate::rendezvous::EventRing;
 use compass_isa::{Cycles, ProcessId};
 use compass_obs::{CounterBlock, Ctr};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 
 /// A per-process event port: the frontend (user and kernel code alike)
 /// posts timed events; the backend scans, pops, and replies to blocking
@@ -215,10 +215,16 @@ impl<Q, S> ReqPort<Q, S> {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, ReqInner<Q, S>> {
+        self.inner
+            .lock()
+            .expect("a ReqPort caller panicked holding its lock")
+    }
+
     /// Client: sends a request and blocks for the response.
     pub fn call(&self, q: Q) -> S {
         {
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             assert!(
                 g.req.is_none() && g.resp.is_none(),
                 "ReqPort::call while a call is outstanding"
@@ -230,7 +236,7 @@ impl<Q, S> ReqPort<Q, S> {
         }
         loop {
             {
-                let mut g = self.inner.lock();
+                let mut g = self.lock();
                 if let Some(s) = g.resp.take() {
                     return s;
                 }
@@ -244,7 +250,7 @@ impl<Q, S> ReqPort<Q, S> {
     pub fn recv(&self) -> Q {
         loop {
             {
-                let mut g = self.inner.lock();
+                let mut g = self.lock();
                 if let Some(q) = g.req.take() {
                     return q;
                 }
@@ -256,7 +262,7 @@ impl<Q, S> ReqPort<Q, S> {
 
     /// Server: responds to the request taken by the last [`ReqPort::recv`].
     pub fn respond(&self, s: S) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         debug_assert!(g.resp.is_none(), "double respond");
         g.resp = Some(s);
         if let Some(w) = g.client.take() {
@@ -266,7 +272,7 @@ impl<Q, S> ReqPort<Q, S> {
 
     /// Server: non-blocking receive.
     pub fn try_recv(&self) -> Option<Q> {
-        self.inner.lock().req.take()
+        self.lock().req.take()
     }
 }
 

@@ -38,10 +38,10 @@ use crate::coro::{self, Waiter};
 use crate::event::{Event, Reply, ReplyData};
 use compass_isa::Cycles;
 use compass_obs::{CounterBlock, Ctr};
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 
 /// The reply a poisoned ring hands to every poster.
 const ABORTED: Reply = Reply {
@@ -103,6 +103,12 @@ unsafe impl Sync for EventRing {}
 unsafe impl Send for EventRing {}
 
 impl EventRing {
+    fn poster(&self) -> MutexGuard<'_, Option<Waiter>> {
+        self.poster
+            .lock()
+            .expect("a poster panicked holding the waiter slot")
+    }
+
     /// Creates an empty ring holding at most `cap` events.
     ///
     /// `cap` bounds a frontend batch: the producer must consume a reply
@@ -251,7 +257,7 @@ impl EventRing {
     /// takes it without waiting.
     #[cold]
     fn park(&self) {
-        *self.poster.lock() = Some(Waiter::current());
+        *self.poster() = Some(Waiter::current());
         if self
             .reply_state
             .compare_exchange(WAITING, PARKED, Ordering::AcqRel, Ordering::Acquire)
@@ -354,7 +360,7 @@ impl EventRing {
     /// waiting loop absorbs.
     #[cold]
     fn wake_poster(&self) {
-        if let Some(w) = self.poster.lock().as_ref() {
+        if let Some(w) = self.poster().as_ref() {
             w.wake();
         }
     }
@@ -502,12 +508,12 @@ mod tests {
         // The late wake must leave that registration in place, or the next
         // reply would find nobody to wake.
         let ring = EventRing::new(2);
-        *ring.poster.lock() = Some(Waiter::current());
+        *ring.poster() = Some(Waiter::current());
         ring.reply_state.store(PARKED, Ordering::Relaxed);
         ring.reply(Reply::latency(1));
         assert!(ring.is_replied());
         assert!(
-            ring.poster.lock().is_some(),
+            ring.poster().is_some(),
             "a wake must not unregister the waiter"
         );
     }

@@ -13,7 +13,7 @@
 use compass_frontend::{CpuCtx, Process};
 use compass_isa::{Cycles, ProcessId, TimingModel};
 use compass_os::{KernelConfig, KernelShared};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// What a raw run reports.
@@ -35,14 +35,10 @@ pub fn run_raw(
     prepare: impl FnOnce(&KernelShared),
     mut body: impl Process,
 ) -> RawReport {
-    let devshared = Arc::new(compass_comm::DevShared::new());
+    let devshared = Rc::new(compass_comm::DevShared::new());
     let kernel = KernelShared::new(kernel_cfg, devshared);
     prepare(&kernel);
-    let mut cpu = CpuCtx::raw(
-        ProcessId(0),
-        Arc::clone(&kernel),
-        TimingModel::powerpc_604(),
-    );
+    let mut cpu = CpuCtx::raw(ProcessId(0), Rc::clone(&kernel), TimingModel::powerpc_604());
     let started = Instant::now();
     cpu.start();
     body.run(&mut cpu);

@@ -2,12 +2,13 @@
 //! kernel with its bottom-half daemon, and the frontend processes, runs to
 //! completion, and collects every statistic.
 //!
-//! One host thread, `compass-backend`, runs the whole simulation: the
-//! frontends (which run their own OS calls) and the daemon are tasks on
-//! its executor (see
+//! The calling thread runs the whole simulation: the frontends (which
+//! run their own OS calls) and the daemon are tasks on its executor (see
 //! [`compass_comm::coro`]), resumed by the engine whenever it needs their
-//! next event — the paper's single backend process, with no other
-//! simulator threads.
+//! next event — the paper's single backend process, with no simulator
+//! threads of its own. So nothing here is `Send`: the kernel, the device
+//! postbox and the results are shared through `Rc`, and a borrow of them
+//! held across a post panics instead of hanging the run.
 
 use crate::config::SimConfig;
 use compass_arch::ArchConfig;
@@ -20,9 +21,9 @@ use compass_obs::{Ctr, ObsHub, ObsReport, ProgressFn, TraceBuffer, TraceHandle};
 use compass_os::bufcache::BufStats;
 use compass_os::net::NetStats;
 use compass_os::{KernelShared, OsObs};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::panic::resume_unwind;
-use std::sync::atomic::Ordering;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,9 +43,8 @@ pub struct RunReport {
     pub intr_cycles: [Cycles; 3],
     /// Per-process frontend counters.
     pub frontends: Vec<FrontendStats>,
-    /// Host wall-clock time of the simulation: from starting the
-    /// `compass-backend` thread to joining it (setup of the simulated
-    /// threads, the run, and their teardown).
+    /// Host wall-clock time of the simulation: setting up the simulated
+    /// threads, the run, and their teardown.
     pub wall: Duration,
     /// Number of application processes (the kernel daemon is `pid
     /// app_processes`).
@@ -69,15 +69,9 @@ impl RunReport {
     pub fn app_pids(&self) -> impl Iterator<Item = usize> + '_ {
         0..self.app_processes
     }
-
-    /// Total simulated CPU cycles (user + kernel + interrupt, all
-    /// processes including the daemon's handler time).
-    pub fn total_cpu_cycles(&self) -> Cycles {
-        self.backend.procs.iter().map(|p| p.cpu_cycles()).sum()
-    }
 }
 
-type PrepareFn = Box<dyn FnOnce(&KernelShared) + Send>;
+type PrepareFn = Box<dyn FnOnce(&KernelShared)>;
 
 /// Builds and runs one simulation.
 pub struct SimBuilder {
@@ -133,7 +127,7 @@ impl SimBuilder {
     /// Runs `f` against the functional kernel before simulation starts
     /// (file-set population, database loading — not simulated, exactly
     /// like the paper's pre-test file set generator).
-    pub fn prepare_kernel(mut self, f: impl FnOnce(&KernelShared) + Send + 'static) -> Self {
+    pub fn prepare_kernel(mut self, f: impl FnOnce(&KernelShared) + 'static) -> Self {
         self.prepare = Some(Box::new(f));
         self
     }
@@ -149,14 +143,11 @@ impl SimBuilder {
     /// Installs the progress-snapshot callback. Snapshots fire every
     /// `SimConfig::obs.progress_every` serviced events; setting a
     /// callback without a period implies the default period.
-    pub fn progress(
-        mut self,
-        f: impl Fn(&compass_obs::ProgressSnapshot) + Send + Sync + 'static,
-    ) -> Self {
+    pub fn progress(mut self, f: impl Fn(&compass_obs::ProgressSnapshot) + 'static) -> Self {
         if self.config.obs.progress_every.is_none() {
             self.config.obs.progress_every = Some(100_000);
         }
-        self.progress = Some(Arc::new(f));
+        self.progress = Some(Rc::new(f));
         self
     }
 
@@ -177,12 +168,13 @@ impl SimBuilder {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the simulation to completion, returning a structured error
-    /// instead of panicking when the backend detects a deadlock (sync
-    /// cycle or host-timeout) or itself panics. On error every event port
-    /// is poisoned, so all simulated threads unwind cleanly before this
-    /// returns. A panic inside a simulated thread (a workload bug) is
-    /// re-raised here.
+    /// Runs the simulation to completion on the calling thread, returning
+    /// a structured error instead of panicking when the backend detects a
+    /// deadlock (sync cycle or host-timeout) or itself panics. On error
+    /// every event port is poisoned, so all simulated threads unwind
+    /// cleanly before this returns. A panic inside a simulated thread (a
+    /// workload bug, or a host borrow held across a post) is re-raised
+    /// here.
     pub fn try_run(self) -> Result<RunReport, RunError> {
         let SimBuilder {
             config,
@@ -209,7 +201,7 @@ impl SimBuilder {
         // Only posters on ordinary threads bump the ports' notify epoch;
         // every poster here is a task, so nothing reads it.
         let notifier = Arc::new(Notifier::new());
-        let devshared = Arc::new(DevShared::new());
+        let devshared = Rc::new(DevShared::new());
         // The batch depth is the ring capacity. Every poster on a ring
         // (the frontend and its OS calls, the daemon on its own) batches
         // while the ring keeps a slot for the blocking cut, so a frontend
@@ -235,7 +227,7 @@ impl SimBuilder {
             .collect();
 
         // --- OS server ---
-        let kernel = KernelShared::new(config.kernel, Arc::clone(&devshared));
+        let kernel = KernelShared::new(config.kernel, Rc::clone(&devshared));
         if let Some(f) = prepare {
             f(&kernel);
         }
@@ -248,7 +240,7 @@ impl SimBuilder {
         let mut backend = Backend::new(
             config.backend.clone(),
             ports.clone(),
-            Arc::clone(&devshared),
+            devshared,
             Some(daemon_pid),
             traffic.unwrap_or_else(|| Box::new(NullTraffic)),
         );
@@ -269,95 +261,72 @@ impl SimBuilder {
         }
         if let Some(every) = config.obs.progress_every {
             // Snapshots still count (and trace) with no user callback.
-            backend.set_progress(every, progress.unwrap_or_else(|| Arc::new(|_| {})));
+            backend.set_progress(every, progress.unwrap_or_else(|| Rc::new(|_| {})));
         }
-        // --- Frontend processes ---
-        let frontend_setup: Vec<_> = processes
-            .into_iter()
-            .enumerate()
-            .map(|(pid, body)| {
-                let fe_block = counters.map(|hub| hub.register(&format!("frontend-{pid}")));
-                (pid, body, fe_block)
-            })
-            .collect();
-        let timing = config.timing.clone();
-        let pseudo = config.pseudo_irq;
-        let results: Arc<Mutex<Vec<Option<FrontendStats>>>> =
-            Arc::new(Mutex::new(vec![None; nprocs]));
+        let results: Rc<RefCell<Vec<Option<FrontendStats>>>> =
+            Rc::new(RefCell::new(vec![None; nprocs]));
 
-        // --- Run: every simulated thread is a task on the backend thread ---
+        // --- Run: every simulated thread is a task on this thread ---
         let started = Instant::now();
-        let run = {
-            let kernel = Arc::clone(&kernel);
-            let ports = ports.clone();
-            let results = Arc::clone(&results);
-            std::thread::Builder::new()
-                .name("compass-backend".into())
-                .spawn(move || {
-                    let mut exec = Executor::new();
-                    #[cfg(feature = "check-invariants")]
-                    if let Some(seed) = schedule_seed {
-                        exec.set_schedule_seed(seed);
-                    }
-                    compass_os::start_daemon(
-                        &kernel,
-                        daemon_pid,
-                        Arc::clone(&ports[daemon_pid.index()]),
-                        os_obs.counters.clone(),
-                        &mut exec,
-                    );
-                    for (pid, mut body, fe_block) in frontend_setup {
-                        let port = Arc::clone(&ports[pid]);
-                        let kernel = Arc::clone(&kernel);
-                        let os_obs = os_obs.clone();
-                        let timing = timing.clone();
-                        let results = Arc::clone(&results);
-                        exec.spawn(Class::Frontend, fe_block.clone(), move || {
-                            let pid_id = ProcessId(pid as u32);
-                            let mut cpu = CpuCtx::simulated(pid_id, port, kernel, timing);
-                            if pseudo {
-                                cpu.enable_pseudo_irq();
-                            }
-                            cpu.set_obs(fe_block, os_obs);
-                            // A poisoned port unwinds this task with
-                            // SimAbort; the backend reports the error.
-                            cpu.start();
-                            body.run(&mut cpu);
-                            cpu.exit();
-                            results.lock()[pid] = Some(cpu.stats());
-                        });
-                    }
-                    // On error (a backend panic included) every port is
-                    // poisoned, so every task unwinds below.
-                    let outcome = backend.run_with(&mut exec);
-                    // Run the tasks still ready to their end, then unwind
-                    // every task still suspended (the daemon; on error,
-                    // all).
-                    exec.cancel_all();
-                    (outcome, exec.take_panic(), exec.busy_ns())
-                })
-                .expect("spawn backend")
-        };
-        let (outcome, task_panic, busy_ns) = run.join().expect("backend thread panicked");
+        let mut exec = Executor::new();
+        #[cfg(feature = "check-invariants")]
+        if let Some(seed) = schedule_seed {
+            exec.set_schedule_seed(seed);
+        }
+        compass_os::start_daemon(
+            &kernel,
+            daemon_pid,
+            Arc::clone(&ports[daemon_pid.index()]),
+            os_obs.counters.clone(),
+            &mut exec,
+        );
+        for (pid, mut body) in processes.into_iter().enumerate() {
+            let fe_block = counters.map(|hub| hub.register(&format!("frontend-{pid}")));
+            let port = Arc::clone(&ports[pid]);
+            let kernel = Rc::clone(&kernel);
+            let os_obs = os_obs.clone();
+            let timing = config.timing.clone();
+            let pseudo = config.pseudo_irq;
+            let results = Rc::clone(&results);
+            exec.spawn(Class::Frontend, fe_block.clone(), move || {
+                let mut cpu = CpuCtx::simulated(ProcessId(pid as u32), port, kernel, timing);
+                if pseudo {
+                    cpu.enable_pseudo_irq();
+                }
+                cpu.set_obs(fe_block, os_obs);
+                // A poisoned port unwinds this task with SimAbort; the
+                // backend reports the error.
+                cpu.start();
+                body.run(&mut cpu);
+                cpu.exit();
+                results.borrow_mut()[pid] = Some(cpu.stats());
+            });
+        }
+        // On error (a backend panic included) every port is poisoned, so
+        // every task unwinds below.
+        let outcome = backend.run_with(&mut exec);
+        // Run the tasks still ready to their end, then unwind every task
+        // still suspended (the daemon; on error, all).
+        exec.cancel_all();
         let wall = started.elapsed();
         // The host ledger's backend class: all of the wall outside the
-        // tasks' own running time — the engine, the executor, setting up
-        // the simulated threads, and spawning and joining the backend
-        // thread, which alone take 10-15 % of a few-millisecond run.
+        // tasks' own running time — the engine, the executor, and setting
+        // up and tearing down the simulated threads.
         if let Some(block) = &backend_block {
             block.add(
                 Ctr::HostBackendNs,
-                (wall.as_nanos() as u64).saturating_sub(busy_ns),
+                (wall.as_nanos() as u64).saturating_sub(exec.busy_ns()),
             );
         }
-        if let Some(payload) = task_panic {
+        if let Some(payload) = exec.take_panic() {
             resume_unwind(payload);
         }
         let outcome = outcome?;
         if let Some(detail) = kernel.unsettled() {
             return Err(RunError::UnsettledDrain { detail });
         }
-        let frontends = std::mem::take(&mut *results.lock())
+        let frontends = results
+            .take()
             .into_iter()
             .map(|s| s.expect("frontend aborted but the backend reported no error"))
             .collect();
@@ -373,23 +342,18 @@ impl SimBuilder {
             }
         });
 
-        let bufcache = kernel.bufs.lock().stats();
-        let net = kernel.net.lock().stats;
-        let intr_cycles = [
-            kernel.intr_cycles[0].load(Ordering::Relaxed),
-            kernel.intr_cycles[1].load(Ordering::Relaxed),
-            kernel.intr_cycles[2].load(Ordering::Relaxed),
-        ];
+        let bufcache = kernel.bufs.borrow().stats();
+        let net = kernel.net.borrow().stats;
         Ok(RunReport {
             backend: outcome.stats,
             syscalls: kernel.stats.snapshot(),
             bufcache,
             net,
-            intr_cycles,
+            intr_cycles: kernel.intr_cycles.get(),
             frontends,
             wall,
             app_processes: nprocs,
-            fs_write_bytes: kernel.fs_write_bytes.load(Ordering::Relaxed),
+            fs_write_bytes: kernel.fs_write_bytes.get(),
             obs,
             trace: trace.map(|t| t.buf),
             access_trace: outcome.access_trace,

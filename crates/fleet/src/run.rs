@@ -1,9 +1,9 @@
 //! Executing a fleet: fan the deduplicated job list across host cores,
 //! running every job at the shipped batch depth and again at depth 1.
 //!
-//! Each job is two simulations on the calling worker thread (every
-//! simulated process and the bottom-half daemon is a
-//! coroutine on one backend thread), so the fan-out clamps to the host's
+//! Each job is two simulations, each run inline on the calling worker
+//! thread (every simulated process and the bottom-half daemon is a
+//! coroutine on that thread), so the fan-out clamps to the host's
 //! [`std::thread::available_parallelism`] — on a 1-CPU host the fleet
 //! degrades to a serial queue with no oversubscription. Work is pulled
 //! from a shared atomic cursor, so the *assignment* of jobs to workers

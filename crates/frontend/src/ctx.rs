@@ -12,6 +12,7 @@ use compass_os::{
     handlers, syscalls, EventSink, KernelCtx, KernelPerf, KernelShared, OsCall, OsObs, PortSink,
     RawSink, SysResult,
 };
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Per-process frontend counters.
@@ -48,7 +49,7 @@ pub struct CpuCtx {
     pub pid: ProcessId,
     mode: Mode,
     /// The kernel this process's OS calls run in, on its own task.
-    kernel: Arc<KernelShared>,
+    kernel: Rc<KernelShared>,
     /// Batching state of the process's syscall-path kernel code.
     kperf: KernelPerf,
     /// OS-call counters and trace records.
@@ -77,12 +78,12 @@ pub struct CpuCtx {
 }
 
 /// A simulated application process body.
-pub trait Process: Send {
+pub trait Process {
     /// Runs the process to completion on `cpu`.
     fn run(&mut self, cpu: &mut CpuCtx);
 }
 
-impl<F: FnMut(&mut CpuCtx) + Send> Process for F {
+impl<F: FnMut(&mut CpuCtx)> Process for F {
     fn run(&mut self, cpu: &mut CpuCtx) {
         self(cpu)
     }
@@ -94,7 +95,7 @@ impl CpuCtx {
     pub fn simulated(
         pid: ProcessId,
         port: Arc<EventPort>,
-        kernel: Arc<KernelShared>,
+        kernel: Rc<KernelShared>,
         timing: TimingModel,
     ) -> Self {
         let mode = Mode::Sim {
@@ -107,14 +108,14 @@ impl CpuCtx {
     /// Creates a raw (uninstrumented-baseline) context around a functional
     /// kernel. Raw runs must be single-process: nothing arbitrates
     /// concurrent functional access.
-    pub fn raw(pid: ProcessId, kernel: Arc<KernelShared>, timing: TimingModel) -> Self {
+    pub fn raw(pid: ProcessId, kernel: Rc<KernelShared>, timing: TimingModel) -> Self {
         Self::new_inner(pid, Mode::Raw, kernel, timing)
     }
 
     fn new_inner(
         pid: ProcessId,
         mode: Mode,
-        kernel: Arc<KernelShared>,
+        kernel: Rc<KernelShared>,
         timing: TimingModel,
     ) -> Self {
         Self {
@@ -590,11 +591,6 @@ impl CpuCtx {
         self.sim_on = true;
     }
 
-    /// True while instrumentation is active.
-    pub fn is_sim_on(&self) -> bool {
-        self.sim_on
-    }
-
     /// Runs `f` as a signal handler under the non-augmented wrapper of
     /// §4.1: events are disabled around it (time still accrues).
     pub fn with_signal_wrapper<R>(&mut self, f: impl FnOnce(&mut CpuCtx) -> R) -> R {
@@ -619,7 +615,7 @@ mod tests {
     use compass_os::{KernelConfig, KernelShared};
 
     fn raw_ctx() -> CpuCtx {
-        let kernel = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+        let kernel = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
         CpuCtx::raw(ProcessId(0), kernel, TimingModel::powerpc_604())
     }
 
@@ -661,7 +657,7 @@ mod tests {
 
     #[test]
     fn raw_os_calls_work_inline() {
-        let kernel = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+        let kernel = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
         kernel.create_file("/t", compass_os::fs::FileData::Synthetic { len: 100 });
         let mut c = CpuCtx::raw(ProcessId(0), kernel, TimingModel::powerpc_604());
         c.start();

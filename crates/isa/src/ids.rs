@@ -50,7 +50,7 @@ id_newtype! {
     /// A simulated application process (or OS-server kernel daemon).
     ///
     /// In the original COMPASS each simulated process is a real AIX process;
-    /// here each is a host thread. Process ids are dense and assigned in
+    /// here each is a coroutine. Process ids are dense and assigned in
     /// creation order, which makes them usable as deterministic tie-breakers
     /// in the global event scheduler.
     ProcessId(u32)

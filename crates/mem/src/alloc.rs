@@ -26,8 +26,6 @@ pub struct SimAlloc {
     free_lists: Vec<Vec<u32>>,
     /// Bytes currently live (for stats / leak checks in tests).
     live_bytes: u64,
-    /// Total allocation calls served.
-    allocs: u64,
 }
 
 /// Error returned when the region is exhausted.
@@ -53,7 +51,6 @@ impl SimAlloc {
             brk: base.0,
             free_lists: vec![Vec::new(); SIZE_CLASSES.len()],
             live_bytes: 0,
-            allocs: 0,
         }
     }
 
@@ -73,7 +70,6 @@ impl SimAlloc {
     /// Allocates `size` bytes; returns the simulated address.
     pub fn alloc(&mut self, size: u32) -> Result<VAddr, OutOfSimMemory> {
         assert!(size > 0, "zero-size simulated allocation");
-        self.allocs += 1;
         let granule = Self::granule(size);
         if let Some(class) = Self::class_of(size) {
             if let Some(addr) = self.free_lists[class].pop() {
@@ -118,23 +114,12 @@ impl SimAlloc {
         }
         self.brk = new_brk;
         self.live_bytes += bytes as u64;
-        self.allocs += 1;
         Ok(VAddr(aligned_brk))
-    }
-
-    /// Highest address handed out so far (exclusive).
-    pub fn high_water(&self) -> VAddr {
-        VAddr(self.brk)
     }
 
     /// Bytes currently live.
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
-    }
-
-    /// Total allocations served.
-    pub fn alloc_count(&self) -> u64 {
-        self.allocs
     }
 }
 

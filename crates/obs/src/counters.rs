@@ -9,9 +9,9 @@
 //! ordering cost a handful of cycles; hook sites additionally gate on an
 //! `Option` so a disabled run pays only the branch.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// The fixed counter catalogue. The numeric value is the slot index in a
 /// [`CounterBlock`] and is internal: reports, the fleet and the benchmark
@@ -109,7 +109,7 @@ pub enum Ctr {
     /// Host ns spent running the bottom-half daemon task.
     HostBottomHalfNs,
     /// Host ns of the run's wall spent outside every task: the engine,
-    /// the executor, and spawning and joining the backend thread.
+    /// the executor, and setting up and tearing down the tasks.
     HostBackendNs,
     /// Leaf writes to the engine's least-time index: one per process
     /// entry that actually changed when re-derived before a selection.
@@ -319,6 +319,7 @@ impl ObsHub {
         let block = Arc::new(CounterBlock::new());
         self.blocks
             .lock()
+            .expect("a registration panicked")
             .push((label.to_string(), Arc::clone(&block)));
         block
     }
@@ -326,7 +327,8 @@ impl ObsHub {
     /// Sums every registered block.
     pub fn merge(&self) -> CounterSnapshot {
         let mut totals = [0u64; CTR_COUNT];
-        for (_, block) in self.blocks.lock().iter() {
+        let blocks = self.blocks.lock().expect("a registration panicked");
+        for (_, block) in blocks.iter() {
             for (i, slot) in totals.iter_mut().enumerate() {
                 *slot += block.slots[i].load(Ordering::Relaxed);
             }

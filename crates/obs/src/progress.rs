@@ -7,7 +7,7 @@
 //! report *where* it was stuck (per-process state histogram, least-time
 //! lag) instead of just timing out.
 
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// One heartbeat from the engine loop.
@@ -74,9 +74,9 @@ impl ProgressSnapshot {
     }
 }
 
-/// Callback invoked from the backend thread on each snapshot. Keep it
-/// fast; it runs inline with event servicing.
-pub type ProgressFn = Arc<dyn Fn(&ProgressSnapshot) + Send + Sync>;
+/// Callback invoked on each snapshot, on the thread running the
+/// simulation. Keep it fast; it runs inline with event servicing.
+pub type ProgressFn = Rc<dyn Fn(&ProgressSnapshot)>;
 
 #[cfg(test)]
 mod tests {

@@ -14,10 +14,10 @@
 //!   `chrome://tracing` / Perfetto; one simulated cycle is rendered as
 //!   one microsecond, and simulated processes appear as tracks (`tid`).
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 
 /// How much the recorder captures. Levels are ordered: `Fine` includes
 /// everything `Coarse` does.
@@ -133,8 +133,8 @@ impl TraceRec {
 
 /// The bounded ring. One mutex-protected deque: the backend engine is
 /// the dominant writer; OS calls contribute only coarse, rare records,
-/// and every writer runs on the backend's one host thread, so the lock
-/// is never contended.
+/// and every writer runs on the thread that runs the simulation, so the
+/// lock is never contended.
 #[derive(Debug)]
 pub struct TraceBuffer {
     cap: usize,
@@ -152,9 +152,15 @@ impl TraceBuffer {
         })
     }
 
+    fn ring(&self) -> MutexGuard<'_, VecDeque<TraceRec>> {
+        self.ring
+            .lock()
+            .expect("a writer panicked holding the trace ring")
+    }
+
     /// Appends a record, overwriting the oldest when full.
     pub fn record(&self, rec: TraceRec) {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring();
         if ring.len() == self.cap {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -164,7 +170,7 @@ impl TraceBuffer {
 
     /// Records currently retained.
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.ring().len()
     }
 
     /// True when nothing has been recorded (or everything was dropped).
@@ -179,7 +185,7 @@ impl TraceBuffer {
 
     /// A copy of the retained records, oldest first.
     pub fn records(&self) -> Vec<TraceRec> {
-        self.ring.lock().iter().copied().collect()
+        self.ring().iter().copied().collect()
     }
 
     /// JSONL export: one object per line.

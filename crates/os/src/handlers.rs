@@ -63,7 +63,7 @@ pub fn disk_intr(kc: &mut KernelCtx<'_>, k: &KernelShared, c: DiskCompletion) {
     // The simulated BUF lock covers the buffer and its wait channel; the
     // host guard is dropped before the header touch posts an event.
     let (hdr, waiters) = {
-        let mut bufs = k.bufs.lock();
+        let mut bufs = k.bufs.borrow_mut();
         let hdr = bufs.peek(info.tag.0, info.tag.1).map(|id| {
             let b = bufs.buf_mut(id);
             // Only finish the transfer if this buffer still caches the
@@ -114,7 +114,7 @@ pub fn ether_intr(kc: &mut KernelCtx<'_>, k: &KernelShared, f: Frame) {
         Copy(VAddr, VAddr, u32),
     }
     let (touch, waiters): (Option<Touch>, Vec<ProcessId>) = {
-        let mut net = k.net.lock();
+        let mut net = k.net.borrow_mut();
         match f.kind {
             FrameKind::Syn => {
                 let port = u16::from_be_bytes([

@@ -22,7 +22,7 @@ use compass_mem::VAddr;
 use std::sync::Arc;
 
 /// Where kernel (and frontend) events go.
-pub trait EventSink: Send + Sync {
+pub trait EventSink {
     /// Posts the event and blocks for the reply.
     fn post(&self, ev: Event) -> Reply;
 
@@ -436,7 +436,7 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::cell::Cell;
 
     #[test]
     fn raw_sink_advances_only_compute() {
@@ -452,48 +452,45 @@ mod tests {
     #[test]
     fn touch_range_covers_every_granule() {
         // Count events through a sink that tallies.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        struct Counting(AtomicU64);
+        struct Counting(Cell<u64>);
         impl EventSink for Counting {
             fn post(&self, _ev: Event) -> Reply {
-                self.0.fetch_add(1, Ordering::Relaxed);
+                self.0.set(self.0.get() + 1);
                 Reply::latency(2)
             }
         }
-        let sink = Counting(AtomicU64::new(0));
+        let sink = Counting(Cell::new(0));
         let mut kc = KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64);
         kc.touch_range(VAddr(0xC000_0000), 4096, false);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 64);
+        assert_eq!(sink.0.get(), 64);
         // Each touch: 1 addr-gen cycle + 2 latency.
         assert_eq!(kc.clock, 64 * 3);
     }
 
     #[test]
     fn copy_loads_and_stores() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+        #[derive(Default)]
         struct Kinds {
-            loads: AtomicU64,
-            stores: AtomicU64,
+            loads: Cell<u64>,
+            stores: Cell<u64>,
         }
         impl EventSink for Kinds {
             fn post(&self, ev: Event) -> Reply {
                 if let EventBody::MemRef { kind, .. } = ev.body {
-                    match kind {
-                        MemRefKind::Load => self.loads.fetch_add(1, Ordering::Relaxed),
-                        _ => self.stores.fetch_add(1, Ordering::Relaxed),
+                    let n = match kind {
+                        MemRefKind::Load => &self.loads,
+                        _ => &self.stores,
                     };
+                    n.set(n.get() + 1);
                 }
                 Reply::latency(0)
             }
         }
-        let sink = Kinds {
-            loads: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-        };
+        let sink = Kinds::default();
         let mut kc = KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 128);
         kc.copy(VAddr(0xC000_0000), VAddr(0xC000_2000), 1024);
-        assert_eq!(sink.loads.load(Ordering::Relaxed), 8);
-        assert_eq!(sink.stores.load(Ordering::Relaxed), 8);
+        assert_eq!(sink.loads.get(), 8);
+        assert_eq!(sink.stores.get(), 8);
     }
 
     /// Tallies blocking and batched posts of kernel events that cost 3
@@ -502,41 +499,41 @@ mod tests {
     /// drains.
     #[derive(Default)]
     struct Tally {
-        blocking: AtomicU64,
-        batched: AtomicU64,
-        credit: AtomicU64,
-        folded: AtomicU64,
+        blocking: Cell<u64>,
+        batched: Cell<u64>,
+        credit: Cell<u64>,
+        folded: Cell<u64>,
         /// Events in the ring: batched ones not yet drained.
-        occupancy: AtomicU64,
+        occupancy: Cell<u64>,
     }
 
     impl EventSink for Tally {
         fn post(&self, _ev: Event) -> Reply {
-            self.blocking.fetch_add(1, Relaxed);
-            self.occupancy.store(0, Relaxed);
-            let folded = self.credit.swap(0, Relaxed);
-            self.folded.store(folded, Relaxed);
+            self.blocking.set(self.blocking.get() + 1);
+            self.occupancy.set(0);
+            let folded = self.credit.take();
+            self.folded.set(folded);
             Reply::latency(3 + folded)
         }
         fn post_batched(&self, _ev: Event) {
-            self.batched.fetch_add(1, Relaxed);
-            self.occupancy.fetch_add(1, Relaxed);
-            self.credit.fetch_add(3, Relaxed);
+            self.batched.set(self.batched.get() + 1);
+            self.occupancy.set(self.occupancy.get() + 1);
+            self.credit.set(self.credit.get() + 3);
         }
         fn has_room(&self) -> bool {
-            self.occupancy.load(Relaxed) + 1 < 8
+            self.occupancy.get() + 1 < 8
         }
         fn folded(&self) -> Folded {
             Folded {
                 user: 0,
-                kernel: self.folded.load(Relaxed),
+                kernel: self.folded.get(),
             }
         }
     }
 
     impl Tally {
         fn counts(&self) -> (u64, u64) {
-            (self.blocking.load(Relaxed), self.batched.load(Relaxed))
+            (self.blocking.get(), self.batched.get())
         }
     }
 
@@ -609,7 +606,7 @@ mod tests {
     fn kernel_events_share_the_ring_with_the_user_batch() {
         let sink = Tally::default();
         // The process left five user-mode events batched before its call.
-        sink.occupancy.store(5, Relaxed);
+        sink.occupancy.set(5);
         let mut perf = KernelPerf::default();
         let mut kc =
             KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64).with_perf(&mut perf);

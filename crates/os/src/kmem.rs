@@ -15,7 +15,7 @@
 //! simulated addresses — is identical on every run.
 
 use compass_mem::{SimAlloc, VAddr, KERNEL_BASE};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 /// Top of the usable kernel heap (leave a guard page below 4 GiB).
 pub const KERNEL_HEAP_END: u32 = 0xFFFF_F000;
@@ -25,7 +25,7 @@ pub const KERNEL_HEAP_BASE: u32 = KERNEL_BASE + 0x100_000;
 
 /// The shared kernel heap.
 pub struct KernelHeap {
-    inner: Mutex<SimAlloc>,
+    inner: RefCell<SimAlloc>,
 }
 
 impl Default for KernelHeap {
@@ -38,7 +38,7 @@ impl KernelHeap {
     /// Creates the heap.
     pub fn new() -> Self {
         Self {
-            inner: Mutex::new(SimAlloc::new(
+            inner: RefCell::new(SimAlloc::new(
                 VAddr(KERNEL_HEAP_BASE),
                 VAddr(KERNEL_HEAP_END),
             )),
@@ -48,7 +48,7 @@ impl KernelHeap {
     /// Allocates `size` bytes of simulated kernel memory.
     pub fn alloc(&self, size: u32) -> VAddr {
         self.inner
-            .lock()
+            .borrow_mut()
             .alloc(size)
             .expect("simulated kernel heap exhausted")
     }
@@ -56,19 +56,19 @@ impl KernelHeap {
     /// Allocates page-aligned kernel memory (buffer-cache data).
     pub fn alloc_pages(&self, size: u32) -> VAddr {
         self.inner
-            .lock()
+            .borrow_mut()
             .alloc_pages(size)
             .expect("simulated kernel heap exhausted")
     }
 
     /// Frees a block.
     pub fn free(&self, addr: VAddr, size: u32) {
-        self.inner.lock().free(addr, size);
+        self.inner.borrow_mut().free(addr, size);
     }
 
     /// Live bytes (tests).
     pub fn live_bytes(&self) -> u64 {
-        self.inner.lock().live_bytes()
+        self.inner.borrow().live_bytes()
     }
 }
 

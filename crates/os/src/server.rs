@@ -9,7 +9,7 @@
 //! pseudo interrupts on its own task (`CpuCtx::os_call`) over the same
 //! [`KernelShared`], and there is no pool and no pairing. The daemon is
 //! the one kernel task of its own; it blocks only in its event port, and
-//! never while holding a host lock on kernel state.
+//! never while holding a borrow of kernel state.
 
 use crate::bufcache::BufCache;
 use crate::fs::{FdTables, FileData, FileSystem};
@@ -25,10 +25,10 @@ use compass_comm::{
 use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::{VAddr, KERNEL_BASE};
 use compass_obs::{CounterBlock, TraceHandle};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Observability hooks of the processes' OS calls. All fields optional:
@@ -117,13 +117,13 @@ impl Default for KernelConfig {
 /// OS calls".
 #[derive(Debug, Default)]
 pub struct SyscallStats {
-    inner: Mutex<HashMap<&'static str, (u64, u64)>>,
+    inner: RefCell<HashMap<&'static str, (u64, u64)>>,
 }
 
 impl SyscallStats {
     /// Records one call.
     pub fn record(&self, name: &'static str, cycles: Cycles) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         let e = g.entry(name).or_insert((0, 0));
         e.0 += 1;
         e.1 += cycles;
@@ -132,14 +132,14 @@ impl SyscallStats {
     /// Adds cycles to an already recorded call (its batched tail, folded
     /// after it returned).
     pub fn charge(&self, name: &'static str, cycles: Cycles) {
-        self.inner.lock().entry(name).or_insert((0, 0)).1 += cycles;
+        self.inner.borrow_mut().entry(name).or_insert((0, 0)).1 += cycles;
     }
 
     /// Snapshot sorted by cycles, descending.
     pub fn snapshot(&self) -> Vec<(String, u64, u64)> {
         let mut v: Vec<(String, u64, u64)> = self
             .inner
-            .lock()
+            .borrow()
             .iter()
             .map(|(&k, &(c, cy))| (k.to_string(), c, cy))
             .collect();
@@ -149,7 +149,7 @@ impl SyscallStats {
 
     /// Total cycles across all calls.
     pub fn total_cycles(&self) -> Cycles {
-        self.inner.lock().values().map(|&(_, cy)| cy).sum()
+        self.inner.borrow().values().map(|&(_, cy)| cy).sum()
     }
 }
 
@@ -157,37 +157,44 @@ impl SyscallStats {
 /// subsystems, wait queues, statistics. One instance is shared by every
 /// process's kernel code and the kernel daemon — the simulated kernel
 /// address space.
+///
+/// All of them are tasks on the one thread that runs the simulation, so
+/// the subsystems sit in `RefCell`s and the kernel is shared through an
+/// `Rc`. Simulated kernel locks order the accesses; a borrow only keeps
+/// Rust's aliasing rules, and must end before the next post: a borrow
+/// still held when another task borrows the same field panics, and
+/// `SimBuilder::try_run` re-raises that panic.
 pub struct KernelShared {
     /// Cost parameters.
     pub cfg: KernelConfig,
     /// Simulated kernel heap.
     pub heap: KernelHeap,
     /// Filesystem (namespace + inodes).
-    pub fs: Mutex<FileSystem>,
+    pub fs: RefCell<FileSystem>,
     /// Per-process descriptor tables.
-    pub fds: Mutex<FdTables>,
+    pub fds: RefCell<FdTables>,
     /// The buffer cache.
-    pub bufs: Mutex<BufCache>,
+    pub bufs: RefCell<BufCache>,
     /// The network stack.
-    pub net: Mutex<NetState>,
+    pub net: RefCell<NetState>,
     /// Sleep/wakeup channels.
     pub waitq: WaitQueues,
     /// Per-syscall accounting.
     pub stats: SyscallStats,
     /// The device postbox (shared with the backend).
-    pub devshared: Arc<DevShared>,
-    next_token: AtomicU32,
-    tokens: Mutex<HashMap<u32, TokenInfo>>,
+    pub devshared: Rc<DevShared>,
+    next_token: Cell<u32>,
+    tokens: RefCell<HashMap<u32, TokenInfo>>,
     /// Interrupt-handler cycles by source `[disk, net, timer]`.
-    pub intr_cycles: [std::sync::atomic::AtomicU64; 3],
+    pub intr_cycles: Cell<[Cycles; 3]>,
     /// Bytes written to files through `write`/`writev` paths. An
     /// architecture-independent quantity: simcheck's metamorphic checks
     /// assert it is invariant across scheduler/placement/cache knobs.
-    pub fs_write_bytes: std::sync::atomic::AtomicU64,
+    pub fs_write_bytes: Cell<u64>,
     /// The first device-queue drain (or raw daemon `Block`) that ran with
     /// batched kernel events still unsettled — see
     /// [`KernelShared::check_settled`].
-    unsettled: Mutex<Option<String>>,
+    unsettled: RefCell<Option<String>>,
 }
 
 /// What a disk-completion token refers to.
@@ -202,24 +209,24 @@ pub struct TokenInfo {
 
 impl KernelShared {
     /// Creates the kernel around a device postbox.
-    pub fn new(cfg: KernelConfig, devshared: Arc<DevShared>) -> Arc<Self> {
+    pub fn new(cfg: KernelConfig, devshared: Rc<DevShared>) -> Rc<Self> {
         let heap = KernelHeap::new();
         let bufs = BufCache::new(cfg.nbufs, &heap);
-        Arc::new(Self {
+        Rc::new(Self {
             cfg,
             heap,
-            fs: Mutex::new(FileSystem::new()),
-            fds: Mutex::new(FdTables::new()),
-            bufs: Mutex::new(bufs),
-            net: Mutex::new(NetState::new()),
+            fs: RefCell::new(FileSystem::new()),
+            fds: RefCell::new(FdTables::new()),
+            bufs: RefCell::new(bufs),
+            net: RefCell::new(NetState::new()),
             waitq: WaitQueues::new(),
             stats: SyscallStats::default(),
             devshared,
-            next_token: AtomicU32::new(1),
-            tokens: Mutex::new(HashMap::new()),
-            intr_cycles: Default::default(),
-            fs_write_bytes: std::sync::atomic::AtomicU64::new(0),
-            unsettled: Mutex::new(None),
+            next_token: Cell::new(1),
+            tokens: RefCell::new(HashMap::new()),
+            intr_cycles: Cell::new([0; 3]),
+            fs_write_bytes: Cell::new(0),
+            unsettled: RefCell::new(None),
         })
     }
 
@@ -227,7 +234,7 @@ impl KernelShared {
     /// database loads): not simulated, purely functional.
     pub fn create_file(&self, path: &str, data: FileData) -> u64 {
         let kaddr = self.heap.alloc(256); // in-kernel inode
-        self.fs.lock().create(path, data, kaddr)
+        self.fs.borrow_mut().create(path, data, kaddr)
     }
 
     /// Which disk a file lives on (striped by inode).
@@ -237,19 +244,22 @@ impl KernelShared {
 
     /// Registers a disk-completion token.
     pub fn new_token(&self, info: TokenInfo) -> u32 {
-        let t = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.tokens.lock().insert(t, info);
+        let t = self.next_token.get();
+        self.next_token.set(t.wrapping_add(1));
+        self.tokens.borrow_mut().insert(t, info);
         t
     }
 
     /// Consumes a token at completion time.
     pub fn take_token(&self, token: u32) -> Option<TokenInfo> {
-        self.tokens.lock().remove(&token)
+        self.tokens.borrow_mut().remove(&token)
     }
 
     /// Adds interrupt-handler cycles for reporting.
     pub fn add_intr_cycles(&self, source: usize, cycles: Cycles) {
-        self.intr_cycles[source].fetch_add(cycles, Ordering::Relaxed);
+        let mut all = self.intr_cycles.get();
+        all[source] += cycles;
+        self.intr_cycles.set(all);
     }
 
     /// The settled-at-drain invariant: interrupt code may only drain the
@@ -261,7 +271,7 @@ impl KernelShared {
     pub fn check_settled(&self, kc: &KernelCtx<'_>, site: &str) {
         let pending = kc.batch_pending();
         if pending != 0 {
-            self.unsettled.lock().get_or_insert_with(|| {
+            self.unsettled.borrow_mut().get_or_insert_with(|| {
                 format!(
                     "{site} by {} at clock {} with {pending} batched kernel events unsettled",
                     kc.pid, kc.clock
@@ -272,7 +282,7 @@ impl KernelShared {
 
     /// The first settled-at-drain violation, if any.
     pub fn unsettled(&self) -> Option<String> {
-        self.unsettled.lock().clone()
+        self.unsettled.borrow().clone()
     }
 }
 
@@ -284,13 +294,13 @@ impl KernelShared {
 /// handler drains run `until(kc.clock)`, which the batching protocol's
 /// settled-at-drain invariant keeps exact.
 pub fn start_daemon(
-    kernel: &Arc<KernelShared>,
+    kernel: &Rc<KernelShared>,
     daemon_pid: ProcessId,
     port: Arc<EventPort>,
     counters: Option<Arc<CounterBlock>>,
     exec: &mut Executor,
 ) {
-    let k = Arc::clone(kernel);
+    let k = Rc::clone(kernel);
     exec.spawn(Class::BottomHalf, counters, move || {
         daemon_main(daemon_pid, port, k)
     });
@@ -315,7 +325,7 @@ fn absorb_abort(f: impl FnOnce()) {
 /// `Block` post below happens at a settled point (`batch_pending == 0`):
 /// each handler body ends in blocking unlock/unblock posts that fold
 /// outstanding credit, so the daemon's clock is exact whenever it matters.
-fn daemon_main(pid: ProcessId, port: Arc<EventPort>, kernel: Arc<KernelShared>) {
+fn daemon_main(pid: ProcessId, port: Arc<EventPort>, kernel: Rc<KernelShared>) {
     // A poisoned port makes any kernel post unwind with SimAbort; the
     // daemon treats that like Shutdown — the backend is gone.
     absorb_abort(move || {
@@ -396,7 +406,7 @@ mod tests {
 
     #[test]
     fn tokens_roundtrip() {
-        let k = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+        let k = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
         let t = k.new_token(TokenInfo {
             chan: Chan(5),
             tag: (1, 2),
@@ -412,8 +422,46 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_borrow_held_across_a_post_is_a_panic_not_a_hang() {
+        // Task 0 keeps the filesystem borrowed across a load. With no
+        // engine to reply, the post suspends it, and task 1 then borrows
+        // the same field: that panics, and the executor keeps the panic
+        // for the runner to re-raise. A host lock in its place would
+        // block the one thread forever.
+        use compass_comm::Notifier;
+        let k = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
+        let port = Arc::new(EventPort::with_capacity(
+            ProcessId(0),
+            Arc::new(Notifier::new()),
+            1,
+        ));
+        let mut exec = Executor::new();
+        let holder = Rc::clone(&k);
+        exec.spawn(Class::Os, None, move || {
+            let sink = PortSink(port);
+            let mut kc = KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64);
+            let _fs = holder.fs.borrow_mut();
+            kc.load(VAddr(KERNEL_BASE), 8);
+        });
+        let other = Rc::clone(&k);
+        exec.spawn(Class::Os, None, move || {
+            other.fs.borrow_mut().lookup("/etc/passwd");
+        });
+        while exec.run_ready() {}
+        let msg = exec.panic_message().expect("the second borrow panicked");
+        assert!(msg.contains("borrowed"), "panic message: {msg}");
+        assert_eq!(exec.live(), 1, "the holder is still suspended in its post");
+        exec.cancel_all();
+        assert_eq!(exec.live(), 0);
+        assert!(
+            k.fs.try_borrow_mut().is_ok(),
+            "unwinding the holder ended its borrow"
+        );
+    }
+
+    #[test]
     fn files_stripe_across_disks() {
-        let k = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+        let k = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
         assert_ne!(k.disk_for(0), k.disk_for(1));
         assert_eq!(k.disk_for(0), k.disk_for(2));
     }

@@ -82,7 +82,7 @@ fn dispatch_inner(kc: &mut KernelCtx<'_>, k: &KernelShared, call: OsCall) -> Sys
 fn resolve(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd) -> Result<Desc, Errno> {
     kc.lock(locks::FILETAB);
     kc.load(fd_table_addr(kc.pid, fd.0), 16);
-    let r = k.fds.lock().get(kc.pid, fd);
+    let r = k.fds.borrow_mut().get(kc.pid, fd);
     kc.unlock(locks::FILETAB);
     r
 }
@@ -103,7 +103,7 @@ fn sys_open(kc: &mut KernelCtx<'_>, k: &KernelShared, path: &str, create: bool) 
         Missing,
     }
     let found = {
-        let mut fs = k.fs.lock();
+        let mut fs = k.fs.borrow_mut();
         match fs.lookup(path) {
             Some(no) => Found::Existing(no, fs.inode(no).kaddr),
             None if create => {
@@ -127,7 +127,7 @@ fn sys_open(kc: &mut KernelCtx<'_>, k: &KernelShared, path: &str, create: bool) 
     };
     let result = match inode {
         Some(no) => {
-            let fd = k.fds.lock().install(
+            let fd = k.fds.borrow_mut().install(
                 kc.pid,
                 Desc::File {
                     inode: no,
@@ -146,14 +146,14 @@ fn sys_open(kc: &mut KernelCtx<'_>, k: &KernelShared, path: &str, create: bool) 
 fn sys_close(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd) -> SysResult {
     kc.lock(locks::FILETAB);
     kc.store(fd_table_addr(kc.pid, fd.0), 16);
-    let desc = k.fds.lock().close(kc.pid, fd);
+    let desc = k.fds.borrow_mut().close(kc.pid, fd);
     kc.unlock(locks::FILETAB);
     match desc? {
         Desc::File { .. } => Ok(SysVal::Unit),
         Desc::Sock { conn } => {
             kc.lock(locks::NET);
             let pcb = {
-                let mut net = k.net.lock();
+                let mut net = k.net.borrow_mut();
                 let pcb = net.conn(conn).map(|c| c.pcb_addr);
                 let _ = net.close(conn);
                 pcb
@@ -173,7 +173,7 @@ fn sys_close(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd) -> SysResult {
         }
         Desc::Listener { port } => {
             kc.lock(locks::NET);
-            k.net.lock().unlisten(port);
+            k.net.borrow_mut().unlisten(port);
             kc.unlock(locks::NET);
             Ok(SysVal::Unit)
         }
@@ -184,7 +184,7 @@ fn sys_seek(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd, off: u64) -> SysRe
     kc.lock(locks::FILETAB);
     kc.store(fd_table_addr(kc.pid, fd.0), 16);
     let r = {
-        let mut fds = k.fds.lock();
+        let mut fds = k.fds.borrow_mut();
         match fds.get_mut(kc.pid, fd) {
             Ok(Desc::File { offset, .. }) => {
                 *offset = off;
@@ -202,7 +202,7 @@ fn sys_stat(kc: &mut KernelCtx<'_>, k: &KernelShared, path: &str) -> SysResult {
     kc.lock(locks::FILETAB);
     kc.compute(k.cfg.path_per_byte * path.len() as u64);
     let (r, kaddr) = {
-        let fs = k.fs.lock();
+        let fs = k.fs.borrow_mut();
         let s = fs.stat(path);
         let kaddr = s.as_ref().ok().map(|st| fs.inode(st.inode).kaddr);
         (s, kaddr)
@@ -217,7 +217,7 @@ fn sys_stat(kc: &mut KernelCtx<'_>, k: &KernelShared, path: &str) -> SysResult {
 fn sys_unlink(kc: &mut KernelCtx<'_>, k: &KernelShared, path: &str) -> SysResult {
     kc.lock(locks::FILETAB);
     kc.compute(k.cfg.path_per_byte * path.len() as u64);
-    let r = k.fs.lock().unlink(path);
+    let r = k.fs.borrow_mut().unlink(path);
     kc.unlock(locks::FILETAB);
     r.map(|_| SysVal::Unit)
 }
@@ -252,7 +252,7 @@ fn ensure_cached(
         // cache; the host guard only lives for the functional update and
         // is dropped before the header touch posts an event.
         let (hdr, action) = {
-            let mut bufs = k.bufs.lock();
+            let mut bufs = k.bufs.borrow_mut();
             match bufs.lookup(inode, blk) {
                 Some(id) => {
                     let b = bufs.buf(id);
@@ -358,7 +358,7 @@ fn ensure_cached(
                     // Loop: re-check validity (spurious wakes are safe).
                 } else {
                     // Raw: complete synchronously.
-                    let mut bufs = k.bufs.lock();
+                    let mut bufs = k.bufs.borrow_mut();
                     bufs.buf_mut(id).io_pending = false;
                     bufs.buf_mut(id).valid = true;
                     k.waitq.cancel(Chan(bufs.buf(id).hdr_addr.0), kc.pid);
@@ -403,7 +403,7 @@ fn sys_read(
     let mut off = start;
     while (out.len() as u32) < len {
         // EOF check against the inode before touching the cache.
-        let file_len = { k.fs.lock().inode(inode).len() };
+        let file_len = { k.fs.borrow_mut().inode(inode).len() };
         if off >= file_len {
             break;
         }
@@ -413,7 +413,7 @@ fn sys_read(
         // Functional read + simulated copyout under the buffer lock.
         kc.lock(locks::BUF);
         let chunk = {
-            let fs = k.fs.lock();
+            let fs = k.fs.borrow_mut();
             fs.inode(inode)
                 .read_at(off, (BUF_SIZE - inoff).min(len - out.len() as u32))
         };
@@ -430,7 +430,7 @@ fn sys_read(
     if at.is_none() {
         kc.lock(locks::FILETAB);
         kc.store(fd_table_addr(kc.pid, fd.0), 16);
-        if let Ok(Desc::File { offset, .. }) = k.fds.lock().get_mut(kc.pid, fd) {
+        if let Ok(Desc::File { offset, .. }) = k.fds.borrow_mut().get_mut(kc.pid, fd) {
             *offset = off;
         }
         kc.unlock(locks::FILETAB);
@@ -460,13 +460,13 @@ fn sys_write(
         let n = ((BUF_SIZE - inoff) as usize).min(data.len() - pos);
         // Partial-block writes over existing data read-modify-write; full
         // blocks (or appends past EOF) skip the read.
-        let file_len = { k.fs.lock().inode(inode).len() };
+        let file_len = { k.fs.borrow_mut().inode(inode).len() };
         let partial = inoff != 0 || (n as u32) < BUF_SIZE;
         let needs_read = partial && blk * (BUF_SIZE as u64) < file_len;
         let (id, daddr) = ensure_cached(kc, k, inode, blk, needs_read);
         kc.lock(locks::BUF);
         let hdr = {
-            let mut bufs = k.bufs.lock();
+            let mut bufs = k.bufs.borrow_mut();
             let b = bufs.buf_mut(id);
             b.dirty = true;
             b.valid = true;
@@ -474,7 +474,7 @@ fn sys_write(
         };
         kc.store(hdr, 32);
         kc.copy(ubuf + pos as u32, daddr + inoff, n as u32);
-        k.fs.lock()
+        k.fs.borrow_mut()
             .inode_mut(inode)
             .write_at(off, &data[pos..pos + n]);
         kc.unlock(locks::BUF);
@@ -483,13 +483,13 @@ fn sys_write(
     if at.is_none() {
         kc.lock(locks::FILETAB);
         kc.store(fd_table_addr(kc.pid, fd.0), 16);
-        if let Ok(Desc::File { offset, .. }) = k.fds.lock().get_mut(kc.pid, fd) {
+        if let Ok(Desc::File { offset, .. }) = k.fds.borrow_mut().get_mut(kc.pid, fd) {
             *offset = start + data.len() as u64;
         }
         kc.unlock(locks::FILETAB);
     }
     k.fs_write_bytes
-        .fetch_add(data.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        .set(k.fs_write_bytes.get() + data.len() as u64);
     Ok(SysVal::Int(data.len() as i64))
 }
 
@@ -501,7 +501,7 @@ fn sys_fsync(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd) -> SysResult {
     // Phase 1: issue every dirty block's write.
     kc.lock(locks::BUF);
     let dirty: Vec<(BufId, u64, VAddr)> = {
-        let mut bufs = k.bufs.lock();
+        let mut bufs = k.bufs.borrow_mut();
         let ids = bufs.dirty_of(inode);
         ids.iter()
             .map(|&id| {
@@ -528,7 +528,7 @@ fn sys_fsync(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd) -> SysResult {
             token,
         });
         if !kc.is_simulated() {
-            let mut bufs = k.bufs.lock();
+            let mut bufs = k.bufs.borrow_mut();
             bufs.buf_mut(dirty.iter().find(|d| d.1 == blk).expect("issued").0)
                 .io_pending = false;
             k.take_token(token);
@@ -540,7 +540,7 @@ fn sys_fsync(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd) -> SysResult {
             loop {
                 kc.lock(locks::BUF);
                 let pending = {
-                    let bufs = k.bufs.lock();
+                    let bufs = k.bufs.borrow_mut();
                     let still = bufs.buf(id).io_pending;
                     if still {
                         k.waitq.sleep_on(Chan(hdr.0), kc.pid);
@@ -571,7 +571,7 @@ fn sys_mmap(
     kc.lock(locks::FILETAB);
     kc.compute(k.cfg.path_per_byte * path.len() as u64);
     let kaddr = {
-        let fs = k.fs.lock();
+        let fs = k.fs.borrow_mut();
         fs.lookup(path).map(|no| fs.inode(no).kaddr)
     };
     let result = match kaddr {
@@ -612,7 +612,7 @@ fn sys_msync(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd, off: u64, len: u6
     let last = (off + len).div_ceil(BUF_SIZE as u64);
     kc.lock(locks::BUF);
     let dirty: Vec<(BufId, u64, VAddr)> = {
-        let mut bufs = k.bufs.lock();
+        let mut bufs = k.bufs.borrow_mut();
         let ids = bufs.dirty_of(inode);
         ids.iter()
             .filter_map(|&id| {
@@ -644,7 +644,7 @@ fn sys_msync(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd, off: u64, len: u6
             token,
         });
         if !kc.is_simulated() {
-            k.bufs.lock().buf_mut(id).io_pending = false;
+            k.bufs.borrow_mut().buf_mut(id).io_pending = false;
             k.take_token(token);
         }
     }
@@ -653,7 +653,7 @@ fn sys_msync(kc: &mut KernelCtx<'_>, k: &KernelShared, fd: Fd, off: u64, len: u6
             loop {
                 kc.lock(locks::BUF);
                 let pending = {
-                    let bufs = k.bufs.lock();
+                    let bufs = k.bufs.borrow_mut();
                     let still = bufs.buf(id).io_pending;
                     if still {
                         k.waitq.sleep_on(Chan(hdr.0), kc.pid);
@@ -680,12 +680,12 @@ fn sys_listen(kc: &mut KernelCtx<'_>, k: &KernelShared, port: u16) -> SysResult 
     let result = {
         let kaddr = k.heap.alloc(128);
         kc.store(kaddr, 64);
-        k.net.lock().listen(port, kaddr)
+        k.net.borrow_mut().listen(port, kaddr)
     };
     kc.unlock(locks::NET);
     result?;
     kc.lock(locks::FILETAB);
-    let fd = k.fds.lock().install(kc.pid, Desc::Listener { port });
+    let fd = k.fds.borrow_mut().install(kc.pid, Desc::Listener { port });
     kc.store(fd_table_addr(kc.pid, fd.0), 16);
     kc.unlock(locks::FILETAB);
     Ok(SysVal::NewFd(fd))
@@ -699,7 +699,7 @@ fn sys_accept(kc: &mut KernelCtx<'_>, k: &KernelShared, lfd: Fd) -> SysResult {
     loop {
         kc.lock(locks::NET);
         let (got, lkaddr) = {
-            let mut net = k.net.lock();
+            let mut net = k.net.borrow_mut();
             let lkaddr = net.listener(port).map(|l| l.kaddr);
             (net.accept(port), lkaddr)
         };
@@ -709,7 +709,7 @@ fn sys_accept(kc: &mut KernelCtx<'_>, k: &KernelShared, lfd: Fd) -> SysResult {
             Some(conn) => {
                 kc.unlock(locks::NET);
                 kc.lock(locks::FILETAB);
-                let fd = k.fds.lock().install(kc.pid, Desc::Sock { conn });
+                let fd = k.fds.borrow_mut().install(kc.pid, Desc::Sock { conn });
                 kc.store(fd_table_addr(kc.pid, fd.0), 16);
                 kc.unlock(locks::FILETAB);
                 return Ok(SysVal::Accepted(fd, conn));
@@ -732,14 +732,14 @@ fn sys_select(kc: &mut KernelCtx<'_>, k: &KernelShared, fds: &[Fd]) -> SysResult
     let mut descs = Vec::with_capacity(fds.len());
     for &fd in fds {
         kc.load(fd_table_addr(kc.pid, fd.0), 16);
-        descs.push((fd, k.fds.lock().get(kc.pid, fd)?));
+        descs.push((fd, k.fds.borrow_mut().get(kc.pid, fd)?));
     }
     kc.unlock(locks::FILETAB);
     loop {
         kc.lock(locks::NET);
         kc.compute(k.cfg.select_per_fd * fds.len() as u64);
         let (ready, chans) = {
-            let net = k.net.lock();
+            let net = k.net.borrow_mut();
             let mut ready = Vec::new();
             let mut chans = Vec::new();
             for &(fd, desc) in &descs {
@@ -802,7 +802,7 @@ fn recv_on_conn(
     loop {
         kc.lock(locks::NET);
         let (outcome, pcb) = {
-            let mut net = k.net.lock();
+            let mut net = k.net.borrow_mut();
             let pcb = net.conn(conn).map(|c| c.pcb_addr);
             (net.recv(conn, len), pcb)
         };
@@ -850,7 +850,7 @@ fn send_on_conn(
 ) -> SysResult {
     kc.lock(locks::NET);
     let sent = {
-        let mut net = k.net.lock();
+        let mut net = k.net.borrow_mut();
         net.sent(conn, len)
             .map(|()| net.conn(conn).map(|c| c.pcb_addr))
     };

@@ -8,7 +8,7 @@
 //! absorbs the release-then-block window.
 
 use compass_isa::ProcessId;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A wait channel identifier. Conventionally the simulated kernel address
@@ -19,7 +19,7 @@ pub struct Chan(pub u32);
 /// The kernel's wait queues.
 #[derive(Debug, Default)]
 pub struct WaitQueues {
-    chans: Mutex<HashMap<Chan, Vec<ProcessId>>>,
+    chans: RefCell<HashMap<Chan, Vec<ProcessId>>>,
 }
 
 impl WaitQueues {
@@ -31,7 +31,7 @@ impl WaitQueues {
     /// Registers `pid` as sleeping on `chan`. Call while holding the
     /// subsystem's simulated lock.
     pub fn sleep_on(&self, chan: Chan, pid: ProcessId) {
-        let mut g = self.chans.lock();
+        let mut g = self.chans.borrow_mut();
         let q = g.entry(chan).or_default();
         debug_assert!(!q.contains(&pid), "{pid} sleeping twice on {chan:?}");
         q.push(pid);
@@ -39,7 +39,7 @@ impl WaitQueues {
 
     /// Removes `pid` from `chan` (sleep cancelled, e.g. select retry).
     pub fn cancel(&self, chan: Chan, pid: ProcessId) {
-        let mut g = self.chans.lock();
+        let mut g = self.chans.borrow_mut();
         if let Some(q) = g.get_mut(&chan) {
             q.retain(|&p| p != pid);
             if q.is_empty() {
@@ -51,12 +51,12 @@ impl WaitQueues {
     /// Takes every sleeper on `chan` (wakeup). Call while holding the
     /// subsystem's simulated lock; post `Unblock` for each afterwards.
     pub fn wake_all(&self, chan: Chan) -> Vec<ProcessId> {
-        self.chans.lock().remove(&chan).unwrap_or_default()
+        self.chans.borrow_mut().remove(&chan).unwrap_or_default()
     }
 
     /// Takes the first sleeper on `chan` (wakeup one).
     pub fn wake_one(&self, chan: Chan) -> Option<ProcessId> {
-        let mut g = self.chans.lock();
+        let mut g = self.chans.borrow_mut();
         let q = g.get_mut(&chan)?;
         let pid = q.remove(0);
         if q.is_empty() {
@@ -67,7 +67,7 @@ impl WaitQueues {
 
     /// Number of sleepers on a channel (diagnostics).
     pub fn sleepers(&self, chan: Chan) -> usize {
-        self.chans.lock().get(&chan).map_or(0, |q| q.len())
+        self.chans.borrow().get(&chan).map_or(0, |q| q.len())
     }
 
     /// Liveness invariants (the `check-invariants` feature calls this
@@ -75,7 +75,7 @@ impl WaitQueues {
     /// channel — a double sleep means a lost wakeup, since `wake_one`
     /// removes one entry — and no emptied queue lingers in the map.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let g = self.chans.lock();
+        let g = self.chans.borrow();
         for (chan, q) in g.iter() {
             if q.is_empty() {
                 return Err(format!("{chan:?}: empty wait queue retained"));

@@ -9,10 +9,10 @@ use compass_mem::VAddr;
 use compass_os::fs::FileData;
 use compass_os::kctx::{KernelCtx, RawSink};
 use compass_os::{syscalls, Errno, KernelConfig, KernelShared, OsCall, SysVal};
-use std::sync::Arc;
+use std::rc::Rc;
 
-fn kernel() -> Arc<KernelShared> {
-    let k = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+fn kernel() -> Rc<KernelShared> {
+    let k = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
     k.create_file("/a", FileData::Bytes(b"abcdefghij".to_vec()));
     k.create_file("/big", FileData::Synthetic { len: 64 * 1024 });
     k
@@ -58,7 +58,7 @@ fn read_fills_the_buffer_cache_and_costs_time() {
         other => panic!("{other:?}"),
     }
     let cold = kc.clock - t0;
-    assert_eq!(k.bufs.lock().stats().misses, 2, "two 4 KiB blocks");
+    assert_eq!(k.bufs.borrow_mut().stats().misses, 2, "two 4 KiB blocks");
     // Same range again: cache hits, cheaper.
     call(&k, &mut kc, OsCall::Seek { fd, off: 0 }).unwrap();
     let t1 = kc.clock;
@@ -77,8 +77,8 @@ fn read_fills_the_buffer_cache_and_costs_time() {
         warm <= cold,
         "warm read must not cost more ({warm} > {cold})"
     );
-    assert_eq!(k.bufs.lock().stats().misses, 2, "no new misses");
-    assert!(k.bufs.lock().stats().hits >= 2);
+    assert_eq!(k.bufs.borrow_mut().stats().misses, 2, "no new misses");
+    assert!(k.bufs.borrow_mut().stats().hits >= 2);
 }
 
 #[test]
@@ -146,7 +146,7 @@ fn kernel_heap_is_balanced_after_send_paths() {
     call(&k, &mut kc, OsCall::Listen { port: 80 }).unwrap();
     {
         let pcb = k.heap.alloc(192);
-        k.net.lock().syn(compass_isa::ConnId(5), 80, pcb);
+        k.net.borrow_mut().syn(compass_isa::ConnId(5), 80, pcb);
     }
     let live_before = k.heap.live_bytes();
     let fd = match call(
@@ -208,7 +208,7 @@ fn eviction_writeback_preserves_content() {
         nbufs: 2,
         ..KernelConfig::default()
     };
-    let k = KernelShared::new(cfg, Arc::new(DevShared::new()));
+    let k = KernelShared::new(cfg, Rc::new(DevShared::new()));
     k.create_file("/t", FileData::Bytes(Vec::new()));
     let sink = RawSink;
     let mut kc = KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64);
@@ -252,5 +252,8 @@ fn eviction_writeback_preserves_content() {
             other => panic!("{other:?}"),
         }
     }
-    assert!(k.bufs.lock().stats().writebacks > 0, "evictions happened");
+    assert!(
+        k.bufs.borrow_mut().stats().writebacks > 0,
+        "evictions happened"
+    );
 }

@@ -10,10 +10,10 @@ use compass_mem::VAddr;
 use compass_os::fs::FileData;
 use compass_os::kctx::{KernelCtx, RawSink};
 use compass_os::{syscalls, Errno, Fd, KernelConfig, KernelShared, OsCall, SysVal};
-use std::sync::Arc;
+use std::rc::Rc;
 
-fn kernel() -> Arc<KernelShared> {
-    let k = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+fn kernel() -> Rc<KernelShared> {
+    let k = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
     k.create_file("/ten", FileData::Bytes(b"0123456789".to_vec()));
     k
 }
@@ -291,7 +291,7 @@ fn writes_past_eof_extend_and_count_fs_write_bytes() {
     let k = kernel();
     let sink = RawSink;
     let mut kc = kc(&sink);
-    let before = k.fs_write_bytes.load(std::sync::atomic::Ordering::Relaxed);
+    let before = k.fs_write_bytes.get();
     let fd = open(&k, &mut kc, "/new", true);
     assert_eq!(
         call(
@@ -316,7 +316,7 @@ fn writes_past_eof_extend_and_count_fs_write_bytes() {
         Ok(SysVal::Stat(st)) => assert_eq!(st.len, 4196, "write at 4096 + 100 bytes"),
         other => panic!("{other:?}"),
     }
-    let after = k.fs_write_bytes.load(std::sync::atomic::Ordering::Relaxed);
+    let after = k.fs_write_bytes.get();
     assert_eq!(after - before, 100, "fs_write_bytes counts every byte");
     assert_eq!(call(&k, &mut kc, OsCall::Close { fd }), Ok(SysVal::Unit));
 }

@@ -488,7 +488,7 @@ impl Scenario {
 /// compute. The op sequence depends only on `(seed, rank)` — never on
 /// simulated time — so frontend event and OS-call counts are invariant
 /// across every backend knob.
-fn file_chaos(seed: u64, rank: u16, steps: u32, nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
+fn file_chaos(seed: u64, rank: u16, steps: u32, nprocs: u16) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let mut rng = SimRng::seed_from_u64(seed ^ ((rank as u64 + 1).wrapping_mul(0x9E37_79B9)));
         let seg = cpu.shmget(0x51CC, 8 * 4096);

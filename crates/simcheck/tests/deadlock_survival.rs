@@ -11,7 +11,7 @@ const LOCK_A: VAddr = VAddr(0x5000_0000);
 const LOCK_B: VAddr = VAddr(0x5000_0040);
 const BARRIER: VAddr = VAddr(0x5000_0080);
 
-fn ab_ba(first: VAddr, second: VAddr) -> impl FnMut(&mut CpuCtx) + Send {
+fn ab_ba(first: VAddr, second: VAddr) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let seg = cpu.shmget(0xDEAD, 4096);
         let base = cpu.shmat(seg);

@@ -85,7 +85,7 @@ impl Db2Shared {
             nrows += 1;
         }
         kernel.create_file(&path, FileData::Bytes(bytes));
-        if kernel.fs.lock().lookup("/db/LOG").is_none() {
+        if kernel.fs.borrow_mut().lookup("/db/LOG").is_none() {
             kernel.create_file("/db/LOG", FileData::Bytes(Vec::new()));
         }
         tables.push(TableMeta {

@@ -349,7 +349,7 @@ pub fn terminal(
     rank: u64,
     sink: Arc<parking_lot::Mutex<Vec<TerminalStats>>>,
     cust_index: Arc<Index>,
-) -> impl FnMut(&mut CpuCtx) + Send {
+) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let session = Db2Session::attach(cpu, Arc::clone(&shared));
         let idx_base = attach_index_segment(cpu);

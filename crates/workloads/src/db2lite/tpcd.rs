@@ -277,7 +277,7 @@ pub fn query_worker(
     rank: u64,
     nparts: u64,
     results: Arc<QueryResults>,
-) -> impl FnMut(&mut CpuCtx) + Send {
+) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let session = Db2Session::attach(cpu, Arc::clone(&shared));
         let merge_lock = session.base + 8 * 64; // control-page line

@@ -81,7 +81,7 @@ fn expect_fd(r: Result<SysVal, Errno>) -> compass_os::Fd {
 }
 
 /// Builds the body of one worker process.
-pub fn worker(cfg: ServerConfig, tickets: Arc<SharedTickets>) -> impl FnMut(&mut CpuCtx) + Send {
+pub fn worker(cfg: ServerConfig, tickets: Arc<SharedTickets>) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let buf = cpu.malloc_pages(cfg.chunk.max(4096));
         let lfd = expect_fd(cpu.os_call(OsCall::Listen { port: cfg.port }));

@@ -170,16 +170,16 @@ mod tests {
     use super::*;
     use compass_comm::DevShared;
     use compass_os::KernelConfig;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn fileset_has_36_files_per_directory() {
-        let k = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+        let k = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
         let n = generate_fileset(&k, FileSetConfig { dirs: 3 });
         assert_eq!(n, 3 * 36);
-        assert_eq!(k.fs.lock().len(), 108);
+        assert_eq!(k.fs.borrow_mut().len(), 108);
         // Spot-check a size: class 2, file 4 -> 5 * 10240.
-        let st = k.fs.lock().stat(&path_of(0, 2, 4)).unwrap();
+        let st = k.fs.borrow_mut().stat(&path_of(0, 2, 4)).unwrap();
         assert_eq!(st.len, 51_200);
     }
 
@@ -218,12 +218,12 @@ mod tests {
 
     #[test]
     fn trace_paths_exist_in_the_fileset() {
-        let k = KernelShared::new(KernelConfig::default(), Arc::new(DevShared::new()));
+        let k = KernelShared::new(KernelConfig::default(), Rc::new(DevShared::new()));
         let cfg = FileSetConfig { dirs: 2 };
         generate_fileset(&k, cfg);
         let t = generate_trace(cfg, 500, 7);
         for e in &t.entries {
-            let st = k.fs.lock().stat(&e.path).unwrap();
+            let st = k.fs.borrow_mut().stat(&e.path).unwrap();
             assert_eq!(
                 st.len, e.size as u64,
                 "trace size matches file {:?}",

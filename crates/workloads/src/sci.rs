@@ -37,7 +37,7 @@ impl Default for SciConfig {
 }
 
 /// Builds the process body for worker `rank`.
-pub fn worker(cfg: SciConfig, rank: u16) -> impl FnMut(&mut CpuCtx) + Send {
+pub fn worker(cfg: SciConfig, rank: u16) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         // Private matrix.
         let bytes = cfg.rows * cfg.cols * 8;

@@ -1,13 +1,16 @@
-//! The simulated threads are coroutines on the backend's host thread:
-//! what that promises end to end — no per-process host threads, panics
-//! that come back as errors (backend, also when it runs on a process's
-//! stack to serve its post) or re-raised payloads (workload), and an
-//! in-program host-time ledger that accounts for the run's wall.
+//! The simulated threads are coroutines on the thread that calls
+//! `try_run`: what that promises end to end — no host threads of the
+//! simulator's own, panics that come back as errors (backend, also when
+//! it runs on a process's stack to serve its post) or re-raised payloads
+//! (workload), runs after an error on the same thread that are unchanged,
+//! and an in-program host-time ledger that accounts for the run's wall.
 
+use compass::runner::RunReport;
 use compass::{ArchConfig, CpuCtx, RunError, SimBuilder};
 use compass_backend::TrafficSource;
 use compass_comm::{Frame, FrameKind};
 use compass_isa::{ConnId, Cycles, NicId};
+use compass_mem::VAddr;
 use compass_os::{OsCall, SysVal};
 use compass_simcheck::{apply_scenario_knobs, presets};
 
@@ -131,29 +134,43 @@ fn a_workload_panic_is_reraised_with_its_payload() {
     );
 }
 
+/// This process's host threads named like the calling one (`comm`, as
+/// `/proc/self/task` lists them). A thread spawned without a name
+/// inherits its creator's, while the test harness names every other
+/// test's thread after that test, so a thread the run spawned shows up
+/// here (or as `compass-*`) and a concurrently running test does not.
+#[cfg(target_os = "linux")]
+fn threads_like(comm: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|n| n.trim_end() == comm || n.starts_with("compass"))
+        .count()
+}
+
 #[cfg(target_os = "linux")]
 #[test]
-fn simulated_threads_run_on_the_backend_thread() {
+fn simulated_threads_run_on_the_calling_thread() {
+    let caller = std::thread::current().id();
+    let comm = std::fs::read_to_string("/proc/thread-self/comm").expect("procfs");
+    let comm = comm.trim_end().to_string();
+    let before = threads_like(&comm);
+    let seen = std::rc::Rc::new(std::cell::Cell::new(None));
+    let during = std::rc::Rc::clone(&seen);
     let report = SimBuilder::new(ArchConfig::ccnuma(2, 2))
-        .add_process(|cpu: &mut CpuCtx| {
+        .add_process(move |cpu: &mut CpuCtx| {
             busy(cpu);
-            assert_eq!(std::thread::current().name(), Some("compass-backend"));
-            let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-                .expect("procfs")
-                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-                .collect();
-            for n in &names {
-                assert!(
-                    !n.starts_with("app-process")
-                        && !n.starts_with("os-thread")
-                        && !n.starts_with("kernel-bottom"),
-                    "a simulated thread has its own host thread: {n:?}"
-                );
-            }
+            assert_eq!(std::thread::current().id(), caller);
+            during.set(Some(threads_like(&comm)));
         })
         .add_process(busy)
         .run();
     assert_eq!(report.frontends.len(), 2);
+    let during = seen.get().expect("the process ran");
+    assert!(
+        during <= before,
+        "the run started host threads: {before} before, {during} during"
+    );
 }
 
 #[test]
@@ -186,8 +203,8 @@ fn the_host_ledger_accounts_for_the_wall() {
 
 /// The quick start of `crates/core/src/lib.rs`, whose doctest once failed
 /// without its output being kept.
-fn quick_start() -> Cycles {
-    let report = SimBuilder::new(ArchConfig::simple_smp(2))
+fn quick_start() -> RunReport {
+    SimBuilder::new(ArchConfig::simple_smp(2))
         .prepare_kernel(|k| {
             k.create_file("/data", compass_os::fs::FileData::Synthetic { len: 8192 });
         })
@@ -203,27 +220,79 @@ fn quick_start() -> Cycles {
             let _ = cpu.os_call(OsCall::Read { fd, len: 4096, buf });
             let _ = cpu.os_call(OsCall::Close { fd });
         })
-        .run();
-    report.backend.global_cycles
+        .run()
+}
+
+/// Everything a run reports that it simulated (its host timings, trace
+/// and counters left out), as text.
+fn simulated(r: &RunReport) -> String {
+    format!(
+        "{:?}",
+        (
+            &r.backend,
+            &r.syscalls,
+            &r.bufcache,
+            &r.net,
+            r.intr_cycles,
+            &r.frontends,
+            r.fs_write_bytes,
+        )
+    )
+}
+
+/// The AB/BA lock cycle of `tests/deadlock.rs`: both processes grab one
+/// lock, meet at a barrier, then reach for the other's lock.
+fn ab_ba(first: VAddr, second: VAddr) -> impl FnMut(&mut CpuCtx) {
+    move |cpu: &mut CpuCtx| {
+        let seg = cpu.shmget(0xDEAD, 4096);
+        let base = cpu.shmat(seg);
+        cpu.store(base, 8);
+        cpu.lock(first);
+        cpu.barrier(VAddr(0x5000_0080), 2);
+        cpu.lock(second); // never returns
+        cpu.unlock(second);
+        cpu.unlock(first);
+    }
+}
+
+#[test]
+fn a_failed_run_leaves_the_thread_clean_for_the_next() {
+    // The engine, the running task and the running coroutine are
+    // thread-locals of the calling thread; a run that ends in an error
+    // must leave all three as it found them.
+    let first = simulated(&quick_start());
+    let (a, b) = (VAddr(0x5000_0000), VAddr(0x5000_0040));
+    let mut wedged = SimBuilder::new(ArchConfig::simple_smp(2))
+        .add_process(ab_ba(a, b))
+        .add_process(ab_ba(b, a));
+    wedged.config_mut().backend.timer_interval = Some(10_000);
+    let err = wedged.try_run().expect_err("AB/BA cycle must deadlock");
+    assert!(matches!(err, RunError::Deadlock { .. }), "got {err}");
+    let second = simulated(&quick_start());
+    assert_eq!(first, second, "the run after the error diverged");
+    let fresh = std::thread::spawn(|| simulated(&quick_start()))
+        .join()
+        .expect("the run on a fresh thread");
+    assert_eq!(first, fresh, "a run on a fresh thread differs");
 }
 
 /// The quick start looped under parallel load: four threads run it at
-/// once, 2,500 times each, so a host-side race in spawning the
-/// `compass-backend` thread (`spawn backend`) or mapping coroutine stacks
-/// (`cannot map a coroutine stack`) would show as a failed or diverging
-/// run. A stress loop rather than a per-change check, so ignored:
-/// `cargo test --test coroutines -- --ignored` (about 7 s in a debug
-/// build and 2 s in release on a 2-vCPU VM).
+/// once, 2,500 times each, the shape of the fleet's workers, so a
+/// host-side race in mapping coroutine stacks (`cannot map a coroutine
+/// stack`) or in a thread's engine and task state would show as a failed
+/// or diverging run. A stress loop rather than a per-change check, so
+/// ignored: `cargo test --release --test coroutines -- --ignored` (CI
+/// runs it; about 1 s in release on a 2-vCPU VM).
 #[test]
 #[ignore]
 fn the_quick_start_survives_parallel_load() {
-    let want = quick_start();
+    let want = quick_start().backend.global_cycles;
     assert!(want > 0);
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
                 for _ in 0..2_500 {
-                    assert_eq!(quick_start(), want, "a run diverged");
+                    assert_eq!(quick_start().backend.global_cycles, want, "a run diverged");
                 }
             });
         }

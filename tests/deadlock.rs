@@ -15,7 +15,7 @@ const BARRIER: VAddr = VAddr(0x5000_0080);
 
 /// Classic AB/BA cycle: both processes grab one lock, meet at a barrier
 /// so neither can win, then reach for the other's lock.
-fn ab_ba(first: VAddr, second: VAddr) -> impl FnMut(&mut CpuCtx) + Send {
+fn ab_ba(first: VAddr, second: VAddr) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let seg = cpu.shmget(0xDEAD, 4096);
         let base = cpu.shmat(seg);

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A process body generated from a seed: a random mix of the primitives.
-fn chaos_process(seed: u64, nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
+fn chaos_process(seed: u64, nprocs: u16) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let mut rng = SimRng::seed_from_u64(seed);
         let seg = cpu.shmget(0xC0DE, 16 * 4096);
@@ -121,7 +121,7 @@ fn chaos_is_deterministic_across_runs() {
 
 /// Reader/writer ping-pong over one shared line: every round the
 /// writer's store invalidates the reader's cached copy.
-fn pingpong_process(role: usize) -> impl FnMut(&mut CpuCtx) + Send {
+fn pingpong_process(role: usize) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let seg = cpu.shmget(0xBEEF, 4096);
         let base = cpu.shmat(seg);
@@ -143,7 +143,7 @@ fn pingpong_process(role: usize) -> impl FnMut(&mut CpuCtx) + Send {
 /// Maps a file region, touches it twice under first-touch placement and
 /// unmaps it, four times over: the page tables are torn down and rebuilt
 /// between rounds.
-fn remap_process() -> impl FnMut(&mut CpuCtx) + Send {
+fn remap_process() -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         for _ in 0..4 {
             let region = cpu.mmap("/data", 4 * 4096).expect("mmap");

@@ -4,7 +4,7 @@
 
 use compass::{ArchConfig, CpuCtx, SimBuilder};
 
-fn run_with(body: impl FnMut(&mut CpuCtx) + Send + 'static) -> compass::runner::RunReport {
+fn run_with(body: impl FnMut(&mut CpuCtx) + 'static) -> compass::runner::RunReport {
     let b = SimBuilder::new(ArchConfig::simple_smp(1)).add_process(body);
     b.run()
 }

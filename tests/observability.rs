@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// A small mixed workload touching every instrumented subsystem: shared
 /// memory (locks), private memory, file I/O, compute.
-fn workload(nprocs: u16) -> impl FnMut(&mut CpuCtx) + Send {
+fn workload(nprocs: u16) -> impl FnMut(&mut CpuCtx) {
     move |cpu: &mut CpuCtx| {
         let seg = cpu.shmget(0xBEEF, 4 * 4096);
         let base = cpu.shmat(seg);

@@ -222,6 +222,47 @@ fn the_engine_has_one_run_mode() {
 }
 
 #[test]
+fn a_run_is_single_thread_state_on_the_calling_thread() {
+    // `try_run` runs the executor and the engine inline, so the runner
+    // touches no host thread, and the kernel and the device postbox are
+    // plain single-thread state (`RefCell`/`Cell` behind an `Rc`): no
+    // host lock or atomic in their code (each file up to its
+    // `#[cfg(test)]`).
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code = |path: &std::path::Path| {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        text.split("#[cfg(test)]")
+            .next()
+            .unwrap_or_default()
+            .to_string()
+    };
+    let runner = root.join("crates/core/src/runner.rs");
+    assert!(
+        !code(&runner).contains("std::thread"),
+        "{}: names `std::thread` outside its tests",
+        runner.display()
+    );
+    let mut files = vec![root.join("crates/comm/src/devshared.rs")];
+    for entry in std::fs::read_dir(root.join("crates/os/src")).expect("crates/os/src") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    assert!(files.len() >= 10, "only {} sources found", files.len());
+    for path in &files {
+        let code = code(path);
+        for name in ["parking_lot", "Mutex", "Atomic"] {
+            assert!(
+                !code.contains(name),
+                "{}: names `{name}` outside its tests",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
 fn engine_trace_recording_is_complete_and_ordered() {
     // The simcheck oracle's foundation (API surface asserted here, full
     // differential replay in crates/simcheck): SimBuilder::record_accesses

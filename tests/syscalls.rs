@@ -5,7 +5,7 @@ use compass::{ArchConfig, CpuCtx, SimBuilder};
 use compass_os::fs::FileData;
 use compass_os::{Errno, Fd, OsCall, SysVal};
 
-fn sim(body: impl FnMut(&mut CpuCtx) + Send + 'static) -> compass::runner::RunReport {
+fn sim(body: impl FnMut(&mut CpuCtx) + 'static) -> compass::runner::RunReport {
     let b = SimBuilder::new(ArchConfig::simple_smp(1))
         .prepare_kernel(|k| {
             k.create_file("/small", FileData::Bytes(b"0123456789".to_vec()));
