@@ -17,7 +17,9 @@ cargo test -q --workspace --features check-invariants
 cargo run --release -q -p compass-simcheck -- --soak 30
 # The reference memo's differential proptests again, in release at 16x
 # the default case count: the L1 rehit against the full hierarchy
-# access, and the memoised translation against a fresh page walk.
+# access, and the two-entry translation memo (each CPU's last two pages,
+# so the kernel-buffer/user-page alternation of a block copy hits it)
+# against a fresh page walk, block copies included.
 PROPTEST_CASES=4096 cargo test --release -q -p compass-arch --test rehit_props
 PROPTEST_CASES=4096 cargo test --release -q -p compass-backend --test memo_props
 # The parallel-load stress test: four threads each run the quick start
@@ -49,7 +51,8 @@ cargo run --release -q -p compass-fleet -- --preset paper --quiet --out target/p
 # Notifier::new epoch and ReqPort, both driven from std::thread posters
 # that park in coro::wait and never reach an engine (ReqPort is unused by
 # the simulator; only the benchmark's comm.reqport_call_ns probe keeps
-# it), and the counter names it reads (a deleted one reads 0).
+# it), Tlb::access(pid, va) -> bool (its mem.tlb_access_ns probe), and
+# the counter names it reads (a deleted one reads 0).
 bash benchmark/run.sh --check-manifest BENCHMARK.json
 cargo test --offline --manifest-path benchmark/Cargo.toml
 # Golden fingerprints: one short driver run per workload at the golden

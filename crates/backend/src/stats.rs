@@ -129,6 +129,7 @@ impl Backend {
         self.obs
             .add(Ctr::DiskPollsEliminated, self.devshared.polls_eliminated());
         self.obs.add(Ctr::ScanIndexUpdates, self.index.writes());
+        self.obs.add(Ctr::FullTranslations, self.full_translations);
         let (placement, pages_per_node) = self.vm.placement_stats();
         let stats = BackendStats {
             procs: self.procs.iter().map(|p| p.times).collect(),

@@ -9,32 +9,43 @@
 //!
 //! # The reference memo
 //!
-//! Most references repeat the same CPU's previous page, and many its
-//! previous L1 line: on the `sci` benchmark 99.8 % of all references are
-//! served from the memo below, and 83 % of all references by an L1 rehit
-//! as well. Each CPU therefore keeps its last full translation: process,
-//! page, that process's page-table generation, whether the translating
-//! reference was a write, frame and home node. A reference is
-//! served from the memo ([`Vm::translate_memo`]) when it names the same
-//! process and page, the page table's generation has not moved (every
-//! `map`, `unmap` and `lookup_mut` moves it), it is not a write through a
-//! memo a read took, and the page's TLB entry still sits in the TLB's MRU
-//! slot ([`Tlb::rehit`], which books the hit exactly as `Tlb::access`
-//! would). Such a reference skips the page walk, the `HomeMap` probe, the
-//! TLB set scan and the CPU-to-node lookup. Its hierarchy access then
-//! tries [`compass_arch::Hierarchy::l1_rehit`], which serves a read, or a
-//! write to a Modified line, whose line still sits in the L1's MRU slot,
+//! Most references repeat one of the same CPU's last two pages, and many
+//! the CPU's previous L1 line. Each CPU therefore keeps its two most
+//! recent full translations, most recent first: process, page, that
+//! process's page-table generation, whether the translating reference
+//! was a write, frame, home node and the TLB slot the page's entry sat
+//! in. A reference is served from the memo ([`Vm::translate_memo`]) when
+//! it names the process and page of either entry, the page table's
+//! generation has not moved (every `map`, `unmap` and `lookup_mut` moves
+//! it), it is not a write through an entry a read took, and the page's
+//! TLB entry still sits in the recorded slot ([`Tlb::rehit`], which books
+//! the hit exactly as `Tlb::access` would). Such a reference skips the
+//! page walk, the `HomeMap` probe, the TLB set scan and the CPU-to-node
+//! lookup. Its hierarchy access then tries
+//! [`compass_arch::Hierarchy::l1_rehit`], which serves a read, or a write
+//! to a Modified line, whose line still sits in the L1's MRU slot,
 //! booking exactly the L1 hit `Hierarchy::access` would; anything else
 //! takes the full `access` with the memoised home.
 //!
+//! Entry 0 is checked first, and a hit on entry 1 swaps the two. A full
+//! translation pushes entry 1 out, unless it re-translates entry 0's page,
+//! which it then replaces in place. Two entries, because the kernel's
+//! block copies (`KernelCtx::copy`: `read`, `write`, `recv`, `send`)
+//! alternate a line of a kernel buffer page with a line of a user page:
+//! a one-page memo misses on nearly every reference of a copy. Share of
+//! all references the memo serves on the benchmark's golden inputs, one
+//! entry → two: `tpcd` 16.1 → 95.1 %, `httplite` 7.9 → 90.6 %, `tpcc`
+//! 52.5 → 71.5 %, `sci` 99.8 → 99.8 % (99.8 % of `sci`'s references hit
+//! entry 0), and 83 % of `sci`'s references are L1 rehits as well.
+//!
 //! Both halves check themselves against the live structures on every use,
 //! so no unmap, flush, invalidation or downgrade has to remember to reset
-//! them: a TLB flush empties the slot, another CPU's invalidation empties
+//! them: a TLB flush empties the slots, another CPU's invalidation empties
 //! the L1 slot, a downgrade leaves a Shared line a write will not take.
 //! Every simulated number is the same with or without them. The
 //! software-DSM memory system bypasses the memo, because its page
 //! residency (`dsm_access`) must see every reference; so does a machine
-//! without TLBs, which has no MRU slot to check.
+//! without TLBs, which has no slot to check.
 
 use crate::engine::Backend;
 use compass_arch::{Access, AccessClass};
@@ -42,7 +53,7 @@ use compass_comm::ExecMode;
 use compass_isa::{CpuId, Cycles, FoldHashMap, NodeId, ProcessId, SegId};
 use compass_mem::{
     addr, FrameAllocator, HomeMap, PAddr, PageFlags, PageTable, PlacementPolicy, Region, ShmError,
-    ShmRegistry, Tlb, TlbStats, VAddr, PAGE_SIZE,
+    ShmRegistry, Tlb, TlbSlot, TlbStats, VAddr, PAGE_SIZE,
 };
 use compass_obs::{Ctr, TraceKind};
 use std::collections::HashMap;
@@ -153,8 +164,8 @@ pub struct VmStats {
     pub dsm_write_faults: u64,
 }
 
-/// One CPU's memoised translation (see "The reference memo" in the module
-/// docs).
+/// One of a CPU's two memoised translations (see "The reference memo" in
+/// the module docs).
 #[derive(Debug, Clone, Copy)]
 struct Memo {
     pid: ProcessId,
@@ -167,6 +178,8 @@ struct Memo {
     writable: bool,
     ppn: u64,
     home: usize,
+    /// The TLB slot the page's entry sat in after the translation.
+    tlb: TlbSlot,
 }
 
 /// A virtual page number no 32-bit address has.
@@ -180,7 +193,18 @@ impl Memo {
         writable: false,
         ppn: 0,
         home: 0,
+        tlb: (0, 0),
     };
+
+    /// Whether this entry serves `write` by `pid` to the page `vpn` of a
+    /// page table at `generation` (the TLB slot is checked apart).
+    #[inline]
+    fn covers(&self, pid: ProcessId, vpn: u32, write: bool, generation: u64) -> bool {
+        self.vpn == vpn
+            && self.pid == pid
+            && (self.writable || !write)
+            && self.generation == generation
+    }
 }
 
 /// The backend's VM manager.
@@ -194,9 +218,9 @@ pub struct Vm {
     nodes: usize,
     dsm_enabled: bool,
     dsm_pages: FoldHashMap<u64, PageRes>,
-    /// Per-CPU reference memos; empty (memo off) under software DSM or
-    /// without TLBs.
-    memo: Vec<Memo>,
+    /// Per-CPU reference memos, most recent entry first; empty (memo off)
+    /// under software DSM or without TLBs.
+    memo: Vec<[Memo; 2]>,
     stats: VmStats,
 }
 
@@ -224,7 +248,7 @@ impl Vm {
         let memo = if dsm_enabled || tlbs.is_empty() {
             Vec::new()
         } else {
-            vec![Memo::EMPTY; ncpus]
+            vec![[Memo::EMPTY; 2]; ncpus]
         };
         Self {
             tables: (0..nprocs).map(|_| PageTable::new()).collect(),
@@ -357,11 +381,11 @@ impl Vm {
         true
     }
 
-    /// Serves a repeat of `cpu`'s memoised page (see "The reference memo"
-    /// in the module docs): the physical address and home node a full
-    /// [`Vm::translate`] would return, with the TLB hit booked. `None`
-    /// when the memo does not apply; nothing is booked then, and the
-    /// caller takes `translate`.
+    /// Serves a repeat of one of `cpu`'s two memoised pages (see "The
+    /// reference memo" in the module docs): the physical address and home
+    /// node a full [`Vm::translate`] would return, with the TLB hit
+    /// booked. `None` when the memo does not apply; nothing is booked
+    /// then, and the caller takes `translate`.
     #[inline]
     pub fn translate_memo(
         &mut self,
@@ -370,13 +394,20 @@ impl Vm {
         va: VAddr,
         write: bool,
     ) -> Option<(PAddr, usize)> {
-        let m = *self.memo.get(cpu.index())?;
-        let hit = m.vpn == va.vpn()
-            && m.pid == pid
-            && (m.writable || !write)
-            && m.generation == self.tables[pid.index()].generation()
-            && self.tlbs[cpu.index()].rehit(pid, va);
-        hit.then(|| (PAddr::from_parts(m.ppn, va.page_offset()), m.home))
+        let memo = self.memo.get_mut(cpu.index())?;
+        let vpn = va.vpn();
+        let generation = self.tables[pid.index()].generation();
+        let tlb = &mut self.tlbs[cpu.index()];
+        let m = memo[0];
+        if m.covers(pid, vpn, write, generation) && tlb.rehit(pid, va, m.tlb) {
+            return Some((PAddr::from_parts(m.ppn, va.page_offset()), m.home));
+        }
+        let m = memo[1];
+        if m.covers(pid, vpn, write, generation) && tlb.rehit(pid, va, m.tlb) {
+            memo.swap(0, 1);
+            return Some((PAddr::from_parts(m.ppn, va.page_offset()), m.home));
+        }
+        None
     }
 
     /// Translates one reference, taking demand-zero / lazy-attach faults
@@ -412,10 +443,12 @@ impl Vm {
             .homes
             .home_or_first_touch(paddr.ppn(), NodeId::from(node))
             .index();
-        let tlb_miss = if self.tlbs.is_empty() {
-            false
-        } else {
-            !self.tlbs[cpu.index()].access(pid, va)
+        let (tlb_miss, tlb_slot) = match self.tlbs.get_mut(cpu.index()) {
+            Some(tlb) => {
+                let (hit, slot) = tlb.access_slot(pid, va);
+                (!hit, slot)
+            }
+            None => (false, (0, 0)),
         };
         let dsm = if self.dsm_enabled && !va.is_kernel() {
             // (The old COMPASS_DSM_TRACE env dump lived here — per-ref
@@ -425,14 +458,19 @@ impl Vm {
         } else {
             None
         };
-        if let Some(m) = self.memo.get_mut(cpu.index()) {
-            *m = Memo {
+        if let Some(memo) = self.memo.get_mut(cpu.index()) {
+            let vpn = va.vpn();
+            if memo[0].vpn != vpn || memo[0].pid != pid {
+                memo[1] = memo[0];
+            }
+            memo[0] = Memo {
                 pid,
-                vpn: va.vpn(),
+                vpn,
                 generation: self.tables[pid.index()].generation(),
                 writable: write || va.is_kernel(),
                 ppn: paddr.ppn(),
                 home,
+                tlb: tlb_slot,
             };
         }
         Ok(Translation {
@@ -605,9 +643,10 @@ impl Vm {
     /// - a private (non-shared) frame belongs to at most one process;
     /// - materialised shm frames are allocated, and any attacher's PTE over
     ///   a shm page agrees with the segment's frame table;
-    /// - every CPU memo whose generation is current names the frame its
-    ///   page table maps (writable, if the memo says so) and the home the
-    ///   `HomeMap` records, and every TLB's MRU slot sits in its page's set.
+    /// - every CPU memo entry whose generation is current names the frame
+    ///   its page table maps (writable, if the entry says so), the home the
+    ///   `HomeMap` records and a TLB slot in its page's set, and a CPU's
+    ///   two entries never name the same process and page.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.check_memos()?;
         let mut private_owner: HashMap<u64, usize> = HashMap::new();
@@ -675,45 +714,60 @@ impl Vm {
 
     /// The memo half of [`Vm::check_invariants`].
     fn check_memos(&self) -> Result<(), String> {
-        for (cpu, tlb) in self.tlbs.iter().enumerate() {
-            tlb.check_mru().map_err(|e| format!("cpu {cpu}: {e}"))?;
+        for (cpu, memo) in self.memo.iter().enumerate() {
+            if memo[0].vpn != NO_PAGE && memo[0].vpn == memo[1].vpn && memo[0].pid == memo[1].pid {
+                return Err(format!(
+                    "cpu {cpu}: both memo entries name vpn {:#x} of {}",
+                    memo[0].vpn, memo[0].pid
+                ));
+            }
+            for m in memo {
+                self.check_memo(cpu, m)?;
+            }
         }
-        for (cpu, m) in self.memo.iter().enumerate() {
-            if m.vpn == NO_PAGE {
-                continue;
-            }
-            let table = &self.tables[m.pid.index()];
-            if m.generation != table.generation() {
-                continue; // a stale memo is never served
-            }
-            let va = VAddr(m.vpn << addr::PAGE_SHIFT);
-            let ppn = if va.is_kernel() {
-                addr::kernel_vtop(va).ppn()
-            } else {
-                let Some(pte) = table.lookup(va) else {
-                    return Err(format!("cpu {cpu}: memo names unmapped {va} of {}", m.pid));
-                };
-                if m.writable && (!pte.flags.writable || pte.flags.dsm_write_protected) {
-                    return Err(format!(
-                        "cpu {cpu}: memo says {va} of {} is writable",
-                        m.pid
-                    ));
-                }
-                pte.ppn
+        Ok(())
+    }
+
+    /// Checks one current memo entry of `cpu` against the page table, the
+    /// `HomeMap` and the TLB geometry.
+    fn check_memo(&self, cpu: usize, m: &Memo) -> Result<(), String> {
+        if m.vpn == NO_PAGE {
+            return Ok(());
+        }
+        let table = &self.tables[m.pid.index()];
+        if m.generation != table.generation() {
+            return Ok(()); // a stale entry is never served
+        }
+        let va = VAddr(m.vpn << addr::PAGE_SHIFT);
+        self.tlbs[cpu]
+            .check_slot(m.tlb, va)
+            .map_err(|e| format!("cpu {cpu}: memo of {va} of {}: {e}", m.pid))?;
+        let ppn = if va.is_kernel() {
+            addr::kernel_vtop(va).ppn()
+        } else {
+            let Some(pte) = table.lookup(va) else {
+                return Err(format!("cpu {cpu}: memo names unmapped {va} of {}", m.pid));
             };
-            if ppn != m.ppn {
+            if m.writable && (!pte.flags.writable || pte.flags.dsm_write_protected) {
                 return Err(format!(
-                    "cpu {cpu}: memo maps {va} of {} to frame {:#x}, the page table to {ppn:#x}",
-                    m.pid, m.ppn
+                    "cpu {cpu}: memo says {va} of {} is writable",
+                    m.pid
                 ));
             }
-            if self.homes.home(ppn).map(NodeId::index) != Some(m.home) {
-                return Err(format!(
-                    "cpu {cpu}: memo homes frame {ppn:#x} on node {}, the home map on {:?}",
-                    m.home,
-                    self.homes.home(ppn)
-                ));
-            }
+            pte.ppn
+        };
+        if ppn != m.ppn {
+            return Err(format!(
+                "cpu {cpu}: memo maps {va} of {} to frame {:#x}, the page table to {ppn:#x}",
+                m.pid, m.ppn
+            ));
+        }
+        if self.homes.home(ppn).map(NodeId::index) != Some(m.home) {
+            return Err(format!(
+                "cpu {cpu}: memo homes frame {ppn:#x} on node {}, the home map on {:?}",
+                m.home,
+                self.homes.home(ppn)
+            ));
         }
         Ok(())
     }
@@ -757,6 +811,7 @@ impl Backend {
                 (paddr, home, 0)
             }
             None => {
+                self.full_translations += 1;
                 let node = self.arch.hierarchy().node_of(c);
                 let tr = match self.vm.translate(pid, cpu, node, vaddr, write) {
                     Ok(tr) => tr,

@@ -2,8 +2,10 @@
 //! (`Vm::translate_memo`): a VM that serves repeat references from the
 //! memo must give every reference the frame and home a fresh full
 //! `Vm::translate` gives, and end with the same TLB, fault and placement
-//! counters, across demand faults, unmaps, shm detach/re-attach and
-//! context-switch TLB flushes.
+//! counters, across demand faults, unmaps, shm detach/re-attach,
+//! context-switch TLB flushes and block copies. A copy alternates a
+//! kernel page with a user page, so it is what exercises the memo's older
+//! entry.
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs these in release at
 //! 4096).
@@ -101,6 +103,33 @@ impl Twin {
         Ok(full)
     }
 
+    /// `lines` line pairs of a block copy from `src` to `dst`, starting
+    /// `offset` bytes into both pages (clipped at the page end).
+    fn copy(
+        &mut self,
+        pid: ProcessId,
+        cpu: CpuId,
+        src: VAddr,
+        dst: VAddr,
+        offset: u32,
+        lines: u32,
+    ) -> Result<Result<(), VmFault>, TestCaseError> {
+        let mut off = offset;
+        for _ in 0..lines {
+            if off >= PAGE_SIZE {
+                break;
+            }
+            if let Err(f) = self.reference(pid, cpu, src + off, false)? {
+                return Ok(Err(f));
+            }
+            if let Err(f) = self.reference(pid, cpu, dst + off, true)? {
+                return Ok(Err(f));
+            }
+            off += 64;
+        }
+        Ok(Ok(()))
+    }
+
     fn unmap(&mut self, pid: ProcessId, va: VAddr) {
         let a = self.fast.unmap_region(pid, va, PAGE_SIZE);
         assert_eq!(a, self.full.unmap_region(pid, va, PAGE_SIZE));
@@ -155,11 +184,23 @@ enum Op {
     Flush {
         cpu: usize,
     },
+    /// A `KernelCtx::copy`-shaped run: `lines` line pairs, each a read of
+    /// one page and a write of the other, between kernel page `kpage`
+    /// and user page `upage` (heap or shm).
+    Copy {
+        pid: u32,
+        cpu: usize,
+        kpage: u32,
+        upage: u32,
+        to_user: bool,
+        lines: u32,
+        offset: u32,
+    },
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     let op = (
-        0u8..16,
+        0u8..20,
         0u32..NPROCS as u32,
         0usize..NCPUS,
         0u32..10,
@@ -174,6 +215,15 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             1 => Op::ShmDt { pid },
             2 => Op::ShmAt { pid },
             3 => Op::Flush { cpu },
+            16..=19 => Op::Copy {
+                pid,
+                cpu,
+                kpage: 8 + page % 2,
+                upage: page % 8,
+                to_user: write,
+                lines: 1 + offset % 8,
+                offset: offset & !63,
+            },
             k => Op::Ref {
                 pid,
                 cpu,
@@ -214,6 +264,22 @@ fn run(placement: PlacementPolicy, ops: &[Op]) -> Result<(), TestCaseError> {
             Op::ShmDt { pid } => t.shmdt(ProcessId(pid)),
             Op::ShmAt { pid } => t.shmat(ProcessId(pid)),
             Op::Flush { cpu } => t.flush(CpuId(cpu as u16)),
+            Op::Copy {
+                pid,
+                cpu,
+                kpage,
+                upage,
+                to_user,
+                lines,
+                offset,
+            } => {
+                let (k, u) = (va_of(kpage), va_of(upage));
+                let (src, dst) = if to_user { (k, u) } else { (u, k) };
+                // A copy faulting on an unattached shm page stops there,
+                // as the engine's run would.
+                let _ = t.copy(ProcessId(pid), CpuId(cpu as u16), src, dst, offset, lines)?;
+                last[cpu] = if to_user { upage } else { kpage };
+            }
         }
     }
     t.agree()
@@ -315,4 +381,28 @@ fn the_daemon_and_an_application_alternating_on_one_cpu_keep_apart() {
     served(t.reference(daemon, C0, kernel + 4, false));
     assert_eq!(t.memo_hits, 1);
     t.agree().unwrap();
+}
+
+#[test]
+fn a_page_copy_takes_full_translations_for_its_first_two_references_only() {
+    for to_user in [true, false] {
+        let mut t = Twin::new(PlacementPolicy::FirstTouch);
+        let (kernel, user) = (VAddr(KERNEL), VAddr(HEAP + 2 * PAGE_SIZE));
+        let (src, dst) = if to_user {
+            (kernel, user)
+        } else {
+            (user, kernel)
+        };
+        // The user page is mapped already (a demand fault moves the page
+        // table's generation, which retires both entries).
+        served(t.reference(P0, CpuId(1), user, true));
+        let lines = PAGE_SIZE / 64;
+        t.copy(P0, C0, src, dst, 0, lines).unwrap().unwrap();
+        assert_eq!(
+            t.memo_hits,
+            2 * lines as u64 - 2,
+            "copy to user {to_user}: only the first read and the first write translate"
+        );
+        t.agree().unwrap();
+    }
 }

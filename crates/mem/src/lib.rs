@@ -33,4 +33,4 @@ pub use frame::FrameAllocator;
 pub use page_table::{PageFlags, PageTable, TranslateError};
 pub use placement::{HomeMap, PlacementPolicy};
 pub use shm::{ShmError, ShmRegistry, ShmSegment};
-pub use tlb::{Tlb, TlbStats};
+pub use tlb::{Tlb, TlbSlot, TlbStats};

@@ -41,15 +41,16 @@ struct TlbEntry {
     stamp: u64,
 }
 
+/// A TLB slot: `(set, way)`. [`Tlb::access_slot`] reports the slot a
+/// page's entry occupies, and [`Tlb::rehit`] checks that slot again.
+pub type TlbSlot = (usize, usize);
+
 /// A set-associative TLB.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     sets: Vec<Vec<Option<TlbEntry>>>,
     assoc: usize,
     tick: u64,
-    /// The slot `(set, way)` the most recent [`Tlb::access`] hit or
-    /// filled: the MRU entry, which [`Tlb::rehit`] checks first.
-    mru: (usize, usize),
     stats: TlbStats,
 }
 
@@ -71,7 +72,6 @@ impl Tlb {
             sets: vec![vec![None; assoc]; nsets],
             assoc,
             tick: 0,
-            mru: (0, 0),
             stats: TlbStats::default(),
         }
     }
@@ -88,7 +88,14 @@ impl Tlb {
 
     /// Looks up the page containing `va` for process `pid`; fills the entry
     /// on miss. Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, pid: ProcessId, va: VAddr) -> bool {
+        self.access_slot(pid, va).0
+    }
+
+    /// [`Tlb::access`], also returning the slot that holds the page's
+    /// entry afterwards (the one it hit or filled).
+    pub fn access_slot(&mut self, pid: ProcessId, va: VAddr) -> (bool, TlbSlot) {
         self.tick += 1;
         let vpn = va.vpn();
         let set = self.set_of(vpn);
@@ -98,8 +105,7 @@ impl Tlb {
                 if e.pid == pid && e.vpn == vpn {
                     e.stamp = self.tick;
                     self.stats.hits += 1;
-                    self.mru = (set, way);
-                    return true;
+                    return (true, (set, way));
                 }
             }
         }
@@ -115,18 +121,18 @@ impl Tlb {
             vpn,
             stamp: self.tick,
         });
-        self.mru = (set, way);
-        false
+        (false, (set, way))
     }
 
-    /// [`Tlb::access`] without the set scan, for a repeat of the most
-    /// recent lookup's page: when the MRU slot still holds `pid`'s entry
-    /// for `va`, books the hit exactly as `access` would (tick, stamp, hit
-    /// count) and returns `true`. Otherwise changes nothing and returns
-    /// `false`; the caller then takes the full `access`.
+    /// [`Tlb::access`] without the set scan, for a page whose entry an
+    /// earlier [`Tlb::access_slot`] reported at `slot`: when the slot
+    /// still holds `pid`'s entry for `va`, books the hit exactly as
+    /// `access` would (tick, stamp, hit count) and returns `true`.
+    /// Otherwise changes nothing and returns `false`; the caller then
+    /// takes the full `access`. A page has at most one entry, in its own
+    /// set, so a slot that holds it is where `access` would find it.
     #[inline]
-    pub fn rehit(&mut self, pid: ProcessId, va: VAddr) -> bool {
-        let (set, way) = self.mru;
+    pub fn rehit(&mut self, pid: ProcessId, va: VAddr, (set, way): TlbSlot) -> bool {
         match &mut self.sets[set][way] {
             Some(e) if e.pid == pid && e.vpn == va.vpn() => {
                 self.tick += 1;
@@ -138,18 +144,16 @@ impl Tlb {
         }
     }
 
-    /// Checks that an occupied MRU slot sits in the set its page maps to,
-    /// so a [`Tlb::rehit`] books only hits a full lookup would find.
-    pub fn check_mru(&self) -> Result<(), String> {
-        let (set, way) = self.mru;
-        match self.sets[set][way] {
-            Some(e) if self.set_of(e.vpn) != set => Err(format!(
-                "TLB MRU slot ({set}, {way}) holds vpn {:#x} of set {}",
-                e.vpn,
-                self.set_of(e.vpn)
-            )),
-            _ => Ok(()),
+    /// Checks that `slot` is a way of the set the page at `va` maps to,
+    /// so a [`Tlb::rehit`] there books only hits a full lookup would find.
+    pub fn check_slot(&self, (set, way): TlbSlot, va: VAddr) -> Result<(), String> {
+        let want = self.set_of(va.vpn());
+        if set != want || way >= self.assoc {
+            return Err(format!(
+                "TLB slot ({set}, {way}) is not a way of {va}'s set {want}"
+            ));
         }
+        Ok(())
     }
 
     /// Invalidates one page mapping (munmap/shmdt/page migration).
@@ -253,13 +257,14 @@ mod tests {
         let b = a + 4 * PAGE_SIZE; // same set in a 4-set TLB
         let mut fast = Tlb::new(8, 2);
         let mut full = Tlb::new(8, 2);
+        let mut slots = [(0, 0); 2];
         for t in [&mut fast, &mut full] {
-            t.access(P0, a);
-            t.access(P0, b);
+            slots = [t.access_slot(P0, a).1, t.access_slot(P0, b).1];
         }
-        assert!(!fast.rehit(P0, a), "a is not the MRU entry");
-        assert!(!fast.rehit(P1, b), "the entry is process-tagged");
-        assert!(fast.rehit(P0, b + 8));
+        assert_ne!(slots[0], slots[1]);
+        assert!(!fast.rehit(P0, a, slots[1]), "a is not in b's slot");
+        assert!(!fast.rehit(P1, b, slots[1]), "the entry is process-tagged");
+        assert!(fast.rehit(P0, b + 8, slots[1]));
         assert!(full.access(P0, b + 8));
         assert_eq!(fast.stats(), full.stats());
         // The LRU order is the same too: a new page in the set evicts a
@@ -268,9 +273,31 @@ mod tests {
         full.access(P0, b + 4 * PAGE_SIZE);
         assert!(fast.access(P0, b) && full.access(P0, b));
         assert_eq!(fast.stats(), full.stats());
-        fast.check_mru().unwrap();
+        assert!(
+            !fast.rehit(P0, a, slots[0]),
+            "a's slot now holds another page"
+        );
+        fast.check_slot(slots[1], b).unwrap();
+        assert!(fast.check_slot(slots[1], b + PAGE_SIZE).is_err());
+        assert!(fast.check_slot((slots[1].0, 2), b).is_err());
         fast.flush();
-        assert!(!fast.rehit(P0, b), "a flush empties the MRU slot");
+        assert!(!fast.rehit(P0, b, slots[1]), "a flush empties the slot");
+    }
+
+    #[test]
+    fn access_and_access_slot_book_the_same() {
+        let mut a = Tlb::new(8, 2);
+        let mut b = Tlb::new(8, 2);
+        for i in 0..40u32 {
+            let va = VAddr(0x1000_0000 + (i * 7 % 11) * PAGE_SIZE);
+            let (hit, (set, way)) = b.access_slot(P0, va);
+            assert_eq!(a.access(P0, va), hit);
+            assert_eq!(set, (va.vpn() & 3) as usize);
+            assert!(way < 2);
+            assert!(b.rehit(P0, va, (set, way)), "the slot holds the entry");
+            assert!(a.access(P0, va));
+        }
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

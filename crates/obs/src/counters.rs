@@ -114,10 +114,15 @@ pub enum Ctr {
     /// Leaf writes to the engine's least-time index: one per process
     /// entry that actually changed when re-derived before a selection.
     ScanIndexUpdates,
+    /// Memory references the backend translated in full (page walk,
+    /// `HomeMap` probe, TLB set scan) because the per-CPU reference memo
+    /// did not serve them. Tallied in a plain field and added once at the
+    /// end of the run, so neither a dark run nor a memo hit pays for it.
+    FullTranslations,
 }
 
 /// Number of counters in the catalogue.
-pub const CTR_COUNT: usize = Ctr::ScanIndexUpdates as usize + 1;
+pub const CTR_COUNT: usize = Ctr::FullTranslations as usize + 1;
 
 impl Ctr {
     /// Every counter, in slot order.
@@ -158,6 +163,7 @@ impl Ctr {
         Ctr::HostBottomHalfNs,
         Ctr::HostBackendNs,
         Ctr::ScanIndexUpdates,
+        Ctr::FullTranslations,
     ];
 
     /// True for counters that measure the *host* transport mechanics
@@ -193,6 +199,7 @@ impl Ctr {
                 | Ctr::DiskWakeEvents
                 | Ctr::DiskPollsEliminated
                 | Ctr::ScanIndexUpdates
+                | Ctr::FullTranslations
         )
     }
 
@@ -240,6 +247,7 @@ impl Ctr {
             Ctr::HostBottomHalfNs => "host_bottom_half_ns",
             Ctr::HostBackendNs => "host_backend_ns",
             Ctr::ScanIndexUpdates => "scan_index_updates",
+            Ctr::FullTranslations => "full_translations",
         }
     }
 }
@@ -370,6 +378,7 @@ mod tests {
         assert!(!Ctr::OsCalls.host_timing());
         assert!(!Ctr::DiskWakeEvents.host_timing());
         assert!(!Ctr::ScanIndexUpdates.host_timing());
+        assert!(!Ctr::FullTranslations.host_timing());
     }
 
     #[test]

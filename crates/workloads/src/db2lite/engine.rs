@@ -59,7 +59,9 @@ impl Db2Shared {
 
     /// Creates a table and loads `rows` into its backing file (the unsimulated
     /// load phase, like the paper's database population). Also creates the
-    /// WAL file on first call.
+    /// WAL file on first call. The file is sized once from the rows'
+    /// `size_hint` and each row is encoded straight into it, so a lazy
+    /// iterator loads a table with no host copy of its rows.
     pub fn create_table(
         &self,
         kernel: &KernelShared,
@@ -70,20 +72,22 @@ impl Db2Shared {
         let mut tables = self.tables.lock();
         let id = TableId(tables.len() as u32);
         let path = format!("/db/{name}");
-        let rpp = schema.rows_per_page();
-        let row_len = schema.row_len();
-        let mut bytes = Vec::new();
-        let mut nrows = 0u64;
+        let rpp = schema.rows_per_page() as usize;
+        let row_len = schema.row_len() as usize;
+        let rows = rows.into_iter();
+        let (lo, hi) = rows.size_hint();
+        let mut bytes = vec![0; hi.unwrap_or(lo).div_ceil(rpp) * PAGE_SIZE as usize];
+        let mut nrows = 0usize;
         for row in rows {
-            let page = (nrows / rpp as u64) as usize;
-            let slot = (nrows % rpp as u64) as u32;
-            let off = page * PAGE_SIZE as usize + (slot * row_len) as usize;
-            if bytes.len() < off + row_len as usize {
-                bytes.resize((page + 1) * PAGE_SIZE as usize, 0);
+            let off = nrows / rpp * PAGE_SIZE as usize + nrows % rpp * row_len;
+            if bytes.len() < off + row_len {
+                bytes.resize((nrows / rpp + 1) * PAGE_SIZE as usize, 0);
             }
-            bytes[off..off + row_len as usize].copy_from_slice(&schema.encode(&row));
+            schema.encode_into(&row, &mut bytes[off..]);
             nrows += 1;
         }
+        // A hint above the row count leaves whole pages past the last row.
+        bytes.truncate(nrows.div_ceil(rpp) * PAGE_SIZE as usize);
         kernel.create_file(&path, FileData::Bytes(bytes));
         if kernel.fs.borrow_mut().lookup("/db/LOG").is_none() {
             kernel.create_file("/db/LOG", FileData::Bytes(Vec::new()));
@@ -93,7 +97,7 @@ impl Db2Shared {
             name: name.to_string(),
             schema,
             path,
-            nrows,
+            nrows: nrows as u64,
         });
         self.by_name.lock().insert(name.to_string(), id);
         id
@@ -101,7 +105,14 @@ impl Db2Shared {
 
     /// Table metadata snapshot.
     pub fn table(&self, id: TableId) -> TableMeta {
-        self.tables.lock()[id.0 as usize].clone()
+        self.with_table(id, TableMeta::clone)
+    }
+
+    /// Runs `f` on a table's metadata without copying it. `f` must not
+    /// post a simulated event: the table list stays locked until it
+    /// returns.
+    pub fn with_table<R>(&self, id: TableId, f: impl FnOnce(&TableMeta) -> R) -> R {
+        f(&self.tables.lock()[id.0 as usize])
     }
 
     /// Looks a table up by name.
@@ -234,19 +245,21 @@ impl Db2Session {
 
     /// Reads one row by index.
     pub fn read_row(&self, cpu: &mut CpuCtx, table: TableId, idx: u64) -> Row {
-        let meta = self.shared.table(table);
-        assert!(
-            idx < meta.nrows,
-            "row {idx} beyond {table:?} ({})",
-            meta.nrows
-        );
-        let (page, off) = meta.locate(idx);
+        let ((page, off), row_len) = self.shared.with_table(table, |meta| {
+            assert!(
+                idx < meta.nrows,
+                "row {idx} beyond {table:?} ({})",
+                meta.nrows
+            );
+            (meta.locate(idx), meta.schema.row_len())
+        });
         let p = self.get_page(cpu, table, page);
-        cpu.load(p.addr + off, meta.schema.row_len().min(64) as u16);
+        cpu.load(p.addr + off, row_len.min(64) as u16);
         cpu.inst(InstClass::IntAlu, 35); // slot lookup, latching, copy-out
         let row = {
             let bytes = p.cell.bytes.lock();
-            meta.schema.decode(&bytes[off as usize..])
+            self.shared
+                .with_table(table, |meta| meta.schema.decode(&bytes[off as usize..]))
         };
         self.release(cpu, &p, false);
         row
@@ -254,15 +267,17 @@ impl Db2Session {
 
     /// Writes one row by index (caller holds the row lock).
     pub fn write_row(&self, cpu: &mut CpuCtx, table: TableId, idx: u64, row: &Row) {
-        let meta = self.shared.table(table);
-        let (page, off) = meta.locate(idx);
-        let encoded = meta.schema.encode(row);
+        let ((page, off), row_len) = self
+            .shared
+            .with_table(table, |meta| (meta.locate(idx), meta.schema.row_len()));
         let p = self.get_page(cpu, table, page);
-        cpu.store(p.addr + off, meta.schema.row_len().min(64) as u16);
+        cpu.store(p.addr + off, row_len.min(64) as u16);
         cpu.inst(InstClass::IntAlu, 6);
         {
             let mut bytes = p.cell.bytes.lock();
-            bytes[off as usize..off as usize + encoded.len()].copy_from_slice(&encoded);
+            self.shared.with_table(table, |meta| {
+                meta.schema.encode_into(row, &mut bytes[off as usize..])
+            });
         }
         self.release(cpu, &p, true);
     }
@@ -289,21 +304,29 @@ impl Db2Session {
         nparts: u64,
         mut visit: impl FnMut(&mut CpuCtx, u64, &[u8]),
     ) {
-        let meta = self.shared.table(table);
-        let rpp = meta.schema.rows_per_page() as u64;
-        let row_len = meta.schema.row_len();
+        let (rpp, row_len, pages, nrows) = self.shared.with_table(table, |meta| {
+            (
+                meta.schema.rows_per_page() as u64,
+                meta.schema.row_len() as usize,
+                meta.pages(),
+                meta.nrows,
+            )
+        });
         let touch = row_len.min(64) as u16;
+        // One page buffer for the whole scan.
+        let mut bytes = Vec::with_capacity(PAGE_SIZE as usize);
         let mut page = part;
-        while page < meta.pages() {
+        while page < pages {
             let p = self.get_page(cpu, table, page);
             let first = page * rpp;
-            let last = (first + rpp).min(meta.nrows);
+            let last = (first + rpp).min(nrows);
             // Snapshot the page once: the visitor must not observe
             // concurrent mutation mid-row (readers of stable analytic
             // tables; OLTP readers lock rows instead).
-            let bytes = p.cell.bytes.lock().clone();
+            bytes.clear();
+            bytes.extend_from_slice(&p.cell.bytes.lock());
             for idx in first..last {
-                let off = ((idx - first) * row_len as u64) as usize;
+                let off = (idx - first) as usize * row_len;
                 cpu.load(p.addr + off as u32, touch);
                 // Per-row evaluator work: slot decode, type checks,
                 // predicate interpretation — DB2's expression evaluator
@@ -312,7 +335,7 @@ impl Db2Session {
                 // share for TPC-D).
                 cpu.inst(InstClass::IntAlu, 260);
                 cpu.inst(InstClass::Branch, 40);
-                visit(cpu, idx, &bytes[off..off + row_len as usize]);
+                visit(cpu, idx, &bytes[off..off + row_len]);
             }
             self.release(cpu, &p, false);
             page += nparts;
@@ -363,7 +386,7 @@ impl Db2Session {
         // msync the whole container — the call the paper's TPC profiles
         // attribute buffer flushing to.
         for table in touched {
-            let len = self.shared.table(table).pages() * PAGE_SIZE as u64;
+            let len = self.shared.with_table(table, TableMeta::pages) * PAGE_SIZE as u64;
             cpu.os_call(OsCall::Msync {
                 fd: self.fds[&table],
                 off: 0,

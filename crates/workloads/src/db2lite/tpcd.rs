@@ -98,38 +98,36 @@ fn orders_schema() -> Schema {
     ])
 }
 
-/// Loads the TPC-D tables; returns `(lineitem, orders)` ids.
+/// Loads the TPC-D tables; returns `(lineitem, orders)` ids. Rows are
+/// generated lazily, as each table's file is written: every lineitem draw
+/// from the RNG, then every orders draw.
 pub fn load(kernel: &KernelShared, shared: &Db2Shared, cfg: TpcdConfig) -> (TableId, TableId) {
     let mut rng = SimRng::seed_from_u64(cfg.seed);
     let flags = ["A", "N", "R"];
-    let lineitem_rows: Vec<_> = (0..cfg.lineitems)
-        .map(|i| {
-            let orderkey = rng.gen_range(0..cfg.orders.max(1)) as u64;
-            vec![
-                Value::U64(orderkey),
-                Value::U32(rng.gen_range(0..10_000)),
-                Value::U32(rng.gen_range(1..50)),
-                Value::U64(rng.gen_range(100_00..10_000_00)),
-                Value::U32(rng.gen_range(0..1_000)),
-                Value::U32(rng.gen_range(0..800)),
-                Value::Str(flags[(i % 3) as usize].to_string()),
-                Value::Str(if i % 2 == 0 { "O" } else { "F" }.to_string()),
-                Value::U32(rng.gen_range(0..2_400)),
-                Value::Str(String::new()),
-            ]
-        })
-        .collect();
-    let orders_rows: Vec<_> = (0..cfg.orders)
-        .map(|k| {
-            vec![
-                Value::U64(k as u64),
-                Value::U32(rng.gen_range(0..1_000)),
-                Value::U32(rng.gen_range(0..2_400)),
-                Value::U64(rng.gen_range(1_000_00..100_000_00)),
-            ]
-        })
-        .collect();
+    let lineitem_rows = (0..cfg.lineitems).map(|i| {
+        let orderkey = rng.gen_range(0..cfg.orders.max(1)) as u64;
+        vec![
+            Value::U64(orderkey),
+            Value::U32(rng.gen_range(0..10_000)),
+            Value::U32(rng.gen_range(1..50)),
+            Value::U64(rng.gen_range(100_00..10_000_00)),
+            Value::U32(rng.gen_range(0..1_000)),
+            Value::U32(rng.gen_range(0..800)),
+            Value::Str(flags[(i % 3) as usize].to_string()),
+            Value::Str(if i % 2 == 0 { "O" } else { "F" }.to_string()),
+            Value::U32(rng.gen_range(0..2_400)),
+            Value::Str(String::new()),
+        ]
+    });
     let lineitem = shared.create_table(kernel, "lineitem", lineitem_schema(), lineitem_rows);
+    let orders_rows = (0..cfg.orders).map(|k| {
+        vec![
+            Value::U64(k as u64),
+            Value::U32(rng.gen_range(0..1_000)),
+            Value::U32(rng.gen_range(0..2_400)),
+            Value::U64(rng.gen_range(1_000_00..100_000_00)),
+        ]
+    });
     let orders = shared.create_table(kernel, "orders", orders_schema(), orders_rows);
     (lineitem, orders)
 }
@@ -149,28 +147,66 @@ pub fn q1_worker(
     let table = session.shared.table_id("lineitem");
     let schema = lineitem_schema();
     let agg_touch = SimHashTable::new(cpu, 16, 64);
-    let mut groups: Q1Result = HashMap::new();
+    // A handful of groups at most, so a linear probe beats hashing.
+    let mut groups: Vec<Q1Group> = Vec::new();
     session.scan_partition(cpu, table, part, nparts, |cpu, _idx, row| {
-        let shipdate = schema.decode_col(row, li::SHIPDATE).as_u32();
+        let shipdate = schema.u32_at(row, li::SHIPDATE);
         cpu.inst(InstClass::IntAlu, 2); // predicate
         if shipdate > cutoff {
             return;
         }
-        let rf = schema.decode_col(row, li::RETURNFLAG).as_str().to_string();
-        let ls = schema.decode_col(row, li::LINESTATUS).as_str().to_string();
-        let qty = schema.decode_col(row, li::QUANTITY).as_u32() as u64;
-        let price = schema.decode_col(row, li::EXTENDEDPRICE).as_u64();
-        let key = (rf.as_bytes().first().copied().unwrap_or(0) as u64) << 8
-            | ls.as_bytes().first().copied().unwrap_or(0) as u64;
-        agg_touch.update(cpu, key);
+        let flags = [
+            schema.bytes_at(row, li::RETURNFLAG)[0],
+            schema.bytes_at(row, li::LINESTATUS)[0],
+        ];
+        let qty = schema.u32_at(row, li::QUANTITY) as u64;
+        let price = schema.u64_at(row, li::EXTENDEDPRICE);
+        let g = match groups.iter().position(|g| g.flags == flags) {
+            Some(g) => g,
+            None => {
+                groups.push(Q1Group {
+                    flags,
+                    key: group_key(flags),
+                    sums: (0, 0, 0),
+                });
+                groups.len() - 1
+            }
+        };
+        agg_touch.update(cpu, groups[g].key);
         cpu.inst(InstClass::IntAlu, 180); // aggregate arithmetic + group lookup
         cpu.inst(InstClass::IntMul, 8);
-        let e = groups.entry((rf, ls)).or_insert((0, 0, 0));
+        let e = &mut groups[g].sums;
         e.0 += qty;
         e.1 += price;
         e.2 += 1;
     });
     groups
+        .into_iter()
+        .map(|g| ((flag_str(g.flags[0]), flag_str(g.flags[1])), g.sums))
+        .collect()
+}
+
+/// One Q1 group while a worker scans.
+struct Q1Group {
+    /// The (returnflag, linestatus) bytes as stored.
+    flags: [u8; 2],
+    /// The simulated group-hash key.
+    key: u64,
+    /// Quantity, extended price and row count.
+    sums: (u64, u64, u64),
+}
+
+/// A one-byte flag column as [`Schema::decode`] reads it: the pad
+/// stripped, so a blank flag is the empty string.
+fn flag_str(b: u8) -> String {
+    String::from_utf8_lossy(&[b]).trim_end().to_string()
+}
+
+/// The simulated group-hash key of a (returnflag, linestatus) pair: the
+/// first byte of each flag's string, 0 for a blank flag.
+fn group_key([rf, ls]: [u8; 2]) -> u64 {
+    let first = |b| flag_str(b).as_bytes().first().copied().unwrap_or(0) as u64;
+    first(rf) << 8 | first(ls)
 }
 
 /// Q6-shaped query: sum(extendedprice * discount) over a shipdate /
@@ -187,18 +223,18 @@ pub fn q6_worker(
     let schema = lineitem_schema();
     let mut revenue = 0u64;
     session.scan_partition(cpu, table, part, nparts, |cpu, _idx, row| {
-        let shipdate = schema.decode_col(row, li::SHIPDATE).as_u32();
+        let shipdate = schema.u32_at(row, li::SHIPDATE);
         cpu.inst(InstClass::IntAlu, 3);
         if shipdate < date_lo || shipdate >= date_hi {
             return;
         }
-        let disc = schema.decode_col(row, li::DISCOUNT).as_u32();
-        let qty = schema.decode_col(row, li::QUANTITY).as_u32();
+        let disc = schema.u32_at(row, li::DISCOUNT);
+        let qty = schema.u32_at(row, li::QUANTITY);
         cpu.inst(InstClass::IntAlu, 4);
         if !(100..=300).contains(&disc) || qty >= 24 {
             return;
         }
-        let price = schema.decode_col(row, li::EXTENDEDPRICE).as_u64();
+        let price = schema.u64_at(row, li::EXTENDEDPRICE);
         cpu.inst(InstClass::IntMul, 1);
         revenue += price * disc as u64 / 10_000;
     });
@@ -223,23 +259,23 @@ pub fn q3_worker(
     let build_touch = SimHashTable::new(cpu, 1024, 16);
     let mut build: HashMap<u64, u32> = HashMap::new();
     session.scan(cpu, orders, |cpu, _idx, row| {
-        let date = oschema.decode_col(row, 2).as_u32();
+        let date = oschema.u32_at(row, 2);
         cpu.inst(InstClass::IntAlu, 2);
         if date >= date_cutoff {
             return;
         }
-        let key = oschema.decode_col(row, 0).as_u64();
+        let key = oschema.u64_at(row, 0);
         build_touch.insert(cpu, key);
         build.insert(key, date);
     });
     // Probe lineitem in partitions.
     let mut revenue = 0u64;
     session.scan_partition(cpu, lineitem, part, nparts, |cpu, _idx, row| {
-        let key = lschema.decode_col(row, li::ORDERKEY).as_u64();
+        let key = lschema.u64_at(row, li::ORDERKEY);
         build_touch.probe(cpu, key);
         if build.contains_key(&key) {
-            let price = lschema.decode_col(row, li::EXTENDEDPRICE).as_u64();
-            let disc = lschema.decode_col(row, li::DISCOUNT).as_u32() as u64;
+            let price = lschema.u64_at(row, li::EXTENDEDPRICE);
+            let disc = lschema.u32_at(row, li::DISCOUNT) as u64;
             cpu.inst(InstClass::IntMul, 2);
             cpu.inst(InstClass::IntAlu, 6);
             revenue += price * (10_000 - disc) / 10_000;
@@ -369,6 +405,33 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Q6 computed directly from the generator, without the row codec.
+    fn oracle_q6(cfg: TpcdConfig, date_lo: u32, date_hi: u32) -> u64 {
+        let mut rng = SimRng::seed_from_u64(cfg.seed);
+        let mut revenue = 0u64;
+        for _ in 0..cfg.lineitems {
+            let _orderkey = rng.gen_range(0..cfg.orders.max(1)) as u64;
+            let _partkey: u32 = rng.gen_range(0..10_000);
+            let qty: u32 = rng.gen_range(1..50);
+            let price: u64 = rng.gen_range(100_00..10_000_00);
+            let disc: u32 = rng.gen_range(0..1_000);
+            let _tax: u32 = rng.gen_range(0..800);
+            let shipdate: u32 = rng.gen_range(0..2_400);
+            if (date_lo..date_hi).contains(&shipdate) && (100..=300).contains(&disc) && qty < 24 {
+                revenue += price * disc as u64 / 10_000;
+            }
+        }
+        revenue
+    }
+
+    #[test]
+    fn parallel_q6_matches_the_oracle() {
+        let (results, _) = run_query(Query::Q6(200, 1_800), 2);
+        let want = oracle_q6(TpcdConfig::tiny(), 200, 1_800);
+        assert!(want > 0, "the band should select something at this scale");
+        assert_eq!(*results.revenue.lock(), want);
     }
 
     #[test]
