@@ -5,6 +5,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --workspace
+# The probe CLI is the only reader of COMPASS_TRACE / COMPASS_OBS
+# (ObsConfig::from_env) and the only writer of both trace exports: a
+# finely traced run must leave both files, the Chrome one closed.
+rm -rf target/probe-smoke && mkdir -p target/probe-smoke
+(cd target/probe-smoke && COMPASS_TRACE=fine ../release/probe http_small >/dev/null)
+[ -s target/probe-smoke/compass_trace.jsonl ] && [ -s target/probe-smoke/compass_trace.json ] \
+  && [ "$(tail -c 2 target/probe-smoke/compass_trace.json)" = "]}" ] \
+  || { echo "probe left no well-formed trace exports" >&2; exit 1; }
 # The shipped crates' runtime dependencies stay in the tree: apart from
 # parking_lot (vendored until ROADMAP 1(b)), every package they build
 # against lives under crates/.

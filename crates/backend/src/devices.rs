@@ -295,7 +295,6 @@ impl Backend {
                 if self.cpu_states.running(cpu).is_none() || self.all_apps_exited() {
                     self.timer_armed[cpu.index()] = false;
                     self.device_polls_eliminated += 1;
-                    self.obs.inc(Ctr::DevicePollsEliminated);
                     return;
                 }
                 self.devshared.push_tick(TimerTick { cpu, time });
@@ -326,7 +325,6 @@ impl Backend {
         };
         p.times.block_wait += now.saturating_sub(held.ev.time);
         self.disk_wake_events += 1;
-        self.obs.inc(Ctr::DiskWakeEvents);
         let cpu = self.irq_cpu();
         self.resume(d, cpu, now, 0, true, ReplyData::Cpu { cpu });
     }
@@ -334,7 +332,6 @@ impl Backend {
     /// Counts one scheduled device completion wake event.
     fn note_device_wake(&mut self) {
         self.device_wake_events += 1;
-        self.obs.inc(Ctr::DeviceWakeEvents);
     }
 }
 

@@ -33,7 +33,6 @@
 //!   the live hierarchy plus the optional access trace;
 //! * `scan` — the engine's least-time index, a fixed min-tournament over
 //!   the process slots;
-//! * `progress` — the engine's counters, trace and progress snapshots;
 //! * [`error`] — structured run failures and the engine diagnostics
 //!   behind them;
 //! * [`ckpt`] — the checkpoint frame format; nothing in the simulator
@@ -53,7 +52,6 @@ pub mod devices;
 pub mod engine;
 pub mod error;
 pub mod locks;
-mod progress;
 mod scan;
 pub mod sched;
 pub mod stats;

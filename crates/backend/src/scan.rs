@@ -131,16 +131,6 @@ impl ScanIndex {
         (least != EMPTY).then(|| unpack(least))
     }
 
-    /// The least clock bound, in `O(n)` (progress snapshots only).
-    pub(crate) fn least_bound(&self) -> Option<Cycles> {
-        (0..self.n)
-            .filter_map(|i| match self.get(i) {
-                Indexed::Bound(b) => Some(b),
-                _ => None,
-            })
-            .min()
-    }
-
     /// Leaf writes since construction.
     pub(crate) fn writes(&self) -> u64 {
         self.writes
@@ -247,7 +237,6 @@ mod tests {
         assert_eq!(idx.first(), Some((Key(10, 1, 0), true)));
         idx.set(0, Indexed::Bound(11));
         assert_eq!(idx.first(), Some((Key(10, 1, 1), false)));
-        assert_eq!(idx.least_bound(), Some(11));
     }
 
     #[test]

@@ -35,13 +35,6 @@ pub struct ProcTimes {
     pub exit_time: Cycles,
 }
 
-impl ProcTimes {
-    /// Total CPU cycles (user + kernel + interrupt).
-    pub fn cpu_cycles(&self) -> Cycles {
-        self.by_mode.iter().sum()
-    }
-}
-
 /// A Table-1-style row: shares of total CPU time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsTimeBreakdown {
@@ -123,9 +116,14 @@ impl BackendStats {
 impl Backend {
     /// Collects every statistic of a finished run.
     pub(crate) fn finish(mut self) -> SimOutcome {
-        // Flush the postbox's lock-free probe tally into the counter
-        // catalogue. Observation-only: never part of BackendStats, so the
-        // knob twins stay bit-identical by construction.
+        // Flush the engine's plain tallies and the postbox's probe tally
+        // into the counter catalogue. Observation-only: never part of
+        // BackendStats, so the knob twins stay bit-identical by
+        // construction.
+        self.obs.add(Ctr::DeviceWakeEvents, self.device_wake_events);
+        self.obs
+            .add(Ctr::DevicePollsEliminated, self.device_polls_eliminated);
+        self.obs.add(Ctr::DiskWakeEvents, self.disk_wake_events);
         self.obs
             .add(Ctr::DiskPollsEliminated, self.devshared.polls_eliminated());
         self.obs.add(Ctr::ScanIndexUpdates, self.index.writes());
@@ -185,14 +183,5 @@ mod tests {
         let b = s.os_time_breakdown([0usize]);
         assert_eq!(b.user_pct, 0.0);
         assert_eq!(b.os_pct, 0.0);
-    }
-
-    #[test]
-    fn cpu_cycles_sums_modes() {
-        let p = ProcTimes {
-            by_mode: [1, 2, 3],
-            ..Default::default()
-        };
-        assert_eq!(p.cpu_cycles(), 6);
     }
 }

@@ -52,7 +52,7 @@ impl Rig {
     ) -> Receiver<T> {
         let (tell, done) = mpsc::channel();
         let port = Arc::clone(&self.ports[pid]);
-        self.exec.spawn(Class::Frontend, None, move || {
+        self.exec.spawn(Class::Frontend, move || {
             let _ = tell.send(body(port));
         });
         done

@@ -50,9 +50,9 @@ fn a_panic_reaches_the_resumer_as_a_payload() {
 
     // The executor keeps the first real panic and ignores SimAbort.
     let mut ex = executor();
-    ex.spawn(Class::Os, None, || std::panic::panic_any(SimAbort));
-    ex.spawn(Class::Frontend, None, || panic!("first"));
-    ex.spawn(Class::Frontend, None, || panic!("second"));
+    ex.spawn(Class::Os, || std::panic::panic_any(SimAbort));
+    ex.spawn(Class::Frontend, || panic!("first"));
+    ex.spawn(Class::Frontend, || panic!("second"));
     assert!(ex.run_ready());
     assert_eq!(ex.live(), 0);
     let p = ex.take_panic().expect("a real panic is kept");
@@ -91,7 +91,7 @@ fn event_ring_posts_from_a_task_suspend_to_the_consumer() {
     let mut ex = executor();
     {
         let (ring, got) = (Arc::clone(&ring), Arc::clone(&got));
-        ex.spawn(Class::Frontend, None, move || {
+        ex.spawn(Class::Frontend, move || {
             for t in 0..5u64 {
                 ring.publish(ev(10 * t), false);
                 let r = ring.post(ev(10 * t + 1));
@@ -123,14 +123,14 @@ fn req_port_serves_between_tasks_and_with_threads() {
     let sum = Arc::new(AtomicU32::new(0));
     {
         let port = Arc::clone(&port);
-        ex.spawn(Class::Os, None, move || loop {
+        ex.spawn(Class::Os, move || loop {
             let q = port.recv();
             port.respond(q * 2);
         });
     }
     {
         let (port, sum) = (Arc::clone(&port), Arc::clone(&sum));
-        ex.spawn(Class::Frontend, None, move || {
+        ex.spawn(Class::Frontend, move || {
             for i in 0..10 {
                 sum.fetch_add(port.call(i), Ordering::SeqCst);
             }
@@ -168,7 +168,7 @@ fn cancel_unwinds_a_task_blocked_on_a_reply() {
     let mut ex = executor();
     {
         let (ring, dropped) = (Arc::clone(&ring), Arc::clone(&dropped));
-        ex.spawn(Class::BottomHalf, None, move || {
+        ex.spawn(Class::BottomHalf, move || {
             let _g = Guard(dropped);
             ring.post(ev(1)); // never replied
             unreachable!("the post must unwind");
@@ -189,7 +189,7 @@ fn a_foreign_thread_can_wake_a_task() {
     let got = Arc::new(AtomicU32::new(0));
     {
         let (ring, got) = (Arc::clone(&ring), Arc::clone(&got));
-        ex.spawn(Class::Frontend, None, move || {
+        ex.spawn(Class::Frontend, move || {
             got.store(ring.post(ev(7)).latency as u32, Ordering::SeqCst);
         });
     }
@@ -225,7 +225,7 @@ fn a_schedule_seed_permutes_and_splits_the_ready_batch() {
         }
         for i in 0..8 {
             let log = Rc::clone(&log);
-            ex.spawn(Class::Frontend, None, move || log.borrow_mut().push(i));
+            ex.spawn(Class::Frontend, move || log.borrow_mut().push(i));
         }
         let mut rounds = Vec::new();
         while ex.run_ready() {
@@ -256,7 +256,8 @@ fn a_class_scope_books_its_share_of_the_running_time() {
     }
     let c = Arc::new(CounterBlock::new());
     let mut ex = executor();
-    ex.spawn(Class::Frontend, Some(Arc::clone(&c)), || {
+    ex.set_counters(Arc::clone(&c));
+    ex.spawn(Class::Frontend, || {
         spin(Duration::from_millis(2));
         {
             let _os = enter_class(Class::Os);
@@ -288,7 +289,7 @@ fn a_class_scope_outside_a_task_or_untimed_is_a_no_op() {
     // No task is running: nothing to book, nothing to restore.
     drop(enter_class(Class::Os));
     let mut ex = executor();
-    ex.spawn(Class::Frontend, None, || {
+    ex.spawn(Class::Frontend, || {
         let scope = enter_class(Class::Os);
         assert!(scope.prev.is_none(), "an untimed task switches nothing");
     });

@@ -23,7 +23,7 @@ pub struct SimConfig {
     /// flag on every reply, and interrupt work must see the
     /// authoritative clock).
     pub pseudo_irq: bool,
-    /// Observability: counters, structured trace, progress snapshots.
+    /// Observability: counters and the structured trace.
     /// Off by default; never consulted by simulation logic, so it cannot
     /// change simulated results.
     pub obs: ObsConfig,

@@ -54,7 +54,7 @@ pub use compass_backend::{
 pub use compass_frontend::{CpuCtx, Process};
 pub use compass_isa::{BlockCost, Cycles, InstClass, ProcessId, TimingModel};
 pub use compass_mem::{PlacementPolicy, VAddr};
-pub use compass_obs::{ObsConfig, ObsReport, ProgressSnapshot, TraceLevel};
+pub use compass_obs::{ObsConfig, ObsReport, TraceLevel};
 pub use compass_os::{KernelConfig, OsCall, SysVal};
 pub use config::SimConfig;
 pub use raw::{run_raw, RawReport};

@@ -17,10 +17,10 @@ use compass_backend::{Backend, BackendStats, RunError, TraceRecord, TrafficSourc
 use compass_comm::{Class, DevShared, EventPort, Executor, Notifier};
 use compass_frontend::{CpuCtx, FrontendStats, Process};
 use compass_isa::{Cycles, ProcessId};
-use compass_obs::{Ctr, ObsHub, ObsReport, ProgressFn, TraceBuffer, TraceHandle};
+use compass_obs::{CounterBlock, Ctr, Obs, ObsReport, TraceBuffer, TraceHandle, TraceLevel};
 use compass_os::bufcache::BufStats;
 use compass_os::net::NetStats;
-use compass_os::{KernelShared, OsObs};
+use compass_os::KernelShared;
 use std::cell::RefCell;
 use std::panic::resume_unwind;
 use std::rc::Rc;
@@ -53,7 +53,7 @@ pub struct RunReport {
     /// independent: simcheck's metamorphic checks assert it is invariant
     /// across scheduler/placement/cache knobs.
     pub fs_write_bytes: u64,
-    /// Merged observability counters (present when
+    /// The run's observability counters (present when
     /// [`SimConfig::obs`](crate::SimConfig) enabled anything).
     pub obs: Option<ObsReport>,
     /// The structured trace ring, for JSONL / Chrome `trace_event`
@@ -80,7 +80,6 @@ pub struct SimBuilder {
     traffic: Option<Box<dyn TrafficSource>>,
     prepare: Option<PrepareFn>,
     record_accesses: bool,
-    progress: Option<ProgressFn>,
     #[cfg(feature = "check-invariants")]
     schedule_seed: Option<u64>,
 }
@@ -99,7 +98,6 @@ impl SimBuilder {
             traffic: None,
             prepare: None,
             record_accesses: false,
-            progress: None,
             #[cfg(feature = "check-invariants")]
             schedule_seed: None,
         }
@@ -140,17 +138,6 @@ impl SimBuilder {
         self
     }
 
-    /// Installs the progress-snapshot callback. Snapshots fire every
-    /// `SimConfig::obs.progress_every` serviced events; setting a
-    /// callback without a period implies the default period.
-    pub fn progress(mut self, f: impl Fn(&compass_obs::ProgressSnapshot) + 'static) -> Self {
-        if self.config.obs.progress_every.is_none() {
-            self.config.obs.progress_every = Some(100_000);
-        }
-        self.progress = Some(Rc::new(f));
-        self
-    }
-
     /// Runs the simulated threads on a seeded random schedule instead of
     /// first-ready-first-run (see `Executor::set_schedule_seed`) — the
     /// schedule-independence oracle: results must be bit-identical for
@@ -182,7 +169,6 @@ impl SimBuilder {
             traffic,
             prepare,
             record_accesses,
-            progress,
             #[cfg(feature = "check-invariants")]
             schedule_seed,
         } = self;
@@ -191,11 +177,12 @@ impl SimBuilder {
         assert!(nprocs > 0, "no processes to simulate");
         let daemon_pid = ProcessId(nprocs as u32);
 
-        // --- Observability ---
-        let hub = config.obs.enabled().then(ObsHub::new);
-        let counters = config.obs.counters.then(|| hub.as_ref().unwrap());
-        let trace = (config.obs.trace != compass_obs::TraceLevel::Off)
-            .then(|| TraceHandle::new(config.obs.trace, config.obs.trace_capacity));
+        // --- Observability: one counter block and one trace ring ---
+        let obs = Obs {
+            counters: config.obs.counters.then(|| Arc::new(CounterBlock::new())),
+            trace: (config.obs.trace != TraceLevel::Off)
+                .then(|| TraceHandle::new(config.obs.trace, config.obs.trace_capacity)),
+        };
 
         // --- Communicator ---
         // Only posters on ordinary threads bump the ports' notify epoch;
@@ -219,8 +206,8 @@ impl SimBuilder {
                     Arc::clone(&notifier),
                     ring_cap,
                 );
-                if let Some(hub) = counters {
-                    port.set_counters(hub.register(&format!("port-{pid}")));
+                if let Some(block) = &obs.counters {
+                    port.set_counters(Arc::clone(block));
                 }
                 Arc::new(port)
             })
@@ -231,11 +218,6 @@ impl SimBuilder {
         if let Some(f) = prepare {
             f(&kernel);
         }
-        let os_block = counters.map(|hub| hub.register("os"));
-        let os_obs = OsObs {
-            counters: os_block.clone(),
-            trace: trace.clone(),
-        };
         // --- Backend ---
         let mut backend = Backend::new(
             config.backend.clone(),
@@ -247,28 +229,16 @@ impl SimBuilder {
         if record_accesses {
             backend.arch_mut().record_trace();
         }
-        let backend_block = counters.map(|hub| hub.register("backend"));
-        if let Some(block) = &backend_block {
-            backend.set_counters(Arc::clone(block));
-        }
-        if let Some(block) = &os_block {
-            // Progress snapshots surface the OS-side batching counter
-            // alongside the backend's own.
-            backend.set_os_counters(Arc::clone(block));
-        }
-        if let Some(t) = &trace {
-            backend.set_trace(t.clone());
-        }
-        if let Some(every) = config.obs.progress_every {
-            // Snapshots still count (and trace) with no user callback.
-            backend.set_progress(every, progress.unwrap_or_else(|| Rc::new(|_| {})));
-        }
+        backend.set_obs(obs.clone());
         let results: Rc<RefCell<Vec<Option<FrontendStats>>>> =
             Rc::new(RefCell::new(vec![None; nprocs]));
 
         // --- Run: every simulated thread is a task on this thread ---
         let started = Instant::now();
         let mut exec = Executor::new();
+        if let Some(block) = &obs.counters {
+            exec.set_counters(Arc::clone(block));
+        }
         #[cfg(feature = "check-invariants")]
         if let Some(seed) = schedule_seed {
             exec.set_schedule_seed(seed);
@@ -277,23 +247,21 @@ impl SimBuilder {
             &kernel,
             daemon_pid,
             Arc::clone(&ports[daemon_pid.index()]),
-            os_obs.counters.clone(),
             &mut exec,
         );
         for (pid, mut body) in processes.into_iter().enumerate() {
-            let fe_block = counters.map(|hub| hub.register(&format!("frontend-{pid}")));
             let port = Arc::clone(&ports[pid]);
             let kernel = Rc::clone(&kernel);
-            let os_obs = os_obs.clone();
+            let obs = obs.clone();
             let timing = config.timing.clone();
             let pseudo = config.pseudo_irq;
             let results = Rc::clone(&results);
-            exec.spawn(Class::Frontend, fe_block.clone(), move || {
+            exec.spawn(Class::Frontend, move || {
                 let mut cpu = CpuCtx::simulated(ProcessId(pid as u32), port, kernel, timing);
                 if pseudo {
                     cpu.enable_pseudo_irq();
                 }
-                cpu.set_obs(fe_block, os_obs);
+                cpu.set_obs(obs);
                 // A poisoned port unwinds this task with SimAbort; the
                 // backend reports the error.
                 cpu.start();
@@ -312,12 +280,10 @@ impl SimBuilder {
         // The host ledger's backend class: all of the wall outside the
         // tasks' own running time — the engine, the executor, and setting
         // up and tearing down the simulated threads.
-        if let Some(block) = &backend_block {
-            block.add(
-                Ctr::HostBackendNs,
-                (wall.as_nanos() as u64).saturating_sub(exec.busy_ns()),
-            );
-        }
+        obs.add(
+            Ctr::HostBackendNs,
+            (wall.as_nanos() as u64).saturating_sub(exec.busy_ns()),
+        );
         if let Some(payload) = exec.take_panic() {
             resume_unwind(payload);
         }
@@ -331,15 +297,15 @@ impl SimBuilder {
             .map(|s| s.expect("frontend aborted but the backend reported no error"))
             .collect();
 
-        let obs = hub.as_ref().map(|hub| {
-            if let (Some(block), Some(t)) = (&backend_block, &trace) {
-                block.add(Ctr::TraceDropped, t.buf.dropped());
-            }
-            ObsReport {
-                counters: hub.merge().all(),
-                trace_records: trace.as_ref().map_or(0, |t| t.buf.len() as u64),
-                trace_dropped: trace.as_ref().map_or(0, |t| t.buf.dropped()),
-            }
+        let trace_dropped = obs.trace.as_ref().map_or(0, |t| t.buf.dropped());
+        obs.add(Ctr::TraceDropped, trace_dropped);
+        let report = config.obs.enabled().then(|| ObsReport {
+            counters: Ctr::ALL
+                .iter()
+                .map(|&c| (c.name(), obs.counters.as_ref().map_or(0, |b| b.get(c))))
+                .collect(),
+            trace_records: obs.trace.as_ref().map_or(0, |t| t.buf.len() as u64),
+            trace_dropped,
         });
 
         let bufcache = kernel.bufs.borrow().stats();
@@ -354,8 +320,8 @@ impl SimBuilder {
             wall,
             app_processes: nprocs,
             fs_write_bytes: kernel.fs_write_bytes.get(),
-            obs,
-            trace: trace.map(|t| t.buf),
+            obs: report,
+            trace: obs.trace.map(|t| t.buf),
             access_trace: outcome.access_trace,
         })
     }

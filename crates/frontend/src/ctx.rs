@@ -7,10 +7,10 @@ use compass_comm::{
 use compass_isa::{BlockCost, CpuId, Cycles, InstClass, ProcessId, SegId, TimingModel};
 use compass_mem::addr::HEAP_BASE;
 use compass_mem::{ShmError, SimAlloc, VAddr};
-use compass_obs::{CounterBlock, Ctr, TraceKind, TraceRec};
+use compass_obs::{Ctr, Obs, TraceKind, TraceRec};
 use compass_os::{
-    handlers, syscalls, EventSink, KernelCtx, KernelPerf, KernelShared, OsCall, OsObs, PortSink,
-    RawSink, SysResult,
+    handlers, syscalls, EventSink, KernelCtx, KernelPerf, KernelShared, OsCall, PortSink, RawSink,
+    SysResult,
 };
 use std::rc::Rc;
 use std::sync::Arc;
@@ -52,8 +52,10 @@ pub struct CpuCtx {
     kernel: Rc<KernelShared>,
     /// Batching state of the process's syscall-path kernel code.
     kperf: KernelPerf,
-    /// OS-call counters and trace records.
-    os_obs: OsObs,
+    /// The run's counters (posts, OS calls, pseudo interrupts) and trace
+    /// (OS calls). Host time is ledgered by the executor that runs the
+    /// process.
+    obs: Obs,
     clock: Cycles,
     cpu: CpuId,
     timing: TimingModel,
@@ -70,9 +72,6 @@ pub struct CpuCtx {
     quantum: Cycles,
     last_event_clock: Cycles,
     stats: FrontendStats,
-    /// Observability counters (`None` = disabled): posts issued. (Host
-    /// time is ledgered by the executor that runs the process.)
-    obs: Option<Arc<CounterBlock>>,
     started: bool,
     exited: bool,
 }
@@ -123,7 +122,7 @@ impl CpuCtx {
             mode,
             kernel,
             kperf: KernelPerf::default(),
-            os_obs: OsObs::default(),
+            obs: Obs::default(),
             clock: 0,
             cpu: CpuId(0),
             timing,
@@ -133,17 +132,15 @@ impl CpuCtx {
             quantum: 20_000,
             last_event_clock: 0,
             stats: FrontendStats::default(),
-            obs: None,
             started: false,
             exited: false,
         }
     }
 
-    /// Attaches observability hooks (setup time, before `start`): the
-    /// process's own post counters, and its OS calls' counters and trace.
-    pub fn set_obs(&mut self, counters: Option<Arc<CounterBlock>>, os: OsObs) {
-        self.obs = counters;
-        self.os_obs = os;
+    /// Attaches the run's counter block and trace ring (setup time,
+    /// before `start`).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Enables pseudo interrupts (§3.2's user-mode delivery path) instead
@@ -185,9 +182,7 @@ impl CpuCtx {
             return Reply::latency(0);
         };
         self.stats.events += 1;
-        if let Some(c) = &self.obs {
-            c.inc(Ctr::FrontendPosts);
-        }
+        self.obs.inc(Ctr::FrontendPosts);
         // A poisoned port (the backend is gone: deadlock report or
         // teardown) unwinds the workload with SimAbort from here.
         let reply = port.post(Event {
@@ -226,9 +221,7 @@ impl CpuCtx {
         };
         let _os = enter_class(Class::Os);
         self.stats.pseudo_irqs += 1;
-        if let Some(c) = &self.os_obs.counters {
-            c.inc(Ctr::OsPseudoIrqs);
-        }
+        self.obs.inc(Ctr::OsPseudoIrqs);
         let gran = self.kernel.cfg.touch_gran;
         let mut kc = KernelCtx::new(self.pid, port, self.clock, ExecMode::Interrupt, gran);
         handlers::run_pending(&mut kc, &self.kernel);
@@ -254,9 +247,7 @@ impl CpuCtx {
         if let Mode::Sim { port, .. } = &self.mode {
             if port.has_room() {
                 self.stats.events += 1;
-                if let Some(c) = &self.obs {
-                    c.inc(Ctr::FrontendPosts);
-                }
+                self.obs.inc(Ctr::FrontendPosts);
                 port.post_batched(Event {
                     pid: self.pid,
                     time: self.clock,
@@ -530,21 +521,18 @@ impl CpuCtx {
         let result = syscalls::dispatch(&mut kc, &self.kernel, call);
         self.clock = kc.clock;
         self.last_event_clock = self.clock;
-        if let Some(c) = &self.os_obs.counters {
+        if let Some(c) = &self.obs.counters {
             c.inc(Ctr::OsCalls);
             if self.kperf.take_batched_any() {
                 c.inc(Ctr::OsBatchedReplies);
             }
         }
-        if let Some(t) = &self.os_obs.trace {
-            if t.wants(TraceKind::OsCall) {
-                let mut r = TraceRec::new(start, self.pid.0, TraceKind::OsCall);
-                r.a = start;
-                r.b = self.clock - start;
-                r.tag = name;
-                t.record(r);
-            }
-        }
+        self.obs.trace(TraceRec {
+            a: start,
+            b: self.clock - start,
+            tag: name,
+            ..TraceRec::new(start, self.pid.0, TraceKind::OsCall)
+        });
         result
     }
 
@@ -599,12 +587,6 @@ impl CpuCtx {
         let r = f(self);
         self.events_enabled = saved;
         r
-    }
-
-    /// Sets the context-record event-generation flag directly (static
-    /// constructors/destructors use a statically-initialised record).
-    pub fn set_events_enabled(&mut self, on: bool) {
-        self.events_enabled = on;
     }
 }
 

@@ -60,13 +60,6 @@ impl InstClass {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// True if the instruction references memory (and therefore produces an
-    /// event for the backend in the instrumented stream).
-    #[inline]
-    pub fn references_memory(self) -> bool {
-        matches!(self, InstClass::Load | InstClass::Store | InstClass::Rmw)
-    }
 }
 
 #[cfg(test)]
@@ -82,15 +75,5 @@ mod tests {
             seen[c.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn memory_classes_are_exactly_load_store_rmw() {
-        let mem: Vec<_> = InstClass::ALL
-            .iter()
-            .copied()
-            .filter(|c| c.references_memory())
-            .collect();
-        assert_eq!(mem, vec![InstClass::Load, InstClass::Store, InstClass::Rmw]);
     }
 }

@@ -71,11 +71,6 @@ impl TimingModel {
     pub fn cost_n(&self, c: InstClass, n: u64) -> Cycles {
         self.cost(c).saturating_mul(n)
     }
-
-    /// Converts a cycle count to seconds at this model's clock frequency.
-    pub fn cycles_to_secs(&self, cycles: Cycles) -> f64 {
-        cycles as f64 / (self.clock_mhz as f64 * 1.0e6)
-    }
 }
 
 #[cfg(test)]
@@ -113,12 +108,5 @@ mod tests {
     fn cost_n_saturates() {
         let t = TimingModel::unit().with_cost(InstClass::Nop, u64::MAX);
         assert_eq!(t.cost_n(InstClass::Nop, 2), u64::MAX);
-    }
-
-    #[test]
-    fn cycles_to_secs_uses_clock() {
-        let t = TimingModel::powerpc_604();
-        let s = t.cycles_to_secs(133_000_000);
-        assert!((s - 1.0).abs() < 1e-9);
     }
 }

@@ -56,12 +56,6 @@ impl VAddr {
         self.0 & (PAGE_SIZE - 1)
     }
 
-    /// First address of the containing page.
-    #[inline]
-    pub fn page_base(self) -> VAddr {
-        VAddr(self.0 & !(PAGE_SIZE - 1))
-    }
-
     /// Rounds up to the next page boundary (saturating at the top of the
     /// address space).
     #[inline]
@@ -232,7 +226,6 @@ mod tests {
         let a = VAddr(0x1000_1234);
         assert_eq!(a.vpn(), 0x10001);
         assert_eq!(a.page_offset(), 0x234);
-        assert_eq!(a.page_base(), VAddr(0x1000_1000));
         assert_eq!(a.page_align_up(), VAddr(0x1000_2000));
         assert_eq!(VAddr(0x1000_1000).page_align_up(), VAddr(0x1000_1000));
     }

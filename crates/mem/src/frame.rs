@@ -79,12 +79,6 @@ impl FrameAllocator {
         self.next_local.iter().sum()
     }
 
-    /// Node that physically hosts a frame number produced by this allocator.
-    #[inline]
-    pub fn node_of_frame(ppn: u64) -> NodeId {
-        NodeId((ppn >> Self::NODE_SHIFT) as u16)
-    }
-
     /// True when `ppn` is a frame this allocator has actually handed out:
     /// its node exists and its local index is below the node's allocation
     /// watermark. Invariant checks use this to catch page-table entries
@@ -120,7 +114,7 @@ mod tests {
             for _ in 0..10 {
                 let f = fa.alloc_on(NodeId(n)).unwrap();
                 assert!(seen.insert(f), "duplicate frame {f:#x}");
-                assert_eq!(FrameAllocator::node_of_frame(f), NodeId(n));
+                assert_eq!(f >> FrameAllocator::NODE_SHIFT, u64::from(n));
             }
         }
         assert_eq!(fa.allocated(), 40);

@@ -17,8 +17,6 @@ pub struct ObsConfig {
     pub trace: TraceLevel,
     /// Trace ring capacity in records.
     pub trace_capacity: usize,
-    /// Emit a progress snapshot every N serviced events (`None` = off).
-    pub progress_every: Option<u64>,
 }
 
 impl Default for ObsConfig {
@@ -27,7 +25,6 @@ impl Default for ObsConfig {
             counters: false,
             trace: TraceLevel::Off,
             trace_capacity: 64 * 1024,
-            progress_every: None,
         }
     }
 }
@@ -35,7 +32,7 @@ impl Default for ObsConfig {
 impl ObsConfig {
     /// True when any instrumentation is requested.
     pub fn enabled(&self) -> bool {
-        self.counters || self.trace != TraceLevel::Off || self.progress_every.is_some()
+        self.counters || self.trace != TraceLevel::Off
     }
 
     /// Everything on at the given trace level — the bench/report setting.
@@ -73,7 +70,6 @@ mod tests {
         assert!(!cfg.enabled());
         assert!(!cfg.counters);
         assert_eq!(cfg.trace, TraceLevel::Off);
-        assert!(cfg.progress_every.is_none());
     }
 
     #[test]

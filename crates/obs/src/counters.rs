@@ -1,17 +1,16 @@
-//! The counter catalogue and the lock-free aggregation hub.
+//! The counter catalogue and the run's counter block.
 //!
-//! Each subsystem (backend engine, every event port, the processes' OS
-//! calls, each frontend) owns an [`CounterBlock`] — a fixed array of relaxed
-//! `AtomicU64`s it alone increments — registered with the run's
-//! [`ObsHub`]. Nothing is shared on the hot path; the hub walks the
-//! blocks once at the end of the run and sums them into a
-//! [`CounterSnapshot`]. Increments on an owned cache line with relaxed
-//! ordering cost a handful of cycles; hook sites additionally gate on an
-//! `Option` so a disabled run pays only the branch.
+//! A run keeps one [`CounterBlock`], a fixed array of relaxed
+//! `AtomicU64`s. Every hook site (the engine, each event port, each
+//! frontend and its OS calls, the executor) holds a clone of the same
+//! `Arc` and adds to it; the runner reads the block once at the end of
+//! the run. The whole simulation runs on one thread, so the slots are
+//! never contended; they stay atomic because an `EventPort` holds the
+//! block and must stay `Sync` (see [`CounterBlock`]). A relaxed add costs
+//! a handful of cycles, and hook sites gate on an `Option`, so a run
+//! with counters off pays only the branch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
 
 /// The fixed counter catalogue. The numeric value is the slot index in a
 /// [`CounterBlock`] and is internal: reports, the fleet and the benchmark
@@ -45,8 +44,6 @@ pub enum Ctr {
     IrqDispatches,
     /// Replies delivered to blocked posters.
     Replies,
-    /// Progress snapshots emitted.
-    ProgressSnapshots,
     /// Blocking posts through an event ring.
     RingPosts,
     /// Events published in batched (credit) mode.
@@ -139,7 +136,6 @@ impl Ctr {
         Ctr::TimerTicks,
         Ctr::IrqDispatches,
         Ctr::Replies,
-        Ctr::ProgressSnapshots,
         Ctr::RingPosts,
         Ctr::RingBatched,
         Ctr::RingNotifies,
@@ -223,7 +219,6 @@ impl Ctr {
             Ctr::TimerTicks => "timer_ticks",
             Ctr::IrqDispatches => "irq_dispatches",
             Ctr::Replies => "replies",
-            Ctr::ProgressSnapshots => "progress_snapshots",
             Ctr::RingPosts => "ring_posts",
             Ctr::RingBatched => "ring_batched",
             Ctr::RingNotifies => "ring_notifies",
@@ -252,8 +247,12 @@ impl Ctr {
     }
 }
 
-/// One subsystem's counters: a fixed array of relaxed atomics. The owner
-/// increments; the hub reads at merge time.
+/// A run's counters: a fixed array of relaxed atomics, one per [`Ctr`].
+///
+/// One block serves the whole run. Relaxed atomics rather than `Cell`s,
+/// because `EventPort` holds the block and must stay `Sync`: ports are
+/// also posted to from ordinary host threads (the benchmark's
+/// communicator probes), which the simulator itself never does.
 pub struct CounterBlock {
     slots: [AtomicU64; CTR_COUNT],
 }
@@ -290,64 +289,10 @@ impl CounterBlock {
     }
 }
 
-/// Merged totals across every registered block.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    totals: [u64; CTR_COUNT],
-}
-
-impl CounterSnapshot {
-    /// Value of one counter.
-    pub fn get(&self, c: Ctr) -> u64 {
-        self.totals[c as usize]
-    }
-
-    /// Every counter with its stable name, in catalogue order.
-    pub fn all(&self) -> Vec<(&'static str, u64)> {
-        Ctr::ALL.iter().map(|c| (c.name(), self.get(*c))).collect()
-    }
-}
-
-/// The per-run registry of counter blocks. Registration happens during
-/// setup (mutex-protected, cold); merging happens once after the run.
-#[derive(Default)]
-pub struct ObsHub {
-    blocks: Mutex<Vec<(String, Arc<CounterBlock>)>>,
-}
-
-impl ObsHub {
-    /// A fresh hub.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Registers and returns a new block for `label` (labels are for
-    /// debugging; duplicates are fine — blocks merge by summing).
-    pub fn register(&self, label: &str) -> Arc<CounterBlock> {
-        let block = Arc::new(CounterBlock::new());
-        self.blocks
-            .lock()
-            .expect("a registration panicked")
-            .push((label.to_string(), Arc::clone(&block)));
-        block
-    }
-
-    /// Sums every registered block.
-    pub fn merge(&self) -> CounterSnapshot {
-        let mut totals = [0u64; CTR_COUNT];
-        let blocks = self.blocks.lock().expect("a registration panicked");
-        for (_, block) in blocks.iter() {
-            for (i, slot) in totals.iter_mut().enumerate() {
-                *slot += block.slots[i].load(Ordering::Relaxed);
-            }
-        }
-        CounterSnapshot { totals }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn catalogue_is_consistent() {
@@ -382,24 +327,8 @@ mod tests {
     }
 
     #[test]
-    fn hub_merges_across_blocks() {
-        let hub = ObsHub::new();
-        let a = hub.register("backend");
-        let b = hub.register("port-0");
-        a.add(Ctr::EventsMemRef, 3);
-        b.inc(Ctr::EventsMemRef);
-        b.inc(Ctr::RingNotifies);
-        let snap = hub.merge();
-        assert_eq!(snap.get(Ctr::EventsMemRef), 4);
-        assert_eq!(snap.get(Ctr::RingNotifies), 1);
-        assert_eq!(snap.get(Ctr::OsCalls), 0);
-        assert_eq!(snap.all().len(), CTR_COUNT);
-    }
-
-    #[test]
     fn concurrent_increments_are_not_lost() {
-        let hub = ObsHub::new();
-        let block = hub.register("x");
+        let block = Arc::new(CounterBlock::new());
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let b = Arc::clone(&block);
@@ -413,6 +342,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(hub.merge().get(Ctr::FrontendPosts), 40_000);
+        assert_eq!(block.get(Ctr::FrontendPosts), 40_000);
     }
 }

@@ -3,18 +3,17 @@
 //! COMPASS's value is the numbers it emits (the paper's Table 1 time
 //! attribution, the scheduler/placement studies), so the simulator carries
 //! a first-class instrumentation layer in the style of gem5's stats
-//! framework and MGSim's event monitoring:
+//! framework, which keeps one set of statistics per simulation and reads
+//! it when it dumps:
 //!
-//! * [`counters`] — a fixed catalogue of cheap counters ([`Ctr`]), each
-//!   subsystem/thread incrementing its own relaxed-atomic
-//!   [`CounterBlock`] registered with an [`ObsHub`] and merged once at
-//!   the end of a run.
+//! * [`counters`] — a fixed catalogue of cheap counters ([`Ctr`]) in one
+//!   [`CounterBlock`] per run, read once at the end of the run.
 //! * [`trace`] — a config-driven structured trace: typed records in a
 //!   bounded ring ([`TraceBuffer`]) with level filtering
 //!   ([`TraceLevel`]), exported as JSONL or Chrome `trace_event` JSON.
-//! * [`progress`] — periodic [`ProgressSnapshot`]s emitted by the engine
-//!   loop through a callback, for runner heartbeats and livelock
-//!   detection in soak harnesses.
+//!
+//! Every hook site holds a clone of one [`Obs`] handle: the run's block
+//! and its trace ring, each optional.
 //!
 //! Everything here is *observation only*: no type in this crate is ever
 //! read back by simulation code, so enabling or disabling it cannot
@@ -23,20 +22,67 @@
 
 pub mod config;
 pub mod counters;
-pub mod progress;
 pub mod trace;
 
 pub use config::ObsConfig;
-pub use counters::{CounterBlock, CounterSnapshot, Ctr, ObsHub, CTR_COUNT};
-pub use progress::{ProgressFn, ProgressSnapshot};
+pub use counters::{CounterBlock, Ctr, CTR_COUNT};
 pub use trace::{TraceBuffer, TraceHandle, TraceKind, TraceLevel, TraceRec};
 
-/// The merged observability section of a finished run, attached to
+use std::sync::Arc;
+
+/// A hook site's view of the run's observability: the run's one counter
+/// block and its trace ring, each `None` when off. Every hook site holds
+/// a clone; each method is one branch when its half is off.
+#[derive(Clone, Default)]
+pub struct Obs {
+    /// The run's counter block.
+    pub counters: Option<Arc<CounterBlock>>,
+    /// The run's structured trace recorder.
+    pub trace: Option<TraceHandle>,
+}
+
+impl Obs {
+    /// Adds one to counter `c` when counters are on.
+    #[inline]
+    pub fn inc(&self, c: Ctr) {
+        if let Some(b) = &self.counters {
+            b.inc(c);
+        }
+    }
+
+    /// Adds `n` to counter `c` when counters are on.
+    #[inline]
+    pub fn add(&self, c: Ctr, n: u64) {
+        if let Some(b) = &self.counters {
+            b.add(c, n);
+        }
+    }
+
+    /// Appends an untagged record when tracing admits `kind`.
+    #[inline]
+    pub fn record(&self, time: u64, pid: u32, kind: TraceKind, a: u64, b: u64) {
+        self.trace(TraceRec {
+            a,
+            b,
+            ..TraceRec::new(time, pid, kind)
+        });
+    }
+
+    /// Appends `rec` when tracing admits its kind.
+    #[inline]
+    pub fn trace(&self, rec: TraceRec) {
+        if let Some(t) = &self.trace {
+            t.record(rec);
+        }
+    }
+}
+
+/// The observability section of a finished run, attached to
 /// `RunReport` when observability was enabled.
 #[derive(Clone, Debug, Default)]
 pub struct ObsReport {
-    /// Every counter in catalogue order, merged across all registered
-    /// blocks (zeros included, so consumers can index by name).
+    /// Every counter in catalogue order, read from the run's block
+    /// (zeros included, so consumers can index by name).
     pub counters: Vec<(&'static str, u64)>,
     /// Records retained in the trace ring at the end of the run.
     pub trace_records: u64,

@@ -27,7 +27,7 @@ pub enum TraceLevel {
     #[default]
     Off,
     /// Scheduling edges and rare events: dispatch, preempt, block, wake,
-    /// page fault, OS call, snapshot, deadlock.
+    /// page fault, OS call, deadlock.
     Coarse,
     /// Everything, including each event pickup and reply.
     Fine,
@@ -68,8 +68,6 @@ pub enum TraceKind {
     /// A process finished a system call; `a` = clock at entry,
     /// `b` = kernel cycles spent, `tag` = syscall name.
     OsCall,
-    /// Progress snapshot emitted; `a` = events processed so far.
-    Snapshot,
     /// The run ended in a deadlock report.
     Deadlock,
 }
@@ -86,7 +84,6 @@ impl TraceKind {
             TraceKind::Wake => "wake",
             TraceKind::PageFault => "page_fault",
             TraceKind::OsCall => "os_call",
-            TraceKind::Snapshot => "snapshot",
             TraceKind::Deadlock => "deadlock",
         }
     }

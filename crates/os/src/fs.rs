@@ -225,14 +225,6 @@ impl FdTables {
             .and_then(|d| d.take())
             .ok_or(Errno::BadF)
     }
-
-    /// Drops a whole process's table (exit).
-    pub fn drop_process(&mut self, pid: ProcessId) -> Vec<Desc> {
-        self.tables
-            .remove(&pid)
-            .map(|t| t.into_iter().flatten().collect())
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -333,21 +325,5 @@ mod tests {
         );
         t.close(P, a).unwrap();
         assert_eq!(t.close(P, a), Err(Errno::BadF));
-    }
-
-    #[test]
-    fn drop_process_returns_open_descs() {
-        let mut t = FdTables::new();
-        t.install(
-            P,
-            Desc::File {
-                inode: 1,
-                offset: 0,
-            },
-        );
-        t.install(P, Desc::Sock { conn: ConnId(9) });
-        let open = t.drop_process(P);
-        assert_eq!(open.len(), 2);
-        assert_eq!(t.get(P, Fd(0)), Err(Errno::BadF));
     }
 }

@@ -51,4 +51,4 @@ pub mod waitq;
 
 pub use kctx::{EventSink, KernelCtx, KernelPerf, PortSink, RawSink};
 pub use proto::{Errno, Fd, OsCall, SysResult, SysVal};
-pub use server::{start_daemon, KernelConfig, KernelShared, OsObs, SyscallStats};
+pub use server::{start_daemon, KernelConfig, KernelShared, SyscallStats};

@@ -24,22 +24,11 @@ use compass_comm::{
 };
 use compass_isa::{Cycles, DiskId, ProcessId};
 use compass_mem::{VAddr, KERNEL_BASE};
-use compass_obs::{CounterBlock, TraceHandle};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Observability hooks of the processes' OS calls. All fields optional:
-/// the default is fully disabled, costing one branch per hook site.
-#[derive(Clone, Default)]
-pub struct OsObs {
-    /// OS-call / pseudo-IRQ counters.
-    pub counters: Option<Arc<CounterBlock>>,
-    /// Coarse trace records (one per completed OS call).
-    pub trace: Option<TraceHandle>,
-}
 
 /// Simulated addresses of the kernel's global locks.
 pub mod locks {
@@ -145,11 +134,6 @@ impl SyscallStats {
             .collect();
         v.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         v
-    }
-
-    /// Total cycles across all calls.
-    pub fn total_cycles(&self) -> Cycles {
-        self.inner.borrow().values().map(|&(_, cy)| cy).sum()
     }
 }
 
@@ -287,7 +271,7 @@ impl KernelShared {
 }
 
 /// Starts the bottom-half kernel daemon on its own event port, as a task
-/// on `exec` (its host time ledgered in `counters`). "Dedicated threads
+/// on `exec`. "Dedicated threads
 /// can be scheduled to simulate bottom half kernel activities." (§3.1)
 ///
 /// The daemon's interrupt context batches as deep as `port`'s ring:
@@ -297,13 +281,10 @@ pub fn start_daemon(
     kernel: &Rc<KernelShared>,
     daemon_pid: ProcessId,
     port: Arc<EventPort>,
-    counters: Option<Arc<CounterBlock>>,
     exec: &mut Executor,
 ) {
     let k = Rc::clone(kernel);
-    exec.spawn(Class::BottomHalf, counters, move || {
-        daemon_main(daemon_pid, port, k)
-    });
+    exec.spawn(Class::BottomHalf, move || daemon_main(daemon_pid, port, k));
 }
 
 /// Runs simulated kernel code, swallowing a [`SimAbort`] unwind (poisoned
@@ -401,7 +382,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap[0].0, "send");
         assert_eq!(snap[1], ("kreadv".to_string(), 2, 150));
-        assert_eq!(s.total_cycles(), 650);
     }
 
     #[test]
@@ -437,14 +417,14 @@ mod tests {
         ));
         let mut exec = Executor::new();
         let holder = Rc::clone(&k);
-        exec.spawn(Class::Os, None, move || {
+        exec.spawn(Class::Os, move || {
             let sink = PortSink(port);
             let mut kc = KernelCtx::new(ProcessId(0), &sink, 0, ExecMode::Kernel, 64);
             let _fs = holder.fs.borrow_mut();
             kc.load(VAddr(KERNEL_BASE), 8);
         });
         let other = Rc::clone(&k);
-        exec.spawn(Class::Os, None, move || {
+        exec.spawn(Class::Os, move || {
             other.fs.borrow_mut().lookup("/etc/passwd");
         });
         while exec.run_ready() {}

@@ -15,7 +15,7 @@ pub const DEPTHS: [usize; 4] = [1, 4, 16, 64];
 
 /// Runs `sc` once at the given batch depth; `record` fills
 /// [`RunReport::access_trace`] with the engine→arch trace. `observe` turns the full
-/// observability stack on (counters, fine tracing, progress snapshots) —
+/// observability stack on (counters and fine tracing) —
 /// the depth differentials then double as the proof that instrumentation
 /// never perturbs the simulation. A deadlock comes back as `Err` so soak
 /// runs record and shrink it instead of dying.
@@ -33,7 +33,6 @@ pub fn run_scenario(
     apply_scenario_knobs(cfg, sc, depth);
     if observe {
         cfg.obs = ObsConfig::full(TraceLevel::Fine);
-        cfg.obs.progress_every = Some(10_000);
     }
     b.try_run()
 }

@@ -1,13 +1,12 @@
-//! The observability layer end to end: counters, structured tracing,
-//! progress snapshots — and the load-bearing property that none of it
-//! changes the simulation.
+//! The observability layer end to end: counters and structured tracing
+//! — and the load-bearing property that none of it changes the
+//! simulation.
 
 use compass::{ArchConfig, CpuCtx, ObsConfig, SimBuilder, TraceLevel};
 use compass_backend::BackendStats;
+use compass_frontend::FrontendStats;
 use compass_os::fs::FileData;
 use compass_os::{OsCall, SysVal};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A small mixed workload touching every instrumented subsystem: shared
 /// memory (locks), private memory, file I/O, compute.
@@ -60,9 +59,7 @@ fn builder(nprocs: u16, obs: ObsConfig) -> SimBuilder {
 
 #[test]
 fn counters_and_trace_capture_the_run() {
-    let mut obs = ObsConfig::full(TraceLevel::Fine);
-    obs.progress_every = Some(500);
-    let report = builder(2, obs).run();
+    let report = builder(2, ObsConfig::full(TraceLevel::Fine)).run();
 
     let o = report.obs.expect("obs enabled, report must be present");
     for name in [
@@ -75,7 +72,6 @@ fn counters_and_trace_capture_the_run() {
         "ring_posts",
         "os_calls",
         "frontend_posts",
-        "progress_snapshots",
         "backend_active_ns",
         "frontend_gen_ns",
     ] {
@@ -107,25 +103,44 @@ fn counters_and_trace_capture_the_run() {
 }
 
 #[test]
-fn progress_snapshots_reach_the_callback() {
-    let obs = ObsConfig {
-        progress_every: Some(200),
-        ..ObsConfig::default()
-    };
-    let fired = Arc::new(AtomicU64::new(0));
-    let seen_events = Arc::new(AtomicU64::new(0));
-    let f = Arc::clone(&fired);
-    let e = Arc::clone(&seen_events);
-    let report = builder(2, obs)
-        .progress(move |snap| {
-            f.fetch_add(1, Ordering::Relaxed);
-            e.store(snap.events, Ordering::Relaxed);
-            assert!(snap.events > 0);
-            assert!(!snap.states.is_empty());
-        })
-        .run();
-    assert!(fired.load(Ordering::Relaxed) > 0, "no snapshot fired");
-    assert!(seen_events.load(Ordering::Relaxed) <= report.backend.events);
+fn every_hook_site_counts_into_the_run_report() {
+    // The ports, the frontends, their OS calls and pseudo interrupts, and
+    // the engine all count into the run's one block: each counter equals
+    // the statistic its subsystem keeps for itself. The second run
+    // oversubscribes the CPUs and delivers the interrupts of a short
+    // timer as pseudo interrupts, so that hook counts too.
+    for pseudo in [false, true] {
+        let counters = ObsConfig {
+            counters: true,
+            ..ObsConfig::default()
+        };
+        let mut b = builder(if pseudo { 6 } else { 2 }, counters);
+        if pseudo {
+            let cfg = b.config_mut();
+            cfg.pseudo_irq = true;
+            cfg.backend.timer_interval = Some(5_000);
+        }
+        let report = b.run();
+        let o = report.obs.as_ref().expect("counters on");
+        let fe = |f: fn(&FrontendStats) -> u64| report.frontends.iter().map(f).sum::<u64>();
+        let be = &report.backend;
+        for (name, stat) in [
+            ("frontend_posts", fe(|s| s.events)),
+            ("os_calls", fe(|s| s.os_calls)),
+            ("os_pseudo_irqs", fe(|s| s.pseudo_irqs)),
+            ("page_faults", be.soft_faults),
+            ("tlb_misses", be.tlb.misses),
+            ("sched_dispatches", be.sched.dispatches),
+            ("sched_preemptions", be.sched.preemptions),
+            (
+                "irq_dispatches",
+                be.irq_dispatches[0] + be.irq_dispatches[1],
+            ),
+        ] {
+            assert_eq!(o.counter(name), stat, "{name} (pseudo_irq {pseudo})");
+        }
+        assert_eq!(o.counter("os_pseudo_irqs") > 0, pseudo);
+    }
 }
 
 #[test]
@@ -139,9 +154,7 @@ fn disabled_observability_reports_nothing() {
 fn observability_does_not_change_the_simulation() {
     // The acceptance bar: full instrumentation on vs everything off must
     // produce byte-identical backend statistics.
-    let mut obs = ObsConfig::full(TraceLevel::Fine);
-    obs.progress_every = Some(100);
-    let on = builder(2, obs).run().backend;
+    let on = builder(2, ObsConfig::full(TraceLevel::Fine)).run().backend;
     let off = builder(2, ObsConfig::default()).run().backend;
     let bytes = |s: &BackendStats| format!("{s:#?}").into_bytes();
     assert_eq!(
